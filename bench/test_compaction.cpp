@@ -59,14 +59,9 @@ int main() {
   // Close the residual faults deterministically: simulation-based ATPG
   // (hill climbing on error spread) targets exactly what the random pool
   // missed.
-  std::vector<lsl::digital::StuckFault> residual;
-  {
-    const auto campaign =
-        lsl::digital::run_stuck_campaign_multi(top.c, chain_ptrs, candidates, faults, observe);
-    residual = campaign.undetected;
-    // Also target faults that were only "possibly" detected (X-masked).
-    (void)campaign;
-  }
+  const std::vector<lsl::digital::StuckFault> residual =
+      lsl::digital::run_stuck_campaign_multi(top.c, chain_ptrs, candidates, faults, observe)
+          .undetected;
   std::printf("\nATPG stage: %zu faults left undetected by the random pool\n", residual.size());
   const auto atpg = lsl::digital::generate_tests(top.c, chain_ptrs, residual, pis, observe);
   std::printf("ATPG closed %zu of them with %zu extra patterns; %zu remain:\n",

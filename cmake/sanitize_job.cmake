@@ -20,10 +20,10 @@ if(NOT rc EQUAL 0)
   message(FATAL_ERROR "[sanitize_job] configure failed (${SANITIZER})")
 endif()
 
-message(STATUS "[sanitize_job] building test_util + test_spice + test_dft + test_fault")
+message(STATUS "[sanitize_job] building test_util + test_spice + test_dft + test_fault + test_digital")
 execute_process(
   COMMAND ${CMAKE_COMMAND} --build ${BIN_DIR} --parallel
-          --target test_util test_spice test_dft test_fault
+          --target test_util test_spice test_dft test_fault test_digital
   RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "[sanitize_job] build failed (${SANITIZER})")
@@ -33,12 +33,14 @@ endif()
 # thread-local workspaces campaign workers share); Smw covers the
 # low-rank Sherman–Morrison–Woodbury fault-injection path, and the
 # Campaign pattern also picks up CampaignIncremental (shared read-only
-# seed bank + collapse memo under threads). NewtonAllocation is
+# seed bank + collapse memo under threads). Circuit, StuckCampaign,
+# Compaction, CoverageCurve and Atpg run the lane-indexed arrays of the
+# fault-parallel digital simulator. NewtonAllocation is
 # deliberately excluded: its global operator-new counters are
 # meaningless under sanitizer allocators.
-message(STATUS "[sanitize_job] running ThreadPool/Campaign/McTrials/SparseEngine/Smw tests under ${SANITIZER}")
+message(STATUS "[sanitize_job] running ThreadPool/Campaign/McTrials/SparseEngine/Smw/digital tests under ${SANITIZER}")
 execute_process(
-  COMMAND ctest --test-dir ${BIN_DIR} -R "ThreadPool|Campaign|McTrials|SparseEngine|Smw"
+  COMMAND ctest --test-dir ${BIN_DIR} -R "ThreadPool|Campaign|McTrials|SparseEngine|Smw|Circuit|StuckCampaign|Compaction|CoverageCurve|Atpg"
           --output-on-failure
   RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)

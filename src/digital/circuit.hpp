@@ -10,6 +10,12 @@
 // (latches included while transparent); `step()` then commits flip-flop
 // state. Nets that fail to settle are driven to X, so combinational
 // feedback degrades safely instead of hanging.
+//
+// Every net, flop and latch holds 64 independent lanes of 0/1/X in two
+// bit-planes (LaneWord), and each lane may carry its own stuck-at fault,
+// so one evaluation simulates up to 64 faulty machines at once. The
+// scalar API writes every lane and reads lane 0; fault-parallel callers
+// load per-lane inputs and faults and read whole words.
 #pragma once
 
 #include <cstddef>
@@ -24,6 +30,29 @@
 namespace lsl::digital {
 
 using NetId = std::size_t;
+
+/// Lanes per LaneWord.
+inline constexpr unsigned kLanes = 64;
+
+/// 64 lanes of three-valued logic: lane i is 1 when bit i of `one` is
+/// set, 0 when bit i of `zero` is set, and X when neither is.
+struct LaneWord {
+  std::uint64_t one = 0;
+  std::uint64_t zero = 0;
+
+  /// `v` on every lane.
+  static LaneWord all(Logic v) {
+    return {v == Logic::k1 ? ~std::uint64_t{0} : 0, v == Logic::k0 ? ~std::uint64_t{0} : 0};
+  }
+  Logic lane(unsigned i) const {
+    if ((one >> i) & 1u) return Logic::k1;
+    return ((zero >> i) & 1u) != 0 ? Logic::k0 : Logic::kX;
+  }
+  bool operator==(const LaneWord&) const = default;
+};
+
+/// Lane 0 of each word.
+std::vector<Logic> lane0(const std::vector<LaneWord>& words);
 
 enum class GateType {
   kBuf,
@@ -95,15 +124,21 @@ class Circuit {
 
   // ---- simulation state ----
 
-  /// Resets every net to X and flip-flop/latch state to X (power-on).
+  /// Resets every net except primary inputs to X, and flip-flop/latch
+  /// state to X (power-on). Inputs keep their values.
   void power_on();
   /// Applies asynchronous reset: flops with a reset net asserted go to 0.
   /// (Evaluates combinational logic first so reset nets are known.)
   void apply_reset();
 
-  void set_input(NetId n, Logic v);
+  void set_input(NetId n, Logic v) { set_input_lanes(n, v, ~std::uint64_t{0}); }
   void set_input(NetId n, bool v) { set_input(n, from_bool(v)); }
-  Logic value(NetId n) const;
+  /// Writes `v` to the lanes set in `lanes` only.
+  void set_input_lanes(NetId n, Logic v, std::uint64_t lanes);
+  /// Lane 0 of the net.
+  Logic value(NetId n) const { return values_.at(n).lane(0); }
+  /// Every lane of the net.
+  LaneWord word(NetId n) const { return values_.at(n); }
 
   /// Settles combinational logic (and transparent latches) to fixpoint.
   /// Called automatically by step(); exposed for "peek before clocking".
@@ -115,24 +150,51 @@ class Circuit {
   void step(std::uint32_t domain_mask = 0xffffffffu);
 
   /// Direct flip-flop state access (used by scan preload in tests and by
-  /// the DFT layer to model preloaded chains).
-  Logic ff_state(std::size_t ff_index) const;
-  void set_ff_state(std::size_t ff_index, Logic v);
-  Logic latch_state(std::size_t latch_index) const;
+  /// the DFT layer to model preloaded chains). Reads lane 0, writes all.
+  Logic ff_state(std::size_t ff_index) const { return ff_q_.at(ff_index).lane(0); }
+  void set_ff_state(std::size_t ff_index, Logic v) { ff_q_.at(ff_index) = LaneWord::all(v); }
+  Logic latch_state(std::size_t latch_index) const { return latch_q_.at(latch_index).lane(0); }
+
+  /// Copies lane `lane` of every net, flop and latch to all lanes.
+  void broadcast_lane(unsigned lane);
 
   // ---- fault support ----
 
-  /// Forces a net to a stuck value during every evaluation (single
-  /// stuck-at model). Clears with clear_faults().
+  /// Forces a net to a stuck value on every lane during every evaluation
+  /// (single stuck-at model), replacing any earlier fault. Clears with
+  /// clear_faults().
   void set_stuck(NetId n, Logic v);
+  /// Forces a net to a stuck value on the lanes set in `lanes`, keeping
+  /// the faults of other lanes (one fault per lane).
+  void set_stuck_lanes(NetId n, Logic v, std::uint64_t lanes);
   void clear_faults();
-  bool has_fault() const { return stuck_net_.has_value(); }
+  bool has_fault() const { return !stuck_nets_.empty(); }
 
  private:
-  Logic read(NetId n) const { return values_[n]; }
-  /// Writes a net value respecting an active stuck fault.
-  void write(NetId n, Logic v);
-  Logic eval_gate(const Gate& g) const;
+  /// A net's stuck-at lanes: `mask` selects them, `value` holds the
+  /// forced value on those lanes (and nothing elsewhere).
+  struct Force {
+    std::uint64_t mask = 0;
+    LaneWord value;
+  };
+  /// A gate flattened for evaluation: its inputs are
+  /// gate_inputs_[first, first + count).
+  struct Op {
+    GateType type;
+    std::uint32_t output;
+    std::uint32_t first;
+    std::uint32_t count;
+  };
+
+  /// `w` with the net's stuck-at lanes forced.
+  LaneWord forced(NetId n, LaneWord w) const {
+    const Force& f = force_[n];
+    return {(w.one & ~f.mask) | f.value.one, (w.zero & ~f.mask) | f.value.zero};
+  }
+  /// One sweep over the gates and latches; returns the lanes that
+  /// changed. kForced applies the stuck-at force masks.
+  template <bool kForced>
+  std::uint64_t sweep();
 
   std::vector<std::string> net_names_;
   std::unordered_map<std::string, NetId> net_by_name_;
@@ -141,12 +203,16 @@ class Circuit {
   std::vector<FlipFlop> flipflops_;
   std::vector<Latch> latches_;
 
-  std::vector<Logic> values_;
-  std::vector<Logic> ff_q_;
-  std::vector<Logic> latch_q_;
+  std::vector<Op> ops_;
+  std::vector<std::uint32_t> gate_inputs_;
 
-  std::optional<NetId> stuck_net_;
-  Logic stuck_value_ = Logic::kX;
+  std::vector<LaneWord> values_;
+  std::vector<LaneWord> ff_q_;
+  std::vector<LaneWord> latch_q_;
+  std::vector<LaneWord> ff_next_;  // step() scratch
+
+  std::vector<Force> force_;       // per net
+  std::vector<NetId> stuck_nets_;  // nets with a non-empty force mask
 };
 
 }  // namespace lsl::digital

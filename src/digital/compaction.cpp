@@ -4,42 +4,6 @@
 
 namespace lsl::digital {
 
-namespace {
-
-/// detection[p][f] = pattern p hard-detects fault f.
-std::vector<std::vector<bool>> detection_matrix(Circuit& c,
-                                                const std::vector<const ScanChain*>& chains,
-                                                const std::vector<MultiScanPattern>& candidates,
-                                                const std::vector<StuckFault>& faults,
-                                                const std::vector<NetId>& observe_nets) {
-  c.clear_faults();
-  std::vector<std::vector<Logic>> golden;
-  golden.reserve(candidates.size());
-  for (const auto& p : candidates) {
-    c.power_on();
-    golden.push_back(apply_pattern_multi(c, chains, p, observe_nets));
-  }
-
-  std::vector<std::vector<bool>> detects(candidates.size(),
-                                         std::vector<bool>(faults.size(), false));
-  for (std::size_t f = 0; f < faults.size(); ++f) {
-    c.set_stuck(faults[f].net, faults[f].value);
-    for (std::size_t p = 0; p < candidates.size(); ++p) {
-      c.power_on();
-      const auto resp = apply_pattern_multi(c, chains, candidates[p], observe_nets);
-      bool hard = false;
-      for (std::size_t i = 0; i < resp.size() && !hard; ++i) {
-        hard = is_known(golden[p][i]) && is_known(resp[i]) && golden[p][i] != resp[i];
-      }
-      detects[p][f] = hard;
-    }
-    c.clear_faults();
-  }
-  return detects;
-}
-
-}  // namespace
-
 CompactionResult compact_patterns(Circuit& c, const std::vector<const ScanChain*>& chains,
                                   const std::vector<MultiScanPattern>& candidates,
                                   const std::vector<StuckFault>& faults,

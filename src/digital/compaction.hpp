@@ -24,10 +24,9 @@ struct CompactionResult {
   std::vector<double> coverage_curve;
 };
 
-/// Builds the pattern x fault hard-detection matrix by serial fault
-/// simulation (no fault dropping: every pattern's full detection set is
-/// needed for set cover), then greedily selects patterns until no
-/// pattern adds coverage.
+/// Builds the pattern x fault hard-detection matrix (detection_matrix: no
+/// fault dropping, since set cover needs every pattern's full detection
+/// set), then greedily selects patterns until no pattern adds coverage.
 CompactionResult compact_patterns(Circuit& c, const std::vector<const ScanChain*>& chains,
                                   const std::vector<MultiScanPattern>& candidates,
                                   const std::vector<StuckFault>& faults,

@@ -28,8 +28,13 @@ ScanChain::ScanChain(Circuit& circuit, std::string prefix, std::vector<std::size
 }
 
 std::vector<Logic> ScanChain::shift(Circuit& circuit, const std::vector<Logic>& vec) const {
+  return lane0(shift_lanes(circuit, vec));
+}
+
+std::vector<LaneWord> ScanChain::shift_lanes(Circuit& circuit,
+                                             const std::vector<Logic>& vec) const {
   if (vec.size() != ffs_.size()) throw std::invalid_argument("scan vector length mismatch");
-  std::vector<Logic> out;
+  std::vector<LaneWord> out;
   out.reserve(vec.size());
   circuit.set_input(se_, Logic::k1);
   // FIFO semantics: vec[0] is presented first, travels deepest, and is
@@ -37,7 +42,7 @@ std::vector<Logic> ScanChain::shift(Circuit& circuit, const std::vector<Logic>& 
   // lands in chain flop (length-1-i).
   for (std::size_t k = 0; k < vec.size(); ++k) {
     circuit.settle();
-    out.push_back(circuit.value(so_));
+    out.push_back(circuit.word(so_));
     circuit.set_input(si_, vec[k]);
     // Only this chain's clock domain toggles during its shift (the
     // paper's chains live in separate clock domains).
@@ -49,13 +54,16 @@ std::vector<Logic> ScanChain::shift(Circuit& circuit, const std::vector<Logic>& 
 }
 
 void ScanChain::load_flop_order(Circuit& circuit, const std::vector<Logic>& vec) const {
-  std::vector<Logic> rev(vec.rbegin(), vec.rend());
-  shift(circuit, rev);
+  shift_lanes(circuit, std::vector<Logic>(vec.rbegin(), vec.rend()));
 }
 
 std::vector<Logic> ScanChain::read_flop_order(Circuit& circuit) const {
-  std::vector<Logic> fifo = read(circuit);
-  return std::vector<Logic>(fifo.rbegin(), fifo.rend());
+  return lane0(read_flop_order_lanes(circuit));
+}
+
+std::vector<LaneWord> ScanChain::read_flop_order_lanes(Circuit& circuit) const {
+  std::vector<LaneWord> fifo = shift_lanes(circuit, std::vector<Logic>(ffs_.size(), Logic::k0));
+  return std::vector<LaneWord>(fifo.rbegin(), fifo.rend());
 }
 
 void ScanChain::capture(Circuit& circuit) const {

@@ -30,11 +30,15 @@ class ScanChain {
   /// (and emerges first on the next read); vec[i] lands in chain flop
   /// length()-1-i. Returns the length() bits shifted out, oldest first.
   std::vector<Logic> shift(Circuit& circuit, const std::vector<Logic>& vec) const;
+  /// shift() on every lane: the words shifted out, oldest first.
+  std::vector<LaneWord> shift_lanes(Circuit& circuit, const std::vector<Logic>& vec) const;
 
   /// Loads `vec` expressed in *flop order*: vec[i] ends up in flops()[i].
   void load_flop_order(Circuit& circuit, const std::vector<Logic>& vec) const;
   /// Reads the chain and returns bits in *flop order*.
   std::vector<Logic> read_flop_order(Circuit& circuit) const;
+  /// read_flop_order() on every lane.
+  std::vector<LaneWord> read_flop_order_lanes(Circuit& circuit) const;
 
   /// One functional capture cycle (scan-enable low).
   void capture(Circuit& circuit) const;

@@ -1,7 +1,14 @@
-// Single stuck-at fault universe and serial fault simulation for the
+// Single stuck-at fault universe and fault simulation for the
 // scan-tested digital control logic. The paper reports 100% stuck-at
 // coverage on these blocks ("the circuits are logically simple"); the
 // campaign here demonstrates that claim instead of asserting it.
+//
+// Fault simulation is fault-parallel: each Circuit lane carries one
+// fault, so a pass over the patterns grades up to 64 faults. Results
+// equal a serial loop that applies the patterns to one fault after
+// another on the same Circuit, including how each run depends on the
+// primary-input values the previous run left behind (power_on keeps
+// them), and the Circuit is left as that loop would leave it.
 #pragma once
 
 #include <functional>
@@ -37,7 +44,7 @@ struct ScanPattern {
 };
 
 /// Applies one pattern through `chain` and returns the unloaded response
-/// (flop order).
+/// (flop order). apply_pattern_multi with one chain.
 std::vector<Logic> apply_pattern(Circuit& c, const ScanChain& chain, const ScanPattern& p);
 
 /// Result of a stuck-at campaign. "Hard" detection is a known-vs-known
@@ -51,9 +58,9 @@ struct StuckCampaignResult {
   std::vector<StuckFault> undetected;  // not even possibly detected
 };
 
-/// Serial stuck-at fault simulation: for each fault, applies the pattern
-/// set until a response differs from the fault-free response (fault
-/// dropping on hard detects).
+/// Stuck-at fault simulation: for each fault, applies the pattern set
+/// until a response differs from the fault-free response (fault dropping
+/// on hard detects). run_stuck_campaign_multi with one chain.
 StuckCampaignResult run_stuck_campaign(Circuit& c, const ScanChain& chain,
                                        const std::vector<ScanPattern>& patterns,
                                        const std::vector<StuckFault>& faults);
@@ -80,12 +87,25 @@ struct MultiScanPattern {
 std::vector<Logic> apply_pattern_multi(Circuit& c, const std::vector<const ScanChain*>& chains,
                                        const MultiScanPattern& p,
                                        const std::vector<NetId>& observe_nets = {});
+/// apply_pattern_multi on every lane: one word per response bit.
+std::vector<LaneWord> apply_pattern_lanes(Circuit& c, const std::vector<const ScanChain*>& chains,
+                                          const MultiScanPattern& p,
+                                          const std::vector<NetId>& observe_nets = {});
 
+/// Multi-chain campaign with fault dropping (see run_stuck_campaign).
 StuckCampaignResult run_stuck_campaign_multi(Circuit& c,
                                              const std::vector<const ScanChain*>& chains,
                                              const std::vector<MultiScanPattern>& patterns,
                                              const std::vector<StuckFault>& faults,
                                              const std::vector<NetId>& observe_nets = {});
+
+/// detection[p][f] = pattern p hard-detects fault f. Every pattern runs
+/// on every fault (no fault dropping).
+std::vector<std::vector<bool>> detection_matrix(Circuit& c,
+                                                const std::vector<const ScanChain*>& chains,
+                                                const std::vector<MultiScanPattern>& patterns,
+                                                const std::vector<StuckFault>& faults,
+                                                const std::vector<NetId>& observe_nets = {});
 
 std::vector<MultiScanPattern> random_patterns_multi(const std::vector<const ScanChain*>& chains,
                                                     const std::vector<NetId>& pis,
