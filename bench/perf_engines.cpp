@@ -10,7 +10,10 @@
 //    workloads on the sparse engine. With `--compare-dense`, each
 //    workload is re-run with every linear solve forced onto the dense
 //    path (spice::solver_tuning().force_dense) and the report gains
-//    dense timings plus the sparse-vs-dense speedup.
+//    dense timings plus the sparse-vs-dense speedup. With
+//    `--campaign-incremental` it also gains a leave-one-out section over
+//    the incremental-campaign mechanisms (all off, defaults, defaults
+//    minus each mechanism), min of 5 interleaved runs per config.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -266,16 +269,14 @@ int run_solver_report(const std::string& json_path, bool compare_dense,
 }
 
 // ---------------------------------------------------------------------------
-// Incremental-campaign A/B report (--campaign-incremental).
+// Incremental-campaign leave-one-out report (--campaign-incremental).
 
-/// One incremental-engine configuration timed over the reduced universe,
-/// with the per-mechanism counter deltas that explain the timing.
+/// One incremental-engine configuration timed over one universe, with
+/// the per-mechanism counter deltas that explain the timing.
 struct IncrementalRun {
   double seconds = 0.0;
   std::int64_t warm_start_hits = 0;
   std::int64_t warm_start_rejects = 0;
-  std::int64_t smw_solves = 0;
-  std::int64_t smw_fallbacks = 0;
   std::int64_t collapse_classes = 0;
   std::int64_t collapse_faults_folded = 0;
   std::int64_t stage_skips = 0;
@@ -290,8 +291,6 @@ IncrementalRun timed_campaign_impl(const RunFn& run_fn) {
   const auto counter = [&m](const char* name) { return m.counter(name).value(); };
   const std::int64_t wh = counter("campaign.warm_start.hits");
   const std::int64_t wr = counter("campaign.warm_start.rejects");
-  const std::int64_t ss = counter("campaign.smw.solves");
-  const std::int64_t sf = counter("campaign.smw.fallbacks");
   const std::int64_t cc = counter("campaign.collapse.classes");
   const std::int64_t cf = counter("campaign.collapse.faults_folded");
   const std::int64_t sk = counter("campaign.stage_skips");
@@ -306,8 +305,6 @@ IncrementalRun timed_campaign_impl(const RunFn& run_fn) {
                     : std::chrono::duration<double>(Clock::now() - t0).count();
   run.warm_start_hits = counter("campaign.warm_start.hits") - wh;
   run.warm_start_rejects = counter("campaign.warm_start.rejects") - wr;
-  run.smw_solves = counter("campaign.smw.solves") - ss;
-  run.smw_fallbacks = counter("campaign.smw.fallbacks") - sf;
   run.collapse_classes = counter("campaign.collapse.classes") - cc;
   run.collapse_faults_folded = counter("campaign.collapse.faults_folded") - cf;
   run.stage_skips = counter("campaign.stage_skips") - sk;
@@ -329,148 +326,98 @@ IncrementalRun timed_table1(const lsl::dft::CampaignOptions& opts) {
   return timed_campaign_impl([&]() { return link.run_fault_campaign(opts); });
 }
 
-void append_incremental_json(std::string& out, const char* key, const IncrementalRun& run,
-                             double all_off_seconds) {
-  char buf[640];
-  const double speedup = run.seconds > 0.0 ? all_off_seconds / run.seconds : 0.0;
-  std::snprintf(
-      buf, sizeof(buf),
-      "\"%s\":{\"seconds\":%.6f,\"speedup_vs_all_off\":%.2f,"
-      "\"warm_start_hits\":%lld,\"warm_start_rejects\":%lld,"
-      "\"smw_solves\":%lld,\"smw_fallbacks\":%lld,"
-      "\"collapse_classes\":%lld,\"collapse_faults_folded\":%lld,\"stage_skips\":%lld,"
-      "\"detected\":%zu,\"total\":%zu,\"quarantined\":%zu}",
-      key, run.seconds, speedup, static_cast<long long>(run.warm_start_hits),
-      static_cast<long long>(run.warm_start_rejects), static_cast<long long>(run.smw_solves),
-      static_cast<long long>(run.smw_fallbacks), static_cast<long long>(run.collapse_classes),
-      static_cast<long long>(run.collapse_faults_folded),
-      static_cast<long long>(run.stage_skips), run.detected, run.total, run.quarantined);
-  out += buf;
+struct Config {
+  std::string name;
+  lsl::dft::CampaignOptions opts;
+};
+
+/// Leave-one-out over the campaign mechanisms: every mechanism off (the
+/// speedup reference), the defaults, then the defaults minus each
+/// mechanism in turn. A mechanism earns its keep when removing it slows
+/// the campaign down.
+std::vector<Config> leave_one_out(const std::string& prefix,
+                                  const lsl::dft::CampaignOptions& defaults) {
+  std::vector<Config> configs;
+  lsl::dft::CampaignOptions all_off = defaults;
+  all_off.reuse_golden = false;
+  all_off.collapse_faults = false;
+  all_off.adaptive_stage_order = false;
+  configs.push_back({prefix + "all_off", all_off});
+  configs.push_back({prefix + "defaults", defaults});
+  lsl::dft::CampaignOptions o = defaults;
+  o.reuse_golden = false;
+  configs.push_back({prefix + "minus_reuse_golden", o});
+  o = defaults;
+  o.collapse_faults = false;
+  configs.push_back({prefix + "minus_collapse_faults", o});
+  o = defaults;
+  o.adaptive_stage_order = false;
+  configs.push_back({prefix + "minus_adaptive_stage_order", o});
+  return configs;
 }
 
-/// A/B section over the incremental-campaign mechanisms: every
-/// mechanism off, the default-on configuration, and each mechanism
-/// alone, all over the same reduced serial universe. The verdict
-/// partition is config-invariant (tests/dft/test_campaign_incremental);
-/// this report captures what that invariance *costs or buys* in time.
-std::string run_campaign_incremental_report() {
-  const auto base = []() {
-    lsl::dft::CampaignOptions opts;
-    opts.prefixes = {"tx.", "cp.m_s"};
-    opts.with_bist = false;
-    opts.with_scan_toggle = false;
-    opts.num_threads = 1;
-    opts.reuse_golden = false;
-    opts.low_rank_injection = false;
-    opts.collapse_faults = false;
-    opts.adaptive_stage_order = false;
-    return opts;
-  };
-
-  struct Config {
-    const char* name;
-    lsl::dft::CampaignOptions opts;
-  };
-  std::vector<Config> configs;
-  configs.push_back({"all_off", base()});
-  {
-    lsl::dft::CampaignOptions o = base();
-    o.reuse_golden = true;
-    o.low_rank_injection = true;
-    o.collapse_faults = true;
-    o.adaptive_stage_order = true;
-    configs.push_back({"defaults", o});
-  }
-  {
-    lsl::dft::CampaignOptions o = base();
-    o.reuse_golden = true;
-    configs.push_back({"reuse_golden_only", o});
-  }
-  {
-    lsl::dft::CampaignOptions o = base();
-    o.low_rank_injection = true;
-    configs.push_back({"low_rank_only", o});
-  }
-  {
-    lsl::dft::CampaignOptions o = base();
-    o.collapse_faults = true;
-    configs.push_back({"collapse_only", o});
-  }
-  {
-    lsl::dft::CampaignOptions o = base();
-    o.adaptive_stage_order = true;
-    configs.push_back({"adaptive_order_only", o});
-  }
-
-  timed_campaign(base());  // warm-up: symbolic analyses, OS caches
-
-  // Two round-robin passes, minimum per config: the counter deltas are
-  // deterministic across reps, the wall clocks are not.
+/// Runs every config `reps` times round-robin, so a load spike hits all
+/// configs alike, and appends the fastest run of each to `json` (the
+/// counter deltas are deterministic across reps, the wall clocks are
+/// not). The first config is the speedup reference.
+template <typename TimeFn>
+void time_configs(const std::vector<Config>& configs, int reps, const TimeFn& time_fn,
+                  std::string& json) {
   std::vector<IncrementalRun> best(configs.size());
-  for (int rep = 0; rep < 2; ++rep) {
+  for (int rep = 0; rep < reps; ++rep) {
     for (std::size_t i = 0; i < configs.size(); ++i) {
-      const IncrementalRun run = timed_campaign(configs[i].opts);
+      const IncrementalRun run = time_fn(configs[i].opts);
       if (rep == 0 || run.seconds < best[i].seconds) best[i] = run;
     }
   }
-
-  std::string json = "  \"campaign_incremental\":{";
-  double all_off_seconds = 0.0;
-  bool first = true;
+  const double ref_seconds = best.front().seconds;
   for (std::size_t i = 0; i < configs.size(); ++i) {
-    const Config& c = configs[i];
     const IncrementalRun& run = best[i];
-    if (std::string(c.name) == "all_off") all_off_seconds = run.seconds;
-    if (!first) json += ",";
-    first = false;
-    append_incremental_json(json, c.name, run, all_off_seconds);
-    std::printf("%-20s %8.4fs  speedup %5.2fx  warm %lld/%lld  smw %lld/%lld  "
-                "folded %lld  skips %lld\n",
-                c.name, run.seconds,
-                run.seconds > 0.0 ? all_off_seconds / run.seconds : 0.0,
+    const double speedup = run.seconds > 0.0 ? ref_seconds / run.seconds : 0.0;
+    char buf[640];
+    std::snprintf(
+        buf, sizeof(buf),
+        "%s\"%s\":{\"seconds\":%.6f,\"speedup_vs_all_off\":%.2f,"
+        "\"warm_start_hits\":%lld,\"warm_start_rejects\":%lld,"
+        "\"collapse_classes\":%lld,\"collapse_faults_folded\":%lld,\"stage_skips\":%lld,"
+        "\"detected\":%zu,\"total\":%zu,\"quarantined\":%zu}",
+        json.back() == '{' ? "" : ",", configs[i].name.c_str(), run.seconds, speedup,
+        static_cast<long long>(run.warm_start_hits),
+        static_cast<long long>(run.warm_start_rejects),
+        static_cast<long long>(run.collapse_classes),
+        static_cast<long long>(run.collapse_faults_folded),
+        static_cast<long long>(run.stage_skips), run.detected, run.total, run.quarantined);
+    json += buf;
+    std::printf("%-40s %8.4fs  speedup %5.2fx  warm %lld/%lld  folded %lld  skips %lld\n",
+                configs[i].name.c_str(), run.seconds, speedup,
                 static_cast<long long>(run.warm_start_hits),
                 static_cast<long long>(run.warm_start_rejects),
-                static_cast<long long>(run.smw_solves),
-                static_cast<long long>(run.smw_fallbacks),
                 static_cast<long long>(run.collapse_faults_folded),
                 static_cast<long long>(run.stage_skips));
   }
+}
 
-  // Acceptance measurement: the full TABLE-I campaign, defaults-on vs
-  // all-off at the same (serial) thread count.
-  lsl::dft::CampaignOptions t1;
-  t1.num_threads = 1;
-  t1.budget.per_fault_sec = 60.0;
-  lsl::dft::CampaignOptions t1_off = t1;
-  t1_off.reuse_golden = false;
-  t1_off.low_rank_injection = false;
-  t1_off.collapse_faults = false;
-  t1_off.adaptive_stage_order = false;
-  // Three interleaved A/B pairs, minimum per config: the workload is
-  // seconds long, so a single sample is at the mercy of machine noise,
-  // and interleaving makes a load spike hit both configs alike.
-  IncrementalRun t1_base, t1_def;
-  for (int rep = 0; rep < 3; ++rep) {
-    const IncrementalRun off_run = timed_table1(t1_off);
-    const IncrementalRun def_run = timed_table1(t1);
-    if (rep == 0 || off_run.seconds < t1_base.seconds) t1_base = off_run;
-    if (rep == 0 || def_run.seconds < t1_def.seconds) t1_def = def_run;
-  }
-  json += ",";
-  append_incremental_json(json, "table1_all_off", t1_base, t1_base.seconds);
-  json += ",";
-  append_incremental_json(json, "table1_defaults", t1_def, t1_base.seconds);
-  std::printf("%-20s %8.4fs  speedup %5.2fx\n", "table1_all_off", t1_base.seconds, 1.0);
-  std::printf("%-20s %8.4fs  speedup %5.2fx  warm %lld/%lld  smw %lld/%lld  "
-              "folded %lld  skips %lld\n",
-              "table1_defaults", t1_def.seconds,
-              t1_def.seconds > 0.0 ? t1_base.seconds / t1_def.seconds : 0.0,
-              static_cast<long long>(t1_def.warm_start_hits),
-              static_cast<long long>(t1_def.warm_start_rejects),
-              static_cast<long long>(t1_def.smw_solves),
-              static_cast<long long>(t1_def.smw_fallbacks),
-              static_cast<long long>(t1_def.collapse_faults_folded),
-              static_cast<long long>(t1_def.stage_skips));
+/// Leave-one-out section over the incremental-campaign mechanisms, on a
+/// reduced serial universe and on the full TABLE-I campaign, min of 5
+/// interleaved runs each. The verdict partition is config-invariant
+/// (tests/dft/test_campaign_incremental); this report captures what
+/// each mechanism buys in time.
+std::string run_campaign_incremental_report() {
+  constexpr int kReps = 5;
+  std::string json = "  \"campaign_incremental\":{";
+
+  lsl::dft::CampaignOptions reduced;
+  reduced.prefixes = {"tx.", "cp.m_s"};
+  reduced.with_bist = false;
+  reduced.with_scan_toggle = false;
+  reduced.num_threads = 1;
+  timed_campaign(reduced);  // warm-up: symbolic analyses, OS caches
+  time_configs(leave_one_out("", reduced), kReps, timed_campaign, json);
+
+  lsl::dft::CampaignOptions table1;
+  table1.num_threads = 1;
+  table1.budget.per_fault_sec = 60.0;
+  time_configs(leave_one_out("table1_", table1), kReps, timed_table1, json);
 
   json += "}";
   return json;

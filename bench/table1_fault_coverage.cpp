@@ -11,9 +11,9 @@
 //                       canonical reports are byte-identical; records the
 //                       measured parallel speedup over the serial run
 //         --no-incremental  disable every incremental-campaign mechanism
-//                       (golden warm starts, low-rank injection, fault
-//                       collapsing, adaptive stage order) — the A/B
-//                       baseline for the incremental engine
+//                       (golden warm starts, fault collapsing, adaptive
+//                       stage order) — the A/B baseline for the
+//                       incremental engine
 //         --trace <path>    Chrome trace_event JSON of the run (Perfetto)
 //         --metrics <path>  util::Metrics snapshot JSON at exit
 #include <cstdio>
@@ -101,7 +101,6 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--compare-serial") == 0) compare_serial = true;
     if (std::strcmp(argv[i], "--no-incremental") == 0) {
       opts.reuse_golden = false;
-      opts.low_rank_injection = false;
       opts.collapse_faults = false;
       opts.adaptive_stage_order = false;
     }

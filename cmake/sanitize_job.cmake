@@ -30,17 +30,16 @@ if(NOT rc EQUAL 0)
 endif()
 
 # SparseEngine covers the workspace/sparse-LU solve path (including the
-# thread-local workspaces campaign workers share); Smw covers the
-# low-rank Sherman–Morrison–Woodbury fault-injection path, and the
-# Campaign pattern also picks up CampaignIncremental (shared read-only
+# thread-local workspaces campaign workers share), and the Campaign
+# pattern also picks up CampaignIncremental (shared read-only
 # seed bank + collapse memo under threads). Circuit, StuckCampaign,
 # Compaction, CoverageCurve and Atpg run the lane-indexed arrays of the
 # fault-parallel digital simulator. NewtonAllocation is
 # deliberately excluded: its global operator-new counters are
 # meaningless under sanitizer allocators.
-message(STATUS "[sanitize_job] running ThreadPool/Campaign/McTrials/SparseEngine/Smw/digital tests under ${SANITIZER}")
+message(STATUS "[sanitize_job] running ThreadPool/Campaign/McTrials/SparseEngine/digital tests under ${SANITIZER}")
 execute_process(
-  COMMAND ctest --test-dir ${BIN_DIR} -R "ThreadPool|Campaign|McTrials|SparseEngine|Smw|Circuit|StuckCampaign|Compaction|CoverageCurve|Atpg"
+  COMMAND ctest --test-dir ${BIN_DIR} -R "ThreadPool|Campaign|McTrials|SparseEngine|Circuit|StuckCampaign|Compaction|CoverageCurve|Atpg"
           --output-on-failure
   RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)

@@ -28,11 +28,9 @@ bool read_cp_bist_bits(const cells::LinkFrontend& fe_in, double vc, bool& hi, bo
   cells::LinkFrontend fe = fe_in;
   auto& nl = fe.netlist();
   nl.add("bist.clamp_vc", spice::VSource{fe.cp_ports().vc, spice::kGround, vc});
-  spice::DcOptions opts = solve;
-  if (hints != nullptr) opts.overlay = hints->overlay;
   const std::string seed_key = "bist.vc." + std::to_string(vc);
   spice::arm_warm_start(hints, seed_key, nl);
-  const auto r = fe.solve(opts);
+  const auto r = fe.solve(solve);
   if (r.converged) spice::capture_seed(hints, seed_key, nl, r.x);
   if (status) *status = r.status;
   if (iterations) *iterations += r.iterations;

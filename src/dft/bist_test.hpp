@@ -46,9 +46,8 @@ const std::array<double, 3>& cp_bist_vc_levels();
 /// Reads the CP-BIST comparator decisions with Vc clamped at `vc`.
 /// Returns false on non-convergence; `status`/`iterations` (when
 /// non-null) receive the solver status and Newton iteration count.
-/// `hints` (optional): golden warm-start seeds / seed capture and the
-/// fault's low-rank overlay, keyed "bist.vc.<vc>"; decisions are
-/// identical with or without it.
+/// `hints` (optional): golden warm-start seeds / seed capture, keyed
+/// "bist.vc.<vc>"; decisions are identical with or without it.
 bool read_cp_bist_bits(const cells::LinkFrontend& fe, double vc, bool& hi, bool& lo,
                        const spice::DcOptions& solve = {},
                        spice::SolveStatus* status = nullptr, long* iterations = nullptr,

@@ -117,8 +117,7 @@ StageResults run_stages(const cells::LinkFrontend& faulty_closed,
                         const ScanTestReference& scan_ref, const BistTestReference& bist_ref,
                         const CampaignOptions& opts, Clock::time_point start,
                         const StageOrder& order, bool short_circuit,
-                        const spice::SolveHints* hints_closed,
-                        const spice::SolveHints* hints_open) {
+                        const spice::SolveHints* hints) {
   StageResults r;
 
   // Remaining wall clock for this fault; every solve inside a stage gets
@@ -150,7 +149,7 @@ StageResults run_stages(const cells::LinkFrontend& faulty_closed,
     solve.timeout_sec = left;
     switch (stage) {
       case kStageDc: {
-        const DcTestOutcome dc = run_dc_test(faulty_closed, dc_ref, solve, hints_closed);
+        const DcTestOutcome dc = run_dc_test(faulty_closed, dc_ref, solve, hints);
         r.dc = dc.detected;
         r.iterations += dc.iterations;
         note_status(r, dc.anomalous, dc.status);
@@ -160,7 +159,7 @@ StageResults run_stages(const cells::LinkFrontend& faulty_closed,
       case kStageScan: {
         ToggleOptions toggle = opts.toggle;
         toggle.timeout_sec = left;
-        const ScanTestOutcome scan = run_scan_test(faulty, scan_ref, toggle, solve, hints_open);
+        const ScanTestOutcome scan = run_scan_test(faulty, scan_ref, toggle, solve, hints);
         r.scan = scan.detected;
         r.iterations += scan.iterations;
         note_status(r, scan.anomalous, scan.status);
@@ -168,7 +167,7 @@ StageResults run_stages(const cells::LinkFrontend& faulty_closed,
         break;
       }
       case kStageBist: {
-        const BistTestOutcome bist = run_bist_test(faulty, bist_ref, solve, hints_open);
+        const BistTestOutcome bist = run_bist_test(faulty, bist_ref, solve, hints);
         r.bist = bist.detected;
         r.iterations += bist.iterations;
         note_status(r, bist.anomalous, bist.status);
@@ -209,9 +208,6 @@ void account(ClassStats& s, const FaultOutcome& o) {
     ++s.quarantined;
     return;
   }
-  s.dc.add(o.dc);
-  s.scan.add(o.scan);
-  s.bist.add(o.bist);
   s.cum_dc.add(o.dc);
   s.cum_scan.add(o.dc || o.scan);
   s.cum_all.add(o.detected_any());
@@ -294,10 +290,9 @@ std::unordered_map<std::size_t, FaultOutcome> load_checkpoint(
   return done;
 }
 
-/// Everything one fault simulation reads. Shared read-only across the
-/// serial run; each pool worker gets its own instance pointing at its
-/// own cloned frontends so no netlist (with its mutable index cache)
-/// is ever touched from two threads.
+/// Everything one fault simulation reads. Each pool worker slot gets its
+/// own instance pointing at its own cloned frontends so no netlist (with
+/// its mutable index cache) is ever touched from two threads.
 struct FaultSimContext {
   const cells::LinkFrontend* golden = nullptr;
   const cells::LinkFrontend* golden_closed = nullptr;
@@ -348,22 +343,10 @@ FaultOutcome simulate_fault(const FaultSimContext& ctx, const StructuralFault& f
       util::log_error("campaign: failed to inject " + f.describe());
       return StageResults{};
     }
-    // Low-rank overlays live on this frame; the hints only carry
-    // pointers, and every solve they reach completes inside run_stages.
-    std::optional<spice::LowRankOverlay> ov_open;
-    std::optional<spice::LowRankOverlay> ov_closed;
-    if (opts.low_rank_injection) {
-      ov_open = fault::low_rank_overlay(faulty.netlist(), f);
-      ov_closed = fault::low_rank_overlay(faulty_closed.netlist(), f);
-    }
-    spice::SolveHints hints_open;
-    hints_open.seeds = ctx.seeds;
-    hints_open.overlay = ov_open.has_value() ? &*ov_open : nullptr;
-    spice::SolveHints hints_closed;
-    hints_closed.seeds = ctx.seeds;
-    hints_closed.overlay = ov_closed.has_value() ? &*ov_closed : nullptr;
+    spice::SolveHints hints;
+    hints.seeds = ctx.seeds;
     return run_stages(faulty_closed, faulty, *ctx.dc_ref, *ctx.scan_ref, *ctx.bist_ref, opts,
-                      fault_start, order, short_circuit, &hints_closed, &hints_open);
+                      fault_start, order, short_circuit, &hints);
   };
 
   // Survival guarantee: nothing a single fault does — divergence,
@@ -678,134 +661,99 @@ CampaignReport run_campaign(const cells::LinkFrontend& golden, const CampaignOpt
   const std::size_t n_threads = util::ThreadPool::resolve_threads(opts.num_threads);
   report.exec.threads_used = n_threads;
 
-  if (n_threads <= 1) {
-    // Serial path: the classic loop, on the calling thread.
+  // One executor for every width: per-worker cloned goldens (a Netlist
+  // carries a mutable index cache, so no frontend may be shared between
+  // threads), dynamic work distribution via the pool, a single
+  // mutex-guarded funnel for checkpoint appends and user callbacks, and
+  // a merge ordered by fault index regardless of completion order. One
+  // thread is the pool's inline mode: no workers, every fault runs on
+  // the calling thread in index order.
+  util::ThreadPool pool(n_threads > 1 ? n_threads : 0);
+
+  struct WorkerState {
+    cells::LinkFrontend golden;
+    cells::LinkFrontend golden_closed;
     FaultSimContext ctx;
-    ctx.golden = &golden;
-    ctx.golden_closed = &golden_closed;
-    ctx.vdd = vdd;
-    ctx.vdd_closed = vdd_closed;
-    ctx.dc_ref = &dc_ref;
-    ctx.scan_ref = &scan_ref;
-    ctx.bist_ref = &bist_ref;
-    ctx.opts = &opts;
-    ctx.seeds = frozen_seeds.get();
-    ctx.stage_order = opts.adaptive_stage_order ? &order_map : nullptr;
-
     std::size_t fresh = 0;
-    for (std::size_t i = 0; i < faults.size(); ++i) {
-      if (opts.progress) opts.progress(i, faults.size());
-      if (const auto it = done.find(i); it != done.end()) {
-        report.outcomes.push_back(it->second);
-        continue;
-      }
-      if (opts.abort_check && opts.abort_check()) {
-        report.complete = false;
-        break;
-      }
-      FaultOutcome outcome = simulate_with_collapse(ctx, plan, faults[i], i, 0);
-      ++fresh;
-      report.exec.fault_cpu_sec += outcome.elapsed_sec;
-      report.exec.newton_iterations += outcome.newton_iterations;
-      if (!opts.checkpoint_path.empty()) checkpointed_append(opts.checkpoint_path, outcome);
-      report.outcomes.push_back(std::move(outcome));
+    double cpu_sec = 0.0;
+    long newton = 0;
+  };
+  std::vector<std::unique_ptr<WorkerState>> workers;
+  workers.reserve(pool.worker_slots());
+  for (std::size_t w = 0; w < pool.worker_slots(); ++w) {
+    auto ws = std::make_unique<WorkerState>(WorkerState{golden, golden_closed, {}, 0, 0.0, 0});
+    ws->ctx.golden = &ws->golden;
+    ws->ctx.golden_closed = &ws->golden_closed;
+    ws->ctx.vdd = vdd;
+    ws->ctx.vdd_closed = vdd_closed;
+    ws->ctx.dc_ref = &dc_ref;
+    ws->ctx.scan_ref = &scan_ref;
+    ws->ctx.bist_ref = &bist_ref;
+    ws->ctx.opts = &opts;
+    ws->ctx.seeds = frozen_seeds.get();
+    ws->ctx.stage_order = opts.adaptive_stage_order ? &order_map : nullptr;
+    workers.push_back(std::move(ws));
+  }
+
+  std::vector<std::optional<FaultOutcome>> slots(faults.size());
+  std::mutex writer_mu;  // checkpoint funnel + callback serialization
+  std::atomic<bool> aborted{false};
+
+  pool.for_each(faults.size(), [&](std::size_t i, std::size_t w) {
+    if (aborted.load(std::memory_order_relaxed)) return;
+    WorkerState& ws = *workers[w];
+    if (opts.progress) {
+      std::lock_guard<std::mutex> lk(writer_mu);
+      opts.progress(i, faults.size());
     }
-    report.exec.per_worker_faults = {fresh};
-  } else {
-    // Parallel path: per-worker cloned goldens (a Netlist carries a
-    // mutable index cache, so no frontend may be shared between
-    // threads), dynamic work distribution via the pool, a single
-    // mutex-guarded funnel for checkpoint appends and user callbacks,
-    // and a merge ordered by fault index regardless of completion
-    // order.
-    util::ThreadPool pool(n_threads);
-
-    struct WorkerState {
-      cells::LinkFrontend golden;
-      cells::LinkFrontend golden_closed;
-      FaultSimContext ctx;
-      std::size_t fresh = 0;
-      double cpu_sec = 0.0;
-      long newton = 0;
-    };
-    std::vector<std::unique_ptr<WorkerState>> workers;
-    workers.reserve(pool.worker_slots());
-    for (std::size_t w = 0; w < pool.worker_slots(); ++w) {
-      auto ws = std::make_unique<WorkerState>(WorkerState{golden, golden_closed, {}, 0, 0.0, 0});
-      ws->ctx.golden = &ws->golden;
-      ws->ctx.golden_closed = &ws->golden_closed;
-      ws->ctx.vdd = vdd;
-      ws->ctx.vdd_closed = vdd_closed;
-      ws->ctx.dc_ref = &dc_ref;
-      ws->ctx.scan_ref = &scan_ref;
-      ws->ctx.bist_ref = &bist_ref;
-      ws->ctx.opts = &opts;
-      ws->ctx.seeds = frozen_seeds.get();
-      ws->ctx.stage_order = opts.adaptive_stage_order ? &order_map : nullptr;
-      workers.push_back(std::move(ws));
+    if (const auto it = done.find(i); it != done.end()) {
+      slots[i] = it->second;
+      return;
     }
-
-    std::vector<std::optional<FaultOutcome>> slots(faults.size());
-    std::mutex writer_mu;  // checkpoint funnel + callback serialization
-    std::atomic<bool> aborted{false};
-
-    pool.for_each(faults.size(), [&](std::size_t i, std::size_t w) {
-      WorkerState& ws = *workers[w];
-      if (opts.progress) {
-        std::lock_guard<std::mutex> lk(writer_mu);
-        opts.progress(i, faults.size());
-      }
-      if (const auto it = done.find(i); it != done.end()) {
-        slots[i] = it->second;
+    if (opts.abort_check) {
+      std::lock_guard<std::mutex> lk(writer_mu);
+      if (opts.abort_check()) {
+        aborted.store(true, std::memory_order_relaxed);
         return;
       }
-      if (aborted.load(std::memory_order_relaxed)) return;
-      if (opts.abort_check) {
-        std::lock_guard<std::mutex> lk(writer_mu);
-        if (opts.abort_check()) {
-          aborted.store(true, std::memory_order_relaxed);
-          return;
-        }
-      }
-      FaultOutcome outcome = simulate_with_collapse(ws.ctx, plan, faults[i], i, w);
-      ++ws.fresh;
-      ws.cpu_sec += outcome.elapsed_sec;
-      ws.newton += outcome.newton_iterations;
-      if (!opts.checkpoint_path.empty()) {
-        std::lock_guard<std::mutex> lk(writer_mu);
-        checkpointed_append(opts.checkpoint_path, outcome);
-      }
-      slots[i] = std::move(outcome);
-    });
+    }
+    FaultOutcome outcome = simulate_with_collapse(ws.ctx, plan, faults[i], i, w);
+    ++ws.fresh;
+    ws.cpu_sec += outcome.elapsed_sec;
+    ws.newton += outcome.newton_iterations;
+    if (!opts.checkpoint_path.empty()) {
+      std::lock_guard<std::mutex> lk(writer_mu);
+      checkpointed_append(opts.checkpoint_path, outcome);
+    }
+    slots[i] = std::move(outcome);
+  });
 
-    report.complete = !aborted.load();
-    {
-      util::TraceSpan merge_span("campaign.merge", "campaign");
-      for (auto& slot : slots) {
-        if (slot.has_value()) report.outcomes.push_back(std::move(*slot));
-      }
+  report.complete = !aborted.load();
+  {
+    util::TraceSpan merge_span("campaign.merge", "campaign");
+    for (auto& slot : slots) {
+      if (slot.has_value()) report.outcomes.push_back(std::move(*slot));
     }
-    for (const auto& ws : workers) {
-      report.exec.per_worker_faults.push_back(ws->fresh);
-      report.exec.fault_cpu_sec += ws->cpu_sec;
-      report.exec.newton_iterations += ws->newton;
-    }
-    report.exec.per_worker_steals = pool.steal_counts();
-    auto& steal_hist = util::metrics().histogram("campaign.steals_per_worker");
-    for (const std::size_t s : report.exec.per_worker_steals) {
-      report.exec.steals += s;
-      steal_hist.observe(static_cast<double>(s));
-    }
-    util::metrics().counter("campaign.steals").add(
-        static_cast<std::int64_t>(report.exec.steals));
   }
+  for (const auto& ws : workers) {
+    report.exec.per_worker_faults.push_back(ws->fresh);
+    report.exec.fault_cpu_sec += ws->cpu_sec;
+    report.exec.newton_iterations += ws->newton;
+  }
+  report.exec.per_worker_steals = pool.steal_counts();
+  auto& steal_hist = util::metrics().histogram("campaign.steals_per_worker");
+  for (const std::size_t s : report.exec.per_worker_steals) {
+    report.exec.steals += s;
+    steal_hist.observe(static_cast<double>(s));
+  }
+  util::metrics().counter("campaign.steals").add(static_cast<std::int64_t>(report.exec.steals));
 
   report.exec.wall_clock_sec = seconds_since(campaign_start);
   report.exec.metrics_json = util::metrics().snapshot_json();
 
   // Statistics are recomputed from the index-ordered outcome list —
-  // resumed, serial, and parallel runs therefore produce identical
-  // reports for identical outcome sets.
+  // resumed runs and runs at any thread count therefore produce
+  // identical reports for identical outcome sets.
   for (const FaultOutcome& o : report.outcomes) {
     if (o.anomalous) ++report.anomalous;
     if (o.verdict == FaultVerdict::kQuarantined) ++report.quarantined;

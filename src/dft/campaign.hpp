@@ -96,10 +96,12 @@ struct StagePriors {
 StagePriors stage_priors_from_dictionary(const FaultDictionary& dict);
 
 struct CampaignOptions {
-  /// Campaign executor width. 1 (default) runs the classic serial loop
-  /// on the calling thread; 0 resolves to hardware_concurrency; N > 1
-  /// runs N pool workers, each with its own cloned golden frontends and
-  /// solver scratch. Coverage reports are byte-identical (after
+  /// Campaign executor width. Every width runs the same fault loop,
+  /// util::ThreadPool::for_each: 1 (default) is the pool's inline mode
+  /// (no worker threads; every fault runs on the calling thread, in
+  /// index order); 0 resolves to hardware_concurrency; N > 1 runs N
+  /// pool workers. Each worker slot owns cloned golden frontends and
+  /// its thread's solver scratch. Coverage reports are byte-identical (after
   /// canonical ordering) at every thread count as long as the per-fault
   /// wall-clock budget is unlimited — a wall-clock budget can time out
   /// differently under load, which is inherent, not a scheduler bug.
@@ -109,9 +111,12 @@ struct CampaignOptions {
   /// always serialized under the campaign's writer mutex (the same lock
   /// that guards checkpoint appends), so existing single-threaded
   /// callbacks stay race-free — they just must not call back into the
-  /// campaign. `progress` reports faults as workers pick them up, so
-  /// indices arrive out of order; treat the first argument as an
-  /// identifier, not a monotone counter.
+  /// campaign. `progress` reports each fault as a worker picks it up,
+  /// before that fault runs. With num_threads == 1 the indices therefore
+  /// arrive as 0, 1, ..., n-1; with more threads they arrive out of
+  /// order, so treat the first argument as an identifier, not a
+  /// monotone counter. Once `abort_check` returns true no further fault
+  /// is reported, simulated or taken from the checkpoint.
   std::size_t num_threads = 1;
   /// Cell prefixes included in the universe (empty = every MOSFET/cap in
   /// the frontend netlist).
@@ -163,13 +168,6 @@ struct CampaignOptions {
   /// solution ("golden-warm-start" ladder rung; failures fall through
   /// to the unchanged cold-start ladder).
   bool reuse_golden = true;
-  /// Solve short-class faults as rank-1 conductance updates over the
-  /// golden structure via Sherman-Morrison-Woodbury against the cached
-  /// golden factorization (fault::low_rank_overlay). Guarded by the
-  /// same backward-error gate as the sparse engine: a residual reject
-  /// falls back to the exact full-stamp path and is counted in
-  /// campaign.smw.fallbacks.
-  bool low_rank_injection = true;
   /// Pre-partition the universe into structural equivalence classes
   /// (fault::collapse_equivalences on BOTH frontends — open and closed
   /// wiring differ — intersected) and simulate one representative per
@@ -186,6 +184,11 @@ struct CampaignOptions {
   /// dictionary via stage_priors_from_dictionary(), or leave default
   /// (uniform rates => canonical order, short-circuit still active).
   StagePriors priors;
+
+  /// Ignored: the campaign has no low-rank solve path. Kept only because
+  /// the benchmark program (perfbench/) still assigns it; it goes with
+  /// the next change to the benchmark.
+  bool low_rank_injection = false;
 };
 
 struct FaultOutcome {
@@ -219,9 +222,6 @@ struct FaultOutcome {
 };
 
 struct ClassStats {
-  util::Coverage dc;        // detected by the DC test alone
-  util::Coverage scan;      // detected by the scan test alone
-  util::Coverage bist;      // detected by the BIST alone
   util::Coverage cum_dc;    // cumulative: DC
   util::Coverage cum_scan;  // cumulative: DC + scan
   util::Coverage cum_all;   // cumulative: DC + scan + BIST (Table I)
@@ -238,7 +238,8 @@ struct CampaignExecStats {
   /// Faults freshly simulated by each worker (resumed faults excluded).
   std::vector<std::size_t> per_worker_faults;
   /// Work-stealing traffic: faults each worker pulled from another
-  /// worker's deque. Empty for the serial path (there is no pool).
+  /// worker's deque, one entry per worker slot. A single-threaded run
+  /// has one slot and never steals, so it records {0}.
   std::vector<std::size_t> per_worker_steals;
   /// Sum of per_worker_steals.
   std::size_t steals = 0;

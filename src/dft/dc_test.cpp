@@ -23,12 +23,10 @@ DcTestOutcome run_dc_test(const cells::LinkFrontend& fe_in, const DcTestReferenc
                           const spice::DcOptions& solve, const spice::SolveHints* hints) {
   DcTestOutcome out;
   cells::LinkFrontend fe = fe_in;
-  spice::DcOptions opts = solve;
-  if (hints != nullptr) opts.overlay = hints->overlay;
 
   fe.set_data(true, true);
   spice::arm_warm_start(hints, "dc.1", fe.netlist());
-  const auto r1 = fe.solve(opts);
+  const auto r1 = fe.solve(solve);
   out.iterations += r1.iterations;
   if (!r1.converged) {
     out.anomalous = true;
@@ -42,7 +40,7 @@ DcTestOutcome run_dc_test(const cells::LinkFrontend& fe_in, const DcTestReferenc
 
   fe.set_data(false, false);
   spice::arm_warm_start(hints, "dc.0", fe.netlist());
-  const auto r0 = fe.solve(opts);
+  const auto r0 = fe.solve(solve);
   out.iterations += r0.iterations;
   if (!r0.converged) {
     out.anomalous = true;

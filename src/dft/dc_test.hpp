@@ -43,8 +43,8 @@ struct DcTestOutcome {
 
 /// Runs the two-vector DC test on a (faulted) frontend. `solve` lets
 /// the campaign thread per-fault budgets (timeout) into every solve.
-/// `hints` (optional) supplies golden warm-start seeds and the fault's
-/// low-rank overlay; results are identical with or without it.
+/// `hints` (optional) supplies golden warm-start seeds; results are
+/// identical with or without it.
 DcTestOutcome run_dc_test(const cells::LinkFrontend& fe, const DcTestReference& ref,
                           const spice::DcOptions& solve = {},
                           const spice::SolveHints* hints = nullptr);

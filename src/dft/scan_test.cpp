@@ -11,8 +11,6 @@ using spice::VSource;
 CpScanSignature cp_scan_signature(const LinkFrontend& fe_in, const spice::DcOptions& solve,
                                   const spice::SolveHints* hints) {
   CpScanSignature sig;
-  spice::DcOptions opts = solve;
-  if (hints != nullptr) opts.overlay = hints->overlay;
   const double th = fe_in.spec().vdd / 2.0;
   struct Combo {
     bool up, dn, upst, dnst;
@@ -41,7 +39,7 @@ CpScanSignature cp_scan_signature(const LinkFrontend& fe_in, const spice::DcOpti
     drive_nl.add("scan.r_hold", spice::Resistor{hold_node, fe.cp_ports().vc, 1e9});
     const std::string drive_key = "scan.cp.drive." + std::to_string(i);
     spice::arm_warm_start(hints, drive_key, drive_nl);
-    const auto r_drive = fe.solve(opts);
+    const auto r_drive = fe.solve(solve);
     sig.iterations += r_drive.iterations;
     if (!r_drive.converged) {
       sig.status = r_drive.status;
@@ -59,7 +57,7 @@ CpScanSignature cp_scan_signature(const LinkFrontend& fe_in, const spice::DcOpti
     cap.netlist().add("scan.clamp_vc", VSource{cap.cp_ports().vc, kGround, vc_reached});
     const std::string cap_key = "scan.cp.cap." + std::to_string(i);
     spice::arm_warm_start(hints, cap_key, cap.netlist());
-    const auto r_cap = cap.solve(opts);
+    const auto r_cap = cap.solve(solve);
     sig.iterations += r_cap.iterations;
     if (!r_cap.converged) {
       sig.status = r_cap.status;
@@ -77,13 +75,11 @@ ScanStaticSignature scan_static_signature(const LinkFrontend& fe_in,
                                           const spice::DcOptions& solve,
                                           const spice::SolveHints* hints) {
   ScanStaticSignature sig;
-  spice::DcOptions opts = solve;
-  if (hints != nullptr) opts.overlay = hints->overlay;
   LinkFrontend fe = fe_in;
   fe.set_scan_mode(true);
   fe.set_data(true, true);
   spice::arm_warm_start(hints, "scan.static.1", fe.netlist());
-  const auto r1 = fe.solve(opts);
+  const auto r1 = fe.solve(solve);
   sig.iterations += r1.iterations;
   if (!r1.converged) {
     sig.status = r1.status;
@@ -93,7 +89,7 @@ ScanStaticSignature scan_static_signature(const LinkFrontend& fe_in,
   sig.obs1 = fe.observe(r1);
   fe.set_data(false, false);
   spice::arm_warm_start(hints, "scan.static.0", fe.netlist());
-  const auto r0 = fe.solve(opts);
+  const auto r0 = fe.solve(solve);
   sig.iterations += r0.iterations;
   if (!r0.converged) {
     sig.status = r0.status;
@@ -133,7 +129,6 @@ ToggleSignature toggle_signature(const LinkFrontend& fe_in, const ToggleOptions&
   topts.t_stop = opts.cycles * opts.scan_period;
   topts.dt = opts.dt;
   topts.newton = solve;
-  if (hints != nullptr) topts.newton.overlay = hints->overlay;
   topts.timeout_sec = opts.timeout_sec;
   topts.probes = {nl.node_name(fe.term_ports().cmp_p_hi), nl.node_name(fe.term_ports().cmp_p_lo),
                   nl.node_name(fe.term_ports().cmp_n_hi), nl.node_name(fe.term_ports().cmp_n_lo)};

@@ -45,11 +45,11 @@ struct CpScanSignature {
   bool operator==(const CpScanSignature& o) const { return window == o.window; }
 };
 
-/// `hints` (here and below, optional): golden warm-start seeds, seed
-/// capture for golden reference runs, and the fault's low-rank overlay.
-/// Results are identical with or without it — the hints only change how
-/// the same solves are carried out (see spice/seed.hpp). Seed keys:
-/// "scan.cp.drive.<i>" / "scan.cp.cap.<i>" per pump combo.
+/// `hints` (here and below, optional): golden warm-start seeds and seed
+/// capture for golden reference runs. Results are identical with or
+/// without it — the hints only change how the same solves are carried
+/// out (see spice/seed.hpp). Seed keys: "scan.cp.drive.<i>" /
+/// "scan.cp.cap.<i>" per pump combo.
 CpScanSignature cp_scan_signature(const cells::LinkFrontend& fe,
                                   const spice::DcOptions& solve = {},
                                   const spice::SolveHints* hints = nullptr);

@@ -41,11 +41,9 @@ ClampedSolve solve_with_vc_clamp(LinkFrontend fe, double vc_value,
 }  // namespace
 
 FrontendMeasurements measure_frontend(const cells::LinkFrontend& fe_in,
-                                      const spice::DcOptions& solve_in,
+                                      const spice::DcOptions& solve,
                                       const spice::SolveHints* hints) {
   FrontendMeasurements m;
-  spice::DcOptions solve = solve_in;
-  if (hints != nullptr) solve.overlay = hints->overlay;
   const double vmid_window = 0.6;
   const double th = fe_in.spec().vdd / 2.0;
 

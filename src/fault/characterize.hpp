@@ -45,9 +45,8 @@ struct FrontendMeasurements {
 /// Measures a frontend (golden or faulted). `solve` threads per-fault
 /// budgets (timeout, fallback policy) into every measurement solve.
 /// `hints` (optional) supplies golden warm-start seeds / seed capture
-/// and the fault's low-rank overlay (seed keys "char.line.*",
-/// "char.pump.*", "char.win.*"); measurement values are identical with
-/// or without it.
+/// (seed keys "char.line.*", "char.pump.*", "char.win.*"); measurement
+/// values are identical with or without it.
 FrontendMeasurements measure_frontend(const cells::LinkFrontend& fe,
                                       const spice::DcOptions& solve = {},
                                       const spice::SolveHints* hints = nullptr);

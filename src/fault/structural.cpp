@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <map>
+#include <optional>
 #include <utility>
 
 namespace lsl::fault {
@@ -46,21 +47,6 @@ bool has_prefix(const std::string& name, const std::vector<std::string>& prefixe
   return false;
 }
 
-// Records the voltage-unknown indices of `nodes` (in the *current*,
-// post-injection netlist) into the spec's touched list: deduplicated,
-// ascending, ground excluded. See InjectionSpec::touched_unknowns().
-void record_touched(const Netlist& nl, const InjectionSpec& spec,
-                    std::initializer_list<NodeId> nodes) {
-  auto& touched = spec.touched_unknowns();
-  nl.reindex();
-  for (const NodeId n : nodes) {
-    if (n == kGround) continue;
-    touched.push_back(nl.voltage_index(n));
-  }
-  std::sort(touched.begin(), touched.end());
-  touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
-}
-
 }  // namespace
 
 const std::vector<std::string>& test_circuitry_prefixes() {
@@ -96,7 +82,6 @@ std::vector<StructuralFault> enumerate_structural_faults(
 
 bool inject(Netlist& nl, const StructuralFault& fault, OpenLeak leak, NodeId vdd_node,
             const InjectionSpec& spec) {
-  spec.touched_unknowns().clear();
   const auto di = nl.find_device(fault.device);
   if (!di.has_value()) return false;
   auto& dev = nl.device(*di);
@@ -107,7 +92,6 @@ bool inject(Netlist& nl, const StructuralFault& fault, OpenLeak leak, NodeId vdd
     const NodeId a = cap->a;
     const NodeId b = cap->b;
     nl.add("flt." + fault.device + ".short", Resistor{a, b, spec.r_short});
-    record_touched(nl, spec, {a, b});
     return true;
   }
 
@@ -135,30 +119,24 @@ bool inject(Netlist& nl, const StructuralFault& fault, OpenLeak leak, NodeId vdd
       const NodeId dangling = open_terminal(mos->g, "g");
       const NodeId rail = (leak == OpenLeak::kToVdd) ? vdd_node : kGround;
       nl.add("flt." + fault.device + ".g.leak", Resistor{dangling, rail, spec.r_leak});
-      record_touched(nl, spec, {g, dangling, rail, d, s});
       return true;
     }
     case FaultClass::kDrainOpen: {
-      const NodeId dangling = open_terminal(mos->d, "d");
-      record_touched(nl, spec, {d, dangling, g, s});
+      open_terminal(mos->d, "d");
       return true;
     }
     case FaultClass::kSourceOpen: {
-      const NodeId dangling = open_terminal(mos->s, "s");
-      record_touched(nl, spec, {s, dangling, g, d});
+      open_terminal(mos->s, "s");
       return true;
     }
     case FaultClass::kGateDrainShort:
       nl.add("flt." + fault.device + ".gd", Resistor{g, d, spec.r_short});
-      record_touched(nl, spec, {g, d});
       return true;
     case FaultClass::kGateSourceShort:
       nl.add("flt." + fault.device + ".gs", Resistor{g, s, spec.r_short});
-      record_touched(nl, spec, {g, s});
       return true;
     case FaultClass::kDrainSourceShort:
       nl.add("flt." + fault.device + ".ds", Resistor{d, s, spec.r_short});
-      record_touched(nl, spec, {d, s});
       return true;
     case FaultClass::kCapacitorShort:
       break;  // handled above
@@ -185,18 +163,6 @@ std::size_t count_class(const std::vector<StructuralFault>& faults, FaultClass c
 }
 
 namespace {
-
-// The injected-device name suffix for a short-class fault, or nullptr
-// for the open classes (which are not expressible as rank-k updates).
-const char* short_suffix(FaultClass c) {
-  switch (c) {
-    case FaultClass::kCapacitorShort: return ".short";
-    case FaultClass::kGateDrainShort: return ".gd";
-    case FaultClass::kGateSourceShort: return ".gs";
-    case FaultClass::kDrainSourceShort: return ".ds";
-    default: return nullptr;
-  }
-}
 
 // The unordered node pair a short-class fault would bridge in golden
 // netlist `nl`, or nullopt for opens / missing / wrong-kind devices.
@@ -227,32 +193,6 @@ std::optional<std::pair<NodeId, NodeId>> short_bridge(const Netlist& nl,
 }
 
 }  // namespace
-
-std::optional<spice::LowRankOverlay> low_rank_overlay(const Netlist& nl,
-                                                      const StructuralFault& fault) {
-  const char* suffix = short_suffix(fault.cls);
-  if (suffix == nullptr) return std::nullopt;
-  const auto di = nl.find_device("flt." + fault.device + suffix);
-  if (!di.has_value()) return std::nullopt;
-  const auto& dev = nl.devices()[*di];
-  if (!dev.enabled) return std::nullopt;
-  const auto* r = std::get_if<Resistor>(&dev.impl);
-  if (r == nullptr || !(r->ohms > 0.0)) return std::nullopt;
-
-  nl.reindex();
-  spice::LowRankOverlay ov;
-  ov.skip_devices.push_back(*di);
-  if (r->a != r->b) {
-    spice::LowRankOverlay::Term t;
-    t.a = (r->a == kGround) ? -1
-                            : static_cast<std::ptrdiff_t>(nl.voltage_index(r->a));
-    t.b = (r->b == kGround) ? -1
-                            : static_cast<std::ptrdiff_t>(nl.voltage_index(r->b));
-    t.g = 1.0 / r->ohms;
-    ov.terms.push_back(t);
-  }
-  return ov;
-}
 
 std::vector<FaultGroup> collapse_equivalences(const Netlist& nl,
                                               const std::vector<StructuralFault>& faults,

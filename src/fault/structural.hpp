@@ -17,12 +17,10 @@
 #pragma once
 
 #include <array>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "spice/netlist.hpp"
-#include "spice/stamp.hpp"
 
 namespace lsl::fault {
 
@@ -63,20 +61,6 @@ struct StructuralFault {
 struct InjectionSpec {
   double r_short = 1.0;    // bridge resistance for shorts
   double r_leak = 100e9;   // floating-gate leak to the chosen rail
-
-  /// Filled by inject() (cleared first): the MNA voltage-unknown
-  /// indices — in the *injected* netlist's ordering — of every node
-  /// whose matrix row or column the fault edit adds, removes, or
-  /// modifies. Shorts touch the two bridged nodes; opens touch the
-  /// severed node, the fresh dangling node, and the device terminals
-  /// whose Jacobian columns moved. Deduplicated, ascending, ground
-  /// excluded. Sized k ≤ 4 for shorts — the basis of the low-rank
-  /// (Sherman–Morrison–Woodbury) solve path; opens change the unknown
-  /// *count* and are therefore never low-rank-expressible.
-  std::vector<std::size_t>& touched_unknowns() const { return touched_; }
-
- private:
-  mutable std::vector<std::size_t> touched_;
 };
 
 /// Physics-based leak direction for a floating gate: junction leakage
@@ -108,18 +92,6 @@ bool inject(spice::Netlist& nl, const StructuralFault& fault, OpenLeak leak,
 
 /// Counts faults per class (for reporting).
 std::size_t count_class(const std::vector<StructuralFault>& faults, FaultClass c);
-
-/// Low-rank description of `fault` as already injected into `nl` (i.e.
-/// call inject() first, then this on the faulted netlist): the injected
-/// bridge resistor as a rank-1 conductance update over the golden
-/// structure, suitable for the workspace's Sherman–Morrison–Woodbury
-/// path. Only shorts qualify — opens add unknowns (dimension change)
-/// and gate opens additionally rewire a terminal, so they return
-/// nullopt and take the ordinary full-stamp path. A short between two
-/// aliases of the same node degenerates to a rank-0 overlay (skip the
-/// device, no terms), which is still exact.
-std::optional<spice::LowRankOverlay> low_rank_overlay(const spice::Netlist& nl,
-                                                      const StructuralFault& fault);
 
 /// One structural-equivalence class of the fault universe: every member
 /// fault produces a netlist identical to the representative's up to

@@ -64,7 +64,6 @@ SolveStatus newton_loop(const Netlist& nl, double gmin, double source_scale,
   ctx.nl = &nl;
   ctx.gmin = gmin;
   ctx.source_scale = source_scale;
-  ctx.overlay = opts.overlay;
 
   const std::size_t n = nl.unknown_count();
   if (x.size() != n) x.assign(n, 0.0);
@@ -212,8 +211,6 @@ void record_dc_metrics(const DcResult& result, const char* rung,
   static util::Counter& dense_solves = m.counter("solver.dc.dense_solves");
   static util::Counter& dense_fallbacks = m.counter("solver.dc.dense_fallbacks");
   static util::Counter& refinement_steps = m.counter("solver.dc.refinement_steps");
-  static util::Counter& smw_solves = m.counter("campaign.smw.solves");
-  static util::Counter& smw_fallbacks = m.counter("campaign.smw.fallbacks");
   solves.add(1);
   if (!result.converged) failures.add(1);
   iterations.add(result.diag.iterations);
@@ -229,8 +226,6 @@ void record_dc_metrics(const DcResult& result, const char* rung,
   dense_solves.add(ws_after.dense_solves - ws_before.dense_solves);
   dense_fallbacks.add(ws_after.dense_fallbacks - ws_before.dense_fallbacks);
   refinement_steps.add(ws_after.refinement_steps - ws_before.refinement_steps);
-  smw_solves.add(ws_after.smw_solves - ws_before.smw_solves);
-  smw_fallbacks.add(ws_after.smw_fallbacks - ws_before.smw_fallbacks);
   if (util::Metrics::detailed_timing()) {
     static util::MetricHistogram& stamp = m.histogram("solver.dc.stamp_seconds");
     static util::MetricHistogram& factor = m.histogram("solver.dc.factor_seconds");
@@ -257,7 +252,6 @@ DcResult solve_dc(const Netlist& nl, const DcOptions& opts, SolverWorkspace& ws)
   // later, unrelated solve on this workspace.
   std::vector<double> seed;
   const bool have_seed = ws.take_pending_seed(seed);
-  ws.reset_smw_suppression();
 
   DcResult result;
   result.x = opts.initial_guess;

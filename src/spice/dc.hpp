@@ -16,7 +16,6 @@
 namespace lsl::spice {
 
 class SolverWorkspace;
-struct LowRankOverlay;
 
 struct DcOptions {
   int max_iterations = 200;
@@ -38,13 +37,6 @@ struct DcOptions {
   double timeout_sec = 0.0;
   /// Optional initial guess for the MNA vector (e.g. previous solve).
   std::vector<double> initial_guess;
-  /// Optional low-rank fault edit (see spice/stamp.hpp): the solve
-  /// treats the listed devices as a rank-k update over the base
-  /// structure and uses the Sherman–Morrison–Woodbury path where it
-  /// passes the backward-error gate. Results are identical with or
-  /// without it — the overlay only redirects *how* the same system is
-  /// solved. The pointee must outlive the solve.
-  const LowRankOverlay* overlay = nullptr;
 };
 
 struct DcResult {

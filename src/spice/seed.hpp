@@ -18,10 +18,9 @@
 // the mutable-reindex-cache race that forced per-worker golden clones.
 //
 // SolveHints is the one optional knob the DFT stages thread through to
-// the solver: where to find seeds (warm starts), where to record them
-// (golden reference capture), and an optional low-rank overlay
-// describing the fault edit (see spice/stamp.hpp). All pointers may be
-// null; a null hints pointer means "behave exactly as before".
+// the solver: where to find seeds (warm starts) and where to record them
+// (golden reference capture). Both pointers may be null; a null hints
+// pointer means "behave exactly as before".
 #pragma once
 
 #include <string>
@@ -31,8 +30,6 @@
 #include "spice/netlist.hpp"
 
 namespace lsl::spice {
-
-struct LowRankOverlay;
 
 /// One converged MNA solution, keyed by node / device names so it can
 /// warm-start a solve on any name-compatible netlist.
@@ -74,8 +71,6 @@ struct SolveHints {
   /// reference construction). Mutually exclusive with `seeds` in
   /// practice, but nothing enforces it.
   SeedBank* capture = nullptr;
-  /// Low-rank description of the fault edit for the SMW solve path.
-  const LowRankOverlay* overlay = nullptr;
 };
 
 /// Arms the calling thread's SolverWorkspace with seed `key` (if hints,

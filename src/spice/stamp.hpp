@@ -36,28 +36,6 @@ MosEval eval_mosfet(const Mosfet& m, const ModelCard& card, double vd, double vg
 /// discretizations agreeing on an analytic waveform).
 enum class Integrator { kBackwardEuler, kTrapezoidal };
 
-/// Low-rank description of a small topological edit (a fault short) on
-/// top of a base netlist: the listed devices are *excluded* from the
-/// matrix stamps, and each term contributes the rank-1 conductance
-/// update g·u·uᵀ with u = e_a − e_b (index −1 = ground, dropping that
-/// component). The overlay is a pure optimization hint for the sparse
-/// solve path: the excluded devices are still physically present in the
-/// netlist, so any overlay-unaware path (dense fallback, stamp_system,
-/// the transient stepper) stamps them normally and produces the exact
-/// same system. Contract: terms.size() <= 4, every g > 0, and the
-/// skipped devices must not precede any MOSFET in device order (the
-/// workspace shares per-structure MOSFET slot tables across
-/// hash-equal netlists by raw device index).
-struct LowRankOverlay {
-  struct Term {
-    std::ptrdiff_t a = -1;  // MNA unknown index, -1 = ground
-    std::ptrdiff_t b = -1;
-    double g = 0.0;         // conductance (siemens)
-  };
-  std::vector<std::size_t> skip_devices;
-  std::vector<Term> terms;
-};
-
 /// Inputs shared by DC and transient stamping.
 struct StampContext {
   const Netlist* nl = nullptr;
@@ -82,11 +60,6 @@ struct StampContext {
   /// Per-device value overrides for VSource elements (waveform drive),
   /// keyed by device index.
   const std::unordered_map<std::size_t, double>* vsrc_override = nullptr;
-  /// Optional low-rank edit: skip the listed devices in the matrix
-  /// stamps and account for the terms via Sherman–Morrison–Woodbury
-  /// (sparse path) or by the devices' own stamps (dense path, which
-  /// ignores the overlay and stamps the full netlist — same system).
-  const LowRankOverlay* overlay = nullptr;
 };
 
 /// Voltage of `node` under MNA solution vector `x`.

@@ -50,15 +50,6 @@ inline std::ptrdiff_t unknown_of(const Netlist& nl, NodeId node) {
   return static_cast<std::ptrdiff_t>(nl.voltage_index(node));
 }
 
-/// True when the overlay excludes device `di` from the matrix stamps.
-inline bool overlay_skips(const LowRankOverlay* ov, std::size_t di) {
-  if (ov == nullptr) return false;
-  for (const std::size_t s : ov->skip_devices) {
-    if (s == di) return true;
-  }
-  return false;
-}
-
 constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
 constexpr std::uint64_t kFnvPrime = 1099511628211ull;
 
@@ -76,14 +67,14 @@ inline void mix_double(std::uint64_t& h, double d) {
 }
 
 /// FNV-1a over everything that shapes the MNA matrix: node count, model
-/// card, and each non-skipped device's kind, enabled flag, terminals,
+/// card, and each device's kind, enabled flag, terminals,
 /// and matrix-entering values — in device order, so the sequence itself
 /// is part of the key. Deliberately excluded: device *names* (fault
 /// copies rename nothing else) and RHS-only values (VSource::volts,
 /// ISource::amps), which the solver rereads every iteration. Disabled
 /// devices still contribute their kind/terminals so that enabling one
 /// changes the key.
-std::uint64_t structural_key(const Netlist& nl, const LowRankOverlay* ov) {
+std::uint64_t structural_key(const Netlist& nl) {
   std::uint64_t h = kFnvOffset;
   mix(h, nl.node_count());
   const ModelCard& mc = nl.model();
@@ -94,9 +85,7 @@ std::uint64_t structural_key(const Netlist& nl, const LowRankOverlay* ov) {
   mix_double(h, mc.lambda_n);
   mix_double(h, mc.lambda_p);
   const auto& devices = nl.devices();
-  for (std::size_t di = 0; di < devices.size(); ++di) {
-    if (overlay_skips(ov, di)) continue;
-    const Device& dev = devices[di];
+  for (const Device& dev : devices) {
     mix(h, (static_cast<std::uint64_t>(dev.impl.index()) << 1) | (dev.enabled ? 1u : 0u));
     if (const auto* r = std::get_if<Resistor>(&dev.impl)) {
       mix(h, r->a);
@@ -131,62 +120,18 @@ std::uint64_t structural_key(const Netlist& nl, const LowRankOverlay* ov) {
   return h;
 }
 
-std::uint64_t skip_signature(const LowRankOverlay* ov) {
-  if (ov == nullptr || ov->skip_devices.empty()) return 0;
-  std::uint64_t h = kFnvOffset;
-  for (const std::size_t s : ov->skip_devices) mix(h, s);
-  return h;
-}
-
-/// Dense k×k LU with partial pivoting, in place, k <= 4. Returns false
-/// on a zero (or NaN) pivot.
-bool small_lu_factor(double* s, int* piv, std::size_t k) {
-  for (std::size_t col = 0; col < k; ++col) {
-    std::size_t p = col;
-    for (std::size_t row = col + 1; row < k; ++row) {
-      if (std::fabs(s[row * k + col]) > std::fabs(s[p * k + col])) p = row;
-    }
-    if (!(std::fabs(s[p * k + col]) > 0.0)) return false;  // zero or NaN
-    piv[col] = static_cast<int>(p);
-    if (p != col) {
-      for (std::size_t c = 0; c < k; ++c) std::swap(s[p * k + c], s[col * k + c]);
-    }
-    const double d = s[col * k + col];
-    for (std::size_t row = col + 1; row < k; ++row) {
-      const double f = s[row * k + col] / d;
-      s[row * k + col] = f;
-      for (std::size_t c = col + 1; c < k; ++c) s[row * k + c] -= f * s[col * k + c];
-    }
-  }
-  return true;
-}
-
-void small_lu_solve(const double* s, const int* piv, std::size_t k, double* y) {
-  for (std::size_t col = 0; col < k; ++col) {
-    const std::size_t p = static_cast<std::size_t>(piv[col]);
-    if (p != col) std::swap(y[p], y[col]);
-    for (std::size_t row = col + 1; row < k; ++row) y[row] -= s[row * k + col] * y[col];
-  }
-  for (std::size_t col = k; col-- > 0;) {
-    y[col] /= s[col * k + col];
-    for (std::size_t row = 0; row < col; ++row) y[row] -= s[row * k + col] * y[col];
-  }
-}
-
 }  // namespace
 
 std::uint64_t SolverWorkspace::entry_key(const StampContext& ctx) {
   const std::uint64_t gen = ctx.nl->generation();
-  const std::uint64_t sig = skip_signature(ctx.overlay);
   for (const KeyMemo& m : key_memo_) {
-    if (m.valid && m.generation == gen && m.skip_sig == sig) return m.key;
+    if (m.valid && m.generation == gen) return m.key;
   }
-  const std::uint64_t key = structural_key(*ctx.nl, ctx.overlay);
+  const std::uint64_t key = structural_key(*ctx.nl);
   KeyMemo& slot = key_memo_[key_memo_next_];
   key_memo_next_ = (key_memo_next_ + 1) % key_memo_.size();
   slot.valid = true;
   slot.generation = gen;
-  slot.skip_sig = sig;
   slot.key = key;
   return key;
 }
@@ -228,19 +173,15 @@ SolverWorkspace::Entry& SolverWorkspace::entry_for(const StampContext& ctx) {
 
 void SolverWorkspace::build_entry(Entry& e, const StampContext& ctx) {
   const Netlist& nl = *ctx.nl;
-  const LowRankOverlay* ov = ctx.overlay;
   const std::size_t n = nl.unknown_count();  // reindexes if needed
   e.n = n;
   e.n_volts = nl.node_count() - 1;
   e.base_valid = false;
-  e.smw_k = 0;
   e.mos.clear();
 
   // Pattern: every coordinate any stamp configuration can touch. The
   // capacitor slots are noted unconditionally so the same pattern (and
   // symbolic factorization) serves DC (dt = 0) and every timestep.
-  // Overlay-skipped devices are excluded — the pattern describes the
-  // *base* structure the SMW path factors.
   SparseMatrix& m = e.mat;
   m.begin_pattern(n);
   auto note_pair = [&](NodeId a, NodeId b) {
@@ -255,7 +196,7 @@ void SolverWorkspace::build_entry(Entry& e, const StampContext& ctx) {
   const auto& devices = nl.devices();
   for (std::size_t di = 0; di < devices.size(); ++di) {
     const Device& dev = devices[di];
-    if (!dev.enabled || overlay_skips(ov, di)) continue;
+    if (!dev.enabled) continue;
     if (const auto* r = std::get_if<Resistor>(&dev.impl)) {
       note_pair(r->a, r->b);
     } else if (const auto* c = std::get_if<Capacitor>(&dev.impl)) {
@@ -302,12 +243,11 @@ void SolverWorkspace::build_entry(Entry& e, const StampContext& ctx) {
   for (std::size_t i = 0; i < n; ++i) e.diag_slot[i] = m.slot(i, i);
 
   // Precomputed MOSFET stamp slots (the only per-iteration matrix work).
-  // Device indices are raw — hash-equal netlists must agree on them,
-  // which the LowRankOverlay contract (skips never precede a MOSFET)
-  // guarantees for fault copies.
+  // Device indices are raw; hash-equal netlists agree on them because
+  // the device sequence is part of the key.
   for (std::size_t di = 0; di < devices.size(); ++di) {
     const Device& dev = devices[di];
-    if (!dev.enabled || overlay_skips(ov, di)) continue;
+    if (!dev.enabled) continue;
     const auto* mos = std::get_if<Mosfet>(&dev.impl);
     if (mos == nullptr) continue;
     MosSlots ms;
@@ -341,7 +281,6 @@ void SolverWorkspace::ensure_linear_base(Entry& e, const StampContext& ctx) {
     return;
   }
   const Netlist& nl = *ctx.nl;
-  const LowRankOverlay* ov = ctx.overlay;
   SparseMatrix& m = e.mat;
   std::fill(e.base_values.begin(), e.base_values.end(), 0.0);
   // Stamp the linear skeleton directly into base_values via the pattern
@@ -368,7 +307,7 @@ void SolverWorkspace::ensure_linear_base(Entry& e, const StampContext& ctx) {
   const auto& devices = nl.devices();
   for (std::size_t di = 0; di < devices.size(); ++di) {
     const Device& dev = devices[di];
-    if (!dev.enabled || overlay_skips(ov, di)) continue;
+    if (!dev.enabled) continue;
     if (const auto* r = std::get_if<Resistor>(&dev.impl)) {
       if (r->ohms <= 0.0) throw std::invalid_argument("non-positive resistance: " + dev.name);
       add_g(r->a, r->b, 1.0 / r->ohms);
@@ -413,7 +352,6 @@ void SolverWorkspace::ensure_linear_base(Entry& e, const StampContext& ctx) {
 
 void SolverWorkspace::stamp_rhs(Entry& e, const StampContext& ctx) {
   const Netlist& nl = *ctx.nl;
-  const LowRankOverlay* ov = ctx.overlay;
   std::fill(e.b.begin(), e.b.end(), 0.0);
   auto add_i = [&](NodeId p, NodeId nn, double i) {
     if (p != kGround) e.b[nl.voltage_index(p)] -= i;
@@ -422,7 +360,7 @@ void SolverWorkspace::stamp_rhs(Entry& e, const StampContext& ctx) {
   const auto& devices = nl.devices();
   for (std::size_t di = 0; di < devices.size(); ++di) {
     const Device& dev = devices[di];
-    if (!dev.enabled || overlay_skips(ov, di)) continue;
+    if (!dev.enabled) continue;
     if (const auto* c = std::get_if<Capacitor>(&dev.impl)) {
       if (ctx.dt > 0.0) {
         const double vab_prev = ctx.prev_node_v->at(c->a) - ctx.prev_node_v->at(c->b);
@@ -475,72 +413,12 @@ void SolverWorkspace::stamp_nonlinear(Entry& e, const StampContext& ctx,
   }
 }
 
-bool SolverWorkspace::smw_prepare(Entry& e, const LowRankOverlay& ov) {
-  // W = A⁻¹U (one triangular-solve pair per term) and the k×k capacitance
-  // matrix S = C⁻¹ + UᵀW, C = diag(g), factored in place for reuse by
-  // the solve and every refinement step of this iteration.
-  const std::size_t k = ov.terms.size();
-  e.smw_k = 0;
-  if (e.smw_rhs.size() != e.n) e.smw_rhs.assign(e.n, 0.0);
-  if (e.smw_z.size() != e.n) e.smw_z.assign(e.n, 0.0);
-  for (std::size_t j = 0; j < k; ++j) {
-    const LowRankOverlay::Term& t = ov.terms[j];
-    if (!(t.g > 0.0)) return false;
-    std::vector<double>& wj = e.smw_w[j];
-    if (wj.size() != e.n) wj.assign(e.n, 0.0);
-    std::fill(e.smw_rhs.begin(), e.smw_rhs.end(), 0.0);
-    if (t.a >= 0) e.smw_rhs[static_cast<std::size_t>(t.a)] += 1.0;
-    if (t.b >= 0) e.smw_rhs[static_cast<std::size_t>(t.b)] -= 1.0;
-    e.lu.solve(e.smw_rhs, wj);
-  }
-  for (std::size_t i = 0; i < k; ++i) {
-    const LowRankOverlay::Term& ti = ov.terms[i];
-    for (std::size_t j = 0; j < k; ++j) {
-      const std::vector<double>& wj = e.smw_w[j];
-      double acc = (i == j) ? 1.0 / ti.g : 0.0;
-      if (ti.a >= 0) acc += wj[static_cast<std::size_t>(ti.a)];
-      if (ti.b >= 0) acc -= wj[static_cast<std::size_t>(ti.b)];
-      e.smw_s[i * k + j] = acc;
-    }
-  }
-  if (!small_lu_factor(e.smw_s.data(), e.smw_piv.data(), k)) return false;
-  e.smw_k = k;
-  return true;
-}
-
-void SolverWorkspace::smw_apply(Entry& e, const LowRankOverlay& ov, const std::vector<double>& rhs,
-                                std::vector<double>& out) {
-  // x = A_f⁻¹ rhs = z − W·S⁻¹·(Uᵀz), z = A⁻¹ rhs (Woodbury identity).
-  const std::size_t k = e.smw_k;
-  e.lu.solve(rhs, e.smw_z);
-  double m[kSmwMaxRank] = {0.0, 0.0, 0.0, 0.0};
-  for (std::size_t j = 0; j < k; ++j) {
-    const LowRankOverlay::Term& t = ov.terms[j];
-    double acc = 0.0;
-    if (t.a >= 0) acc += e.smw_z[static_cast<std::size_t>(t.a)];
-    if (t.b >= 0) acc -= e.smw_z[static_cast<std::size_t>(t.b)];
-    m[j] = acc;
-  }
-  small_lu_solve(e.smw_s.data(), e.smw_piv.data(), k, m);
-  if (out.size() != e.n) out.assign(e.n, 0.0);
-  std::copy(e.smw_z.begin(), e.smw_z.end(), out.begin());
-  for (std::size_t j = 0; j < k; ++j) {
-    if (m[j] == 0.0) continue;
-    const std::vector<double>& wj = e.smw_w[j];
-    for (std::size_t i = 0; i < e.n; ++i) out[i] -= m[j] * wj[i];
-  }
-}
-
-bool SolverWorkspace::residual_acceptable(const Entry& e, const LowRankOverlay* ov,
-                                          const std::vector<double>& x_new) const {
+bool SolverWorkspace::residual_acceptable(const Entry& e, const std::vector<double>& x_new) const {
   // Row-wise backward-error test: |A x - b|_i against the row's own
   // magnitude scale, with a small absolute slack. The slack matters:
   // fault edits leave near-isolated nodes whose rows are numerically
   // zero (scale ~1e-30); their residual carries no information and a
-  // pure relative test would reject a perfectly good solve. With an
-  // overlay, the test is against the *faulted* system A_f = A + UCUᵀ —
-  // the terms' conductance contributions join both acc and scale, so
-  // the gate is exactly as strict as PR 4's on a directly stamped A_f.
+  // pure relative test would reject a perfectly good solve.
   const double rel = solver_tuning().sparse_residual_rel_tol;
   const auto& rp = e.mat.row_ptr();
   const auto& ci = e.mat.col_idx();
@@ -553,29 +431,17 @@ bool SolverWorkspace::residual_acceptable(const Entry& e, const LowRankOverlay* 
       acc += term;
       scale += std::fabs(term);
     }
-    if (ov != nullptr) {
-      const std::ptrdiff_t row = static_cast<std::ptrdiff_t>(i);
-      for (const LowRankOverlay::Term& t : ov->terms) {
-        if (row != t.a && row != t.b) continue;
-        const double xa = t.a >= 0 ? x_new[static_cast<std::size_t>(t.a)] : 0.0;
-        const double xb = t.b >= 0 ? x_new[static_cast<std::size_t>(t.b)] : 0.0;
-        acc += (row == t.a) ? t.g * (xa - xb) : t.g * (xb - xa);
-        scale += std::fabs(t.g * xa) + std::fabs(t.g * xb);
-      }
-    }
     if (!(std::fabs(acc) <= rel * scale + 1e-30)) return false;  // NaN fails too
   }
   return true;
 }
 
-void SolverWorkspace::refine(Entry& e, const LowRankOverlay* ov, std::vector<double>& x_new) {
+void SolverWorkspace::refine(Entry& e, std::vector<double>& x_new) {
   // One step of iterative refinement on the existing factorization:
   // r = G·x − b in working precision, then x −= G⁻¹r. O(nnz) — far
   // cheaper than the dense fallback, and recovers the digits lost to
   // element growth in the no-pivot factorization (fault circuits mix
-  // short conductances ~1e3 S with gmin ~1e-12 S in one matrix). Under
-  // an overlay, both the residual and the correction are taken against
-  // the faulted system (the correction via the same Woodbury applies).
+  // short conductances ~1e3 S with gmin ~1e-12 S in one matrix).
   const auto& rp = e.mat.row_ptr();
   const auto& ci = e.mat.col_idx();
   const auto& av = e.mat.values();
@@ -584,28 +450,12 @@ void SolverWorkspace::refine(Entry& e, const LowRankOverlay* ov, std::vector<dou
     for (std::size_t s = rp[i]; s < rp[i + 1]; ++s) acc += av[s] * x_new[ci[s]];
     e.refine_r[i] = acc;
   }
-  if (ov != nullptr) {
-    for (const LowRankOverlay::Term& t : ov->terms) {
-      const double xa = t.a >= 0 ? x_new[static_cast<std::size_t>(t.a)] : 0.0;
-      const double xb = t.b >= 0 ? x_new[static_cast<std::size_t>(t.b)] : 0.0;
-      const double d = t.g * (xa - xb);
-      if (t.a >= 0) e.refine_r[static_cast<std::size_t>(t.a)] += d;
-      if (t.b >= 0) e.refine_r[static_cast<std::size_t>(t.b)] -= d;
-    }
-  }
-  if (ov != nullptr && e.smw_k > 0) {
-    smw_apply(e, *ov, e.refine_r, e.refine_dx);
-  } else {
-    e.lu.solve(e.refine_r, e.refine_dx);
-  }
+  e.lu.solve(e.refine_r, e.refine_dx);
   for (std::size_t i = 0; i < e.n; ++i) x_new[i] -= e.refine_dx[i];
 }
 
 bool SolverWorkspace::dense_solve(const StampContext& ctx, const std::vector<double>& x,
                                   std::vector<double>& x_new) {
-  // stamp_system knows nothing of overlays and stamps the full netlist
-  // — including any overlay-skipped devices — which is exactly the
-  // faulted system, so the dense path is always an exact reference.
   stamp_system(ctx, x, dense_g_, dense_b_);
   if (!lu_solve_inplace(dense_g_, dense_b_)) return false;
   x_new = dense_b_;
@@ -634,17 +484,6 @@ bool SolverWorkspace::solve_newton_system(const StampContext& ctx, const std::ve
     return ok;
   }
 
-  // Once a solve rejects an overlay, every later iteration of the same
-  // solve would reject it for the same reason (the bridge conductance
-  // does not change between iterations) — skip the doomed attempt and
-  // go straight to the full-netlist path instead of paying for both.
-  if (ctx.overlay != nullptr && smw_suppressed_) {
-    ++stats_.smw_fallbacks;
-    StampContext full = ctx;
-    full.overlay = nullptr;
-    return solve_newton_system(full, x, x_new, diag);
-  }
-
   const auto t0 = timing ? Clock::now() : Clock::time_point{};
   Entry& e = entry_for(ctx);
   ensure_linear_base(e, ctx);
@@ -654,55 +493,28 @@ bool SolverWorkspace::solve_newton_system(const StampContext& ctx, const std::ve
   const auto t1 = timing ? Clock::now() : Clock::time_point{};
   if (timing) diag->stamp_sec += std::chrono::duration<double>(t1 - t0).count();
 
-  const LowRankOverlay* ov = ctx.overlay;
-  const std::size_t k = ov != nullptr ? ov->terms.size() : 0;
-  e.smw_k = 0;
   bool ok = false;
-  if (k <= kSmwMaxRank) {
-    if (e.lu.factor(e.mat, 1e-18)) {
-      const bool smw_ok = (k == 0) || smw_prepare(e, *ov);
-      if (smw_ok) {
-        if (x_new.size() != n) x_new.assign(n, 0.0);
-        if (k > 0) {
-          smw_apply(e, *ov, e.b, x_new);
-        } else {
-          e.lu.solve(e.b, x_new);
-        }
-        // Backward-error gate with a few O(nnz) refinement rescues.
-        // Moderate element growth (no partial pivoting) contracts to the
-        // gate in one or two steps; catastrophic growth (fault circuits
-        // mixing ~1e3 S shorts with ~1e-12 S opens can hit ~1e15) leaves
-        // the residual near 1.0 where refinement cannot help — those rows
-        // genuinely need partial pivoting and take the dense fallback.
-        ok = residual_acceptable(e, k > 0 ? ov : nullptr, x_new);
-        for (int step = 0; !ok && step < 4; ++step) {
-          refine(e, k > 0 ? ov : nullptr, x_new);
-          ++stats_.refinement_steps;
-          ok = residual_acceptable(e, k > 0 ? ov : nullptr, x_new);
-        }
-        if (!ok) ++stats_.residual_rejects;
-      }
-    } else {
-      ++stats_.pivot_rejects;
+  if (e.lu.factor(e.mat, 1e-18)) {
+    if (x_new.size() != n) x_new.assign(n, 0.0);
+    e.lu.solve(e.b, x_new);
+    // Backward-error gate with a few O(nnz) refinement rescues.
+    // Moderate element growth (no partial pivoting) contracts to the
+    // gate in one or two steps; catastrophic growth (fault circuits
+    // mixing ~1e3 S shorts with ~1e-12 S opens can hit ~1e15) leaves
+    // the residual near 1.0 where refinement cannot help — those rows
+    // genuinely need partial pivoting and take the dense fallback.
+    ok = residual_acceptable(e, x_new);
+    for (int step = 0; !ok && step < 4; ++step) {
+      refine(e, x_new);
+      ++stats_.refinement_steps;
+      ok = residual_acceptable(e, x_new);
     }
+    if (!ok) ++stats_.residual_rejects;
+  } else {
+    ++stats_.pivot_rejects;
   }
-  // k > kSmwMaxRank: the cached pattern excludes the skipped devices and
-  // the rank is too wide for Woodbury — only the dense path (which
-  // stamps the full netlist) represents this system exactly.
   if (ok) {
     ++stats_.sparse_solves;
-    if (k > 0) ++stats_.smw_solves;
-  } else if (k > 0) {
-    // A rejected low-rank solve retries on the ordinary sparse path of
-    // the *full* faulted netlist (the overlay-skipped devices stamped
-    // for real) — exact, far cheaper than the dense reference, and
-    // still guarded by the dense fallback inside the recursive call.
-    ++stats_.smw_fallbacks;
-    smw_suppressed_ = true;
-    if (timing) diag->factor_sec += std::chrono::duration<double>(Clock::now() - t1).count();
-    StampContext full = ctx;
-    full.overlay = nullptr;
-    return solve_newton_system(full, x, x_new, diag);
   } else {
     ++stats_.dense_fallbacks;
     ok = dense_solve(ctx, x, x_new);
@@ -722,15 +534,6 @@ void SolverWorkspace::mna_residual(const StampContext& ctx, const std::vector<do
   if (r.size() != n) r.resize(n);
   std::fill(r.begin(), r.end(), 0.0);
   e.mat.accumulate_residual(x, e.b, r);
-  if (ctx.overlay != nullptr) {
-    for (const LowRankOverlay::Term& t : ctx.overlay->terms) {
-      const double xa = t.a >= 0 ? x[static_cast<std::size_t>(t.a)] : 0.0;
-      const double xb = t.b >= 0 ? x[static_cast<std::size_t>(t.b)] : 0.0;
-      const double d = t.g * (xa - xb);
-      if (t.a >= 0) r[static_cast<std::size_t>(t.a)] += d;
-      if (t.b >= 0) r[static_cast<std::size_t>(t.b)] -= d;
-    }
-  }
 }
 
 double SolverWorkspace::kcl_residual_norm(const StampContext& ctx, const std::vector<double>& x) {
@@ -740,7 +543,6 @@ double SolverWorkspace::kcl_residual_norm(const StampContext& ctx, const std::ve
   stamp_rhs(e, ctx);
   stamp_nonlinear(e, ctx, x);
   // Residual of the node (KCL) rows only, without materializing r.
-  const LowRankOverlay* ov = ctx.overlay;
   const auto& rp = e.mat.row_ptr();
   const auto& ci = e.mat.col_idx();
   const auto& av = e.mat.values();
@@ -748,15 +550,6 @@ double SolverWorkspace::kcl_residual_norm(const StampContext& ctx, const std::ve
   for (std::size_t i = 0; i < e.n_volts; ++i) {
     double acc = -e.b[i];
     for (std::size_t s = rp[i]; s < rp[i + 1]; ++s) acc += av[s] * x[ci[s]];
-    if (ov != nullptr) {
-      const std::ptrdiff_t row = static_cast<std::ptrdiff_t>(i);
-      for (const LowRankOverlay::Term& t : ov->terms) {
-        if (row != t.a && row != t.b) continue;
-        const double xa = t.a >= 0 ? x[static_cast<std::size_t>(t.a)] : 0.0;
-        const double xb = t.b >= 0 ? x[static_cast<std::size_t>(t.b)] : 0.0;
-        acc += (row == t.a) ? t.g * (xa - xb) : t.g * (xb - xa);
-      }
-    }
     worst = std::max(worst, std::fabs(acc));
   }
   return worst;

@@ -24,26 +24,19 @@
 //
 // Cache keying: entries are keyed by a structural hash of the netlist
 // (node count, model card, and every device's kind/terminals/
-// matrix-shaping values — names and RHS-only source values excluded),
-// minus any devices excluded by the solve's LowRankOverlay. Distinct
-// netlists with identical structure — the thousands of per-fault copies
-// a campaign makes of the same golden stage stimulus — therefore share
-// one symbolic analysis, one fill pattern, and one linear base. A memo
-// ring keyed on Netlist::generation() makes the hash itself a cheap
-// lookup on the warm path. Hash-equal structures produce bit-identical
-// stamps, so sharing never changes results; a collision (same hash,
-// different structure) is caught by the unknown-count check and simply
-// rebuilds the entry.
+// matrix-shaping values — names and RHS-only source values excluded).
+// Distinct netlists with identical structure — the thousands of
+// per-fault copies a campaign makes of the same golden stage stimulus —
+// therefore share one symbolic analysis, one fill pattern, and one
+// linear base. A memo ring keyed on Netlist::generation() makes the
+// hash itself a cheap lookup on the warm path. Hash-equal structures
+// produce bit-identical stamps, so sharing never changes results; a
+// collision (same hash, different structure) is caught by the
+// unknown-count check and simply rebuilds the entry.
 //
 // For campaign warm starts, seed_from() parks a pending initial guess
 // on the workspace; the next solve_dc on this workspace consumes it as
-// an extra first ladder rung ("golden-warm-start"). With a
-// LowRankOverlay in the StampContext, the sparse path factors the
-// *base* structure and applies the fault's rank-k edit via
-// Sherman–Morrison–Woodbury, gated by the same backward-error test as
-// every other sparse solve (reject ⇒ retry on the ordinary sparse path
-// of the full netlist, which is exact and itself guarded by the dense
-// fallback).
+// an extra first ladder rung ("golden-warm-start").
 //
 // Ownership: one workspace per thread. The default instance is
 // thread-local (SolverWorkspace::tls()), which gives every campaign /
@@ -84,8 +77,7 @@ struct SolverTuning {
   /// sparse solve whose residual exceeds it falls back to dense. This
   /// is the sole numerical-quality gate for the no-pivot sparse
   /// factorization (the factor itself only enforces an absolute
-  /// ~1e-18 pivot floor) and for the Sherman–Morrison–Woodbury
-  /// low-rank solve.
+  /// ~1e-18 pivot floor).
   double sparse_residual_rel_tol = 1e-8;
 };
 
@@ -115,8 +107,6 @@ class SolverWorkspace {
     std::uint64_t pivot_rejects = 0;      // ...because a pivot failed the health check
     std::uint64_t residual_rejects = 0;   // ...because the solve failed verification
     std::uint64_t refinement_steps = 0;   // O(nnz) refinements that rescued a solve
-    std::uint64_t smw_solves = 0;         // iterations solved via the low-rank SMW path
-    std::uint64_t smw_fallbacks = 0;      // SMW rejects retried on the full-netlist path
   };
   const Stats& stats() const { return stats_; }
   void reset_stats() { stats_ = Stats{}; }
@@ -133,12 +123,6 @@ class SolverWorkspace {
   void seed_from(std::vector<double>&& x);
   /// Takes (and clears) the pending seed. False when none is armed.
   bool take_pending_seed(std::vector<double>& out);
-
-  /// Re-enables the low-rank (SMW) path for a new solve. After a gate
-  /// reject, the workspace stops attempting SMW for the rest of the
-  /// current solve (later iterations would reject identically); solve_dc
-  /// calls this at entry so every solve gets a fresh attempt.
-  void reset_smw_suppression() { smw_suppressed_ = false; }
 
   /// One Newton linear solve: builds the linearized MNA system about
   /// iterate `x` (cached linear base + fresh nonlinear/RHS stamps) and
@@ -178,11 +162,9 @@ class SolverWorkspace {
     std::size_t sd = kNoSlot, sg = kNoSlot, ss = kNoSlot;
   };
 
-  static constexpr std::size_t kSmwMaxRank = 4;
-
   struct Entry {
     bool used = false;
-    std::uint64_t key = 0;  // structural hash (netlist minus overlay skips)
+    std::uint64_t key = 0;  // structural hash of the netlist
     std::uint64_t last_use = 0;
     std::size_t n = 0;
     std::size_t n_volts = 0;
@@ -201,15 +183,6 @@ class SolverWorkspace {
     // Iterative-refinement scratch (residual and correction).
     std::vector<double> refine_r;
     std::vector<double> refine_dx;
-    // Sherman–Morrison–Woodbury scratch: W = A⁻¹U columns, the k×k
-    // capacitance matrix S = C⁻¹ + UᵀW factored in place, and a z
-    // vector for A⁻¹ applications. Rebuilt per numeric factorization.
-    std::array<std::vector<double>, kSmwMaxRank> smw_w;
-    std::vector<double> smw_z;
-    std::vector<double> smw_rhs;
-    std::array<double, kSmwMaxRank * kSmwMaxRank> smw_s{};
-    std::array<int, kSmwMaxRank> smw_piv{};
-    std::size_t smw_k = 0;
   };
 
   std::uint64_t entry_key(const StampContext& ctx);
@@ -218,12 +191,8 @@ class SolverWorkspace {
   void ensure_linear_base(Entry& e, const StampContext& ctx);
   void stamp_rhs(Entry& e, const StampContext& ctx);
   void stamp_nonlinear(Entry& e, const StampContext& ctx, const std::vector<double>& x);
-  bool smw_prepare(Entry& e, const LowRankOverlay& ov);
-  void smw_apply(Entry& e, const LowRankOverlay& ov, const std::vector<double>& rhs,
-                 std::vector<double>& out);
-  bool residual_acceptable(const Entry& e, const LowRankOverlay* ov,
-                           const std::vector<double>& x_new) const;
-  void refine(Entry& e, const LowRankOverlay* ov, std::vector<double>& x_new);
+  bool residual_acceptable(const Entry& e, const std::vector<double>& x_new) const;
+  void refine(Entry& e, std::vector<double>& x_new);
   bool dense_solve(const StampContext& ctx, const std::vector<double>& x,
                    std::vector<double>& x_new);
 
@@ -232,12 +201,11 @@ class SolverWorkspace {
   std::uint64_t lru_tick_ = 0;
   Stats stats_;
 
-  // Memo ring for the structural hash: (generation, overlay skip
-  // signature) → key, so the warm path never rehashes the device list.
+  // Memo ring for the structural hash: generation → key, so the warm
+  // path never rehashes the device list.
   struct KeyMemo {
     bool valid = false;
     std::uint64_t generation = 0;
-    std::uint64_t skip_sig = 0;
     std::uint64_t key = 0;
   };
   std::array<KeyMemo, 32> key_memo_{};
@@ -246,10 +214,6 @@ class SolverWorkspace {
   // Pending campaign warm-start seed (see seed_from).
   std::vector<double> pending_seed_;
   bool has_pending_seed_ = false;
-
-  // Set on an overlay gate reject; skips further SMW attempts until the
-  // next solve (see reset_smw_suppression).
-  bool smw_suppressed_ = false;
 
   // Dense path / fallback buffers.
   Matrix dense_g_;

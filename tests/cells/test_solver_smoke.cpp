@@ -43,11 +43,10 @@ TEST(SolverSmoke, WarmDcSweepReusesSymbolicAnalysisWithoutFallbacks) {
   EXPECT_EQ(m.counter("solver.dc.dense_fallbacks").value(), fallbacks_before);
 }
 
-TEST(SolverSmoke, GoldenWarmStartPathIsSmwFree) {
+TEST(SolverSmoke, GoldenWarmStartLandsFirstTry) {
   // The campaign's fault-free warm path: re-solving the golden netlist
-  // from its own converged solution. No overlay is in play, so the SMW
-  // machinery must stay completely out of the way — zero SMW solves and
-  // zero SMW fallbacks — while the warm-start rung lands first try.
+  // from its own converged solution. The warm-start rung must land
+  // first try, with no dense fallback on the way.
   LinkFrontend fe;
   spice::SolverWorkspace ws;
   const auto cold = spice::solve_dc(fe.netlist(), {}, ws);
@@ -57,12 +56,13 @@ TEST(SolverSmoke, GoldenWarmStartPathIsSmwFree) {
   const auto hits_before = m.counter("campaign.warm_start.hits").value();
   const auto rejects_before = m.counter("campaign.warm_start.rejects").value();
 
+  const auto fallbacks_before = ws.stats().dense_fallbacks;
   ws.seed_from(cold.x);
   const auto warm = spice::solve_dc(fe.netlist(), {}, ws);
   ASSERT_TRUE(warm.converged);
 
-  EXPECT_EQ(ws.stats().smw_solves, 0u);
-  EXPECT_EQ(ws.stats().smw_fallbacks, 0u);
+  EXPECT_EQ(warm.diag.fallback, "golden-warm-start");
+  EXPECT_EQ(ws.stats().dense_fallbacks, fallbacks_before);
   EXPECT_EQ(m.counter("campaign.warm_start.hits").value(), hits_before + 1);
   EXPECT_EQ(m.counter("campaign.warm_start.rejects").value(), rejects_before);
   // Warm-starting from the answer costs (far) fewer iterations.

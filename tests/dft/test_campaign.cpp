@@ -7,6 +7,7 @@
 
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "util/jsonl.hpp"
 
@@ -123,6 +124,31 @@ TEST_F(CampaignFixture, AbortCheckStopsEarlyAndMarksIncomplete) {
   const CampaignReport report = run_campaign(*golden_, opts);
   EXPECT_FALSE(report.complete);
   EXPECT_EQ(report.outcomes.size(), 3u);
+}
+
+TEST_F(CampaignFixture, SingleThreadProgressIsInOrderAndPrecedesEachFault) {
+  // At one thread `progress` is a monotone fault clock: indices 0..n-1
+  // in order, each reported before that fault runs. The checkpoint file
+  // shows what has run: at progress(i) it holds exactly faults 0..i-1.
+  const std::string path = testing::TempDir() + "campaign_progress_order.jsonl";
+  std::remove(path.c_str());
+  CampaignOptions opts = small_opts();
+  opts.num_threads = 1;
+  opts.checkpoint_path = path;
+  std::vector<std::size_t> seen;
+  std::vector<std::size_t> lines_at_call;
+  opts.progress = [&](std::size_t i, std::size_t) {
+    seen.push_back(i);
+    lines_at_call.push_back(util::read_lines(path).size());
+  };
+  const CampaignReport report = run_campaign(*golden_, opts);
+  ASSERT_TRUE(report.complete);
+  ASSERT_EQ(seen.size(), report.outcomes.size());
+  for (std::size_t i = 0; i < seen.size(); ++i) {
+    EXPECT_EQ(seen[i], i);
+    EXPECT_EQ(lines_at_call[i], i) << "progress(" << i << ") came after its fault ran";
+  }
+  std::remove(path.c_str());
 }
 
 TEST_F(CampaignFixture, ResumeFromCheckpointMatchesUninterruptedRun) {

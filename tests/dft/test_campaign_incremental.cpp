@@ -1,6 +1,6 @@
 // Differential tests for the incremental campaign engine: golden
-// warm-starts, low-rank (SMW) injection, structural fault collapsing and
-// adaptive stage ordering are pure accelerations — the verdict
+// warm-starts, structural fault collapsing and adaptive stage ordering
+// are pure accelerations — the verdict
 // partition (detected / undetected / quarantined) and the per-class
 // cumulative Table-I coverage must be identical with every mechanism
 // on, off, or alone, at any thread count, and across checkpoint/resume.
@@ -37,7 +37,7 @@ class CampaignIncrementalFixture : public ::testing::Test {
   }
 
   /// Small DC+scan universe (TX drivers + FFE caps): deterministic and
-  /// fast, while still exercising seeds, overlays, and stage ordering.
+  /// fast, while still exercising seeds, collapsing, and stage ordering.
   static CampaignOptions base_opts(std::size_t threads) {
     CampaignOptions opts;
     opts.prefixes = {"tx."};
@@ -51,7 +51,6 @@ class CampaignIncrementalFixture : public ::testing::Test {
   static CampaignOptions all_off(std::size_t threads) {
     CampaignOptions opts = base_opts(threads);
     opts.reuse_golden = false;
-    opts.low_rank_injection = false;
     opts.collapse_faults = false;
     opts.adaptive_stage_order = false;
     return opts;
@@ -115,13 +114,12 @@ TEST_F(CampaignIncrementalFixture, DefaultsPreservePartitionAcrossThreadCounts) 
 }
 
 TEST_F(CampaignIncrementalFixture, EachMechanismAlonePreservesPartition) {
-  for (int mech = 0; mech < 4; ++mech) {
+  for (int mech = 0; mech < 3; ++mech) {
     CampaignOptions opts = all_off(1);
     switch (mech) {
       case 0: opts.reuse_golden = true; break;
-      case 1: opts.low_rank_injection = true; break;
-      case 2: opts.collapse_faults = true; break;
-      case 3: opts.adaptive_stage_order = true; break;
+      case 1: opts.collapse_faults = true; break;
+      case 2: opts.adaptive_stage_order = true; break;
     }
     const CampaignReport report = run_campaign(*golden_, opts);
     ASSERT_TRUE(report.complete) << "mechanism " << mech;

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "dft/campaign.hpp"
 #include "util/metrics.hpp"
@@ -74,7 +75,7 @@ TEST(CampaignTrace, ExecStatsCarryMetricsSnapshotAndStealCounts) {
 TEST(CampaignTrace, SerialPathHasNoPoolAndNoSteals) {
   const cells::LinkFrontend golden;
   const CampaignReport report = run_campaign(golden, small_opts(1));
-  EXPECT_TRUE(report.exec.per_worker_steals.empty());
+  EXPECT_EQ(report.exec.per_worker_steals, std::vector<std::size_t>{0});
   EXPECT_EQ(report.exec.steals, 0u);
   EXPECT_FALSE(report.exec.metrics_json.empty());
 }
