@@ -20,26 +20,28 @@ if(NOT rc EQUAL 0)
   message(FATAL_ERROR "[sanitize_job] configure failed (${SANITIZER})")
 endif()
 
-message(STATUS "[sanitize_job] building test_util + test_spice + test_dft + test_fault + test_digital")
+message(STATUS "[sanitize_job] building test_util + test_spice + test_cells + test_dft + test_fault + test_digital")
 execute_process(
   COMMAND ${CMAKE_COMMAND} --build ${BIN_DIR} --parallel
-          --target test_util test_spice test_dft test_fault test_digital
+          --target test_util test_spice test_cells test_dft test_fault test_digital
   RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "[sanitize_job] build failed (${SANITIZER})")
 endif()
 
 # SparseEngine covers the workspace/sparse-LU solve path (including the
-# thread-local workspaces campaign workers share), and the Campaign
+# thread-local workspaces campaign workers share) on small netlists, and
+# SolverSmoke runs the same path, source pairing included, on the full
+# analog frontend and its faulted copies. The Campaign
 # pattern also picks up CampaignIncremental (shared read-only
 # seed bank + collapse memo under threads). Circuit, StuckCampaign,
 # Compaction, CoverageCurve and Atpg run the lane-indexed arrays of the
 # fault-parallel digital simulator. NewtonAllocation is
 # deliberately excluded: its global operator-new counters are
 # meaningless under sanitizer allocators.
-message(STATUS "[sanitize_job] running ThreadPool/Campaign/McTrials/SparseEngine/digital tests under ${SANITIZER}")
+message(STATUS "[sanitize_job] running ThreadPool/Campaign/McTrials/SparseEngine/SolverSmoke/digital tests under ${SANITIZER}")
 execute_process(
-  COMMAND ctest --test-dir ${BIN_DIR} -R "ThreadPool|Campaign|McTrials|SparseEngine|Circuit|StuckCampaign|Compaction|CoverageCurve|Atpg"
+  COMMAND ctest --test-dir ${BIN_DIR} -R "ThreadPool|Campaign|McTrials|SparseEngine|SolverSmoke|Circuit|StuckCampaign|Compaction|CoverageCurve|Atpg"
           --output-on-failure
   RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)

@@ -31,40 +31,20 @@ double DcResult::i(const Netlist& nl, const std::string& device_name) const {
   return x.at(nl.branch_index(*di));
 }
 
-namespace {
-
-using Clock = std::chrono::steady_clock;
-
-struct Deadline {
-  bool armed = false;
-  Clock::time_point at{};
-
-  static Deadline from_timeout(double timeout_sec, Clock::time_point start) {
-    Deadline d;
-    if (timeout_sec > 0.0) {
-      d.armed = true;
-      d.at = start + std::chrono::duration_cast<Clock::duration>(
-                         std::chrono::duration<double>(timeout_sec));
-    }
-    return d;
+Deadline Deadline::from_timeout(double timeout_sec, std::chrono::steady_clock::time_point start) {
+  Deadline d;
+  if (timeout_sec > 0.0) {
+    d.armed = true;
+    d.at = start + std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+                       std::chrono::duration<double>(timeout_sec));
   }
-  bool expired() const { return armed && Clock::now() >= at; }
-};
+  return d;
+}
 
-/// One damped Newton loop at fixed gmin / source scale. x is updated in
-/// place with the best iterate whatever the outcome. Diagnostics track
-/// the last iteration's worst voltage update and its unknown index.
-/// All matrix/vector state lives in `ws`: after the workspace has seen
-/// this topology once, the loop body performs no heap allocations.
-SolveStatus newton_loop(const Netlist& nl, double gmin, double source_scale,
-                        const DcOptions& opts, const Deadline& deadline, SolverWorkspace& ws,
-                        std::vector<double>& x, SolveDiagnostics& diag) {
+SolveStatus newton_loop(const StampContext& ctx, const DcOptions& opts, const Deadline& deadline,
+                        SolverWorkspace& ws, std::vector<double>& x, SolveDiagnostics& diag) {
+  const Netlist& nl = *ctx.nl;
   std::vector<double>& x_new = ws.iterate_scratch();
-  StampContext ctx;
-  ctx.nl = &nl;
-  ctx.gmin = gmin;
-  ctx.source_scale = source_scale;
-
   const std::size_t n = nl.unknown_count();
   if (x.size() != n) x.assign(n, 0.0);
   const std::size_t n_volts = nl.node_count() - 1;
@@ -128,6 +108,19 @@ SolveStatus newton_loop(const Netlist& nl, double gmin, double source_scale,
   return SolveStatus::kMaxIterations;
 }
 
+namespace {
+
+using Clock = std::chrono::steady_clock;
+
+/// The DC system at one gmin / source-scale continuation point.
+StampContext dc_context(const Netlist& nl, double gmin, double source_scale = 1.0) {
+  StampContext ctx;
+  ctx.nl = &nl;
+  ctx.gmin = gmin;
+  ctx.source_scale = source_scale;
+  return ctx;
+}
+
 /// gmin continuation: solve a heavily leaky circuit, then tighten.
 /// `warm` (optional) seeds the first continuation level — the campaign's
 /// golden operating point is usually far closer to the faulted solution
@@ -143,7 +136,7 @@ SolveStatus gmin_stepping(const Netlist& nl, const DcOptions& opts, const Deadli
   }
   SolveStatus st = SolveStatus::kConverged;
   for (double gmin = opts.gmin_start; gmin >= opts.gmin_final * 0.99; gmin *= 0.1) {
-    st = newton_loop(nl, gmin, 1.0, opts, deadline, ws, x, diag);
+    st = newton_loop(dc_context(nl, gmin), opts, deadline, ws, x, diag);
     if (st != SolveStatus::kConverged) return st;
   }
   return st;
@@ -155,7 +148,8 @@ SolveStatus source_stepping(const Netlist& nl, const DcOptions& opts, const Dead
   x.assign(nl.unknown_count(), 0.0);
   SolveStatus st = SolveStatus::kConverged;
   for (double scale = 0.1; scale <= 1.0001; scale += 0.1) {
-    st = newton_loop(nl, opts.gmin_final, std::min(scale, 1.0), opts, deadline, ws, x, diag);
+    st = newton_loop(dc_context(nl, opts.gmin_final, std::min(scale, 1.0)), opts, deadline, ws, x,
+                     diag);
     if (st != SolveStatus::kConverged) return st;
   }
   return st;
@@ -288,7 +282,7 @@ DcResult solve_dc(const Netlist& nl, const DcOptions& opts, SolverWorkspace& ws)
       util::TraceSpan span("dc.rung.golden-warm-start", "solver");
       result.x = seed;  // keep the seed: the golden-gmin rung reuses it
       const SolveStatus st =
-          newton_loop(nl, opts.gmin_final, 1.0, opts, deadline, ws, result.x, result.diag);
+          newton_loop(dc_context(nl, opts.gmin_final), opts, deadline, ws, result.x, result.diag);
       if (st == SolveStatus::kConverged) {
         warm_hits.add(1);
         return finish(st, 0, "golden-warm-start");
@@ -308,7 +302,7 @@ DcResult solve_dc(const Netlist& nl, const DcOptions& opts, SolverWorkspace& ws)
   if (!result.x.empty()) {
     util::TraceSpan span("dc.rung.newton", "solver");
     const SolveStatus st =
-        newton_loop(nl, opts.gmin_final, 1.0, opts, deadline, ws, result.x, result.diag);
+        newton_loop(dc_context(nl, opts.gmin_final), opts, deadline, ws, result.x, result.diag);
     if (st == SolveStatus::kConverged) return finish(st, 0, "newton");
     if (st == SolveStatus::kTimeout) return finish(st, 0, "newton");
   }

@@ -7,6 +7,7 @@
 // silently dropped.
 #pragma once
 
+#include <chrono>
 #include <string>
 #include <vector>
 
@@ -16,6 +17,7 @@
 namespace lsl::spice {
 
 class SolverWorkspace;
+struct StampContext;
 
 struct DcOptions {
   int max_iterations = 200;
@@ -70,6 +72,28 @@ struct DcResult {
 /// so the rung can only add an attempt, never remove one.
 DcResult solve_dc(const Netlist& nl, const DcOptions& opts, SolverWorkspace& ws);
 DcResult solve_dc(const Netlist& nl, const DcOptions& opts = {});
+
+/// Wall-clock budget for a Newton loop. Unarmed (never expires) when
+/// default-constructed or built from a timeout of 0.
+struct Deadline {
+  bool armed = false;
+  std::chrono::steady_clock::time_point at{};
+
+  static Deadline from_timeout(double timeout_sec, std::chrono::steady_clock::time_point start);
+  bool expired() const { return armed && std::chrono::steady_clock::now() >= at; }
+};
+
+/// One damped Newton loop on the system `ctx` describes: a DC
+/// continuation point (ctx.dt == 0) for solve_dc's ladder, or one
+/// transient step for run_transient, which checks its own deadline per
+/// step and passes an unarmed one. Voltage updates are clamped to
+/// opts.damping_limit; convergence is max |ΔV| < opts.abs_tol. `x` is
+/// updated in place with the best iterate whatever the outcome, and
+/// `diag` tracks the iterations and the last iteration's worst node.
+/// After `ws` has seen this topology once, the loop performs no heap
+/// allocations.
+SolveStatus newton_loop(const StampContext& ctx, const DcOptions& opts, const Deadline& deadline,
+                        SolverWorkspace& ws, std::vector<double>& x, SolveDiagnostics& diag);
 
 /// Sweeps the value of voltage source `vsrc_name` over `values`, warm
 /// starting each point from the previous solution. Returns one DcResult

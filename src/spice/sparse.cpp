@@ -90,18 +90,20 @@ void merge_into(std::vector<std::size_t>& dst, const std::vector<std::size_t>& s
 
 }  // namespace
 
-void SparseLu::analyze(const SparseMatrix& a, std::size_t n_volts) {
+void SparseLu::analyze(const SparseMatrix& a, std::size_t n_volts,
+                       const std::vector<std::size_t>& row_map) {
   n_ = a.dim();
   analyzed_ = false;
   if (n_volts > n_) throw std::invalid_argument("SparseLu::analyze: n_volts > dim");
 
-  // Symmetrized adjacency (structure of A + A^T, diagonal excluded).
+  // Symmetrized adjacency of the row-mapped matrix (structure of
+  // B + B^T with B's row r = A's row row_map[r], diagonal excluded).
   std::vector<std::vector<std::size_t>> adj(n_);
   {
     const auto& rp = a.row_ptr();
     const auto& ci = a.col_idx();
     for (std::size_t r = 0; r < n_; ++r) {
-      for (std::size_t s = rp[r]; s < rp[r + 1]; ++s) {
+      for (std::size_t s = rp[row_map[r]]; s < rp[row_map[r] + 1]; ++s) {
         const std::size_t c = ci[s];
         if (c == r) continue;
         adj[r].push_back(c);
@@ -146,9 +148,13 @@ void SparseLu::analyze(const SparseMatrix& a, std::size_t n_volts) {
   for (std::size_t v = n_volts; v < n_; ++v) perm_.push_back(v);
 
   pinv_.assign(n_, 0);
-  for (std::size_t i = 0; i < n_; ++i) pinv_[perm_[i]] = i;
+  row_src_.assign(n_, 0);
+  for (std::size_t i = 0; i < n_; ++i) {
+    pinv_[perm_[i]] = i;
+    row_src_[i] = row_map[perm_[i]];
+  }
 
-  // Symbolic fill of P·A·P^T: process permuted rows top-down; row i
+  // Symbolic fill of P·B·P^T: process permuted rows top-down; row i
   // inherits the U-part (columns > k) of every earlier row k it has an
   // L entry in. Scanning k in ascending order makes the propagation a
   // single pass — fill at column j < i introduced while processing
@@ -163,7 +169,7 @@ void SparseLu::analyze(const SparseMatrix& a, std::size_t n_volts) {
   const auto& ci = a.col_idx();
   for (std::size_t i = 0; i < n_; ++i) {
     rowcols.clear();
-    const std::size_t orig = perm_[i];
+    const std::size_t orig = row_src_[i];
     for (std::size_t s = rp[orig]; s < rp[orig + 1]; ++s) {
       const std::size_t c = pinv_[ci[s]];
       if (!w[c]) {
@@ -208,9 +214,9 @@ bool SparseLu::factor(const SparseMatrix& a, double pivot_floor) {
   for (std::size_t i = 0; i < n_; ++i) {
     const std::size_t row_begin = lu_row_ptr_[i];
     const std::size_t row_end = lu_row_ptr_[i + 1];
-    // Scatter permuted row i of A over the LU row pattern.
+    // Scatter permuted row i of B over the LU row pattern.
     for (std::size_t s = row_begin; s < row_end; ++s) work_[lu_col_idx_[s]] = 0.0;
-    const std::size_t orig = perm_[i];
+    const std::size_t orig = row_src_[i];
     for (std::size_t s = rp[orig]; s < rp[orig + 1]; ++s) {
       work_[pinv_[ci[s]]] += av[s];
     }
@@ -227,7 +233,7 @@ bool SparseLu::factor(const SparseMatrix& a, double pivot_floor) {
     // Pivot health: absolute floor only (the comparison also rejects
     // NaN), mirroring the dense singular test. A relative-to-row test
     // would misfire here: eliminating a gmin-pivoted node (e.g. a
-    // source-driven MOSFET gate) legitimately puts ~1/gmin-scale
+    // floating gate no source drives) legitimately puts ~1/gmin-scale
     // multipliers and fill into downstream rows, dwarfing healthy
     // pivots. Numerical quality is instead judged after the solve by
     // the caller's O(nnz) residual verification, which falls back to
@@ -243,8 +249,9 @@ bool SparseLu::factor(const SparseMatrix& a, double pivot_floor) {
 }
 
 void SparseLu::solve(const std::vector<double>& b, std::vector<double>& x) const {
-  // work_ = P b, then forward/backward substitution in place.
-  for (std::size_t i = 0; i < n_; ++i) work_[i] = b[perm_[i]];
+  // work_ = P·R b (R = the row map), then forward/backward substitution
+  // in place.
+  for (std::size_t i = 0; i < n_; ++i) work_[i] = b[row_src_[i]];
   for (std::size_t i = 0; i < n_; ++i) {
     double sum = work_[i];
     for (std::size_t s = lu_row_ptr_[i]; s < diag_pos_[i]; ++s) {

@@ -7,18 +7,28 @@
 // row) but small (tens to a few hundred unknowns), so the design favors
 // simplicity with the right asymptotics over supernodal machinery:
 //
-//  - Ordering: minimum-degree over the node-voltage unknowns (their
-//    diagonals are structurally nonzero thanks to gmin), with the
+//  - Source pairing: a voltage-source branch row has a structural zero
+//    on its diagonal, and the node it drives often has only gmin
+//    (1e-12 S) on its own diagonal, e.g. a source-driven MOSFET gate.
+//    With those as pivots, a 0-V source's terminal voltage comes out
+//    as ±1e-16 V of roundoff and its branch row fails the caller's
+//    backward-error test at a relative residual of 1.0. So the caller
+//    supplies a static row map that swaps each V/E branch row with the
+//    KCL row of one of its terminals (as SPICE-class solvers do for
+//    zero-diagonal source rows): the terminal's column is pivoted on
+//    the branch row's ±1 incidence entry and the branch column on the
+//    terminal's KCL ±1 entry.
+//  - Ordering: minimum-degree over the node-voltage unknowns, with the
 //    branch-current unknowns of V/E sources appended in natural order.
-//    Eliminating branch rows last matters twice over: their diagonals
-//    are structural zeros (a voltage source contributes no (bi,bi)
-//    entry), and the ±1 incidence entries guarantee they *receive*
-//    diagonal fill once their node neighbors are eliminated.
+//    A branch row paired with no terminal (both terminals ground or
+//    already taken) keeps its structural-zero diagonal, which *receives*
+//    fill once its node neighbors are eliminated, so branch columns go
+//    last.
 //  - Numeric factorization: up-looking row LU on the static pattern, no
-//    pivoting. A per-row pivot-health check (absolute floor plus a
-//    relative row test) rejects factorizations that static ordering
-//    cannot handle; the caller then falls back to dense partial-pivot
-//    LU, which preserves the existing singular-matrix semantics.
+//    pivoting. A per-row pivot-health check (absolute floor) rejects
+//    factorizations that static ordering cannot handle; the caller
+//    then falls back to dense partial-pivot LU, which preserves the
+//    existing singular-matrix semantics.
 #pragma once
 
 #include <cstddef>
@@ -73,11 +83,14 @@ class SparseMatrix {
 /// analyze() once per pattern; factor()/solve() every iteration.
 class SparseLu {
  public:
-  /// Symbolic phase: fill-reducing ordering plus fill pattern.
-  /// Unknowns [0, n_volts) are node voltages (minimum-degree ordered);
-  /// unknowns [n_volts, n) are branch currents, kept last in natural
-  /// order. Allocates; never called from the hot loop.
-  void analyze(const SparseMatrix& a, std::size_t n_volts);
+  /// Symbolic phase: fill-reducing ordering plus fill pattern of the
+  /// row-permuted matrix B whose row r is A's row `row_map[r]`
+  /// (`row_map` must be a permutation of [0, dim)). Unknowns
+  /// [0, n_volts) are node voltages (minimum-degree ordered); unknowns
+  /// [n_volts, n) are branch currents, kept last in natural order.
+  /// Allocates; never called from the hot loop.
+  void analyze(const SparseMatrix& a, std::size_t n_volts,
+               const std::vector<std::size_t>& row_map);
 
   bool analyzed() const { return analyzed_; }
   std::size_t fill_nnz() const { return lu_col_idx_.size(); }
@@ -88,7 +101,7 @@ class SparseLu {
   /// static-order factorization is then untrustworthy and the caller
   /// should use the dense fallback. Quality beyond that is the
   /// caller's job: verify the solve's residual, since static ordering
-  /// has no partial pivoting to bound element growth.
+  /// has no partial pivoting.
   bool factor(const SparseMatrix& a, double pivot_floor);
 
   /// Solves A x = b using the last successful factor(). Allocation-free;
@@ -98,8 +111,9 @@ class SparseLu {
  private:
   std::size_t n_ = 0;
   bool analyzed_ = false;
-  std::vector<std::size_t> perm_;  // permuted row i <- original perm_[i]
-  std::vector<std::size_t> pinv_;  // original r -> permuted position
+  std::vector<std::size_t> perm_;  // permuted unknown i <- original perm_[i]
+  std::vector<std::size_t> pinv_;  // original unknown -> permuted position
+  std::vector<std::size_t> row_src_;  // LU row i <- A's row row_map[perm_[i]]
   // LU pattern over permuted indices, rows sorted; diag_pos_[i] is the
   // slot of the diagonal inside row i (L strictly left, U from there).
   std::vector<std::size_t> lu_row_ptr_;

@@ -61,69 +61,6 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// Newton iteration for one transient step (or the t=0 operating point
-/// when ctx.dt == 0). Matrix/vector state lives in `ws`; after warm-up
-/// the loop body performs no heap allocations (worst-node naming is
-/// deferred to exit for the same reason).
-SolveStatus step_newton(const Netlist& nl, const StampContext& ctx, const DcOptions& opts,
-                        SolverWorkspace& ws, std::vector<double>& x, SolveDiagnostics& diag) {
-  std::vector<double>& x_new = ws.iterate_scratch();
-  const std::size_t n = nl.unknown_count();
-  if (x.size() != n) x.assign(n, 0.0);
-  const std::size_t n_volts = nl.node_count() - 1;
-
-  bool have_worst = false;
-  std::size_t worst = 0;
-  const auto resolve_worst = [&] {
-    if (have_worst) diag.worst_node = nl.node_name(static_cast<NodeId>(worst + 1));
-  };
-
-  for (int it = 0; it < opts.max_iterations; ++it) {
-    ++diag.iterations;
-    if (!ws.solve_newton_system(ctx, x, x_new, &diag)) {
-      resolve_worst();
-      return SolveStatus::kSingularMatrix;
-    }
-    double max_dv = 0.0;
-    std::size_t it_worst = 0;
-    for (std::size_t k = 0; k < n_volts; ++k) {
-      double dv = x_new[k] - x[k];
-      if (!std::isfinite(dv)) {
-        resolve_worst();
-        return SolveStatus::kNonFinite;
-      }
-      if (std::fabs(dv) > max_dv) {
-        max_dv = std::fabs(dv);
-        it_worst = k;
-      }
-      dv = std::clamp(dv, -opts.damping_limit, opts.damping_limit);
-      x[k] += dv;
-    }
-    for (std::size_t k = n_volts; k < n; ++k) {
-      if (!std::isfinite(x_new[k])) {
-        resolve_worst();
-        return SolveStatus::kNonFinite;
-      }
-      x[k] = x_new[k];
-    }
-    if (n_volts > 0) {
-      worst = it_worst;
-      have_worst = true;
-    }
-    diag.final_max_dv = max_dv;
-    if (max_dv < opts.abs_tol) {
-      resolve_worst();
-      return SolveStatus::kConverged;
-    }
-  }
-  resolve_worst();
-  return SolveStatus::kMaxIterations;
-}
-
-}  // namespace
-
-namespace {
-
 /// Per-run metrics (instrument names: docs/OBSERVABILITY.md). The
 /// per-step Newton histogram is recorded inline in the step loop; the
 /// aggregates here close out one run_transient call.
@@ -140,6 +77,7 @@ void record_transient_metrics(const TransientResult& result,
   static util::Counter& symbolic_reuse = m.counter("solver.transient.symbolic_reuse");
   static util::Counter& sparse_solves = m.counter("solver.transient.sparse_solves");
   static util::Counter& dense_fallbacks = m.counter("solver.transient.dense_fallbacks");
+  static util::Counter& refinement_steps = m.counter("solver.transient.refinement_steps");
   runs.add(1);
   if (!result.ok) failures.add(1);
   steps.add(static_cast<std::int64_t>(result.steps_accepted));
@@ -149,6 +87,7 @@ void record_transient_metrics(const TransientResult& result,
   symbolic_reuse.add(ws_after.symbolic_reuse - ws_before.symbolic_reuse);
   sparse_solves.add(ws_after.sparse_solves - ws_before.sparse_solves);
   dense_fallbacks.add(ws_after.dense_fallbacks - ws_before.dense_fallbacks);
+  refinement_steps.add(ws_after.refinement_steps - ws_before.refinement_steps);
 }
 
 }  // namespace
@@ -272,10 +211,7 @@ TransientResult run_transient(const Netlist& nl,
   ctx.integrator = opts.integrator;
   ctx.prev_node_v = &prev_node_v;
   ctx.prev_cap_i = &prev_cap_i;
-  const bool timed = opts.timeout_sec > 0.0;
-  const auto deadline =
-      start + std::chrono::duration_cast<Clock::duration>(
-                  std::chrono::duration<double>(timed ? opts.timeout_sec : 0.0));
+  const Deadline deadline = Deadline::from_timeout(opts.timeout_sec, start);
 
   // Outer loop over the fixed output grid; inner loop adaptively
   // sub-steps from one grid point to the next, halving the timestep on
@@ -300,7 +236,7 @@ TransientResult run_transient(const Netlist& nl,
     double sub_dt = opts.dt;
 
     while (t < t_grid - 0.5 * dt_floor) {
-      if (timed && Clock::now() >= deadline) return fail(SolveStatus::kTimeout, t);
+      if (deadline.expired()) return fail(SolveStatus::kTimeout, t);
       sub_dt = std::min(sub_dt, t_grid - t);
       const double t_next = t + sub_dt;
       set_overrides(t_next);
@@ -316,7 +252,7 @@ TransientResult run_transient(const Netlist& nl,
       }
       SolveDiagnostics step_diag;
       const Clock::time_point step_t0 = detailed ? Clock::now() : Clock::time_point{};
-      const SolveStatus st = step_newton(nl, ctx, opts.newton, ws, x_try, step_diag);
+      const SolveStatus st = newton_loop(ctx, opts.newton, Deadline{}, ws, x_try, step_diag);
       if (detailed) {
         step_seconds.observe(std::chrono::duration<double>(Clock::now() - step_t0).count());
       }

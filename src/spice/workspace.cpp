@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstring>
+#include <numeric>
 #include <stdexcept>
 
 #include "util/metrics.hpp"
@@ -193,6 +194,21 @@ void SolverWorkspace::build_entry(Entry& e, const StampContext& ctx) {
     }
     // Diagonals are in the pattern implicitly.
   };
+  // Source pairing (sparse.hpp): branch row bi swaps places with the KCL
+  // row of terminal p, else n, skipping ground and a node already
+  // paired. A source with neither terminal free stays unpaired.
+  std::vector<std::size_t> row_map(n);
+  std::iota(row_map.begin(), row_map.end(), std::size_t{0});
+  auto pair_branch = [&](std::size_t bi, NodeId p, NodeId nn) {
+    for (const NodeId node : {p, nn}) {
+      if (node == kGround) continue;
+      const std::size_t v = nl.voltage_index(node);
+      if (row_map[v] != v) continue;
+      row_map[v] = bi;
+      row_map[bi] = v;
+      return;
+    }
+  };
   const auto& devices = nl.devices();
   for (std::size_t di = 0; di < devices.size(); ++di) {
     const Device& dev = devices[di];
@@ -211,6 +227,7 @@ void SolverWorkspace::build_entry(Entry& e, const StampContext& ctx) {
         m.note(nl.voltage_index(vs->n), bi);
         m.note(bi, nl.voltage_index(vs->n));
       }
+      pair_branch(bi, vs->p, vs->n);
     } else if (std::get_if<ISource>(&dev.impl) != nullptr) {
       // RHS only.
     } else if (const auto* vcvs = std::get_if<Vcvs>(&dev.impl)) {
@@ -225,6 +242,7 @@ void SolverWorkspace::build_entry(Entry& e, const StampContext& ctx) {
       }
       if (vcvs->cp != kGround) m.note(bi, nl.voltage_index(vcvs->cp));
       if (vcvs->cn != kGround) m.note(bi, nl.voltage_index(vcvs->cn));
+      pair_branch(bi, vcvs->p, vcvs->n);
     } else if (const auto* mos = std::get_if<Mosfet>(&dev.impl)) {
       const std::ptrdiff_t xd = unknown_of(nl, mos->d);
       const std::ptrdiff_t xg = unknown_of(nl, mos->g);
@@ -267,7 +285,7 @@ void SolverWorkspace::build_entry(Entry& e, const StampContext& ctx) {
     e.mos.push_back(ms);
   }
 
-  e.lu.analyze(m, e.n_volts);
+  e.lu.analyze(m, e.n_volts, row_map);
   e.base_values.assign(m.nnz(), 0.0);
   e.b.assign(n, 0.0);
   e.refine_r.assign(n, 0.0);
@@ -439,9 +457,8 @@ bool SolverWorkspace::residual_acceptable(const Entry& e, const std::vector<doub
 void SolverWorkspace::refine(Entry& e, std::vector<double>& x_new) {
   // One step of iterative refinement on the existing factorization:
   // r = G·x − b in working precision, then x −= G⁻¹r. O(nnz) — far
-  // cheaper than the dense fallback, and recovers the digits lost to
-  // element growth in the no-pivot factorization (fault circuits mix
-  // short conductances ~1e3 S with gmin ~1e-12 S in one matrix).
+  // cheaper than the dense fallback, and recovers digits the no-pivot
+  // factorization loses on badly scaled rows.
   const auto& rp = e.mat.row_ptr();
   const auto& ci = e.mat.col_idx();
   const auto& av = e.mat.values();
@@ -497,12 +514,10 @@ bool SolverWorkspace::solve_newton_system(const StampContext& ctx, const std::ve
   if (e.lu.factor(e.mat, 1e-18)) {
     if (x_new.size() != n) x_new.assign(n, 0.0);
     e.lu.solve(e.b, x_new);
-    // Backward-error gate with a few O(nnz) refinement rescues.
-    // Moderate element growth (no partial pivoting) contracts to the
-    // gate in one or two steps; catastrophic growth (fault circuits
-    // mixing ~1e3 S shorts with ~1e-12 S opens can hit ~1e15) leaves
-    // the residual near 1.0 where refinement cannot help — those rows
-    // genuinely need partial pivoting and take the dense fallback.
+    // Backward-error gate with a few O(nnz) refinement rescues. With
+    // source rows paired (build_entry) nearly every solve passes on
+    // the first try; one that still fails after four refinements takes
+    // the dense partial-pivot fallback.
     ok = residual_acceptable(e, x_new);
     for (int step = 0; !ok && step < 4; ++step) {
       refine(e, x_new);

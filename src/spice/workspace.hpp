@@ -17,10 +17,13 @@
 //     pattern, fill-reducing ordering, and fill pattern are computed
 //     once per netlist *structure* and reused across all Newton
 //     iterations, timesteps, sweep points, and retry-ladder rungs;
-//     only the numeric refactorization runs per iteration. A
-//     pivot-health check plus an O(nnz) residual verification route any
-//     questionable solve to the dense partial-pivot fallback, so
-//     singular-matrix semantics are exactly the dense engine's.
+//     only the numeric refactorization runs per iteration. Each V/E
+//     branch row is paired with a terminal node's KCL row (a static
+//     row permutation, see sparse.hpp), so source rows pivot on their
+//     ±1 incidence entries. A pivot-health check plus an O(nnz)
+//     residual verification route any questionable solve to the dense
+//     partial-pivot fallback, so singular-matrix semantics are exactly
+//     the dense engine's.
 //
 // Cache keying: entries are keyed by a structural hash of the netlist
 // (node count, model card, and every device's kind/terminals/
@@ -74,10 +77,13 @@ struct SolverTuning {
   /// Force the sparse path even below the crossover (tests).
   bool force_sparse = false;
   /// Per-row relative residual bound for post-solve verification; a
-  /// sparse solve whose residual exceeds it falls back to dense. This
-  /// is the sole numerical-quality gate for the no-pivot sparse
-  /// factorization (the factor itself only enforces an absolute
-  /// ~1e-18 pivot floor).
+  /// sparse solve whose residual still exceeds it after four O(nnz)
+  /// refinement steps falls back to dense. This is the sole
+  /// numerical-quality gate for the no-pivot sparse factorization (the
+  /// factor itself only enforces an absolute ~1e-18 pivot floor). A
+  /// source branch row's scale is the size of its own solution, so an
+  /// unpaired 0-V source fails it on roundoff alone; the source pairing
+  /// in the LU is what lets such rows pass on the first solve.
   double sparse_residual_rel_tol = 1e-8;
 };
 

@@ -1,12 +1,14 @@
 // Smoke test of the sparse-engine contract on the golden netlist: a
 // warm dc_sweep of the full analog frontend must run entirely on the
 // sparse path (one symbolic analysis shared by every point, zero dense
-// fallbacks), and the solver.dc.* instruments must see it.
+// fallbacks), and the solver.dc.* instruments must see it. A small
+// serial fault campaign checks the same on faulted copies.
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "cells/link_frontend.hpp"
+#include "dft/campaign.hpp"
 #include "spice/dc.hpp"
 #include "spice/workspace.hpp"
 #include "util/metrics.hpp"
@@ -71,6 +73,31 @@ TEST(SolverSmoke, GoldenWarmStartLandsFirstTry) {
   for (std::size_t i = 0; i < cold.x.size(); ++i) {
     EXPECT_NEAR(warm.x[i], cold.x[i], 1e-9);
   }
+}
+
+TEST(SolverSmoke, SerialTxCampaignRunsWithoutDenseFallbacks) {
+  // The fault-campaign workload of bench/perf_engines: serial, tx.
+  // faults, DC and static scan only. Every DC and transient linear
+  // solve on the faulted frontends must pass the sparse residual gate.
+  LinkFrontend golden;
+  dft::CampaignOptions opts;
+  opts.prefixes = {"tx."};
+  opts.with_bist = false;
+  opts.with_scan_toggle = false;
+  opts.max_faults = 8;
+  opts.num_threads = 1;
+
+  auto& m = util::metrics();
+  const auto dc_before = m.counter("solver.dc.dense_fallbacks").value();
+  const auto tr_before = m.counter("solver.transient.dense_fallbacks").value();
+  const auto sparse_before = m.counter("solver.dc.sparse_solves").value();
+
+  const auto report = dft::run_campaign(golden, opts);
+  ASSERT_EQ(report.outcomes.size(), 8u);
+
+  EXPECT_GT(m.counter("solver.dc.sparse_solves").value(), sparse_before);
+  EXPECT_EQ(m.counter("solver.dc.dense_fallbacks").value(), dc_before);
+  EXPECT_EQ(m.counter("solver.transient.dense_fallbacks").value(), tr_before);
 }
 
 }  // namespace

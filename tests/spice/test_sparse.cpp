@@ -15,6 +15,7 @@
 #include "spice/matrix.hpp"
 #include "spice/sparse.hpp"
 #include "spice/stamp.hpp"
+#include "spice/transient.hpp"
 #include "spice/workspace.hpp"
 #include "util/rng.hpp"
 
@@ -94,6 +95,40 @@ Netlist make_random_mos(util::Pcg32& rng, std::size_t n_stages) {
   return nl;
 }
 
+/// Fixed-seed netlist covering every case of the branch/terminal
+/// pairing (sparse.hpp): a grounded source (pairs p), two sources on
+/// one node (the second pairs n), floating sources (neither terminal
+/// ground), a source whose terminals are both already paired (stays
+/// in the branch block), and a Vcvs driving a MOSFET gate. The source
+/// graph is a forest, so the system is nonsingular.
+Netlist make_random_sources(util::Pcg32& rng) {
+  Netlist nl;
+  const NodeId vdd = nl.node("vdd");
+  const NodeId x = nl.node("x");
+  const NodeId u = nl.node("u");
+  const NodeId y = nl.node("y");
+  const NodeId w = nl.node("w");
+  const NodeId e = nl.node("e");
+  const NodeId z = nl.node("z");
+  const NodeId o = nl.node("o");
+  const NodeId out = nl.node("out");
+  nl.add("v_vdd", VSource{vdd, kGround, 1.2});
+  nl.add("v_xu", VSource{x, u, rng.next_range(-0.5, 0.5)});   // floating, pairs x
+  nl.add("v_yw", VSource{y, w, rng.next_range(-0.5, 0.5)});   // floating, pairs y
+  nl.add("v_xy", VSource{x, y, rng.next_range(-0.5, 0.5)});   // both taken: unpaired
+  nl.add("v_e", VSource{e, kGround, rng.next_range(0.0, 1.2)});
+  nl.add("v_ez", VSource{e, z, rng.next_range(-0.3, 0.3)});   // p taken: pairs n
+  nl.add("e_amp", Vcvs{o, kGround, u, kGround, rng.next_range(0.5, 2.0)});
+  nl.add("r_x", Resistor{x, vdd, rng.next_range(1e3, 100e3)});
+  nl.add("r_u", Resistor{u, kGround, rng.next_range(1e3, 100e3)});
+  nl.add("r_w", Resistor{w, kGround, rng.next_range(1e3, 100e3)});
+  nl.add("r_z", Resistor{z, kGround, rng.next_range(1e3, 100e3)});
+  nl.add("mn", Mosfet{out, o, kGround, MosType::kNmos, rng.next_range(0.2e-6, 2.0e-6),
+                      rng.next_range(0.2e-6, 1.0e-6), 0.0});
+  nl.add("r_load", Resistor{out, vdd, rng.next_range(1e3, 50e3)});
+  return nl;
+}
+
 // --- SparseMatrix / SparseLu units ------------------------------------
 
 TEST(SparseEngine, PatternDedupesAndSortsSlots) {
@@ -140,12 +175,6 @@ TEST(SparseEngine, LuMatchesDenseOnCraftedSystem) {
   m.add(m.slot(3, 0), 1.0);
   const std::vector<double> b = {0.0, 1.0, 0.0, 2.0};
 
-  SparseLu lu;
-  lu.analyze(m, 3);  // unknowns 0..2 are "node voltages", 3 is a branch
-  ASSERT_TRUE(lu.factor(m, 1e-18));
-  std::vector<double> x(4, 0.0);
-  lu.solve(b, x);
-
   Matrix d(4, 4);
   for (std::size_t r = 0; r < 4; ++r) {
     for (std::size_t c = 0; c < 4; ++c) {
@@ -155,8 +184,19 @@ TEST(SparseEngine, LuMatchesDenseOnCraftedSystem) {
   }
   std::vector<double> x_ref;
   ASSERT_TRUE(lu_solve(d, b, x_ref));
-  for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_NEAR(x[i], x_ref[i], 1e-12) << "unknown " << i;
+
+  // Unknowns 0..2 are "node voltages", 3 is a branch. Solve with the
+  // natural row order and with branch row 3 paired with node 0.
+  const std::vector<std::vector<std::size_t>> row_maps = {{0, 1, 2, 3}, {3, 1, 2, 0}};
+  for (const auto& row_map : row_maps) {
+    SparseLu lu;
+    lu.analyze(m, 3, row_map);
+    ASSERT_TRUE(lu.factor(m, 1e-18));
+    std::vector<double> x(4, 0.0);
+    lu.solve(b, x);
+    for (std::size_t i = 0; i < 4; ++i) {
+      EXPECT_NEAR(x[i], x_ref[i], 1e-12) << "unknown " << i << ", row 0 from " << row_map[0];
+    }
   }
 }
 
@@ -173,7 +213,7 @@ TEST(SparseEngine, FactorRejectsSingularMatrix) {
   m.add(m.slot(1, 0), 1.0);
   m.add(m.slot(1, 1), 1.0);
   SparseLu lu;
-  lu.analyze(m, 2);
+  lu.analyze(m, 2, {0, 1});
   EXPECT_FALSE(lu.factor(m, 1e-18));
 }
 
@@ -208,7 +248,9 @@ TEST(SparseEngine, DcSolutionsMatchDenseOnRandomNetlists) {
     util::Pcg32 rng_b(seed);
     const Netlist nl_rc = make_random_rc(rng_a, 4 + seed % 8);
     const Netlist nl_mos = make_random_mos(rng_b, 2 + seed % 4);
-    for (const Netlist* nl : {&nl_rc, &nl_mos}) {
+    util::Pcg32 rng_c(seed);
+    const Netlist nl_src = make_random_sources(rng_c);
+    for (const Netlist* nl : {&nl_rc, &nl_mos, &nl_src}) {
       solver_tuning().force_sparse = true;
       solver_tuning().force_dense = false;
       SolverWorkspace ws_sparse;
@@ -230,6 +272,47 @@ TEST(SparseEngine, DcSolutionsMatchDenseOnRandomNetlists) {
       }
     }
   }
+}
+
+TEST(SparseEngine, ZeroVoltSourcePassesTheResidualGateOnTheFirstSolve) {
+  // A 0-V source to ground drives a resistor and a MOSFET gate. Its
+  // branch row reads x_g = 0; unless the LU pivots x_g on that row, the
+  // gate voltage comes out as ±1e-16 V of roundoff, the row's relative
+  // residual is 1.0, and every linear solve refines or falls back.
+  ScopedTuning guard;
+  solver_tuning().force_sparse = true;
+  Netlist nl;
+  const NodeId vdd = nl.node("vdd");
+  const NodeId g = nl.node("g");
+  const NodeId a = nl.node("a");
+  const NodeId out = nl.node("out");
+  nl.add("v_vdd", VSource{vdd, kGround, 1.2});
+  nl.add("v_g", VSource{g, kGround, 0.0});
+  nl.add("r_ga", Resistor{g, a, 10e3});
+  nl.add("r_a", Resistor{a, vdd, 10e3});
+  nl.add("c_a", Capacitor{a, kGround, 5e-15});
+  nl.add("mn", Mosfet{out, g, kGround, MosType::kNmos, 1e-6, 0.2e-6, 0.0});
+  nl.add("mp", Mosfet{out, g, vdd, MosType::kPmos, 2e-6, 0.2e-6, 0.0});
+  nl.add("r_load", Resistor{out, kGround, 20e3});
+  nl.add("c_out", Capacitor{out, kGround, 10e-15});
+
+  SolverWorkspace ws;
+  const DcResult dc = solve_dc(nl, {}, ws);
+  ASSERT_TRUE(dc.converged);
+  EXPECT_EQ(dc.v(nl, "g"), 0.0);
+  EXPECT_GT(ws.stats().sparse_solves, 0u);
+  EXPECT_EQ(ws.stats().refinement_steps, 0u);
+  EXPECT_EQ(ws.stats().dense_fallbacks, 0u);
+
+  TransientOptions topts;
+  topts.t_stop = 2e-9;
+  topts.dt = 0.1e-9;
+  const TransientResult tr = run_transient(
+      nl, {{"v_vdd", pwl_wave({{0.0, 0.0}, {1e-9, 1.2}})}}, topts, ws);
+  ASSERT_TRUE(tr.ok);
+  EXPECT_GT(tr.steps_accepted, 0u);
+  EXPECT_EQ(ws.stats().refinement_steps, 0u);
+  EXPECT_EQ(ws.stats().dense_fallbacks, 0u);
 }
 
 TEST(SparseEngine, WarmSolveBitIdenticalToCold) {
