@@ -11,8 +11,8 @@
 //                       canonical reports are byte-identical; records the
 //                       measured parallel speedup over the serial run
 //         --no-incremental  disable every incremental-campaign mechanism
-//                       (golden warm starts, fault collapsing, adaptive
-//                       stage order) — the A/B baseline for the
+//                       (golden warm starts, fault collapsing, the early
+//                       stage stop) — the A/B baseline for the
 //                       incremental engine
 //         --trace <path>    Chrome trace_event JSON of the run (Perfetto)
 //         --metrics <path>  util::Metrics snapshot JSON at exit

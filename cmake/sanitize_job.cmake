@@ -36,12 +36,14 @@ endif()
 # pattern also picks up CampaignIncremental (shared read-only
 # seed bank + collapse memo under threads). Circuit, StuckCampaign,
 # Compaction, CoverageCurve and Atpg run the lane-indexed arrays of the
-# fault-parallel digital simulator. NewtonAllocation is
+# fault-parallel digital simulator. SolverRobustness drives the DC
+# ladder through every rung to exhaustion, plus the timeout and
+# singular-matrix exits and transient step halving. NewtonAllocation is
 # deliberately excluded: its global operator-new counters are
 # meaningless under sanitizer allocators.
-message(STATUS "[sanitize_job] running ThreadPool/Campaign/McTrials/SparseEngine/SolverSmoke/digital tests under ${SANITIZER}")
+message(STATUS "[sanitize_job] running ThreadPool/Campaign/McTrials/SparseEngine/SolverSmoke/SolverRobustness/digital tests under ${SANITIZER}")
 execute_process(
-  COMMAND ctest --test-dir ${BIN_DIR} -R "ThreadPool|Campaign|McTrials|SparseEngine|SolverSmoke|Circuit|StuckCampaign|Compaction|CoverageCurve|Atpg"
+  COMMAND ctest --test-dir ${BIN_DIR} -R "ThreadPool|Campaign|McTrials|SparseEngine|SolverSmoke|SolverRobustness|Circuit|StuckCampaign|Compaction|CoverageCurve|Atpg"
           --output-on-failure
   RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)

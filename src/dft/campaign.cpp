@@ -1,7 +1,6 @@
 #include "dft/campaign.hpp"
 
 #include <algorithm>
-#include <array>
 #include <atomic>
 #include <chrono>
 #include <exception>
@@ -10,7 +9,6 @@
 #include <optional>
 #include <unordered_map>
 
-#include "dft/dictionary.hpp"
 #include "spice/seed.hpp"
 #include "util/jsonl.hpp"
 #include "util/log.hpp"
@@ -20,7 +18,6 @@
 
 namespace lsl::dft {
 
-using fault::FaultClass;
 using fault::OpenLeak;
 using fault::StructuralFault;
 
@@ -87,36 +84,13 @@ void note_status(StageResults& r, bool anomalous, spice::SolveStatus st) {
   if (r.status == spice::SolveStatus::kConverged) r.status = st;
 }
 
-/// Stage identifiers in canonical order (the default execution order and
-/// the tie-break order for adaptive reordering).
-enum StageId { kStageDc = 0, kStageScan = 1, kStageBist = 2 };
-using StageOrder = std::array<StageId, 3>;
-
-constexpr StageOrder kCanonicalOrder = {kStageDc, kStageScan, kStageBist};
-
-/// Stage order for one fault class: stages sorted by expected
-/// detections per unit cost, descending; exact ties keep canonical
-/// order. Pure function of (priors, class) — no runtime feedback — so
-/// every thread, resume, and re-run orders identically.
-StageOrder stage_order_for(const StagePriors& priors, FaultClass cls) {
-  StagePriors::Rates rates;
-  if (const auto it = priors.rates.find(cls); it != priors.rates.end()) rates = it->second;
-  const std::array<double, 3> score = {
-      rates.dc / (priors.cost_dc > 0.0 ? priors.cost_dc : 1.0),
-      rates.scan / (priors.cost_scan > 0.0 ? priors.cost_scan : 1.0),
-      rates.bist / (priors.cost_bist > 0.0 ? priors.cost_bist : 1.0),
-  };
-  StageOrder order = kCanonicalOrder;
-  std::stable_sort(order.begin(), order.end(),
-                   [&score](StageId a, StageId b) { return score[a] > score[b]; });
-  return order;
-}
-
+/// Runs DC, then scan, then BIST (when enabled) — the order of the
+/// paper's cumulative Table-I columns. With `short_circuit`, the first
+/// detection skips the remaining stages.
 StageResults run_stages(const cells::LinkFrontend& faulty_closed,
                         const cells::LinkFrontend& faulty, const DcTestReference& dc_ref,
                         const ScanTestReference& scan_ref, const BistTestReference& bist_ref,
-                        const CampaignOptions& opts, Clock::time_point start,
-                        const StageOrder& order, bool short_circuit,
+                        const CampaignOptions& opts, Clock::time_point start, bool short_circuit,
                         const spice::SolveHints* hints) {
   StageResults r;
 
@@ -137,55 +111,41 @@ StageResults run_stages(const cells::LinkFrontend& faulty_closed,
 
   static util::Counter& stage_skips = util::metrics().counter("campaign.stage_skips");
 
+  // Stage k (0 = DC, 1 = scan, 2 = BIST) records bit 1 << k in stages_run.
+  static_assert(kStageBitDc == 1u << 0 && kStageBitScan == 1u << 1 && kStageBitBist == 1u << 2);
   spice::DcOptions solve;
   double left = 0.0;
-  for (std::size_t pos = 0; pos < order.size(); ++pos) {
-    const StageId stage = order[pos];
-    if (stage == kStageBist && !opts.with_bist) continue;
+  const int n_stages = opts.with_bist ? 3 : 2;
+  for (int stage = 0; stage < n_stages; ++stage) {
     if (!remaining(left) || !iter_budget_ok()) {
       r.budget_blown = true;
       return r;
     }
     solve.timeout_sec = left;
-    switch (stage) {
-      case kStageDc: {
-        const DcTestOutcome dc = run_dc_test(faulty_closed, dc_ref, solve, hints);
-        r.dc = dc.detected;
-        r.iterations += dc.iterations;
-        note_status(r, dc.anomalous, dc.status);
-        r.stages_run |= kStageBitDc;
-        break;
-      }
-      case kStageScan: {
-        ToggleOptions toggle = opts.toggle;
-        toggle.timeout_sec = left;
-        const ScanTestOutcome scan = run_scan_test(faulty, scan_ref, toggle, solve, hints);
-        r.scan = scan.detected;
-        r.iterations += scan.iterations;
-        note_status(r, scan.anomalous, scan.status);
-        r.stages_run |= kStageBitScan;
-        break;
-      }
-      case kStageBist: {
-        const BistTestOutcome bist = run_bist_test(faulty, bist_ref, solve, hints);
-        r.bist = bist.detected;
-        r.iterations += bist.iterations;
-        note_status(r, bist.anomalous, bist.status);
-        r.stages_run |= kStageBitBist;
-        break;
-      }
+    if (stage == 0) {
+      const DcTestOutcome dc = run_dc_test(faulty_closed, dc_ref, solve, hints);
+      r.dc = dc.detected;
+      r.iterations += dc.iterations;
+      note_status(r, dc.anomalous, dc.status);
+    } else if (stage == 1) {
+      const ScanTestOutcome scan =
+          run_scan_test(faulty, scan_ref, ToggleOptions{.timeout_sec = left}, solve, hints);
+      r.scan = scan.detected;
+      r.iterations += scan.iterations;
+      note_status(r, scan.anomalous, scan.status);
+    } else {
+      const BistTestOutcome bist = run_bist_test(faulty, bist_ref, solve, hints);
+      r.bist = bist.detected;
+      r.iterations += bist.iterations;
+      note_status(r, bist.anomalous, bist.status);
     }
+    r.stages_run |= 1u << stage;
     // A detection in hand makes every remaining stage redundant for the
     // verdict: detected_any() already wins classification regardless of
     // what they would report, so skipping them cannot move the fault
     // between partitions (DESIGN.md).
     if (short_circuit && (r.dc || r.scan || r.bist)) {
-      std::int64_t skipped = 0;
-      for (std::size_t rest = pos + 1; rest < order.size(); ++rest) {
-        if (order[rest] == kStageBist && !opts.with_bist) continue;
-        ++skipped;
-      }
-      if (skipped > 0) stage_skips.add(skipped);
+      if (stage + 1 < n_stages) stage_skips.add(n_stages - 1 - stage);
       break;
     }
   }
@@ -305,8 +265,6 @@ struct FaultSimContext {
   /// Golden warm-start seeds, immutable and shared read-only across
   /// every worker (null when reuse_golden is off).
   const spice::SeedBank* seeds = nullptr;
-  /// Per-class stage execution order (null => canonical for all).
-  const std::map<FaultClass, StageOrder>* stage_order = nullptr;
 };
 
 /// Simulates one fault through all enabled stages. Deterministic given
@@ -323,12 +281,6 @@ FaultOutcome simulate_fault(const FaultSimContext& ctx, const StructuralFault& f
   span.arg("worker", static_cast<double>(worker));
   const Clock::time_point fault_start = Clock::now();
 
-  StageOrder order = kCanonicalOrder;
-  if (ctx.stage_order != nullptr) {
-    if (const auto it = ctx.stage_order->find(f.cls); it != ctx.stage_order->end()) {
-      order = it->second;
-    }
-  }
   // Pessimistic gate opens AND their detection bits across the two leak
   // variants: a per-variant short-circuit could zero a bit the other
   // variant needs, flipping the AND — so they always run every stage.
@@ -346,7 +298,7 @@ FaultOutcome simulate_fault(const FaultSimContext& ctx, const StructuralFault& f
     spice::SolveHints hints;
     hints.seeds = ctx.seeds;
     return run_stages(faulty_closed, faulty, *ctx.dc_ref, *ctx.scan_ref, *ctx.bist_ref, opts,
-                      fault_start, order, short_circuit, &hints);
+                      fault_start, short_circuit, &hints);
   };
 
   // Survival guarantee: nothing a single fault does — divergence,
@@ -533,56 +485,14 @@ FaultOutcome simulate_with_collapse(const FaultSimContext& ctx, const CollapsePl
 
 }  // namespace
 
-StagePriors stage_priors_from_dictionary(const FaultDictionary& dict) {
-  StagePriors priors;
-  const std::string& golden = dict.golden_signature();
-  // Signature layout (dictionary.cpp): DC observables are the first
-  // 2 * LinkObservation::kBitCount = 20 characters, the BIST readout and
-  // verdict flags are the last 6 + 4 = 10, and everything in between is
-  // the scan captures (cp scan + static scan + optional toggle strobes).
-  constexpr std::size_t kDcLen = 20;
-  constexpr std::size_t kBistLen = 10;
-  struct Tally {
-    std::size_t dc_hit = 0, scan_hit = 0, bist_hit = 0, count = 0;
-  };
-  std::map<fault::FaultClass, Tally> tallies;
-  for (const DictionaryEntry& e : dict.entries()) {
-    const std::string& sig = e.signature;
-    if (sig.size() != golden.size() || sig.size() < kDcLen + kBistLen) continue;
-    Tally& t = tallies[e.fault.cls];
-    ++t.count;
-    const auto differs = [&](std::size_t begin, std::size_t end) {
-      for (std::size_t i = begin; i < end; ++i) {
-        if (sig[i] != golden[i]) return true;
-      }
-      return false;
-    };
-    if (differs(0, kDcLen)) ++t.dc_hit;
-    if (differs(kDcLen, sig.size() - kBistLen)) ++t.scan_hit;
-    if (differs(sig.size() - kBistLen, sig.size())) ++t.bist_hit;
-  }
-  // Laplace-smoothed detection rates: (hits + 1) / (count + 2) keeps
-  // unseen classes at the uninformative 0.5 and never pins a stage to
-  // exactly 0 or 1 off a small sample.
-  for (const auto& [cls, t] : tallies) {
-    StagePriors::Rates r;
-    r.dc = static_cast<double>(t.dc_hit + 1) / static_cast<double>(t.count + 2);
-    r.scan = static_cast<double>(t.scan_hit + 1) / static_cast<double>(t.count + 2);
-    r.bist = static_cast<double>(t.bist_hit + 1) / static_cast<double>(t.count + 2);
-    priors.rates[cls] = r;
-  }
-  return priors;
-}
-
 CampaignReport run_campaign(const cells::LinkFrontend& golden, const CampaignOptions& opts) {
   CampaignReport report;
   util::TraceSpan campaign_span("run_campaign", "campaign");
   const Clock::time_point campaign_start = Clock::now();
 
   const auto vdd = *golden.netlist().find_node("vdd");
-  const std::vector<std::string> excludes =
-      opts.functional_circuit_only ? fault::test_circuitry_prefixes() : std::vector<std::string>{};
-  auto faults = fault::enumerate_structural_faults(golden.netlist(), opts.prefixes, excludes);
+  auto faults = fault::enumerate_structural_faults(golden.netlist(), opts.prefixes,
+                                                 fault::test_circuitry_prefixes());
   if (opts.max_faults != 0 && faults.size() > opts.max_faults) faults.resize(opts.max_faults);
   campaign_span.arg("faults", static_cast<double>(faults.size()));
 
@@ -623,7 +533,7 @@ CampaignReport run_campaign(const cells::LinkFrontend& golden, const CampaignOpt
 
   const DcTestReference dc_ref = dc_test_reference(golden_closed, ref_hints);
   ScanTestReference scan_ref =
-      scan_test_reference(golden, opts.with_scan_toggle, opts.toggle, ref_hints);
+      scan_test_reference(golden, opts.with_scan_toggle, {}, ref_hints);
   BistTestReference bist_ref;
   if (opts.with_bist) {
     bist_ref = bist_test_reference(golden, {}, ref_hints);
@@ -637,16 +547,6 @@ CampaignReport run_campaign(const cells::LinkFrontend& golden, const CampaignOpt
   if (frozen_seeds != nullptr) {
     util::log_info("campaign: golden seed bank holds " + std::to_string(frozen_seeds->size()) +
                    " operating points");
-  }
-
-  // Adaptive stage ordering: one fixed order per fault class, computed
-  // up front from the priors. Because nothing feeds back at runtime the
-  // schedule is identical across thread counts and resumes.
-  std::map<FaultClass, StageOrder> order_map;
-  if (opts.adaptive_stage_order) {
-    for (const FaultClass cls : fault::kAllFaultClasses) {
-      order_map[cls] = stage_order_for(opts.priors, cls);
-    }
   }
 
   // Structural fault collapsing: partition the universe into provable
@@ -691,7 +591,6 @@ CampaignReport run_campaign(const cells::LinkFrontend& golden, const CampaignOpt
     ws->ctx.bist_ref = &bist_ref;
     ws->ctx.opts = &opts;
     ws->ctx.seeds = frozen_seeds.get();
-    ws->ctx.stage_order = opts.adaptive_stage_order ? &order_map : nullptr;
     workers.push_back(std::move(ws));
   }
 

@@ -36,8 +36,6 @@
 
 namespace lsl::dft {
 
-class FaultDictionary;
-
 /// Final classification of one fault's campaign run.
 enum class FaultVerdict { kDetected, kUndetected, kQuarantined };
 
@@ -61,39 +59,6 @@ enum : unsigned {
   kStageBitScan = 2u,
   kStageBitBist = 4u,
 };
-
-/// Detection-likelihood / cost model that drives adaptive stage
-/// ordering. For each fault class the three stages are ordered by
-/// expected detections per unit cost (rate / cost, descending; ties
-/// resolve to the canonical DC -> scan -> BIST order), so the stage
-/// most likely to detect cheaply runs first and a detection can
-/// short-circuit the rest. The ordering is decided once per campaign
-/// from these priors — a pure function of the fault class — so it is
-/// identical on every thread and across checkpoint/resume, preserving
-/// the campaign's determinism contract. The default-constructed priors
-/// (all rates equal) therefore reproduce the canonical order exactly.
-struct StagePriors {
-  struct Rates {
-    double dc = 0.5;
-    double scan = 0.5;
-    double bist = 0.5;
-  };
-  /// Per-class detection-rate estimates; classes absent from the map
-  /// use the (uniform) defaults.
-  std::map<fault::FaultClass, Rates> rates;
-  /// Relative stage costs (DC: 2 solves; scan: ~12 solves + a
-  /// transient; BIST: characterization + behavioral run + readout).
-  double cost_dc = 1.0;
-  double cost_scan = 10.0;
-  double cost_bist = 15.0;
-};
-
-/// Seeds StagePriors from a fault dictionary's recorded signatures: the
-/// per-class fraction of faults whose signature differs from the golden
-/// in each stage's region (DC observations / scan captures / BIST
-/// readout+verdict), Laplace-smoothed so tiny dictionaries cannot pin a
-/// rate to 0 or 1.
-StagePriors stage_priors_from_dictionary(const FaultDictionary& dict);
 
 struct CampaignOptions {
   /// Campaign executor width. Every width runs the same fault loop,
@@ -119,12 +84,10 @@ struct CampaignOptions {
   /// is reported, simulated or taken from the checkpoint.
   std::size_t num_threads = 1;
   /// Cell prefixes included in the universe (empty = every MOSFET/cap in
-  /// the frontend netlist).
+  /// the frontend netlist). The DFT observers (DC-test / bias / CP-BIST
+  /// comparators) are always excluded: the paper's Table I covers the
+  /// functional analog circuit; the observers are Table II overhead.
   std::vector<std::string> prefixes;
-  /// Exclude the DFT observers (DC-test / bias / CP-BIST comparators)
-  /// from the universe — the paper's Table I covers the functional
-  /// analog circuit; the observers are Table II overhead.
-  bool functional_circuit_only = true;
   bool with_scan_toggle = true;
   bool with_bist = true;
   /// 0 = full universe; otherwise only the first N faults (fast tests).
@@ -134,7 +97,6 @@ struct CampaignOptions {
   /// level. Pessimistic (true): simulate both leak directions and count
   /// a detection only when BOTH are flagged.
   bool pessimistic_gate_opens = false;
-  ToggleOptions toggle;
   /// Per-fault simulation budgets (blown budget => quarantine).
   CampaignBudget budget;
   /// JSONL checkpoint file: each completed fault appends one line.
@@ -174,16 +136,12 @@ struct CampaignOptions {
   /// class, fanning the bit-identical outcome out to the members
   /// (FaultOutcome::collapsed_into names the representative).
   bool collapse_faults = true;
-  /// Order the DC / scan / BIST stages per fault class by `priors`
-  /// (detections per unit cost) and short-circuit the remaining stages
-  /// once a detection is in hand. Never applied to pessimistic gate
-  /// opens (their detection is an AND across leak variants, which a
-  /// per-variant short-circuit would break).
+  /// Skip the remaining stages once one stage detects. The stages always
+  /// run DC -> scan -> BIST, the order of the cumulative Table-I
+  /// columns. Never applied to pessimistic gate opens (their detection
+  /// is an AND across leak variants, which a per-variant skip would
+  /// break).
   bool adaptive_stage_order = true;
-  /// Stage-ordering priors for adaptive_stage_order; seed from a fault
-  /// dictionary via stage_priors_from_dictionary(), or leave default
-  /// (uniform rates => canonical order, short-circuit still active).
-  StagePriors priors;
 
   /// Ignored: the campaign has no low-rank solve path. Kept only because
   /// the benchmark program (perfbench/) still assigns it; it goes with
@@ -207,9 +165,9 @@ struct FaultOutcome {
   bool budget_blown = false;
   /// Bitmask (kStageBitDc | kStageBitScan | kStageBitBist) of stages
   /// actually simulated. A stage absent from the mask contributes a
-  /// false detection bit — either it was disabled/budget-skipped (as
-  /// before) or the adaptive short-circuit proved it redundant for the
-  /// verdict (a detection was already in hand).
+  /// false detection bit — either it was disabled/budget-skipped or the
+  /// adaptive short-circuit proved it redundant for the verdict (an
+  /// earlier stage had already detected).
   unsigned stages_run = 0;
   /// When structural fault collapsing folded this fault into an
   /// equivalence class simulated once, the representative's fault

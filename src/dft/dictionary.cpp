@@ -153,9 +153,8 @@ FaultDictionary build_dictionary(const cells::LinkFrontend& golden,
   FaultDictionary dict;
   dict.set_golden_signature(capture_signature(ctx, ctx.golden, ctx.golden_closed));
 
-  const std::vector<std::string> excludes =
-      opts.functional_circuit_only ? fault::test_circuitry_prefixes() : std::vector<std::string>{};
-  auto faults = fault::enumerate_structural_faults(golden.netlist(), opts.prefixes, excludes);
+  auto faults = fault::enumerate_structural_faults(golden.netlist(), opts.prefixes,
+                                                 fault::test_circuitry_prefixes());
   if (opts.max_faults != 0 && faults.size() > opts.max_faults) faults.resize(opts.max_faults);
 
   const auto vdd_open = *ctx.golden.netlist().find_node("vdd");

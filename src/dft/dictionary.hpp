@@ -74,8 +74,9 @@ class FaultDictionary {
 };
 
 struct DictionaryOptions {
+  /// Cell prefixes included in the universe; the DFT observers are
+  /// always excluded, as in the campaign.
   std::vector<std::string> prefixes;
-  bool functional_circuit_only = true;
   std::size_t max_faults = 0;
   bool with_toggle = true;
   std::function<void(std::size_t, std::size_t)> progress;

@@ -160,9 +160,9 @@ SolveStatus source_stepping(const Netlist& nl, const DcOptions& opts, const Dead
 namespace {
 
 /// One counter per ladder rung, so the snapshot shows how often each
-/// fallback actually earns its keep. The rung names are a small closed
-/// set, so each gets a cached handle — the generic string-concat lookup
-/// only runs for a name this table has never seen.
+/// fallback actually earns its keep. The ladder is fixed, so the rung
+/// names are a closed set and each gets a cached handle; "exhausted" is
+/// the only name left after the others.
 util::Counter& rung_counter(const char* rung) {
   auto& m = util::metrics();
   static util::Counter& newton = m.counter("solver.dc.rung.newton");
@@ -171,7 +171,6 @@ util::Counter& rung_counter(const char* rung) {
   static util::Counter& gmin_step = m.counter("solver.dc.rung.gmin-step");
   static util::Counter& source_step = m.counter("solver.dc.rung.source-step");
   static util::Counter& heavy_damping = m.counter("solver.dc.rung.heavy-damping");
-  static util::Counter& relaxed_tol = m.counter("solver.dc.rung.relaxed-tol");
   static util::Counter& exhausted = m.counter("solver.dc.rung.exhausted");
   if (std::strcmp(rung, "newton") == 0) return newton;
   if (std::strcmp(rung, "golden-warm-start") == 0) return warm_start;
@@ -179,9 +178,7 @@ util::Counter& rung_counter(const char* rung) {
   if (std::strcmp(rung, "gmin-step") == 0) return gmin_step;
   if (std::strcmp(rung, "source-step") == 0) return source_step;
   if (std::strcmp(rung, "heavy-damping") == 0) return heavy_damping;
-  if (std::strcmp(rung, "relaxed-tol") == 0) return relaxed_tol;
-  if (std::strcmp(rung, "exhausted") == 0) return exhausted;
-  return m.counter(std::string("solver.dc.rung.") + rung);
+  return exhausted;
 }
 
 /// Per-solve bookkeeping into the metrics registry. Instrument handles
@@ -303,8 +300,9 @@ DcResult solve_dc(const Netlist& nl, const DcOptions& opts, SolverWorkspace& ws)
     util::TraceSpan span("dc.rung.newton", "solver");
     const SolveStatus st =
         newton_loop(dc_context(nl, opts.gmin_final), opts, deadline, ws, result.x, result.diag);
-    if (st == SolveStatus::kConverged) return finish(st, 0, "newton");
-    if (st == SolveStatus::kTimeout) return finish(st, 0, "newton");
+    if (st == SolveStatus::kConverged || st == SolveStatus::kTimeout) {
+      return finish(st, 0, "newton");
+    }
   }
 
   // Rung 1a — gmin stepping from the golden operating point. A fault
@@ -329,48 +327,29 @@ DcResult solve_dc(const Netlist& nl, const DcOptions& opts, SolverWorkspace& ws)
   if (st == SolveStatus::kConverged || st == SolveStatus::kTimeout) {
     return finish(st, 1, "gmin-step");
   }
-  SolveStatus last = st;
 
   // Rung 2 — source stepping.
-  if (opts.allow_source_stepping) {
+  {
     util::TraceSpan span("dc.rung.source-step", "solver");
     st = source_stepping(nl, opts, deadline, ws, result.x, result.diag);
-    if (st == SolveStatus::kConverged || st == SolveStatus::kTimeout) {
-      return finish(st, 2, "source-step");
-    }
-    last = st;
+  }
+  if (st == SolveStatus::kConverged || st == SolveStatus::kTimeout) {
+    return finish(st, 2, "source-step");
   }
 
   // Rung 3 — heavier damping: small, safe steps with a bigger budget.
-  if (opts.allow_heavy_damping) {
+  {
     util::TraceSpan span("dc.rung.heavy-damping", "solver");
     DcOptions damped = opts;
     damped.damping_limit = opts.damping_limit / 8.0;
     damped.max_iterations = opts.max_iterations * 3;
     st = gmin_stepping(nl, damped, deadline, ws, result.x, result.diag);
-    if (st == SolveStatus::kConverged || st == SolveStatus::kTimeout) {
-      return finish(st, 3, "heavy-damping");
-    }
-    last = st;
+  }
+  if (st == SolveStatus::kConverged || st == SolveStatus::kTimeout) {
+    return finish(st, 3, "heavy-damping");
   }
 
-  // Rung 4 — relaxed tolerance on top of the heavy damping. A looser
-  // operating point still classifies most faults correctly; callers can
-  // see the rung in the diagnostics and weigh the result accordingly.
-  if (opts.allow_relaxed_tol) {
-    util::TraceSpan span("dc.rung.relaxed-tol", "solver");
-    DcOptions relaxed = opts;
-    relaxed.damping_limit = opts.damping_limit / 8.0;
-    relaxed.max_iterations = opts.max_iterations * 3;
-    relaxed.abs_tol = opts.abs_tol * opts.relaxed_tol_factor;
-    st = gmin_stepping(nl, relaxed, deadline, ws, result.x, result.diag);
-    if (st == SolveStatus::kConverged || st == SolveStatus::kTimeout) {
-      return finish(st, 4, "relaxed-tol");
-    }
-    last = st;
-  }
-
-  return finish(last, 4, "exhausted");
+  return finish(st, 4, "exhausted");
 }
 
 std::vector<DcResult> dc_sweep(const Netlist& nl, const std::string& vsrc_name,

@@ -1,6 +1,7 @@
 // DC operating-point solver: damped Newton–Raphson over the MNA system
-// behind a retry/fallback ladder — gmin stepping, source stepping,
-// heavier damping, relaxed tolerances. Faulted netlists (floating
+// behind a fixed retry/fallback ladder — gmin stepping, source
+// stepping, heavier damping. Every rung converges to the caller's
+// abs_tol; none relaxes it. Faulted netlists (floating
 // gates, rail shorts) are exactly the hard cases the continuation
 // methods are there for; the ladder plus the structured SolveStatus
 // result mean a pathological circuit is classified, never thrown or
@@ -25,15 +26,6 @@ struct DcOptions {
   double damping_limit = 0.4;   // max per-iteration voltage step (V)
   double gmin_final = 1e-12;    // target gmin after stepping
   double gmin_start = 1e-3;     // initial gmin for stepping
-  bool allow_source_stepping = true;
-  /// Deeper ladder rungs, tried only after gmin and source stepping
-  /// fail: re-run gmin stepping with the damping limit cut 8x and the
-  /// iteration budget tripled, then once more with abs_tol relaxed by
-  /// `relaxed_tol_factor` (the result is still useful for fault
-  /// *classification* even when the last digit is not trustworthy).
-  bool allow_heavy_damping = true;
-  bool allow_relaxed_tol = true;
-  double relaxed_tol_factor = 100.0;
   /// Wall-clock budget for the whole solve, every rung included.
   /// 0 = unlimited. Exceeding it returns SolveStatus::kTimeout.
   double timeout_sec = 0.0;

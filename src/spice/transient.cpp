@@ -242,9 +242,11 @@ TransientResult run_transient(const Netlist& nl,
       set_overrides(t_next);
       ctx.dt = sub_dt;
       x_try = x;
-      if (opts.predictor && prev_accept_dt > 0.0 && x_prev_accept.size() == x.size()) {
-        // First-order extrapolation through the last two accepted
-        // points, scaled for the (possibly halved) current step size.
+      if (prev_accept_dt > 0.0 && x_prev_accept.size() == x.size()) {
+        // Predictor: first-order extrapolation through the last two
+        // accepted points, scaled for the (possibly halved) current step
+        // size. Every step still converges to the same per-step
+        // tolerance — the predictor changes iteration count, not meaning.
         const double a = sub_dt / prev_accept_dt;
         for (std::size_t i = 0; i < x_try.size(); ++i) {
           x_try[i] = x[i] + a * (x[i] - x_prev_accept[i]);

@@ -43,12 +43,6 @@ struct TransientOptions {
   /// TransientResult::max_kcl_residual (one extra stamp per accepted
   /// sub-step; off by default so campaigns pay nothing).
   bool record_kcl_residual = false;
-  /// Seed each sub-step's Newton iteration with a linear extrapolation
-  /// of the last two accepted solutions instead of the flat previous
-  /// point. Every step still converges to the same per-step tolerance —
-  /// the predictor changes iteration count, not meaning. Off: plain
-  /// previous-step start (the pre-predictor behavior).
-  bool predictor = true;
 };
 
 struct TransientResult {

@@ -11,6 +11,25 @@
 
 namespace lsl::spice {
 
+namespace {
+
+/// Systems with fewer unknowns than this stay on the dense path — at
+/// tiny n dense partial-pivot LU is both faster and the most
+/// battle-tested code, and the unit-test circuits live there.
+constexpr std::size_t kDenseCrossover = 16;
+
+/// Per-row relative residual bound for post-solve verification; a
+/// sparse solve whose residual still exceeds it after four O(nnz)
+/// refinement steps falls back to dense. This is the sole
+/// numerical-quality gate for the no-pivot sparse factorization (the
+/// factor itself only enforces an absolute ~1e-18 pivot floor). A
+/// source branch row's scale is the size of its own solution, so an
+/// unpaired 0-V source fails it on roundoff alone; the source pairing
+/// in the LU is what lets such rows pass on the first solve.
+constexpr double kSparseResidualRelTol = 1e-8;
+
+}  // namespace
+
 SolverTuning& solver_tuning() {
   static SolverTuning tuning;
   return tuning;
@@ -437,7 +456,6 @@ bool SolverWorkspace::residual_acceptable(const Entry& e, const std::vector<doub
   // fault edits leave near-isolated nodes whose rows are numerically
   // zero (scale ~1e-30); their residual carries no information and a
   // pure relative test would reject a perfectly good solve.
-  const double rel = solver_tuning().sparse_residual_rel_tol;
   const auto& rp = e.mat.row_ptr();
   const auto& ci = e.mat.col_idx();
   const auto& av = e.mat.values();
@@ -449,7 +467,8 @@ bool SolverWorkspace::residual_acceptable(const Entry& e, const std::vector<doub
       acc += term;
       scale += std::fabs(term);
     }
-    if (!(std::fabs(acc) <= rel * scale + 1e-30)) return false;  // NaN fails too
+    // NaN fails too.
+    if (!(std::fabs(acc) <= kSparseResidualRelTol * scale + 1e-30)) return false;
   }
   return true;
 }
@@ -489,7 +508,7 @@ bool SolverWorkspace::solve_newton_system(const StampContext& ctx, const std::ve
   const bool timing = diag != nullptr && util::Metrics::detailed_timing();
   using Clock = std::chrono::steady_clock;
 
-  if (t.force_dense || (n < t.dense_crossover && !t.force_sparse)) {
+  if (t.force_dense || (n < kDenseCrossover && !t.force_sparse)) {
     const auto t0 = timing ? Clock::now() : Clock::time_point{};
     const bool ok = dense_solve(ctx, x, x_new);
     ++stats_.dense_solves;

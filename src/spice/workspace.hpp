@@ -67,24 +67,11 @@ namespace lsl::spice {
 /// while no solves are in flight (tests and benches flip force_dense
 /// for A/B comparisons).
 struct SolverTuning {
-  /// Systems with fewer unknowns than this stay on the dense path —
-  /// at tiny n dense partial-pivot LU is both faster and the most
-  /// battle-tested code, and the unit-test circuits live there.
-  std::size_t dense_crossover = 16;
   /// Force every solve onto the dense path (A/B benchmarking, and the
   /// reference side of the sparse/dense equivalence tests).
   bool force_dense = false;
-  /// Force the sparse path even below the crossover (tests).
+  /// Force the sparse path even below the dense crossover (tests).
   bool force_sparse = false;
-  /// Per-row relative residual bound for post-solve verification; a
-  /// sparse solve whose residual still exceeds it after four O(nnz)
-  /// refinement steps falls back to dense. This is the sole
-  /// numerical-quality gate for the no-pivot sparse factorization (the
-  /// factor itself only enforces an absolute ~1e-18 pivot floor). A
-  /// source branch row's scale is the size of its own solution, so an
-  /// unpaired 0-V source fails it on roundoff alone; the source pairing
-  /// in the LU is what lets such rows pass on the first solve.
-  double sparse_residual_rel_tol = 1e-8;
 };
 
 SolverTuning& solver_tuning();

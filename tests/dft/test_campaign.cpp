@@ -117,6 +117,30 @@ TEST_F(CampaignFixture, IterationBudgetSkipsLaterStages) {
   }
 }
 
+TEST_F(CampaignFixture, ScanDetectionStopsBeforeBist) {
+  // The stages run DC -> scan -> BIST and the first detection ends the
+  // run: with BIST enabled, a fault that DC misses and scan detects has
+  // run exactly DC and scan; one that both miss has run all three. DC
+  // detects none of the pull-down's faults.
+  CampaignOptions opts;
+  opts.prefixes = {"cp.m_pulln"};
+  opts.with_scan_toggle = false;
+  const CampaignReport report = run_campaign(*golden_, opts);
+  ASSERT_TRUE(report.complete);
+  std::size_t scan_detections = 0;
+  for (const auto& o : report.outcomes) {
+    EXPECT_FALSE(o.dc) << o.fault.describe();
+    if (o.scan) {
+      ++scan_detections;
+      EXPECT_EQ(o.stages_run, kStageBitDc | kStageBitScan) << o.fault.describe();
+      EXPECT_FALSE(o.bist) << o.fault.describe();
+    } else {
+      EXPECT_EQ(o.stages_run, kStageBitDc | kStageBitScan | kStageBitBist) << o.fault.describe();
+    }
+  }
+  EXPECT_GT(scan_detections, 0u);
+}
+
 TEST_F(CampaignFixture, AbortCheckStopsEarlyAndMarksIncomplete) {
   CampaignOptions opts = small_opts();
   int calls = 0;

@@ -73,21 +73,27 @@ TEST(SolverRobustness, TightIterationBudgetReportsMaxIterations) {
   EXPECT_GT(r.diag.iterations, 0);
 }
 
-TEST(SolverRobustness, DisabledLadderRungsAreSkipped) {
+TEST(SolverRobustness, ConvergedMeansTheRequestedToleranceWasMet) {
+  // No rung may report "converged" at a looser tolerance than the caller
+  // asked for: either the last Newton update is below abs_tol, or the
+  // ladder ran out. Tolerances down at the double-precision floor with
+  // a short budget drive the solve through every rung to exhaustion.
   const Netlist nl = inverter_chain();
-  DcOptions opts;
-  opts.max_iterations = 2;
-  opts.allow_source_stepping = false;
-  opts.allow_heavy_damping = false;
-  opts.allow_relaxed_tol = false;
-  const DcResult shallow = solve_dc(nl, opts);
-  EXPECT_FALSE(shallow.converged);
-
-  DcOptions full;
-  full.max_iterations = 2;
-  const DcResult deep = solve_dc(nl, full);
-  // The deeper ladder spends strictly more Newton iterations.
-  EXPECT_GT(deep.diag.iterations, shallow.diag.iterations);
+  for (const double abs_tol : {1e-16, 3e-17, 1e-17}) {
+    for (const int max_iterations : {20, 200}) {
+      DcOptions opts;
+      opts.abs_tol = abs_tol;
+      opts.max_iterations = max_iterations;
+      const DcResult r = solve_dc(nl, opts);
+      SCOPED_TRACE(testing::Message() << "abs_tol " << abs_tol << ", max_iterations "
+                                      << max_iterations << ", rung " << r.diag.fallback);
+      if (r.converged) {
+        EXPECT_LT(r.diag.final_max_dv, abs_tol);
+      } else {
+        EXPECT_EQ(r.diag.fallback, "exhausted");
+      }
+    }
+  }
 }
 
 TEST(SolverRobustness, WallClockDeadlineReportsTimeout) {
