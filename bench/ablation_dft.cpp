@@ -5,52 +5,55 @@
 //      provably masks);
 //   3. pessimistic both-leak-variants gate-open scoring.
 //
-// Runs the full universe by default (a few minutes); pass --fast for a
-// reduced smoke run.
+// Two campaigns: one full-evaluation run (every sub-stage of every
+// stage on every fault) gives the baseline and, projected onto fewer
+// sub-stages, ablations 1 and 2; the pessimistic convention is the
+// second run.
+//
+// Flags:  --fast       cap the universe at 150 faults (smoke run)
+//         --threads N  campaign workers (0 = all hardware cores; default 0)
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 
 #include "core/testable_link.hpp"
 #include "util/table.hpp"
 
 int main(int argc, char** argv) {
-  std::size_t cap = 0;
+  lsl::dft::CampaignOptions opts;
+  opts.num_threads = 0;  // all hardware cores unless --threads says otherwise
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--fast") == 0) cap = 150;
+    if (std::strcmp(argv[i], "--fast") == 0) opts.max_faults = 150;
+    if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
+      opts.num_threads = static_cast<std::size_t>(std::strtoul(argv[++i], nullptr, 10));
+    }
   }
 
   std::printf("DFT design-choice ablations (structural fault campaign%s)\n\n",
-              cap ? ", reduced universe" : "");
+              opts.max_faults != 0 ? ", reduced universe" : "");
 
   lsl::core::TestableLink link;
   lsl::util::Table table({"Configuration", "DC", "+scan", "+BIST (total)"});
   table.set_title("Cumulative coverage under ablations");
-
-  auto run = [&](const char* label, lsl::dft::CampaignOptions opts) {
-    opts.max_faults = cap;
-    std::fprintf(stderr, "running: %s\n", label);
-    const auto r = link.run_fault_campaign(opts);
+  const auto row = [&](const char* label, const lsl::dft::CampaignReport& r) {
     table.add_row({label, lsl::util::Table::pct(r.total.cum_dc.percent()),
                    lsl::util::Table::pct(r.total.cum_scan.percent()),
                    lsl::util::Table::pct(r.total.cum_all.percent())});
   };
 
-  run("full DFT (baseline)", {});
-  {
-    lsl::dft::CampaignOptions o;
-    o.with_scan_toggle = false;
-    run("no 100 MHz toggle test", o);
-  }
-  {
-    lsl::dft::CampaignOptions o;
-    o.with_bist = false;
-    run("no BIST stage", o);
-  }
-  {
-    lsl::dft::CampaignOptions o;
-    o.pessimistic_gate_opens = true;
-    run("pessimistic gate opens", o);
-  }
+  namespace dft = lsl::dft;
+  dft::CampaignOptions full = opts;
+  full.adaptive_stage_order = false;
+  std::fprintf(stderr, "running: full evaluation\n");
+  const auto r = link.run_fault_campaign(full);
+  row("full DFT (baseline)", r);
+  row("no 100 MHz toggle test",
+      dft::project_report(r, dft::kAllSubStages & ~dft::sub_bit(dft::kSubToggle)));
+  row("no BIST stage", dft::project_report(r, dft::kAllSubStages & ~dft::kBistSubStages));
+  dft::CampaignOptions pessimistic = opts;
+  pessimistic.pessimistic_gate_opens = true;
+  std::fprintf(stderr, "running: pessimistic gate opens\n");
+  row("pessimistic gate opens", link.run_fault_campaign(pessimistic));
   table.print();
 
   std::printf(

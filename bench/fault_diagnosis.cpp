@@ -1,8 +1,9 @@
 // Diagnosis resolution of the paper's DFT: with the same observers used
 // for detection (DC comparators, scan captures, toggle strobes, CP-BIST
 // readout, BIST verdict), how precisely can failure analysis name the
-// defect? Builds the full fault dictionary and reports the equivalence
-// structure, then demonstrates a diagnosis round-trip.
+// defect? Builds the full fault dictionary (a full-evaluation campaign
+// on the pool) and reports the equivalence structure, then demonstrates
+// a diagnosis round-trip.
 //
 // Flags:  --fast   cap the universe (smoke run)
 #include <cstdio>
@@ -13,6 +14,7 @@
 
 int main(int argc, char** argv) {
   lsl::dft::DictionaryOptions opts;
+  opts.num_threads = 0;  // all hardware cores
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--fast") == 0) opts.max_faults = 60;
   }
@@ -38,8 +40,9 @@ int main(int argc, char** argv) {
 
   // Round-trip demo: a "failed part" comes back; the dictionary names
   // the candidates. Use a detected fault that is actually in the
-  // dictionary (works under --fast too).
-  lsl::dft::DictionaryContext ctx(golden, opts.with_toggle);
+  // dictionary (works under --fast too), and observe the part with a
+  // second campaign over just that device, injected as the dictionary
+  // injects it (gate opens leak toward the bulk).
   lsl::fault::StructuralFault injected{"tx.p.c_main", lsl::fault::FaultClass::kCapacitorShort};
   for (const auto& e : dict.entries()) {
     if (e.signature != dict.golden_signature()) {
@@ -47,13 +50,13 @@ int main(int argc, char** argv) {
       break;
     }
   }
-  lsl::cells::LinkFrontend bad = ctx.golden;
-  lsl::cells::LinkFrontend bad_closed = ctx.golden_closed;
-  lsl::fault::inject(bad.netlist(), injected, lsl::fault::OpenLeak::kToGround,
-                     *bad.netlist().find_node("vdd"));
-  lsl::fault::inject(bad_closed.netlist(), injected, lsl::fault::OpenLeak::kToGround,
-                     *bad_closed.netlist().find_node("vdd"));
-  const std::string observed = lsl::dft::capture_signature(ctx, bad, bad_closed);
+  lsl::dft::DictionaryOptions part_opts;
+  part_opts.prefixes = {injected.device};
+  const auto part = lsl::dft::build_dictionary(golden, part_opts);
+  std::string observed;
+  for (const auto& e : part.entries()) {
+    if (e.fault.device == injected.device && e.fault.cls == injected.cls) observed = e.signature;
+  }
   const auto candidates = dict.diagnose(observed);
   std::printf("\nDiagnosis round-trip for an injected '%s':\n", injected.describe().c_str());
   std::printf("  %zu candidate(s):\n", candidates.size());

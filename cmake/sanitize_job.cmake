@@ -38,12 +38,15 @@ endif()
 # Compaction, CoverageCurve and Atpg run the lane-indexed arrays of the
 # fault-parallel digital simulator. SolverRobustness drives the DC
 # ladder through every rung to exhaustion, plus the timeout and
-# singular-matrix exits and transient step halving. NewtonAllocation is
+# singular-matrix exits and transient step halving. Dictionary and
+# PinnedReference run the fault dictionary (a full-evaluation campaign
+# on the pool) and the 4-thread Table-I / dictionary referees against
+# the pinned references. NewtonAllocation is
 # deliberately excluded: its global operator-new counters are
 # meaningless under sanitizer allocators.
-message(STATUS "[sanitize_job] running ThreadPool/Campaign/McTrials/SparseEngine/SolverSmoke/SolverRobustness/digital tests under ${SANITIZER}")
+message(STATUS "[sanitize_job] running ThreadPool/Campaign/Dictionary/PinnedReference/McTrials/SparseEngine/SolverSmoke/SolverRobustness/digital tests under ${SANITIZER}")
 execute_process(
-  COMMAND ctest --test-dir ${BIN_DIR} -R "ThreadPool|Campaign|McTrials|SparseEngine|SolverSmoke|SolverRobustness|Circuit|StuckCampaign|Compaction|CoverageCurve|Atpg"
+  COMMAND ctest --test-dir ${BIN_DIR} -R "ThreadPool|Campaign|Dictionary|PinnedReference|McTrials|SparseEngine|SolverSmoke|SolverRobustness|Circuit|StuckCampaign|Compaction|CoverageCurve|Atpg"
           --output-on-failure
   RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)

@@ -41,29 +41,6 @@ bool read_cp_bist_bits(const cells::LinkFrontend& fe_in, double vc, bool& hi, bo
   return true;
 }
 
-namespace {
-
-/// Strobes the CP-BIST comparator over the Vc levels. Returns false on
-/// any non-convergence, leaving the failing status in `status`.
-bool read_all_bist_bits(const cells::LinkFrontend& fe,
-                        std::array<std::pair<bool, bool>, 3>& bits,
-                        const spice::DcOptions& solve = {},
-                        spice::SolveStatus* status = nullptr, long* iterations = nullptr,
-                        const spice::SolveHints* hints = nullptr) {
-  const auto& levels = cp_bist_vc_levels();
-  for (std::size_t i = 0; i < levels.size(); ++i) {
-    bool hi = false;
-    bool lo = false;
-    if (!read_cp_bist_bits(fe, levels[i], hi, lo, solve, status, iterations, hints)) {
-      return false;
-    }
-    bits[i] = {hi, lo};
-  }
-  return true;
-}
-
-}  // namespace
-
 BistTestReference bist_test_reference(const cells::LinkFrontend& golden,
                                       const lsl::link::LinkParams& base,
                                       const spice::SolveHints* hints) {
@@ -71,43 +48,62 @@ BistTestReference bist_test_reference(const cells::LinkFrontend& golden,
   ref.golden = fault::measure_frontend(golden, {}, hints);
   ref.base = with_preload(base);
   if (!ref.golden.converged) return ref;
-  if (!read_all_bist_bits(golden, ref.bist_bits, {}, nullptr, nullptr, hints)) return ref;
+  const auto& levels = cp_bist_vc_levels();
+  for (std::size_t i = 0; i < levels.size(); ++i) {
+    auto& [hi, lo] = ref.bist_bits[i];
+    if (!read_cp_bist_bits(golden, levels[i], hi, lo, {}, nullptr, nullptr, hints)) return ref;
+  }
   lsl::link::Link link(ref.base);
   ref.verdict = link.run_bist(kBistSeed);
   ref.valid = ref.verdict.pass();
   return ref;
 }
 
+std::string signature_marks(const lsl::link::BistVerdict& v) {
+  const auto m = [](bool flag) { return flag ? '1' : '0'; };
+  return {m(v.locked_in_budget), m(v.lock_counter_ok), m(v.cp_bist_ok), m(v.data_ok)};
+}
+
 BistTestOutcome run_bist_test(const cells::LinkFrontend& fe, const BistTestReference& ref,
-                              const spice::DcOptions& solve, const spice::SolveHints* hints) {
+                              const spice::DcOptions& solve, const spice::SolveHints* hints,
+                              bool full_evaluation) {
   BistTestOutcome out;
   const fault::FrontendMeasurements m = fault::measure_frontend(fe, solve, hints);
   out.iterations += m.iterations;
   const fault::BehavioralSignature sig = fault::derive_signature(ref.golden, m);
-  if (!sig.characterized) {
-    // The faulted circuit has no workable operating point the solver can
-    // find — the verdict is not trustworthy either way, so the campaign
-    // layer quarantines it instead of claiming a detection.
-    out.anomalous = true;
-    out.status = sig.status;
-    return out;
+  // A faulted circuit without a workable operating point the solver can
+  // find has no trustworthy verdict either way: the campaign layer
+  // quarantines it instead of claiming a detection.
+  if (sig.characterized) {
+    lsl::link::Link link(fault::apply_signature(ref.base, sig));
+    out.verdict = link.run_bist(kBistSeed);
   }
-  const lsl::link::LinkParams p = fault::apply_signature(ref.base, sig);
-  lsl::link::Link link(p);
-  out.verdict = link.run_bist(kBistSeed);
-  out.detected = !out.verdict.pass();
+  out.record(kSubBistVerdict,
+             sig.characterized ? signature_marks(out.verdict)
+                               : std::string(kSubStageMarkWidth[kSubBistVerdict], '!'),
+             sig.characterized && !out.verdict.pass(), !sig.characterized, sig.status);
 
   // Post-lock structural readout of the CP-BIST comparator (Fig 9): the
   // balance node must track Vc across the window, so the readout strobes
   // several locked Vc levels on the faulted netlist.
-  std::array<std::pair<bool, bool>, 3> bits{};
-  spice::SolveStatus st = spice::SolveStatus::kConverged;
-  if (!read_all_bist_bits(fe, bits, solve, &st, &out.iterations, hints)) {
-    out.anomalous = true;
-    out.status = st;
-  } else if (bits != ref.bist_bits) {
-    out.detected = true;
+  if (sig.characterized || full_evaluation) {
+    const auto& levels = cp_bist_vc_levels();
+    std::array<std::pair<bool, bool>, 3> bits{};
+    std::string marks;
+    bool failed = false;
+    spice::SolveStatus status = spice::SolveStatus::kConverged;
+    for (std::size_t i = 0; i < levels.size() && !(failed && !full_evaluation); ++i) {
+      if (read_cp_bist_bits(fe, levels[i], bits[i].first, bits[i].second, solve,
+                            failed ? nullptr : &status, &out.iterations, hints)) {
+        marks += {bits[i].first ? '1' : '0', bits[i].second ? '1' : '0'};
+      } else {
+        marks += "!!";
+        failed = true;
+      }
+    }
+    out.record(kSubCpBistRead, marks, !failed && bits != ref.bist_bits, failed, status);
   }
+  out.finish({kSubBistVerdict, kSubCpBistRead});
   return out;
 }
 

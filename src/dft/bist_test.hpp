@@ -10,21 +10,20 @@
 #pragma once
 
 #include <array>
+#include <string>
 #include <utility>
 
 #include "cells/link_frontend.hpp"
+#include "dft/stage_outcome.hpp"
 #include "fault/characterize.hpp"
 #include "link/link.hpp"
 #include "spice/solve_status.hpp"
 
 namespace lsl::dft {
 
-struct BistTestOutcome {
-  /// Genuine BIST failure / readout mismatch on a characterized circuit.
-  bool detected = false;
-  bool anomalous = false;        // characterization failed to converge
-  spice::SolveStatus status = spice::SolveStatus::kConverged;
-  long iterations = 0;
+struct BistTestOutcome : StageOutcome {
+  /// The at-speed BIST result (default-constructed when the faulted
+  /// circuit could not be characterized).
   lsl::link::BistVerdict verdict;
 };
 
@@ -60,10 +59,19 @@ BistTestReference bist_test_reference(const cells::LinkFrontend& golden,
                                       const lsl::link::LinkParams& base = {},
                                       const spice::SolveHints* hints = nullptr);
 
-/// Characterizes the faulted frontend and runs the at-speed BIST.
-/// `solve` threads per-fault budgets into the characterization solves.
+/// Signature marks of the BIST verdict flags (locked in budget, lock
+/// counter, CP-BIST, data).
+std::string signature_marks(const lsl::link::BistVerdict& verdict);
+
+/// Characterizes the faulted frontend and runs the at-speed BIST
+/// (sub-stage kSubBistVerdict), then strobes the CP-BIST readout at
+/// each Vc level (kSubCpBistRead). `solve` threads per-fault budgets
+/// into the characterization solves. A characterization that fails to
+/// solve ends the test, and so does the first readout level that fails,
+/// unless `full_evaluation` asks for every sub-stage and level anyway.
 BistTestOutcome run_bist_test(const cells::LinkFrontend& fe, const BistTestReference& ref,
                               const spice::DcOptions& solve = {},
-                              const spice::SolveHints* hints = nullptr);
+                              const spice::SolveHints* hints = nullptr,
+                              bool full_evaluation = false);
 
 }  // namespace lsl::dft

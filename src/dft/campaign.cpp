@@ -1,6 +1,7 @@
 #include "dft/campaign.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <exception>
@@ -65,34 +66,30 @@ double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-struct StageResults {
-  bool dc = false;
-  bool scan = false;
-  bool bist = false;
-  bool anomalous = false;
-  bool budget_blown = false;
-  spice::SolveStatus status = spice::SolveStatus::kConverged;
-  long iterations = 0;
-  unsigned stages_run = 0;
-};
-
-/// Folds a stage's failure status into the running worst (first failure
-/// wins — later stages usually fail the same way for the same reason).
-void note_status(StageResults& r, bool anomalous, spice::SolveStatus st) {
-  if (!anomalous) return;
-  r.anomalous = true;
-  if (r.status == spice::SolveStatus::kConverged) r.status = st;
+/// The stage detection bits and the anomalous flag of a single-variant
+/// outcome, from its sub-stage record (each stage's own rule, see
+/// stage_detects).
+void settle_stages(FaultOutcome& o) {
+  const unsigned det = o.substages_detected;
+  const unsigned fail = o.substages_failed;
+  o.dc = stage_detects(det, fail, {kSubDc});
+  o.scan = stage_detects(det, fail, {kSubCpScan, kSubScanStatic, kSubToggle});
+  o.bist = stage_detects(det, fail, {kSubBistVerdict, kSubCpBistRead});
+  o.anomalous = fail != 0;
 }
 
 /// Runs DC, then scan, then BIST (when enabled) — the order of the
 /// paper's cumulative Table-I columns. With `short_circuit`, the first
-/// detection skips the remaining stages.
-StageResults run_stages(const cells::LinkFrontend& faulty_closed,
+/// detection skips the remaining stages. Without adaptive_stage_order,
+/// every stage runs in full evaluation (every sub-stage, past detections
+/// and failed solves), so `observed` holds every observation. Fills the
+/// outcome's stage fields.
+FaultOutcome run_stages(const cells::LinkFrontend& faulty_closed,
                         const cells::LinkFrontend& faulty, const DcTestReference& dc_ref,
                         const ScanTestReference& scan_ref, const BistTestReference& bist_ref,
                         const CampaignOptions& opts, Clock::time_point start, bool short_circuit,
                         const spice::SolveHints* hints) {
-  StageResults r;
+  FaultOutcome r;
 
   // Remaining wall clock for this fault; every solve inside a stage gets
   // it as a hard timeout. Returns false once the budget is blown.
@@ -106,51 +103,74 @@ StageResults run_stages(const cells::LinkFrontend& faulty_closed,
   };
   const auto iter_budget_ok = [&]() {
     return opts.budget.max_newton_per_fault <= 0 ||
-           r.iterations <= opts.budget.max_newton_per_fault;
+           r.newton_iterations <= opts.budget.max_newton_per_fault;
   };
 
   static util::Counter& stage_skips = util::metrics().counter("campaign.stage_skips");
 
   // Stage k (0 = DC, 1 = scan, 2 = BIST) records bit 1 << k in stages_run.
   static_assert(kStageBitDc == 1u << 0 && kStageBitScan == 1u << 1 && kStageBitBist == 1u << 2);
+  const bool full = !opts.adaptive_stage_order;
+  std::array<std::string, kSubStageCount> marks;
   spice::DcOptions solve;
   double left = 0.0;
   const int n_stages = opts.with_bist ? 3 : 2;
   for (int stage = 0; stage < n_stages; ++stage) {
     if (!remaining(left) || !iter_budget_ok()) {
       r.budget_blown = true;
-      return r;
+      break;
     }
     solve.timeout_sec = left;
-    if (stage == 0) {
-      const DcTestOutcome dc = run_dc_test(faulty_closed, dc_ref, solve, hints);
-      r.dc = dc.detected;
-      r.iterations += dc.iterations;
-      note_status(r, dc.anomalous, dc.status);
-    } else if (stage == 1) {
-      const ScanTestOutcome scan =
-          run_scan_test(faulty, scan_ref, ToggleOptions{.timeout_sec = left}, solve, hints);
-      r.scan = scan.detected;
-      r.iterations += scan.iterations;
-      note_status(r, scan.anomalous, scan.status);
-    } else {
-      const BistTestOutcome bist = run_bist_test(faulty, bist_ref, solve, hints);
-      r.bist = bist.detected;
-      r.iterations += bist.iterations;
-      note_status(r, bist.anomalous, bist.status);
-    }
+    const StageOutcome o = [&]() -> StageOutcome {
+      if (stage == 0) return run_dc_test(faulty_closed, dc_ref, solve, hints, full);
+      if (stage == 1) {
+        return run_scan_test(faulty, scan_ref, ToggleOptions{.timeout_sec = left}, solve, hints,
+                             full);
+      }
+      return run_bist_test(faulty, bist_ref, solve, hints, full);
+    }();
+    r.newton_iterations += o.iterations;
+    // The first failed solve's status wins: later stages usually fail
+    // the same way for the same reason.
+    if (o.anomalous && r.substages_failed == 0) r.status = o.status;
     r.stages_run |= 1u << stage;
+    r.substages_run |= o.sub_run;
+    r.substages_detected |= o.sub_detected;
+    r.substages_failed |= o.sub_failed;
+    for (unsigned s = 0; s < kSubStageCount; ++s) marks[s] += o.marks[s];
     // A detection in hand makes every remaining stage redundant for the
     // verdict: detected_any() already wins classification regardless of
     // what they would report, so skipping them cannot move the fault
     // between partitions (DESIGN.md).
-    if (short_circuit && (r.dc || r.scan || r.bist)) {
+    if (short_circuit && o.detected) {
       if (stage + 1 < n_stages) stage_skips.add(n_stages - 1 - stage);
       break;
     }
   }
   if (!iter_budget_ok()) r.budget_blown = true;
+  // Sub-stages the options disable leave no marks; '-' marks pad what
+  // did not run of the enabled ones.
+  const unsigned enabled = kAllSubStages & ~(opts.with_scan_toggle ? 0u : sub_bit(kSubToggle)) &
+                           ~(opts.with_bist ? 0u : kBistSubStages);
+  for (unsigned s = 0; s < kSubStageCount; ++s) {
+    if ((enabled & (1u << s)) == 0) continue;
+    marks[s].resize(std::max(marks[s].size(), kSubStageMarkWidth[s]), '-');
+    r.observed += marks[s];
+  }
+  settle_stages(r);
   return r;
+}
+
+/// The golden machine's observations in FaultOutcome::observed's layout,
+/// read off the references (which ran the same captures on the golden).
+std::string golden_observation(const DcTestReference& dc, const ScanTestReference& scan,
+                               const BistTestReference* bist) {
+  std::string g = dc.valid ? observation_marks(dc.obs1) + observation_marks(dc.obs0)
+                           : std::string(kSubStageMarkWidth[kSubDc], '!');
+  g += signature_marks(scan.cp) + signature_marks(scan.stat);
+  if (scan.with_toggle) g += signature_marks(scan.toggle);
+  if (bist != nullptr) g += pair_marks(bist->bist_bits) + signature_marks(bist->verdict);
+  return g;
 }
 
 FaultVerdict classify(const FaultOutcome& o) {
@@ -173,6 +193,18 @@ void account(ClassStats& s, const FaultOutcome& o) {
   s.cum_all.add(o.detected_any());
 }
 
+/// Recomputes the report's statistics from its outcome list — resumed
+/// runs, runs at any thread count and projections therefore produce
+/// identical figures for identical outcome sets.
+void tally(CampaignReport& report) {
+  for (const FaultOutcome& o : report.outcomes) {
+    if (o.anomalous) ++report.anomalous;
+    if (o.verdict == FaultVerdict::kQuarantined) ++report.quarantined;
+    account(report.per_class[o.fault.cls], o);
+    account(report.total, o);
+  }
+}
+
 // --- JSONL checkpointing ---------------------------------------------
 
 std::string outcome_to_json(const FaultOutcome& o) {
@@ -190,6 +222,10 @@ std::string outcome_to_json(const FaultOutcome& o) {
   j.set("elapsed_sec", o.elapsed_sec);
   j.set("newton_iterations", static_cast<std::int64_t>(o.newton_iterations));
   j.set("stages_run", static_cast<std::size_t>(o.stages_run));
+  j.set("substages_run", static_cast<std::size_t>(o.substages_run));
+  j.set("substages_detected", static_cast<std::size_t>(o.substages_detected));
+  j.set("substages_failed", static_cast<std::size_t>(o.substages_failed));
+  j.set("observed", o.observed);
   // Only present for folded class members: keeps the line (and the
   // canonical JSONL) identical to a collapsing-off run everywhere else.
   if (o.collapsed_into.has_value()) j.set("collapsed_into", *o.collapsed_into);
@@ -217,10 +253,14 @@ bool outcome_from_json(const std::string& line, FaultOutcome& o) {
   if (!spice::solve_status_from_string(status, o.status)) return false;
   o.elapsed_sec = elapsed;
   o.newton_iterations = static_cast<long>(iters);
-  // Optional fields (absent from pre-incremental checkpoints): keep the
-  // defaults when missing so old checkpoint files still resume.
-  std::size_t stages = 0;
-  if (j.get_uint("stages_run", stages)) o.stages_run = static_cast<unsigned>(stages);
+  // Optional fields (absent from older checkpoints): keep the defaults
+  // when missing so old checkpoint files still resume.
+  std::size_t v = 0;
+  if (j.get_uint("stages_run", v)) o.stages_run = static_cast<unsigned>(v);
+  if (j.get_uint("substages_run", v)) o.substages_run = static_cast<unsigned>(v);
+  if (j.get_uint("substages_detected", v)) o.substages_detected = static_cast<unsigned>(v);
+  if (j.get_uint("substages_failed", v)) o.substages_failed = static_cast<unsigned>(v);
+  j.get_string("observed", o.observed);
   std::size_t rep = 0;
   if (j.get_uint("collapsed_into", rep)) o.collapsed_into = rep;
   return true;
@@ -274,8 +314,6 @@ FaultOutcome simulate_fault(const FaultSimContext& ctx, const StructuralFault& f
                             std::size_t index, std::size_t worker) {
   const CampaignOptions& opts = *ctx.opts;
   FaultOutcome outcome;
-  outcome.fault = f;
-  outcome.index = index;
   util::TraceSpan span("fault", "campaign");
   span.arg("index", static_cast<double>(index));
   span.arg("worker", static_cast<double>(worker));
@@ -293,7 +331,7 @@ FaultOutcome simulate_fault(const FaultSimContext& ctx, const StructuralFault& f
     if (!fault::inject(faulty.netlist(), f, leak, ctx.vdd) ||
         !fault::inject(faulty_closed.netlist(), f, leak, ctx.vdd_closed)) {
       util::log_error("campaign: failed to inject " + f.describe());
-      return StageResults{};
+      return FaultOutcome{};
     }
     spice::SolveHints hints;
     hints.seeds = ctx.seeds;
@@ -307,30 +345,25 @@ FaultOutcome simulate_fault(const FaultSimContext& ctx, const StructuralFault& f
     if (f.needs_leak_variants() && opts.pessimistic_gate_opens) {
       // Pessimistic convention: a floating gate's level is unknowable,
       // so only faults flagged under BOTH leakage assumptions count.
-      const StageResults a = run_variant(OpenLeak::kToGround);
-      const StageResults b = run_variant(OpenLeak::kToVdd);
-      outcome.dc = a.dc && b.dc;
-      outcome.scan = a.scan && b.scan;
-      outcome.bist = a.bist && b.bist;
-      outcome.anomalous = a.anomalous || b.anomalous;
-      outcome.budget_blown = a.budget_blown || b.budget_blown;
-      outcome.status = a.anomalous ? a.status : b.status;
-      outcome.newton_iterations = a.iterations + b.iterations;
-      outcome.stages_run = a.stages_run | b.stages_run;
+      outcome = run_variant(OpenLeak::kToGround);
+      const FaultOutcome b = run_variant(OpenLeak::kToVdd);
+      outcome.dc = outcome.dc && b.dc;
+      outcome.scan = outcome.scan && b.scan;
+      outcome.bist = outcome.bist && b.bist;
+      if (!outcome.anomalous) outcome.status = b.status;
+      outcome.anomalous |= b.anomalous;
+      outcome.budget_blown |= b.budget_blown;
+      outcome.newton_iterations += b.newton_iterations;
+      outcome.stages_run |= b.stages_run;
+      outcome.substages_run |= b.substages_run;
+      outcome.substages_detected &= b.substages_detected;
+      outcome.substages_failed |= b.substages_failed;
+      outcome.observed += '|' + b.observed;
     } else {
       // Gate opens leak toward the device bulk; other opens have no
       // leak dependence (the argument is ignored).
-      const OpenLeak leak = f.needs_leak_variants() ? fault::bulk_leak(ctx.golden->netlist(), f)
-                                                    : OpenLeak::kToGround;
-      const StageResults r = run_variant(leak);
-      outcome.dc = r.dc;
-      outcome.scan = r.scan;
-      outcome.bist = r.bist;
-      outcome.anomalous = r.anomalous;
-      outcome.budget_blown = r.budget_blown;
-      outcome.status = r.status;
-      outcome.newton_iterations = r.iterations;
-      outcome.stages_run = r.stages_run;
+      outcome = run_variant(f.needs_leak_variants() ? fault::bulk_leak(ctx.golden->netlist(), f)
+                                                    : OpenLeak::kToGround);
     }
   } catch (const std::exception& e) {
     util::log_error("campaign: exception on " + f.describe() + ": " + e.what());
@@ -342,6 +375,8 @@ FaultOutcome simulate_fault(const FaultSimContext& ctx, const StructuralFault& f
     outcome.status = spice::SolveStatus::kNonFinite;
   }
 
+  outcome.fault = f;
+  outcome.index = index;
   outcome.elapsed_sec = seconds_since(fault_start);
   outcome.verdict = classify(outcome);
 
@@ -541,6 +576,8 @@ CampaignReport run_campaign(const cells::LinkFrontend& golden, const CampaignOpt
       util::log_warn("campaign: golden BIST reference does not pass; BIST detections disabled");
     }
   }
+  report.golden_observed =
+      golden_observation(dc_ref, scan_ref, opts.with_bist ? &bist_ref : nullptr);
   ref_span.close();
   // Freeze the bank: from here on only const access, safe to share.
   const std::shared_ptr<const spice::SeedBank> frozen_seeds = seed_bank;
@@ -650,16 +687,31 @@ CampaignReport run_campaign(const cells::LinkFrontend& golden, const CampaignOpt
   report.exec.wall_clock_sec = seconds_since(campaign_start);
   report.exec.metrics_json = util::metrics().snapshot_json();
 
-  // Statistics are recomputed from the index-ordered outcome list —
-  // resumed runs and runs at any thread count therefore produce
-  // identical reports for identical outcome sets.
-  for (const FaultOutcome& o : report.outcomes) {
-    if (o.anomalous) ++report.anomalous;
-    if (o.verdict == FaultVerdict::kQuarantined) ++report.quarantined;
-    account(report.per_class[o.fault.cls], o);
-    account(report.total, o);
-  }
+  tally(report);
   return report;
+}
+
+CampaignReport project_report(const CampaignReport& full, unsigned kept_substages) {
+  CampaignReport out;
+  out.exec = full.exec;
+  out.complete = full.complete;
+  out.golden_observed = full.golden_observed;
+  for (FaultOutcome o : full.outcomes) {
+    // Outcomes without a sub-stage record (an exception, a failed
+    // injection) keep their flags.
+    if (o.substages_run != 0) {
+      o.substages_run &= kept_substages;
+      o.substages_detected &= kept_substages;
+      o.substages_failed &= kept_substages;
+      settle_stages(o);
+    }
+    if (!o.anomalous) o.status = spice::SolveStatus::kConverged;
+    if ((o.substages_run & kBistSubStages) == 0) o.stages_run &= ~kStageBitBist;
+    o.verdict = classify(o);
+    out.outcomes.push_back(std::move(o));
+  }
+  tally(out);
+  return out;
 }
 
 std::string outcome_canonical_json(const FaultOutcome& o) {

@@ -17,7 +17,10 @@
 // file and resume from it after an interruption.
 //
 // The output carries everything needed to regenerate Table I and the
-// 50.4% -> 74.3% -> 94.8% coverage progression of Section IV.
+// 50.4% -> 74.3% -> 94.8% coverage progression of Section IV; a
+// full-evaluation run (adaptive_stage_order off) also carries every
+// sub-stage observation, of which the fault dictionary and the DFT
+// ablations are projections.
 #pragma once
 
 #include <functional>
@@ -30,6 +33,7 @@
 #include "dft/bist_test.hpp"
 #include "dft/dc_test.hpp"
 #include "dft/scan_test.hpp"
+#include "dft/stage_outcome.hpp"
 #include "fault/structural.hpp"
 #include "spice/solve_status.hpp"
 #include "util/stats.hpp"
@@ -140,7 +144,9 @@ struct CampaignOptions {
   /// run DC -> scan -> BIST, the order of the cumulative Table-I
   /// columns. Never applied to pessimistic gate opens (their detection
   /// is an AND across leak variants, which a per-variant skip would
-  /// break).
+  /// break). Off = full evaluation: every sub-stage also runs past
+  /// detections and failed solves inside its stage (run_*_test's
+  /// `full_evaluation`), so FaultOutcome::observed is complete.
   bool adaptive_stage_order = true;
 
   /// Ignored: the campaign has no low-rank solve path. Kept only because
@@ -169,6 +175,16 @@ struct FaultOutcome {
   /// adaptive short-circuit proved it redundant for the verdict (an
   /// earlier stage had already detected).
   unsigned stages_run = 0;
+  /// Sub-stage record (sub_bit masks, dft/stage_outcome.hpp): which
+  /// sub-stages ran, detected, failed a solve. Pessimistic gate opens OR
+  /// the run/failed masks and AND the detected mask of the two variants.
+  unsigned substages_run = 0;
+  unsigned substages_detected = 0;
+  unsigned substages_failed = 0;
+  /// Every enabled sub-stage's marks in SubStage order: the fault
+  /// dictionary's signature. Pessimistic gate opens join the two
+  /// variants' strings with '|'.
+  std::string observed;
   /// When structural fault collapsing folded this fault into an
   /// equivalence class simulated once, the representative's fault
   /// index. Unset for representatives, singletons, and collapsing-off
@@ -236,12 +252,22 @@ struct CampaignReport {
   /// fault; the checkpoint file holds the completed prefix.
   bool complete = true;
   std::vector<FaultOutcome> outcomes;
+  /// The golden machine's `observed`, read off the stage references.
+  std::string golden_observed;
 
   std::vector<const FaultOutcome*> undetected() const;
   std::vector<const FaultOutcome*> quarantined_faults() const;
 };
 
 CampaignReport run_campaign(const cells::LinkFrontend& golden, const CampaignOptions& opts = {});
+
+/// The report as if only the sub-stages in `kept_substages` had run:
+/// stage bits, anomalous flags, verdicts and statistics re-derived from
+/// the sub-stage record (`observed` and the costs stay). For a
+/// full-evaluation bulk-leak run this equals, in verdict partition and
+/// cumulative coverage, a run with with_scan_toggle = false (drop
+/// kSubToggle) or with_bist = false (drop kBistSubStages).
+CampaignReport project_report(const CampaignReport& full, unsigned kept_substages);
 
 /// Canonical (timing-free) JSONL serialization of one outcome: the
 /// checkpoint line with elapsed_sec zeroed, so two runs of the same

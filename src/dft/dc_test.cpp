@@ -20,34 +20,26 @@ DcTestReference dc_test_reference(const cells::LinkFrontend& golden,
 }
 
 DcTestOutcome run_dc_test(const cells::LinkFrontend& fe_in, const DcTestReference& ref,
-                          const spice::DcOptions& solve, const spice::SolveHints* hints) {
+                          const spice::DcOptions& solve, const spice::SolveHints* hints,
+                          bool full_evaluation) {
   DcTestOutcome out;
   cells::LinkFrontend fe = fe_in;
-
-  fe.set_data(true, true);
-  spice::arm_warm_start(hints, "dc.1", fe.netlist());
-  const auto r1 = fe.solve(solve);
-  out.iterations += r1.iterations;
-  if (!r1.converged) {
-    out.anomalous = true;
-    out.status = r1.status;
-    return out;
+  for (const bool d : {true, false}) {
+    if (out.stops(full_evaluation)) break;
+    fe.set_data(d, d);
+    spice::arm_warm_start(hints, d ? "dc.1" : "dc.0", fe.netlist());
+    const auto r = fe.solve(solve);
+    out.iterations += r.iterations;
+    if (!r.converged) {
+      out.record(kSubDc, std::string(cells::LinkObservation::kBitCount, '!'), false, true,
+                 r.status);
+      continue;
+    }
+    const cells::LinkObservation obs = fe.observe(r);
+    out.record(kSubDc, observation_marks(obs), !obs.same_static(d ? ref.obs1 : ref.obs0), false,
+               r.status);
   }
-  if (!fe.observe(r1).same_static(ref.obs1)) {
-    out.detected = true;
-    return out;
-  }
-
-  fe.set_data(false, false);
-  spice::arm_warm_start(hints, "dc.0", fe.netlist());
-  const auto r0 = fe.solve(solve);
-  out.iterations += r0.iterations;
-  if (!r0.converged) {
-    out.anomalous = true;
-    out.status = r0.status;
-    return out;
-  }
-  out.detected = !fe.observe(r0).same_static(ref.obs0);
+  out.finish({kSubDc});
   return out;
 }
 

@@ -8,9 +8,8 @@
 // solver status — the campaign layer decides whether to quarantine.
 #pragma once
 
-#include <optional>
-
 #include "cells/link_frontend.hpp"
+#include "dft/stage_outcome.hpp"
 #include "spice/seed.hpp"
 #include "spice/solve_status.hpp"
 
@@ -29,24 +28,17 @@ struct DcTestReference {
 DcTestReference dc_test_reference(const cells::LinkFrontend& golden,
                                   const spice::SolveHints* hints = nullptr);
 
-struct DcTestOutcome {
-  /// Genuine signature mismatch against the golden reference.
-  bool detected = false;
-  /// A faulty-machine solve failed: the circuit is pathological and the
-  /// verdict is not trustworthy either way.
-  bool anomalous = false;
-  /// Worst solver status across the stage's solves.
-  spice::SolveStatus status = spice::SolveStatus::kConverged;
-  /// Newton iterations spent in this stage (campaign budget accounting).
-  long iterations = 0;
-};
+using DcTestOutcome = StageOutcome;
 
-/// Runs the two-vector DC test on a (faulted) frontend. `solve` lets
-/// the campaign thread per-fault budgets (timeout) into every solve.
-/// `hints` (optional) supplies golden warm-start seeds; results are
-/// identical with or without it.
+/// Runs the two-vector DC test on a (faulted) frontend: one kSubDc
+/// sub-stage, marks of both vectors. `solve` lets the campaign thread
+/// per-fault budgets (timeout) into every solve. `hints` (optional)
+/// supplies golden warm-start seeds; results are identical with or
+/// without it. The test stops after vector 1 when it detects or fails
+/// to solve, unless `full_evaluation` asks for both vectors anyway.
 DcTestOutcome run_dc_test(const cells::LinkFrontend& fe, const DcTestReference& ref,
                           const spice::DcOptions& solve = {},
-                          const spice::SolveHints* hints = nullptr);
+                          const spice::SolveHints* hints = nullptr,
+                          bool full_evaluation = false);
 
 }  // namespace lsl::dft

@@ -8,38 +8,41 @@
 // strobes, the post-lock CP-BIST readout, and the BIST verdict flags).
 // Faults with identical signatures form an equivalence class: the
 // diagnosis resolution of the DFT.
+//
+// The dictionary is a projection of a full-evaluation fault campaign:
+// each signature is the campaign's FaultOutcome::observed (see
+// dft/stage_outcome.hpp for the marks); the dictionary injects and
+// simulates no fault itself.
 #pragma once
 
-#include <functional>
-#include <map>
 #include <string>
 #include <vector>
 
 #include "cells/link_frontend.hpp"
 #include "dft/bist_test.hpp"
-#include "dft/dc_test.hpp"
-#include "dft/scan_test.hpp"
+#include "dft/campaign.hpp"
 #include "fault/structural.hpp"
 
 namespace lsl::dft {
 
-/// References the signature capture needs (built once from the golden).
+/// The golden frontends and the BIST reference. Nothing in the library
+/// uses it; it is kept for the benchmark program (perfbench/), which
+/// builds it as its set-up and calls the public signature functions.
 struct DictionaryContext {
   cells::LinkFrontend golden;         // open-loop (scan/BIST procedures)
   cells::LinkFrontend golden_closed;  // closed-loop (DC test)
-  DcTestReference dc_ref;
-  ScanTestReference scan_ref;
   BistTestReference bist_ref;
   bool with_toggle = true;
 
-  explicit DictionaryContext(const cells::LinkFrontend& fe, bool with_toggle = true);
+  explicit DictionaryContext(const cells::LinkFrontend& fe, bool toggle = true)
+      : golden(fe), golden_closed([&fe] {
+          cells::LinkFrontendSpec spec = fe.spec();
+          spec.close_coarse_loop = true;
+          return cells::LinkFrontend(spec);
+        }()),
+        bist_ref(bist_test_reference(golden)),
+        with_toggle(toggle) {}
 };
-
-/// Captures the observable signature of a (faulted) frontend pair.
-/// Characters: '0'/'1' = solid levels, 'w' = mid-rail (weak), '!' = a
-/// non-convergent stage (itself diagnostic).
-std::string capture_signature(const DictionaryContext& ctx, const cells::LinkFrontend& faulty,
-                              const cells::LinkFrontend& faulty_closed);
 
 struct DictionaryEntry {
   fault::StructuralFault fault;
@@ -73,17 +76,21 @@ class FaultDictionary {
   std::string golden_sig_;
 };
 
-struct DictionaryOptions {
-  /// Cell prefixes included in the universe; the DFT observers are
-  /// always excluded, as in the campaign.
-  std::vector<std::string> prefixes;
-  std::size_t max_faults = 0;
-  bool with_toggle = true;
-  std::function<void(std::size_t, std::size_t)> progress;
-};
+/// The dictionary's options are the campaign's (prefixes, max_faults,
+/// with_scan_toggle, num_threads, progress, checkpointing, ...).
+using DictionaryOptions = CampaignOptions;
 
-/// Builds the dictionary over the structural fault universe (gate opens
-/// use the bulk-leak variant, matching the campaign default).
+/// The dictionary of a campaign report: one entry per outcome, in index
+/// order, signed with FaultOutcome::observed; the golden signature is
+/// the report's golden_observed. Complete signatures need a
+/// full-evaluation report (adaptive_stage_order = false).
+FaultDictionary project_dictionary(const CampaignReport& report);
+
+/// Runs the campaign in full evaluation (adaptive_stage_order forced
+/// off) with cold starts (reuse_golden forced off: every signature is
+/// the one a cold-started solve of that fault observes) and projects
+/// the dictionary. Gate opens use the bulk-leak variant unless
+/// opts.pessimistic_gate_opens.
 FaultDictionary build_dictionary(const cells::LinkFrontend& golden,
                                  const DictionaryOptions& opts = {});
 

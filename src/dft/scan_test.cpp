@@ -170,48 +170,50 @@ ScanTestReference scan_test_reference(const LinkFrontend& golden, bool with_togg
   return ref;
 }
 
+std::string signature_marks(const CpScanSignature& sig) {
+  return sig.valid ? pair_marks(sig.window) : std::string(kSubStageMarkWidth[kSubCpScan], '!');
+}
+
+std::string signature_marks(const ScanStaticSignature& sig) {
+  return sig.valid ? observation_marks(sig.obs1) + observation_marks(sig.obs0)
+                   : std::string(kSubStageMarkWidth[kSubScanStatic], '!');
+}
+
+std::string signature_marks(const ToggleSignature& sig) {
+  if (!sig.valid) return std::string(kSubStageMarkWidth[kSubToggle], '!');
+  std::string marks;
+  for (const bool b : sig.data_hi) marks.push_back(b ? '1' : '0');
+  for (const bool b : sig.data_lo) marks.push_back(b ? '1' : '0');
+  return marks;
+}
+
+namespace {
+
+/// Records one capture as a scan sub-stage (a mismatch on an invalid
+/// capture is no detection).
+template <class Signature>
+void record_capture(ScanTestOutcome& out, SubStage s, const Signature& sig, bool mismatch) {
+  out.iterations += sig.iterations;
+  out.record(s, signature_marks(sig), sig.valid && mismatch, !sig.valid, sig.status);
+}
+
+}  // namespace
+
 ScanTestOutcome run_scan_test(const LinkFrontend& fe, const ScanTestReference& ref,
                               const ToggleOptions& topts, const spice::DcOptions& solve,
-                              const spice::SolveHints* hints) {
+                              const spice::SolveHints* hints, bool full_evaluation) {
   ScanTestOutcome out;
-
   const CpScanSignature cp = cp_scan_signature(fe, solve, hints);
-  out.iterations += cp.iterations;
-  if (!cp.valid) {
-    out.anomalous = true;
-    out.status = cp.status;
-    return out;
+  record_capture(out, kSubCpScan, cp, ref.cp.valid && !(cp == ref.cp));
+  if (!out.stops(full_evaluation)) {
+    const ScanStaticSignature stat = scan_static_signature(fe, solve, hints);
+    record_capture(out, kSubScanStatic, stat, ref.stat.valid && !stat.matches(ref.stat));
   }
-  if (ref.cp.valid && !(cp == ref.cp)) {
-    out.detected = true;
-    return out;
-  }
-
-  const ScanStaticSignature stat = scan_static_signature(fe, solve, hints);
-  out.iterations += stat.iterations;
-  if (!stat.valid) {
-    out.anomalous = true;
-    out.status = stat.status;
-    return out;
-  }
-  if (ref.stat.valid && !stat.matches(ref.stat)) {
-    out.detected = true;
-    return out;
-  }
-
-  if (ref.with_toggle) {
+  if (ref.with_toggle && !out.stops(full_evaluation)) {
     const ToggleSignature tog = toggle_signature(fe, topts, solve, hints);
-    out.iterations += tog.iterations;
-    if (!tog.valid) {
-      out.anomalous = true;
-      out.status = tog.status;
-      return out;
-    }
-    if (ref.toggle.valid && !(tog == ref.toggle)) {
-      out.detected = true;
-      return out;
-    }
+    record_capture(out, kSubToggle, tog, ref.toggle.valid && !(tog == ref.toggle));
   }
+  out.finish({kSubCpScan, kSubScanStatic, kSubToggle});
   return out;
 }
 

@@ -19,10 +19,12 @@
 #pragma once
 
 #include <array>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "cells/link_frontend.hpp"
+#include "dft/stage_outcome.hpp"
 #include "spice/seed.hpp"
 #include "spice/solve_status.hpp"
 
@@ -106,14 +108,13 @@ ToggleSignature toggle_signature(const cells::LinkFrontend& fe, const ToggleOpti
                                  const spice::DcOptions& solve = {},
                                  const spice::SolveHints* hints = nullptr);
 
-struct ScanTestOutcome {
-  /// Genuine signature mismatch against the golden reference.
-  bool detected = false;
-  /// Non-convergence in the faulty machine: verdict unreliable.
-  bool anomalous = false;
-  spice::SolveStatus status = spice::SolveStatus::kConverged;
-  long iterations = 0;
-};
+using ScanTestOutcome = StageOutcome;
+
+/// Signature marks of each capture: its bits ('0'/'1'; static scan
+/// levels '0'/'1'/'w'), or '!' marks when it did not solve.
+std::string signature_marks(const CpScanSignature& sig);
+std::string signature_marks(const ScanStaticSignature& sig);
+std::string signature_marks(const ToggleSignature& sig);
 
 /// Reference bundle captured once on the golden frontend.
 struct ScanTestReference {
@@ -127,12 +128,16 @@ ScanTestReference scan_test_reference(const cells::LinkFrontend& golden, bool wi
                                       const ToggleOptions& topts = {},
                                       const spice::SolveHints* hints = nullptr);
 
-/// Full scan test of a (faulted) frontend against the reference.
-/// `solve` threads per-fault budgets into every DC solve and the
-/// transient's per-step Newton.
+/// Full scan test of a (faulted) frontend against the reference:
+/// sub-stages kSubCpScan, kSubScanStatic, kSubToggle (when the reference
+/// has it), in that order. `solve` threads per-fault budgets into every
+/// DC solve and the transient's per-step Newton. The test stops at the
+/// first sub-stage that detects or fails to solve, unless
+/// `full_evaluation` asks for every sub-stage anyway.
 ScanTestOutcome run_scan_test(const cells::LinkFrontend& fe, const ScanTestReference& ref,
                               const ToggleOptions& topts = {},
                               const spice::DcOptions& solve = {},
-                              const spice::SolveHints* hints = nullptr);
+                              const spice::SolveHints* hints = nullptr,
+                              bool full_evaluation = false);
 
 }  // namespace lsl::dft

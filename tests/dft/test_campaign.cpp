@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "dft/dictionary.hpp"
 #include "util/jsonl.hpp"
 
 namespace lsl::dft {
@@ -46,6 +47,10 @@ class CampaignFixture : public ::testing::Test {
       EXPECT_EQ(x.bist, y.bist) << x.fault.describe();
       EXPECT_EQ(x.anomalous, y.anomalous) << x.fault.describe();
       EXPECT_EQ(x.verdict, y.verdict) << x.fault.describe();
+      EXPECT_EQ(x.substages_run, y.substages_run) << x.fault.describe();
+      EXPECT_EQ(x.substages_detected, y.substages_detected) << x.fault.describe();
+      EXPECT_EQ(x.substages_failed, y.substages_failed) << x.fault.describe();
+      EXPECT_EQ(x.observed, y.observed) << x.fault.describe();
     }
     EXPECT_EQ(a.anomalous, b.anomalous);
     EXPECT_EQ(a.quarantined, b.quarantined);
@@ -202,6 +207,15 @@ TEST_F(CampaignFixture, ResumeFromCheckpointMatchesUninterruptedRun) {
   const CampaignReport resumed = run_campaign(*golden_, resumed_opts);
   EXPECT_TRUE(resumed.complete);
   expect_same_report(full, resumed);
+  // ... and projects the same fault dictionary.
+  const FaultDictionary want = project_dictionary(full);
+  const FaultDictionary got = project_dictionary(resumed);
+  EXPECT_EQ(got.golden_signature(), want.golden_signature());
+  ASSERT_EQ(got.entries().size(), want.entries().size());
+  for (std::size_t i = 0; i < want.entries().size(); ++i) {
+    EXPECT_EQ(got.entries()[i].signature, want.entries()[i].signature)
+        << want.entries()[i].fault.describe();
+  }
 
   // The checkpoint now covers the whole universe: resuming again runs
   // zero new faults and still reproduces the same report.
@@ -215,19 +229,67 @@ TEST_F(CampaignFixture, CheckpointLinesRoundTripThroughJson) {
   std::remove(path.c_str());
   CampaignOptions opts = small_opts();
   opts.max_faults = 2;
+  opts.adaptive_stage_order = false;  // every sub-stage runs and records
   opts.checkpoint_path = path;
   const CampaignReport report = run_campaign(*golden_, opts);
   const auto lines = util::read_lines(path);
   ASSERT_EQ(lines.size(), report.outcomes.size());
   for (std::size_t i = 0; i < lines.size(); ++i) {
+    const FaultOutcome& o = report.outcomes[i];
     util::JsonObject j;
     ASSERT_TRUE(util::JsonObject::parse(lines[i], j)) << lines[i];
     std::string device;
     std::string verdict;
+    std::string observed;
+    std::size_t run = 0;
+    std::size_t detected = 0;
+    std::size_t failed = 0;
     ASSERT_TRUE(j.get_string("device", device));
     ASSERT_TRUE(j.get_string("verdict", verdict));
-    EXPECT_EQ(device, report.outcomes[i].fault.device);
-    EXPECT_EQ(verdict, fault_verdict_name(report.outcomes[i].verdict));
+    ASSERT_TRUE(j.get_uint("substages_run", run));
+    ASSERT_TRUE(j.get_uint("substages_detected", detected));
+    ASSERT_TRUE(j.get_uint("substages_failed", failed));
+    ASSERT_TRUE(j.get_string("observed", observed));
+    EXPECT_EQ(device, o.fault.device);
+    EXPECT_EQ(verdict, fault_verdict_name(o.verdict));
+    EXPECT_EQ(run, o.substages_run);
+    EXPECT_EQ(run, sub_bit(kSubDc) | sub_bit(kSubCpScan) | sub_bit(kSubScanStatic));
+    EXPECT_EQ(detected, o.substages_detected);
+    EXPECT_EQ(failed, o.substages_failed);
+    EXPECT_EQ(observed, o.observed);
+    EXPECT_EQ(observed.size(), 50u);
+  }
+
+  // Resuming from these lines reproduces the outcomes exactly, without
+  // simulating anything.
+  CampaignOptions resumed_opts = opts;
+  resumed_opts.resume = true;
+  const CampaignReport resumed = run_campaign(*golden_, resumed_opts);
+  expect_same_report(report, resumed);
+  EXPECT_EQ(report_canonical_jsonl(resumed), report_canonical_jsonl(report));
+
+  // Lines written before the sub-stage record existed still load, with
+  // an empty record.
+  std::remove(path.c_str());
+  for (const std::string& line : lines) {
+    const std::size_t from = line.find(",\"substages_run\"");
+    ASSERT_NE(from, std::string::npos) << line;
+    std::string old = line.substr(0, from) + "}";
+    if (const std::size_t rep = line.find(",\"collapsed_into\""); rep != std::string::npos) {
+      old = line.substr(0, from) + line.substr(rep);
+    }
+    ASSERT_TRUE(util::append_line(path, old));
+  }
+  const CampaignReport legacy = run_campaign(*golden_, resumed_opts);
+  ASSERT_EQ(legacy.outcomes.size(), report.outcomes.size());
+  std::size_t fresh = 0;
+  for (const std::size_t n : legacy.exec.per_worker_faults) fresh += n;
+  EXPECT_EQ(fresh, 0u) << "legacy checkpoint lines were re-run instead of loaded";
+  for (std::size_t i = 0; i < legacy.outcomes.size(); ++i) {
+    EXPECT_EQ(legacy.outcomes[i].verdict, report.outcomes[i].verdict);
+    EXPECT_EQ(legacy.outcomes[i].stages_run, report.outcomes[i].stages_run);
+    EXPECT_EQ(legacy.outcomes[i].substages_run, 0u);
+    EXPECT_TRUE(legacy.outcomes[i].observed.empty());
   }
   std::remove(path.c_str());
 }

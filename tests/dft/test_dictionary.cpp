@@ -7,68 +7,68 @@ namespace {
 
 class DictionaryFixture : public ::testing::Test {
  protected:
-  static void SetUpTestSuite() {
-    golden_ = new cells::LinkFrontend();
-    // No toggle test: keeps the fixture fast; the signature is still
-    // 60+ characters of DC/scan/BIST observables.
-    ctx_ = new DictionaryContext(*golden_, /*with_toggle=*/false);
-  }
+  static void SetUpTestSuite() { golden_ = new cells::LinkFrontend(); }
   static void TearDownTestSuite() {
-    delete ctx_;
     delete golden_;
-    ctx_ = nullptr;
     golden_ = nullptr;
   }
 
-  static std::pair<cells::LinkFrontend, cells::LinkFrontend> faulted(
-      const fault::StructuralFault& f) {
-    cells::LinkFrontend open = ctx_->golden;
-    cells::LinkFrontend closed = ctx_->golden_closed;
-    const auto leak = fault::OpenLeak::kToGround;
-    EXPECT_TRUE(fault::inject(open.netlist(), f, leak, *open.netlist().find_node("vdd")));
-    EXPECT_TRUE(fault::inject(closed.netlist(), f, leak, *closed.netlist().find_node("vdd")));
-    return {std::move(open), std::move(closed)};
+  /// No toggle test: keeps the fixture fast; the signature is still 60
+  /// characters of DC/scan/BIST observables.
+  static DictionaryOptions small_opts(std::vector<std::string> prefixes) {
+    DictionaryOptions opts;
+    opts.prefixes = std::move(prefixes);
+    opts.with_scan_toggle = false;
+    return opts;
+  }
+
+  /// The signature a "failed part" carrying `f` shows the tester: a
+  /// dictionary over just that device, injected as the dictionary
+  /// injects it.
+  static std::string observe(const fault::StructuralFault& f) {
+    const FaultDictionary part = build_dictionary(*golden_, small_opts({f.device}));
+    for (const auto& e : part.entries()) {
+      if (e.fault.device == f.device && e.fault.cls == f.cls) return e.signature;
+    }
+    ADD_FAILURE() << "no entry for " << f.describe();
+    return {};
   }
 
   static cells::LinkFrontend* golden_;
-  static DictionaryContext* ctx_;
 };
 
 cells::LinkFrontend* DictionaryFixture::golden_ = nullptr;
-DictionaryContext* DictionaryFixture::ctx_ = nullptr;
 
 TEST_F(DictionaryFixture, GoldenSignatureIsCleanAndStable) {
-  const std::string a = capture_signature(*ctx_, ctx_->golden, ctx_->golden_closed);
-  const std::string b = capture_signature(*ctx_, ctx_->golden, ctx_->golden_closed);
-  EXPECT_EQ(a, b);
-  EXPECT_EQ(a.find('!'), std::string::npos);
-  EXPECT_GT(a.size(), 50u);
+  const FaultDictionary a = build_dictionary(*golden_, small_opts({"tx.p.c_main"}));
+  const FaultDictionary b = build_dictionary(*golden_, small_opts({"tx.n.c_main"}));
+  EXPECT_EQ(a.golden_signature(), b.golden_signature());
+  EXPECT_EQ(a.golden_signature().find_first_of("!-"), std::string::npos);
+  EXPECT_EQ(a.golden_signature().size(), 60u);
 }
 
 TEST_F(DictionaryFixture, DistinctFaultsDistinctSignatures) {
-  const auto [a_open, a_closed] = faulted({"tx.p.c_main", fault::FaultClass::kCapacitorShort});
-  const auto [b_open, b_closed] = faulted({"cp.m_swup", fault::FaultClass::kDrainOpen});
-  const std::string sa = capture_signature(*ctx_, a_open, a_closed);
-  const std::string sb = capture_signature(*ctx_, b_open, b_closed);
-  const std::string g = capture_signature(*ctx_, ctx_->golden, ctx_->golden_closed);
-  EXPECT_NE(sa, g);
-  EXPECT_NE(sb, g);
+  const FaultDictionary dict = build_dictionary(*golden_, small_opts({"tx.p.c_main"}));
+  const std::string sa = observe({"tx.p.c_main", fault::FaultClass::kCapacitorShort});
+  const std::string sb = observe({"cp.m_swup", fault::FaultClass::kDrainOpen});
+  EXPECT_NE(sa, dict.golden_signature());
+  EXPECT_NE(sb, dict.golden_signature());
   EXPECT_NE(sa, sb);
+  // Full evaluation: every sub-stage ran, so no signature has '-' marks.
+  EXPECT_EQ(sa.find('-'), std::string::npos) << sa;
+  EXPECT_EQ(sb.find('-'), std::string::npos) << sb;
 }
 
 TEST_F(DictionaryFixture, DiagnoseFindsTheInjectedFault) {
-  DictionaryOptions opts;
-  opts.prefixes = {"tx."};  // small universe for speed
-  opts.with_toggle = false;
+  DictionaryOptions opts = small_opts({"tx."});  // small universe for speed
+  opts.num_threads = 2;
   FaultDictionary dict = build_dictionary(*golden_, opts);
   ASSERT_GT(dict.entries().size(), 10u);
 
-  // "Silicon" comes back with a defect: capture its signature and ask
-  // the dictionary.
+  // "Silicon" comes back with a defect: observe it and ask the
+  // dictionary.
   const fault::StructuralFault injected{"tx.n.m_drvp", fault::FaultClass::kDrainSourceShort};
-  const auto [open, closed] = faulted(injected);
-  const std::string observed = capture_signature(*ctx_, open, closed);
-  const auto candidates = dict.diagnose(observed);
+  const auto candidates = dict.diagnose(observe(injected));
   ASSERT_FALSE(candidates.empty());
   bool found = false;
   for (const auto* c : candidates) {
@@ -77,11 +77,37 @@ TEST_F(DictionaryFixture, DiagnoseFindsTheInjectedFault) {
   EXPECT_TRUE(found);
 }
 
+TEST_F(DictionaryFixture, GateOpensAreObservedWithTheirBulkLeak) {
+  // The TX driver pair: a PMOS gate open leaks toward VDD, an NMOS one
+  // toward ground. A pessimistic run observes both variants, joined as
+  // "to-ground|to-VDD"; the dictionary must hold the bulk-leak half.
+  const DictionaryOptions opts = small_opts({"tx.p.m_drv"});
+  DictionaryOptions both = opts;
+  both.pessimistic_gate_opens = true;
+  const FaultDictionary dict = build_dictionary(*golden_, opts);
+  const FaultDictionary variants = build_dictionary(*golden_, both);
+  ASSERT_EQ(dict.entries().size(), variants.entries().size());
+  std::size_t leak_dependent = 0;
+  for (std::size_t i = 0; i < dict.entries().size(); ++i) {
+    const DictionaryEntry& e = dict.entries()[i];
+    const std::string& v = variants.entries()[i].signature;
+    if (e.fault.cls != fault::FaultClass::kGateOpen) {
+      EXPECT_EQ(e.signature, v) << e.fault.describe();
+      continue;
+    }
+    const std::size_t bar = v.find('|');
+    ASSERT_NE(bar, std::string::npos) << v;
+    const std::string to_ground = v.substr(0, bar);
+    const std::string to_vdd = v.substr(bar + 1);
+    const bool pmos = fault::bulk_leak(golden_->netlist(), e.fault) == fault::OpenLeak::kToVdd;
+    EXPECT_EQ(e.signature, pmos ? to_vdd : to_ground) << e.fault.describe();
+    leak_dependent += to_ground != to_vdd;
+  }
+  EXPECT_GT(leak_dependent, 0u) << "no gate open here tells the two leak variants apart";
+}
+
 TEST_F(DictionaryFixture, ResolutionStatsAreConsistent) {
-  DictionaryOptions opts;
-  opts.prefixes = {"tx.", "term.term"};
-  opts.with_toggle = false;
-  FaultDictionary dict = build_dictionary(*golden_, opts);
+  FaultDictionary dict = build_dictionary(*golden_, small_opts({"tx.", "term.term"}));
   const auto r = dict.resolution();
   EXPECT_EQ(r.faults, dict.entries().size());
   EXPECT_LE(r.detected, r.faults);
