@@ -12,20 +12,26 @@
 //
 // Flags:  --fast       cap the universe at 150 faults (smoke run)
 //         --threads N  campaign workers (0 = all hardware cores; default 0)
+// Any other flag, or a flag missing its value, prints the usage line
+// and exits with status 2.
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
+#include "cli.hpp"
 #include "core/testable_link.hpp"
 #include "util/table.hpp"
 
 int main(int argc, char** argv) {
   lsl::dft::CampaignOptions opts;
   opts.num_threads = 0;  // all hardware cores unless --threads says otherwise
+  const char* flags = "[--fast] [--threads N]";
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--fast") == 0) opts.max_faults = 150;
-    if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      opts.num_threads = static_cast<std::size_t>(std::strtoul(argv[++i], nullptr, 10));
+    if (std::strcmp(argv[i], "--fast") == 0) {
+      opts.max_faults = 150;
+    } else if (std::strcmp(argv[i], "--threads") == 0) {
+      opts.num_threads = lsl::bench::count_value(argc, argv, i, flags);
+    } else {
+      lsl::bench::usage_exit(argv[0], flags);
     }
   }
 

@@ -6,10 +6,12 @@
 //         --threads N  campaign workers (0 = all hardware cores; default 0)
 //         --trace <path>    Chrome trace_event JSON of the run (Perfetto)
 //         --metrics <path>  util::Metrics snapshot JSON at exit
+// Any other flag, or a flag missing its value, prints the usage line
+// and exits with status 2.
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
+#include "cli.hpp"
 #include "core/testable_link.hpp"
 #include "observability.hpp"
 #include "util/table.hpp"
@@ -22,11 +24,15 @@ int main(int argc, char** argv) {
   // earlier one detects. Cumulative coverage is the same either way.
   opts.adaptive_stage_order = false;
   lsl::bench::Observability obs;
+  const char* flags = "[--fast] [--threads N] [--trace <path>] [--metrics <path>]";
   for (int i = 1; i < argc; ++i) {
     if (obs.parse_flag(argc, argv, i)) continue;
-    if (std::strcmp(argv[i], "--fast") == 0) opts.max_faults = 80;
-    if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      opts.num_threads = static_cast<std::size_t>(std::strtoul(argv[++i], nullptr, 10));
+    if (std::strcmp(argv[i], "--fast") == 0) {
+      opts.max_faults = 80;
+    } else if (std::strcmp(argv[i], "--threads") == 0) {
+      opts.num_threads = lsl::bench::count_value(argc, argv, i, flags);
+    } else {
+      lsl::bench::usage_exit(argv[0], flags);
     }
   }
   opts.progress = [](std::size_t i, std::size_t n) {

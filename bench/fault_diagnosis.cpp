@@ -6,9 +6,11 @@
 // a diagnosis round-trip.
 //
 // Flags:  --fast   cap the universe (smoke run)
+// Any other flag prints the usage line and exits with status 2.
 #include <cstdio>
 #include <cstring>
 
+#include "cli.hpp"
 #include "dft/dictionary.hpp"
 #include "util/table.hpp"
 
@@ -16,7 +18,8 @@ int main(int argc, char** argv) {
   lsl::dft::DictionaryOptions opts;
   opts.num_threads = 0;  // all hardware cores
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--fast") == 0) opts.max_faults = 60;
+    if (std::strcmp(argv[i], "--fast") != 0) lsl::bench::usage_exit(argv[0], "[--fast]");
+    opts.max_faults = 60;
   }
   opts.progress = [](std::size_t i, std::size_t n) {
     if (i % 50 == 0) std::fprintf(stderr, "  fault %zu / %zu\n", i, n);

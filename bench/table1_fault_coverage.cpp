@@ -16,11 +16,13 @@
 //                       incremental engine
 //         --trace <path>    Chrome trace_event JSON of the run (Perfetto)
 //         --metrics <path>  util::Metrics snapshot JSON at exit
+// Any other flag, or a flag missing its value, prints the usage line
+// and exits with status 2.
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
+#include "cli.hpp"
 #include "core/testable_link.hpp"
 #include "observability.hpp"
 #include "util/jsonl.hpp"
@@ -86,23 +88,30 @@ int main(int argc, char** argv) {
   std::string json_path;
   bool compare_serial = false;
   lsl::bench::Observability obs;
+  const char* flags =
+      "[--fast] [--pessimistic] [--checkpoint <path>] [--threads N] [--json <path>] "
+      "[--compare-serial] [--no-incremental] [--trace <path>] [--metrics <path>]";
   for (int i = 1; i < argc; ++i) {
     if (obs.parse_flag(argc, argv, i)) continue;
-    if (std::strcmp(argv[i], "--fast") == 0) opts.max_faults = 80;
-    if (std::strcmp(argv[i], "--pessimistic") == 0) opts.pessimistic_gate_opens = true;
-    if (std::strcmp(argv[i], "--checkpoint") == 0 && i + 1 < argc) {
-      opts.checkpoint_path = argv[++i];
+    if (std::strcmp(argv[i], "--fast") == 0) {
+      opts.max_faults = 80;
+    } else if (std::strcmp(argv[i], "--pessimistic") == 0) {
+      opts.pessimistic_gate_opens = true;
+    } else if (std::strcmp(argv[i], "--checkpoint") == 0) {
+      opts.checkpoint_path = lsl::bench::flag_value(argc, argv, i, flags);
       opts.resume = true;
-    }
-    if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      opts.num_threads = static_cast<std::size_t>(std::strtoul(argv[++i], nullptr, 10));
-    }
-    if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) json_path = argv[++i];
-    if (std::strcmp(argv[i], "--compare-serial") == 0) compare_serial = true;
-    if (std::strcmp(argv[i], "--no-incremental") == 0) {
+    } else if (std::strcmp(argv[i], "--threads") == 0) {
+      opts.num_threads = lsl::bench::count_value(argc, argv, i, flags);
+    } else if (std::strcmp(argv[i], "--json") == 0) {
+      json_path = lsl::bench::flag_value(argc, argv, i, flags);
+    } else if (std::strcmp(argv[i], "--compare-serial") == 0) {
+      compare_serial = true;
+    } else if (std::strcmp(argv[i], "--no-incremental") == 0) {
       opts.reuse_golden = false;
       opts.collapse_faults = false;
       opts.adaptive_stage_order = false;
+    } else {
+      lsl::bench::usage_exit(argv[0], flags);
     }
   }
   // Survival defaults for the full sweep: no single fault may stall the

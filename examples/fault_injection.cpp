@@ -28,17 +28,18 @@ bool parse_class(const std::string& s, FaultClass& out) {
   return false;
 }
 
-struct References {
-  lsl::dft::DcTestReference dc;
-  lsl::dft::ScanTestReference scan;
-  lsl::dft::BistTestReference bist;
+/// The golden machine's stage outcomes, which every fault is compared with.
+struct Goldens {
   lsl::cells::LinkFrontend golden_closed;
+  lsl::dft::DcTestOutcome dc;
+  lsl::dft::ScanTestOutcome scan;
+  lsl::dft::BistTestReference bist;
 };
 
-void show_fault(const lsl::core::TestableLink& link, const References& refs,
+void show_fault(const lsl::core::TestableLink& link, const Goldens& goldens,
                 const std::string& device, FaultClass cls) {
   lsl::cells::LinkFrontend faulty = link.frontend();
-  lsl::cells::LinkFrontend faulty_closed = refs.golden_closed;
+  lsl::cells::LinkFrontend faulty_closed = goldens.golden_closed;
   const auto vdd = *faulty.netlist().find_node("vdd");
   const lsl::fault::StructuralFault fault{device, cls};
   const auto leak = lsl::fault::bulk_leak(faulty.netlist(), fault);
@@ -48,9 +49,9 @@ void show_fault(const lsl::core::TestableLink& link, const References& refs,
     std::printf("%-40s  cannot inject (no such device / wrong kind)\n", fault.describe().c_str());
     return;
   }
-  const auto dc = lsl::dft::run_dc_test(faulty_closed, refs.dc);
-  const auto scan = lsl::dft::run_scan_test(faulty, refs.scan);
-  const auto bist = lsl::dft::run_bist_test(faulty, refs.bist);
+  const auto dc = lsl::dft::run_dc_test(faulty_closed, goldens.dc);
+  const auto scan = lsl::dft::run_scan_test(faulty, goldens.scan);
+  const auto bist = lsl::dft::run_bist_test(faulty, goldens.bist);
   std::printf("%-40s  DC:%-4s scan:%-4s BIST:%-4s -> %s\n", fault.describe().c_str(),
               dc.detected ? "HIT" : "-", scan.detected ? "HIT" : "-",
               bist.detected ? "HIT" : "-",
@@ -61,16 +62,16 @@ void show_fault(const lsl::core::TestableLink& link, const References& refs,
 
 int main(int argc, char** argv) {
   std::printf("== Structural fault injection tour ==\n");
-  std::printf("building golden references (a few seconds of MNA solves)...\n\n");
+  std::printf("running the golden machine (a few seconds of MNA solves)...\n\n");
 
   lsl::core::TestableLink link;
   lsl::cells::LinkFrontendSpec closed_spec = link.config().analog;
   closed_spec.close_coarse_loop = true;
-  References refs{lsl::dft::DcTestReference{}, lsl::dft::ScanTestReference{},
-                  lsl::dft::BistTestReference{}, lsl::cells::LinkFrontend(closed_spec)};
-  refs.dc = lsl::dft::dc_test_reference(refs.golden_closed);
-  refs.scan = lsl::dft::scan_test_reference(link.frontend());
-  refs.bist = lsl::dft::bist_test_reference(link.frontend());
+  const lsl::cells::LinkFrontend golden_closed(closed_spec);
+  const Goldens goldens{golden_closed,
+                     lsl::dft::run_dc_test(golden_closed, {}, {}, nullptr, true),
+                     lsl::dft::run_scan_test(link.frontend(), {}, {}, {}, nullptr, true),
+                     lsl::dft::bist_test_reference(link.frontend())};
 
   if (argc == 3) {
     FaultClass cls;
@@ -83,31 +84,31 @@ int main(int argc, char** argv) {
       std::printf("\n");
       return 1;
     }
-    show_fault(link, refs, argv[1], cls);
+    show_fault(link, goldens, argv[1], cls);
     return 0;
   }
 
   // A curated tour mirroring the paper's discussion.
   std::printf("-- faults the DC test catches (mismatch at the termination) --\n");
-  show_fault(link, refs, "tx.p.c_main", FaultClass::kCapacitorShort);
-  show_fault(link, refs, "tx.n.m_drvp", FaultClass::kDrainSourceShort);
-  show_fault(link, refs, "tx.p.m_drvn", FaultClass::kSourceOpen);
+  show_fault(link, goldens, "tx.p.c_main", FaultClass::kCapacitorShort);
+  show_fault(link, goldens, "tx.n.m_drvp", FaultClass::kDrainSourceShort);
+  show_fault(link, goldens, "tx.p.m_drvn", FaultClass::kSourceOpen);
 
   std::printf("\n-- DC-invisible dynamic faults (the 100 MHz toggle test) --\n");
-  show_fault(link, refs, "term.termp.m_tgn", FaultClass::kDrainOpen);
-  show_fault(link, refs, "term.termn.m_tgp", FaultClass::kDrainOpen);
+  show_fault(link, goldens, "term.termp.m_tgn", FaultClass::kDrainOpen);
+  show_fault(link, goldens, "term.termn.m_tgp", FaultClass::kDrainOpen);
 
   std::printf("\n-- charge-pump faults via the scan bias-collapse procedure --\n");
-  show_fault(link, refs, "cp.m_swup", FaultClass::kDrainOpen);
-  show_fault(link, refs, "cp.m_srcn", FaultClass::kSourceOpen);
+  show_fault(link, goldens, "cp.m_swup", FaultClass::kDrainOpen);
+  show_fault(link, goldens, "cp.m_srcn", FaultClass::kSourceOpen);
 
   std::printf("\n-- faults only the at-speed BIST sees --\n");
-  show_fault(link, refs, "cp.m_srcp", FaultClass::kDrainSourceShort);
-  show_fault(link, refs, "cp.m_swdnb", FaultClass::kDrainOpen);
-  show_fault(link, refs, "cp.m_a_inp", FaultClass::kDrainOpen);
+  show_fault(link, goldens, "cp.m_srcp", FaultClass::kDrainSourceShort);
+  show_fault(link, goldens, "cp.m_swdnb", FaultClass::kDrainOpen);
+  show_fault(link, goldens, "cp.m_a_inp", FaultClass::kDrainOpen);
 
   std::printf("\n-- genuine escapes (redundant or function-preserving) --\n");
-  show_fault(link, refs, "cp.m_bpd", FaultClass::kGateDrainShort);
-  show_fault(link, refs, "cp.m_serp", FaultClass::kDrainSourceShort);
+  show_fault(link, goldens, "cp.m_bpd", FaultClass::kGateDrainShort);
+  show_fault(link, goldens, "cp.m_serp", FaultClass::kDrainSourceShort);
   return 0;
 }

@@ -12,19 +12,6 @@ using spice::NodeId;
 using spice::Resistor;
 using spice::VSource;
 
-bool LinkObservation::strong_mismatch(double a, double b, double vdd) {
-  const double hi = 2.0 * vdd / 3.0;
-  const double lo = vdd / 3.0;
-  return (a > hi && b < lo) || (a < lo && b > hi);
-}
-
-bool LinkObservation::same_static(const LinkObservation& o) const {
-  for (std::size_t b = kPHi; b <= kVcLo; ++b) {
-    if (strong_mismatch(volts[b], o.volts[b], vdd)) return false;
-  }
-  return true;
-}
-
 std::string LinkObservation::str() const {
   std::ostringstream os;
   auto c = [&](Bit b) { return is_high(b) ? '1' : '0'; };

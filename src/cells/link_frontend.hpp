@@ -39,9 +39,11 @@ struct LinkFrontendSpec {
 
 /// Digital observation points: every comparator decision the DFT logic
 /// can capture into a scan flop. Raw output voltages are kept so that
-/// comparisons can demand a *strong* 1-vs-0 disagreement: a comparator
-/// balancing in its linear region (e.g. the Vc window comparator at the
-/// closed-loop regulation point) must not register as a detection.
+/// the DFT stages can mark mid-rail outputs (dft::observation_marks'
+/// guard bands at 1/3 and 2/3 of the rail) and demand a *strong* 1-vs-0
+/// disagreement: a comparator balancing in its linear region (e.g. the
+/// Vc window comparator at the closed-loop regulation point) must not
+/// register as a detection.
 struct LinkObservation {
   enum Bit : std::size_t {
     kPHi = 0,   // P-arm window comparator vs bias
@@ -70,15 +72,6 @@ struct LinkObservation {
   bool vc_lo() const { return is_high(kVcLo); }
   bool bist_hi() const { return is_high(kBistHi); }
   bool bist_lo() const { return is_high(kBistLo); }
-
-  /// True when one voltage is a solid 1 and the other a solid 0 (guard
-  /// bands at 2/3 and 1/3 of the rail).
-  static bool strong_mismatch(double a, double b, double vdd);
-
-  /// Comparison over the bits the DC and scan tests can strobe (the
-  /// CP-BIST comparator only carries meaning after lock, so the at-speed
-  /// BIST owns it). True when NO strobed bit strongly mismatches.
-  bool same_static(const LinkObservation& o) const;
 
   std::string str() const;
 };

@@ -12,25 +12,14 @@ TestableLink::TestableLink(const TestableLinkConfig& config)
 SelfTestResult TestableLink::self_test() const {
   SelfTestResult r;
 
-  // DC test runs with the coarse loop closed (mission operating point).
+  // The golden machine's own stage outcomes, every sub-stage run (full
+  // evaluation). The DC test runs with the coarse loop closed (mission
+  // operating point).
   cells::LinkFrontendSpec closed = config_.analog;
   closed.close_coarse_loop = true;
-  const cells::LinkFrontend fe_closed(closed);
-  const dft::DcTestReference dc_ref = dft::dc_test_reference(fe_closed);
-  if (dc_ref.valid) {
-    const auto dc = dft::run_dc_test(fe_closed, dc_ref);
-    r.dc_pass = !dc.detected;
-  }
-
-  const dft::ScanTestReference scan_ref = dft::scan_test_reference(frontend_);
-  const auto scan = dft::run_scan_test(frontend_, scan_ref);
-  r.scan_pass = !scan.detected;
-
-  const dft::BistTestReference bist_ref = dft::bist_test_reference(frontend_, config_.behavioral);
-  if (bist_ref.valid) {
-    const auto bist = dft::run_bist_test(frontend_, bist_ref);
-    r.bist_pass = !bist.detected;
-  }
+  r.dc_pass = !dft::run_dc_test(cells::LinkFrontend(closed), {}, {}, nullptr, true).anomalous;
+  r.scan_pass = !dft::run_scan_test(frontend_, {}, {}, {}, nullptr, true).anomalous;
+  r.bist_pass = dft::bist_test_reference(frontend_, config_.behavioral).valid;
   return r;
 }
 

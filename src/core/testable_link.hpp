@@ -27,7 +27,9 @@
 namespace lsl::core {
 
 /// Golden self-test outcome: every test procedure run on the healthy
-/// link, as a production part would see at time zero.
+/// link, as a production part would see at time zero. A stage passes
+/// when every golden sub-stage solves; the BIST must also pass its own
+/// verdict.
 struct SelfTestResult {
   bool dc_pass = false;
   bool scan_pass = false;
@@ -46,7 +48,8 @@ class TestableLink {
  public:
   explicit TestableLink(const TestableLinkConfig& config = {});
 
-  /// Runs the three test procedures on the healthy link.
+  /// Runs the three test procedures on the healthy link: every golden
+  /// sub-stage must solve and the golden BIST verdict must pass.
   SelfTestResult self_test() const;
 
   /// Full structural-fault campaign (Table I, Section IV).

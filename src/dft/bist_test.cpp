@@ -41,21 +41,51 @@ bool read_cp_bist_bits(const cells::LinkFrontend& fe_in, double vc, bool& hi, bo
   return true;
 }
 
+namespace {
+
+/// Strobes the CP-BIST readout at each Vc level and records it as one
+/// kSubCpBistRead observation ('!!' for a level that failed to solve),
+/// stopping at the first failed level unless `full_evaluation`.
+void record_cp_bist_readout(StageOutcome& out, const cells::LinkFrontend& fe,
+                            const spice::DcOptions& solve, const spice::SolveHints* hints,
+                            bool full_evaluation) {
+  std::string marks;
+  bool failed = false;
+  spice::SolveStatus status = spice::SolveStatus::kConverged;
+  for (const double vc : cp_bist_vc_levels()) {
+    if (failed && !full_evaluation) break;
+    bool hi = false;
+    bool lo = false;
+    if (read_cp_bist_bits(fe, vc, hi, lo, solve, failed ? nullptr : &status, &out.iterations,
+                          hints)) {
+      marks += {hi ? '1' : '0', lo ? '1' : '0'};
+    } else {
+      marks += "!!";
+      failed = true;
+    }
+  }
+  out.record(kSubCpBistRead, marks, status);
+}
+
+}  // namespace
+
 BistTestReference bist_test_reference(const cells::LinkFrontend& golden,
                                       const lsl::link::LinkParams& base,
                                       const spice::SolveHints* hints) {
   BistTestReference ref;
   ref.golden = fault::measure_frontend(golden, {}, hints);
   ref.base = with_preload(base);
-  if (!ref.golden.converged) return ref;
-  const auto& levels = cp_bist_vc_levels();
-  for (std::size_t i = 0; i < levels.size(); ++i) {
-    auto& [hi, lo] = ref.bist_bits[i];
-    if (!read_cp_bist_bits(golden, levels[i], hi, lo, {}, nullptr, nullptr, hints)) return ref;
+  if (ref.golden.converged) {
+    lsl::link::Link link(ref.base);
+    ref.verdict = link.run_bist(kBistSeed);
+    ref.outcome.record(kSubBistVerdict, signature_marks(ref.verdict), ref.golden.status);
+    record_cp_bist_readout(ref.outcome, golden, {}, hints, false);
+  } else {
+    ref.outcome.record(kSubBistVerdict, std::string(kSubStageMarkWidth[kSubBistVerdict], '!'),
+                       ref.golden.status);
   }
-  lsl::link::Link link(ref.base);
-  ref.verdict = link.run_bist(kBistSeed);
-  ref.valid = ref.verdict.pass();
+  ref.outcome.finish(kStageBist);
+  ref.valid = !ref.outcome.anomalous && ref.verdict.pass();
   return ref;
 }
 
@@ -68,6 +98,7 @@ BistTestOutcome run_bist_test(const cells::LinkFrontend& fe, const BistTestRefer
                               const spice::DcOptions& solve, const spice::SolveHints* hints,
                               bool full_evaluation) {
   BistTestOutcome out;
+  out.golden = &ref.outcome;
   const fault::FrontendMeasurements m = fault::measure_frontend(fe, solve, hints);
   out.iterations += m.iterations;
   const fault::BehavioralSignature sig = fault::derive_signature(ref.golden, m);
@@ -76,34 +107,19 @@ BistTestOutcome run_bist_test(const cells::LinkFrontend& fe, const BistTestRefer
   // quarantines it instead of claiming a detection.
   if (sig.characterized) {
     lsl::link::Link link(fault::apply_signature(ref.base, sig));
-    out.verdict = link.run_bist(kBistSeed);
+    out.record(kSubBistVerdict, signature_marks(link.run_bist(kBistSeed)), sig.status);
+  } else {
+    out.record(kSubBistVerdict, std::string(kSubStageMarkWidth[kSubBistVerdict], '!'),
+               sig.status);
   }
-  out.record(kSubBistVerdict,
-             sig.characterized ? signature_marks(out.verdict)
-                               : std::string(kSubStageMarkWidth[kSubBistVerdict], '!'),
-             sig.characterized && !out.verdict.pass(), !sig.characterized, sig.status);
 
   // Post-lock structural readout of the CP-BIST comparator (Fig 9): the
   // balance node must track Vc across the window, so the readout strobes
   // several locked Vc levels on the faulted netlist.
   if (sig.characterized || full_evaluation) {
-    const auto& levels = cp_bist_vc_levels();
-    std::array<std::pair<bool, bool>, 3> bits{};
-    std::string marks;
-    bool failed = false;
-    spice::SolveStatus status = spice::SolveStatus::kConverged;
-    for (std::size_t i = 0; i < levels.size() && !(failed && !full_evaluation); ++i) {
-      if (read_cp_bist_bits(fe, levels[i], bits[i].first, bits[i].second, solve,
-                            failed ? nullptr : &status, &out.iterations, hints)) {
-        marks += {bits[i].first ? '1' : '0', bits[i].second ? '1' : '0'};
-      } else {
-        marks += "!!";
-        failed = true;
-      }
-    }
-    out.record(kSubCpBistRead, marks, !failed && bits != ref.bist_bits, failed, status);
+    record_cp_bist_readout(out, fe, solve, hints, full_evaluation);
   }
-  out.finish({kSubBistVerdict, kSubCpBistRead});
+  out.finish(kStageBist);
   return out;
 }
 

@@ -11,7 +11,6 @@
 
 #include <array>
 #include <string>
-#include <utility>
 
 #include "cells/link_frontend.hpp"
 #include "dft/stage_outcome.hpp"
@@ -21,21 +20,20 @@
 
 namespace lsl::dft {
 
-struct BistTestOutcome : StageOutcome {
-  /// The at-speed BIST result (default-constructed when the faulted
-  /// circuit could not be characterized).
-  lsl::link::BistVerdict verdict;
-};
+using BistTestOutcome = StageOutcome;
 
 struct BistTestReference {
   fault::FrontendMeasurements golden;
   lsl::link::LinkParams base;       // healthy behavioral parameters
   lsl::link::BistVerdict verdict;   // golden BIST result (must pass)
-  /// CP-BIST comparator bits read from the structural netlist at a set
-  /// of locked operating points — lock can settle anywhere inside the
-  /// window, and Vp must track Vc across all of it, so the readout
-  /// strobes several Vc levels. One (hi, lo) pair per level.
-  std::array<std::pair<bool, bool>, 3> bist_bits{};
+  /// The golden machine's own BIST outcome: the marks of `verdict` and
+  /// of the CP-BIST comparator bits read from the structural netlist at
+  /// a set of locked operating points — lock can settle anywhere inside
+  /// the window, and Vp must track Vc across all of it, so the readout
+  /// strobes several Vc levels. run_bist_test compares a fault's marks
+  /// with these.
+  StageOutcome outcome;
+  /// Every golden solve converged and the golden verdict passes.
   bool valid = false;
 };
 
@@ -52,8 +50,9 @@ bool read_cp_bist_bits(const cells::LinkFrontend& fe, double vc, bool& hi, bool&
                        spice::SolveStatus* status = nullptr, long* iterations = nullptr,
                        const spice::SolveHints* hints = nullptr);
 
-/// Captures the golden measurements and verifies the healthy BIST
-/// passes. The BIST scan-preloads a far-off coarse phase so acquisition
+/// Captures the golden measurements, runs the healthy BIST and reads
+/// the golden CP-BIST bits (stopping at the first level that fails to
+/// solve). The BIST scan-preloads a far-off coarse phase so acquisition
 /// is genuinely exercised.
 BistTestReference bist_test_reference(const cells::LinkFrontend& golden,
                                       const lsl::link::LinkParams& base = {},
@@ -65,7 +64,8 @@ std::string signature_marks(const lsl::link::BistVerdict& verdict);
 
 /// Characterizes the faulted frontend and runs the at-speed BIST
 /// (sub-stage kSubBistVerdict), then strobes the CP-BIST readout at
-/// each Vc level (kSubCpBistRead). `solve` threads per-fault budgets
+/// each Vc level (kSubCpBistRead), each compared with the golden's
+/// `ref.outcome`. `solve` threads per-fault budgets
 /// into the characterization solves. A characterization that fails to
 /// solve ends the test, and so does the first readout level that fails,
 /// unless `full_evaluation` asks for every sub-stage and level anyway.

@@ -67,15 +67,31 @@ double seconds_since(Clock::time_point start) {
 }
 
 /// The stage detection bits and the anomalous flag of a single-variant
-/// outcome, from its sub-stage record (each stage's own rule, see
-/// stage_detects).
+/// outcome, from its sub-stage record (stage_detects over each stage's
+/// run order).
 void settle_stages(FaultOutcome& o) {
   const unsigned det = o.substages_detected;
   const unsigned fail = o.substages_failed;
-  o.dc = stage_detects(det, fail, {kSubDc});
-  o.scan = stage_detects(det, fail, {kSubCpScan, kSubScanStatic, kSubToggle});
-  o.bist = stage_detects(det, fail, {kSubBistVerdict, kSubCpBistRead});
+  o.dc = stage_detects(det, fail, kStageRunOrder[kStageDc]);
+  o.scan = stage_detects(det, fail, kStageRunOrder[kStageScan]);
+  o.bist = stage_detects(det, fail, kStageRunOrder[kStageBist]);
   o.anomalous = fail != 0;
+}
+
+/// FaultOutcome::observed's layout: the marks of every sub-stage the
+/// options enable, in SubStage order, each '-'-padded to its width (the
+/// sub-stages the options disable leave no marks).
+std::string observed_marks(std::array<std::string, kSubStageCount> marks,
+                           const CampaignOptions& opts) {
+  const unsigned enabled = kAllSubStages & ~(opts.with_scan_toggle ? 0u : sub_bit(kSubToggle)) &
+                           ~(opts.with_bist ? 0u : kBistSubStages);
+  std::string observed;
+  for (unsigned s = 0; s < kSubStageCount; ++s) {
+    if ((enabled & (1u << s)) == 0) continue;
+    marks[s].resize(std::max(marks[s].size(), kSubStageMarkWidth[s]), '-');
+    observed += marks[s];
+  }
+  return observed;
 }
 
 /// Runs DC, then scan, then BIST (when enabled) — the order of the
@@ -85,8 +101,8 @@ void settle_stages(FaultOutcome& o) {
 /// and failed solves), so `observed` holds every observation. Fills the
 /// outcome's stage fields.
 FaultOutcome run_stages(const cells::LinkFrontend& faulty_closed,
-                        const cells::LinkFrontend& faulty, const DcTestReference& dc_ref,
-                        const ScanTestReference& scan_ref, const BistTestReference& bist_ref,
+                        const cells::LinkFrontend& faulty, const StageOutcome& dc_golden,
+                        const StageOutcome& scan_golden, const BistTestReference& bist_ref,
                         const CampaignOptions& opts, Clock::time_point start, bool short_circuit,
                         const spice::SolveHints* hints) {
   FaultOutcome r;
@@ -108,24 +124,25 @@ FaultOutcome run_stages(const cells::LinkFrontend& faulty_closed,
 
   static util::Counter& stage_skips = util::metrics().counter("campaign.stage_skips");
 
-  // Stage k (0 = DC, 1 = scan, 2 = BIST) records bit 1 << k in stages_run.
-  static_assert(kStageBitDc == 1u << 0 && kStageBitScan == 1u << 1 && kStageBitBist == 1u << 2);
+  // Stage k records bit 1 << k in stages_run.
+  static_assert(kStageBitDc == 1u << kStageDc && kStageBitScan == 1u << kStageScan &&
+                kStageBitBist == 1u << kStageBist);
   const bool full = !opts.adaptive_stage_order;
   std::array<std::string, kSubStageCount> marks;
   spice::DcOptions solve;
   double left = 0.0;
-  const int n_stages = opts.with_bist ? 3 : 2;
-  for (int stage = 0; stage < n_stages; ++stage) {
+  const unsigned n_stages = opts.with_bist ? kStageCount : kStageBist;
+  for (unsigned stage = kStageDc; stage < n_stages; ++stage) {
     if (!remaining(left) || !iter_budget_ok()) {
       r.budget_blown = true;
       break;
     }
     solve.timeout_sec = left;
     const StageOutcome o = [&]() -> StageOutcome {
-      if (stage == 0) return run_dc_test(faulty_closed, dc_ref, solve, hints, full);
-      if (stage == 1) {
-        return run_scan_test(faulty, scan_ref, ToggleOptions{.timeout_sec = left}, solve, hints,
-                             full);
+      if (stage == kStageDc) return run_dc_test(faulty_closed, dc_golden, solve, hints, full);
+      if (stage == kStageScan) {
+        return run_scan_test(faulty, scan_golden, ToggleOptions{.timeout_sec = left}, solve,
+                             hints, full, opts.with_scan_toggle);
       }
       return run_bist_test(faulty, bist_ref, solve, hints, full);
     }();
@@ -148,29 +165,9 @@ FaultOutcome run_stages(const cells::LinkFrontend& faulty_closed,
     }
   }
   if (!iter_budget_ok()) r.budget_blown = true;
-  // Sub-stages the options disable leave no marks; '-' marks pad what
-  // did not run of the enabled ones.
-  const unsigned enabled = kAllSubStages & ~(opts.with_scan_toggle ? 0u : sub_bit(kSubToggle)) &
-                           ~(opts.with_bist ? 0u : kBistSubStages);
-  for (unsigned s = 0; s < kSubStageCount; ++s) {
-    if ((enabled & (1u << s)) == 0) continue;
-    marks[s].resize(std::max(marks[s].size(), kSubStageMarkWidth[s]), '-');
-    r.observed += marks[s];
-  }
+  r.observed = observed_marks(std::move(marks), opts);
   settle_stages(r);
   return r;
-}
-
-/// The golden machine's observations in FaultOutcome::observed's layout,
-/// read off the references (which ran the same captures on the golden).
-std::string golden_observation(const DcTestReference& dc, const ScanTestReference& scan,
-                               const BistTestReference* bist) {
-  std::string g = dc.valid ? observation_marks(dc.obs1) + observation_marks(dc.obs0)
-                           : std::string(kSubStageMarkWidth[kSubDc], '!');
-  g += signature_marks(scan.cp) + signature_marks(scan.stat);
-  if (scan.with_toggle) g += signature_marks(scan.toggle);
-  if (bist != nullptr) g += pair_marks(bist->bist_bits) + signature_marks(bist->verdict);
-  return g;
 }
 
 FaultVerdict classify(const FaultOutcome& o) {
@@ -298,8 +295,8 @@ struct FaultSimContext {
   const cells::LinkFrontend* golden_closed = nullptr;
   spice::NodeId vdd = spice::kGround;
   spice::NodeId vdd_closed = spice::kGround;
-  const DcTestReference* dc_ref = nullptr;
-  const ScanTestReference* scan_ref = nullptr;
+  const StageOutcome* dc_golden = nullptr;
+  const StageOutcome* scan_golden = nullptr;
   const BistTestReference* bist_ref = nullptr;
   const CampaignOptions* opts = nullptr;
   /// Golden warm-start seeds, immutable and shared read-only across
@@ -335,8 +332,8 @@ FaultOutcome simulate_fault(const FaultSimContext& ctx, const StructuralFault& f
     }
     spice::SolveHints hints;
     hints.seeds = ctx.seeds;
-    return run_stages(faulty_closed, faulty, *ctx.dc_ref, *ctx.scan_ref, *ctx.bist_ref, opts,
-                      fault_start, short_circuit, &hints);
+    return run_stages(faulty_closed, faulty, *ctx.dc_golden, *ctx.scan_golden, *ctx.bist_ref,
+                      opts, fault_start, short_circuit, &hints);
   };
 
   // Survival guarantee: nothing a single fault does — divergence,
@@ -551,8 +548,10 @@ CampaignReport run_campaign(const cells::LinkFrontend& golden, const CampaignOpt
   const cells::LinkFrontend golden_closed(closed_spec);
   const auto vdd_closed = *golden_closed.netlist().find_node("vdd");
 
-  // Golden-state reuse: the reference builders solve every stage
-  // stimulus once on the healthy netlist anyway; capture those converged
+  // The golden machine is one more run of the stage functions, in full
+  // evaluation; every fault's sub-stages are compared with its outcomes.
+  // Golden-state reuse: those runs solve every stage stimulus once on
+  // the healthy netlist anyway; capture those converged
   // solutions into a seed bank so every faulted solve can warm-start
   // from the matching golden operating point. The bank is written only
   // here, then frozen behind a const pointer and shared read-only by
@@ -566,18 +565,26 @@ CampaignReport run_campaign(const cells::LinkFrontend& golden, const CampaignOpt
     ref_hints = &capture_hints;
   }
 
-  const DcTestReference dc_ref = dc_test_reference(golden_closed, ref_hints);
-  ScanTestReference scan_ref =
-      scan_test_reference(golden, opts.with_scan_toggle, {}, ref_hints);
+  const StageOutcome dc_golden = run_dc_test(golden_closed, {}, {}, ref_hints, true);
+  const StageOutcome scan_golden =
+      run_scan_test(golden, {}, {}, {}, ref_hints, true, opts.with_scan_toggle);
   BistTestReference bist_ref;
   if (opts.with_bist) {
     bist_ref = bist_test_reference(golden, {}, ref_hints);
     if (!bist_ref.valid) {
-      util::log_warn("campaign: golden BIST reference does not pass; BIST detections disabled");
+      util::log_warn("campaign: golden BIST does not pass (readout " +
+                     bist_ref.outcome.marks[kSubCpBistRead] + ", verdict " +
+                     bist_ref.outcome.marks[kSubBistVerdict] +
+                     "); a fault's BIST detects only where its marks conflict with these "
+                     "('!' conflicts with nothing)");
     }
   }
-  report.golden_observed =
-      golden_observation(dc_ref, scan_ref, opts.with_bist ? &bist_ref : nullptr);
+  std::array<std::string, kSubStageCount> golden_marks;
+  for (const StageOutcome* g :
+       std::array<const StageOutcome*, kStageCount>{&dc_golden, &scan_golden, &bist_ref.outcome}) {
+    for (unsigned s = 0; s < kSubStageCount; ++s) golden_marks[s] += g->marks[s];
+  }
+  report.golden_observed = observed_marks(std::move(golden_marks), opts);
   ref_span.close();
   // Freeze the bank: from here on only const access, safe to share.
   const std::shared_ptr<const spice::SeedBank> frozen_seeds = seed_bank;
@@ -623,8 +630,8 @@ CampaignReport run_campaign(const cells::LinkFrontend& golden, const CampaignOpt
     ws->ctx.golden_closed = &ws->golden_closed;
     ws->ctx.vdd = vdd;
     ws->ctx.vdd_closed = vdd_closed;
-    ws->ctx.dc_ref = &dc_ref;
-    ws->ctx.scan_ref = &scan_ref;
+    ws->ctx.dc_golden = &dc_golden;
+    ws->ctx.scan_golden = &scan_golden;
     ws->ctx.bist_ref = &bist_ref;
     ws->ctx.opts = &opts;
     ws->ctx.seeds = frozen_seeds.get();

@@ -129,7 +129,7 @@ struct CampaignOptions {
   // inherent to budgets, not to the mechanisms.
 
   /// Capture the golden operating points once per stage stimulus while
-  /// building the references, share them read-only (immutable SeedBank)
+  /// running the golden machine, share them read-only (immutable SeedBank)
   /// across workers, and warm-start every faulted solve from the golden
   /// solution ("golden-warm-start" ladder rung; failures fall through
   /// to the unchanged cold-start ladder).
@@ -252,7 +252,8 @@ struct CampaignReport {
   /// fault; the checkpoint file holds the completed prefix.
   bool complete = true;
   std::vector<FaultOutcome> outcomes;
-  /// The golden machine's `observed`, read off the stage references.
+  /// The golden machine's `observed`: its own stage outcomes, laid out
+  /// by the same code as every fault's.
   std::string golden_observed;
 
   std::vector<const FaultOutcome*> undetected() const;

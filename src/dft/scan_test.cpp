@@ -159,17 +159,6 @@ ToggleSignature toggle_signature(const LinkFrontend& fe_in, const ToggleOptions&
   return sig;
 }
 
-ScanTestReference scan_test_reference(const LinkFrontend& golden, bool with_toggle,
-                                      const ToggleOptions& topts,
-                                      const spice::SolveHints* hints) {
-  ScanTestReference ref;
-  ref.cp = cp_scan_signature(golden, {}, hints);
-  ref.stat = scan_static_signature(golden, {}, hints);
-  ref.with_toggle = with_toggle;
-  if (with_toggle) ref.toggle = toggle_signature(golden, topts, {}, hints);
-  return ref;
-}
-
 std::string signature_marks(const CpScanSignature& sig) {
   return sig.valid ? pair_marks(sig.window) : std::string(kSubStageMarkWidth[kSubCpScan], '!');
 }
@@ -189,31 +178,29 @@ std::string signature_marks(const ToggleSignature& sig) {
 
 namespace {
 
-/// Records one capture as a scan sub-stage (a mismatch on an invalid
-/// capture is no detection).
+/// Records one capture as a scan sub-stage.
 template <class Signature>
-void record_capture(ScanTestOutcome& out, SubStage s, const Signature& sig, bool mismatch) {
+void record_capture(ScanTestOutcome& out, SubStage s, const Signature& sig) {
   out.iterations += sig.iterations;
-  out.record(s, signature_marks(sig), sig.valid && mismatch, !sig.valid, sig.status);
+  out.record(s, signature_marks(sig), sig.status);
 }
 
 }  // namespace
 
-ScanTestOutcome run_scan_test(const LinkFrontend& fe, const ScanTestReference& ref,
+ScanTestOutcome run_scan_test(const LinkFrontend& fe, const ScanTestOutcome& golden,
                               const ToggleOptions& topts, const spice::DcOptions& solve,
-                              const spice::SolveHints* hints, bool full_evaluation) {
+                              const spice::SolveHints* hints, bool full_evaluation,
+                              bool with_toggle) {
   ScanTestOutcome out;
-  const CpScanSignature cp = cp_scan_signature(fe, solve, hints);
-  record_capture(out, kSubCpScan, cp, ref.cp.valid && !(cp == ref.cp));
+  out.golden = &golden;
+  record_capture(out, kSubCpScan, cp_scan_signature(fe, solve, hints));
   if (!out.stops(full_evaluation)) {
-    const ScanStaticSignature stat = scan_static_signature(fe, solve, hints);
-    record_capture(out, kSubScanStatic, stat, ref.stat.valid && !stat.matches(ref.stat));
+    record_capture(out, kSubScanStatic, scan_static_signature(fe, solve, hints));
   }
-  if (ref.with_toggle && !out.stops(full_evaluation)) {
-    const ToggleSignature tog = toggle_signature(fe, topts, solve, hints);
-    record_capture(out, kSubToggle, tog, ref.toggle.valid && !(tog == ref.toggle));
+  if (with_toggle && !out.stops(full_evaluation)) {
+    record_capture(out, kSubToggle, toggle_signature(fe, topts, solve, hints));
   }
-  out.finish({kSubCpScan, kSubScanStatic, kSubToggle});
+  out.finish(kStageScan);
   return out;
 }
 

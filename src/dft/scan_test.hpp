@@ -44,7 +44,6 @@ struct CpScanSignature {
   bool valid = false;
   spice::SolveStatus status = spice::SolveStatus::kConverged;
   long iterations = 0;
-  bool operator==(const CpScanSignature& o) const { return window == o.window; }
 };
 
 /// `hints` (here and below, optional): golden warm-start seeds and seed
@@ -63,11 +62,6 @@ struct ScanStaticSignature {
   bool valid = false;
   spice::SolveStatus status = spice::SolveStatus::kConverged;
   long iterations = 0;
-  /// Scan strobes the same static comparator bits as the DC test (the
-  /// CP-BIST bits belong to the post-lock BIST readout).
-  bool matches(const ScanStaticSignature& o) const {
-    return obs1.same_static(o.obs1) && obs0.same_static(o.obs0);
-  }
 };
 
 /// Seed keys: "scan.static.1" / "scan.static.0".
@@ -83,9 +77,6 @@ struct ToggleSignature {
   bool valid = false;
   spice::SolveStatus status = spice::SolveStatus::kConverged;
   long iterations = 0;
-  bool operator==(const ToggleSignature& o) const {
-    return data_hi == o.data_hi && data_lo == o.data_lo;
-  }
 };
 
 struct ToggleOptions {
@@ -116,28 +107,18 @@ std::string signature_marks(const CpScanSignature& sig);
 std::string signature_marks(const ScanStaticSignature& sig);
 std::string signature_marks(const ToggleSignature& sig);
 
-/// Reference bundle captured once on the golden frontend.
-struct ScanTestReference {
-  CpScanSignature cp;
-  ScanStaticSignature stat;
-  ToggleSignature toggle;
-  bool with_toggle = true;
-};
-
-ScanTestReference scan_test_reference(const cells::LinkFrontend& golden, bool with_toggle = true,
-                                      const ToggleOptions& topts = {},
-                                      const spice::SolveHints* hints = nullptr);
-
-/// Full scan test of a (faulted) frontend against the reference:
-/// sub-stages kSubCpScan, kSubScanStatic, kSubToggle (when the reference
-/// has it), in that order. `solve` threads per-fault budgets into every
-/// DC solve and the transient's per-step Newton. The test stops at the
-/// first sub-stage that detects or fails to solve, unless
-/// `full_evaluation` asks for every sub-stage anyway.
-ScanTestOutcome run_scan_test(const cells::LinkFrontend& fe, const ScanTestReference& ref,
+/// Full scan test of a (faulted) frontend: sub-stages kSubCpScan,
+/// kSubScanStatic and, with `with_toggle`, kSubToggle, in that order,
+/// each compared with `golden` — the outcome of this same function on
+/// the golden frontend (pass an empty outcome, {}, to run the golden
+/// itself). `solve` threads per-fault budgets into every DC solve and
+/// the transient's per-step Newton. The test stops at the first
+/// sub-stage that detects or fails to solve, unless `full_evaluation`
+/// asks for every sub-stage anyway.
+ScanTestOutcome run_scan_test(const cells::LinkFrontend& fe, const ScanTestOutcome& golden,
                               const ToggleOptions& topts = {},
                               const spice::DcOptions& solve = {},
                               const spice::SolveHints* hints = nullptr,
-                              bool full_evaluation = false);
+                              bool full_evaluation = false, bool with_toggle = true);
 
 }  // namespace lsl::dft

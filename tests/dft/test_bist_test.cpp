@@ -37,6 +37,11 @@ BistTestReference* BistTestFixture::ref_ = nullptr;
 TEST_F(BistTestFixture, GoldenReferencePasses) {
   ASSERT_TRUE(ref_->valid);
   EXPECT_TRUE(ref_->verdict.pass());
+  // The golden's own outcome records the verdict and readout as marks.
+  EXPECT_FALSE(ref_->outcome.anomalous);
+  EXPECT_EQ(ref_->outcome.marks[kSubBistVerdict], "1111");
+  EXPECT_EQ(ref_->outcome.marks[kSubCpBistRead].size(), 2 * cp_bist_vc_levels().size());
+  EXPECT_EQ(ref_->outcome.marks[kSubCpBistRead].find_first_not_of("01"), std::string::npos);
 }
 
 TEST_F(BistTestFixture, GoldenFrontendPassesBist) {

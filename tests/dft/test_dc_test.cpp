@@ -15,7 +15,7 @@ class DcTestFixture : public ::testing::Test {
     cells::LinkFrontendSpec spec;
     spec.close_coarse_loop = true;
     golden_ = new cells::LinkFrontend(spec);
-    ref_ = new DcTestReference(dc_test_reference(*golden_));
+    ref_ = new DcTestOutcome(run_dc_test(*golden_, {}, {}, nullptr, /*full_evaluation=*/true));
   }
   static void TearDownTestSuite() {
     delete golden_;
@@ -33,23 +33,26 @@ class DcTestFixture : public ::testing::Test {
   }
 
   static cells::LinkFrontend* golden_;
-  static DcTestReference* ref_;
+  static DcTestOutcome* ref_;
 };
 
 cells::LinkFrontend* DcTestFixture::golden_ = nullptr;
-DcTestReference* DcTestFixture::ref_ = nullptr;
+DcTestOutcome* DcTestFixture::ref_ = nullptr;
 
 TEST_F(DcTestFixture, ReferenceIsValidAndToggles) {
-  ASSERT_TRUE(ref_->valid);
+  using Obs = cells::LinkObservation;
+  ASSERT_FALSE(ref_->anomalous);
+  const std::string& m = ref_->marks[kSubDc];
+  ASSERT_EQ(m.size(), 2 * Obs::kBitCount);
   // The data comparators must toggle between the two vectors — the basis
   // of the whole DC test.
   // Data = 1: P arm above the bias, N arm below; data = 0 mirrors.
-  EXPECT_TRUE(ref_->obs1.p_hi());
-  EXPECT_FALSE(ref_->obs1.p_lo());
-  EXPECT_FALSE(ref_->obs1.n_hi());
-  EXPECT_TRUE(ref_->obs1.n_lo());
-  EXPECT_TRUE(ref_->obs0.p_lo());
-  EXPECT_TRUE(ref_->obs0.n_hi());
+  EXPECT_EQ(m[Obs::kPHi], '1');
+  EXPECT_EQ(m[Obs::kPLo], '0');
+  EXPECT_EQ(m[Obs::kNHi], '0');
+  EXPECT_EQ(m[Obs::kNLo], '1');
+  EXPECT_EQ(m[Obs::kBitCount + Obs::kPLo], '1');
+  EXPECT_EQ(m[Obs::kBitCount + Obs::kNHi], '1');
 }
 
 TEST_F(DcTestFixture, GoldenPassesItsOwnTest) {

@@ -11,7 +11,8 @@ class ScanTestFixture : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
     golden_ = new cells::LinkFrontend();
-    ref_ = new ScanTestReference(scan_test_reference(*golden_, /*with_toggle=*/true));
+    ref_ = new ScanTestOutcome(
+        run_scan_test(*golden_, {}, {}, {}, nullptr, /*full_evaluation=*/true));
   }
   static void TearDownTestSuite() {
     delete golden_;
@@ -28,19 +29,21 @@ class ScanTestFixture : public ::testing::Test {
   }
 
   static cells::LinkFrontend* golden_;
-  static ScanTestReference* ref_;
+  static ScanTestOutcome* ref_;
 };
 
 cells::LinkFrontend* ScanTestFixture::golden_ = nullptr;
-ScanTestReference* ScanTestFixture::ref_ = nullptr;
+ScanTestOutcome* ScanTestFixture::ref_ = nullptr;
 
 TEST_F(ScanTestFixture, GoldenCpSignatureMatchesPaperSemantics) {
-  ASSERT_TRUE(ref_->cp.valid);
-  // Combo order: 00, 10 (UP), 01 (DN), 11.
+  ASSERT_EQ(ref_->sub_failed, 0u);
+  // One (hi, lo) mark pair per combo: idle, UP, DN, UPst, DNst.
+  const std::string& m = ref_->marks[kSubCpScan];
+  ASSERT_EQ(m.size(), 10u);
   // UP drives Vc to VDD: the capture sees Vc above VH -> (hi, lo) = (1, 0).
-  EXPECT_EQ(ref_->cp.window[1], (std::pair{true, false}));
+  EXPECT_EQ(m.substr(2, 2), "10");
   // DN drives Vc to GND -> below VL -> (0, 1).
-  EXPECT_EQ(ref_->cp.window[2], (std::pair{false, true}));
+  EXPECT_EQ(m.substr(4, 2), "01");
 }
 
 TEST_F(ScanTestFixture, GoldenPassesItsOwnScanTest) {
@@ -81,17 +84,14 @@ TEST_F(ScanTestFixture, TgateDynamicMismatchCaughtByToggle) {
 }
 
 TEST_F(ScanTestFixture, ToggleSignatureTogglesInGoldenMachine) {
-  ASSERT_TRUE(ref_->toggle.valid);
-  ASSERT_GE(ref_->toggle.data_hi.size(), 4u);
+  // The toggle marks are the data_hi strobes, then the data_lo strobes.
+  const std::string& m = ref_->marks[kSubToggle];
+  ASSERT_EQ(m.find('!'), std::string::npos);
+  ASSERT_GE(m.size(), 8u);
   // The line comparator decisions must alternate with the data.
-  bool any_hi = false;
-  bool any_lo = false;
-  for (std::size_t i = 0; i < ref_->toggle.data_hi.size(); ++i) {
-    any_hi |= ref_->toggle.data_hi[i];
-    any_lo |= ref_->toggle.data_lo[i];
-  }
-  EXPECT_TRUE(any_hi);
-  EXPECT_TRUE(any_lo);
+  const std::size_t half = m.size() / 2;
+  EXPECT_NE(m.substr(0, half).find('1'), std::string::npos);
+  EXPECT_NE(m.substr(half).find('1'), std::string::npos);
 }
 
 }  // namespace
