@@ -14,11 +14,19 @@
 //    `--campaign-incremental` it also gains a leave-one-out section over
 //    the incremental-campaign mechanisms (all off, defaults, defaults
 //    minus each mechanism), min of 5 interleaved runs per config.
+//    Every --json report also carries a `newton_kernels` section: the
+//    per-iteration cost of the sparse Newton solve, layer by layer, on
+//    the TABLE-I fault structures (see run_newton_kernels_report).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -27,7 +35,10 @@
 #include "core/testable_link.hpp"
 #include "dft/campaign.hpp"
 #include "dft/digital_top.hpp"
+#include "fault/structural.hpp"
 #include "link/link.hpp"
+#include "spice/sparse.hpp"
+#include "spice/stamp.hpp"
 #include "spice/transient.hpp"
 #include "spice/workspace.hpp"
 #include "util/metrics.hpp"
@@ -201,6 +212,7 @@ void append_run_json(std::string& out, const char* key, const EngineRun& run) {
 }
 
 std::string run_campaign_incremental_report();
+std::string run_newton_kernels_report();
 
 int run_solver_report(const std::string& json_path, bool compare_dense,
                       bool campaign_incremental) {
@@ -248,6 +260,8 @@ int run_solver_report(const std::string& json_path, bool compare_dense,
     }
     json += "}";
   }
+  json += ",\n";
+  json += run_newton_kernels_report();
   if (campaign_incremental) {
     json += ",\n";
     json += run_campaign_incremental_report();
@@ -420,6 +434,244 @@ std::string run_campaign_incremental_report() {
   time_configs(leave_one_out("table1_", table1), kReps, timed_table1, json);
 
   json += "}";
+  return json;
+}
+
+// ---------------------------------------------------------------------------
+// Newton-kernel ledger (part of every --json report).
+
+/// One TABLE-I fault structure: the faulted open-loop frontend netlist,
+/// its DC operating point, and the same linear system in the shape the
+/// sparse LU takes (CSR pattern, source-paired row map, RHS), rebuilt
+/// here from the dense stamp so the LU kernels can be timed alone.
+struct KernelSystem {
+  lsl::spice::Netlist nl;
+  std::vector<double> x;
+  lsl::spice::SparseMatrix a;
+  std::size_t n_volts = 0;
+  std::vector<std::size_t> row_map;
+  std::vector<double> b;
+};
+
+KernelSystem kernel_system(lsl::spice::Netlist nl, const std::vector<double>& x_op) {
+  using namespace lsl::spice;
+  KernelSystem k;
+  k.nl = std::move(nl);
+  k.nl.reindex();
+  const std::size_t n = k.nl.unknown_count();
+  k.x = x_op;
+  k.x.resize(n, 0.0);
+  k.n_volts = k.nl.node_count() - 1;
+  StampContext ctx;
+  ctx.nl = &k.nl;
+  Matrix g;
+  stamp_system(ctx, k.x, g, k.b);
+  k.a.begin_pattern(n);
+  for (std::size_t r = 0; r < n; ++r) {
+    for (std::size_t c = 0; c < n; ++c) {
+      if (g.at(r, c) != 0.0) k.a.note(r, c);
+    }
+  }
+  k.a.finalize_pattern();
+  for (std::size_t r = 0; r < n; ++r) {
+    for (std::size_t c = 0; c < n; ++c) {
+      const std::size_t s = k.a.slot(r, c);
+      if (s != kNoSlot) k.a.values()[s] = g.at(r, c);
+    }
+  }
+  // Source pairing: each V/E branch row swaps with the KCL row of its
+  // first free terminal, as the solver workspace does.
+  k.row_map.resize(n);
+  std::iota(k.row_map.begin(), k.row_map.end(), std::size_t{0});
+  const auto& devices = k.nl.devices();
+  for (std::size_t di = 0; di < devices.size(); ++di) {
+    if (!devices[di].enabled) continue;
+    NodeId p = kGround;
+    NodeId m = kGround;
+    if (const auto* vs = std::get_if<VSource>(&devices[di].impl)) {
+      p = vs->p;
+      m = vs->n;
+    } else if (const auto* e = std::get_if<Vcvs>(&devices[di].impl)) {
+      p = e->p;
+      m = e->n;
+    } else {
+      continue;
+    }
+    const std::size_t bi = k.nl.branch_index(di);
+    for (const NodeId node : {p, m}) {
+      if (node == kGround) continue;
+      const std::size_t v = k.nl.voltage_index(node);
+      if (k.row_map[v] != v) continue;
+      k.row_map[v] = bi;
+      k.row_map[bi] = v;
+      break;
+    }
+  }
+  return k;
+}
+
+/// The solver workspace's backward-error gate, on the rebuilt system.
+bool residual_gate(const lsl::spice::SparseMatrix& a, const std::vector<double>& b,
+                   const std::vector<double>& x) {
+  const auto& rp = a.row_ptr();
+  const auto& ci = a.col_idx();
+  const auto& av = a.values();
+  for (std::size_t i = 0; i < a.dim(); ++i) {
+    double acc = -b[i];
+    double scale = std::fabs(b[i]);
+    for (std::size_t s = rp[i]; s < rp[i + 1]; ++s) {
+      const double term = av[s] * x[ci[s]];
+      acc += term;
+      scale += std::fabs(term);
+    }
+    if (!(std::fabs(acc) <= 1e-8 * scale + 1e-30)) return false;
+  }
+  return true;
+}
+
+void hash_bits(std::uint64_t& h, const std::vector<double>& v) {
+  for (const double d : v) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &d, sizeof(bits));
+    for (int i = 0; i < 8; ++i) {
+      h ^= (bits >> (8 * i)) & 0xffu;
+      h *= 1099511628211ull;
+    }
+  }
+}
+
+/// Per-iteration cost of the sparse Newton solve on the TABLE-I fault
+/// structures (every structural fault of the open-loop frontend, gate
+/// opens with their bulk leak), each linearized at its DC operating
+/// point. Ten interleaved repetitions, each over every structure:
+///  - symbolic_build_us: a fresh workspace's first Newton solve minus
+///    its second, i.e. what a new structure adds (pattern, ordering,
+///    fill, device tables, linear base);
+///  - stamp_us / newton_us: a warm workspace's stamp time and whole
+///    solve (stamp + factor + triangular solve + residual gate) per
+///    iteration, from the detailed-timing diagnostics;
+///  - factor_us / solve_gate_us: SparseLu::factor, and SparseLu::solve
+///    plus the residual gate, timed alone on the rebuilt system.
+/// Min and median over the repetitions; `solution_hash` is FNV-1a over
+/// the bits of every solution the section computes, so two builds that
+/// agree on it solved every system to the same bits.
+std::string run_newton_kernels_report() {
+  using namespace lsl::spice;
+  constexpr int kReps = 10;
+  constexpr int kIters = 16;
+
+  const lsl::cells::LinkFrontend golden;
+  const auto vdd = *golden.netlist().find_node("vdd");
+  const auto faults = lsl::fault::enumerate_structural_faults(
+      golden.netlist(), {}, lsl::fault::test_circuitry_prefixes());
+  std::vector<KernelSystem> systems;
+  systems.reserve(faults.size());
+  double fill = 0.0;
+  double unknowns = 0.0;
+  for (const auto& f : faults) {
+    Netlist nl = golden.netlist();
+    if (!lsl::fault::inject(nl, f, lsl::fault::bulk_leak(nl, f), vdd)) continue;
+    const DcResult op = solve_dc(nl, DcOptions{});
+    systems.push_back(kernel_system(std::move(nl), op.x));
+    SparseLu lu;
+    lu.analyze(systems.back().a, systems.back().n_volts, systems.back().row_map);
+    fill += static_cast<double>(lu.fill_nnz());
+    unknowns += static_cast<double>(systems.back().a.dim());
+  }
+  const double count = static_cast<double>(systems.size());
+
+  const bool detailed = lsl::util::Metrics::detailed_timing();
+  lsl::util::Metrics::set_detailed_timing(true);
+  const auto us_since = [](Clock::time_point t0) {
+    return std::chrono::duration<double, std::micro>(Clock::now() - t0).count();
+  };
+  std::vector<double> build_us, stamp_us, newton_us, factor_us, solve_gate_us;
+  std::uint64_t hash = 1469598103934665603ull;
+  std::vector<double> x_new;
+  for (int rep = 0; rep < kReps; ++rep) {
+    double build = 0.0;
+    double stamp = 0.0;
+    double newton = 0.0;
+    double factor = 0.0;
+    double solve_gate = 0.0;
+    for (const KernelSystem& k : systems) {
+      StampContext ctx;
+      ctx.nl = &k.nl;
+      {
+        SolverWorkspace fresh;
+        const auto t0 = Clock::now();
+        fresh.solve_newton_system(ctx, k.x, x_new);
+        const double cold = us_since(t0);
+        const auto t1 = Clock::now();
+        fresh.solve_newton_system(ctx, k.x, x_new);
+        build += cold - us_since(t1);
+        if (rep == 0) hash_bits(hash, x_new);
+      }
+      {
+        SolverWorkspace& ws = SolverWorkspace::tls();
+        ws.solve_newton_system(ctx, k.x, x_new);  // resolve / build the entry
+        SolveDiagnostics diag;
+        for (int it = 0; it < kIters; ++it) ws.solve_newton_system(ctx, k.x, x_new, &diag);
+        stamp += diag.stamp_sec * 1e6 / kIters;
+        newton += (diag.stamp_sec + diag.factor_sec) * 1e6 / kIters;
+        if (rep == 0) hash_bits(hash, x_new);
+      }
+      {
+        SparseLu lu;
+        lu.analyze(k.a, k.n_volts, k.row_map);
+        std::vector<double> x(k.a.dim(), 0.0);
+        bool ok = true;
+        const auto t0 = Clock::now();
+        for (int it = 0; it < kIters; ++it) ok = lu.factor(k.a, 1e-18) && ok;
+        factor += us_since(t0) / kIters;
+        if (ok) {  // solve() is only defined after a successful factor()
+          const auto t1 = Clock::now();
+          for (int it = 0; it < kIters; ++it) {
+            lu.solve(k.b, x);
+            ok = residual_gate(k.a, k.b, x) && ok;
+          }
+          solve_gate += us_since(t1) / kIters;
+        }
+        if (rep == 0) {
+          hash_bits(hash, x);
+          hash ^= ok ? 1u : 2u;
+        }
+      }
+    }
+    build_us.push_back(build / count);
+    stamp_us.push_back(stamp / count);
+    newton_us.push_back(newton / count);
+    factor_us.push_back(factor / count);
+    solve_gate_us.push_back(solve_gate / count);
+  }
+  lsl::util::Metrics::set_detailed_timing(detailed);
+
+  const auto median = [](std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    return 0.5 * (v[(v.size() - 1) / 2] + v[v.size() / 2]);
+  };
+  const auto min_median = [&](const std::vector<double>& v) {
+    char buf[96];
+    std::snprintf(buf, sizeof(buf), "{\"min\":%.3f,\"median\":%.3f}",
+                  *std::min_element(v.begin(), v.end()), median(v));
+    return std::string(buf);
+  };
+  char head[256];
+  std::snprintf(head, sizeof(head),
+                "  \"newton_kernels\":{\"structures\":%zu,\"reps\":%d,\"iterations\":%d,"
+                "\"mean_unknowns\":%.1f,\"mean_fill_nnz\":%.1f,\"solution_hash\":\"%016llx\",",
+                systems.size(), kReps, kIters, unknowns / count, fill / count,
+                static_cast<unsigned long long>(hash));
+  std::string json = head;
+  json += "\"symbolic_build_us\":" + min_median(build_us);
+  json += ",\"stamp_us\":" + min_median(stamp_us);
+  json += ",\"factor_us\":" + min_median(factor_us);
+  json += ",\"solve_gate_us\":" + min_median(solve_gate_us);
+  json += ",\"newton_us\":" + min_median(newton_us) + "}";
+  std::printf("newton_kernels   %zu structures: build %.1f us, stamp %.2f, factor %.2f, "
+              "solve+gate %.2f, newton %.2f us/iteration (medians), hash %016llx\n",
+              systems.size(), median(build_us), median(stamp_us), median(factor_us),
+              median(solve_gate_us), median(newton_us), static_cast<unsigned long long>(hash));
   return json;
 }
 

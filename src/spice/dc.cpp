@@ -59,13 +59,16 @@ SolveStatus newton_loop(const StampContext& ctx, const DcOptions& opts, const De
     if (have_worst) diag.worst_node = nl.node_name(static_cast<NodeId>(worst + 1));
   };
 
+  // The context is fixed for the whole loop, so its cache entry is
+  // resolved once, by the first iteration.
+  SolverWorkspace::NewtonBinding binding;
   for (int it = 0; it < opts.max_iterations; ++it) {
     if (deadline.expired()) {
       resolve_worst();
       return SolveStatus::kTimeout;
     }
     ++diag.iterations;
-    if (!ws.solve_newton_system(ctx, x, x_new, &diag)) {
+    if (!ws.solve_newton_system(ctx, binding, x, x_new, &diag)) {
       resolve_worst();
       return SolveStatus::kSingularMatrix;
     }
@@ -220,8 +223,10 @@ void record_dc_metrics(const DcResult& result, const char* rung,
   if (util::Metrics::detailed_timing()) {
     static util::MetricHistogram& stamp = m.histogram("solver.dc.stamp_seconds");
     static util::MetricHistogram& factor = m.histogram("solver.dc.factor_seconds");
+    static util::MetricHistogram& symbolic = m.histogram("solver.dc.symbolic_seconds");
     stamp.observe(result.diag.stamp_sec);
     factor.observe(result.diag.factor_sec);
+    if (result.diag.symbolic_sec > 0.0) symbolic.observe(result.diag.symbolic_sec);
   }
 }
 

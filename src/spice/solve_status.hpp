@@ -38,10 +38,12 @@ struct SolveDiagnostics {
   double final_max_dv = 0.0;  // worst per-node voltage update, last iteration (V)
   std::string worst_node;     // node with that worst final update
   double elapsed_sec = 0.0;
-  /// Where the Newton time went, split between building the linearized
-  /// MNA system and LU-factoring/solving it. Only populated when
-  /// util::Metrics::detailed_timing() is on (the extra clock reads sit
-  /// inside the inner loop); 0.0 otherwise.
+  /// Where the Newton time went, split between building the cache entry
+  /// of a new structure (pattern, ordering, fill, device tables),
+  /// building the linearized MNA system and LU-factoring/solving it.
+  /// Only populated when util::Metrics::detailed_timing() is on (the
+  /// extra clock reads sit inside the inner loop); 0.0 otherwise.
+  double symbolic_sec = 0.0;
   double stamp_sec = 0.0;
   double factor_sec = 0.0;
 };

@@ -1,7 +1,10 @@
 #include "spice/sparse.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
 
 namespace lsl::spice {
@@ -67,25 +70,46 @@ void SparseMatrix::accumulate_residual(const std::vector<double>& x,
 
 namespace {
 
-/// Sorted-unique union of `dst` and `src` excluding `skip`; `tmp` is
-/// scratch. Used by the minimum-degree elimination-graph updates.
-void merge_into(std::vector<std::size_t>& dst, const std::vector<std::size_t>& src,
-                std::size_t skip, std::vector<std::size_t>& tmp) {
-  tmp.clear();
-  tmp.reserve(dst.size() + src.size());
-  std::size_t i = 0;
-  std::size_t j = 0;
-  while (i < dst.size() || j < src.size()) {
-    std::size_t v;
-    if (j >= src.size() || (i < dst.size() && dst[i] <= src[j])) {
-      v = dst[i++];
-      if (j < src.size() && src[j] == v) ++j;
-    } else {
-      v = src[j++];
-    }
-    if (v != skip && (tmp.empty() || tmp.back() != v)) tmp.push_back(v);
+/// Fixed-width bitset rows (one row per unknown) for the symbolic phase:
+/// at MNA sizes (~120 unknowns, two words a row) whole-row unions and
+/// popcounts beat sorted-list merges.
+class BitRows {
+ public:
+  BitRows(std::size_t rows, std::size_t bits)
+      : words_((bits + 63) / 64), data_(rows * words_, 0) {}
+  std::size_t words() const { return words_; }
+  std::uint64_t* row(std::size_t r) { return data_.data() + r * words_; }
+
+ private:
+  std::size_t words_;
+  std::vector<std::uint64_t> data_;
+};
+
+inline void set_bit(std::uint64_t* row, std::size_t j) {
+  row[j >> 6] |= std::uint64_t{1} << (j & 63);
+}
+inline void clear_bit(std::uint64_t* row, std::size_t j) {
+  row[j >> 6] &= ~(std::uint64_t{1} << (j & 63));
+}
+
+/// Lowest set bit at or after `from`, or `end` when none is below it.
+std::size_t next_bit(const std::uint64_t* row, std::size_t words, std::size_t from,
+                     std::size_t end) {
+  std::size_t w = from >> 6;
+  if (w >= words) return end;
+  std::uint64_t bits = row[w] & (~std::uint64_t{0} << (from & 63));
+  while (bits == 0) {
+    if (++w >= words) return end;
+    bits = row[w];
   }
-  dst.swap(tmp);
+  const std::size_t j = (w << 6) + static_cast<std::size_t>(std::countr_zero(bits));
+  return j < end ? j : end;
+}
+
+std::size_t count_bits(const std::uint64_t* row, std::size_t words) {
+  std::size_t c = 0;
+  for (std::size_t w = 0; w < words; ++w) c += static_cast<std::size_t>(std::popcount(row[w]));
+  return c;
 }
 
 }  // namespace
@@ -95,109 +119,113 @@ void SparseLu::analyze(const SparseMatrix& a, std::size_t n_volts,
   n_ = a.dim();
   analyzed_ = false;
   if (n_volts > n_) throw std::invalid_argument("SparseLu::analyze: n_volts > dim");
+  if (row_map.size() != n_) throw std::invalid_argument("SparseLu::analyze: row_map size");
+  const auto& rp = a.row_ptr();
+  const auto& ci = a.col_idx();
 
   // Symmetrized adjacency of the row-mapped matrix (structure of
   // B + B^T with B's row r = A's row row_map[r], diagonal excluded).
-  std::vector<std::vector<std::size_t>> adj(n_);
-  {
-    const auto& rp = a.row_ptr();
-    const auto& ci = a.col_idx();
-    for (std::size_t r = 0; r < n_; ++r) {
-      for (std::size_t s = rp[row_map[r]]; s < rp[row_map[r] + 1]; ++s) {
-        const std::size_t c = ci[s];
-        if (c == r) continue;
-        adj[r].push_back(c);
-        adj[c].push_back(r);
-      }
-    }
-    for (auto& row : adj) {
-      std::sort(row.begin(), row.end());
-      row.erase(std::unique(row.begin(), row.end()), row.end());
+  BitRows adj(n_, n_);
+  const std::size_t words = adj.words();
+  for (std::size_t r = 0; r < n_; ++r) {
+    for (std::size_t s = rp[row_map[r]]; s < rp[row_map[r] + 1]; ++s) {
+      const std::size_t c = ci[s];
+      if (c == r) continue;
+      set_bit(adj.row(r), c);
+      set_bit(adj.row(c), r);
     }
   }
 
   // Minimum-degree over the node block. Classic elimination-graph
   // update: eliminating v turns its uneliminated neighbors into a
-  // clique. Lowest index wins ties, so the ordering is deterministic.
+  // clique. Node rows hold live neighbors only, so a degree is a row's
+  // popcount and only the eliminated vertex's neighbors change.
+  // Branch rows are never eliminated here and are left stale. Lowest
+  // index wins ties, so the ordering is deterministic.
+  std::vector<std::uint64_t> alive(words, 0);
+  for (std::size_t v = 0; v < n_; ++v) set_bit(alive.data(), v);
+  std::vector<std::size_t> degree(n_volts);
+  for (std::size_t v = 0; v < n_volts; ++v) degree[v] = count_bits(adj.row(v), words);
+  std::vector<std::uint64_t> nbrs(words);
   perm_.clear();
   perm_.reserve(n_);
-  std::vector<char> eliminated(n_, 0);
-  std::vector<std::size_t> nbrs;
-  std::vector<std::size_t> tmp;
   for (std::size_t step = 0; step < n_volts; ++step) {
-    std::size_t best = kNoSlot;
-    std::size_t best_deg = static_cast<std::size_t>(-1);
-    for (std::size_t v = 0; v < n_volts; ++v) {
-      if (eliminated[v]) continue;
-      std::size_t deg = 0;
-      for (const std::size_t u : adj[v]) deg += !eliminated[u];
-      if (deg < best_deg) {
-        best_deg = deg;
-        best = v;
-      }
+    std::size_t v = n_volts;
+    for (std::size_t u = next_bit(alive.data(), words, 0, n_volts); u < n_volts;
+         u = next_bit(alive.data(), words, u + 1, n_volts)) {
+      if (v == n_volts || degree[u] < degree[v]) v = u;
     }
-    const std::size_t v = best;
-    perm_.push_back(v);
-    eliminated[v] = 1;
-    nbrs.clear();
-    for (const std::size_t u : adj[v]) {
-      if (!eliminated[u]) nbrs.push_back(u);
+    perm_.push_back(static_cast<Index>(v));
+    clear_bit(alive.data(), v);
+    const std::uint64_t* vrow = adj.row(v);
+    for (std::size_t w = 0; w < words; ++w) nbrs[w] = vrow[w] & alive[w];
+    for (std::size_t u = next_bit(nbrs.data(), words, 0, n_volts); u < n_volts;
+         u = next_bit(nbrs.data(), words, u + 1, n_volts)) {
+      std::uint64_t* urow = adj.row(u);
+      for (std::size_t w = 0; w < words; ++w) urow[w] = (urow[w] | nbrs[w]) & alive[w];
+      clear_bit(urow, u);
+      degree[u] = count_bits(urow, words);
     }
-    for (const std::size_t u : nbrs) merge_into(adj[u], nbrs, u, tmp);
   }
-  for (std::size_t v = n_volts; v < n_; ++v) perm_.push_back(v);
+  for (std::size_t v = n_volts; v < n_; ++v) perm_.push_back(static_cast<Index>(v));
 
-  pinv_.assign(n_, 0);
+  std::vector<std::size_t> pinv(n_);
   row_src_.assign(n_, 0);
   for (std::size_t i = 0; i < n_; ++i) {
-    pinv_[perm_[i]] = i;
-    row_src_[i] = row_map[perm_[i]];
+    pinv[perm_[i]] = i;
+    row_src_[i] = static_cast<Index>(row_map[perm_[i]]);
   }
 
   // Symbolic fill of P·B·P^T: process permuted rows top-down; row i
-  // inherits the U-part (columns > k) of every earlier row k it has an
-  // L entry in. Scanning k in ascending order makes the propagation a
-  // single pass — fill at column j < i introduced while processing
-  // k < j is picked up when the scan reaches j.
-  std::vector<std::vector<std::size_t>> urows(n_);  // U part per row, sorted
+  // inherits the U part (columns > k) of every earlier row k it has an
+  // L entry in. Walking the row's set columns below i in ascending
+  // order makes the propagation a single pass — fill at column j < i
+  // introduced by some k < j is reached when the walk gets to j.
+  BitRows urows(n_, n_);
+  std::vector<std::uint64_t> row(words);
+  std::vector<std::size_t> cols;
   lu_row_ptr_.assign(n_ + 1, 0);
   lu_col_idx_.clear();
   diag_pos_.assign(n_, 0);
-  std::vector<char> w(n_, 0);
-  std::vector<std::size_t> rowcols;
-  const auto& rp = a.row_ptr();
-  const auto& ci = a.col_idx();
   for (std::size_t i = 0; i < n_; ++i) {
-    rowcols.clear();
+    std::fill(row.begin(), row.end(), 0);
     const std::size_t orig = row_src_[i];
-    for (std::size_t s = rp[orig]; s < rp[orig + 1]; ++s) {
-      const std::size_t c = pinv_[ci[s]];
-      if (!w[c]) {
-        w[c] = 1;
-        rowcols.push_back(c);
+    for (std::size_t s = rp[orig]; s < rp[orig + 1]; ++s) set_bit(row.data(), pinv[ci[s]]);
+    set_bit(row.data(), i);  // the diagonal is always in the pattern
+    for (std::size_t k = next_bit(row.data(), words, 0, i); k < i;
+         k = next_bit(row.data(), words, k + 1, i)) {
+      const std::uint64_t* uk = urows.row(k);
+      for (std::size_t w = 0; w < words; ++w) row[w] |= uk[w];
+    }
+    std::uint64_t* ui = urows.row(i);
+    for (std::size_t c = next_bit(row.data(), words, 0, n_); c < n_;
+         c = next_bit(row.data(), words, c + 1, n_)) {
+      if (c == i) diag_pos_[i] = static_cast<Index>(lu_col_idx_.size());
+      if (c > i) set_bit(ui, c);
+      lu_col_idx_.push_back(static_cast<Index>(c));
+    }
+    if (lu_col_idx_.size() > std::numeric_limits<Index>::max()) {
+      throw std::out_of_range("SparseLu::analyze: fill exceeds 32-bit slots");
+    }
+    lu_row_ptr_[i + 1] = static_cast<Index>(lu_col_idx_.size());
+  }
+
+  // Compile the refactorization. For each LU row i, `pos` maps a column
+  // to its slot in row i; every A entry of the row and every U(k) entry
+  // that an L entry (i, k) subtracts resolves to one slot of row i.
+  std::vector<Index> pos(n_, 0);
+  a_to_lu_.assign(a.nnz(), 0);
+  update_slot_.clear();
+  for (std::size_t i = 0; i < n_; ++i) {
+    for (Index s = lu_row_ptr_[i]; s < lu_row_ptr_[i + 1]; ++s) pos[lu_col_idx_[s]] = s;
+    const std::size_t orig = row_src_[i];
+    for (std::size_t s = rp[orig]; s < rp[orig + 1]; ++s) a_to_lu_[s] = pos[pinv[ci[s]]];
+    for (Index s = lu_row_ptr_[i]; s < diag_pos_[i]; ++s) {
+      const Index k = lu_col_idx_[s];
+      for (Index t = diag_pos_[k] + 1; t < lu_row_ptr_[k + 1]; ++t) {
+        update_slot_.push_back(pos[lu_col_idx_[t]]);
       }
     }
-    if (!w[i]) {  // diagonal always in the pattern, but belt and braces
-      w[i] = 1;
-      rowcols.push_back(i);
-    }
-    for (std::size_t k = 0; k < i; ++k) {
-      if (!w[k]) continue;
-      for (const std::size_t j : urows[k]) {
-        if (!w[j]) {
-          w[j] = 1;
-          rowcols.push_back(j);
-        }
-      }
-    }
-    std::sort(rowcols.begin(), rowcols.end());
-    for (const std::size_t c : rowcols) {
-      if (c == i) diag_pos_[i] = lu_col_idx_.size();
-      if (c > i) urows[i].push_back(c);
-      lu_col_idx_.push_back(c);
-      w[c] = 0;
-    }
-    lu_row_ptr_[i + 1] = lu_col_idx_.size();
   }
 
   lu_values_.assign(lu_col_idx_.size(), 0.0);
@@ -206,29 +234,29 @@ void SparseLu::analyze(const SparseMatrix& a, std::size_t n_volts,
 }
 
 bool SparseLu::factor(const SparseMatrix& a, double pivot_floor) {
-  if (!analyzed_ || n_ == 0 || a.dim() != n_) return false;
-  const auto& rp = a.row_ptr();
-  const auto& ci = a.col_idx();
-  const auto& av = a.values();
+  if (!analyzed_ || n_ == 0 || a.dim() != n_ || a.nnz() != a_to_lu_.size()) return false;
+  // Scatter B = row-mapped, permuted A into the LU storage.
+  double* lu = lu_values_.data();
+  std::fill(lu_values_.begin(), lu_values_.end(), 0.0);
+  const double* av = a.values().data();
+  const Index* dst = a_to_lu_.data();
+  for (std::size_t s = 0; s < a_to_lu_.size(); ++s) lu[dst[s]] += av[s];
 
+  // Up-looking elimination in place: row by row, L columns in
+  // ascending order, each multiplier subtracting its U row through
+  // the precompiled target slots.
+  const Index* target = update_slot_.data();
   for (std::size_t i = 0; i < n_; ++i) {
-    const std::size_t row_begin = lu_row_ptr_[i];
-    const std::size_t row_end = lu_row_ptr_[i + 1];
-    // Scatter permuted row i of B over the LU row pattern.
-    for (std::size_t s = row_begin; s < row_end; ++s) work_[lu_col_idx_[s]] = 0.0;
-    const std::size_t orig = row_src_[i];
-    for (std::size_t s = rp[orig]; s < rp[orig + 1]; ++s) {
-      work_[pinv_[ci[s]]] += av[s];
-    }
-    // Up-looking elimination: L columns in ascending order.
-    for (std::size_t s = row_begin; s < diag_pos_[i]; ++s) {
-      const std::size_t k = lu_col_idx_[s];
-      const double lik = work_[k] / lu_values_[diag_pos_[k]];
-      work_[k] = lik;
-      if (lik == 0.0) continue;
-      for (std::size_t t = diag_pos_[k] + 1; t < lu_row_ptr_[k + 1]; ++t) {
-        work_[lu_col_idx_[t]] -= lik * lu_values_[t];
+    for (Index s = lu_row_ptr_[i]; s < diag_pos_[i]; ++s) {
+      const Index k = lu_col_idx_[s];
+      const double lik = lu[s] / lu[diag_pos_[k]];
+      lu[s] = lik;
+      const double* uk = lu + diag_pos_[k] + 1;
+      const Index len = lu_row_ptr_[k + 1] - diag_pos_[k] - 1;
+      if (lik != 0.0) {
+        for (Index t = 0; t < len; ++t) lu[target[t]] -= lik * uk[t];
       }
+      target += len;
     }
     // Pivot health: absolute floor only (the comparison also rejects
     // NaN), mirroring the dense singular test. A relative-to-row test
@@ -238,12 +266,7 @@ bool SparseLu::factor(const SparseMatrix& a, double pivot_floor) {
     // pivots. Numerical quality is instead judged after the solve by
     // the caller's O(nnz) residual verification, which falls back to
     // dense partial-pivot LU on any doubt.
-    const double pivot = work_[i];
-    if (!(std::fabs(pivot) >= pivot_floor)) return false;
-    // Gather the finished row.
-    for (std::size_t s = row_begin; s < row_end; ++s) {
-      lu_values_[s] = work_[lu_col_idx_[s]];
-    }
+    if (!(std::fabs(lu[diag_pos_[i]]) >= pivot_floor)) return false;
   }
   return true;
 }
@@ -254,14 +277,14 @@ void SparseLu::solve(const std::vector<double>& b, std::vector<double>& x) const
   for (std::size_t i = 0; i < n_; ++i) work_[i] = b[row_src_[i]];
   for (std::size_t i = 0; i < n_; ++i) {
     double sum = work_[i];
-    for (std::size_t s = lu_row_ptr_[i]; s < diag_pos_[i]; ++s) {
+    for (Index s = lu_row_ptr_[i]; s < diag_pos_[i]; ++s) {
       sum -= lu_values_[s] * work_[lu_col_idx_[s]];
     }
     work_[i] = sum;
   }
   for (std::size_t i = n_; i-- > 0;) {
     double sum = work_[i];
-    for (std::size_t s = diag_pos_[i] + 1; s < lu_row_ptr_[i + 1]; ++s) {
+    for (Index s = diag_pos_[i] + 1; s < lu_row_ptr_[i + 1]; ++s) {
       sum -= lu_values_[s] * work_[lu_col_idx_[s]];
     }
     work_[i] = sum / lu_values_[diag_pos_[i]];

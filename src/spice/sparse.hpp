@@ -25,13 +25,18 @@
 //    fill once its node neighbors are eliminated, so branch columns go
 //    last.
 //  - Numeric factorization: up-looking row LU on the static pattern, no
-//    pivoting. A per-row pivot-health check (absolute floor) rejects
+//    pivoting, compiled at analyze() time into two flat index tables
+//    (where each A slot lands in LU storage, and for every L entry the
+//    row slots its U row updates), so factor() is a scatter followed by
+//    one straight pass of divide-and-update over the LU values. A
+//    per-row pivot-health check (absolute floor) rejects
 //    factorizations that static ordering cannot handle; the caller
 //    then falls back to dense partial-pivot LU, which preserves the
 //    existing singular-matrix semantics.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 namespace lsl::spice {
@@ -83,16 +88,15 @@ class SparseMatrix {
 /// analyze() once per pattern; factor()/solve() every iteration.
 class SparseLu {
  public:
-  /// Symbolic phase: fill-reducing ordering plus fill pattern of the
-  /// row-permuted matrix B whose row r is A's row `row_map[r]`
-  /// (`row_map` must be a permutation of [0, dim)). Unknowns
-  /// [0, n_volts) are node voltages (minimum-degree ordered); unknowns
-  /// [n_volts, n) are branch currents, kept last in natural order.
-  /// Allocates; never called from the hot loop.
+  /// Symbolic phase: fill-reducing ordering, fill pattern and the
+  /// compiled refactorization tables of the row-permuted matrix B whose
+  /// row r is A's row `row_map[r]` (`row_map` must be a permutation of
+  /// [0, dim)). Unknowns [0, n_volts) are node voltages (minimum-degree
+  /// ordered); unknowns [n_volts, n) are branch currents, kept last in
+  /// natural order. Allocates; never called from the hot loop.
   void analyze(const SparseMatrix& a, std::size_t n_volts,
                const std::vector<std::size_t>& row_map);
 
-  bool analyzed() const { return analyzed_; }
   std::size_t fill_nnz() const { return lu_col_idx_.size(); }
 
   /// Numeric refactorization of `a` (same pattern as analyzed) on the
@@ -109,18 +113,26 @@ class SparseLu {
   void solve(const std::vector<double>& b, std::vector<double>& x) const;
 
  private:
+  // 32-bit indices keep the per-topology tables small (analyze() throws
+  // if a system ever outgrows them).
+  using Index = std::uint32_t;
+
   std::size_t n_ = 0;
   bool analyzed_ = false;
-  std::vector<std::size_t> perm_;  // permuted unknown i <- original perm_[i]
-  std::vector<std::size_t> pinv_;  // original unknown -> permuted position
-  std::vector<std::size_t> row_src_;  // LU row i <- A's row row_map[perm_[i]]
+  std::vector<Index> perm_;     // permuted unknown i <- original perm_[i]
+  std::vector<Index> row_src_;  // LU row i <- A's row row_map[perm_[i]]
   // LU pattern over permuted indices, rows sorted; diag_pos_[i] is the
   // slot of the diagonal inside row i (L strictly left, U from there).
-  std::vector<std::size_t> lu_row_ptr_;
-  std::vector<std::size_t> lu_col_idx_;
-  std::vector<std::size_t> diag_pos_;
+  std::vector<Index> lu_row_ptr_;
+  std::vector<Index> lu_col_idx_;
+  std::vector<Index> diag_pos_;
+  // Compiled refactorization: A slot s lands in LU slot a_to_lu_[s];
+  // the L entries (i, k), taken in factor order, own consecutive runs
+  // of update_slot_, one LU slot of row i per entry of U(k).
+  std::vector<Index> a_to_lu_;
+  std::vector<Index> update_slot_;
   std::vector<double> lu_values_;
-  mutable std::vector<double> work_;  // dense scatter row / solve scratch
+  mutable std::vector<double> work_;  // solve scratch
 };
 
 }  // namespace lsl::spice

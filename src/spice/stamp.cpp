@@ -1,104 +1,10 @@
 #include "spice/stamp.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 #include "spice/workspace.hpp"
 
 namespace lsl::spice {
-
-namespace {
-
-/// Square-law NMOS-referred evaluation: current f(vgs, vds) for vds >= 0
-/// with partials (f1 = df/dvgs, f2 = df/dvds).
-struct FwdEval {
-  double i = 0.0;
-  double f1 = 0.0;
-  double f2 = 0.0;
-};
-
-FwdEval eval_forward(double beta, double vt, double lambda, double vgs, double vds) {
-  FwdEval r;
-  const double vov = vgs - vt;
-  if (vov <= 0.0) {
-    // Cutoff. A tiny residual conductance smooths the Newton iteration
-    // across the cutoff boundary (subthreshold stand-in).
-    r.i = 0.0;
-    r.f1 = 0.0;
-    r.f2 = 1e-12;
-    return r;
-  }
-  const double clm = 1.0 + lambda * vds;
-  if (vds < vov) {
-    // Triode.
-    r.i = beta * (vov - 0.5 * vds) * vds * clm;
-    r.f1 = beta * vds * clm;
-    r.f2 = beta * ((vov - vds) * clm + (vov - 0.5 * vds) * vds * lambda);
-  } else {
-    // Saturation.
-    const double half = 0.5 * beta * vov * vov;
-    r.i = half * clm;
-    r.f1 = beta * vov * clm;
-    r.f2 = half * lambda;
-  }
-  return r;
-}
-
-}  // namespace
-
-MosEval eval_mosfet(const Mosfet& m, const ModelCard& card, double vd, double vg, double vs) {
-  const bool nmos = m.type == MosType::kNmos;
-  const double kp = nmos ? card.kp_n : card.kp_p;
-  const double vt_mag = std::fabs((nmos ? card.vt_n : card.vt_p) + m.vt_delta);
-  const double lambda = nmos ? card.lambda_n : card.lambda_p;
-  const double beta = kp * (m.w / m.l);
-
-  // Map to an NMOS-referred frame: for PMOS negate all voltages. Within
-  // that frame, if vds < 0 the physical source/drain roles swap.
-  double fd = nmos ? vd : -vd;
-  double fg = nmos ? vg : -vg;
-  double fs = nmos ? vs : -vs;
-
-  bool swapped = false;
-  if (fd < fs) {
-    std::swap(fd, fs);
-    swapped = true;
-  }
-  const FwdEval f = eval_forward(beta, vt_mag, lambda, fg - fs, fd - fs);
-
-  // Current in the NMOS frame flows (frame-drain -> frame-source); undo
-  // the swap and the PMOS negation while propagating derivatives.
-  double i = f.i;
-  // Partials w.r.t. frame terminals.
-  double d_fd = f.f2;
-  double d_fg = f.f1;
-  double d_fs = -f.f1 - f.f2;
-  if (swapped) {
-    i = -i;
-    // Swap roles of the frame drain/source in the derivative vector and
-    // negate (current direction flipped).
-    const double t = d_fd;
-    d_fd = -d_fs;
-    d_fs = -t;
-    d_fg = -d_fg;
-  }
-  MosEval out;
-  if (nmos) {
-    out.id = i;
-    out.d_vd = d_fd;
-    out.d_vg = d_fg;
-    out.d_vs = d_fs;
-  } else {
-    // Frame voltages are negated terminal voltages: d/dv = -d/dfv, and
-    // the frame current direction maps to -(d->s) in real terms.
-    out.id = -i;
-    out.d_vd = d_fd;
-    out.d_vg = d_fg;
-    out.d_vs = d_fs;
-  }
-  return out;
-}
 
 double node_voltage(const Netlist& nl, const std::vector<double>& x, NodeId node) {
   if (node == kGround) return 0.0;
@@ -165,8 +71,9 @@ void stamp_system(const StampContext& ctx, const std::vector<double>& x, Matrix&
       const std::size_t bi = nl.branch_index(di);
       double value = vs->volts;
       if (ctx.vsrc_override != nullptr) {
-        const auto it = ctx.vsrc_override->find(di);
-        if (it != ctx.vsrc_override->end()) value = it->second;
+        for (const auto& [device, volts] : *ctx.vsrc_override) {
+          if (device == di) value = volts;
+        }
       }
       if (vs->p != kGround) {
         g.at(nl.voltage_index(vs->p), bi) += 1.0;
@@ -195,7 +102,7 @@ void stamp_system(const StampContext& ctx, const std::vector<double>& x, Matrix&
       const double vd = v_of(m->d);
       const double vg = v_of(m->g);
       const double vsv = v_of(m->s);
-      const MosEval ev = eval_mosfet(*m, nl.model(), vd, vg, vsv);
+      const MosEval ev = eval_mosfet(mos_params(*m, nl.model()), vd, vg, vsv);
       // Linearized drain current: id ~= id0 + J . (v - v0). Stamp the
       // Jacobian terms and fold the affine remainder into the RHS.
       auto stamp_row = [&](NodeId row, double sign) {

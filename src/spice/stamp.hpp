@@ -6,7 +6,9 @@
 // order (see Netlist::reindex).
 #pragma once
 
-#include <unordered_map>
+#include <cmath>
+#include <cstddef>
+#include <utility>
 #include <vector>
 
 #include "spice/matrix.hpp"
@@ -26,8 +28,95 @@ struct MosEval {
   double d_vs = 0.0;
 };
 
+/// The level-1 parameters of one MOSFET under its model card. The
+/// solver workspace resolves them once per cached topology; the dense
+/// stamp resolves them per call. Both then run the same eval_mosfet.
+struct MosParams {
+  bool nmos = true;
+  double beta = 0.0;    // kp * (w / l)
+  double vt = 0.0;      // |vt + vt_delta|
+  double lambda = 0.0;  // channel-length modulation
+};
+
+inline MosParams mos_params(const Mosfet& m, const ModelCard& card) {
+  MosParams p;
+  p.nmos = m.type == MosType::kNmos;
+  p.beta = (p.nmos ? card.kp_n : card.kp_p) * (m.w / m.l);
+  p.vt = std::fabs((p.nmos ? card.vt_n : card.vt_p) + m.vt_delta);
+  p.lambda = p.nmos ? card.lambda_n : card.lambda_p;
+  return p;
+}
+
 /// Evaluates the level-1 model at terminal voltages (vd, vg, vs).
-MosEval eval_mosfet(const Mosfet& m, const ModelCard& card, double vd, double vg, double vs);
+inline MosEval eval_mosfet(const MosParams& p, double vd, double vg, double vs) {
+  // Map to an NMOS-referred frame: for PMOS negate all voltages. Within
+  // that frame, if vds < 0 the physical source/drain roles swap.
+  double fd = p.nmos ? vd : -vd;
+  const double fg = p.nmos ? vg : -vg;
+  double fs = p.nmos ? vs : -vs;
+  bool swapped = false;
+  if (fd < fs) {
+    std::swap(fd, fs);
+    swapped = true;
+  }
+
+  // Square-law current f(vgs, vds) for vds >= 0 with partials
+  // f1 = df/dvgs, f2 = df/dvds.
+  const double vgs = fg - fs;
+  const double vds = fd - fs;
+  double i = 0.0;
+  double f1 = 0.0;
+  double f2 = 0.0;
+  const double vov = vgs - p.vt;
+  if (vov <= 0.0) {
+    // Cutoff. A tiny residual conductance smooths the Newton iteration
+    // across the cutoff boundary (subthreshold stand-in).
+    f2 = 1e-12;
+  } else {
+    const double clm = 1.0 + p.lambda * vds;
+    if (vds < vov) {
+      // Triode.
+      i = p.beta * (vov - 0.5 * vds) * vds * clm;
+      f1 = p.beta * vds * clm;
+      f2 = p.beta * ((vov - vds) * clm + (vov - 0.5 * vds) * vds * p.lambda);
+    } else {
+      // Saturation.
+      const double half = 0.5 * p.beta * vov * vov;
+      i = half * clm;
+      f1 = p.beta * vov * clm;
+      f2 = half * p.lambda;
+    }
+  }
+
+  // Current in the NMOS frame flows (frame-drain -> frame-source); undo
+  // the swap and the PMOS negation while propagating derivatives.
+  double d_fd = f2;
+  double d_fg = f1;
+  double d_fs = -f1 - f2;
+  if (swapped) {
+    i = -i;
+    // Swap roles of the frame drain/source in the derivative vector and
+    // negate (current direction flipped).
+    const double t = d_fd;
+    d_fd = -d_fs;
+    d_fs = -t;
+    d_fg = -d_fg;
+  }
+  // For PMOS the frame voltages are negated terminal voltages
+  // (d/dv = -d/dfv) and the frame current maps to -(d->s), so the two
+  // sign flips cancel in the partials and only the current negates.
+  MosEval out;
+  out.id = p.nmos ? i : -i;
+  out.d_vd = d_fd;
+  out.d_vg = d_fg;
+  out.d_vs = d_fs;
+  return out;
+}
+
+inline MosEval eval_mosfet(const Mosfet& m, const ModelCard& card, double vd, double vg,
+                           double vs) {
+  return eval_mosfet(mos_params(m, card), vd, vg, vs);
+}
 
 /// Companion-model integration method for capacitors in transient
 /// analysis. Backward Euler is L-stable and the campaign default;
@@ -57,9 +146,9 @@ struct StampContext {
   /// integrator is trapezoidal (the trapezoidal companion carries the
   /// previous current as part of its history term).
   const std::vector<double>* prev_cap_i = nullptr;
-  /// Per-device value overrides for VSource elements (waveform drive),
-  /// keyed by device index.
-  const std::unordered_map<std::size_t, double>* vsrc_override = nullptr;
+  /// Value overrides for VSource elements (waveform drive) as (device
+  /// index, volts) pairs, sorted by device index.
+  const std::vector<std::pair<std::size_t, double>>* vsrc_override = nullptr;
 };
 
 /// Voltage of `node` under MNA solution vector `x`.

@@ -66,7 +66,7 @@ using Clock = std::chrono::steady_clock;
 /// aggregates here close out one run_transient call.
 void record_transient_metrics(const TransientResult& result,
                               const SolverWorkspace::Stats& ws_before,
-                              const SolverWorkspace::Stats& ws_after) {
+                              const SolverWorkspace::Stats& ws_after, double symbolic_sec) {
   auto& m = util::metrics();
   static util::Counter& runs = m.counter("solver.transient.runs");
   static util::Counter& failures = m.counter("solver.transient.failures");
@@ -88,6 +88,10 @@ void record_transient_metrics(const TransientResult& result,
   sparse_solves.add(ws_after.sparse_solves - ws_before.sparse_solves);
   dense_fallbacks.add(ws_after.dense_fallbacks - ws_before.dense_fallbacks);
   refinement_steps.add(ws_after.refinement_steps - ws_before.refinement_steps);
+  if (util::Metrics::detailed_timing() && symbolic_sec > 0.0) {
+    static util::MetricHistogram& symbolic = m.histogram("solver.transient.symbolic_seconds");
+    symbolic.observe(symbolic_sec);
+  }
 }
 
 }  // namespace
@@ -106,6 +110,7 @@ TransientResult run_transient(const Netlist& nl,
   const auto start = Clock::now();
   const SolverWorkspace::Stats ws_stats_before = ws.stats();
   TransientResult result;
+  double symbolic_sec = 0.0;  // this run's own symbolic builds (detailed timing)
 
   // Resolve waveform drives to device indices.
   std::vector<std::pair<std::size_t, const Waveform*>> drive_list;
@@ -131,15 +136,20 @@ TransientResult run_transient(const Netlist& nl,
   }
   for (const auto& [name, id] : probes) result.v.emplace(name, std::vector<double>{});
 
-  std::unordered_map<std::size_t, double> overrides;
+  // Drive overrides in device order, the order the stamps walk sources.
+  std::sort(drive_list.begin(), drive_list.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  std::vector<std::pair<std::size_t, double>> overrides(drive_list.size());
   auto set_overrides = [&](double t) {
-    for (const auto& [di, wave] : drive_list) overrides[di] = (*wave)(t);
+    for (std::size_t k = 0; k < drive_list.size(); ++k) {
+      overrides[k] = {drive_list[k].first, (*drive_list[k].second)(t)};
+    }
   };
 
   const auto fail = [&](SolveStatus st, double t) {
     result.status = st;
     result.diag.elapsed_sec = std::chrono::duration<double>(Clock::now() - start).count();
-    record_transient_metrics(result, ws_stats_before, ws.stats());
+    record_transient_metrics(result, ws_stats_before, ws.stats(), symbolic_sec);
     run_span.arg("steps", static_cast<double>(result.steps_accepted));
     run_span.arg("halvings", static_cast<double>(result.step_halvings));
     util::log_warn("run_transient: " + to_string(st) + " at t=" + std::to_string(t) +
@@ -260,6 +270,7 @@ TransientResult run_transient(const Netlist& nl,
       }
       newton_per_step.observe(static_cast<double>(step_diag.iterations));
       result.newton_iterations += step_diag.iterations;
+      symbolic_sec += step_diag.symbolic_sec;
       if (st == SolveStatus::kConverged) {
         prev_accept_dt = sub_dt;
         std::swap(x_prev_accept, x);  // keep the outgoing point for the predictor
@@ -296,7 +307,7 @@ TransientResult run_transient(const Netlist& nl,
   result.ok = true;
   result.status = SolveStatus::kConverged;
   result.diag.elapsed_sec = std::chrono::duration<double>(Clock::now() - start).count();
-  record_transient_metrics(result, ws_stats_before, ws.stats());
+  record_transient_metrics(result, ws_stats_before, ws.stats(), symbolic_sec);
   run_span.arg("steps", static_cast<double>(result.steps_accepted));
   run_span.arg("halvings", static_cast<double>(result.step_halvings));
   return result;

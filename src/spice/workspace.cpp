@@ -156,14 +156,16 @@ std::uint64_t SolverWorkspace::entry_key(const StampContext& ctx) {
   return key;
 }
 
-SolverWorkspace::Entry& SolverWorkspace::entry_for(const StampContext& ctx) {
+SolverWorkspace::Entry& SolverWorkspace::entry_for(const StampContext& ctx, bool& built) {
   const std::uint64_t key = entry_key(ctx);
   ++lru_tick_;
+  built = true;
   for (auto& e : entries_) {
     if (!e->used || e->key != key) continue;
     if (e->n == ctx.nl->unknown_count() && e->n_volts == ctx.nl->node_count() - 1) {
       e->last_use = lru_tick_;
       ++stats_.symbolic_reuse;
+      built = false;
       return *e;
     }
     // Hash collision (same key, different structure): rebuild in place
@@ -198,6 +200,7 @@ void SolverWorkspace::build_entry(Entry& e, const StampContext& ctx) {
   e.n_volts = nl.node_count() - 1;
   e.base_valid = false;
   e.mos.clear();
+  e.rhs.clear();
 
   // Pattern: every coordinate any stamp configuration can touch. The
   // capacitor slots are noted unconditionally so the same pattern (and
@@ -279,29 +282,50 @@ void SolverWorkspace::build_entry(Entry& e, const StampContext& ctx) {
   e.diag_slot.resize(n);
   for (std::size_t i = 0; i < n; ++i) e.diag_slot[i] = m.slot(i, i);
 
-  // Precomputed MOSFET stamp slots (the only per-iteration matrix work).
-  // Device indices are raw; hash-equal netlists agree on them because
-  // the device sequence is part of the key.
+  // Device tables for the per-iteration stamps. Device indices are raw;
+  // hash-equal netlists agree on them, and on every MOSFET parameter,
+  // because the device sequence is part of the key.
   for (std::size_t di = 0; di < devices.size(); ++di) {
     const Device& dev = devices[di];
     if (!dev.enabled) continue;
-    const auto* mos = std::get_if<Mosfet>(&dev.impl);
-    if (mos == nullptr) continue;
-    MosSlots ms;
-    ms.device = di;
-    ms.xd = unknown_of(nl, mos->d);
-    ms.xg = unknown_of(nl, mos->g);
-    ms.xs = unknown_of(nl, mos->s);
-    auto row_slots = [&](std::ptrdiff_t row, std::size_t& sd, std::size_t& sg, std::size_t& ss) {
-      if (row < 0) return;
-      const std::size_t r = static_cast<std::size_t>(row);
-      if (ms.xd >= 0) sd = m.slot(r, static_cast<std::size_t>(ms.xd));
-      if (ms.xg >= 0) sg = m.slot(r, static_cast<std::size_t>(ms.xg));
-      if (ms.xs >= 0) ss = m.slot(r, static_cast<std::size_t>(ms.xs));
-    };
-    row_slots(ms.xd, ms.dd, ms.dg, ms.ds);
-    row_slots(ms.xs, ms.sd, ms.sg, ms.ss);
-    e.mos.push_back(ms);
+    RhsTerm t;
+    t.device = di;
+    if (const auto* c = std::get_if<Capacitor>(&dev.impl)) {
+      // Companion history current flows b -> a.
+      t.kind = RhsTerm::Kind::kCapacitor;
+      t.from = unknown_of(nl, c->b);
+      t.to = unknown_of(nl, c->a);
+      t.a = c->a;
+      t.b = c->b;
+      t.farads = c->farads;
+      e.rhs.push_back(t);
+    } else if (std::get_if<VSource>(&dev.impl) != nullptr) {
+      t.kind = RhsTerm::Kind::kVSource;
+      t.to = static_cast<std::ptrdiff_t>(nl.branch_index(di));
+      e.rhs.push_back(t);
+    } else if (const auto* is = std::get_if<ISource>(&dev.impl)) {
+      t.kind = RhsTerm::Kind::kISource;
+      t.from = unknown_of(nl, is->p);
+      t.to = unknown_of(nl, is->n);
+      e.rhs.push_back(t);
+    } else if (const auto* mos = std::get_if<Mosfet>(&dev.impl)) {
+      MosStamp ms;
+      ms.params = mos_params(*mos, nl.model());
+      ms.xd = unknown_of(nl, mos->d);
+      ms.xg = unknown_of(nl, mos->g);
+      ms.xs = unknown_of(nl, mos->s);
+      auto row_slots = [&](std::ptrdiff_t row, std::size_t& sd, std::size_t& sg,
+                           std::size_t& ss) {
+        if (row < 0) return;
+        const std::size_t r = static_cast<std::size_t>(row);
+        if (ms.xd >= 0) sd = m.slot(r, static_cast<std::size_t>(ms.xd));
+        if (ms.xg >= 0) sg = m.slot(r, static_cast<std::size_t>(ms.xg));
+        if (ms.xs >= 0) ss = m.slot(r, static_cast<std::size_t>(ms.xs));
+      };
+      row_slots(ms.xd, ms.dd, ms.dg, ms.ds);
+      row_slots(ms.xs, ms.sd, ms.sg, ms.ss);
+      e.mos.push_back(ms);
+    }
   }
 
   e.lu.analyze(m, e.n_volts, row_map);
@@ -387,53 +411,58 @@ void SolverWorkspace::ensure_linear_base(Entry& e, const StampContext& ctx) {
   ++stats_.linear_stamp_builds;
 }
 
-void SolverWorkspace::stamp_rhs(Entry& e, const StampContext& ctx) {
-  const Netlist& nl = *ctx.nl;
-  std::fill(e.b.begin(), e.b.end(), 0.0);
-  auto add_i = [&](NodeId p, NodeId nn, double i) {
-    if (p != kGround) e.b[nl.voltage_index(p)] -= i;
-    if (nn != kGround) e.b[nl.voltage_index(nn)] += i;
-  };
-  const auto& devices = nl.devices();
-  for (std::size_t di = 0; di < devices.size(); ++di) {
-    const Device& dev = devices[di];
-    if (!dev.enabled) continue;
-    if (const auto* c = std::get_if<Capacitor>(&dev.impl)) {
-      if (ctx.dt > 0.0) {
-        const double vab_prev = ctx.prev_node_v->at(c->a) - ctx.prev_node_v->at(c->b);
-        if (ctx.integrator == Integrator::kTrapezoidal) {
-          const double gc = 2.0 * c->farads / ctx.dt;
-          add_i(c->b, c->a, gc * vab_prev + ctx.prev_cap_i->at(di));
-        } else {
-          const double gc = c->farads / ctx.dt;
-          add_i(c->b, c->a, gc * vab_prev);
-        }
-      }
-    } else if (const auto* vs = std::get_if<VSource>(&dev.impl)) {
-      double value = vs->volts;
-      if (ctx.vsrc_override != nullptr) {
-        const auto it = ctx.vsrc_override->find(di);
-        if (it != ctx.vsrc_override->end()) value = it->second;
-      }
-      e.b[nl.branch_index(di)] = value * ctx.source_scale;
-    } else if (const auto* is = std::get_if<ISource>(&dev.impl)) {
-      add_i(is->p, is->n, is->amps * ctx.source_scale);
-    }
-    // Mosfet ieq is folded in by stamp_nonlinear.
-  }
-}
+void SolverWorkspace::stamp(Entry& e, const StampContext& ctx, const std::vector<double>& x) {
+  std::copy(e.base_values.begin(), e.base_values.end(), e.mat.values().begin());
 
-void SolverWorkspace::stamp_nonlinear(Entry& e, const StampContext& ctx,
-                                      const std::vector<double>& x) {
-  const Netlist& nl = *ctx.nl;
-  std::vector<double>& vals = e.mat.values();
-  const auto& devices = nl.devices();
-  for (const MosSlots& ms : e.mos) {
-    const auto& mos = std::get<Mosfet>(devices[ms.device].impl);
+  // RHS in device order: source values are read live (they are not part
+  // of the structural key), a drive override replacing a V source's.
+  double* b = e.b.data();
+  std::fill(e.b.begin(), e.b.end(), 0.0);
+  const auto add_i = [b](std::ptrdiff_t from, std::ptrdiff_t to, double i) {
+    if (from >= 0) b[from] -= i;
+    if (to >= 0) b[to] += i;
+  };
+  const auto& devices = ctx.nl->devices();
+  const std::pair<std::size_t, double>* ov = nullptr;
+  const std::pair<std::size_t, double>* ov_end = nullptr;
+  if (ctx.vsrc_override != nullptr) {
+    ov = ctx.vsrc_override->data();
+    ov_end = ov + ctx.vsrc_override->size();
+  }
+  for (const RhsTerm& t : e.rhs) {
+    switch (t.kind) {
+      case RhsTerm::Kind::kCapacitor:
+        if (ctx.dt > 0.0) {
+          const double vab_prev = ctx.prev_node_v->at(t.a) - ctx.prev_node_v->at(t.b);
+          if (ctx.integrator == Integrator::kTrapezoidal) {
+            const double gc = 2.0 * t.farads / ctx.dt;
+            add_i(t.from, t.to, gc * vab_prev + ctx.prev_cap_i->at(t.device));
+          } else {
+            const double gc = t.farads / ctx.dt;
+            add_i(t.from, t.to, gc * vab_prev);
+          }
+        }
+        break;
+      case RhsTerm::Kind::kVSource: {
+        double value = std::get<VSource>(devices[t.device].impl).volts;
+        while (ov != ov_end && ov->first < t.device) ++ov;
+        if (ov != ov_end && ov->first == t.device) value = ov->second;
+        b[t.to] = value * ctx.source_scale;
+        break;
+      }
+      case RhsTerm::Kind::kISource:
+        add_i(t.from, t.to, std::get<ISource>(devices[t.device].impl).amps * ctx.source_scale);
+        break;
+    }
+  }
+
+  // MOSFET Jacobians into the matrix, their affine remainders into b.
+  double* vals = e.mat.values().data();
+  for (const MosStamp& ms : e.mos) {
     const double vd = ms.xd >= 0 ? x[static_cast<std::size_t>(ms.xd)] : 0.0;
     const double vg = ms.xg >= 0 ? x[static_cast<std::size_t>(ms.xg)] : 0.0;
     const double vs = ms.xs >= 0 ? x[static_cast<std::size_t>(ms.xs)] : 0.0;
-    const MosEval ev = eval_mosfet(mos, nl.model(), vd, vg, vs);
+    const MosEval ev = eval_mosfet(ms.params, vd, vg, vs);
     if (ms.xd >= 0) {
       vals[ms.dd] += ev.d_vd;
       if (ms.xg >= 0) vals[ms.dg] += ev.d_vg;
@@ -445,8 +474,8 @@ void SolverWorkspace::stamp_nonlinear(Entry& e, const StampContext& ctx,
       vals[ms.ss] -= ev.d_vs;
     }
     const double ieq = ev.id - ev.d_vd * vd - ev.d_vg * vg - ev.d_vs * vs;
-    if (ms.xd >= 0) e.b[static_cast<std::size_t>(ms.xd)] -= ieq;
-    if (ms.xs >= 0) e.b[static_cast<std::size_t>(ms.xs)] += ieq;
+    if (ms.xd >= 0) b[ms.xd] -= ieq;
+    if (ms.xs >= 0) b[ms.xs] += ieq;
   }
 }
 
@@ -498,18 +527,40 @@ bool SolverWorkspace::dense_solve(const StampContext& ctx, const std::vector<dou
   return true;
 }
 
-bool SolverWorkspace::solve_newton_system(const StampContext& ctx, const std::vector<double>& x,
+bool SolverWorkspace::solve_newton_system(const StampContext& ctx, NewtonBinding& binding,
+                                          const std::vector<double>& x,
                                           std::vector<double>& x_new, SolveDiagnostics* diag) {
   const Netlist& nl = *ctx.nl;
   const std::size_t n = nl.unknown_count();
   if (n == 0) return false;
 
-  const SolverTuning& t = solver_tuning();
   const bool timing = diag != nullptr && util::Metrics::detailed_timing();
   using Clock = std::chrono::steady_clock;
+  auto t0 = timing ? Clock::now() : Clock::time_point{};
 
-  if (t.force_dense || (n < kDenseCrossover && !t.force_sparse)) {
-    const auto t0 = timing ? Clock::now() : Clock::time_point{};
+  if (!binding.resolved) {
+    const SolverTuning& t = solver_tuning();
+    binding.resolved = true;
+    binding.entry = nullptr;
+    if (!t.force_dense && (n >= kDenseCrossover || t.force_sparse)) {
+      bool built = false;
+      binding.entry = &entry_for(ctx, built);
+      if (timing && built) {
+        // A new structure's symbolic build is timed on its own, not as
+        // stamping.
+        const auto tb = Clock::now();
+        diag->symbolic_sec += std::chrono::duration<double>(tb - t0).count();
+        t0 = tb;
+      }
+      ensure_linear_base(*binding.entry, ctx);
+    }
+  } else if (binding.entry != nullptr) {
+    // Later iterations of the loop: the same cached entry and base.
+    ++stats_.symbolic_reuse;
+    ++stats_.linear_stamp_reuse;
+  }
+
+  if (binding.entry == nullptr) {
     const bool ok = dense_solve(ctx, x, x_new);
     ++stats_.dense_solves;
     if (timing) {
@@ -520,12 +571,8 @@ bool SolverWorkspace::solve_newton_system(const StampContext& ctx, const std::ve
     return ok;
   }
 
-  const auto t0 = timing ? Clock::now() : Clock::time_point{};
-  Entry& e = entry_for(ctx);
-  ensure_linear_base(e, ctx);
-  std::copy(e.base_values.begin(), e.base_values.end(), e.mat.values().begin());
-  stamp_rhs(e, ctx);
-  stamp_nonlinear(e, ctx, x);
+  Entry& e = *binding.entry;
+  stamp(e, ctx, x);
   const auto t1 = timing ? Clock::now() : Clock::time_point{};
   if (timing) diag->stamp_sec += std::chrono::duration<double>(t1 - t0).count();
 
@@ -560,22 +607,20 @@ bool SolverWorkspace::solve_newton_system(const StampContext& ctx, const std::ve
 void SolverWorkspace::mna_residual(const StampContext& ctx, const std::vector<double>& x,
                                    std::vector<double>& r) {
   const std::size_t n = ctx.nl->unknown_count();
-  Entry& e = entry_for(ctx);
+  bool built = false;
+  Entry& e = entry_for(ctx, built);
   ensure_linear_base(e, ctx);
-  std::copy(e.base_values.begin(), e.base_values.end(), e.mat.values().begin());
-  stamp_rhs(e, ctx);
-  stamp_nonlinear(e, ctx, x);
+  stamp(e, ctx, x);
   if (r.size() != n) r.resize(n);
   std::fill(r.begin(), r.end(), 0.0);
   e.mat.accumulate_residual(x, e.b, r);
 }
 
 double SolverWorkspace::kcl_residual_norm(const StampContext& ctx, const std::vector<double>& x) {
-  Entry& e = entry_for(ctx);
+  bool built = false;
+  Entry& e = entry_for(ctx, built);
   ensure_linear_base(e, ctx);
-  std::copy(e.base_values.begin(), e.base_values.end(), e.mat.values().begin());
-  stamp_rhs(e, ctx);
-  stamp_nonlinear(e, ctx, x);
+  stamp(e, ctx, x);
   // Residual of the node (KCL) rows only, without materializing r.
   const auto& rp = e.mat.row_ptr();
   const auto& ci = e.mat.col_idx();

@@ -8,34 +8,44 @@
 //  1. **Buffers** — matrices, RHS vectors, and scratch are owned by the
 //     workspace and recycled, so the Newton inner loop performs zero
 //     heap allocations after warm-up.
-//  2. **Split linear/nonlinear stamping** — the linear skeleton
-//     (resistors, capacitor companions' conductances, V/E incidence,
-//     gmin) is stamped once per (topology, gmin, dt, integrator)
-//     configuration into a cached base; each iteration memcpys the base
-//     and stamps only the MOSFET Jacobians and the RHS.
+//  2. **Split linear/nonlinear stamping over per-topology device
+//     tables** — the linear skeleton (resistors, capacitor companions'
+//     conductances, V/E incidence, gmin) is stamped once per (topology,
+//     gmin, dt, integrator) configuration into a cached base; each
+//     iteration copies the base and stamps only the MOSFET Jacobians
+//     and the RHS. Both walk flat tables built with the entry: each
+//     MOSFET's level-1 parameters with its unknowns and value slots,
+//     and an RHS list in device order (capacitor companions, V and I
+//     sources with their rows). Source values are not part of the
+//     structure, so the RHS list reads them from the netlist (or the
+//     transient drive overrides) on every iteration.
 //  3. **Sparse LU with cached symbolic analysis** — the sparsity
 //     pattern, fill-reducing ordering, and fill pattern are computed
 //     once per netlist *structure* and reused across all Newton
-//     iterations, timesteps, sweep points, and retry-ladder rungs;
-//     only the numeric refactorization runs per iteration. Each V/E
-//     branch row is paired with a terminal node's KCL row (a static
-//     row permutation, see sparse.hpp), so source rows pivot on their
-//     ±1 incidence entries. A pivot-health check plus an O(nnz)
-//     residual verification route any questionable solve to the dense
-//     partial-pivot fallback, so singular-matrix semantics are exactly
-//     the dense engine's.
+//     iterations, timesteps, sweep points, and retry-ladder rungs.
+//     The analysis also compiles the refactorization into index
+//     tables (sparse.hpp), so each iteration's numeric factor is one
+//     flat pass over the LU values. Each V/E branch row is paired with
+//     a terminal node's KCL row (a static row permutation, see
+//     sparse.hpp), so source rows pivot on their ±1 incidence entries.
+//     A pivot-health check plus an O(nnz) residual verification route
+//     any questionable solve to the dense partial-pivot fallback, so
+//     singular-matrix semantics are exactly the dense engine's.
 //
 // Cache keying: entries are keyed by a structural hash of the netlist
 // (node count, model card, and every device's kind/terminals/
 // matrix-shaping values — names and RHS-only source values excluded).
 // Distinct netlists with identical structure — the thousands of
 // per-fault copies a campaign makes of the same golden stage stimulus —
-// therefore share one symbolic analysis, one fill pattern, and one
-// linear base. A memo ring keyed on Netlist::generation() makes the
-// hash itself a cheap lookup on the warm path. Hash-equal structures
-// produce bit-identical stamps, so sharing never changes results; a
-// collision (same hash, different structure) is caught by the
-// unknown-count check and simply rebuilds the entry.
+// therefore share one symbolic analysis, one fill pattern, one set of
+// device tables and one linear base. Up to 16 structures stay cached
+// per workspace (least recently used goes first). A memo ring from
+// Netlist::generation() to the hash makes the key a cheap lookup on
+// the warm path, and a Newton loop resolves its entry once, on its
+// first iteration (NewtonBinding). Hash-equal structures produce
+// bit-identical stamps, so sharing never changes results; a collision
+// (same hash, different structure) is caught by the unknown-count
+// check and simply rebuilds the entry.
 //
 // For campaign warm starts, seed_from() parks a pending initial guess
 // on the workspace; the next solve_dc on this workspace consumes it as
@@ -77,6 +87,8 @@ struct SolverTuning {
 SolverTuning& solver_tuning();
 
 class SolverWorkspace {
+  struct Entry;  // one cached structure (defined below)
+
  public:
   SolverWorkspace() = default;
   SolverWorkspace(const SolverWorkspace&) = delete;
@@ -117,14 +129,33 @@ class SolverWorkspace {
   /// Takes (and clears) the pending seed. False when none is armed.
   bool take_pending_seed(std::vector<double>& out);
 
+  /// The cache entry a Newton loop solves on. Default-constructed it is
+  /// unresolved; the first solve_newton_system call that receives it
+  /// resolves the context's entry (building it if the structure is
+  /// new) and later calls reuse it, so a loop pays the key lookup once.
+  /// Only valid while the context's netlist structure, gmin, dt and
+  /// integrator stay as they were on that first call.
+  struct NewtonBinding {
+    Entry* entry = nullptr;  // null with `resolved`: the dense path
+    bool resolved = false;
+  };
+
   /// One Newton linear solve: builds the linearized MNA system about
   /// iterate `x` (cached linear base + fresh nonlinear/RHS stamps) and
   /// solves G·x_new = b. Returns false when the system is singular
   /// (decided by the dense partial-pivot fallback, exactly as before).
-  /// When `diag` is non-null and detailed timing is on, stamp/factor
-  /// time is accumulated into it. Allocation-free after warm-up.
+  /// When `diag` is non-null and detailed timing is on, symbolic-build,
+  /// stamp and factor time are accumulated into it. Allocation-free
+  /// after warm-up.
+  bool solve_newton_system(const StampContext& ctx, NewtonBinding& binding,
+                           const std::vector<double>& x, std::vector<double>& x_new,
+                           SolveDiagnostics* diag = nullptr);
+  /// The same for a one-off solve (the entry is resolved per call).
   bool solve_newton_system(const StampContext& ctx, const std::vector<double>& x,
-                           std::vector<double>& x_new, SolveDiagnostics* diag = nullptr);
+                           std::vector<double>& x_new, SolveDiagnostics* diag = nullptr) {
+    NewtonBinding binding;
+    return solve_newton_system(ctx, binding, x, x_new, diag);
+  }
 
   /// O(nnz) nonlinear MNA residual r = G(x)·x − b(x) (same definition
   /// as the free mna_residual, minus the dense row sweep and the
@@ -146,13 +177,26 @@ class SolverWorkspace {
   std::vector<std::complex<double>>& ac_solution() { return ac_x_; }
 
  private:
-  struct MosSlots {
-    std::size_t device = 0;
-    // Unknown indices of the terminals, -1 = ground.
+  /// One MOSFET of a cached topology: its level-1 parameters, terminal
+  /// unknowns (-1 = ground) and the value slots of rows d and s across
+  /// columns d, g, s.
+  struct MosStamp {
+    MosParams params;
     std::ptrdiff_t xd = -1, xg = -1, xs = -1;
-    // Value slots for row d / row s across columns d, g, s.
     std::size_t dd = kNoSlot, dg = kNoSlot, ds = kNoSlot;
     std::size_t sd = kNoSlot, sg = kNoSlot, ss = kNoSlot;
+  };
+
+  /// One right-hand-side term, in device order. Capacitor companions
+  /// and current sources inject a current from row `from` to row `to`
+  /// (-1 = ground); a voltage source sets its branch row `to`.
+  struct RhsTerm {
+    enum class Kind { kCapacitor, kVSource, kISource };
+    Kind kind = Kind::kCapacitor;
+    std::size_t device = 0;
+    std::ptrdiff_t from = -1, to = -1;
+    NodeId a = kGround, b = kGround;  // capacitor terminals
+    double farads = 0.0;
   };
 
   struct Entry {
@@ -164,7 +208,8 @@ class SolverWorkspace {
     SparseMatrix mat;  // pattern fixed; values restamped per iteration
     SparseLu lu;
     std::vector<std::size_t> diag_slot;
-    std::vector<MosSlots> mos;
+    std::vector<MosStamp> mos;
+    std::vector<RhsTerm> rhs;
     // Cached linear stamp base and the configuration that shaped it.
     bool base_valid = false;
     double base_gmin = 0.0;
@@ -179,11 +224,10 @@ class SolverWorkspace {
   };
 
   std::uint64_t entry_key(const StampContext& ctx);
-  Entry& entry_for(const StampContext& ctx);
+  Entry& entry_for(const StampContext& ctx, bool& built);
   void build_entry(Entry& e, const StampContext& ctx);
   void ensure_linear_base(Entry& e, const StampContext& ctx);
-  void stamp_rhs(Entry& e, const StampContext& ctx);
-  void stamp_nonlinear(Entry& e, const StampContext& ctx, const std::vector<double>& x);
+  void stamp(Entry& e, const StampContext& ctx, const std::vector<double>& x);
   bool residual_acceptable(const Entry& e, const std::vector<double>& x_new) const;
   void refine(Entry& e, std::vector<double>& x_new);
   bool dense_solve(const StampContext& ctx, const std::vector<double>& x,

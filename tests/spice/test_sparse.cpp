@@ -7,8 +7,10 @@
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <new>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "spice/dc.hpp"
@@ -336,6 +338,110 @@ TEST(SparseEngine, WarmSolveBitIdenticalToCold) {
     EXPECT_EQ(first.x[i], warm.x[i]) << "unknown " << i;
   }
   EXPECT_EQ(first.iterations, warm.iterations);
+}
+
+/// True when `a` and `b` hold exactly the same bits.
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() && std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+/// A MOSFET chain with a current source on one output: every RHS kind
+/// the device tables carry (capacitor companions, V and I sources).
+Netlist make_sourced_mos(double amps, double vin) {
+  util::Pcg32 rng(21);
+  Netlist nl = make_random_mos(rng, 4);
+  nl.set_vsource_volts(*nl.find_device("v_in"), vin);
+  nl.add("i_o1", ISource{nl.node("o1"), kGround, amps});
+  nl.add("c_o2", Capacitor{nl.node("o2"), kGround, 20e-15});
+  return nl;
+}
+
+TEST(SparseEngine, HashEqualNetlistsShareAnEntryButNotTheirSourceValues) {
+  // Source values are not part of the structural key, so these two
+  // netlists share one cache entry; each must still solve with its own
+  // values, exactly as a cold workspace does.
+  ScopedTuning guard;
+  solver_tuning().force_sparse = true;
+  const Netlist a = make_sourced_mos(20e-6, 0.3);
+  const Netlist b = make_sourced_mos(-35e-6, 0.9);
+  SolverWorkspace warm;
+  const DcResult ra = solve_dc(a, {}, warm);
+  const DcResult rb = solve_dc(b, {}, warm);
+  ASSERT_TRUE(ra.converged);
+  ASSERT_TRUE(rb.converged);
+  EXPECT_EQ(warm.stats().symbolic_builds, 1u);
+
+  SolverWorkspace cold;
+  const DcResult rb_cold = solve_dc(b, {}, cold);
+  EXPECT_TRUE(same_bits(rb.x, rb_cold.x));
+  EXPECT_EQ(rb.iterations, rb_cold.iterations);
+  EXPECT_FALSE(same_bits(ra.x, rb.x));
+}
+
+TEST(SparseEngine, SetVsourceVoltsBetweenSolvesIsSeenByTheWarmEntry) {
+  ScopedTuning guard;
+  solver_tuning().force_sparse = true;
+  Netlist nl = make_sourced_mos(10e-6, 0.2);
+  SolverWorkspace warm;
+  ASSERT_TRUE(solve_dc(nl, {}, warm).converged);
+  nl.set_vsource_volts(*nl.find_device("v_in"), 1.1);  // keeps the generation
+  const DcResult after = solve_dc(nl, {}, warm);
+  ASSERT_TRUE(after.converged);
+  EXPECT_EQ(warm.stats().symbolic_builds, 1u);
+
+  SolverWorkspace cold;
+  const DcResult after_cold = solve_dc(nl, {}, cold);
+  EXPECT_TRUE(same_bits(after.x, after_cold.x));
+  EXPECT_EQ(after.iterations, after_cold.iterations);
+}
+
+TEST(SparseEngine, CacheInvalidatedByMosfetWidthEdit) {
+  // MOSFET parameters live in the entry's device table, so a width edit
+  // through device() must reach a fresh entry.
+  ScopedTuning guard;
+  solver_tuning().force_sparse = true;
+  Netlist nl = make_sourced_mos(10e-6, 0.7);
+  SolverWorkspace warm;
+  const DcResult before = solve_dc(nl, {}, warm);
+  ASSERT_TRUE(before.converged);
+  const auto di = nl.find_device("mn1") ? nl.find_device("mn1") : nl.find_device("mp1");
+  std::get<Mosfet>(nl.device(*di).impl).w *= 3.0;
+  const DcResult after = solve_dc(nl, {}, warm);
+  ASSERT_TRUE(after.converged);
+  EXPECT_EQ(warm.stats().symbolic_builds, 2u);
+  EXPECT_FALSE(same_bits(before.x, after.x));
+
+  SolverWorkspace cold;
+  const DcResult after_cold = solve_dc(nl, {}, cold);
+  EXPECT_TRUE(same_bits(after.x, after_cold.x));
+  EXPECT_EQ(after.iterations, after_cold.iterations);
+}
+
+TEST(SparseEngine, WarmTrapezoidalTransientBitIdenticalToCold) {
+  // Drive overrides, capacitor history currents and the MOSFET tables
+  // together, on a workspace warmed by a backward-Euler run.
+  ScopedTuning guard;
+  solver_tuning().force_sparse = true;
+  const Netlist nl = make_sourced_mos(5e-6, 0.0);
+  TransientOptions topts;
+  topts.t_stop = 3e-9;
+  topts.dt = 0.05e-9;
+  const std::unordered_map<std::string, Waveform> drives = {
+      {"v_in", pwl_wave({{0.0, 0.0}, {1e-9, 1.2}, {2e-9, 0.3}})},
+      {"v_vdd", pwl_wave({{0.0, 1.0}, {0.5e-9, 1.2}})}};
+
+  SolverWorkspace warm;
+  ASSERT_TRUE(run_transient(nl, drives, topts, warm).ok);
+  topts.integrator = Integrator::kTrapezoidal;
+  const TransientResult warm_run = run_transient(nl, drives, topts, warm);
+  SolverWorkspace cold;
+  const TransientResult cold_run = run_transient(nl, drives, topts, cold);
+  ASSERT_TRUE(warm_run.ok);
+  ASSERT_TRUE(cold_run.ok);
+  EXPECT_EQ(warm_run.newton_iterations, cold_run.newton_iterations);
+  for (const auto& [name, samples] : cold_run.v) {
+    EXPECT_TRUE(same_bits(warm_run.probe(name), samples)) << name;
+  }
 }
 
 // --- symbolic cache invalidation --------------------------------------
