@@ -64,9 +64,14 @@ int main(int argc, char** argv) {
   std::size_t bist_only = 0;
   std::size_t both = 0;
   for (const auto& o : report.outcomes) {
-    if (o.scan && !o.bist) ++scan_only;
-    if (o.bist && !o.scan) ++bist_only;
-    if (o.scan && o.bist) ++both;
+    const auto hit = [&](lsl::dft::Stage stage) {
+      return lsl::dft::stage_result(o.record, stage) == lsl::dft::StageResult::kDetected;
+    };
+    const bool scan = hit(lsl::dft::kStageScan);
+    const bool bist = hit(lsl::dft::kStageBist);
+    if (scan && !bist) ++scan_only;
+    if (bist && !scan) ++bist_only;
+    if (scan && bist) ++both;
   }
   std::printf("\nScan/BIST fault-set relation: scan-only %zu, BIST-only %zu, both %zu\n",
               scan_only, bist_only, both);

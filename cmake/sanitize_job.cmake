@@ -40,13 +40,15 @@ endif()
 # ladder through every rung to exhaustion, plus the timeout and
 # singular-matrix exits and transient step halving. Dictionary and
 # PinnedReference run the fault dictionary (a full-evaluation campaign
-# on the pool) and the 4-thread Table-I / dictionary referees against
-# the pinned references. NewtonAllocation is
+# on the pool) and the 4-thread Table-I / dictionary / full-evaluation
+# record referees against the pinned references. StageOutcome holds the
+# detection rule's and the stage-result derivation's unit tests.
+# NewtonAllocation is
 # deliberately excluded: its global operator-new counters are
 # meaningless under sanitizer allocators.
-message(STATUS "[sanitize_job] running ThreadPool/Campaign/Dictionary/PinnedReference/McTrials/SparseEngine/SolverSmoke/SolverRobustness/digital tests under ${SANITIZER}")
+message(STATUS "[sanitize_job] running ThreadPool/Campaign/Dictionary/PinnedReference/StageOutcome/McTrials/SparseEngine/SolverSmoke/SolverRobustness/digital tests under ${SANITIZER}")
 execute_process(
-  COMMAND ctest --test-dir ${BIN_DIR} -R "ThreadPool|Campaign|Dictionary|PinnedReference|McTrials|SparseEngine|SolverSmoke|SolverRobustness|Circuit|StuckCampaign|Compaction|CoverageCurve|Atpg"
+  COMMAND ctest --test-dir ${BIN_DIR} -R "ThreadPool|Campaign|Dictionary|PinnedReference|StageOutcome|McTrials|SparseEngine|SolverSmoke|SolverRobustness|Circuit|StuckCampaign|Compaction|CoverageCurve|Atpg"
           --output-on-failure
   RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)

@@ -53,9 +53,9 @@ void show_fault(const lsl::core::TestableLink& link, const Goldens& goldens,
   const auto scan = lsl::dft::run_scan_test(faulty, goldens.scan);
   const auto bist = lsl::dft::run_bist_test(faulty, goldens.bist);
   std::printf("%-40s  DC:%-4s scan:%-4s BIST:%-4s -> %s\n", fault.describe().c_str(),
-              dc.detected ? "HIT" : "-", scan.detected ? "HIT" : "-",
-              bist.detected ? "HIT" : "-",
-              (dc.detected || scan.detected || bist.detected) ? "DETECTED" : "ESCAPES");
+              dc.detected() ? "HIT" : "-", scan.detected() ? "HIT" : "-",
+              bist.detected() ? "HIT" : "-",
+              (dc.detected() || scan.detected() || bist.detected()) ? "DETECTED" : "ESCAPES");
 }
 
 }  // namespace

@@ -84,8 +84,8 @@ BistTestReference bist_test_reference(const cells::LinkFrontend& golden,
     ref.outcome.record(kSubBistVerdict, std::string(kSubStageMarkWidth[kSubBistVerdict], '!'),
                        ref.golden.status);
   }
-  ref.outcome.finish(kStageBist);
-  ref.valid = !ref.outcome.anomalous && ref.verdict.pass();
+  ref.outcome.finish();
+  ref.valid = !ref.outcome.anomalous() && ref.verdict.pass();
   return ref;
 }
 
@@ -119,7 +119,7 @@ BistTestOutcome run_bist_test(const cells::LinkFrontend& fe, const BistTestRefer
   if (sig.characterized || full_evaluation) {
     record_cp_bist_readout(out, fe, solve, hints, full_evaluation);
   }
-  out.finish(kStageBist);
+  out.finish();
   return out;
 }
 

@@ -8,6 +8,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <stdexcept>
 #include <unordered_map>
 
 #include "spice/seed.hpp"
@@ -66,18 +67,6 @@ double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-/// The stage detection bits and the anomalous flag of a single-variant
-/// outcome, from its sub-stage record (stage_detects over each stage's
-/// run order).
-void settle_stages(FaultOutcome& o) {
-  const unsigned det = o.substages_detected;
-  const unsigned fail = o.substages_failed;
-  o.dc = stage_detects(det, fail, kStageRunOrder[kStageDc]);
-  o.scan = stage_detects(det, fail, kStageRunOrder[kStageScan]);
-  o.bist = stage_detects(det, fail, kStageRunOrder[kStageBist]);
-  o.anomalous = fail != 0;
-}
-
 /// FaultOutcome::observed's layout: the marks of every sub-stage the
 /// options enable, in SubStage order, each '-'-padded to its width (the
 /// sub-stages the options disable leave no marks).
@@ -94,18 +83,21 @@ std::string observed_marks(std::array<std::string, kSubStageCount> marks,
   return observed;
 }
 
-/// Runs DC, then scan, then BIST (when enabled) — the order of the
-/// paper's cumulative Table-I columns. With `short_circuit`, the first
-/// detection skips the remaining stages. Without adaptive_stage_order,
-/// every stage runs in full evaluation (every sub-stage, past detections
-/// and failed solves), so `observed` holds every observation. Fills the
-/// outcome's stage fields.
-FaultOutcome run_stages(const cells::LinkFrontend& faulty_closed,
-                        const cells::LinkFrontend& faulty, const StageOutcome& dc_golden,
-                        const StageOutcome& scan_golden, const BistTestReference& bist_ref,
-                        const CampaignOptions& opts, Clock::time_point start, bool short_circuit,
-                        const spice::SolveHints* hints) {
-  FaultOutcome r;
+/// Runs DC, then scan, then BIST (when enabled) on one leak variant —
+/// the order of the paper's cumulative Table-I columns — and appends its
+/// record, marks ('|'-separated from an earlier variant's), iterations
+/// and, if no earlier variant failed a solve, first failure status to
+/// `r`. With `short_circuit`, the first detection skips the remaining
+/// stages. Without adaptive_stage_order, every stage runs in full
+/// evaluation (every sub-stage, past detections and failed solves), so
+/// `observed` holds every observation.
+void run_stages(const cells::LinkFrontend& faulty_closed, const cells::LinkFrontend& faulty,
+                const StageOutcome& dc_golden, const StageOutcome& scan_golden,
+                const BistTestReference& bist_ref, const CampaignOptions& opts,
+                Clock::time_point start, bool short_circuit, const spice::SolveHints* hints,
+                FaultOutcome& r) {
+  SubStageRecord record;
+  long iterations = 0;  // this variant's: the Newton budget is per variant
 
   // Remaining wall clock for this fault; every solve inside a stage gets
   // it as a hard timeout. Returns false once the budget is blown.
@@ -119,14 +111,11 @@ FaultOutcome run_stages(const cells::LinkFrontend& faulty_closed,
   };
   const auto iter_budget_ok = [&]() {
     return opts.budget.max_newton_per_fault <= 0 ||
-           r.newton_iterations <= opts.budget.max_newton_per_fault;
+           iterations <= opts.budget.max_newton_per_fault;
   };
 
   static util::Counter& stage_skips = util::metrics().counter("campaign.stage_skips");
 
-  // Stage k records bit 1 << k in stages_run.
-  static_assert(kStageBitDc == 1u << kStageDc && kStageBitScan == 1u << kStageScan &&
-                kStageBitBist == 1u << kStageBist);
   const bool full = !opts.adaptive_stage_order;
   std::array<std::string, kSubStageCount> marks;
   spice::DcOptions solve;
@@ -146,35 +135,35 @@ FaultOutcome run_stages(const cells::LinkFrontend& faulty_closed,
       }
       return run_bist_test(faulty, bist_ref, solve, hints, full);
     }();
-    r.newton_iterations += o.iterations;
+    iterations += o.iterations;
     // The first failed solve's status wins: later stages usually fail
     // the same way for the same reason.
-    if (o.anomalous && r.substages_failed == 0) r.status = o.status;
-    r.stages_run |= 1u << stage;
-    r.substages_run |= o.sub_run;
-    r.substages_detected |= o.sub_detected;
-    r.substages_failed |= o.sub_failed;
+    if (o.anomalous() && record.failed == 0 && !anomalous(r.record)) r.status = o.status;
+    record.run |= o.sub.run;
+    record.detected |= o.sub.detected;
+    record.failed |= o.sub.failed;
     for (unsigned s = 0; s < kSubStageCount; ++s) marks[s] += o.marks[s];
     // A detection in hand makes every remaining stage redundant for the
-    // verdict: detected_any() already wins classification regardless of
-    // what they would report, so skipping them cannot move the fault
+    // verdict: one detecting stage already wins classification regardless
+    // of what they would report, so skipping them cannot move the fault
     // between partitions (DESIGN.md).
-    if (short_circuit && o.detected) {
+    if (short_circuit && o.detected()) {
       if (stage + 1 < n_stages) stage_skips.add(n_stages - 1 - stage);
       break;
     }
   }
   if (!iter_budget_ok()) r.budget_blown = true;
-  r.observed = observed_marks(std::move(marks), opts);
-  settle_stages(r);
-  return r;
+  r.newton_iterations += iterations;
+  if (r.record.count != 0) r.observed += '|';
+  r.observed += observed_marks(std::move(marks), opts);
+  r.record.add(record);
 }
 
 FaultVerdict classify(const FaultOutcome& o) {
   // A genuine signature mismatch is conclusive even when another stage
   // failed to solve or the budget ran out afterwards.
-  if (o.detected_any()) return FaultVerdict::kDetected;
-  if (o.anomalous || o.budget_blown) return FaultVerdict::kQuarantined;
+  if (detected(o.record)) return FaultVerdict::kDetected;
+  if (anomalous(o.record) || o.budget_blown) return FaultVerdict::kQuarantined;
   return FaultVerdict::kUndetected;
 }
 
@@ -185,17 +174,27 @@ void account(ClassStats& s, const FaultOutcome& o) {
     ++s.quarantined;
     return;
   }
-  s.cum_dc.add(o.dc);
-  s.cum_scan.add(o.dc || o.scan);
-  s.cum_all.add(o.detected_any());
+  const auto hit = [&](Stage stage) {
+    return stage_result(o.record, stage) == StageResult::kDetected;
+  };
+  s.cum_dc.add(hit(kStageDc));
+  s.cum_scan.add(hit(kStageDc) || hit(kStageScan));
+  s.cum_all.add(detected(o.record));
 }
 
-/// Recomputes the report's statistics from its outcome list — resumed
-/// runs, runs at any thread count and projections therefore produce
-/// identical figures for identical outcome sets.
+/// Recomputes the report's statistics, and each outcome's stages_run
+/// (the stages whose result is not kNotRun), from its outcome list —
+/// resumed runs, runs at any thread count and projections therefore
+/// produce identical figures for identical outcome sets.
 void tally(CampaignReport& report) {
-  for (const FaultOutcome& o : report.outcomes) {
-    if (o.anomalous) ++report.anomalous;
+  static_assert(kStageBitDc == 1u << kStageDc && kStageBitScan == 1u << kStageScan &&
+                kStageBitBist == 1u << kStageBist);
+  for (FaultOutcome& o : report.outcomes) {
+    o.stages_run = 0;
+    for (const Stage s : {kStageDc, kStageScan, kStageBist}) {
+      if (stage_result(o.record, s) != StageResult::kNotRun) o.stages_run |= 1u << s;
+    }
+    if (anomalous(o.record)) ++report.anomalous;
     if (o.verdict == FaultVerdict::kQuarantined) ++report.quarantined;
     account(report.per_class[o.fault.cls], o);
     account(report.total, o);
@@ -204,6 +203,10 @@ void tally(CampaignReport& report) {
 
 // --- JSONL checkpointing ---------------------------------------------
 
+/// Each variant's record keys: the first variant's carry no suffix, a
+/// second variant's (to-VDD leak) carry "_b".
+constexpr std::array<const char*, 2> kRecordKeySuffix = {"", "_b"};
+
 std::string outcome_to_json(const FaultOutcome& o) {
   util::JsonObject j;
   j.set("index", o.index);
@@ -211,17 +214,16 @@ std::string outcome_to_json(const FaultOutcome& o) {
   j.set("class", fault::fault_class_name(o.fault.cls));
   j.set("verdict", fault_verdict_name(o.verdict));
   j.set("status", spice::to_string(o.status));
-  j.set("dc", o.dc);
-  j.set("scan", o.scan);
-  j.set("bist", o.bist);
-  j.set("anomalous", o.anomalous);
   j.set("budget_blown", o.budget_blown);
   j.set("elapsed_sec", o.elapsed_sec);
   j.set("newton_iterations", static_cast<std::int64_t>(o.newton_iterations));
-  j.set("stages_run", static_cast<std::size_t>(o.stages_run));
-  j.set("substages_run", static_cast<std::size_t>(o.substages_run));
-  j.set("substages_detected", static_cast<std::size_t>(o.substages_detected));
-  j.set("substages_failed", static_cast<std::size_t>(o.substages_failed));
+  for (std::size_t v = 0; v < o.record.count; ++v) {
+    const std::string suffix = kRecordKeySuffix[v];
+    const SubStageRecord& r = o.record.slot[v];
+    j.set("substages_run" + suffix, static_cast<std::size_t>(r.run));
+    j.set("substages_detected" + suffix, static_cast<std::size_t>(r.detected));
+    j.set("substages_failed" + suffix, static_cast<std::size_t>(r.failed));
+  }
   j.set("observed", o.observed);
   // Only present for folded class members: keeps the line (and the
   // canonical JSONL) identical to a collapsing-off run everywhere else.
@@ -239,9 +241,7 @@ bool outcome_from_json(const std::string& line, FaultOutcome& o) {
   double iters = 0.0;
   if (!j.get_uint("index", o.index) || !j.get_string("device", o.fault.device) ||
       !j.get_string("class", cls) || !j.get_string("verdict", verdict) ||
-      !j.get_string("status", status) || !j.get_bool("dc", o.dc) ||
-      !j.get_bool("scan", o.scan) || !j.get_bool("bist", o.bist) ||
-      !j.get_bool("anomalous", o.anomalous) || !j.get_bool("budget_blown", o.budget_blown) ||
+      !j.get_string("status", status) || !j.get_bool("budget_blown", o.budget_blown) ||
       !j.get_number("elapsed_sec", elapsed) || !j.get_number("newton_iterations", iters)) {
     return false;
   }
@@ -250,16 +250,43 @@ bool outcome_from_json(const std::string& line, FaultOutcome& o) {
   if (!spice::solve_status_from_string(status, o.status)) return false;
   o.elapsed_sec = elapsed;
   o.newton_iterations = static_cast<long>(iters);
-  // Optional fields (absent from older checkpoints): keep the defaults
-  // when missing so old checkpoint files still resume.
-  std::size_t v = 0;
-  if (j.get_uint("stages_run", v)) o.stages_run = static_cast<unsigned>(v);
-  if (j.get_uint("substages_run", v)) o.substages_run = static_cast<unsigned>(v);
-  if (j.get_uint("substages_detected", v)) o.substages_detected = static_cast<unsigned>(v);
-  if (j.get_uint("substages_failed", v)) o.substages_failed = static_cast<unsigned>(v);
   j.get_string("observed", o.observed);
   std::size_t rep = 0;
   if (j.get_uint("collapsed_into", rep)) o.collapsed_into = rep;
+
+  for (const std::string suffix : kRecordKeySuffix) {
+    std::array<std::size_t, 3> m{};
+    if (!j.get_uint("substages_run" + suffix, m[0]) ||
+        !j.get_uint("substages_detected" + suffix, m[1]) ||
+        !j.get_uint("substages_failed" + suffix, m[2])) {
+      break;
+    }
+    const auto mask = [&](std::size_t k) { return static_cast<unsigned>(m[k]); };
+    o.record.add({mask(0), mask(1), mask(2)});
+  }
+  std::array<bool, kStageCount> hit{};
+  bool failed = false;
+  if (!j.get_bool("dc", hit[kStageDc])) return o.record.count != 0;
+  // An older line stored exact stage bits beside its record, or instead
+  // of it. A record merged from two variants (or none) is rebuilt from
+  // the bits: each stage that ran marks its first sub-stage run (and
+  // detected when the stage did), and an anomalous line fails every
+  // sub-stage, over which a detected first sub-stage still wins.
+  if (!j.get_bool("scan", hit[kStageScan]) || !j.get_bool("bist", hit[kStageBist]) ||
+      !j.get_bool("anomalous", failed)) {
+    return false;
+  }
+  if (o.record.count == 1 && o.observed.find('|') == std::string::npos) return true;
+  std::size_t ran = 0;
+  j.get_uint("stages_run", ran);
+  SubStageRecord r{.failed = failed ? kAllSubStages : 0u};
+  for (unsigned s = 0; s < kStageCount; ++s) {
+    const unsigned first = sub_bit(kStageRunOrder[s].front());
+    if (hit[s] || (ran & (1u << s)) != 0) r.run |= first;
+    if (hit[s]) r.detected |= first;
+  }
+  o.record = {};
+  o.record.add(r);
   return true;
 }
 
@@ -316,60 +343,50 @@ FaultOutcome simulate_fault(const FaultSimContext& ctx, const StructuralFault& f
   span.arg("worker", static_cast<double>(worker));
   const Clock::time_point fault_start = Clock::now();
 
-  // Pessimistic gate opens AND their detection bits across the two leak
-  // variants: a per-variant short-circuit could zero a bit the other
-  // variant needs, flipping the AND — so they always run every stage.
-  const bool short_circuit = opts.adaptive_stage_order &&
-                             !(f.needs_leak_variants() && opts.pessimistic_gate_opens);
+  // Pessimistic convention: a floating gate's level is unknowable, so
+  // both leak variants run and a stage detects only when it does in
+  // both (stage_result). A per-variant short-circuit could skip a stage
+  // the other variant's detection needs, so these always run every stage.
+  const bool both_leaks = f.needs_leak_variants() && opts.pessimistic_gate_opens;
+  const bool short_circuit = opts.adaptive_stage_order && !both_leaks;
 
   const auto run_variant = [&](OpenLeak leak) {
     cells::LinkFrontend faulty = *ctx.golden;
     cells::LinkFrontend faulty_closed = *ctx.golden_closed;
     if (!fault::inject(faulty.netlist(), f, leak, ctx.vdd) ||
         !fault::inject(faulty_closed.netlist(), f, leak, ctx.vdd_closed)) {
-      util::log_error("campaign: failed to inject " + f.describe());
-      return FaultOutcome{};
+      throw std::runtime_error("the fault cannot be injected");
     }
     spice::SolveHints hints;
     hints.seeds = ctx.seeds;
-    return run_stages(faulty_closed, faulty, *ctx.dc_golden, *ctx.scan_golden, *ctx.bist_ref,
-                      opts, fault_start, short_circuit, &hints);
+    run_stages(faulty_closed, faulty, *ctx.dc_golden, *ctx.scan_golden, *ctx.bist_ref, opts,
+               fault_start, short_circuit, &hints, outcome);
+  };
+  // A fault whose simulation threw has no trustworthy verdict: its
+  // record becomes one that failed every sub-stage.
+  const auto quarantine = [&](const std::string& what) {
+    util::log_error("campaign: " + what);
+    outcome.record = {};
+    outcome.record.add({.failed = kAllSubStages});
+    outcome.status = spice::SolveStatus::kNonFinite;
   };
 
   // Survival guarantee: nothing a single fault does — divergence,
   // singularity, or an unexpected exception — may abort the campaign.
   try {
-    if (f.needs_leak_variants() && opts.pessimistic_gate_opens) {
-      // Pessimistic convention: a floating gate's level is unknowable,
-      // so only faults flagged under BOTH leakage assumptions count.
-      outcome = run_variant(OpenLeak::kToGround);
-      const FaultOutcome b = run_variant(OpenLeak::kToVdd);
-      outcome.dc = outcome.dc && b.dc;
-      outcome.scan = outcome.scan && b.scan;
-      outcome.bist = outcome.bist && b.bist;
-      if (!outcome.anomalous) outcome.status = b.status;
-      outcome.anomalous |= b.anomalous;
-      outcome.budget_blown |= b.budget_blown;
-      outcome.newton_iterations += b.newton_iterations;
-      outcome.stages_run |= b.stages_run;
-      outcome.substages_run |= b.substages_run;
-      outcome.substages_detected &= b.substages_detected;
-      outcome.substages_failed |= b.substages_failed;
-      outcome.observed += '|' + b.observed;
+    if (both_leaks) {
+      run_variant(OpenLeak::kToGround);
+      run_variant(OpenLeak::kToVdd);
     } else {
       // Gate opens leak toward the device bulk; other opens have no
       // leak dependence (the argument is ignored).
-      outcome = run_variant(f.needs_leak_variants() ? fault::bulk_leak(ctx.golden->netlist(), f)
-                                                    : OpenLeak::kToGround);
+      run_variant(f.needs_leak_variants() ? fault::bulk_leak(ctx.golden->netlist(), f)
+                                          : OpenLeak::kToGround);
     }
   } catch (const std::exception& e) {
-    util::log_error("campaign: exception on " + f.describe() + ": " + e.what());
-    outcome.anomalous = true;
-    outcome.status = spice::SolveStatus::kNonFinite;
+    quarantine("exception on " + f.describe() + ": " + e.what());
   } catch (...) {
-    util::log_error("campaign: unknown exception on " + f.describe());
-    outcome.anomalous = true;
-    outcome.status = spice::SolveStatus::kNonFinite;
+    quarantine("unknown exception on " + f.describe());
   }
 
   outcome.fault = f;
@@ -704,16 +721,12 @@ CampaignReport project_report(const CampaignReport& full, unsigned kept_substage
   out.complete = full.complete;
   out.golden_observed = full.golden_observed;
   for (FaultOutcome o : full.outcomes) {
-    // Outcomes without a sub-stage record (an exception, a failed
-    // injection) keep their flags.
-    if (o.substages_run != 0) {
-      o.substages_run &= kept_substages;
-      o.substages_detected &= kept_substages;
-      o.substages_failed &= kept_substages;
-      settle_stages(o);
+    VariantRecords kept;
+    for (const SubStageRecord& r : o.record) {
+      kept.add({r.run & kept_substages, r.detected & kept_substages, r.failed & kept_substages});
     }
-    if (!o.anomalous) o.status = spice::SolveStatus::kConverged;
-    if ((o.substages_run & kBistSubStages) == 0) o.stages_run &= ~kStageBitBist;
+    o.record = kept;
+    if (!anomalous(o.record)) o.status = spice::SolveStatus::kConverged;
     o.verdict = classify(o);
     out.outcomes.push_back(std::move(o));
   }

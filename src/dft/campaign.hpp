@@ -1,8 +1,9 @@
 // Full structural-fault campaign over the analog link: enumerates the
 // Table-I fault universe, injects each fault into a copy of the golden
 // frontend, and applies the paper's three test stages (DC test, scan
-// test, BIST). Gate opens run both floating-gate leak variants and
-// count as detected by a stage only if BOTH variants are.
+// test, BIST). Under the pessimistic convention gate opens run both
+// floating-gate leak variants and count as detected by a stage only if
+// BOTH variants are.
 //
 // Survival layer: faulted netlists are exactly the inputs that make the
 // solver fail, so every fault is partitioned into one of three verdicts:
@@ -55,9 +56,9 @@ struct CampaignBudget {
   long max_newton_per_fault = 0;
 };
 
-/// Bit positions of FaultOutcome::stages_run: which stages were actually
-/// simulated (as opposed to skipped by a blown budget, a disabled BIST,
-/// or the adaptive short-circuit).
+/// Bit positions of FaultOutcome::stages_run: which stages ran (as
+/// opposed to skipped by a blown budget, a disabled BIST, or the
+/// adaptive short-circuit).
 enum : unsigned {
   kStageBitDc = 1u,
   kStageBitScan = 2u,
@@ -158,29 +159,22 @@ struct CampaignOptions {
 struct FaultOutcome {
   fault::StructuralFault fault;
   std::size_t index = 0;  // position in the enumerated universe
-  bool dc = false;
-  bool scan = false;
-  bool bist = false;
-  /// Some solve inside a stage failed (even if another stage detected).
-  bool anomalous = false;
+  /// The sub-stage record of each simulated leak variant: the only
+  /// stored account of what the stages did. Every stage result, the
+  /// anomalous flag and the detection come from it (stage_result,
+  /// anomalous and detected in dft/stage_outcome.hpp).
+  VariantRecords record;
   FaultVerdict verdict = FaultVerdict::kUndetected;
   /// First failing solver status (kConverged when everything solved).
   spice::SolveStatus status = spice::SolveStatus::kConverged;
   double elapsed_sec = 0.0;
   long newton_iterations = 0;
   bool budget_blown = false;
-  /// Bitmask (kStageBitDc | kStageBitScan | kStageBitBist) of stages
-  /// actually simulated. A stage absent from the mask contributes a
-  /// false detection bit — either it was disabled/budget-skipped or the
-  /// adaptive short-circuit proved it redundant for the verdict (an
-  /// earlier stage had already detected).
+  /// Bitmask (kStageBitDc | kStageBitScan | kStageBitBist) of the stages
+  /// whose stage_result is not kNotRun, filled from `record` when a
+  /// report is tallied. Kept only because the benchmark program
+  /// (perfbench/) reads it.
   unsigned stages_run = 0;
-  /// Sub-stage record (sub_bit masks, dft/stage_outcome.hpp): which
-  /// sub-stages ran, detected, failed a solve. Pessimistic gate opens OR
-  /// the run/failed masks and AND the detected mask of the two variants.
-  unsigned substages_run = 0;
-  unsigned substages_detected = 0;
-  unsigned substages_failed = 0;
   /// Every enabled sub-stage's marks in SubStage order: the fault
   /// dictionary's signature. Pessimistic gate opens join the two
   /// variants' strings with '|'.
@@ -188,11 +182,10 @@ struct FaultOutcome {
   /// When structural fault collapsing folded this fault into an
   /// equivalence class simulated once, the representative's fault
   /// index. Unset for representatives, singletons, and collapsing-off
-  /// runs; the folded outcome's bits are bit-identical to what a
+  /// runs; the folded outcome's record is bit-identical to what a
   /// dedicated simulation would produce (the member netlists differ
   /// only in device names, which stamp nothing).
   std::optional<std::size_t> collapsed_into;
-  bool detected_any() const { return dc || scan || bist; }
 };
 
 struct ClassStats {
@@ -263,11 +256,11 @@ struct CampaignReport {
 CampaignReport run_campaign(const cells::LinkFrontend& golden, const CampaignOptions& opts = {});
 
 /// The report as if only the sub-stages in `kept_substages` had run:
-/// stage bits, anomalous flags, verdicts and statistics re-derived from
-/// the sub-stage record (`observed` and the costs stay). For a
-/// full-evaluation bulk-leak run this equals, in verdict partition and
-/// cumulative coverage, a run with with_scan_toggle = false (drop
-/// kSubToggle) or with_bist = false (drop kBistSubStages).
+/// every variant's record masked, verdicts and statistics re-derived
+/// (`observed` and the costs stay). For a full-evaluation run this
+/// equals, in verdict partition and cumulative coverage, a run with
+/// with_scan_toggle = false (drop kSubToggle) or with_bist = false (drop
+/// kBistSubStages); keeping kAllSubStages returns the report itself.
 CampaignReport project_report(const CampaignReport& full, unsigned kept_substages);
 
 /// Canonical (timing-free) JSONL serialization of one outcome: the

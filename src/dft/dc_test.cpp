@@ -21,7 +21,7 @@ DcTestOutcome run_dc_test(const cells::LinkFrontend& fe_in, const DcTestOutcome&
                            : std::string(cells::LinkObservation::kBitCount, '!'),
                r.status);
   }
-  out.finish(kStageDc);
+  out.finish();
   return out;
 }
 

@@ -200,7 +200,7 @@ ScanTestOutcome run_scan_test(const LinkFrontend& fe, const ScanTestOutcome& gol
   if (with_toggle && !out.stops(full_evaluation)) {
     record_capture(out, kSubToggle, toggle_signature(fe, topts, solve, hints));
   }
-  out.finish(kStageScan);
+  out.finish();
   return out;
 }
 

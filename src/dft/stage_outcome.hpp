@@ -1,5 +1,6 @@
-// What one test stage observed, sub-stage by sub-stage, and the one rule
-// that decides a detection.
+// What one test stage observed, sub-stage by sub-stage, the one rule
+// that decides a detection, and the one derivation of a stage's result
+// from a fault's sub-stage records (stage_result).
 //
 // The paper's three test stages are six sub-stages: the DC test; the
 // scan test's charge-pump scan, static scan capture and toggle test; the
@@ -15,6 +16,7 @@
 // conflict with nothing), at a compared position (see compared()).
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <span>
 #include <string>
@@ -94,21 +96,71 @@ inline bool stage_detects(unsigned detected, unsigned failed,
   return false;
 }
 
+/// What one simulation of the stages recorded: sub_bit masks of the
+/// sub-stages that ran, detected (before any failed solve inside them)
+/// and failed a solve.
+struct SubStageRecord {
+  unsigned run = 0;
+  unsigned detected = 0;
+  unsigned failed = 0;
+  bool operator==(const SubStageRecord&) const = default;
+};
+
+/// A fault's records, one per simulated leak variant: one normally, two
+/// for a gate open under the pessimistic convention (to-ground, then
+/// to-VDD). Fixed-size; it reads as a span of its records.
+struct VariantRecords {
+  std::array<SubStageRecord, 2> slot{};
+  std::size_t count = 0;
+
+  void add(const SubStageRecord& r) {
+    slot.at(count) = r;
+    ++count;
+  }
+  const SubStageRecord* begin() const { return slot.data(); }
+  const SubStageRecord* end() const { return slot.data() + count; }
+  bool operator==(const VariantRecords&) const = default;
+};
+
+/// A stage's result on a fault.
+enum class StageResult { kNotRun, kPassed, kDetected };
+
+/// The one derivation of a stage's result from the records of every
+/// simulated leak variant. The stage ran when some variant ran one of
+/// its sub-stages. It detects when stage_detects holds in every variant
+/// — with two variants, the pessimistic convention's AND of stage
+/// results, which no early stop inside either variant can change.
+inline StageResult stage_result(std::span<const SubStageRecord> variants, Stage stage) {
+  bool ran = false;
+  bool detects = !variants.empty();
+  for (const SubStageRecord& r : variants) {
+    for (const SubStage s : kStageRunOrder[stage]) ran = ran || (r.run & sub_bit(s)) != 0;
+    detects = detects && stage_detects(r.detected, r.failed, kStageRunOrder[stage]);
+  }
+  return detects ? StageResult::kDetected : ran ? StageResult::kPassed : StageResult::kNotRun;
+}
+
+/// Some stage detects: the detection a verdict rests on.
+inline bool detected(std::span<const SubStageRecord> variants) {
+  return std::ranges::any_of(std::array{kStageDc, kStageScan, kStageBist}, [&](Stage s) {
+    return stage_result(variants, s) == StageResult::kDetected;
+  });
+}
+
+/// Some variant failed a solve: the verdict is not trustworthy unless
+/// a stage detected anyway.
+inline bool anomalous(std::span<const SubStageRecord> variants) {
+  return std::ranges::any_of(variants, [](const SubStageRecord& r) { return r.failed != 0; });
+}
+
 /// Result of one test stage (DC, scan or BIST) on a (faulted) frontend.
 struct StageOutcome {
-  /// Genuine signature conflict with the golden outcome before the
-  /// stage's first failed solve (stage_detects over its sub-stages).
-  bool detected = false;
-  /// A solve failed: the verdict is not trustworthy.
-  bool anomalous = false;
   /// Status of the first failed solve (kConverged when all converged).
   spice::SolveStatus status = spice::SolveStatus::kConverged;
   /// Newton iterations spent in this stage (campaign budget accounting).
   long iterations = 0;
-  /// sub_bit masks: sub-stages that ran, detected, failed a solve.
-  unsigned sub_run = 0;
-  unsigned sub_detected = 0;
-  unsigned sub_failed = 0;
+  /// The stage's sub-stages that ran, detected, failed a solve.
+  SubStageRecord sub;
   /// Signature marks of every sub-stage that ran (a sub-stage stopped
   /// part-way has fewer marks than its '-'-padded width).
   std::array<std::string, kSubStageCount> marks;
@@ -117,6 +169,12 @@ struct StageOutcome {
   /// runs (nothing to compare). finish() clears it.
   const StageOutcome* golden = nullptr;
 
+  /// Genuine signature conflict with the golden outcome before the
+  /// stage's first failed solve (stage_result over its record).
+  bool detected() const { return dft::detected({&sub, 1}); }
+  /// A solve failed: the verdict is not trustworthy.
+  bool anomalous() const { return dft::anomalous({&sub, 1}); }
+
   /// Appends one observation of sub-stage `s`. It fails when its marks
   /// hold a '!'; it detects when it does not fail, no earlier record of
   /// `s` failed, and some compared position conflicts with the golden's
@@ -124,32 +182,27 @@ struct StageOutcome {
   /// stage status.
   void record(SubStage s, const std::string& sub_marks, spice::SolveStatus sub_status) {
     const bool fails = sub_marks.find('!') != std::string::npos;
-    if (!fails && (sub_failed & sub_bit(s)) == 0 && golden != nullptr) {
+    if (!fails && (sub.failed & sub_bit(s)) == 0 && golden != nullptr) {
       const std::string& ref = golden->marks[s];
       for (std::size_t i = 0, pos = marks[s].size(); i < sub_marks.size(); ++i, ++pos) {
         if (pos < ref.size() && compared(s, pos) && marks_conflict(sub_marks[i], ref[pos])) {
-          sub_detected |= sub_bit(s);
+          sub.detected |= sub_bit(s);
           break;
         }
       }
     }
-    if (fails && sub_failed == 0) status = sub_status;
-    if (fails) sub_failed |= sub_bit(s);
-    sub_run |= sub_bit(s);
+    if (fails && sub.failed == 0) status = sub_status;
+    if (fails) sub.failed |= sub_bit(s);
+    sub.run |= sub_bit(s);
     marks[s] += sub_marks;
   }
   /// Where a stage stops unless it runs in full evaluation: a sub-stage
   /// has detected or failed a solve.
   bool stops(bool full_evaluation) const {
-    return !full_evaluation && (sub_detected | sub_failed) != 0;
+    return !full_evaluation && (sub.detected | sub.failed) != 0;
   }
-  /// Sets `detected` and `anomalous` from the sub-stage masks of stage
-  /// `stage` and drops the golden pointer.
-  void finish(Stage stage) {
-    detected = stage_detects(sub_detected, sub_failed, kStageRunOrder[stage]);
-    anomalous = sub_failed != 0;
-    golden = nullptr;
-  }
+  /// Drops the golden pointer once the stage has run.
+  void finish() { golden = nullptr; }
 };
 
 }  // namespace lsl::dft

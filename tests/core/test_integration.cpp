@@ -49,9 +49,11 @@ TEST(Integration, ScanBistSetsIntersectWithoutContainment) {
   std::size_t bist_only = 0;
   std::size_t both = 0;
   for (const auto& o : report.outcomes) {
-    if (o.scan && !o.bist) ++scan_only;
-    if (o.bist && !o.scan) ++bist_only;
-    if (o.scan && o.bist) ++both;
+    const bool scan = dft::stage_result(o.record, dft::kStageScan) == dft::StageResult::kDetected;
+    const bool bist = dft::stage_result(o.record, dft::kStageBist) == dft::StageResult::kDetected;
+    if (scan && !bist) ++scan_only;
+    if (bist && !scan) ++bist_only;
+    if (scan && bist) ++both;
   }
   EXPECT_GT(scan_only, 0u);
   EXPECT_GT(bist_only, 0u);

@@ -38,7 +38,7 @@ TEST_F(BistTestFixture, GoldenReferencePasses) {
   ASSERT_TRUE(ref_->valid);
   EXPECT_TRUE(ref_->verdict.pass());
   // The golden's own outcome records the verdict and readout as marks.
-  EXPECT_FALSE(ref_->outcome.anomalous);
+  EXPECT_FALSE(ref_->outcome.anomalous());
   EXPECT_EQ(ref_->outcome.marks[kSubBistVerdict], "1111");
   EXPECT_EQ(ref_->outcome.marks[kSubCpBistRead].size(), 2 * cp_bist_vc_levels().size());
   EXPECT_EQ(ref_->outcome.marks[kSubCpBistRead].find_first_not_of("01"), std::string::npos);
@@ -46,7 +46,7 @@ TEST_F(BistTestFixture, GoldenReferencePasses) {
 
 TEST_F(BistTestFixture, GoldenFrontendPassesBist) {
   const BistTestOutcome out = run_bist_test(*golden_, *ref_);
-  EXPECT_FALSE(out.detected);
+  EXPECT_FALSE(out.detected());
 }
 
 TEST_F(BistTestFixture, PumpSourceDsShortCaughtByBist) {
@@ -54,12 +54,12 @@ TEST_F(BistTestFixture, PumpSourceDsShortCaughtByBist) {
   // current source. At speed it leaks Vc continuously and wrecks lock.
   const auto out = run_bist_test(faulted({"cp.m_swup", fault::FaultClass::kDrainSourceShort}),
                                  *ref_);
-  EXPECT_TRUE(out.detected);
+  EXPECT_TRUE(out.detected());
 }
 
 TEST_F(BistTestFixture, BalancePathFaultCaughtByCpBist) {
   const auto out = run_bist_test(faulted({"cp.m_swdnb", fault::FaultClass::kDrainOpen}), *ref_);
-  EXPECT_TRUE(out.detected);
+  EXPECT_TRUE(out.detected());
 }
 
 TEST_F(BistTestFixture, FfeCapShortWrecksDataPath) {
@@ -68,7 +68,7 @@ TEST_F(BistTestFixture, FfeCapShortWrecksDataPath) {
   // error-checked burst fails.
   const auto out = run_bist_test(faulted({"tx.p.c_main", fault::FaultClass::kCapacitorShort}),
                                  *ref_);
-  EXPECT_TRUE(out.detected);
+  EXPECT_TRUE(out.detected());
 }
 
 }  // namespace

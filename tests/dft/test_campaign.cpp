@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "dft/dictionary.hpp"
+#include "spice/solve_status.hpp"
 #include "util/jsonl.hpp"
 
 namespace lsl::dft {
@@ -42,14 +43,9 @@ class CampaignFixture : public ::testing::Test {
       EXPECT_EQ(x.index, y.index);
       EXPECT_EQ(x.fault.device, y.fault.device);
       EXPECT_EQ(x.fault.cls, y.fault.cls);
-      EXPECT_EQ(x.dc, y.dc) << x.fault.describe();
-      EXPECT_EQ(x.scan, y.scan) << x.fault.describe();
-      EXPECT_EQ(x.bist, y.bist) << x.fault.describe();
-      EXPECT_EQ(x.anomalous, y.anomalous) << x.fault.describe();
+      EXPECT_EQ(x.record, y.record) << x.fault.describe();
+      EXPECT_EQ(x.stages_run, y.stages_run) << x.fault.describe();
       EXPECT_EQ(x.verdict, y.verdict) << x.fault.describe();
-      EXPECT_EQ(x.substages_run, y.substages_run) << x.fault.describe();
-      EXPECT_EQ(x.substages_detected, y.substages_detected) << x.fault.describe();
-      EXPECT_EQ(x.substages_failed, y.substages_failed) << x.fault.describe();
       EXPECT_EQ(x.observed, y.observed) << x.fault.describe();
     }
     EXPECT_EQ(a.anomalous, b.anomalous);
@@ -66,6 +62,61 @@ class CampaignFixture : public ::testing::Test {
 
 cells::LinkFrontend* CampaignFixture::golden_ = nullptr;
 
+/// Faults a report simulated rather than loaded from its checkpoint.
+std::size_t fresh_faults(const CampaignReport& r) {
+  std::size_t fresh = 0;
+  for (const std::size_t n : r.exec.per_worker_faults) fresh += n;
+  return fresh;
+}
+
+/// Two leak variants whose scan stages both detect, at different
+/// sub-stages: A at the toggle test; B at the CP scan, after which a
+/// static-scan solve fails.
+VariantRecords scan_detected_by_both_variants() {
+  constexpr unsigned kRan =
+      sub_bit(kSubDc) | sub_bit(kSubCpScan) | sub_bit(kSubScanStatic) | sub_bit(kSubToggle);
+  VariantRecords v;
+  v.add({kRan, sub_bit(kSubToggle), 0});
+  v.add({kRan, sub_bit(kSubCpScan), sub_bit(kSubScanStatic)});
+  return v;
+}
+
+/// A checkpoint line in an older format: the outcome's stage bits
+/// (`dc`/`scan`/`bist`/`anomalous`/`stages_run`) and, `with_record`,
+/// its one record's masks and `observed` beside them. The stage bits
+/// come from `bits` when given (a two-variant outcome whose record was
+/// merged), else from the outcome's record.
+std::string older_line(const FaultOutcome& o, bool with_record,
+                       const VariantRecords* bits = nullptr) {
+  const VariantRecords& from = bits != nullptr ? *bits : o.record;
+  const auto hit = [&](Stage s) { return stage_result(from, s) == StageResult::kDetected; };
+  util::JsonObject j;
+  j.set("index", o.index);
+  j.set("device", o.fault.device);
+  j.set("class", fault::fault_class_name(o.fault.cls));
+  j.set("verdict", fault_verdict_name(o.verdict));
+  j.set("status", spice::to_string(o.status));
+  j.set("dc", hit(kStageDc));
+  j.set("scan", hit(kStageScan));
+  j.set("bist", hit(kStageBist));
+  j.set("anomalous", anomalous(from));
+  j.set("budget_blown", o.budget_blown);
+  j.set("elapsed_sec", 0.0);
+  j.set("newton_iterations", static_cast<std::int64_t>(o.newton_iterations));
+  unsigned stages_run = 0;
+  for (const Stage s : {kStageDc, kStageScan, kStageBist}) {
+    if (stage_result(from, s) != StageResult::kNotRun) stages_run |= 1u << s;
+  }
+  j.set("stages_run", static_cast<std::size_t>(stages_run));
+  if (with_record) {
+    j.set("substages_run", static_cast<std::size_t>(o.record.slot[0].run));
+    j.set("substages_detected", static_cast<std::size_t>(o.record.slot[0].detected));
+    j.set("substages_failed", static_cast<std::size_t>(o.record.slot[0].failed));
+    j.set("observed", o.observed);
+  }
+  return j.str();
+}
+
 TEST_F(CampaignFixture, PartitionsEveryFaultIntoExactlyOneVerdict) {
   const CampaignReport report = run_campaign(*golden_, small_opts());
   ASSERT_EQ(report.outcomes.size(), 8u);
@@ -77,7 +128,7 @@ TEST_F(CampaignFixture, PartitionsEveryFaultIntoExactlyOneVerdict) {
     switch (o.verdict) {
       case FaultVerdict::kDetected:
         ++detected;
-        EXPECT_TRUE(o.detected_any());
+        EXPECT_TRUE(dft::detected(o.record));
         break;
       case FaultVerdict::kUndetected: ++undetected; break;
       case FaultVerdict::kQuarantined: ++quarantined; break;
@@ -114,10 +165,12 @@ TEST_F(CampaignFixture, IterationBudgetSkipsLaterStages) {
   ASSERT_EQ(report.outcomes.size(), 4u);
   for (const auto& o : report.outcomes) {
     EXPECT_TRUE(o.budget_blown) << o.fault.describe();
-    EXPECT_FALSE(o.scan) << o.fault.describe();  // stage skipped
+    EXPECT_EQ(stage_result(o.record, kStageScan), StageResult::kNotRun) << o.fault.describe();
     // A genuine DC detection survives the blown budget; anything else
     // quarantines rather than claiming "undetected".
-    EXPECT_EQ(o.verdict, o.dc ? FaultVerdict::kDetected : FaultVerdict::kQuarantined)
+    EXPECT_EQ(o.verdict, stage_result(o.record, kStageDc) == StageResult::kDetected
+                             ? FaultVerdict::kDetected
+                             : FaultVerdict::kQuarantined)
         << o.fault.describe();
   }
 }
@@ -134,11 +187,11 @@ TEST_F(CampaignFixture, ScanDetectionStopsBeforeBist) {
   ASSERT_TRUE(report.complete);
   std::size_t scan_detections = 0;
   for (const auto& o : report.outcomes) {
-    EXPECT_FALSE(o.dc) << o.fault.describe();
-    if (o.scan) {
+    EXPECT_EQ(stage_result(o.record, kStageDc), StageResult::kPassed) << o.fault.describe();
+    if (stage_result(o.record, kStageScan) == StageResult::kDetected) {
       ++scan_detections;
       EXPECT_EQ(o.stages_run, kStageBitDc | kStageBitScan) << o.fault.describe();
-      EXPECT_FALSE(o.bist) << o.fault.describe();
+      EXPECT_EQ(stage_result(o.record, kStageBist), StageResult::kNotRun) << o.fault.describe();
     } else {
       EXPECT_EQ(o.stages_run, kStageBitDc | kStageBitScan | kStageBitBist) << o.fault.describe();
     }
@@ -236,6 +289,7 @@ TEST_F(CampaignFixture, CheckpointLinesRoundTripThroughJson) {
   ASSERT_EQ(lines.size(), report.outcomes.size());
   for (std::size_t i = 0; i < lines.size(); ++i) {
     const FaultOutcome& o = report.outcomes[i];
+    ASSERT_EQ(o.record.count, 1u);
     util::JsonObject j;
     ASSERT_TRUE(util::JsonObject::parse(lines[i], j)) << lines[i];
     std::string device;
@@ -252,12 +306,16 @@ TEST_F(CampaignFixture, CheckpointLinesRoundTripThroughJson) {
     ASSERT_TRUE(j.get_string("observed", observed));
     EXPECT_EQ(device, o.fault.device);
     EXPECT_EQ(verdict, fault_verdict_name(o.verdict));
-    EXPECT_EQ(run, o.substages_run);
+    EXPECT_EQ(run, o.record.slot[0].run);
     EXPECT_EQ(run, sub_bit(kSubDc) | sub_bit(kSubCpScan) | sub_bit(kSubScanStatic));
-    EXPECT_EQ(detected, o.substages_detected);
-    EXPECT_EQ(failed, o.substages_failed);
+    EXPECT_EQ(detected, o.record.slot[0].detected);
+    EXPECT_EQ(failed, o.record.slot[0].failed);
     EXPECT_EQ(observed, o.observed);
     EXPECT_EQ(observed.size(), 50u);
+    // The line holds the record only: no stage bits, no second variant.
+    for (const char* derived : {"dc", "scan", "bist", "anomalous", "stages_run", "substages_run_b"}) {
+      EXPECT_FALSE(j.has(derived)) << derived << " in " << lines[i];
+    }
   }
 
   // Resuming from these lines reproduces the outcomes exactly, without
@@ -268,30 +326,138 @@ TEST_F(CampaignFixture, CheckpointLinesRoundTripThroughJson) {
   expect_same_report(report, resumed);
   EXPECT_EQ(report_canonical_jsonl(resumed), report_canonical_jsonl(report));
 
-  // Lines written before the sub-stage record existed still load, with
-  // an empty record.
-  std::remove(path.c_str());
-  for (const std::string& line : lines) {
-    const std::size_t from = line.find(",\"substages_run\"");
-    ASSERT_NE(from, std::string::npos) << line;
-    std::string old = line.substr(0, from) + "}";
-    if (const std::size_t rep = line.find(",\"collapsed_into\""); rep != std::string::npos) {
-      old = line.substr(0, from) + line.substr(rep);
+  // Lines in both older formats still load without a re-run, with the
+  // same verdicts and stage results: stage bits and no record, and
+  // stage bits beside the record (exact for one variant).
+  for (const bool with_record : {false, true}) {
+    std::remove(path.c_str());
+    for (const FaultOutcome& o : report.outcomes) {
+      ASSERT_TRUE(util::append_line(path, older_line(o, with_record)));
     }
-    ASSERT_TRUE(util::append_line(path, old));
+    const CampaignReport legacy = run_campaign(*golden_, resumed_opts);
+    ASSERT_EQ(legacy.outcomes.size(), report.outcomes.size());
+    EXPECT_EQ(fresh_faults(legacy), 0u) << "older checkpoint lines were re-run instead of loaded";
+    for (std::size_t i = 0; i < legacy.outcomes.size(); ++i) {
+      const FaultOutcome& got = legacy.outcomes[i];
+      const FaultOutcome& want = report.outcomes[i];
+      EXPECT_EQ(got.verdict, want.verdict);
+      EXPECT_EQ(got.stages_run, want.stages_run);
+      for (const Stage stage : {kStageDc, kStageScan, kStageBist}) {
+        EXPECT_EQ(stage_result(got.record, stage), stage_result(want.record, stage));
+      }
+      EXPECT_EQ(anomalous(got.record), anomalous(want.record));
+      if (with_record) {
+        EXPECT_EQ(got.record, want.record);
+        EXPECT_EQ(got.observed, want.observed);
+      } else {
+        EXPECT_TRUE(got.observed.empty());
+      }
+    }
+    EXPECT_EQ(legacy.total.cum_scan.detected, report.total.cum_scan.detected);
   }
-  const CampaignReport legacy = run_campaign(*golden_, resumed_opts);
-  ASSERT_EQ(legacy.outcomes.size(), report.outcomes.size());
-  std::size_t fresh = 0;
-  for (const std::size_t n : legacy.exec.per_worker_faults) fresh += n;
-  EXPECT_EQ(fresh, 0u) << "legacy checkpoint lines were re-run instead of loaded";
-  for (std::size_t i = 0; i < legacy.outcomes.size(); ++i) {
-    EXPECT_EQ(legacy.outcomes[i].verdict, report.outcomes[i].verdict);
-    EXPECT_EQ(legacy.outcomes[i].stages_run, report.outcomes[i].stages_run);
-    EXPECT_EQ(legacy.outcomes[i].substages_run, 0u);
-    EXPECT_TRUE(legacy.outcomes[i].observed.empty());
-  }
+
+  // A two-variant line of the stage-bits-beside-the-record format holds
+  // masks merged across the variants (run and failed ORed, detected
+  // ANDed), which can disagree with its stage bits: the two-variant
+  // record of the regression below merges into "nothing detected, a
+  // failed solve". The loader keeps the stage bits.
+  const VariantRecords two = scan_detected_by_both_variants();
+  FaultOutcome merged = report.outcomes[0];
+  merged.record = {};
+  merged.record.add({two.slot[0].run | two.slot[1].run, two.slot[0].detected & two.slot[1].detected,
+                     two.slot[0].failed | two.slot[1].failed});
+  merged.observed = "a|b";
   std::remove(path.c_str());
+  ASSERT_TRUE(util::append_line(path, older_line(merged, true, &two)));
+  CampaignOptions one = resumed_opts;
+  one.max_faults = 1;
+  const CampaignReport loaded = run_campaign(*golden_, one);
+  ASSERT_EQ(loaded.outcomes.size(), 1u);
+  EXPECT_EQ(fresh_faults(loaded), 0u);
+  EXPECT_EQ(stage_result(loaded.outcomes[0].record, kStageDc), StageResult::kPassed);
+  EXPECT_EQ(stage_result(loaded.outcomes[0].record, kStageScan), StageResult::kDetected);
+  EXPECT_EQ(stage_result(loaded.outcomes[0].record, kStageBist), StageResult::kNotRun);
+  EXPECT_TRUE(anomalous(loaded.outcomes[0].record));
+  EXPECT_EQ(loaded.outcomes[0].verdict, FaultVerdict::kDetected);
+  EXPECT_EQ(loaded.total.cum_scan.detected, 1u);
+  std::remove(path.c_str());
+}
+
+TEST_F(CampaignFixture, PessimisticCheckpointLinesReloadBothVariants) {
+  const std::string path = testing::TempDir() + "campaign_pessimistic.jsonl";
+  std::remove(path.c_str());
+  CampaignOptions opts = small_opts();
+  opts.max_faults = 4;
+  opts.pessimistic_gate_opens = true;
+  opts.checkpoint_path = path;
+  const CampaignReport report = run_campaign(*golden_, opts);
+  ASSERT_TRUE(report.complete);
+  std::size_t two_variant_lines = 0;
+  for (const auto& l : util::read_lines(path)) {
+    util::JsonObject j;
+    ASSERT_TRUE(util::JsonObject::parse(l, j)) << l;
+    two_variant_lines += j.has("substages_run_b");
+  }
+  std::size_t gate_opens = 0;
+  for (const FaultOutcome& o : report.outcomes) {
+    const bool gate_open = o.fault.needs_leak_variants();
+    gate_opens += gate_open;
+    EXPECT_EQ(o.record.count, gate_open ? 2u : 1u) << o.fault.describe();
+  }
+  ASSERT_GT(gate_opens, 0u) << "no gate open in the universe";
+  EXPECT_EQ(two_variant_lines, gate_opens);
+
+  CampaignOptions resumed_opts = opts;
+  resumed_opts.resume = true;
+  const CampaignReport resumed = run_campaign(*golden_, resumed_opts);
+  EXPECT_EQ(fresh_faults(resumed), 0u);
+  expect_same_report(report, resumed);
+  EXPECT_EQ(report_canonical_jsonl(resumed), report_canonical_jsonl(report));
+  std::remove(path.c_str());
+}
+
+TEST_F(CampaignFixture, ProjectionKeepsATwoVariantStageDetection) {
+  // Fails on an AND of the two variants' sub-stage masks: that reads
+  // "scan did not detect, a solve failed" and quarantines the fault.
+  CampaignReport r;
+  FaultOutcome o;
+  o.fault = {"tx.p.m_drvn", fault::FaultClass::kGateOpen};
+  o.record = scan_detected_by_both_variants();
+  o.stages_run = kStageBitDc | kStageBitScan;
+  o.verdict = FaultVerdict::kDetected;
+  r.outcomes.push_back(o);
+  const CampaignReport p = project_report(r, kAllSubStages);
+  ASSERT_EQ(p.outcomes.size(), 1u);
+  const FaultOutcome& got = p.outcomes[0];
+  EXPECT_EQ(got.record, o.record);
+  EXPECT_EQ(stage_result(got.record, kStageDc), StageResult::kPassed);
+  EXPECT_EQ(stage_result(got.record, kStageScan), StageResult::kDetected);
+  EXPECT_EQ(stage_result(got.record, kStageBist), StageResult::kNotRun);
+  EXPECT_EQ(got.stages_run, o.stages_run);
+  EXPECT_EQ(got.verdict, FaultVerdict::kDetected);
+  EXPECT_EQ(p.quarantined, 0u);
+  EXPECT_EQ(p.anomalous, 1u);
+  EXPECT_EQ(p.total.cum_dc.detected, 0u);
+  EXPECT_EQ(p.total.cum_scan.detected, 1u);
+  EXPECT_EQ(p.total.cum_all.detected, 1u);
+  EXPECT_EQ(p.total.cum_all.total, 1u);
+}
+
+TEST_F(CampaignFixture, ProjectionOntoEverySubStageIsTheIdentity) {
+  for (const bool pessimistic : {false, true}) {
+    CampaignOptions opts;
+    opts.num_threads = 4;
+    opts.pessimistic_gate_opens = pessimistic;
+    const CampaignReport r = run_campaign(*golden_, opts);
+    ASSERT_TRUE(r.complete);
+    const CampaignReport p = project_report(r, kAllSubStages);
+    expect_same_report(r, p);
+    for (std::size_t i = 0; i < r.outcomes.size(); ++i) {
+      EXPECT_EQ(p.outcomes[i].status, r.outcomes[i].status) << r.outcomes[i].fault.describe();
+    }
+    EXPECT_EQ(p.total.cum_scan.detected, r.total.cum_scan.detected);
+    EXPECT_EQ(report_canonical_jsonl(p), report_canonical_jsonl(r)) << "pessimistic " << pessimistic;
+  }
 }
 
 TEST(CampaignVerdict, NamesRoundTrip) {

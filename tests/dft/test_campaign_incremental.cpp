@@ -148,9 +148,7 @@ TEST_F(CampaignIncrementalFixture, FoldedOutcomesMirrorTheirRepresentative) {
     ASSERT_LT(rep, report.outcomes.size());
     const FaultOutcome& r = report.outcomes[rep];
     EXPECT_FALSE(r.collapsed_into.has_value()) << "representative is itself folded";
-    EXPECT_EQ(o.dc, r.dc);
-    EXPECT_EQ(o.scan, r.scan);
-    EXPECT_EQ(o.bist, r.bist);
+    EXPECT_EQ(o.record, r.record);
     EXPECT_EQ(o.verdict, r.verdict);
     EXPECT_EQ(o.newton_iterations, r.newton_iterations);
   }
@@ -193,16 +191,16 @@ TEST_F(CampaignIncrementalFixture, StagesRunRecordsWhatActuallyExecuted) {
     // a DC detection skips scan. The sub-stage record agrees: 20 DC
     // marks, 10 CP-scan and 20 static-scan marks, '-' where skipped.
     ASSERT_EQ(o.observed.size(), 50u) << o.fault.describe();
-    if (o.dc) {
+    if (stage_result(o.record, kStageDc) == StageResult::kDetected) {
       ++dc_detections;
       EXPECT_EQ(o.stages_run, kStageBitDc) << o.fault.describe();
-      EXPECT_FALSE(o.scan) << o.fault.describe();
-      EXPECT_EQ(o.substages_run, sub_bit(kSubDc)) << o.fault.describe();
+      EXPECT_EQ(stage_result(o.record, kStageScan), StageResult::kNotRun) << o.fault.describe();
+      EXPECT_EQ(o.record.slot[0].run, sub_bit(kSubDc)) << o.fault.describe();
       EXPECT_EQ(o.observed.substr(20), std::string(30, '-')) << o.observed;
     } else {
       EXPECT_EQ(o.stages_run, kStageBitDc | kStageBitScan) << o.fault.describe();
-      EXPECT_EQ(o.substages_run & sub_bit(kSubCpScan), sub_bit(kSubCpScan)) << o.observed;
-      if (!o.scan) {
+      EXPECT_EQ(o.record.slot[0].run & sub_bit(kSubCpScan), sub_bit(kSubCpScan)) << o.observed;
+      if (stage_result(o.record, kStageScan) != StageResult::kDetected) {
         EXPECT_EQ(o.observed.find('-'), std::string::npos) << o.observed;
       }
     }
@@ -215,36 +213,41 @@ TEST_F(CampaignIncrementalFixture, StagesRunRecordsWhatActuallyExecuted) {
 TEST_F(CampaignIncrementalFixture, AblationProjectionsEqualRealCampaigns) {
   // Toggle-only detections (termination tgate opens), BIST-only ones
   // (charge-pump bias and switch devices), and cold starts, under which
-  // the cp.m_bpd gate open fails its DC solve.
-  CampaignOptions opts;
-  opts.prefixes = {"cp.m_bpd", "cp.m_swdnb", "term.termp.m_tg"};
-  opts.num_threads = 4;
-  opts.reuse_golden = false;
-  CampaignOptions full = opts;
-  full.adaptive_stage_order = false;
-  const CampaignReport r = run_campaign(*golden_, full);
-  ASSERT_TRUE(r.complete);
-  std::size_t failed = 0;
-  for (const FaultOutcome& o : r.outcomes) failed += o.substages_failed != 0;
-  EXPECT_GT(failed, 0u) << "no failed solve to project";
+  // the cp.m_bpd gate open fails its DC solve; in both gate-open
+  // conventions (the pessimistic one simulates two variants per gate open).
+  for (const bool pessimistic : {false, true}) {
+    SCOPED_TRACE(pessimistic ? "pessimistic" : "bulk-leak");
+    CampaignOptions opts;
+    opts.prefixes = {"cp.m_bpd", "cp.m_swdnb", "term.termp.m_tg"};
+    opts.num_threads = 4;
+    opts.reuse_golden = false;
+    opts.pessimistic_gate_opens = pessimistic;
+    CampaignOptions full = opts;
+    full.adaptive_stage_order = false;
+    const CampaignReport r = run_campaign(*golden_, full);
+    ASSERT_TRUE(r.complete);
+    std::size_t failed = 0;
+    for (const FaultOutcome& o : r.outcomes) failed += anomalous(o.record);
+    EXPECT_GT(failed, 0u) << "no failed solve to project";
 
-  CampaignOptions no_toggle = opts;
-  no_toggle.with_scan_toggle = false;
-  const CampaignReport toggle_dropped =
-      project_report(r, kAllSubStages & ~sub_bit(kSubToggle));
-  expect_same_partition(run_campaign(*golden_, no_toggle), toggle_dropped);
-  EXPECT_LT(toggle_dropped.total.cum_all.detected, r.total.cum_all.detected);
+    CampaignOptions no_toggle = opts;
+    no_toggle.with_scan_toggle = false;
+    const CampaignReport toggle_dropped =
+        project_report(r, kAllSubStages & ~sub_bit(kSubToggle));
+    expect_same_partition(run_campaign(*golden_, no_toggle), toggle_dropped);
+    EXPECT_LT(toggle_dropped.total.cum_all.detected, r.total.cum_all.detected);
 
-  CampaignOptions no_bist = opts;
-  no_bist.with_bist = false;
-  const CampaignReport bist_dropped = project_report(r, kAllSubStages & ~kBistSubStages);
-  expect_same_partition(run_campaign(*golden_, no_bist), bist_dropped);
-  EXPECT_LT(bist_dropped.total.cum_all.detected, r.total.cum_all.detected);
+    CampaignOptions no_bist = opts;
+    no_bist.with_bist = false;
+    const CampaignReport bist_dropped = project_report(r, kAllSubStages & ~kBistSubStages);
+    expect_same_partition(run_campaign(*golden_, no_bist), bist_dropped);
+    EXPECT_LT(bist_dropped.total.cum_all.detected, r.total.cum_all.detected);
 
-  // Keeping every sub-stage reproduces the run itself.
-  const CampaignReport all = project_report(r, kAllSubStages);
-  expect_same_partition(r, all);
-  EXPECT_EQ(report_canonical_jsonl(all), report_canonical_jsonl(r));
+    // Keeping every sub-stage reproduces the run itself.
+    const CampaignReport all = project_report(r, kAllSubStages);
+    expect_same_partition(r, all);
+    EXPECT_EQ(report_canonical_jsonl(all), report_canonical_jsonl(r));
+  }
 }
 
 }  // namespace

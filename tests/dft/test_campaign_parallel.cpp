@@ -54,10 +54,7 @@ class ParallelCampaignFixture : public ::testing::Test {
       EXPECT_EQ(x.index, y.index);
       EXPECT_EQ(x.fault.device, y.fault.device);
       EXPECT_EQ(x.fault.cls, y.fault.cls);
-      EXPECT_EQ(x.dc, y.dc) << x.fault.describe();
-      EXPECT_EQ(x.scan, y.scan) << x.fault.describe();
-      EXPECT_EQ(x.bist, y.bist) << x.fault.describe();
-      EXPECT_EQ(x.anomalous, y.anomalous) << x.fault.describe();
+      EXPECT_EQ(x.record, y.record) << x.fault.describe();
       EXPECT_EQ(x.verdict, y.verdict) << x.fault.describe();
       EXPECT_EQ(x.newton_iterations, y.newton_iterations) << x.fault.describe();
     }
@@ -231,9 +228,10 @@ TEST_F(ParallelCampaignFixture, SparseAndForcedDenseEnginesAgreeOnEveryVerdict) 
       const FaultOutcome& s = serial_->outcomes[i];
       const FaultOutcome& d = dense.outcomes[i];
       EXPECT_EQ(s.index, d.index);
-      EXPECT_EQ(s.dc, d.dc) << s.fault.describe();
-      EXPECT_EQ(s.scan, d.scan) << s.fault.describe();
-      EXPECT_EQ(s.bist, d.bist) << s.fault.describe();
+      for (const Stage stage : {kStageDc, kStageScan, kStageBist}) {
+        EXPECT_EQ(stage_result(s.record, stage), stage_result(d.record, stage))
+            << s.fault.describe();
+      }
       EXPECT_EQ(s.verdict, d.verdict) << s.fault.describe();
     }
     EXPECT_EQ(dense.total.cum_all.detected, serial_->total.cum_all.detected);
@@ -247,7 +245,7 @@ TEST(CanonicalJson, StripsElapsedOnly) {
   o.fault.device = "tx.m1";
   o.fault.cls = fault::FaultClass::kDrainOpen;
   o.index = 3;
-  o.dc = true;
+  o.record.add({sub_bit(kSubDc), sub_bit(kSubDc), 0});
   o.verdict = FaultVerdict::kDetected;
   o.elapsed_sec = 1.2345;
   o.newton_iterations = 42;

@@ -41,7 +41,7 @@ DcTestOutcome* DcTestFixture::ref_ = nullptr;
 
 TEST_F(DcTestFixture, ReferenceIsValidAndToggles) {
   using Obs = cells::LinkObservation;
-  ASSERT_FALSE(ref_->anomalous);
+  ASSERT_FALSE(ref_->anomalous());
   const std::string& m = ref_->marks[kSubDc];
   ASSERT_EQ(m.size(), 2 * Obs::kBitCount);
   // The data comparators must toggle between the two vectors — the basis
@@ -57,8 +57,8 @@ TEST_F(DcTestFixture, ReferenceIsValidAndToggles) {
 
 TEST_F(DcTestFixture, GoldenPassesItsOwnTest) {
   const DcTestOutcome out = run_dc_test(*golden_, *ref_);
-  EXPECT_FALSE(out.detected);
-  EXPECT_FALSE(out.anomalous);
+  EXPECT_FALSE(out.detected());
+  EXPECT_FALSE(out.anomalous());
 }
 
 TEST_F(DcTestFixture, FfeCapShortDetected) {
@@ -66,13 +66,13 @@ TEST_F(DcTestFixture, FfeCapShortDetected) {
   // ... results in a mismatch ... detected by the comparators."
   const auto out = run_dc_test(faulted({"tx.p.c_main", fault::FaultClass::kCapacitorShort}),
                                *ref_);
-  EXPECT_TRUE(out.detected);
+  EXPECT_TRUE(out.detected());
 }
 
 TEST_F(DcTestFixture, WeakDriverDsShortDetected) {
   const auto out = run_dc_test(
       faulted({"tx.n.m_drvp", fault::FaultClass::kDrainSourceShort}), *ref_);
-  EXPECT_TRUE(out.detected);
+  EXPECT_TRUE(out.detected());
 }
 
 TEST_F(DcTestFixture, TerminationBiasFaultDetectedViaWindowComparator) {
@@ -84,7 +84,7 @@ TEST_F(DcTestFixture, TerminationBiasFaultDetectedViaWindowComparator) {
   ASSERT_TRUE(ri.has_value());
   std::get<spice::Resistor>(nl.device(*ri).impl).ohms = 1.0;  // collapsed divider
   const auto out = run_dc_test(fe, *ref_);
-  EXPECT_TRUE(out.detected);
+  EXPECT_TRUE(out.detected());
 }
 
 TEST_F(DcTestFixture, TgateDrainOpenEscapesDc) {
@@ -93,14 +93,14 @@ TEST_F(DcTestFixture, TgateDrainOpenEscapesDc) {
   // parallel device still conducts); only the dynamic test sees it.
   const auto out = run_dc_test(faulted({"term.termp.m_tgn", fault::FaultClass::kDrainOpen}),
                                *ref_);
-  EXPECT_FALSE(out.detected);
+  EXPECT_FALSE(out.detected());
 }
 
 TEST_F(DcTestFixture, PumpSwitchFaultInvisibleAtDcTest) {
   // With the pumps idle during the DC vectors, a weak-pump switch open
   // has nothing to disturb — it is scan/BIST territory.
   const auto out = run_dc_test(faulted({"cp.m_swup", fault::FaultClass::kDrainOpen}), *ref_);
-  EXPECT_FALSE(out.detected);
+  EXPECT_FALSE(out.detected());
 }
 
 }  // namespace

@@ -36,7 +36,7 @@ cells::LinkFrontend* ScanTestFixture::golden_ = nullptr;
 ScanTestOutcome* ScanTestFixture::ref_ = nullptr;
 
 TEST_F(ScanTestFixture, GoldenCpSignatureMatchesPaperSemantics) {
-  ASSERT_EQ(ref_->sub_failed, 0u);
+  ASSERT_EQ(ref_->sub.failed, 0u);
   // One (hi, lo) mark pair per combo: idle, UP, DN, UPst, DNst.
   const std::string& m = ref_->marks[kSubCpScan];
   ASSERT_EQ(m.size(), 10u);
@@ -48,13 +48,13 @@ TEST_F(ScanTestFixture, GoldenCpSignatureMatchesPaperSemantics) {
 
 TEST_F(ScanTestFixture, GoldenPassesItsOwnScanTest) {
   const ScanTestOutcome out = run_scan_test(*golden_, *ref_);
-  EXPECT_FALSE(out.detected);
+  EXPECT_FALSE(out.detected());
 }
 
 TEST_F(ScanTestFixture, PumpSwitchOpenDetectedByCpTest) {
   // The weak UP switch open: scan mode cannot drive Vc high any more.
   const auto out = run_scan_test(faulted({"cp.m_swup", fault::FaultClass::kDrainOpen}), *ref_);
-  EXPECT_TRUE(out.detected);
+  EXPECT_TRUE(out.detected());
 }
 
 TEST_F(ScanTestFixture, PumpSourceDsShortMaskedInScanMode) {
@@ -63,7 +63,7 @@ TEST_F(ScanTestFixture, PumpSourceDsShortMaskedInScanMode) {
   // in scan mode anyway) — that fault is BIST territory.
   const auto out =
       run_scan_test(faulted({"cp.m_srcp", fault::FaultClass::kDrainSourceShort}), *ref_);
-  EXPECT_FALSE(out.detected);
+  EXPECT_FALSE(out.detected());
 }
 
 TEST_F(ScanTestFixture, ScanInputSwitchFaultDetected) {
@@ -72,7 +72,7 @@ TEST_F(ScanTestFixture, ScanInputSwitchFaultDetected) {
   // no longer follows Vc during the capture phase.
   const auto out = run_scan_test(
       faulted({"cp.sw_md.m_tn", fault::FaultClass::kDrainSourceShort}), *ref_);
-  EXPECT_TRUE(out.detected);
+  EXPECT_TRUE(out.detected());
 }
 
 TEST_F(ScanTestFixture, TgateDynamicMismatchCaughtByToggle) {
@@ -80,7 +80,7 @@ TEST_F(ScanTestFixture, TgateDynamicMismatchCaughtByToggle) {
   // frequency exposes the asymmetric settling.
   const auto fe = faulted({"term.termp.m_tgn", fault::FaultClass::kDrainOpen});
   const auto out = run_scan_test(fe, *ref_);
-  EXPECT_TRUE(out.detected);
+  EXPECT_TRUE(out.detected());
 }
 
 TEST_F(ScanTestFixture, ToggleSignatureTogglesInGoldenMachine) {

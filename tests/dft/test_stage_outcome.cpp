@@ -4,6 +4,8 @@
 
 #include <cmath>
 #include <random>
+#include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -16,15 +18,14 @@ using Obs = cells::LinkObservation;
 /// record only while the outcome does not stop (adaptive mode), or all
 /// of them (full evaluation).
 StageOutcome run_records(const StageOutcome& golden, SubStage s,
-                         const std::vector<std::string>& records, bool full_evaluation,
-                         Stage stage) {
+                         const std::vector<std::string>& records, bool full_evaluation) {
   StageOutcome out;
   out.golden = &golden;
   for (const std::string& r : records) {
     if (out.stops(full_evaluation)) break;
     out.record(s, r, spice::SolveStatus::kMaxIterations);
   }
-  out.finish(stage);
+  out.finish();
   return out;
 }
 
@@ -37,28 +38,28 @@ StageOutcome golden_with(SubStage s, const std::string& marks) {
 TEST(StageOutcome, GoldenFailedAndMidRailMarksConflictWithNothing) {
   const StageOutcome golden = golden_with(kSubCpScan, "!!ww!!ww01");
   // Every solid mark against the golden's '!' and 'w': no detection.
-  StageOutcome out = run_records(golden, kSubCpScan, {"0101101001"}, false, kStageScan);
-  EXPECT_FALSE(out.detected);
-  EXPECT_EQ(out.sub_detected, 0u);
-  EXPECT_FALSE(out.anomalous);
+  StageOutcome out = run_records(golden, kSubCpScan, {"0101101001"}, false);
+  EXPECT_FALSE(out.detected());
+  EXPECT_EQ(out.sub.detected, 0u);
+  EXPECT_FALSE(out.anomalous());
   // The golden's solid marks still compare.
-  out = run_records(golden, kSubCpScan, {"0101101010"}, false, kStageScan);
-  EXPECT_TRUE(out.detected);
-  EXPECT_EQ(out.sub_detected, sub_bit(kSubCpScan));
+  out = run_records(golden, kSubCpScan, {"0101101010"}, false);
+  EXPECT_TRUE(out.detected());
+  EXPECT_EQ(out.sub.detected, sub_bit(kSubCpScan));
 }
 
 TEST(StageOutcome, FaultMidRailMarksConflictWithNothing) {
   const StageOutcome golden = golden_with(kSubToggle, "0101");
-  EXPECT_FALSE(run_records(golden, kSubToggle, {"wwww"}, false, kStageScan).detected);
-  EXPECT_TRUE(run_records(golden, kSubToggle, {"w0w0"}, false, kStageScan).detected);
+  EXPECT_FALSE(run_records(golden, kSubToggle, {"wwww"}, false).detected());
+  EXPECT_TRUE(run_records(golden, kSubToggle, {"w0w0"}, false).detected());
 }
 
 TEST(StageOutcome, FailedRecordNeverDetectsAndCarriesItsStatus) {
   const StageOutcome golden = golden_with(kSubCpScan, "1010101010");
-  const StageOutcome out = run_records(golden, kSubCpScan, {"0101!10101"}, false, kStageScan);
-  EXPECT_FALSE(out.detected);
-  EXPECT_TRUE(out.anomalous);
-  EXPECT_EQ(out.sub_failed, sub_bit(kSubCpScan));
+  const StageOutcome out = run_records(golden, kSubCpScan, {"0101!10101"}, false);
+  EXPECT_FALSE(out.detected());
+  EXPECT_TRUE(out.anomalous());
+  EXPECT_EQ(out.sub.failed, sub_bit(kSubCpScan));
   EXPECT_EQ(out.status, spice::SolveStatus::kMaxIterations);
 }
 
@@ -139,10 +140,9 @@ TEST(StageOutcome, ConflictRuleEqualsStrongMismatchOnRandomVoltages) {
       StageOutcome golden;
       golden.record(s, observation_marks(g1), spice::SolveStatus::kConverged);
       golden.record(s, observation_marks(g0), spice::SolveStatus::kConverged);
-      const StageOutcome out = run_records(
-          golden, s, {observation_marks(f1), observation_marks(f0)}, true,
-          s == kSubDc ? kStageDc : kStageScan);
-      ASSERT_EQ((out.sub_detected & sub_bit(s)) != 0, oracle_detects)
+      const StageOutcome out =
+          run_records(golden, s, {observation_marks(f1), observation_marks(f0)}, true);
+      ASSERT_EQ((out.sub.detected & sub_bit(s)) != 0, oracle_detects)
           << "trial " << trial << " golden " << golden.marks[s] << " fault " << out.marks[s];
     }
   }
@@ -164,18 +164,18 @@ TEST(StageOutcome, CpBistConflictFollowedByFailedLevelIsNoDetection) {
     out.golden = &golden;
     out.record(kSubBistVerdict, "1111", spice::SolveStatus::kConverged);
     out.record(kSubCpBistRead, readout, spice::SolveStatus::kSingularMatrix);
-    out.finish(kStageBist);
-    EXPECT_FALSE(out.detected) << "full evaluation " << full;
-    EXPECT_TRUE(out.anomalous);
-    EXPECT_EQ(out.sub_detected, 0u);
+    out.finish();
+    EXPECT_FALSE(out.detected()) << "full evaluation " << full;
+    EXPECT_TRUE(out.anomalous());
+    EXPECT_EQ(out.sub.detected, 0u);
     EXPECT_EQ(out.status, spice::SolveStatus::kSingularMatrix);
   }
   // Control: the same conflict on a clean readout detects.
   StageOutcome clean;
   clean.golden = &golden;
   clean.record(kSubCpBistRead, "011010", spice::SolveStatus::kConverged);
-  clean.finish(kStageBist);
-  EXPECT_TRUE(clean.detected);
+  clean.finish();
+  EXPECT_TRUE(clean.detected());
 }
 
 TEST(StageOutcome, DcVectorOneFailureFollowedByVectorZeroConflictIsNoDetection) {
@@ -186,22 +186,109 @@ TEST(StageOutcome, DcVectorOneFailureFollowedByVectorZeroConflictIsNoDetection) 
   conflicting_v0[Obs::kPHi] = '1';
   const std::string failed(Obs::kBitCount, '!');
   for (const bool full : {false, true}) {
-    const StageOutcome out =
-        run_records(golden, kSubDc, {failed, conflicting_v0}, full, kStageDc);
-    EXPECT_FALSE(out.detected) << "full evaluation " << full;
-    EXPECT_TRUE(out.anomalous);
-    EXPECT_EQ(out.sub_detected, 0u);
+    const StageOutcome out = run_records(golden, kSubDc, {failed, conflicting_v0}, full);
+    EXPECT_FALSE(out.detected()) << "full evaluation " << full;
+    EXPECT_TRUE(out.anomalous());
+    EXPECT_EQ(out.sub.detected, 0u);
     // Adaptive mode stops after the failed vector; full evaluation runs both.
     EXPECT_EQ(out.marks[kSubDc].size(), full ? 2 * Obs::kBitCount : Obs::kBitCount);
   }
   // Control: the same conflict after a clean vector 1 detects.
-  EXPECT_TRUE(run_records(golden, kSubDc, {v1, conflicting_v0}, false, kStageDc).detected);
+  EXPECT_TRUE(run_records(golden, kSubDc, {v1, conflicting_v0}, false).detected());
 }
 
 TEST(StageOutcome, FinishDropsTheGoldenPointer) {
   const StageOutcome golden = golden_with(kSubDc, std::string(20, '0'));
-  const StageOutcome out = run_records(golden, kSubDc, {std::string(10, '0')}, false, kStageDc);
+  const StageOutcome out = run_records(golden, kSubDc, {std::string(10, '0')}, false);
   EXPECT_EQ(out.golden, nullptr);
+}
+
+// --- The one derivation: stage results from the records ------------------
+
+constexpr unsigned kScanSubStages =
+    sub_bit(kSubCpScan) | sub_bit(kSubScanStatic) | sub_bit(kSubToggle);
+
+TEST(StageOutcome, StageResultTellsDetectedFromPassedFromNotRun) {
+  // DC ran and passed, scan detected at its toggle test, BIST skipped.
+  const SubStageRecord r{sub_bit(kSubDc) | kScanSubStages, sub_bit(kSubToggle), 0};
+  EXPECT_EQ(stage_result({&r, 1}, kStageDc), StageResult::kPassed);
+  EXPECT_EQ(stage_result({&r, 1}, kStageScan), StageResult::kDetected);
+  EXPECT_EQ(stage_result({&r, 1}, kStageBist), StageResult::kNotRun);
+  EXPECT_TRUE(detected({&r, 1}));
+  EXPECT_FALSE(anomalous({&r, 1}));
+  // No variant at all: nothing ran, nothing detected.
+  EXPECT_EQ(stage_result({}, kStageDc), StageResult::kNotRun);
+  EXPECT_FALSE(detected({}));
+}
+
+TEST(StageOutcome, FailureBeforeADetectionInRunOrderHidesIt) {
+  // Scan's CP scan failed a solve, then its toggle test conflicted.
+  const SubStageRecord r{kScanSubStages, sub_bit(kSubToggle), sub_bit(kSubCpScan)};
+  EXPECT_EQ(stage_result({&r, 1}, kStageScan), StageResult::kPassed);
+  EXPECT_FALSE(detected({&r, 1}));
+  EXPECT_TRUE(anomalous({&r, 1}));
+  // A failure after the detection does not.
+  const SubStageRecord later{kScanSubStages, sub_bit(kSubCpScan), sub_bit(kSubToggle)};
+  EXPECT_EQ(stage_result({&later, 1}, kStageScan), StageResult::kDetected);
+  EXPECT_TRUE(anomalous({&later, 1}));
+}
+
+TEST(StageOutcome, TwoVariantsDetectAStageOnlyWhenBothDo) {
+  VariantRecords both;
+  both.add({sub_bit(kSubDc) | kScanSubStages, sub_bit(kSubDc), 0});
+  both.add({sub_bit(kSubDc) | kScanSubStages, sub_bit(kSubCpScan), 0});
+  // DC detects in one variant only, scan in the other only: no stage
+  // detects in both, so the fault is not detected.
+  EXPECT_EQ(stage_result(both, kStageDc), StageResult::kPassed);
+  EXPECT_EQ(stage_result(both, kStageScan), StageResult::kPassed);
+  EXPECT_FALSE(detected(both));
+  // A stage ran when it ran in either variant.
+  VariantRecords one_ran;
+  one_ran.add({sub_bit(kSubDc), 0, 0});
+  one_ran.add({sub_bit(kSubDc) | sub_bit(kSubBistVerdict), 0, 0});
+  EXPECT_EQ(stage_result(one_ran, kStageBist), StageResult::kPassed);
+  EXPECT_EQ(stage_result(one_ran, kStageScan), StageResult::kNotRun);
+}
+
+TEST(StageOutcome, TwoVariantAndIsInvariantUnderEarlyStops) {
+  // Variant A's scan detects at the toggle test. Variant B's detects at
+  // the CP scan; what B's later scan sub-stages did — nothing (an early
+  // stop), passed, or failed a solve — cannot change its stage result,
+  // so the AND of the two stage results is the same each time. (An AND
+  // of the sub-stage masks would read "not detected" and, with the
+  // failure, quarantine the fault.)
+  const SubStageRecord a{kScanSubStages, sub_bit(kSubToggle), 0};
+  for (const SubStageRecord& b :
+       {SubStageRecord{sub_bit(kSubCpScan), sub_bit(kSubCpScan), 0},
+        SubStageRecord{kScanSubStages, sub_bit(kSubCpScan), 0},
+        SubStageRecord{kScanSubStages, sub_bit(kSubCpScan), sub_bit(kSubScanStatic)}}) {
+    VariantRecords v;
+    v.add(a);
+    v.add(b);
+    EXPECT_EQ(stage_result(v, kStageScan), StageResult::kDetected) << b.failed;
+    EXPECT_TRUE(detected(v));
+    EXPECT_EQ(anomalous(v), b.failed != 0);
+  }
+}
+
+TEST(StageOutcome, StageOutcomeReadsTheSameDerivation) {
+  const StageOutcome golden = golden_with(kSubCpScan, "1010101010");
+  const StageOutcome out = run_records(golden, kSubCpScan, {"0010101010"}, false);
+  EXPECT_EQ(out.sub.run, sub_bit(kSubCpScan));
+  EXPECT_EQ(stage_result({&out.sub, 1}, kStageScan), StageResult::kDetected);
+  EXPECT_TRUE(out.detected());
+  EXPECT_FALSE(out.anomalous());
+}
+
+TEST(StageOutcome, VariantRecordsHoldAtMostTwo) {
+  VariantRecords v;
+  EXPECT_EQ(std::span<const SubStageRecord>(v).size(), 0u);
+  v.add({1, 0, 0});
+  v.add({3, 1, 0});
+  const std::span<const SubStageRecord> view = v;
+  ASSERT_EQ(view.size(), 2u);
+  EXPECT_EQ(view[1], (SubStageRecord{3, 1, 0}));
+  EXPECT_THROW(v.add({}), std::out_of_range);
 }
 
 }  // namespace
