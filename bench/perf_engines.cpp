@@ -144,10 +144,9 @@ EngineRun timed_run(int reps, Fn&& work) {
   run.stats.linear_stamp_reuse = delta(after.linear_stamp_reuse, before.linear_stamp_reuse);
   run.stats.sparse_solves = delta(after.sparse_solves, before.sparse_solves);
   run.stats.dense_solves = delta(after.dense_solves, before.dense_solves);
-  run.stats.dense_fallbacks = delta(after.dense_fallbacks, before.dense_fallbacks);
-  run.stats.refinement_steps = delta(after.refinement_steps, before.refinement_steps);
-  run.linear_solves =
-      run.stats.sparse_solves + run.stats.dense_solves + run.stats.dense_fallbacks;
+  run.stats.pivot_rejects = delta(after.pivot_rejects, before.pivot_rejects);
+  run.stats.kcl_rejects = delta(after.kcl_rejects, before.kcl_rejects);
+  run.linear_solves = run.stats.sparse_solves + run.stats.dense_solves;
   return run;
 }
 
@@ -199,15 +198,15 @@ void append_run_json(std::string& out, const char* key, const EngineRun& run) {
                 "\"%s\":{\"seconds\":%.6f,\"linear_solves\":%llu,\"solves_per_sec\":%.1f,"
                 "\"symbolic_builds\":%llu,\"symbolic_reuse\":%llu,\"symbolic_reuse_rate\":%.4f,"
                 "\"linear_stamp_reuse\":%llu,\"sparse_solves\":%llu,\"dense_solves\":%llu,"
-                "\"dense_fallbacks\":%llu,\"refinement_steps\":%llu}",
+                "\"pivot_rejects\":%llu,\"kcl_rejects\":%llu}",
                 key, run.seconds, static_cast<unsigned long long>(run.linear_solves), sps,
                 static_cast<unsigned long long>(run.stats.symbolic_builds),
                 static_cast<unsigned long long>(run.stats.symbolic_reuse), reuse_rate,
                 static_cast<unsigned long long>(run.stats.linear_stamp_reuse),
                 static_cast<unsigned long long>(run.stats.sparse_solves),
                 static_cast<unsigned long long>(run.stats.dense_solves),
-                static_cast<unsigned long long>(run.stats.dense_fallbacks),
-                static_cast<unsigned long long>(run.stats.refinement_steps));
+                static_cast<unsigned long long>(run.stats.pivot_rejects),
+                static_cast<unsigned long long>(run.stats.kcl_rejects));
   out += buf;
 }
 
@@ -510,25 +509,6 @@ KernelSystem kernel_system(lsl::spice::Netlist nl, const std::vector<double>& x_
   return k;
 }
 
-/// The solver workspace's backward-error gate, on the rebuilt system.
-bool residual_gate(const lsl::spice::SparseMatrix& a, const std::vector<double>& b,
-                   const std::vector<double>& x) {
-  const auto& rp = a.row_ptr();
-  const auto& ci = a.col_idx();
-  const auto& av = a.values();
-  for (std::size_t i = 0; i < a.dim(); ++i) {
-    double acc = -b[i];
-    double scale = std::fabs(b[i]);
-    for (std::size_t s = rp[i]; s < rp[i + 1]; ++s) {
-      const double term = av[s] * x[ci[s]];
-      acc += term;
-      scale += std::fabs(term);
-    }
-    if (!(std::fabs(acc) <= 1e-8 * scale + 1e-30)) return false;
-  }
-  return true;
-}
-
 void hash_bits(std::uint64_t& h, const std::vector<double>& v) {
   for (const double d : v) {
     std::uint64_t bits = 0;
@@ -548,10 +528,10 @@ void hash_bits(std::uint64_t& h, const std::vector<double>& v) {
 ///    its second, i.e. what a new structure adds (pattern, ordering,
 ///    fill, device tables, linear base);
 ///  - stamp_us / newton_us: a warm workspace's stamp time and whole
-///    solve (stamp + factor + triangular solve + residual gate) per
-///    iteration, from the detailed-timing diagnostics;
-///  - factor_us / solve_gate_us: SparseLu::factor, and SparseLu::solve
-///    plus the residual gate, timed alone on the rebuilt system.
+///    solve (stamp + factor + triangular solve) per iteration, from the
+///    detailed-timing diagnostics;
+///  - factor_us / solve_us: SparseLu::factor and SparseLu::solve, timed
+///    alone on the rebuilt system.
 /// Min and median over the repetitions; `solution_hash` is FNV-1a over
 /// the bits of every solution the section computes, so two builds that
 /// agree on it solved every system to the same bits.
@@ -585,7 +565,7 @@ std::string run_newton_kernels_report() {
   const auto us_since = [](Clock::time_point t0) {
     return std::chrono::duration<double, std::micro>(Clock::now() - t0).count();
   };
-  std::vector<double> build_us, stamp_us, newton_us, factor_us, solve_gate_us;
+  std::vector<double> build_us, stamp_us, newton_us, factor_us, solve_us;
   std::uint64_t hash = 1469598103934665603ull;
   std::vector<double> x_new;
   for (int rep = 0; rep < kReps; ++rep) {
@@ -593,7 +573,7 @@ std::string run_newton_kernels_report() {
     double stamp = 0.0;
     double newton = 0.0;
     double factor = 0.0;
-    double solve_gate = 0.0;
+    double solve = 0.0;
     for (const KernelSystem& k : systems) {
       StampContext ctx;
       ctx.nl = &k.nl;
@@ -626,11 +606,8 @@ std::string run_newton_kernels_report() {
         factor += us_since(t0) / kIters;
         if (ok) {  // solve() is only defined after a successful factor()
           const auto t1 = Clock::now();
-          for (int it = 0; it < kIters; ++it) {
-            lu.solve(k.b, x);
-            ok = residual_gate(k.a, k.b, x) && ok;
-          }
-          solve_gate += us_since(t1) / kIters;
+          for (int it = 0; it < kIters; ++it) lu.solve(k.b, x);
+          solve += us_since(t1) / kIters;
         }
         if (rep == 0) {
           hash_bits(hash, x);
@@ -642,7 +619,7 @@ std::string run_newton_kernels_report() {
     stamp_us.push_back(stamp / count);
     newton_us.push_back(newton / count);
     factor_us.push_back(factor / count);
-    solve_gate_us.push_back(solve_gate / count);
+    solve_us.push_back(solve / count);
   }
   lsl::util::Metrics::set_detailed_timing(detailed);
 
@@ -666,12 +643,12 @@ std::string run_newton_kernels_report() {
   json += "\"symbolic_build_us\":" + min_median(build_us);
   json += ",\"stamp_us\":" + min_median(stamp_us);
   json += ",\"factor_us\":" + min_median(factor_us);
-  json += ",\"solve_gate_us\":" + min_median(solve_gate_us);
+  json += ",\"solve_us\":" + min_median(solve_us);
   json += ",\"newton_us\":" + min_median(newton_us) + "}";
   std::printf("newton_kernels   %zu structures: build %.1f us, stamp %.2f, factor %.2f, "
-              "solve+gate %.2f, newton %.2f us/iteration (medians), hash %016llx\n",
+              "solve %.2f, newton %.2f us/iteration (medians), hash %016llx\n",
               systems.size(), median(build_us), median(stamp_us), median(factor_us),
-              median(solve_gate_us), median(newton_us), static_cast<unsigned long long>(hash));
+              median(solve_us), median(newton_us), static_cast<unsigned long long>(hash));
   return json;
 }
 

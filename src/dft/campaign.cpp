@@ -4,7 +4,9 @@
 #include <array>
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <exception>
+#include <fstream>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -12,6 +14,7 @@
 #include <unordered_map>
 
 #include "spice/seed.hpp"
+#include "spice/workspace.hpp"
 #include "util/jsonl.hpp"
 #include "util/log.hpp"
 #include "util/metrics.hpp"
@@ -290,14 +293,44 @@ bool outcome_from_json(const std::string& line, FaultOutcome& o) {
   return true;
 }
 
-/// Loads checkpointed outcomes, keyed by fault index. Lines that fail to
-/// parse (e.g. the torn tail of a killed run) or that disagree with the
-/// enumerated universe are skipped with a warning — the fault simply
-/// re-runs.
+/// A checkpoint's first line: the fingerprint of everything that shapes
+/// a fault's record — the options below, the golden netlist's structure
+/// and the Newton tolerance the stages solve to. Thread counts, the
+/// callbacks and fault collapsing (its folded records are bit-identical
+/// to simulated ones) are left out, so a run may resume at any width.
+std::string checkpoint_header(const cells::LinkFrontend& golden, const CampaignOptions& opts) {
+  char text[256];
+  std::snprintf(text, sizeof(text),
+                "gate_opens=%s;toggle=%d;bist=%d;adaptive=%d;reuse_golden=%d;max_faults=%zu;"
+                "fault_sec=%a;fault_newton=%ld;netlist=%016llx;abs_tol=%a;prefixes=",
+                opts.pessimistic_gate_opens ? "pessimistic" : "bulk-leak", opts.with_scan_toggle,
+                opts.with_bist, opts.adaptive_stage_order, opts.reuse_golden, opts.max_faults,
+                opts.budget.per_fault_sec, opts.budget.max_newton_per_fault,
+                static_cast<unsigned long long>(spice::structural_key(golden.netlist())),
+                spice::DcOptions{}.abs_tol);
+  std::string fingerprint = text;
+  for (std::size_t i = 0; i < opts.prefixes.size(); ++i) {
+    fingerprint += (i == 0 ? "" : ",") + opts.prefixes[i];
+  }
+  util::JsonObject j;
+  j.set("checkpoint_fingerprint", fingerprint);
+  return j.str();
+}
+
+bool is_checkpoint_header(const std::string& line) {
+  util::JsonObject j;
+  return util::JsonObject::parse(line, j) && j.has("checkpoint_fingerprint");
+}
+
+/// Loads checkpointed outcomes from `lines`, keyed by fault index,
+/// skipping the header. Lines that fail to parse (e.g. the torn tail of
+/// a killed run) or that disagree with the enumerated universe are
+/// skipped with a warning — the fault simply re-runs.
 std::unordered_map<std::size_t, FaultOutcome> load_checkpoint(
-    const std::string& path, const std::vector<StructuralFault>& faults) {
+    const std::vector<std::string>& lines, const std::vector<StructuralFault>& faults) {
   std::unordered_map<std::size_t, FaultOutcome> done;
-  for (const auto& line : util::read_lines(path)) {
+  for (const auto& line : lines) {
+    if (is_checkpoint_header(line)) continue;
     FaultOutcome o;
     if (!outcome_from_json(line, o)) {
       util::log_warn("campaign: skipping malformed checkpoint line");
@@ -545,13 +578,33 @@ CampaignReport run_campaign(const cells::LinkFrontend& golden, const CampaignOpt
   if (opts.max_faults != 0 && faults.size() > opts.max_faults) faults.resize(opts.max_faults);
   campaign_span.arg("faults", static_cast<double>(faults.size()));
 
+  // A resumed checkpoint keeps its lines when it starts with this run's
+  // header, or has no header (an older file); any other checkpoint, and
+  // every one a run does not resume, starts over with this run's header.
   std::unordered_map<std::size_t, FaultOutcome> done;
-  if (opts.resume && !opts.checkpoint_path.empty()) {
+  if (!opts.checkpoint_path.empty()) {
     util::TraceSpan span("campaign.load_checkpoint", "campaign");
-    done = load_checkpoint(opts.checkpoint_path, faults);
-    if (!done.empty()) {
-      util::log_info("campaign: resumed " + std::to_string(done.size()) + "/" +
-                     std::to_string(faults.size()) + " faults from checkpoint");
+    const std::string header = checkpoint_header(golden, opts);
+    std::vector<std::string> lines;
+    if (opts.resume) lines = util::read_lines(opts.checkpoint_path);
+    if (!lines.empty() && is_checkpoint_header(lines.front()) && lines.front() != header) {
+      util::log_warn("campaign: checkpoint " + opts.checkpoint_path +
+                     " was written with other options, netlist or Newton tolerance; "
+                     "re-running every fault");
+      lines.clear();
+    }
+    if (lines.empty()) {
+      std::ofstream(opts.checkpoint_path, std::ios::trunc).close();
+      if (!util::append_line(opts.checkpoint_path, header)) {
+        util::log_warn("campaign: failed to write checkpoint header to " +
+                       opts.checkpoint_path);
+      }
+    } else {
+      done = load_checkpoint(lines, faults);
+      if (!done.empty()) {
+        util::log_info("campaign: resumed " + std::to_string(done.size()) + "/" +
+                       std::to_string(faults.size()) + " faults from checkpoint");
+      }
     }
   }
 

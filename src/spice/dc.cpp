@@ -102,7 +102,9 @@ SolveStatus newton_loop(const StampContext& ctx, const DcOptions& opts, const De
       have_worst = true;
     }
     diag.final_max_dv = max_dv;
-    if (max_dv < opts.abs_tol) {
+    // Converged: the update is below abs_tol and the accepted iterate
+    // balances KCL. A refused exit just keeps iterating.
+    if (max_dv < opts.abs_tol && ws.kcl_satisfied(ctx, binding, x, &diag)) {
       resolve_worst();
       return SolveStatus::kConverged;
     }
@@ -137,22 +139,30 @@ SolveStatus gmin_stepping(const Netlist& nl, const DcOptions& opts, const Deadli
   } else {
     x.assign(nl.unknown_count(), 0.0);
   }
-  SolveStatus st = SolveStatus::kConverged;
-  for (double gmin = opts.gmin_start; gmin >= opts.gmin_final * 0.99; gmin *= 0.1) {
-    st = newton_loop(dc_context(nl, gmin), opts, deadline, ws, x, diag);
-    if (st != SolveStatus::kConverged) return st;
+  // One level per decade from gmin_start. The last level, the one
+  // whose next decade would pass gmin_final, solves at gmin_final
+  // itself: the converged result solves the requested system, and its
+  // linear base is the one the next solve at gmin_final reuses. At
+  // most 30 levels, so a gmin_final of 0 still ends.
+  double gmin = opts.gmin_start;
+  for (int level = 1;; ++level, gmin *= 0.1) {
+    const bool last = !(gmin * 0.1 >= opts.gmin_final * 0.99) || level == 30;
+    const SolveStatus st = newton_loop(dc_context(nl, last ? opts.gmin_final : gmin), opts,
+                                       deadline, ws, x, diag);
+    if (st != SolveStatus::kConverged || last) return st;
   }
-  return st;
 }
 
-/// Source-stepping homotopy: ramp all independent sources from 0.
+/// Source-stepping homotopy: ramp all independent sources from 0 in
+/// ten steps, the last at exactly full scale.
 SolveStatus source_stepping(const Netlist& nl, const DcOptions& opts, const Deadline& deadline,
                             SolverWorkspace& ws, std::vector<double>& x, SolveDiagnostics& diag) {
   x.assign(nl.unknown_count(), 0.0);
+  constexpr int kSteps = 10;
   SolveStatus st = SolveStatus::kConverged;
-  for (double scale = 0.1; scale <= 1.0001; scale += 0.1) {
-    st = newton_loop(dc_context(nl, opts.gmin_final, std::min(scale, 1.0)), opts, deadline, ws, x,
-                     diag);
+  for (int k = 1; k <= kSteps; ++k) {
+    st = newton_loop(dc_context(nl, opts.gmin_final, static_cast<double>(k) / kSteps), opts,
+                     deadline, ws, x, diag);
     if (st != SolveStatus::kConverged) return st;
   }
   return st;
@@ -203,8 +213,8 @@ void record_dc_metrics(const DcResult& result, const char* rung,
   static util::Counter& linear_stamp_reuse = m.counter("solver.dc.linear_stamp_reuse");
   static util::Counter& sparse_solves = m.counter("solver.dc.sparse_solves");
   static util::Counter& dense_solves = m.counter("solver.dc.dense_solves");
-  static util::Counter& dense_fallbacks = m.counter("solver.dc.dense_fallbacks");
-  static util::Counter& refinement_steps = m.counter("solver.dc.refinement_steps");
+  static util::Counter& pivot_rejects = m.counter("solver.dc.pivot_rejects");
+  static util::Counter& kcl_rejects = m.counter("solver.dc.kcl_rejects");
   solves.add(1);
   if (!result.converged) failures.add(1);
   iterations.add(result.diag.iterations);
@@ -218,8 +228,8 @@ void record_dc_metrics(const DcResult& result, const char* rung,
   linear_stamp_reuse.add(ws_after.linear_stamp_reuse - ws_before.linear_stamp_reuse);
   sparse_solves.add(ws_after.sparse_solves - ws_before.sparse_solves);
   dense_solves.add(ws_after.dense_solves - ws_before.dense_solves);
-  dense_fallbacks.add(ws_after.dense_fallbacks - ws_before.dense_fallbacks);
-  refinement_steps.add(ws_after.refinement_steps - ws_before.refinement_steps);
+  pivot_rejects.add(ws_after.pivot_rejects - ws_before.pivot_rejects);
+  kcl_rejects.add(ws_after.kcl_rejects - ws_before.kcl_rejects);
   if (util::Metrics::detailed_timing()) {
     static util::MetricHistogram& stamp = m.histogram("solver.dc.stamp_seconds");
     static util::MetricHistogram& factor = m.histogram("solver.dc.factor_seconds");

@@ -1,7 +1,8 @@
 // DC operating-point solver: damped Newton–Raphson over the MNA system
 // behind a fixed retry/fallback ladder — gmin stepping, source
 // stepping, heavier damping. Every rung converges to the caller's
-// abs_tol; none relaxes it. Faulted netlists (floating
+// abs_tol and the KCL exit check; none relaxes them, and each
+// continuation ends on the requested system. Faulted netlists (floating
 // gates, rail shorts) are exactly the hard cases the continuation
 // methods are there for; the ladder plus the structured SolveStatus
 // result mean a pathological circuit is classified, never thrown or
@@ -22,7 +23,7 @@ struct StampContext;
 
 struct DcOptions {
   int max_iterations = 200;
-  double abs_tol = 1e-9;        // volts; convergence on max |dV|
+  double abs_tol = 1e-6;        // volts; convergence on max |dV| (SPICE2's vntol)
   double damping_limit = 0.4;   // max per-iteration voltage step (V)
   double gmin_final = 1e-12;    // target gmin after stepping
   double gmin_start = 1e-3;     // initial gmin for stepping
@@ -79,11 +80,14 @@ struct Deadline {
 /// continuation point (ctx.dt == 0) for solve_dc's ladder, or one
 /// transient step for run_transient, which checks its own deadline per
 /// step and passes an unarmed one. Voltage updates are clamped to
-/// opts.damping_limit; convergence is max |ΔV| < opts.abs_tol. `x` is
-/// updated in place with the best iterate whatever the outcome, and
-/// `diag` tracks the iterations and the last iteration's worst node.
-/// After `ws` has seen this topology once, the loop performs no heap
-/// allocations.
+/// opts.damping_limit. The loop converges when max |ΔV| < opts.abs_tol
+/// and the accepted iterate passes one KCL check of the node rows,
+/// |r_i| <= 1e-3·Σ|terms_i| + 1e-12 A (SolverWorkspace::kcl_satisfied);
+/// a refused exit keeps iterating. A pivot under the floor fails the
+/// loop as kSingularMatrix. `x` is updated in place with the best
+/// iterate whatever the outcome, and `diag` tracks the iterations and
+/// the last iteration's worst node. After `ws` has seen this topology
+/// once, the loop performs no heap allocations.
 SolveStatus newton_loop(const StampContext& ctx, const DcOptions& opts, const Deadline& deadline,
                         SolverWorkspace& ws, std::vector<double>& x, SolveDiagnostics& diag);
 

@@ -263,9 +263,8 @@ bool SparseLu::factor(const SparseMatrix& a, double pivot_floor) {
     // would misfire here: eliminating a gmin-pivoted node (e.g. a
     // floating gate no source drives) legitimately puts ~1/gmin-scale
     // multipliers and fill into downstream rows, dwarfing healthy
-    // pivots. Numerical quality is instead judged after the solve by
-    // the caller's O(nnz) residual verification, which falls back to
-    // dense partial-pivot LU on any doubt.
+    // pivots. Numerical quality is instead judged by the Newton loop's
+    // KCL check at its exit.
     if (!(std::fabs(lu[diag_pos_[i]]) >= pivot_floor)) return false;
   }
   return true;

@@ -11,13 +11,12 @@
 //    on its diagonal, and the node it drives often has only gmin
 //    (1e-12 S) on its own diagonal, e.g. a source-driven MOSFET gate.
 //    With those as pivots, a 0-V source's terminal voltage comes out
-//    as ±1e-16 V of roundoff and its branch row fails the caller's
-//    backward-error test at a relative residual of 1.0. So the caller
-//    supplies a static row map that swaps each V/E branch row with the
-//    KCL row of one of its terminals (as SPICE-class solvers do for
-//    zero-diagonal source rows): the terminal's column is pivoted on
-//    the branch row's ±1 incidence entry and the branch column on the
-//    terminal's KCL ±1 entry.
+//    as ±1e-16 V of roundoff, a relative residual of 1.0 on its
+//    branch row. So the caller supplies a static row map that swaps
+//    each V/E branch row with the KCL row of one of its terminals (as
+//    SPICE-class solvers do for zero-diagonal source rows): the
+//    terminal's column is pivoted on the branch row's ±1 incidence
+//    entry and the branch column on the terminal's KCL ±1 entry.
 //  - Ordering: minimum-degree over the node-voltage unknowns, with the
 //    branch-current unknowns of V/E sources appended in natural order.
 //    A branch row paired with no terminal (both terminals ground or
@@ -31,8 +30,7 @@
 //    one straight pass of divide-and-update over the LU values. A
 //    per-row pivot-health check (absolute floor) rejects
 //    factorizations that static ordering cannot handle; the caller
-//    then falls back to dense partial-pivot LU, which preserves the
-//    existing singular-matrix semantics.
+//    treats them as singular.
 #pragma once
 
 #include <cstddef>
@@ -103,9 +101,9 @@ class SparseLu {
   /// cached symbolic structure. Allocation-free. Returns false when a
   /// pivot falls below the absolute floor (or is NaN) — the
   /// static-order factorization is then untrustworthy and the caller
-  /// should use the dense fallback. Quality beyond that is the
-  /// caller's job: verify the solve's residual, since static ordering
-  /// has no partial pivoting.
+  /// treats the system as singular. Quality beyond that is the
+  /// caller's job, since static ordering has no partial pivoting: the
+  /// Newton loop checks KCL at its exit.
   bool factor(const SparseMatrix& a, double pivot_floor);
 
   /// Solves A x = b using the last successful factor(). Allocation-free;

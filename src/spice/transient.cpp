@@ -76,8 +76,8 @@ void record_transient_metrics(const TransientResult& result,
   static util::Counter& symbolic_builds = m.counter("solver.transient.symbolic_builds");
   static util::Counter& symbolic_reuse = m.counter("solver.transient.symbolic_reuse");
   static util::Counter& sparse_solves = m.counter("solver.transient.sparse_solves");
-  static util::Counter& dense_fallbacks = m.counter("solver.transient.dense_fallbacks");
-  static util::Counter& refinement_steps = m.counter("solver.transient.refinement_steps");
+  static util::Counter& pivot_rejects = m.counter("solver.transient.pivot_rejects");
+  static util::Counter& kcl_rejects = m.counter("solver.transient.kcl_rejects");
   runs.add(1);
   if (!result.ok) failures.add(1);
   steps.add(static_cast<std::int64_t>(result.steps_accepted));
@@ -86,8 +86,8 @@ void record_transient_metrics(const TransientResult& result,
   symbolic_builds.add(ws_after.symbolic_builds - ws_before.symbolic_builds);
   symbolic_reuse.add(ws_after.symbolic_reuse - ws_before.symbolic_reuse);
   sparse_solves.add(ws_after.sparse_solves - ws_before.sparse_solves);
-  dense_fallbacks.add(ws_after.dense_fallbacks - ws_before.dense_fallbacks);
-  refinement_steps.add(ws_after.refinement_steps - ws_before.refinement_steps);
+  pivot_rejects.add(ws_after.pivot_rejects - ws_before.pivot_rejects);
+  kcl_rejects.add(ws_after.kcl_rejects - ws_before.kcl_rejects);
   if (util::Metrics::detailed_timing() && symbolic_sec > 0.0) {
     static util::MetricHistogram& symbolic = m.histogram("solver.transient.symbolic_seconds");
     symbolic.observe(symbolic_sec);

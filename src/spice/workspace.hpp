@@ -28,9 +28,10 @@
 //     flat pass over the LU values. Each V/E branch row is paired with
 //     a terminal node's KCL row (a static row permutation, see
 //     sparse.hpp), so source rows pivot on their ±1 incidence entries.
-//     A pivot-health check plus an O(nnz) residual verification route
-//     any questionable solve to the dense partial-pivot fallback, so
-//     singular-matrix semantics are exactly the dense engine's.
+//     A pivot under the health floor fails the iteration as singular.
+//     The solves themselves are not verified one by one: Newton checks
+//     accuracy once, at its exit, with one O(nnz) KCL test of the
+//     accepted iterate (kcl_satisfied).
 //
 // Cache keying: entries are keyed by a structural hash of the netlist
 // (node count, model card, and every device's kind/terminals/
@@ -86,6 +87,12 @@ struct SolverTuning {
 
 SolverTuning& solver_tuning();
 
+/// Hash of everything that shapes the MNA matrix of `nl`: node count,
+/// model card, and each device's kind, enabled flag, terminals and
+/// matrix-entering values, in device order (device names and source
+/// values excluded). The workspace's cache key, see above.
+std::uint64_t structural_key(const Netlist& nl);
+
 class SolverWorkspace {
   struct Entry;  // one cached structure (defined below)
 
@@ -108,10 +115,8 @@ class SolverWorkspace {
     std::uint64_t linear_stamp_reuse = 0;   // iterations served by a cached base
     std::uint64_t sparse_solves = 0;      // iterations solved sparse
     std::uint64_t dense_solves = 0;       // iterations solved dense by design
-    std::uint64_t dense_fallbacks = 0;    // sparse attempt rejected -> dense
-    std::uint64_t pivot_rejects = 0;      // ...because a pivot failed the health check
-    std::uint64_t residual_rejects = 0;   // ...because the solve failed verification
-    std::uint64_t refinement_steps = 0;   // O(nnz) refinements that rescued a solve
+    std::uint64_t pivot_rejects = 0;      // sparse factors under the pivot floor (singular)
+    std::uint64_t kcl_rejects = 0;        // Newton exits refused by the KCL check
   };
   const Stats& stats() const { return stats_; }
   void reset_stats() { stats_ = Stats{}; }
@@ -142,8 +147,8 @@ class SolverWorkspace {
 
   /// One Newton linear solve: builds the linearized MNA system about
   /// iterate `x` (cached linear base + fresh nonlinear/RHS stamps) and
-  /// solves G·x_new = b. Returns false when the system is singular
-  /// (decided by the dense partial-pivot fallback, exactly as before).
+  /// solves G·x_new = b. Returns false when the system is singular: a
+  /// pivot under the floor, sparse or dense.
   /// When `diag` is non-null and detailed timing is on, symbolic-build,
   /// stamp and factor time are accumulated into it. Allocation-free
   /// after warm-up.
@@ -156,6 +161,15 @@ class SolverWorkspace {
     NewtonBinding binding;
     return solve_newton_system(ctx, binding, x, x_new, diag);
   }
+
+  /// Newton's exit check, on the binding a loop solved with: stamps the
+  /// system about the accepted iterate `x` and requires every node row
+  /// to balance, |r_i| <= 1e-3·Σ|terms_i| + 1e-12 A, the terms being
+  /// the row's stamped currents and its RHS. O(nnz) (dense below the
+  /// crossover); a failure counts in Stats::kcl_rejects. Stamp time
+  /// joins `diag` under detailed timing.
+  bool kcl_satisfied(const StampContext& ctx, const NewtonBinding& binding,
+                     const std::vector<double>& x, SolveDiagnostics* diag = nullptr);
 
   /// O(nnz) nonlinear MNA residual r = G(x)·x − b(x) (same definition
   /// as the free mna_residual, minus the dense row sweep and the
@@ -218,9 +232,6 @@ class SolverWorkspace {
     std::vector<double> base_values;
     // Per-iteration staging.
     std::vector<double> b;
-    // Iterative-refinement scratch (residual and correction).
-    std::vector<double> refine_r;
-    std::vector<double> refine_dx;
   };
 
   std::uint64_t entry_key(const StampContext& ctx);
@@ -228,10 +239,6 @@ class SolverWorkspace {
   void build_entry(Entry& e, const StampContext& ctx);
   void ensure_linear_base(Entry& e, const StampContext& ctx);
   void stamp(Entry& e, const StampContext& ctx, const std::vector<double>& x);
-  bool residual_acceptable(const Entry& e, const std::vector<double>& x_new) const;
-  void refine(Entry& e, std::vector<double>& x_new);
-  bool dense_solve(const StampContext& ctx, const std::vector<double>& x,
-                   std::vector<double>& x_new);
 
   static constexpr std::size_t kMaxEntries = 16;
   std::vector<std::unique_ptr<Entry>> entries_;
@@ -252,7 +259,7 @@ class SolverWorkspace {
   std::vector<double> pending_seed_;
   bool has_pending_seed_ = false;
 
-  // Dense path / fallback buffers.
+  // Dense path buffers (n below the crossover, or forced dense).
   Matrix dense_g_;
   std::vector<double> dense_b_;
   std::vector<double> iterate_scratch_;

@@ -1,10 +1,12 @@
 // Smoke test of the sparse-engine contract on the golden netlist: a
 // warm dc_sweep of the full analog frontend must run entirely on the
-// sparse path (one symbolic analysis shared by every point, zero dense
-// fallbacks), and the solver.dc.* instruments must see it. A small
+// sparse path (one symbolic analysis shared by every point, no pivot
+// or KCL rejects), and the solver.dc.* instruments must see it. A small
 // serial fault campaign checks the same on faulted copies.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
 #include <vector>
 
 #include "cells/link_frontend.hpp"
@@ -16,6 +18,10 @@
 namespace lsl::cells {
 namespace {
 
+constexpr std::array<const char*, 4> kRejectCounters = {
+    "solver.dc.pivot_rejects", "solver.dc.kcl_rejects", "solver.transient.pivot_rejects",
+    "solver.transient.kcl_rejects"};
+
 TEST(SolverSmoke, WarmDcSweepReusesSymbolicAnalysisWithoutFallbacks) {
   LinkFrontend fe;
   spice::SolverWorkspace ws;  // private workspace: stats start at zero
@@ -25,7 +31,8 @@ TEST(SolverSmoke, WarmDcSweepReusesSymbolicAnalysisWithoutFallbacks) {
 
   auto& m = util::metrics();
   const auto reuse_before = m.counter("solver.dc.symbolic_reuse").value();
-  const auto fallbacks_before = m.counter("solver.dc.dense_fallbacks").value();
+  const auto pivot_before = m.counter("solver.dc.pivot_rejects").value();
+  const auto kcl_before = m.counter("solver.dc.kcl_rejects").value();
 
   const auto results =
       spice::dc_sweep(fe.netlist(), fe.src_tap_main_p(), points, spice::DcOptions{}, ws);
@@ -37,34 +44,41 @@ TEST(SolverSmoke, WarmDcSweepReusesSymbolicAnalysisWithoutFallbacks) {
   EXPECT_EQ(ws.stats().symbolic_builds, 1u);
   EXPECT_GT(ws.stats().symbolic_reuse, 0u);
   EXPECT_GT(ws.stats().sparse_solves, 0u);
-  EXPECT_EQ(ws.stats().dense_fallbacks, 0u);
+  EXPECT_EQ(ws.stats().pivot_rejects, 0u);
+  EXPECT_EQ(ws.stats().kcl_rejects, 0u);
   EXPECT_EQ(ws.stats().dense_solves, 0u);
 
   // The same story must be visible through the metrics registry.
   EXPECT_GT(m.counter("solver.dc.symbolic_reuse").value(), reuse_before);
-  EXPECT_EQ(m.counter("solver.dc.dense_fallbacks").value(), fallbacks_before);
+  EXPECT_EQ(m.counter("solver.dc.pivot_rejects").value(), pivot_before);
+  EXPECT_EQ(m.counter("solver.dc.kcl_rejects").value(), kcl_before);
 }
 
 TEST(SolverSmoke, GoldenWarmStartLandsFirstTry) {
   // The campaign's fault-free warm path: re-solving the golden netlist
   // from its own converged solution. The warm-start rung must land
-  // first try, with no dense fallback on the way.
+  // first try, with no pivot or KCL reject on the way. Both solves stop
+  // at 1 nV, so the two results agree to 1e-9.
   LinkFrontend fe;
   spice::SolverWorkspace ws;
-  const auto cold = spice::solve_dc(fe.netlist(), {}, ws);
+  spice::DcOptions opts;
+  opts.abs_tol = 1e-9;
+  const auto cold = spice::solve_dc(fe.netlist(), opts, ws);
   ASSERT_TRUE(cold.converged);
 
   auto& m = util::metrics();
   const auto hits_before = m.counter("campaign.warm_start.hits").value();
   const auto rejects_before = m.counter("campaign.warm_start.rejects").value();
 
-  const auto fallbacks_before = ws.stats().dense_fallbacks;
+  const auto pivot_before = ws.stats().pivot_rejects;
+  const auto kcl_before = ws.stats().kcl_rejects;
   ws.seed_from(cold.x);
-  const auto warm = spice::solve_dc(fe.netlist(), {}, ws);
+  const auto warm = spice::solve_dc(fe.netlist(), opts, ws);
   ASSERT_TRUE(warm.converged);
 
   EXPECT_EQ(warm.diag.fallback, "golden-warm-start");
-  EXPECT_EQ(ws.stats().dense_fallbacks, fallbacks_before);
+  EXPECT_EQ(ws.stats().pivot_rejects, pivot_before);
+  EXPECT_EQ(ws.stats().kcl_rejects, kcl_before);
   EXPECT_EQ(m.counter("campaign.warm_start.hits").value(), hits_before + 1);
   EXPECT_EQ(m.counter("campaign.warm_start.rejects").value(), rejects_before);
   // Warm-starting from the answer costs (far) fewer iterations.
@@ -75,10 +89,11 @@ TEST(SolverSmoke, GoldenWarmStartLandsFirstTry) {
   }
 }
 
-TEST(SolverSmoke, SerialTxCampaignRunsWithoutDenseFallbacks) {
+TEST(SolverSmoke, SerialTxCampaignRunsWithoutPivotOrKclRejects) {
   // The fault-campaign workload of bench/perf_engines: serial, tx.
   // faults, DC and static scan only. Every DC and transient linear
-  // solve on the faulted frontends must pass the sparse residual gate.
+  // solve on the faulted frontends must factor above the pivot floor,
+  // and every Newton exit must pass the KCL check first time.
   LinkFrontend golden;
   dft::CampaignOptions opts;
   opts.prefixes = {"tx."};
@@ -88,16 +103,17 @@ TEST(SolverSmoke, SerialTxCampaignRunsWithoutDenseFallbacks) {
   opts.num_threads = 1;
 
   auto& m = util::metrics();
-  const auto dc_before = m.counter("solver.dc.dense_fallbacks").value();
-  const auto tr_before = m.counter("solver.transient.dense_fallbacks").value();
+  std::vector<std::int64_t> rejects_before;
+  for (const char* c : kRejectCounters) rejects_before.push_back(m.counter(c).value());
   const auto sparse_before = m.counter("solver.dc.sparse_solves").value();
 
   const auto report = dft::run_campaign(golden, opts);
   ASSERT_EQ(report.outcomes.size(), 8u);
 
   EXPECT_GT(m.counter("solver.dc.sparse_solves").value(), sparse_before);
-  EXPECT_EQ(m.counter("solver.dc.dense_fallbacks").value(), dc_before);
-  EXPECT_EQ(m.counter("solver.transient.dense_fallbacks").value(), tr_before);
+  for (std::size_t k = 0; k < kRejectCounters.size(); ++k) {
+    EXPECT_EQ(m.counter(kRejectCounters[k]).value(), rejects_before[k]) << kRejectCounters[k];
+  }
 }
 
 }  // namespace

@@ -62,6 +62,19 @@ class CampaignFixture : public ::testing::Test {
 
 cells::LinkFrontend* CampaignFixture::golden_ = nullptr;
 
+/// A checkpoint's outcome lines: every line after its fingerprint
+/// header, which must come first.
+std::vector<std::string> outcome_lines(const std::string& path) {
+  std::vector<std::string> lines = util::read_lines(path);
+  if (lines.empty()) return lines;
+  util::JsonObject header;
+  EXPECT_TRUE(util::JsonObject::parse(lines.front(), header) &&
+              header.has("checkpoint_fingerprint"))
+      << "no fingerprint header in " << path << ": " << lines.front();
+  lines.erase(lines.begin());
+  return lines;
+}
+
 /// Faults a report simulated rather than loaded from its checkpoint.
 std::size_t fresh_faults(const CampaignReport& r) {
   std::size_t fresh = 0;
@@ -211,7 +224,8 @@ TEST_F(CampaignFixture, AbortCheckStopsEarlyAndMarksIncomplete) {
 TEST_F(CampaignFixture, SingleThreadProgressIsInOrderAndPrecedesEachFault) {
   // At one thread `progress` is a monotone fault clock: indices 0..n-1
   // in order, each reported before that fault runs. The checkpoint file
-  // shows what has run: at progress(i) it holds exactly faults 0..i-1.
+  // shows what has run: at progress(i) it holds exactly faults 0..i-1
+  // after its header.
   const std::string path = testing::TempDir() + "campaign_progress_order.jsonl";
   std::remove(path.c_str());
   CampaignOptions opts = small_opts();
@@ -221,7 +235,7 @@ TEST_F(CampaignFixture, SingleThreadProgressIsInOrderAndPrecedesEachFault) {
   std::vector<std::size_t> lines_at_call;
   opts.progress = [&](std::size_t i, std::size_t) {
     seen.push_back(i);
-    lines_at_call.push_back(util::read_lines(path).size());
+    lines_at_call.push_back(outcome_lines(path).size());
   };
   const CampaignReport report = run_campaign(*golden_, opts);
   ASSERT_TRUE(report.complete);
@@ -248,7 +262,7 @@ TEST_F(CampaignFixture, ResumeFromCheckpointMatchesUninterruptedRun) {
   const CampaignReport partial = run_campaign(*golden_, interrupted);
   ASSERT_FALSE(partial.complete);
   ASSERT_EQ(partial.outcomes.size(), 3u);
-  ASSERT_EQ(util::read_lines(path).size(), 3u);
+  ASSERT_EQ(outcome_lines(path).size(), 3u);
 
   // Simulate a kill mid-write: a torn (truncated) trailing line must be
   // skipped on resume, not crash it.
@@ -285,7 +299,7 @@ TEST_F(CampaignFixture, CheckpointLinesRoundTripThroughJson) {
   opts.adaptive_stage_order = false;  // every sub-stage runs and records
   opts.checkpoint_path = path;
   const CampaignReport report = run_campaign(*golden_, opts);
-  const auto lines = util::read_lines(path);
+  const auto lines = outcome_lines(path);
   ASSERT_EQ(lines.size(), report.outcomes.size());
   for (std::size_t i = 0; i < lines.size(); ++i) {
     const FaultOutcome& o = report.outcomes[i];
@@ -413,6 +427,47 @@ TEST_F(CampaignFixture, PessimisticCheckpointLinesReloadBothVariants) {
   EXPECT_EQ(fresh_faults(resumed), 0u);
   expect_same_report(report, resumed);
   EXPECT_EQ(report_canonical_jsonl(resumed), report_canonical_jsonl(report));
+  std::remove(path.c_str());
+}
+
+TEST_F(CampaignFixture, ResumeUnderOtherOptionsRerunsEveryFault) {
+  // A bulk-leak run resumed from a pessimistic run's checkpoint. The
+  // lines agree with the fault universe, but their two-variant records
+  // answer another question: the fingerprint header tells them apart,
+  // so every fault re-runs and the report equals a fresh bulk-leak run.
+  // The checkpoint then starts with the bulk-leak header, and resuming
+  // again loads every line.
+  const std::string path = testing::TempDir() + "campaign_fingerprint.jsonl";
+  std::remove(path.c_str());
+  CampaignOptions pessimistic = small_opts();
+  pessimistic.max_faults = 4;
+  pessimistic.pessimistic_gate_opens = true;
+  pessimistic.num_threads = 4;
+  pessimistic.checkpoint_path = path;
+  const CampaignReport first = run_campaign(*golden_, pessimistic);
+  ASSERT_TRUE(first.complete);
+  std::size_t two_variant = 0;
+  for (const FaultOutcome& o : first.outcomes) two_variant += o.record.count == 2;
+  ASSERT_GT(two_variant, 0u) << "no gate open in the universe";
+
+  CampaignOptions bulk = pessimistic;
+  bulk.pessimistic_gate_opens = false;
+  CampaignOptions resumed_opts = bulk;
+  resumed_opts.resume = true;
+  const CampaignReport resumed = run_campaign(*golden_, resumed_opts);
+  ASSERT_TRUE(resumed.complete);
+  EXPECT_EQ(fresh_faults(resumed), resumed.outcomes.size());
+  for (const FaultOutcome& o : resumed.outcomes) {
+    EXPECT_EQ(o.record.count, 1u) << o.fault.describe();
+  }
+  bulk.checkpoint_path.clear();
+  const CampaignReport fresh = run_campaign(*golden_, bulk);
+  expect_same_report(fresh, resumed);
+
+  const CampaignReport again = run_campaign(*golden_, resumed_opts);
+  EXPECT_EQ(fresh_faults(again), 0u);
+  expect_same_report(fresh, again);
+  EXPECT_EQ(outcome_lines(path).size(), fresh.outcomes.size());
   std::remove(path.c_str());
 }
 

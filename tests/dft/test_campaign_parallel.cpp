@@ -110,8 +110,9 @@ TEST_F(ParallelCampaignFixture, CheckpointReserializesCanonicallyAtAnyThreadCoun
 
     // Parse the JSONL back (lines may be in completion order), rebuild
     // outcomes, and canonicalize: identical to the serial reference.
+    // The fingerprint header comes first, then one line per fault.
     const auto lines = util::read_lines(path);
-    ASSERT_EQ(lines.size(), report.outcomes.size());
+    ASSERT_EQ(lines.size(), report.outcomes.size() + 1);
     CampaignReport from_ckpt;
     // Feed a resume-only run: full checkpoint means zero fresh faults.
     CampaignOptions resume_opts = small_opts(threads);
@@ -194,19 +195,21 @@ TEST_F(ParallelCampaignFixture, CampaignRunsOnTheSparseEngine) {
   // campaign must be served overwhelmingly by the sparse path, with
   // cached symbolic analyses reused across faults. Fault circuits that
   // mix short and open conductances can defeat the no-pivot
-  // factorization — those take the dense fallback by design — but
-  // they must stay a small minority. A serial run executes on this
-  // thread, so its tls() workspace is ours.
+  // factorization (a pivot reject fails that Newton iteration as
+  // singular) or its accuracy (the KCL exit check refuses the
+  // iterate), but they must stay a small minority. A serial run
+  // executes on this thread, so its tls() workspace is ours.
   auto& ws = spice::SolverWorkspace::tls();
   const auto before = ws.stats();
   const CampaignReport report = run_campaign(*golden_, small_opts(1));
   ASSERT_TRUE(report.complete);
   const auto after = ws.stats();
   const auto sparse = after.sparse_solves - before.sparse_solves;
-  const auto fallbacks = after.dense_fallbacks - before.dense_fallbacks;
+  const auto rejects = (after.pivot_rejects - before.pivot_rejects) +
+                       (after.kcl_rejects - before.kcl_rejects);
   EXPECT_GT(sparse, 0u);
   EXPECT_GT(after.symbolic_reuse, before.symbolic_reuse);
-  EXPECT_LT(fallbacks * 10, sparse) << "dense fallbacks should be <10% of sparse solves";
+  EXPECT_LT(rejects * 10, sparse) << "pivot and KCL rejects should be <10% of sparse solves";
   expect_identical(*serial_, report);
 }
 

@@ -41,6 +41,13 @@ constexpr const char* kHeader =
     "# SubStage s: dc, cp-scan, scan-static, toggle, cp-bist-read, bist-verdict)\n"
     "# per simulated leak variant. No costs are pinned.\n";
 
+/// Ceilings on each convention's Newton iterations summed over the
+/// faults of its campaign below (golden runs excluded): the count with
+/// Newton stopping at 1 µV behind one KCL check, plus 2%. Per-fault
+/// counts do not depend on the thread count, so a solver change that
+/// costs iterations fails here without timing noise.
+constexpr std::array<long, 2> kNewtonCeiling = {335967, 388049};
+
 /// Field names of a fault line, for mismatch messages.
 constexpr std::array<const char*, 8> kFieldNames = {
     "convention", "kind", "index", "device", "class", "verdict", "first record",
@@ -102,13 +109,20 @@ std::string progression(const CampaignReport& r) {
 TEST(PinnedReferenceRecord, FullEvaluationRecordMatchesBothConventions) {
   const cells::LinkFrontend golden;
   std::vector<std::string> produced;
-  for (const char* convention : kConventions) {
+  for (std::size_t c = 0; c < kConventions.size(); ++c) {
+    const char* convention = kConventions[c];
     CampaignOptions opts;
     opts.num_threads = 4;
     opts.adaptive_stage_order = false;
     opts.pessimistic_gate_opens = std::string(convention) == "pessimistic";
     const CampaignReport r = run_campaign(golden, opts);
     ASSERT_TRUE(r.complete);
+    long newton = 0;
+    for (const FaultOutcome& o : r.outcomes) newton += o.newton_iterations;
+    std::printf("[ newton   ] %s: %ld Newton iterations over the faults (ceiling %ld)\n",
+                convention, newton, kNewtonCeiling[c]);
+    EXPECT_LE(newton, kNewtonCeiling[c])
+        << convention << ": the campaign's Newton iterations grew past the pinned ceiling";
     const std::vector<std::string> got = record_lines(convention, r);
     produced.insert(produced.end(), got.begin(), got.end());
     EXPECT_TRUE(matches_pinned(pinned_record_lines(convention), got, kFieldNames))

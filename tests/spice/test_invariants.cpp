@@ -1,11 +1,11 @@
 // Property tests for the MNA core, on randomized (fixed-seed) netlists:
 //
 //  1. KCL invariant — at every accepted DC and transient solution the
-//     nonlinear residual G(x)·x − b(x) over the node rows is below
-//     tolerance. Newton converges on |dV|, not on the residual, so this
-//     is a genuinely independent check of the stamps (a sign error in a
-//     companion model or Jacobian remainder shows up here even when the
-//     iteration happily "converges").
+//     nonlinear residual G(x)·x − b(x) over the node rows is below an
+//     absolute tolerance. Newton's own exit check is relative to each
+//     row's terms, so this stays an independent check of the stamps (a
+//     sign error in a companion model or Jacobian remainder shows up
+//     here even when the iteration happily "converges").
 //  2. Integrator cross-check — backward Euler and trapezoidal are two
 //     independent discretizations; both must track the analytic RC step
 //     response within their theoretical error bounds and agree with
@@ -23,11 +23,11 @@
 namespace lsl::spice {
 namespace {
 
-/// KCL tolerance in amperes. Newton stops at |dV| < 1e-9 V; with branch
-/// conductances up to ~1 S (capacitor companions at C/dt) the residual
-/// bound is ||J||·|dV|·n ≈ 1e-7 — 1e-6 has margin without hiding bugs
-/// (a wrong companion model gives residuals of order the branch
-/// current, i.e. 1e-3 and up).
+/// KCL tolerance in amperes. Newton stops at |dV| < 1e-6 V, and the
+/// residual at the accepted iterate is second order in that last
+/// update (zero up to roundoff on linear circuits), so 1e-6 has margin
+/// without hiding bugs (a wrong companion model gives residuals of
+/// order the branch current, i.e. 1e-3 and up).
 constexpr double kKclTol = 1e-6;
 
 /// Random RC ladder: a driven resistor chain with random grounded

@@ -3,10 +3,16 @@
 // hang, or a silent `false`.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "spice/dc.hpp"
+#include "spice/matrix.hpp"
+#include "spice/stamp.hpp"
 #include "spice/transient.hpp"
+#include "spice/workspace.hpp"
 
 namespace lsl::spice {
 namespace {
@@ -40,7 +46,7 @@ TEST(SolverRobustness, HealthyCircuitReportsConvergedWithDiagnostics) {
   // No initial guess: the ladder starts at the gmin-stepping rung.
   EXPECT_EQ(r.diag.fallback, "gmin-step");
   EXPECT_EQ(r.diag.fallback_depth, 1);
-  EXPECT_LT(r.diag.final_max_dv, 1e-9);
+  EXPECT_LT(r.diag.final_max_dv, DcOptions{}.abs_tol);
   EXPECT_FALSE(r.diag.worst_node.empty());
 }
 
@@ -73,12 +79,35 @@ TEST(SolverRobustness, TightIterationBudgetReportsMaxIterations) {
   EXPECT_GT(r.diag.iterations, 0);
 }
 
+/// Node rows of the system `ctx` stamped densely about `x` (an oracle
+/// independent of the sparse workspace): true when every row balances
+/// to Newton's exit bound, |r_i| <= 1e-3·Σ|terms_i| + 1e-12 A.
+bool kcl_balanced(const StampContext& ctx, const std::vector<double>& x) {
+  Matrix g;
+  std::vector<double> b;
+  stamp_system(ctx, x, g, b);
+  for (std::size_t i = 0; i + 1 < ctx.nl->node_count(); ++i) {
+    double r = -b[i];
+    double scale = std::fabs(b[i]);
+    for (std::size_t j = 0; j < x.size(); ++j) {
+      r += g.at(i, j) * x[j];
+      scale += std::fabs(g.at(i, j) * x[j]);
+    }
+    if (!(std::fabs(r) <= 1e-3 * scale + 1e-12)) return false;
+  }
+  return true;
+}
+
 TEST(SolverRobustness, ConvergedMeansTheRequestedToleranceWasMet) {
   // No rung may report "converged" at a looser tolerance than the caller
-  // asked for: either the last Newton update is below abs_tol, or the
-  // ladder ran out. Tolerances down at the double-precision floor with
-  // a short budget drive the solve through every rung to exhaustion.
+  // asked for: either the last Newton update is below abs_tol and the
+  // result balances KCL, or the ladder ran out. Tolerances down at the
+  // double-precision floor with a short budget drive the solve through
+  // every rung to exhaustion.
   const Netlist nl = inverter_chain();
+  StampContext ctx;  // solve_dc's final system: gmin_final, full scale
+  ctx.nl = &nl;
+  ctx.gmin = DcOptions{}.gmin_final;
   for (const double abs_tol : {1e-16, 3e-17, 1e-17}) {
     for (const int max_iterations : {20, 200}) {
       DcOptions opts;
@@ -89,8 +118,77 @@ TEST(SolverRobustness, ConvergedMeansTheRequestedToleranceWasMet) {
                                       << max_iterations << ", rung " << r.diag.fallback);
       if (r.converged) {
         EXPECT_LT(r.diag.final_max_dv, abs_tol);
+        EXPECT_TRUE(kcl_balanced(ctx, r.x));
       } else {
         EXPECT_EQ(r.diag.fallback, "exhausted");
+      }
+    }
+  }
+}
+
+TEST(SolverRobustness, KclExitCheckRefusesAnUnbalancedIterate) {
+  // With a 10-V abs_tol the first damped update (at most 0.4 V) already
+  // passes the voltage test, from a flat start far from the solution.
+  // The KCL check must refuse those iterates and keep the loop going
+  // until the result balances, on the dense path and the sparse one.
+  const Netlist nl = inverter_chain();
+  StampContext ctx;
+  ctx.nl = &nl;
+  const SolverTuning saved = solver_tuning();
+  for (const bool sparse : {false, true}) {
+    SCOPED_TRACE(sparse ? "sparse" : "dense");
+    solver_tuning().force_sparse = sparse;
+    SolverWorkspace ws;
+    DcOptions opts;
+    opts.abs_tol = 10.0;
+    std::vector<double> x(nl.unknown_count(), 0.0);
+    SolveDiagnostics diag;
+    EXPECT_EQ(newton_loop(ctx, opts, Deadline{}, ws, x, diag), SolveStatus::kConverged);
+    EXPECT_EQ(ws.stats().sparse_solves > 0, sparse);
+    EXPECT_GT(ws.stats().kcl_rejects, 0u);
+    EXPECT_GT(diag.iterations, 1);
+    EXPECT_TRUE(kcl_balanced(ctx, x));
+  }
+  solver_tuning() = saved;
+}
+
+TEST(SolverRobustness, TransientStepConvergedMeansTheRequestedToleranceWasMet) {
+  // The same contract for one transient step, the loop run_transient
+  // runs per sub-step: from the t = 0 operating point, the input jumps
+  // to 1.2 V across one 0.1 ns backward-Euler step into capacitive
+  // loads. A converged step met abs_tol and balances KCL; otherwise
+  // the loop ran out of iterations.
+  Netlist nl = inverter_chain();
+  for (int k = 0; k < 3; ++k) {
+    nl.add("c" + std::to_string(k), Capacitor{*nl.find_node("out" + std::to_string(k)), kGround,
+                                             5e-15});
+  }
+  const DcResult op = solve_dc(nl);
+  ASSERT_TRUE(op.converged);
+  std::vector<double> prev_node_v(nl.node_count(), 0.0);
+  for (NodeId id = 1; id < nl.node_count(); ++id) prev_node_v[id] = op.v(nl, id);
+  const std::vector<std::pair<std::size_t, double>> drive = {{*nl.find_device("v_in"), 1.2}};
+  StampContext ctx;
+  ctx.nl = &nl;
+  ctx.dt = 0.1e-9;
+  ctx.prev_node_v = &prev_node_v;
+  ctx.vsrc_override = &drive;
+  SolverWorkspace ws;
+  for (const double abs_tol : {1e-16, 3e-17, 1e-17}) {
+    for (const int max_iterations : {3, 20, 200}) {
+      DcOptions opts;
+      opts.abs_tol = abs_tol;
+      opts.max_iterations = max_iterations;
+      std::vector<double> x = op.x;
+      SolveDiagnostics diag;
+      const SolveStatus st = newton_loop(ctx, opts, Deadline{}, ws, x, diag);
+      SCOPED_TRACE(testing::Message() << "abs_tol " << abs_tol << ", max_iterations "
+                                      << max_iterations << ", status " << to_string(st));
+      if (st == SolveStatus::kConverged) {
+        EXPECT_LT(diag.final_max_dv, abs_tol);
+        EXPECT_TRUE(kcl_balanced(ctx, x));
+      } else {
+        EXPECT_EQ(st, SolveStatus::kMaxIterations);
       }
     }
   }

@@ -11,6 +11,7 @@
 #include <new>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "spice/dc.hpp"
@@ -267,7 +268,8 @@ TEST(SparseEngine, DcSolutionsMatchDenseOnRandomNetlists) {
       ASSERT_TRUE(rs.converged) << "seed " << seed;
       ASSERT_EQ(rs.x.size(), rd.x.size());
       EXPECT_GT(ws_sparse.stats().sparse_solves, 0u);
-      EXPECT_EQ(ws_sparse.stats().dense_fallbacks, 0u) << "seed " << seed;
+      EXPECT_EQ(ws_sparse.stats().pivot_rejects, 0u) << "seed " << seed;
+      EXPECT_EQ(ws_sparse.stats().kcl_rejects, 0u) << "seed " << seed;
       EXPECT_EQ(ws_dense.stats().sparse_solves, 0u);
       for (std::size_t i = 0; i < rs.x.size(); ++i) {
         EXPECT_NEAR(rs.x[i], rd.x[i], 1e-6) << "seed " << seed << " unknown " << i;
@@ -276,11 +278,11 @@ TEST(SparseEngine, DcSolutionsMatchDenseOnRandomNetlists) {
   }
 }
 
-TEST(SparseEngine, ZeroVoltSourcePassesTheResidualGateOnTheFirstSolve) {
+TEST(SparseEngine, ZeroVoltSourceSolvesExactlyWithoutRejects) {
   // A 0-V source to ground drives a resistor and a MOSFET gate. Its
   // branch row reads x_g = 0; unless the LU pivots x_g on that row, the
-  // gate voltage comes out as ±1e-16 V of roundoff, the row's relative
-  // residual is 1.0, and every linear solve refines or falls back.
+  // gate voltage comes out as ±1e-16 V of roundoff, a relative residual
+  // of 1.0 on the branch row.
   ScopedTuning guard;
   solver_tuning().force_sparse = true;
   Netlist nl;
@@ -303,8 +305,8 @@ TEST(SparseEngine, ZeroVoltSourcePassesTheResidualGateOnTheFirstSolve) {
   ASSERT_TRUE(dc.converged);
   EXPECT_EQ(dc.v(nl, "g"), 0.0);
   EXPECT_GT(ws.stats().sparse_solves, 0u);
-  EXPECT_EQ(ws.stats().refinement_steps, 0u);
-  EXPECT_EQ(ws.stats().dense_fallbacks, 0u);
+  EXPECT_EQ(ws.stats().pivot_rejects, 0u);
+  EXPECT_EQ(ws.stats().kcl_rejects, 0u);
 
   TransientOptions topts;
   topts.t_stop = 2e-9;
@@ -313,8 +315,8 @@ TEST(SparseEngine, ZeroVoltSourcePassesTheResidualGateOnTheFirstSolve) {
       nl, {{"v_vdd", pwl_wave({{0.0, 0.0}, {1e-9, 1.2}})}}, topts, ws);
   ASSERT_TRUE(tr.ok);
   EXPECT_GT(tr.steps_accepted, 0u);
-  EXPECT_EQ(ws.stats().refinement_steps, 0u);
-  EXPECT_EQ(ws.stats().dense_fallbacks, 0u);
+  EXPECT_EQ(ws.stats().pivot_rejects, 0u);
+  EXPECT_EQ(ws.stats().kcl_rejects, 0u);
 }
 
 TEST(SparseEngine, WarmSolveBitIdenticalToCold) {
@@ -523,7 +525,45 @@ TEST(SparseEngine, DcSweepSharesOneSymbolicFactorization) {
   // is served by a single symbolic analysis.
   EXPECT_EQ(ws.stats().symbolic_builds, 1u);
   EXPECT_GT(ws.stats().symbolic_reuse, 0u);
-  EXPECT_EQ(ws.stats().dense_fallbacks, 0u);
+  EXPECT_EQ(ws.stats().pivot_rejects, 0u);
+}
+
+TEST(SparseEngine, ContinuationsEndOnTheRequestedSystem) {
+  // A 10-V divider from a flat start: the ladder's first rung is gmin
+  // stepping, which reaches 10 V at 0.4 V per iteration in one go when
+  // the budget allows (27 iterations), else source stepping takes ten
+  // 1-V steps (6 iterations each). Either continuation must end on the
+  // requested system, gmin_final at full scale: the result is a fixed
+  // point of a plain Newton re-solve, the pivoted source node reads
+  // 10 V exactly, and the re-solve reuses the linear base the last
+  // continuation level left (a level off gmin_final would rebuild it).
+  ScopedTuning guard;
+  solver_tuning().force_sparse = true;
+  Netlist nl;
+  const NodeId a = nl.node("a");
+  const NodeId m = nl.node("m");
+  nl.add("v", VSource{a, kGround, 10.0});
+  nl.add("r1", Resistor{a, m, 1e3});
+  nl.add("r2", Resistor{m, kGround, 3e3});
+  for (const auto& [max_iterations, rung] :
+       {std::pair{27, "gmin-step"}, std::pair{6, "source-step"}}) {
+    SCOPED_TRACE(rung);
+    SolverWorkspace ws;
+    DcOptions opts;
+    opts.max_iterations = max_iterations;
+    const DcResult r = solve_dc(nl, opts, ws);
+    ASSERT_TRUE(r.converged);
+    ASSERT_EQ(r.diag.fallback, rung);
+    EXPECT_EQ(r.v(nl, "a"), 10.0);
+
+    const auto base_builds = ws.stats().linear_stamp_builds;
+    opts.initial_guess = r.x;
+    const DcResult again = solve_dc(nl, opts, ws);
+    ASSERT_TRUE(again.converged);
+    EXPECT_EQ(again.diag.fallback, "newton");
+    EXPECT_TRUE(same_bits(again.x, r.x));
+    EXPECT_EQ(ws.stats().linear_stamp_builds, base_builds);
+  }
 }
 
 // --- zero allocations in the warm Newton loop -------------------------
@@ -548,15 +588,17 @@ TEST(NewtonAllocation, WarmNewtonSolveIsAllocationFree) {
 
   const long before = g_alloc_count.load();
   for (int i = 0; i < 50; ++i) {
-    if (!ws.solve_newton_system(ctx, x, x_new)) {
+    SolverWorkspace::NewtonBinding binding;
+    if (!ws.solve_newton_system(ctx, binding, x, x_new)) {
       ASSERT_TRUE(false) << "solve failed on warm iteration " << i;
     }
     // Nudge the iterate so the nonlinear restamp sees fresh voltages.
     for (std::size_t k = 0; k + 1 < x.size(); ++k) x[k] = 0.9 * x[k] + 0.1 * x_new[k];
+    (void)ws.kcl_satisfied(ctx, binding, x);  // Newton's exit check
   }
   const long after = g_alloc_count.load();
   EXPECT_EQ(after, before) << "warm sparse Newton iterations allocated";
-  EXPECT_EQ(ws.stats().dense_fallbacks, 0u);
+  EXPECT_EQ(ws.stats().pivot_rejects, 0u);
 }
 
 TEST(NewtonAllocation, WarmDensePathIsAllocationFreeToo) {
@@ -574,9 +616,11 @@ TEST(NewtonAllocation, WarmDensePathIsAllocationFreeToo) {
 
   const long before = g_alloc_count.load();
   for (int i = 0; i < 50; ++i) {
-    if (!ws.solve_newton_system(ctx, x, x_new)) {
+    SolverWorkspace::NewtonBinding binding;
+    if (!ws.solve_newton_system(ctx, binding, x, x_new)) {
       ASSERT_TRUE(false) << "solve failed on warm iteration " << i;
     }
+    (void)ws.kcl_satisfied(ctx, binding, x_new);  // Newton's exit check
   }
   const long after = g_alloc_count.load();
   EXPECT_EQ(after, before) << "warm dense Newton iterations allocated";
