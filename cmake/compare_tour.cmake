@@ -1,22 +1,32 @@
-# Script-mode check of the fault-injection tour: runs EXE, keeps the
-# output lines that report a fault (those holding " DC:" — the stage
-# columns and the verdict), and compares them with EXPECTED line by
-# line. A mismatch fails naming the first line that differs.
+# Script-mode check of a program's stdout: runs EXE (with the optional
+# space-separated ARGS), keeps the output lines matching the optional FILTER
+# regex (every line, blank ones included, when FILTER is not given),
+# and compares them with EXPECTED line by line. A mismatch fails naming
+# the first line that differs.
 #
-#   cmake -DEXE=<fault_injection> -DEXPECTED=<file> -DOUT=<file> \
-#         -P cmake/compare_tour.cmake
+#   cmake -DEXE=<program> ["-DARGS=<a b ...>"] ["-DFILTER=<regex>"] \
+#         -DEXPECTED=<file> -DOUT=<file> -P cmake/compare_tour.cmake
+#
+# The fault-injection tour keeps its fault lines (FILTER " DC:", the
+# stage columns and the verdict); dft_campaigns keeps every line.
+cmake_minimum_required(VERSION 3.16)  # CMP0007: lists keep blank lines
 foreach(var EXE EXPECTED OUT)
   if(NOT DEFINED ${var})
     message(FATAL_ERROR "compare_tour.cmake requires -D${var}=...")
   endif()
 endforeach()
 
-execute_process(COMMAND ${EXE} OUTPUT_FILE ${OUT} RESULT_VARIABLE rc)
+separate_arguments(args UNIX_COMMAND "${ARGS}")
+execute_process(COMMAND ${EXE} ${args} OUTPUT_FILE ${OUT} RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "${EXE} exited with ${rc}")
 endif()
 
-file(STRINGS ${OUT} got REGEX " DC:")
+if(DEFINED FILTER)
+  file(STRINGS ${OUT} got REGEX "${FILTER}")
+else()
+  file(STRINGS ${OUT} got)
+endif()
 file(STRINGS ${EXPECTED} want)
 list(LENGTH got n_got)
 list(LENGTH want n_want)
@@ -36,9 +46,9 @@ while(i LESS n)
   endif()
   if(NOT g STREQUAL w)
     math(EXPR line "${i} + 1")
-    message(FATAL_ERROR "fault line ${line} differs from ${EXPECTED}\n"
+    message(FATAL_ERROR "line ${line} differs from ${EXPECTED}\n"
                         "  expected: ${w}\n  got:      ${g}")
   endif()
   math(EXPR i "${i} + 1")
 endwhile()
-message(STATUS "all ${n_want} fault lines match")
+message(STATUS "all ${n_want} lines match")

@@ -267,30 +267,7 @@ bool outcome_from_json(const std::string& line, FaultOutcome& o) {
     const auto mask = [&](std::size_t k) { return static_cast<unsigned>(m[k]); };
     o.record.add({mask(0), mask(1), mask(2)});
   }
-  std::array<bool, kStageCount> hit{};
-  bool failed = false;
-  if (!j.get_bool("dc", hit[kStageDc])) return o.record.count != 0;
-  // An older line stored exact stage bits beside its record, or instead
-  // of it. A record merged from two variants (or none) is rebuilt from
-  // the bits: each stage that ran marks its first sub-stage run (and
-  // detected when the stage did), and an anomalous line fails every
-  // sub-stage, over which a detected first sub-stage still wins.
-  if (!j.get_bool("scan", hit[kStageScan]) || !j.get_bool("bist", hit[kStageBist]) ||
-      !j.get_bool("anomalous", failed)) {
-    return false;
-  }
-  if (o.record.count == 1 && o.observed.find('|') == std::string::npos) return true;
-  std::size_t ran = 0;
-  j.get_uint("stages_run", ran);
-  SubStageRecord r{.failed = failed ? kAllSubStages : 0u};
-  for (unsigned s = 0; s < kStageCount; ++s) {
-    const unsigned first = sub_bit(kStageRunOrder[s].front());
-    if (hit[s] || (ran & (1u << s)) != 0) r.run |= first;
-    if (hit[s]) r.detected |= first;
-  }
-  o.record = {};
-  o.record.add(r);
-  return true;
+  return o.record.count != 0;
 }
 
 /// A checkpoint's first line: the fingerprint of everything that shapes
@@ -317,20 +294,14 @@ std::string checkpoint_header(const cells::LinkFrontend& golden, const CampaignO
   return j.str();
 }
 
-bool is_checkpoint_header(const std::string& line) {
-  util::JsonObject j;
-  return util::JsonObject::parse(line, j) && j.has("checkpoint_fingerprint");
-}
-
-/// Loads checkpointed outcomes from `lines`, keyed by fault index,
-/// skipping the header. Lines that fail to parse (e.g. the torn tail of
-/// a killed run) or that disagree with the enumerated universe are
+/// Loads checkpointed outcomes from `lines` (those after the header),
+/// keyed by fault index. Lines that fail to parse (e.g. the torn tail
+/// of a killed run) or that disagree with the enumerated universe are
 /// skipped with a warning — the fault simply re-runs.
 std::unordered_map<std::size_t, FaultOutcome> load_checkpoint(
     const std::vector<std::string>& lines, const std::vector<StructuralFault>& faults) {
   std::unordered_map<std::size_t, FaultOutcome> done;
   for (const auto& line : lines) {
-    if (is_checkpoint_header(line)) continue;
     FaultOutcome o;
     if (!outcome_from_json(line, o)) {
       util::log_warn("campaign: skipping malformed checkpoint line");
@@ -578,8 +549,8 @@ CampaignReport run_campaign(const cells::LinkFrontend& golden, const CampaignOpt
   if (opts.max_faults != 0 && faults.size() > opts.max_faults) faults.resize(opts.max_faults);
   campaign_span.arg("faults", static_cast<double>(faults.size()));
 
-  // A resumed checkpoint keeps its lines when it starts with this run's
-  // header, or has no header (an older file); any other checkpoint, and
+  // A resumed checkpoint keeps its lines only when it starts with this
+  // run's header; any other checkpoint (a headerless one included), and
   // every one a run does not resume, starts over with this run's header.
   std::unordered_map<std::size_t, FaultOutcome> done;
   if (!opts.checkpoint_path.empty()) {
@@ -587,10 +558,10 @@ CampaignReport run_campaign(const cells::LinkFrontend& golden, const CampaignOpt
     const std::string header = checkpoint_header(golden, opts);
     std::vector<std::string> lines;
     if (opts.resume) lines = util::read_lines(opts.checkpoint_path);
-    if (!lines.empty() && is_checkpoint_header(lines.front()) && lines.front() != header) {
+    if (!lines.empty() && lines.front() != header) {
       util::log_warn("campaign: checkpoint " + opts.checkpoint_path +
-                     " was written with other options, netlist or Newton tolerance; "
-                     "re-running every fault");
+                     " does not start with this run's header (no header, or other options, "
+                     "netlist or Newton tolerance); re-running every fault");
       lines.clear();
     }
     if (lines.empty()) {
@@ -600,6 +571,7 @@ CampaignReport run_campaign(const cells::LinkFrontend& golden, const CampaignOpt
                        opts.checkpoint_path);
       }
     } else {
+      lines.erase(lines.begin());
       done = load_checkpoint(lines, faults);
       if (!done.empty()) {
         util::log_info("campaign: resumed " + std::to_string(done.size()) + "/" +

@@ -108,7 +108,8 @@ struct CampaignOptions {
   /// Empty = no checkpointing.
   std::string checkpoint_path;
   /// Load outcomes already present in `checkpoint_path` and skip those
-  /// faults instead of re-running them.
+  /// faults instead of re-running them. Only a file that starts with
+  /// this run's fingerprint header loads; any other re-runs every fault.
   bool resume = false;
   /// Progress callback (fault index, total), for long campaign runs.
   std::function<void(std::size_t, std::size_t)> progress;

@@ -63,8 +63,11 @@ using Clock = std::chrono::steady_clock;
 
 /// Per-run metrics (instrument names: docs/OBSERVABILITY.md). The
 /// per-step Newton histogram is recorded inline in the step loop; the
-/// aggregates here close out one run_transient call.
-void record_transient_metrics(const TransientResult& result,
+/// aggregates here close out one run_transient call. They count the
+/// time steps only: the t = 0 operating point is a solve_dc, which
+/// records its own iterations and workspace work under solver.dc.*, so
+/// `op_iterations` is left out and `ws_before` is taken after it.
+void record_transient_metrics(const TransientResult& result, long op_iterations,
                               const SolverWorkspace::Stats& ws_before,
                               const SolverWorkspace::Stats& ws_after, double symbolic_sec) {
   auto& m = util::metrics();
@@ -82,7 +85,7 @@ void record_transient_metrics(const TransientResult& result,
   if (!result.ok) failures.add(1);
   steps.add(static_cast<std::int64_t>(result.steps_accepted));
   halvings.add(static_cast<std::int64_t>(result.step_halvings));
-  iterations.add(result.newton_iterations);
+  iterations.add(result.newton_iterations - op_iterations);
   symbolic_builds.add(ws_after.symbolic_builds - ws_before.symbolic_builds);
   symbolic_reuse.add(ws_after.symbolic_reuse - ws_before.symbolic_reuse);
   sparse_solves.add(ws_after.sparse_solves - ws_before.sparse_solves);
@@ -108,7 +111,8 @@ TransientResult run_transient(const Netlist& nl,
   nl.reindex();
   util::TraceSpan run_span("run_transient", "solver");
   const auto start = Clock::now();
-  const SolverWorkspace::Stats ws_stats_before = ws.stats();
+  SolverWorkspace::Stats ws_stats_before = ws.stats();
+  long op_iterations = 0;
   TransientResult result;
   double symbolic_sec = 0.0;  // this run's own symbolic builds (detailed timing)
 
@@ -149,7 +153,7 @@ TransientResult run_transient(const Netlist& nl,
   const auto fail = [&](SolveStatus st, double t) {
     result.status = st;
     result.diag.elapsed_sec = std::chrono::duration<double>(Clock::now() - start).count();
-    record_transient_metrics(result, ws_stats_before, ws.stats(), symbolic_sec);
+    record_transient_metrics(result, op_iterations, ws_stats_before, ws.stats(), symbolic_sec);
     run_span.arg("steps", static_cast<double>(result.steps_accepted));
     run_span.arg("halvings", static_cast<double>(result.step_halvings));
     util::log_warn("run_transient: " + to_string(st) + " at t=" + std::to_string(t) +
@@ -175,7 +179,9 @@ TransientResult run_transient(const Netlist& nl,
       std::get<VSource>(op.device(di).impl).volts = (*wave)(0.0);
     }
     const DcResult dc = solve_dc(op, opts.newton, ws);
+    op_iterations = dc.iterations;
     result.newton_iterations += dc.iterations;
+    ws_stats_before = ws.stats();
     if (!dc.converged) {
       result.diag = dc.diag;
       util::log_warn("run_transient: t=0 operating point failed to converge");
@@ -307,7 +313,7 @@ TransientResult run_transient(const Netlist& nl,
   result.ok = true;
   result.status = SolveStatus::kConverged;
   result.diag.elapsed_sec = std::chrono::duration<double>(Clock::now() - start).count();
-  record_transient_metrics(result, ws_stats_before, ws.stats(), symbolic_sec);
+  record_transient_metrics(result, op_iterations, ws_stats_before, ws.stats(), symbolic_sec);
   run_span.arg("steps", static_cast<double>(result.steps_accepted));
   run_span.arg("halvings", static_cast<double>(result.step_halvings));
   return result;

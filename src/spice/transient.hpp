@@ -55,6 +55,10 @@ struct TransientResult {
   double t_reached = 0.0;    // last accepted time (partial on failure)
   int steps_accepted = 0;    // accepted sub-steps (>= grid steps)
   int step_halvings = 0;     // total halvings across the run
+  /// Every Newton iteration of the run: the t = 0 operating point's
+  /// solve_dc plus every time step (the per-fault budgets read this).
+  /// The solver.transient.newton_iterations counter holds the steps
+  /// only; the operating point's share is in solver.dc.newton_iterations.
   long newton_iterations = 0;
   /// Max KCL residual (amps) over accepted solutions; only populated
   /// when TransientOptions::record_kcl_residual is set.

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "dft/dictionary.hpp"
-#include "spice/solve_status.hpp"
 #include "util/jsonl.hpp"
 
 namespace lsl::dft {
@@ -92,42 +91,6 @@ VariantRecords scan_detected_by_both_variants() {
   v.add({kRan, sub_bit(kSubToggle), 0});
   v.add({kRan, sub_bit(kSubCpScan), sub_bit(kSubScanStatic)});
   return v;
-}
-
-/// A checkpoint line in an older format: the outcome's stage bits
-/// (`dc`/`scan`/`bist`/`anomalous`/`stages_run`) and, `with_record`,
-/// its one record's masks and `observed` beside them. The stage bits
-/// come from `bits` when given (a two-variant outcome whose record was
-/// merged), else from the outcome's record.
-std::string older_line(const FaultOutcome& o, bool with_record,
-                       const VariantRecords* bits = nullptr) {
-  const VariantRecords& from = bits != nullptr ? *bits : o.record;
-  const auto hit = [&](Stage s) { return stage_result(from, s) == StageResult::kDetected; };
-  util::JsonObject j;
-  j.set("index", o.index);
-  j.set("device", o.fault.device);
-  j.set("class", fault::fault_class_name(o.fault.cls));
-  j.set("verdict", fault_verdict_name(o.verdict));
-  j.set("status", spice::to_string(o.status));
-  j.set("dc", hit(kStageDc));
-  j.set("scan", hit(kStageScan));
-  j.set("bist", hit(kStageBist));
-  j.set("anomalous", anomalous(from));
-  j.set("budget_blown", o.budget_blown);
-  j.set("elapsed_sec", 0.0);
-  j.set("newton_iterations", static_cast<std::int64_t>(o.newton_iterations));
-  unsigned stages_run = 0;
-  for (const Stage s : {kStageDc, kStageScan, kStageBist}) {
-    if (stage_result(from, s) != StageResult::kNotRun) stages_run |= 1u << s;
-  }
-  j.set("stages_run", static_cast<std::size_t>(stages_run));
-  if (with_record) {
-    j.set("substages_run", static_cast<std::size_t>(o.record.slot[0].run));
-    j.set("substages_detected", static_cast<std::size_t>(o.record.slot[0].detected));
-    j.set("substages_failed", static_cast<std::size_t>(o.record.slot[0].failed));
-    j.set("observed", o.observed);
-  }
-  return j.str();
 }
 
 TEST_F(CampaignFixture, PartitionsEveryFaultIntoExactlyOneVerdict) {
@@ -339,61 +302,28 @@ TEST_F(CampaignFixture, CheckpointLinesRoundTripThroughJson) {
   const CampaignReport resumed = run_campaign(*golden_, resumed_opts);
   expect_same_report(report, resumed);
   EXPECT_EQ(report_canonical_jsonl(resumed), report_canonical_jsonl(report));
-
-  // Lines in both older formats still load without a re-run, with the
-  // same verdicts and stage results: stage bits and no record, and
-  // stage bits beside the record (exact for one variant).
-  for (const bool with_record : {false, true}) {
-    std::remove(path.c_str());
-    for (const FaultOutcome& o : report.outcomes) {
-      ASSERT_TRUE(util::append_line(path, older_line(o, with_record)));
-    }
-    const CampaignReport legacy = run_campaign(*golden_, resumed_opts);
-    ASSERT_EQ(legacy.outcomes.size(), report.outcomes.size());
-    EXPECT_EQ(fresh_faults(legacy), 0u) << "older checkpoint lines were re-run instead of loaded";
-    for (std::size_t i = 0; i < legacy.outcomes.size(); ++i) {
-      const FaultOutcome& got = legacy.outcomes[i];
-      const FaultOutcome& want = report.outcomes[i];
-      EXPECT_EQ(got.verdict, want.verdict);
-      EXPECT_EQ(got.stages_run, want.stages_run);
-      for (const Stage stage : {kStageDc, kStageScan, kStageBist}) {
-        EXPECT_EQ(stage_result(got.record, stage), stage_result(want.record, stage));
-      }
-      EXPECT_EQ(anomalous(got.record), anomalous(want.record));
-      if (with_record) {
-        EXPECT_EQ(got.record, want.record);
-        EXPECT_EQ(got.observed, want.observed);
-      } else {
-        EXPECT_TRUE(got.observed.empty());
-      }
-    }
-    EXPECT_EQ(legacy.total.cum_scan.detected, report.total.cum_scan.detected);
-  }
-
-  // A two-variant line of the stage-bits-beside-the-record format holds
-  // masks merged across the variants (run and failed ORed, detected
-  // ANDed), which can disagree with its stage bits: the two-variant
-  // record of the regression below merges into "nothing detected, a
-  // failed solve". The loader keeps the stage bits.
-  const VariantRecords two = scan_detected_by_both_variants();
-  FaultOutcome merged = report.outcomes[0];
-  merged.record = {};
-  merged.record.add({two.slot[0].run | two.slot[1].run, two.slot[0].detected & two.slot[1].detected,
-                     two.slot[0].failed | two.slot[1].failed});
-  merged.observed = "a|b";
   std::remove(path.c_str());
-  ASSERT_TRUE(util::append_line(path, older_line(merged, true, &two)));
-  CampaignOptions one = resumed_opts;
-  one.max_faults = 1;
-  const CampaignReport loaded = run_campaign(*golden_, one);
-  ASSERT_EQ(loaded.outcomes.size(), 1u);
-  EXPECT_EQ(fresh_faults(loaded), 0u);
-  EXPECT_EQ(stage_result(loaded.outcomes[0].record, kStageDc), StageResult::kPassed);
-  EXPECT_EQ(stage_result(loaded.outcomes[0].record, kStageScan), StageResult::kDetected);
-  EXPECT_EQ(stage_result(loaded.outcomes[0].record, kStageBist), StageResult::kNotRun);
-  EXPECT_TRUE(anomalous(loaded.outcomes[0].record));
-  EXPECT_EQ(loaded.outcomes[0].verdict, FaultVerdict::kDetected);
-  EXPECT_EQ(loaded.total.cum_scan.detected, 1u);
+}
+
+TEST_F(CampaignFixture, HeaderlessCheckpointRerunsEveryFault) {
+  // Lines without the fingerprint header cannot say which options,
+  // netlist or tolerance produced them: a resume re-runs every fault
+  // and starts the file over with its own header.
+  const std::string path = testing::TempDir() + "campaign_headerless.jsonl";
+  CampaignOptions opts = small_opts();
+  opts.max_faults = 3;
+  opts.checkpoint_path = path;  // a run that does not resume starts the file over
+  const CampaignReport report = run_campaign(*golden_, opts);
+  const std::vector<std::string> lines = outcome_lines(path);
+  ASSERT_EQ(lines.size(), report.outcomes.size());
+  std::remove(path.c_str());
+  for (const std::string& line : lines) ASSERT_TRUE(util::append_line(path, line));
+
+  opts.resume = true;
+  const CampaignReport resumed = run_campaign(*golden_, opts);
+  EXPECT_EQ(fresh_faults(resumed), resumed.outcomes.size());
+  expect_same_report(report, resumed);
+  EXPECT_EQ(outcome_lines(path).size(), report.outcomes.size());
   std::remove(path.c_str());
 }
 

@@ -4,6 +4,8 @@
 
 #include <cmath>
 
+#include "util/metrics.hpp"
+
 namespace lsl::spice {
 namespace {
 
@@ -41,14 +43,20 @@ TEST(Waveforms, PwlDuplicateTimestampsAreAVerticalEdge) {
   }
 }
 
-TEST(Transient, RcChargingMatchesAnalytic) {
-  // R = 1k, C = 1nF, step 0 -> 1V at t=0+: v(t) = 1 - exp(-t/RC).
+/// vin -> R = 1k -> out -> C = 1nF -> ground.
+Netlist rc_lowpass() {
   Netlist nl;
   const NodeId in = nl.node("in");
   const NodeId out = nl.node("out");
   nl.add("vin", VSource{in, kGround, 0.0});
   nl.add("r1", Resistor{in, out, 1e3});
   nl.add("c1", Capacitor{out, kGround, 1e-9});
+  return nl;
+}
+
+TEST(Transient, RcChargingMatchesAnalytic) {
+  // Step 0 -> 1V at t=0+: v(t) = 1 - exp(-t/RC).
+  const Netlist nl = rc_lowpass();
 
   TransientOptions opts;
   opts.t_stop = 5e-6;
@@ -68,6 +76,35 @@ TEST(Transient, RcChargingMatchesAnalytic) {
   }
   // At ~5 tau the analytic residue is e^-5 ~ 0.7%.
   EXPECT_NEAR(res.final_v("out"), 1.0, 0.01);
+}
+
+TEST(Transient, NewtonCountersSplitTheOperatingPointFromTheSteps) {
+  // The t = 0 operating point is a solve_dc, counted under solver.dc.*;
+  // the transient counter holds the time steps only. Together the two
+  // deltas are every iteration the run performed, which is what
+  // TransientResult::newton_iterations reports.
+  const Netlist nl = rc_lowpass();
+  TransientOptions opts;
+  opts.t_stop = 50e-9;
+  opts.dt = 5e-9;
+  opts.probes = {"out"};
+
+  auto& m = util::metrics();
+  const util::Counter& dc = m.counter("solver.dc.newton_iterations");
+  const util::Counter& steps = m.counter("solver.transient.newton_iterations");
+  const util::MetricHistogram& per_step = m.histogram("solver.transient.newton_per_step");
+  const std::int64_t dc0 = dc.value();
+  const std::int64_t steps0 = steps.value();
+  const double per_step0 = per_step.snapshot().sum;
+  const auto res = run_transient(nl, {{"vin", pwl_wave({{0.0, 0.0}, {9e-9, 0.0}, {10e-9, 1.0}})}},
+                                 opts);
+  ASSERT_TRUE(res.ok);
+  const std::int64_t dc_delta = dc.value() - dc0;
+  const std::int64_t steps_delta = steps.value() - steps0;
+  EXPECT_GT(dc_delta, 0);
+  EXPECT_EQ(steps_delta, static_cast<std::int64_t>(per_step.snapshot().sum - per_step0));
+  EXPECT_EQ(dc_delta + steps_delta, res.newton_iterations)
+      << "dc " << dc_delta << " + transient " << steps_delta;
 }
 
 TEST(Transient, RcDividerHighPassBehaviour) {
