@@ -525,8 +525,17 @@ void hash_bits(std::uint64_t& h, const std::vector<double>& v) {
 /// opens with their bulk leak), each linearized at its DC operating
 /// point. Ten interleaved repetitions, each over every structure:
 ///  - symbolic_build_us: a fresh workspace's first Newton solve minus
-///    its second, i.e. what a new structure adds (pattern, ordering,
-///    fill, device tables, linear base);
+///    its second, i.e. what a new structure adds (structural key,
+///    pattern, ordering, fill, device tables, linear base), and its
+///    phases from the workspace's detailed-timing build split:
+///    build_tables_us (the device walk that notes the pattern and
+///    fills the device tables), build_pattern_us (finalize_pattern and
+///    the note-to-slot resolve), build_ordering_us (minimum degree) and
+///    build_fill_us (symbolic fill and the compiled refactorization);
+///  - frontend_copy_us: one copy of the golden LinkFrontend, the
+///    campaign's per-stimulus set-up unit;
+///  - structural_key_us: one structural_key hash of a fault netlist,
+///    freshly copied as the campaign's are when they are hashed;
 ///  - stamp_us / newton_us: a warm workspace's stamp time and whole
 ///    solve (stamp + factor + triangular solve) per iteration, from the
 ///    detailed-timing diagnostics;
@@ -566,6 +575,8 @@ std::string run_newton_kernels_report() {
     return std::chrono::duration<double, std::micro>(Clock::now() - t0).count();
   };
   std::vector<double> build_us, stamp_us, newton_us, factor_us, solve_us;
+  std::vector<double> tables_us, pattern_us, ordering_us, fill_us, copy_us, key_us;
+  std::uint64_t key_sink = 0;
   std::uint64_t hash = 1469598103934665603ull;
   std::vector<double> x_new;
   for (int rep = 0; rep < kReps; ++rep) {
@@ -574,6 +585,9 @@ std::string run_newton_kernels_report() {
     double newton = 0.0;
     double factor = 0.0;
     double solve = 0.0;
+    SolverWorkspace::Stats phases;
+    double copy = 0.0;
+    double key = 0.0;
     for (const KernelSystem& k : systems) {
       StampContext ctx;
       ctx.nl = &k.nl;
@@ -585,7 +599,21 @@ std::string run_newton_kernels_report() {
         const auto t1 = Clock::now();
         fresh.solve_newton_system(ctx, k.x, x_new);
         build += cold - us_since(t1);
+        phases.build_tables_sec += fresh.stats().build_tables_sec;
+        phases.build_pattern_sec += fresh.stats().build_pattern_sec;
+        phases.build_ordering_sec += fresh.stats().build_ordering_sec;
+        phases.build_fill_sec += fresh.stats().build_fill_sec;
         if (rep == 0) hash_bits(hash, x_new);
+      }
+      {
+        const auto t0 = Clock::now();
+        const lsl::cells::LinkFrontend copied = golden;
+        copy += us_since(t0);
+        key_sink += copied.netlist().devices().size();
+        const Netlist faulted = k.nl;  // the campaign hashes netlists it has just copied
+        const auto t1 = Clock::now();
+        key_sink ^= structural_key(faulted);
+        key += us_since(t1);
       }
       {
         SolverWorkspace& ws = SolverWorkspace::tls();
@@ -616,6 +644,12 @@ std::string run_newton_kernels_report() {
       }
     }
     build_us.push_back(build / count);
+    tables_us.push_back(phases.build_tables_sec * 1e6 / count);
+    pattern_us.push_back(phases.build_pattern_sec * 1e6 / count);
+    ordering_us.push_back(phases.build_ordering_sec * 1e6 / count);
+    fill_us.push_back(phases.build_fill_sec * 1e6 / count);
+    copy_us.push_back(copy / count);
+    key_us.push_back(key / count);
     stamp_us.push_back(stamp / count);
     newton_us.push_back(newton / count);
     factor_us.push_back(factor / count);
@@ -641,6 +675,12 @@ std::string run_newton_kernels_report() {
                 static_cast<unsigned long long>(hash));
   std::string json = head;
   json += "\"symbolic_build_us\":" + min_median(build_us);
+  json += ",\"build_tables_us\":" + min_median(tables_us);
+  json += ",\"build_pattern_us\":" + min_median(pattern_us);
+  json += ",\"build_ordering_us\":" + min_median(ordering_us);
+  json += ",\"build_fill_us\":" + min_median(fill_us);
+  json += ",\"frontend_copy_us\":" + min_median(copy_us);
+  json += ",\"structural_key_us\":" + min_median(key_us);
   json += ",\"stamp_us\":" + min_median(stamp_us);
   json += ",\"factor_us\":" + min_median(factor_us);
   json += ",\"solve_us\":" + min_median(solve_us);
@@ -649,6 +689,11 @@ std::string run_newton_kernels_report() {
               "solve %.2f, newton %.2f us/iteration (medians), hash %016llx\n",
               systems.size(), median(build_us), median(stamp_us), median(factor_us),
               median(solve_us), median(newton_us), static_cast<unsigned long long>(hash));
+  std::printf("newton_kernels   build split: tables %.1f, pattern %.1f, ordering %.1f, "
+              "fill+compile %.1f us; frontend copy %.1f us, structural key %.2f us (medians)\n",
+              median(tables_us), median(pattern_us), median(ordering_us), median(fill_us),
+              median(copy_us), median(key_us));
+  if (key_sink == 0) std::printf(" \n");  // keeps the timed copies and keys observable
   return json;
 }
 

@@ -22,12 +22,20 @@ const std::array<double, 3>& cp_bist_vc_levels() {
   return kLevels;
 }
 
-bool read_cp_bist_bits(const cells::LinkFrontend& fe_in, double vc, bool& hi, bool& lo,
-                       const spice::DcOptions& solve, spice::SolveStatus* status,
+namespace {
+
+/// Adds the "bist.clamp_vc" VSource on Vc to `fe`; returns its index.
+std::size_t add_bist_clamp(cells::LinkFrontend& fe) {
+  return fe.netlist().add("bist.clamp_vc",
+                          spice::VSource{fe.cp_ports().vc, spice::kGround, 0.0});
+}
+
+/// read_cp_bist_bits on a frontend that already carries the clamp.
+bool read_clamped_bits(cells::LinkFrontend& fe, std::size_t clamp, double vc, bool& hi,
+                       bool& lo, const spice::DcOptions& solve, spice::SolveStatus* status,
                        long* iterations, const spice::SolveHints* hints) {
-  cells::LinkFrontend fe = fe_in;
   auto& nl = fe.netlist();
-  nl.add("bist.clamp_vc", spice::VSource{fe.cp_ports().vc, spice::kGround, vc});
+  nl.set_vsource_volts(clamp, vc);
   const std::string seed_key = "bist.vc." + std::to_string(vc);
   spice::arm_warm_start(hints, seed_key, nl);
   const auto r = fe.solve(solve);
@@ -41,14 +49,27 @@ bool read_cp_bist_bits(const cells::LinkFrontend& fe_in, double vc, bool& hi, bo
   return true;
 }
 
+}  // namespace
+
+bool read_cp_bist_bits(const cells::LinkFrontend& fe_in, double vc, bool& hi, bool& lo,
+                       const spice::DcOptions& solve, spice::SolveStatus* status,
+                       long* iterations, const spice::SolveHints* hints) {
+  cells::LinkFrontend fe = fe_in;
+  const std::size_t clamp = add_bist_clamp(fe);
+  return read_clamped_bits(fe, clamp, vc, hi, lo, solve, status, iterations, hints);
+}
+
 namespace {
 
-/// Strobes the CP-BIST readout at each Vc level and records it as one
-/// kSubCpBistRead observation ('!!' for a level that failed to solve),
-/// stopping at the first failed level unless `full_evaluation`.
-void record_cp_bist_readout(StageOutcome& out, const cells::LinkFrontend& fe,
+/// Strobes the CP-BIST readout at each Vc level, on one clamped copy of
+/// `fe_in`, and records it as one kSubCpBistRead observation ('!!' for
+/// a level that failed to solve), stopping at the first failed level
+/// unless `full_evaluation`.
+void record_cp_bist_readout(StageOutcome& out, const cells::LinkFrontend& fe_in,
                             const spice::DcOptions& solve, const spice::SolveHints* hints,
                             bool full_evaluation) {
+  cells::LinkFrontend fe = fe_in;
+  const std::size_t clamp = add_bist_clamp(fe);
   std::string marks;
   bool failed = false;
   spice::SolveStatus status = spice::SolveStatus::kConverged;
@@ -56,8 +77,8 @@ void record_cp_bist_readout(StageOutcome& out, const cells::LinkFrontend& fe,
     if (failed && !full_evaluation) break;
     bool hi = false;
     bool lo = false;
-    if (read_cp_bist_bits(fe, vc, hi, lo, solve, failed ? nullptr : &status, &out.iterations,
-                          hints)) {
+    if (read_clamped_bits(fe, clamp, vc, hi, lo, solve, failed ? nullptr : &status,
+                          &out.iterations, hints)) {
       marks += {hi ? '1' : '0', lo ? '1' : '0'};
     } else {
       marks += "!!";

@@ -118,6 +118,10 @@ void run_stages(const cells::LinkFrontend& faulty_closed, const cells::LinkFront
   };
 
   static util::Counter& stage_skips = util::metrics().counter("campaign.stage_skips");
+  static const std::array<util::MetricHistogram*, kStageCount> stage_seconds = {
+      &util::metrics().histogram("campaign.stage_seconds.dc"),
+      &util::metrics().histogram("campaign.stage_seconds.scan"),
+      &util::metrics().histogram("campaign.stage_seconds.bist")};
 
   const bool full = !opts.adaptive_stage_order;
   std::array<std::string, kSubStageCount> marks;
@@ -130,6 +134,7 @@ void run_stages(const cells::LinkFrontend& faulty_closed, const cells::LinkFront
       break;
     }
     solve.timeout_sec = left;
+    const Clock::time_point stage_start = Clock::now();
     const StageOutcome o = [&]() -> StageOutcome {
       if (stage == kStageDc) return run_dc_test(faulty_closed, dc_golden, solve, hints, full);
       if (stage == kStageScan) {
@@ -138,6 +143,7 @@ void run_stages(const cells::LinkFrontend& faulty_closed, const cells::LinkFront
       }
       return run_bist_test(faulty, bist_ref, solve, hints, full);
     }();
+    stage_seconds[stage]->observe(seconds_since(stage_start));
     iterations += o.iterations;
     // The first failed solve's status wins: later stages usually fail
     // the same way for the same reason.

@@ -23,49 +23,56 @@ CpScanSignature cp_scan_signature(const LinkFrontend& fe_in, const spice::DcOpti
                                        {false, false, true, false},
                                        {false, false, false, true}};
 
+  // One netlist per phase, built once: each combo changes only source
+  // values, so every solve after the first reuses the phase's structure.
+  //
+  // Phase 1: scan mode, pump driven as a combinational element. The
+  // loop-filter capacitor's memory is modelled as a weak holder at the
+  // previous level: any working drive path (kOhm..MOhm) overrides it, a
+  // dead path leaves Vc held.
+  LinkFrontend drive = fe_in;
+  drive.set_scan_mode(true);
+  auto& drive_nl = drive.netlist();
+  const auto hold_node = drive_nl.node("scan.vc_hold");
+  const std::size_t v_hold = drive_nl.add("scan.v_hold", VSource{hold_node, kGround, 0.0});
+  drive_nl.add("scan.r_hold", spice::Resistor{hold_node, drive.cp_ports().vc, 1e9});
+  // Phase 2: scan de-asserted for one capture cycle. The cap holds Vc at
+  // the driven level while the window comparator decides; model it as
+  // a clamp at the reached value.
+  LinkFrontend cap = fe_in;
+  cap.set_scan_mode(false);
+  auto& cap_nl = cap.netlist();
+  const std::size_t clamp = cap_nl.add("scan.clamp_vc", VSource{cap.cp_ports().vc, kGround, 0.0});
+
   double vc_prev = fe_in.spec().vdd / 2.0;  // pre-test level on the cap
   for (std::size_t i = 0; i < combos.size(); ++i) {
-    // Phase 1: scan mode, pump driven as a combinational element. The
-    // loop-filter capacitor's memory is modelled as a weak holder at the
-    // previous level: any working drive path (kOhm..MOhm) overrides it,
-    // a dead path leaves Vc held.
-    LinkFrontend fe = fe_in;
-    fe.set_scan_mode(true);
-    fe.set_pump(combos[i].up, combos[i].dn);
-    fe.set_strong_pump(combos[i].upst, combos[i].dnst);
-    auto& drive_nl = fe.netlist();
-    const auto hold_node = drive_nl.node("scan.vc_hold");
-    drive_nl.add("scan.v_hold", VSource{hold_node, kGround, vc_prev});
-    drive_nl.add("scan.r_hold", spice::Resistor{hold_node, fe.cp_ports().vc, 1e9});
+    drive.set_pump(combos[i].up, combos[i].dn);
+    drive.set_strong_pump(combos[i].upst, combos[i].dnst);
+    drive_nl.set_vsource_volts(v_hold, vc_prev);
     const std::string drive_key = "scan.cp.drive." + std::to_string(i);
     spice::arm_warm_start(hints, drive_key, drive_nl);
-    const auto r_drive = fe.solve(solve);
+    const auto r_drive = drive.solve(solve);
     sig.iterations += r_drive.iterations;
     if (!r_drive.converged) {
       sig.status = r_drive.status;
       return sig;  // valid stays false
     }
     spice::capture_seed(hints, drive_key, drive_nl, r_drive.x);
-    const double vc_reached = fe.vc(r_drive);
+    const double vc_reached = drive.vc(r_drive);
     vc_prev = vc_reached;
 
-    // Phase 2: scan de-asserted for one capture cycle. The cap holds Vc
-    // at the driven level while the window comparator decides; model it
-    // as a clamp at the reached value.
-    LinkFrontend cap = fe_in;
-    cap.set_scan_mode(false);
-    cap.netlist().add("scan.clamp_vc", VSource{cap.cp_ports().vc, kGround, vc_reached});
+    cap_nl.set_vsource_volts(clamp, vc_reached);
     const std::string cap_key = "scan.cp.cap." + std::to_string(i);
-    spice::arm_warm_start(hints, cap_key, cap.netlist());
+    spice::arm_warm_start(hints, cap_key, cap_nl);
     const auto r_cap = cap.solve(solve);
     sig.iterations += r_cap.iterations;
     if (!r_cap.converged) {
       sig.status = r_cap.status;
       return sig;
     }
-    spice::capture_seed(hints, cap_key, cap.netlist(), r_cap.x);
-    sig.window[i] = {r_cap.v(cap.netlist(), cap.cp_ports().cmp_hi) > th,
-                     r_cap.v(cap.netlist(), cap.cp_ports().cmp_lo) > th};
+    spice::capture_seed(hints, cap_key, cap_nl, r_cap.x);
+    sig.window[i] = {r_cap.v(cap_nl, cap.cp_ports().cmp_hi) > th,
+                     r_cap.v(cap_nl, cap.cp_ports().cmp_lo) > th};
   }
   sig.valid = true;
   return sig;
@@ -125,8 +132,18 @@ ToggleSignature toggle_signature(const LinkFrontend& fe_in, const ToggleOptions&
   drives["v_tx_tap_alpha_p"] = lo_hi;  // delayed-inverted tap mirrors drv_in
   drives["v_tx_tap_alpha_n"] = hi_lo;
 
+  // Strobe at the middle of each half period (where the tester's scan
+  // flops capture). The run stops at the last strobe: nothing after it
+  // is read.
+  const double half = opts.scan_period / 2.0;
+  std::vector<std::size_t> strobes;
+  for (int c = 0; c < opts.cycles * opts.samples_per_cycle; ++c) {
+    const double ts = (c + 0.5) * half * (2.0 / opts.samples_per_cycle);
+    strobes.push_back(static_cast<std::size_t>(ts / opts.dt));
+  }
+
   spice::TransientOptions topts;
-  topts.t_stop = opts.cycles * opts.scan_period;
+  topts.t_stop = strobes.empty() ? 0.0 : static_cast<double>(strobes.back()) * opts.dt;
   topts.dt = opts.dt;
   topts.newton = solve;
   topts.timeout_sec = opts.timeout_sec;
@@ -142,13 +159,9 @@ ToggleSignature toggle_signature(const LinkFrontend& fe_in, const ToggleOptions&
     return sig;
   }
 
-  // Sample at the middle of each half period (where the tester's scan
-  // flops capture). Concatenate the four observer decisions.
+  // Concatenate the four observer decisions at each strobe.
   const auto& t = res.time;
-  const double half = opts.scan_period / 2.0;
-  for (int c = 0; c < opts.cycles * opts.samples_per_cycle; ++c) {
-    const double ts = (c + 0.5) * half * (2.0 / opts.samples_per_cycle);
-    std::size_t idx = static_cast<std::size_t>(ts / opts.dt);
+  for (std::size_t idx : strobes) {
     if (idx >= t.size()) idx = t.size() - 1;
     sig.data_hi.push_back(res.probe(topts.probes[0])[idx] > th);
     sig.data_hi.push_back(res.probe(topts.probes[2])[idx] > th);

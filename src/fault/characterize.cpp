@@ -12,27 +12,31 @@ using spice::VSource;
 
 namespace {
 
-/// Adds a clamp VSource on Vc and solves. Returns the result plus the
-/// clamp branch current (positive = current flows from Vc into the
-/// clamp, i.e. the pump is sourcing).
+/// A clamped solve's result plus the clamp branch current (positive =
+/// current flows from Vc into the clamp, i.e. the pump is sourcing).
 struct ClampedSolve {
   bool converged = false;
   double i_clamp = 0.0;
   DcResult r;
 };
 
-ClampedSolve solve_with_vc_clamp(LinkFrontend fe, double vc_value,
+/// Adds the "char.clamp_vc" VSource on Vc to `fe`; returns its index.
+std::size_t add_vc_clamp(LinkFrontend& fe) {
+  return fe.netlist().add("char.clamp_vc", VSource{fe.cp_ports().vc, kGround, 0.0});
+}
+
+/// Sets clamp `clamp` (from add_vc_clamp) to `vc_value` and solves.
+ClampedSolve solve_with_vc_clamp(LinkFrontend& fe, std::size_t clamp, double vc_value,
                                  const spice::DcOptions& solve,
-                                 const spice::SolveHints* hints = nullptr,
-                                 const char* seed_key = nullptr) {
+                                 const spice::SolveHints* hints, const char* seed_key) {
   auto& nl = fe.netlist();
-  nl.add("char.clamp_vc", VSource{fe.cp_ports().vc, kGround, vc_value});
+  nl.set_vsource_volts(clamp, vc_value);
   ClampedSolve out;
-  if (seed_key != nullptr) spice::arm_warm_start(hints, seed_key, nl);
+  spice::arm_warm_start(hints, seed_key, nl);
   out.r = fe.solve(solve);
   out.converged = out.r.converged;
   if (out.converged) {
-    if (seed_key != nullptr) spice::capture_seed(hints, seed_key, nl, out.r.x);
+    spice::capture_seed(hints, seed_key, nl, out.r.x);
     out.i_clamp = out.r.i(nl, "char.clamp_vc");
   }
   return out;
@@ -77,19 +81,20 @@ FrontendMeasurements measure_frontend(const cells::LinkFrontend& fe_in,
   // --- pump currents with Vc clamped mid-window ------------------------
   {
     LinkFrontend fe = fe_in;
+    const std::size_t clamp = add_vc_clamp(fe);
+    const auto pump = [&](const char* seed_key) {
+      return solve_with_vc_clamp(fe, clamp, vmid_window, solve, hints, seed_key);
+    };
     fe.set_pump(true, false);
-    const ClampedSolve up = solve_with_vc_clamp(fe, vmid_window, solve, hints, "char.pump.up");
+    const ClampedSolve up = pump("char.pump.up");
     fe.set_pump(false, true);
-    const ClampedSolve dn = solve_with_vc_clamp(fe, vmid_window, solve, hints, "char.pump.dn");
+    const ClampedSolve dn = pump("char.pump.dn");
     fe.set_pump(false, false);
-    const ClampedSolve idle =
-        solve_with_vc_clamp(fe, vmid_window, solve, hints, "char.pump.idle");
+    const ClampedSolve idle = pump("char.pump.idle");
     fe.set_strong_pump(true, false);
-    const ClampedSolve upst =
-        solve_with_vc_clamp(fe, vmid_window, solve, hints, "char.pump.upst");
+    const ClampedSolve upst = pump("char.pump.upst");
     fe.set_strong_pump(false, true);
-    const ClampedSolve dnst =
-        solve_with_vc_clamp(fe, vmid_window, solve, hints, "char.pump.dnst");
+    const ClampedSolve dnst = pump("char.pump.dnst");
     m.iterations += up.r.iterations + dn.r.iterations + idle.r.iterations +
                     upst.r.iterations + dnst.r.iterations;
     for (const ClampedSolve* s : {&up, &dn, &idle, &upst, &dnst}) {
@@ -110,8 +115,9 @@ FrontendMeasurements measure_frontend(const cells::LinkFrontend& fe_in,
   // --- window comparator decisions at forced Vc -------------------------
   {
     LinkFrontend fe = fe_in;
+    const std::size_t clamp = add_vc_clamp(fe);
     const auto obs_at = [&](double vc, const char* seed_key) {
-      const ClampedSolve s = solve_with_vc_clamp(fe, vc, solve, hints, seed_key);
+      const ClampedSolve s = solve_with_vc_clamp(fe, clamp, vc, solve, hints, seed_key);
       m.iterations += s.r.iterations;
       struct {
         bool ok, hi, lo;

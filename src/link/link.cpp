@@ -6,10 +6,11 @@ namespace lsl::link {
 
 Link::Link(const LinkParams& p) : params_(p) {}
 
-double Link::eye_center() const {
-  // Channel group delay to the eye center: measure once on the healthy
-  // waveform model.
-  const behav::EyeResult eye = behav::analyze_eye(params_.channel, 600);
+double Link::eye_center() const { return eye_center(behav::analyze_eye(params_.channel, 600)); }
+
+double Link::eye_center(const behav::EyeResult& eye) const {
+  // Channel group delay to the eye center, from the healthy waveform
+  // model's eye.
   double center = params_.latency + eye.best_phase_frac * params_.channel.ui;
   if (params_.tx_half_cycle_delay) center += 0.5 * params_.channel.ui;
   const double period = params_.sync.dll.clock_period;
@@ -20,7 +21,10 @@ TrafficResult Link::run_traffic(std::size_t n_bits, util::PrbsOrder order, std::
   TrafficResult res;
 
   // --- acquisition ------------------------------------------------------
-  behav::Synchronizer sync(params_.sync, eye_center(), params_.vc0, params_.phase0);
+  // One eye analysis serves both the acquisition target and the traffic
+  // sampling phase.
+  const behav::EyeResult eye = behav::analyze_eye(params_.channel, 600);
+  behav::Synchronizer sync(params_.sync, eye_center(eye), params_.vc0, params_.phase0);
   util::Pcg32 rng(seed);
   res.sync = sync.run(params_.acquisition_ui, rng);
   const double period = params_.sync.dll.clock_period;
@@ -42,7 +46,6 @@ TrafficResult Link::run_traffic(std::size_t n_bits, util::PrbsOrder order, std::
 
   // Phase error of the locked loop: sample = eye_center - err.
   const double err = res.sync.final_phase_error;
-  const behav::EyeResult eye = behav::analyze_eye(params_.channel, 600);
   double phase_in_ui = eye.best_phase_frac - err / params_.channel.ui;
   phase_in_ui = phase_in_ui - std::floor(phase_in_ui);
   const auto sample_idx = static_cast<std::size_t>(

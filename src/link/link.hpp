@@ -75,6 +75,8 @@ class Link {
   const LinkParams& params() const { return params_; }
 
  private:
+  double eye_center(const behav::EyeResult& eye) const;
+
   LinkParams params_;
 };
 

@@ -155,9 +155,8 @@ std::size_t Netlist::unknown_count() const {
   return n_unknowns_;
 }
 
-std::size_t Netlist::voltage_index(NodeId n) const {
-  if (n == kGround) throw std::invalid_argument("ground has no voltage unknown");
-  return n - 1;
+void Netlist::throw_ground_has_no_voltage() {
+  throw std::invalid_argument("ground has no voltage unknown");
 }
 
 std::size_t Netlist::branch_index(std::size_t device_idx) const {

@@ -171,7 +171,10 @@ class Netlist {
   /// branch current per enabled VSource/Vcvs.
   std::size_t unknown_count() const;
   /// MNA index of a node voltage (node must not be ground).
-  std::size_t voltage_index(NodeId n) const;
+  std::size_t voltage_index(NodeId n) const {
+    if (n == kGround) throw_ground_has_no_voltage();
+    return n - 1;
+  }
   /// MNA index of the branch current of device `i` (must be V/E source).
   std::size_t branch_index(std::size_t device_idx) const;
 
@@ -181,6 +184,7 @@ class Netlist {
 
  private:
   void touch();
+  [[noreturn]] static void throw_ground_has_no_voltage();
 
   std::vector<std::string> node_names_;
   std::unordered_map<std::string, NodeId> node_by_name_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -22,28 +23,53 @@ void SparseMatrix::begin_pattern(std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) coords_.emplace_back(i, i);
 }
 
-void SparseMatrix::note(std::size_t r, std::size_t c) {
+void SparseMatrix::throw_bad_note() const {
   if (!building_) throw std::logic_error("SparseMatrix::note outside pattern phase");
-  if (r >= n_ || c >= n_) throw std::out_of_range("SparseMatrix::note out of range");
-  coords_.emplace_back(r, c);
+  throw std::out_of_range("SparseMatrix::note out of range");
 }
 
-void SparseMatrix::finalize_pattern() {
+std::vector<std::size_t> SparseMatrix::finalize_pattern() {
   building_ = false;
-  std::sort(coords_.begin(), coords_.end());
-  coords_.erase(std::unique(coords_.begin(), coords_.end()), coords_.end());
-
-  row_ptr_.assign(n_ + 1, 0);
-  col_idx_.clear();
-  col_idx_.reserve(coords_.size());
-  for (const auto& [r, c] : coords_) {
-    ++row_ptr_[r + 1];
-    col_idx_.push_back(c);
+  if (coords_.size() > 0xffffffffu) {  // the notes include the n diagonals
+    throw std::out_of_range("SparseMatrix::finalize_pattern: pattern exceeds 32-bit indices");
   }
-  for (std::size_t i = 0; i < n_; ++i) row_ptr_[i + 1] += row_ptr_[i];
+  // A counting sort of the notes by column, then a stable one by row,
+  // orders them by (row, column) with duplicates adjacent, without a
+  // comparison sort.
+  const std::size_t notes = coords_.size();
+  std::vector<std::uint32_t> order(2 * notes);  // by column, then by row
+  std::uint32_t* by_col = order.data();
+  std::uint32_t* by_row = by_col + notes;
+  std::vector<std::size_t> next(n_ + 1, 0);
+  for (const auto& rc : coords_) ++next[rc.second + 1];
+  for (std::size_t i = 0; i < n_; ++i) next[i + 1] += next[i];
+  for (std::size_t k = 0; k < notes; ++k) {
+    by_col[next[coords_[k].second]++] = static_cast<std::uint32_t>(k);
+  }
+  std::fill(next.begin(), next.end(), 0);
+  for (const auto& rc : coords_) ++next[rc.first + 1];
+  for (std::size_t i = 0; i < n_; ++i) next[i + 1] += next[i];
+  for (std::size_t j = 0; j < notes; ++j) by_row[next[coords_[by_col[j]].first]++] = by_col[j];
+  // next[r] now ends row r's run of by_row.
+
+  // One walk hands every note the slot of its (row, column).
+  std::vector<std::size_t> note_slot(notes);
+  std::vector<std::size_t> cols(notes);
+  row_ptr_.assign(n_ + 1, 0);
+  std::size_t nnz = 0;
+  for (std::size_t r = 0, i = 0; r < n_; ++r) {
+    for (const std::size_t row_start = nnz; i < next[r]; ++i) {
+      const std::size_t c = coords_[by_row[i]].second;
+      if (nnz == row_start || cols[nnz - 1] != c) cols[nnz++] = c;
+      note_slot[by_row[i]] = nnz - 1;
+    }
+    row_ptr_[r + 1] = nnz;
+  }
+  col_idx_.assign(cols.begin(), cols.begin() + static_cast<std::ptrdiff_t>(nnz));
   values_.assign(col_idx_.size(), 0.0);
   coords_.clear();
   coords_.shrink_to_fit();
+  return note_slot;
 }
 
 std::size_t SparseMatrix::slot(std::size_t r, std::size_t c) const {
@@ -106,22 +132,44 @@ std::size_t next_bit(const std::uint64_t* row, std::size_t words, std::size_t fr
   return j < end ? j : end;
 }
 
+/// Calls f(j) for every set bit j of `row`, ascending; bits set after
+/// their word was read are not visited.
+template <class F>
+void for_each_bit(const std::uint64_t* row, std::size_t words, F f) {
+  for (std::size_t w = 0; w < words; ++w) {
+    for (std::uint64_t bits = row[w]; bits != 0; bits &= bits - 1) {
+      f((w << 6) + static_cast<std::size_t>(std::countr_zero(bits)));
+    }
+  }
+}
+
+/// Set bits of `row`. A SWAR popcount: on baseline x86-64 (no POPCNT)
+/// std::popcount is an out-of-line libgcc call.
 std::size_t count_bits(const std::uint64_t* row, std::size_t words) {
   std::size_t c = 0;
-  for (std::size_t w = 0; w < words; ++w) c += static_cast<std::size_t>(std::popcount(row[w]));
+  for (std::size_t w = 0; w < words; ++w) {
+    std::uint64_t x = row[w];
+    x -= (x >> 1) & 0x5555555555555555ull;
+    x = (x & 0x3333333333333333ull) + ((x >> 2) & 0x3333333333333333ull);
+    x = (x + (x >> 4)) & 0x0f0f0f0f0f0f0f0full;
+    c += static_cast<std::size_t>((x * 0x0101010101010101ull) >> 56);
+  }
   return c;
 }
 
 }  // namespace
 
 void SparseLu::analyze(const SparseMatrix& a, std::size_t n_volts,
-                       const std::vector<std::size_t>& row_map) {
+                       const std::vector<std::size_t>& row_map, double* ordering_sec) {
   n_ = a.dim();
   analyzed_ = false;
   if (n_volts > n_) throw std::invalid_argument("SparseLu::analyze: n_volts > dim");
   if (row_map.size() != n_) throw std::invalid_argument("SparseLu::analyze: row_map size");
   const auto& rp = a.row_ptr();
   const auto& ci = a.col_idx();
+
+  using Clock = std::chrono::steady_clock;
+  const auto ordering_start = ordering_sec != nullptr ? Clock::now() : Clock::time_point{};
 
   // Symmetrized adjacency of the row-mapped matrix (structure of
   // B + B^T with B's row r = A's row row_map[r], diagonal excluded).
@@ -140,34 +188,47 @@ void SparseLu::analyze(const SparseMatrix& a, std::size_t n_volts,
   // update: eliminating v turns its uneliminated neighbors into a
   // clique. Node rows hold live neighbors only, so a degree is a row's
   // popcount and only the eliminated vertex's neighbors change.
-  // Branch rows are never eliminated here and are left stale. Lowest
-  // index wins ties, so the ordering is deterministic.
+  // Branch rows are never eliminated here and are left stale. The live
+  // node vertices sit in per-degree bitset buckets: the pick is the
+  // lowest set bit of the lowest non-empty bucket, i.e. minimum degree
+  // with the lowest index winning ties, so the ordering is
+  // deterministic.
   std::vector<std::uint64_t> alive(words, 0);
   for (std::size_t v = 0; v < n_; ++v) set_bit(alive.data(), v);
+  BitRows bucket(n_, n_);  // bucket.row(d): live node vertices of degree d
   std::vector<std::size_t> degree(n_volts);
-  for (std::size_t v = 0; v < n_volts; ++v) degree[v] = count_bits(adj.row(v), words);
+  std::size_t min_degree = n_;
+  for (std::size_t v = 0; v < n_volts; ++v) {
+    degree[v] = count_bits(adj.row(v), words);
+    set_bit(bucket.row(degree[v]), v);
+    min_degree = std::min(min_degree, degree[v]);
+  }
   std::vector<std::uint64_t> nbrs(words);
   perm_.clear();
   perm_.reserve(n_);
   for (std::size_t step = 0; step < n_volts; ++step) {
     std::size_t v = n_volts;
-    for (std::size_t u = next_bit(alive.data(), words, 0, n_volts); u < n_volts;
-         u = next_bit(alive.data(), words, u + 1, n_volts)) {
-      if (v == n_volts || degree[u] < degree[v]) v = u;
-    }
+    while ((v = next_bit(bucket.row(min_degree), words, 0, n_volts)) == n_volts) ++min_degree;
     perm_.push_back(static_cast<Index>(v));
     clear_bit(alive.data(), v);
+    clear_bit(bucket.row(min_degree), v);
     const std::uint64_t* vrow = adj.row(v);
     for (std::size_t w = 0; w < words; ++w) nbrs[w] = vrow[w] & alive[w];
-    for (std::size_t u = next_bit(nbrs.data(), words, 0, n_volts); u < n_volts;
-         u = next_bit(nbrs.data(), words, u + 1, n_volts)) {
+    for_each_bit(nbrs.data(), words, [&](std::size_t u) {
+      if (u >= n_volts) return;  // branch rows stay stale
       std::uint64_t* urow = adj.row(u);
       for (std::size_t w = 0; w < words; ++w) urow[w] = (urow[w] | nbrs[w]) & alive[w];
       clear_bit(urow, u);
+      clear_bit(bucket.row(degree[u]), u);
       degree[u] = count_bits(urow, words);
-    }
+      set_bit(bucket.row(degree[u]), u);
+      min_degree = std::min(min_degree, degree[u]);
+    });
   }
   for (std::size_t v = n_volts; v < n_; ++v) perm_.push_back(static_cast<Index>(v));
+  if (ordering_sec != nullptr) {
+    *ordering_sec += std::chrono::duration<double>(Clock::now() - ordering_start).count();
+  }
 
   std::vector<std::size_t> pinv(n_);
   row_src_.assign(n_, 0);
@@ -180,51 +241,62 @@ void SparseLu::analyze(const SparseMatrix& a, std::size_t n_volts,
   // inherits the U part (columns > k) of every earlier row k it has an
   // L entry in. Walking the row's set columns below i in ascending
   // order makes the propagation a single pass — fill at column j < i
-  // introduced by some k < j is reached when the walk gets to j.
-  BitRows urows(n_, n_);
-  std::vector<std::uint64_t> row(words);
-  std::vector<std::size_t> cols;
+  // introduced by some k < j is reached when the walk gets to j. Each
+  // row's pattern is kept as a bitset, so the index arrays below are
+  // sized exactly before they are written.
+  BitRows lrows(n_, n_);  // row i's whole LU pattern
+  BitRows urows(n_, n_);  // its U part
   lu_row_ptr_.assign(n_ + 1, 0);
-  lu_col_idx_.clear();
-  diag_pos_.assign(n_, 0);
   for (std::size_t i = 0; i < n_; ++i) {
-    std::fill(row.begin(), row.end(), 0);
+    std::uint64_t* row = lrows.row(i);
     const std::size_t orig = row_src_[i];
-    for (std::size_t s = rp[orig]; s < rp[orig + 1]; ++s) set_bit(row.data(), pinv[ci[s]]);
-    set_bit(row.data(), i);  // the diagonal is always in the pattern
-    for (std::size_t k = next_bit(row.data(), words, 0, i); k < i;
-         k = next_bit(row.data(), words, k + 1, i)) {
+    for (std::size_t s = rp[orig]; s < rp[orig + 1]; ++s) set_bit(row, pinv[ci[s]]);
+    set_bit(row, i);  // the diagonal is always in the pattern
+    for (std::size_t k = next_bit(row, words, 0, i); k < i; k = next_bit(row, words, k + 1, i)) {
       const std::uint64_t* uk = urows.row(k);
-      for (std::size_t w = 0; w < words; ++w) row[w] |= uk[w];
+      for (std::size_t w = k >> 6; w < words; ++w) row[w] |= uk[w];
     }
     std::uint64_t* ui = urows.row(i);
-    for (std::size_t c = next_bit(row.data(), words, 0, n_); c < n_;
-         c = next_bit(row.data(), words, c + 1, n_)) {
-      if (c == i) diag_pos_[i] = static_cast<Index>(lu_col_idx_.size());
-      if (c > i) set_bit(ui, c);
-      lu_col_idx_.push_back(static_cast<Index>(c));
-    }
-    if (lu_col_idx_.size() > std::numeric_limits<Index>::max()) {
+    const std::size_t diag_word = i >> 6;
+    for (std::size_t w = diag_word; w < words; ++w) ui[w] = row[w];
+    ui[diag_word] &= (i & 63) == 63 ? 0 : ~std::uint64_t{0} << ((i & 63) + 1);
+    const std::size_t len = count_bits(row, words);
+    if (lu_row_ptr_[i] + len > std::numeric_limits<Index>::max()) {
       throw std::out_of_range("SparseLu::analyze: fill exceeds 32-bit slots");
     }
-    lu_row_ptr_[i + 1] = static_cast<Index>(lu_col_idx_.size());
+    lu_row_ptr_[i + 1] = lu_row_ptr_[i] + static_cast<Index>(len);
+  }
+  lu_col_idx_.resize(lu_row_ptr_[n_]);
+  diag_pos_.assign(n_, 0);
+  for (std::size_t i = 0; i < n_; ++i) {
+    Index slot = lu_row_ptr_[i];
+    for_each_bit(lrows.row(i), words, [&](std::size_t c) {
+      if (c == i) diag_pos_[i] = slot;
+      lu_col_idx_[slot++] = static_cast<Index>(c);
+    });
   }
 
   // Compile the refactorization. For each LU row i, `pos` maps a column
   // to its slot in row i; every A entry of the row and every U(k) entry
   // that an L entry (i, k) subtracts resolves to one slot of row i.
+  std::size_t updates = 0;
+  for (std::size_t i = 0; i < n_; ++i) {
+    for (Index s = lu_row_ptr_[i]; s < diag_pos_[i]; ++s) {
+      const Index k = lu_col_idx_[s];
+      updates += lu_row_ptr_[k + 1] - diag_pos_[k] - 1;
+    }
+  }
   std::vector<Index> pos(n_, 0);
   a_to_lu_.assign(a.nnz(), 0);
-  update_slot_.clear();
+  update_slot_.resize(updates);
+  Index* target = update_slot_.data();
   for (std::size_t i = 0; i < n_; ++i) {
     for (Index s = lu_row_ptr_[i]; s < lu_row_ptr_[i + 1]; ++s) pos[lu_col_idx_[s]] = s;
     const std::size_t orig = row_src_[i];
     for (std::size_t s = rp[orig]; s < rp[orig + 1]; ++s) a_to_lu_[s] = pos[pinv[ci[s]]];
     for (Index s = lu_row_ptr_[i]; s < diag_pos_[i]; ++s) {
       const Index k = lu_col_idx_[s];
-      for (Index t = diag_pos_[k] + 1; t < lu_row_ptr_[k + 1]; ++t) {
-        update_slot_.push_back(pos[lu_col_idx_[t]]);
-      }
+      for (Index t = diag_pos_[k] + 1; t < lu_row_ptr_[k + 1]; ++t) *target++ = pos[lu_col_idx_[t]];
     }
   }
 

@@ -19,6 +19,9 @@
 //    entry and the branch column on the terminal's KCL ±1 entry.
 //  - Ordering: minimum-degree over the node-voltage unknowns, with the
 //    branch-current unknowns of V/E sources appended in natural order.
+//    The elimination graph is a bitset per vertex and the live
+//    vertices sit in per-degree bitset buckets, so a step costs its
+//    neighbours' updates, not a scan of every vertex.
 //    A branch row paired with no terminal (both terminals ground or
 //    already taken) keeps its structural-zero diagonal, which *receives*
 //    fill once its node neighbors are eliminated, so branch columns go
@@ -35,6 +38,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 namespace lsl::spice {
@@ -49,9 +53,20 @@ inline constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
 class SparseMatrix {
  public:
   // --- pattern phase (cold: once per netlist topology) ---
+  /// Starts a pattern of dimension n. Notes 0..n-1 are the diagonal.
   void begin_pattern(std::size_t n);
-  void note(std::size_t r, std::size_t c);
-  void finalize_pattern();
+  /// Notes entry (r, c) and returns the note's index.
+  std::size_t note(std::size_t r, std::size_t c) {
+    if (!building_ || r >= n_ || c >= n_) throw_bad_note();
+    coords_.emplace_back(r, c);
+    return coords_.size() - 1;
+  }
+  /// Fixes the pattern and returns, per note index, the entry's value
+  /// slot, so a caller that keeps its note indices resolves every slot
+  /// it will stamp without a slot() search. Two counting sorts (by
+  /// column, then stably by row) order the notes: O(notes + n), no
+  /// comparison sort. Frees the note scratch.
+  std::vector<std::size_t> finalize_pattern();
 
   std::size_t dim() const { return n_; }
   std::size_t nnz() const { return col_idx_.size(); }
@@ -74,6 +89,8 @@ class SparseMatrix {
                            std::vector<double>& r) const;
 
  private:
+  [[noreturn]] void throw_bad_note() const;
+
   std::size_t n_ = 0;
   bool building_ = false;
   std::vector<std::pair<std::size_t, std::size_t>> coords_;  // pattern phase
@@ -91,9 +108,10 @@ class SparseLu {
   /// row r is A's row `row_map[r]` (`row_map` must be a permutation of
   /// [0, dim)). Unknowns [0, n_volts) are node voltages (minimum-degree
   /// ordered); unknowns [n_volts, n) are branch currents, kept last in
-  /// natural order. Allocates; never called from the hot loop.
+  /// natural order. Allocates; never called from the hot loop. When
+  /// `ordering_sec` is non-null, the ordering's wall time is added to it.
   void analyze(const SparseMatrix& a, std::size_t n_volts,
-               const std::vector<std::size_t>& row_map);
+               const std::vector<std::size_t>& row_map, double* ordering_sec = nullptr);
 
   std::size_t fill_nnz() const { return lu_col_idx_.size(); }
 

@@ -78,6 +78,8 @@ void record_transient_metrics(const TransientResult& result, long op_iterations,
   static util::Counter& iterations = m.counter("solver.transient.newton_iterations");
   static util::Counter& symbolic_builds = m.counter("solver.transient.symbolic_builds");
   static util::Counter& symbolic_reuse = m.counter("solver.transient.symbolic_reuse");
+  static util::Counter& linear_stamp_builds = m.counter("solver.transient.linear_stamp_builds");
+  static util::Counter& linear_stamp_reuse = m.counter("solver.transient.linear_stamp_reuse");
   static util::Counter& sparse_solves = m.counter("solver.transient.sparse_solves");
   static util::Counter& pivot_rejects = m.counter("solver.transient.pivot_rejects");
   static util::Counter& kcl_rejects = m.counter("solver.transient.kcl_rejects");
@@ -88,6 +90,8 @@ void record_transient_metrics(const TransientResult& result, long op_iterations,
   iterations.add(result.newton_iterations - op_iterations);
   symbolic_builds.add(ws_after.symbolic_builds - ws_before.symbolic_builds);
   symbolic_reuse.add(ws_after.symbolic_reuse - ws_before.symbolic_reuse);
+  linear_stamp_builds.add(ws_after.linear_stamp_builds - ws_before.linear_stamp_builds);
+  linear_stamp_reuse.add(ws_after.linear_stamp_reuse - ws_before.linear_stamp_reuse);
   sparse_solves.add(ws_after.sparse_solves - ws_before.sparse_solves);
   pivot_rejects.add(ws_after.pivot_rejects - ws_before.pivot_rejects);
   kcl_rejects.add(ws_after.kcl_rejects - ws_before.kcl_rejects);
@@ -253,8 +257,11 @@ TransientResult run_transient(const Netlist& nl,
 
     while (t < t_grid - 0.5 * dt_floor) {
       if (deadline.expired()) return fail(SolveStatus::kTimeout, t);
-      sub_dt = std::min(sub_dt, t_grid - t);
-      const double t_next = t + sub_dt;
+      // A step that was never halved spans its whole grid interval at
+      // exactly opts.dt: t_grid - t can fall an ulp short of it, and a
+      // dt that differs in its last bit re-stamps the linear base.
+      if (sub_dt != opts.dt) sub_dt = std::min(sub_dt, t_grid - t);
+      const double t_next = sub_dt == opts.dt ? t_grid : t + sub_dt;
       set_overrides(t_next);
       ctx.dt = sub_dt;
       x_try = x;

@@ -66,75 +66,68 @@ inline std::ptrdiff_t unknown_of(const Netlist& nl, NodeId node) {
   return static_cast<std::ptrdiff_t>(nl.voltage_index(node));
 }
 
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-inline void mix(std::uint64_t& h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xffu;
-    h *= kFnvPrime;
-  }
+/// The splitmix64 finalizer (Steele, Lea & Flood, OOPSLA 2014): every
+/// input bit flips each output bit with probability about 1/2.
+inline std::uint64_t splitmix64(std::uint64_t z) {
+  z += 0x9e3779b97f4a7c15ull;
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+  return z ^ (z >> 31);
 }
 
-inline void mix_double(std::uint64_t& h, double d) {
+inline std::uint64_t bits_of(double d) {
   std::uint64_t bits = 0;
   std::memcpy(&bits, &d, sizeof(bits));
-  mix(h, bits);
+  return bits;
 }
 
 }  // namespace
 
-/// FNV-1a over everything that shapes the MNA matrix: node count, model
-/// card, and each device's kind, enabled flag, terminals,
-/// and matrix-entering values — in device order, so the sequence itself
-/// is part of the key. Deliberately excluded: device *names* (fault
+/// The netlist's structure as a sequence of 64-bit words — node count,
+/// model card, and each device's kind, enabled flag, terminals and
+/// matrix-entering values, in device order, so the sequence itself is
+/// part of the key — hashed as it is read through splitmix64 in eight
+/// interleaved lanes (word i feeds lane i mod 8, so the lanes' multiply
+/// chains overlap), which a last pass folds together with the word
+/// count. Two node ids share a word (a netlist with 2^32 nodes would
+/// not fit in memory). Deliberately excluded: device *names* (fault
 /// copies rename nothing else) and RHS-only values (VSource::volts,
 /// ISource::amps), which the solver rereads every iteration. Disabled
 /// devices still contribute their kind/terminals so that enabling one
 /// changes the key.
 std::uint64_t structural_key(const Netlist& nl) {
-  std::uint64_t h = kFnvOffset;
-  mix(h, nl.node_count());
+  std::array<std::uint64_t, 8> lane{};
+  std::size_t count = 0;
+  const auto put = [&](std::initializer_list<std::uint64_t> words) {
+    for (const std::uint64_t w : words) {
+      std::uint64_t& l = lane[count++ % lane.size()];
+      l = splitmix64(l ^ w);
+    }
+  };
+  const auto pair = [](NodeId a, NodeId b) { return (std::uint64_t{a} << 32) ^ b; };
   const ModelCard& mc = nl.model();
-  mix_double(h, mc.kp_n);
-  mix_double(h, mc.kp_p);
-  mix_double(h, mc.vt_n);
-  mix_double(h, mc.vt_p);
-  mix_double(h, mc.lambda_n);
-  mix_double(h, mc.lambda_p);
-  const auto& devices = nl.devices();
-  for (const Device& dev : devices) {
-    mix(h, (static_cast<std::uint64_t>(dev.impl.index()) << 1) | (dev.enabled ? 1u : 0u));
+  put({nl.node_count(), bits_of(mc.kp_n), bits_of(mc.kp_p), bits_of(mc.vt_n), bits_of(mc.vt_p),
+       bits_of(mc.lambda_n), bits_of(mc.lambda_p)});
+  for (const Device& dev : nl.devices()) {
+    const std::uint64_t head =
+        (static_cast<std::uint64_t>(dev.impl.index()) << 1) | (dev.enabled ? 1u : 0u);
     if (const auto* r = std::get_if<Resistor>(&dev.impl)) {
-      mix(h, r->a);
-      mix(h, r->b);
-      mix_double(h, r->ohms);
+      put({head, pair(r->a, r->b), bits_of(r->ohms)});
     } else if (const auto* c = std::get_if<Capacitor>(&dev.impl)) {
-      mix(h, c->a);
-      mix(h, c->b);
-      mix_double(h, c->farads);
+      put({head, pair(c->a, c->b), bits_of(c->farads)});
     } else if (const auto* vs = std::get_if<VSource>(&dev.impl)) {
-      mix(h, vs->p);
-      mix(h, vs->n);
+      put({head, pair(vs->p, vs->n)});
     } else if (const auto* is = std::get_if<ISource>(&dev.impl)) {
-      mix(h, is->p);
-      mix(h, is->n);
+      put({head, pair(is->p, is->n)});
     } else if (const auto* vcvs = std::get_if<Vcvs>(&dev.impl)) {
-      mix(h, vcvs->p);
-      mix(h, vcvs->n);
-      mix(h, vcvs->cp);
-      mix(h, vcvs->cn);
-      mix_double(h, vcvs->gain);
+      put({head, pair(vcvs->p, vcvs->n), pair(vcvs->cp, vcvs->cn), bits_of(vcvs->gain)});
     } else if (const auto* mos = std::get_if<Mosfet>(&dev.impl)) {
-      mix(h, mos->d);
-      mix(h, mos->g);
-      mix(h, mos->s);
-      mix(h, mos->type == MosType::kNmos ? 1u : 2u);
-      mix_double(h, mos->w);
-      mix_double(h, mos->l);
-      mix_double(h, mos->vt_delta);
+      put({head | (mos->type == MosType::kNmos ? 0u : 16u) | (std::uint64_t{mos->s} << 32),
+           pair(mos->d, mos->g), bits_of(mos->w), bits_of(mos->l), bits_of(mos->vt_delta)});
     }
   }
+  std::uint64_t h = splitmix64(count);
+  for (const std::uint64_t l : lane) h = splitmix64(h ^ l);
   return h;
 }
 
@@ -156,6 +149,7 @@ SolverWorkspace::Entry& SolverWorkspace::entry_for(const StampContext& ctx, bool
   const std::uint64_t key = entry_key(ctx);
   ++lru_tick_;
   built = true;
+  Entry* slot = nullptr;
   for (auto& e : entries_) {
     if (!e->used || e->key != key) continue;
     if (e->n == ctx.nl->unknown_count() && e->n_volts == ctx.nl->node_count() - 1) {
@@ -166,16 +160,13 @@ SolverWorkspace::Entry& SolverWorkspace::entry_for(const StampContext& ctx, bool
     }
     // Hash collision (same key, different structure): rebuild in place
     // so two entries never share a key.
-    build_entry(*e, ctx);
-    e->last_use = lru_tick_;
-    ++stats_.symbolic_builds;
-    return *e;
+    slot = e.get();
+    break;
   }
-  Entry* slot = nullptr;
-  if (entries_.size() < kMaxEntries) {
+  if (slot == nullptr && entries_.size() < kMaxEntries) {
     entries_.push_back(std::make_unique<Entry>());
     slot = entries_.back().get();
-  } else {
+  } else if (slot == nullptr) {
     slot = entries_.front().get();
     for (auto& e : entries_) {
       if (e->last_use < slot->last_use) slot = e.get();
@@ -192,32 +183,90 @@ SolverWorkspace::Entry& SolverWorkspace::entry_for(const StampContext& ctx, bool
 void SolverWorkspace::build_entry(Entry& e, const StampContext& ctx) {
   const Netlist& nl = *ctx.nl;
   const std::size_t n = nl.unknown_count();  // reindexes if needed
+  e.used = false;  // until entry_for keys it, so a throw leaves no half-built entry in use
   e.n = n;
   e.n_volts = nl.node_count() - 1;
   e.base_valid = false;
+  e.linear.clear();
   e.mos.clear();
   e.rhs.clear();
+  const auto& devices = nl.devices();
+  // Exact table sizes (up to four linear terms per R, C or V, six per
+  // E), so a cached entry carries no growth slack.
+  std::size_t n_linear = 0;
+  std::size_t n_mos = 0;
+  std::size_t n_rhs = 0;
+  for (const Device& dev : devices) {
+    if (!dev.enabled) continue;
+    if (std::holds_alternative<Mosfet>(dev.impl)) {
+      ++n_mos;
+    } else if (std::holds_alternative<Vcvs>(dev.impl)) {
+      n_linear += 6;
+    } else {
+      n_linear += std::holds_alternative<ISource>(dev.impl) ? 0 : 4;
+      n_rhs += std::holds_alternative<Resistor>(dev.impl) ? 0 : 1;
+    }
+  }
+  e.linear.reserve(n_linear);
+  e.mos.reserve(n_mos);
+  e.rhs.reserve(n_rhs);
+  const bool timing = util::Metrics::detailed_timing();
+  using Clock = std::chrono::steady_clock;
+  const auto seconds = [](Clock::time_point a, Clock::time_point b) {
+    return std::chrono::duration<double>(b - a).count();
+  };
+  const auto t0 = timing ? Clock::now() : Clock::time_point{};
 
-  // Pattern: every coordinate any stamp configuration can touch. The
-  // capacitor slots are noted unconditionally so the same pattern (and
-  // symbolic factorization) serves DC (dt = 0) and every timestep.
+  // One walk over the devices notes the pattern — every coordinate any
+  // stamp configuration can touch; the capacitor slots are noted
+  // unconditionally so the same pattern (and symbolic factorization)
+  // serves DC (dt = 0) and every timestep — and builds the device
+  // tables. Each table entry holds the index of the note for its
+  // matrix entry until finalize_pattern turns note indices into value
+  // slots; notes 0..n-1 are the diagonal.
   SparseMatrix& m = e.mat;
   m.begin_pattern(n);
-  auto note_pair = [&](NodeId a, NodeId b) {
+  const auto note = [&](std::ptrdiff_t r, std::ptrdiff_t c) {
+    return m.note(static_cast<std::size_t>(r), static_cast<std::size_t>(c));
+  };
+  // Linear terms are recorded in the order the linear base adds them.
+  const auto linear = [&](std::size_t note_index, bool capacitor, double value) {
+    e.linear.push_back({value, static_cast<std::uint32_t>(note_index), capacitor});
+  };
+  // A conductance between two nodes: per live terminal, its diagonal,
+  // then its off-diagonal entry.
+  const auto conductance = [&](NodeId a, NodeId b, bool capacitor, double value) {
     const std::ptrdiff_t ia = unknown_of(nl, a);
     const std::ptrdiff_t ib = unknown_of(nl, b);
-    if (ia >= 0 && ib >= 0) {
-      m.note(static_cast<std::size_t>(ia), static_cast<std::size_t>(ib));
-      m.note(static_cast<std::size_t>(ib), static_cast<std::size_t>(ia));
+    if (ia >= 0) {
+      linear(static_cast<std::size_t>(ia), capacitor, value);
+      if (ib >= 0) linear(note(ia, ib), capacitor, -value);
     }
-    // Diagonals are in the pattern implicitly.
+    if (ib >= 0) {
+      linear(static_cast<std::size_t>(ib), capacitor, value);
+      if (ia >= 0) linear(note(ib, ia), capacitor, -value);
+    }
+  };
+  const auto fixed = [&](std::size_t r, std::size_t c, double value) {
+    linear(m.note(r, c), false, value);
+  };
+  // A branch row's incidence on its terminals: +1 on p, -1 on n.
+  const auto incidence = [&](std::size_t bi, NodeId p, NodeId nn) {
+    if (p != kGround) {
+      fixed(nl.voltage_index(p), bi, 1.0);
+      fixed(bi, nl.voltage_index(p), 1.0);
+    }
+    if (nn != kGround) {
+      fixed(nl.voltage_index(nn), bi, -1.0);
+      fixed(bi, nl.voltage_index(nn), -1.0);
+    }
   };
   // Source pairing (sparse.hpp): branch row bi swaps places with the KCL
   // row of terminal p, else n, skipping ground and a node already
   // paired. A source with neither terminal free stays unpaired.
   std::vector<std::size_t> row_map(n);
   std::iota(row_map.begin(), row_map.end(), std::size_t{0});
-  auto pair_branch = [&](std::size_t bi, NodeId p, NodeId nn) {
+  const auto pair_branch = [&](std::size_t bi, NodeId p, NodeId nn) {
     for (const NodeId node : {p, nn}) {
       if (node == kGround) continue;
       const std::size_t v = nl.voltage_index(node);
@@ -227,66 +276,19 @@ void SolverWorkspace::build_entry(Entry& e, const StampContext& ctx) {
       return;
     }
   };
-  const auto& devices = nl.devices();
-  for (std::size_t di = 0; di < devices.size(); ++di) {
-    const Device& dev = devices[di];
-    if (!dev.enabled) continue;
-    if (const auto* r = std::get_if<Resistor>(&dev.impl)) {
-      note_pair(r->a, r->b);
-    } else if (const auto* c = std::get_if<Capacitor>(&dev.impl)) {
-      note_pair(c->a, c->b);
-    } else if (const auto* vs = std::get_if<VSource>(&dev.impl)) {
-      const std::size_t bi = nl.branch_index(di);
-      if (vs->p != kGround) {
-        m.note(nl.voltage_index(vs->p), bi);
-        m.note(bi, nl.voltage_index(vs->p));
-      }
-      if (vs->n != kGround) {
-        m.note(nl.voltage_index(vs->n), bi);
-        m.note(bi, nl.voltage_index(vs->n));
-      }
-      pair_branch(bi, vs->p, vs->n);
-    } else if (std::get_if<ISource>(&dev.impl) != nullptr) {
-      // RHS only.
-    } else if (const auto* vcvs = std::get_if<Vcvs>(&dev.impl)) {
-      const std::size_t bi = nl.branch_index(di);
-      if (vcvs->p != kGround) {
-        m.note(nl.voltage_index(vcvs->p), bi);
-        m.note(bi, nl.voltage_index(vcvs->p));
-      }
-      if (vcvs->n != kGround) {
-        m.note(nl.voltage_index(vcvs->n), bi);
-        m.note(bi, nl.voltage_index(vcvs->n));
-      }
-      if (vcvs->cp != kGround) m.note(bi, nl.voltage_index(vcvs->cp));
-      if (vcvs->cn != kGround) m.note(bi, nl.voltage_index(vcvs->cn));
-      pair_branch(bi, vcvs->p, vcvs->n);
-    } else if (const auto* mos = std::get_if<Mosfet>(&dev.impl)) {
-      const std::ptrdiff_t xd = unknown_of(nl, mos->d);
-      const std::ptrdiff_t xg = unknown_of(nl, mos->g);
-      const std::ptrdiff_t xs = unknown_of(nl, mos->s);
-      for (const std::ptrdiff_t row : {xd, xs}) {
-        if (row < 0) continue;
-        for (const std::ptrdiff_t col : {xd, xg, xs}) {
-          if (col >= 0) m.note(static_cast<std::size_t>(row), static_cast<std::size_t>(col));
-        }
-      }
-    }
-  }
-  m.finalize_pattern();
-
-  e.diag_slot.resize(n);
-  for (std::size_t i = 0; i < n; ++i) e.diag_slot[i] = m.slot(i, i);
-
-  // Device tables for the per-iteration stamps. Device indices are raw;
-  // hash-equal netlists agree on them, and on every MOSFET parameter,
-  // because the device sequence is part of the key.
+  // Device indices are raw; hash-equal netlists agree on them, and on
+  // every MOSFET parameter, because the device sequence is part of the
+  // key.
   for (std::size_t di = 0; di < devices.size(); ++di) {
     const Device& dev = devices[di];
     if (!dev.enabled) continue;
     RhsTerm t;
     t.device = di;
-    if (const auto* c = std::get_if<Capacitor>(&dev.impl)) {
+    if (const auto* r = std::get_if<Resistor>(&dev.impl)) {
+      if (r->ohms <= 0.0) throw std::invalid_argument("non-positive resistance: " + dev.name);
+      conductance(r->a, r->b, false, 1.0 / r->ohms);
+    } else if (const auto* c = std::get_if<Capacitor>(&dev.impl)) {
+      conductance(c->a, c->b, true, c->farads);
       // Companion history current flows b -> a.
       t.kind = RhsTerm::Kind::kCapacitor;
       t.from = unknown_of(nl, c->b);
@@ -295,38 +297,65 @@ void SolverWorkspace::build_entry(Entry& e, const StampContext& ctx) {
       t.b = c->b;
       t.farads = c->farads;
       e.rhs.push_back(t);
-    } else if (std::get_if<VSource>(&dev.impl) != nullptr) {
+    } else if (const auto* vs = std::get_if<VSource>(&dev.impl)) {
+      const std::size_t bi = nl.branch_index(di);
+      incidence(bi, vs->p, vs->n);
+      pair_branch(bi, vs->p, vs->n);
       t.kind = RhsTerm::Kind::kVSource;
-      t.to = static_cast<std::ptrdiff_t>(nl.branch_index(di));
+      t.to = static_cast<std::ptrdiff_t>(bi);
       e.rhs.push_back(t);
     } else if (const auto* is = std::get_if<ISource>(&dev.impl)) {
       t.kind = RhsTerm::Kind::kISource;
       t.from = unknown_of(nl, is->p);
       t.to = unknown_of(nl, is->n);
       e.rhs.push_back(t);
+    } else if (const auto* vcvs = std::get_if<Vcvs>(&dev.impl)) {
+      const std::size_t bi = nl.branch_index(di);
+      incidence(bi, vcvs->p, vcvs->n);
+      if (vcvs->cp != kGround) fixed(bi, nl.voltage_index(vcvs->cp), -vcvs->gain);
+      if (vcvs->cn != kGround) fixed(bi, nl.voltage_index(vcvs->cn), vcvs->gain);
+      pair_branch(bi, vcvs->p, vcvs->n);
     } else if (const auto* mos = std::get_if<Mosfet>(&dev.impl)) {
       MosStamp ms;
       ms.params = mos_params(*mos, nl.model());
       ms.xd = unknown_of(nl, mos->d);
       ms.xg = unknown_of(nl, mos->g);
       ms.xs = unknown_of(nl, mos->s);
-      auto row_slots = [&](std::ptrdiff_t row, std::size_t& sd, std::size_t& sg,
-                           std::size_t& ss) {
+      const auto row_notes = [&](std::ptrdiff_t row, std::size_t& sd, std::size_t& sg,
+                                 std::size_t& ss) {
         if (row < 0) return;
-        const std::size_t r = static_cast<std::size_t>(row);
-        if (ms.xd >= 0) sd = m.slot(r, static_cast<std::size_t>(ms.xd));
-        if (ms.xg >= 0) sg = m.slot(r, static_cast<std::size_t>(ms.xg));
-        if (ms.xs >= 0) ss = m.slot(r, static_cast<std::size_t>(ms.xs));
+        if (ms.xd >= 0) sd = note(row, ms.xd);
+        if (ms.xg >= 0) sg = note(row, ms.xg);
+        if (ms.xs >= 0) ss = note(row, ms.xs);
       };
-      row_slots(ms.xd, ms.dd, ms.dg, ms.ds);
-      row_slots(ms.xs, ms.sd, ms.sg, ms.ss);
+      row_notes(ms.xd, ms.dd, ms.dg, ms.ds);
+      row_notes(ms.xs, ms.sd, ms.sg, ms.ss);
       e.mos.push_back(ms);
     }
   }
+  const auto t1 = timing ? Clock::now() : Clock::time_point{};
+  const std::vector<std::size_t> note_slot = m.finalize_pattern();
+  const auto resolve = [&](std::size_t& s) {
+    if (s != kNoSlot) s = note_slot[s];
+  };
+  e.diag_slot.assign(note_slot.begin(), note_slot.begin() + static_cast<std::ptrdiff_t>(n));
+  for (LinearTerm& t : e.linear) t.slot = static_cast<std::uint32_t>(note_slot[t.slot]);
+  for (MosStamp& ms : e.mos) {
+    for (std::size_t* s : {&ms.dd, &ms.dg, &ms.ds, &ms.sd, &ms.sg, &ms.ss}) resolve(*s);
+  }
 
-  e.lu.analyze(m, e.n_volts, row_map);
+  const auto t2 = timing ? Clock::now() : Clock::time_point{};
+  double ordering_sec = 0.0;
+  e.lu.analyze(m, e.n_volts, row_map, timing ? &ordering_sec : nullptr);
   e.base_values.assign(m.nnz(), 0.0);
   e.b.assign(n, 0.0);
+  if (timing) {
+    const auto t3 = Clock::now();
+    stats_.build_tables_sec += seconds(t0, t1);
+    stats_.build_pattern_sec += seconds(t1, t2);
+    stats_.build_ordering_sec += ordering_sec;
+    stats_.build_fill_sec += seconds(t2, t3) - ordering_sec;
+  }
 }
 
 void SolverWorkspace::ensure_linear_base(Entry& e, const StampContext& ctx) {
@@ -335,67 +364,19 @@ void SolverWorkspace::ensure_linear_base(Entry& e, const StampContext& ctx) {
     ++stats_.linear_stamp_reuse;
     return;
   }
-  const Netlist& nl = *ctx.nl;
-  SparseMatrix& m = e.mat;
+  // gmin on every node diagonal, then the linear devices' terms in
+  // device order — the same additions in the same order, whatever the
+  // configuration, so a rebuilt base is bit-identical.
   std::fill(e.base_values.begin(), e.base_values.end(), 0.0);
-  // Stamp the linear skeleton directly into base_values via the pattern
-  // slots. slot() is a binary search, but this runs once per (topology,
-  // gmin, dt, integrator) configuration, not per iteration.
-  auto base_add = [&](std::size_t r, std::size_t c, double v) {
-    e.base_values[m.slot(r, c)] += v;
-  };
-  auto add_g = [&](NodeId a, NodeId b, double cond) {
-    const std::ptrdiff_t ia = unknown_of(nl, a);
-    const std::ptrdiff_t ib = unknown_of(nl, b);
-    if (ia >= 0) {
-      e.base_values[e.diag_slot[static_cast<std::size_t>(ia)]] += cond;
-      if (ib >= 0) base_add(static_cast<std::size_t>(ia), static_cast<std::size_t>(ib), -cond);
+  double* base = e.base_values.data();
+  for (std::size_t i = 0; i < e.n_volts; ++i) base[e.diag_slot[i]] += ctx.gmin;
+  const double k = ctx.integrator == Integrator::kTrapezoidal ? 2.0 : 1.0;
+  for (const LinearTerm& t : e.linear) {
+    if (!t.capacitor) {
+      base[t.slot] += t.value;
+    } else if (ctx.dt > 0.0) {
+      base[t.slot] += k * t.value / ctx.dt;
     }
-    if (ib >= 0) {
-      e.base_values[e.diag_slot[static_cast<std::size_t>(ib)]] += cond;
-      if (ia >= 0) base_add(static_cast<std::size_t>(ib), static_cast<std::size_t>(ia), -cond);
-    }
-  };
-
-  for (std::size_t i = 0; i < e.n_volts; ++i) e.base_values[e.diag_slot[i]] += ctx.gmin;
-
-  const auto& devices = nl.devices();
-  for (std::size_t di = 0; di < devices.size(); ++di) {
-    const Device& dev = devices[di];
-    if (!dev.enabled) continue;
-    if (const auto* r = std::get_if<Resistor>(&dev.impl)) {
-      if (r->ohms <= 0.0) throw std::invalid_argument("non-positive resistance: " + dev.name);
-      add_g(r->a, r->b, 1.0 / r->ohms);
-    } else if (const auto* c = std::get_if<Capacitor>(&dev.impl)) {
-      if (ctx.dt > 0.0) {
-        const double gc = (ctx.integrator == Integrator::kTrapezoidal ? 2.0 : 1.0) * c->farads /
-                          ctx.dt;
-        add_g(c->a, c->b, gc);
-      }
-    } else if (const auto* vs = std::get_if<VSource>(&dev.impl)) {
-      const std::size_t bi = nl.branch_index(di);
-      if (vs->p != kGround) {
-        base_add(nl.voltage_index(vs->p), bi, 1.0);
-        base_add(bi, nl.voltage_index(vs->p), 1.0);
-      }
-      if (vs->n != kGround) {
-        base_add(nl.voltage_index(vs->n), bi, -1.0);
-        base_add(bi, nl.voltage_index(vs->n), -1.0);
-      }
-    } else if (const auto* vcvs = std::get_if<Vcvs>(&dev.impl)) {
-      const std::size_t bi = nl.branch_index(di);
-      if (vcvs->p != kGround) {
-        base_add(nl.voltage_index(vcvs->p), bi, 1.0);
-        base_add(bi, nl.voltage_index(vcvs->p), 1.0);
-      }
-      if (vcvs->n != kGround) {
-        base_add(nl.voltage_index(vcvs->n), bi, -1.0);
-        base_add(bi, nl.voltage_index(vcvs->n), -1.0);
-      }
-      if (vcvs->cp != kGround) base_add(bi, nl.voltage_index(vcvs->cp), -vcvs->gain);
-      if (vcvs->cn != kGround) base_add(bi, nl.voltage_index(vcvs->cn), vcvs->gain);
-    }
-    // ISource: RHS only. Mosfet: nonlinear, stamped per iteration.
   }
 
   e.base_valid = true;

@@ -13,12 +13,14 @@
 //     conductances, V/E incidence, gmin) is stamped once per (topology,
 //     gmin, dt, integrator) configuration into a cached base; each
 //     iteration copies the base and stamps only the MOSFET Jacobians
-//     and the RHS. Both walk flat tables built with the entry: each
-//     MOSFET's level-1 parameters with its unknowns and value slots,
-//     and an RHS list in device order (capacitor companions, V and I
-//     sources with their rows). Source values are not part of the
-//     structure, so the RHS list reads them from the netlist (or the
-//     transient drive overrides) on every iteration.
+//     and the RHS. All three walk flat tables built with the entry:
+//     the linear terms (value slot and value, a capacitor's scaled by
+//     the integrator and dt), each MOSFET's level-1 parameters with its
+//     unknowns and value slots, and an RHS list in device order
+//     (capacitor companions, V and I sources with their rows). Source
+//     values are not part of the structure, so the RHS list reads them
+//     from the netlist (or the transient drive overrides) on every
+//     iteration.
 //  3. **Sparse LU with cached symbolic analysis** — the sparsity
 //     pattern, fill-reducing ordering, and fill pattern are computed
 //     once per netlist *structure* and reused across all Newton
@@ -32,6 +34,14 @@
 //     The solves themselves are not verified one by one: Newton checks
 //     accuracy once, at its exit, with one O(nnz) KCL test of the
 //     accepted iterate (kcl_satisfied).
+//
+// Cost of a new structure: one walk over the devices notes the pattern
+// and fills the device tables with note indices; finalize_pattern's
+// counting sorts turn them into value slots, so no slot is searched
+// for; the ordering and fill run on bitsets (sparse.hpp). On the
+// TABLE-I fault structures (116 unknowns) a new structure costs about
+// 35-55 µs, key and linear base included, or about ten warm Newton
+// iterations (perf_engines --json: newton_kernels splits it by phase).
 //
 // Cache keying: entries are keyed by a structural hash of the netlist
 // (node count, model card, and every device's kind/terminals/
@@ -117,6 +127,12 @@ class SolverWorkspace {
     std::uint64_t dense_solves = 0;       // iterations solved dense by design
     std::uint64_t pivot_rejects = 0;      // sparse factors under the pivot floor (singular)
     std::uint64_t kcl_rejects = 0;        // Newton exits refused by the KCL check
+    // Symbolic-build time by phase, accumulated only under detailed
+    // timing (util::Metrics::detailed_timing).
+    double build_tables_sec = 0.0;    // device walk: pattern notes and device tables
+    double build_pattern_sec = 0.0;   // finalize_pattern and the note-to-slot resolve
+    double build_ordering_sec = 0.0;  // minimum-degree ordering
+    double build_fill_sec = 0.0;      // symbolic fill and the compiled refactorization
   };
   const Stats& stats() const { return stats_; }
   void reset_stats() { stats_ = Stats{}; }
@@ -191,6 +207,16 @@ class SolverWorkspace {
   std::vector<std::complex<double>>& ac_solution() { return ac_x_; }
 
  private:
+  /// One term of the linear stamp base, in the order the base adds
+  /// them: a fixed value (a resistor's ±conductance, a V/E incidence
+  /// ±1 or gain) or a capacitor companion's ±farads, which the base
+  /// scales by the integrator's factor and dt.
+  struct LinearTerm {
+    double value = 0.0;
+    std::uint32_t slot = 0;  // finalize_pattern keeps slots below 2^32
+    bool capacitor = false;
+  };
+
   /// One MOSFET of a cached topology: its level-1 parameters, terminal
   /// unknowns (-1 = ground) and the value slots of rows d and s across
   /// columns d, g, s.
@@ -222,6 +248,7 @@ class SolverWorkspace {
     SparseMatrix mat;  // pattern fixed; values restamped per iteration
     SparseLu lu;
     std::vector<std::size_t> diag_slot;
+    std::vector<LinearTerm> linear;
     std::vector<MosStamp> mos;
     std::vector<RhsTerm> rhs;
     // Cached linear stamp base and the configuration that shaped it.

@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "spice/workspace.hpp"
 #include "util/metrics.hpp"
 
 namespace lsl::spice {
@@ -105,6 +106,32 @@ TEST(Transient, NewtonCountersSplitTheOperatingPointFromTheSteps) {
   EXPECT_EQ(steps_delta, static_cast<std::int64_t>(per_step.snapshot().sum - per_step0));
   EXPECT_EQ(dc_delta + steps_delta, res.newton_iterations)
       << "dc " << dc_delta << " + transient " << steps_delta;
+}
+
+TEST(Transient, FixedStepRunStampsOneLinearBase) {
+  // Every step of a run without halvings takes exactly opts.dt, so the
+  // sparse path stamps one transient linear base and reuses it: a step
+  // an ulp short of dt (t_grid - t) would re-stamp it.
+  const SolverTuning saved = solver_tuning();
+  solver_tuning().force_sparse = true;
+  const Netlist nl = rc_lowpass();
+  TransientOptions opts;
+  opts.t_stop = 5e-6;
+  opts.dt = 5e-9;
+  opts.probes = {"out"};
+  auto& m = util::metrics();
+  const util::Counter& builds = m.counter("solver.transient.linear_stamp_builds");
+  const util::Counter& reuse = m.counter("solver.transient.linear_stamp_reuse");
+  const std::int64_t builds0 = builds.value();
+  const std::int64_t reuse0 = reuse.value();
+  SolverWorkspace ws;
+  const auto res = run_transient(
+      nl, {{"vin", pwl_wave({{0.0, 0.0}, {9e-9, 0.0}, {10e-9, 1.0}})}}, opts, ws);
+  solver_tuning() = saved;
+  ASSERT_TRUE(res.ok);
+  EXPECT_EQ(res.step_halvings, 0);
+  EXPECT_EQ(builds.value() - builds0, 1);
+  EXPECT_GE(reuse.value() - reuse0, res.steps_accepted - 1);
 }
 
 TEST(Transient, RcDividerHighPassBehaviour) {
