@@ -37,6 +37,7 @@
 #include "dft/digital_top.hpp"
 #include "fault/structural.hpp"
 #include "link/link.hpp"
+#include "spice/seed.hpp"
 #include "spice/sparse.hpp"
 #include "spice/stamp.hpp"
 #include "spice/transient.hpp"
@@ -536,6 +537,8 @@ void hash_bits(std::uint64_t& h, const std::vector<double>& v) {
 ///    campaign's per-stimulus set-up unit;
 ///  - structural_key_us: one structural_key hash of a fault netlist,
 ///    freshly copied as the campaign's are when they are hashed;
+///  - seed_map_us: one SolutionSeed::initial_guess_for of the golden
+///    operating point onto a fault netlist (the warm start's set-up);
 ///  - stamp_us / newton_us: a warm workspace's stamp time and whole
 ///    solve (stamp + factor + triangular solve) per iteration, from the
 ///    detailed-timing diagnostics;
@@ -568,6 +571,8 @@ std::string run_newton_kernels_report() {
     unknowns += static_cast<double>(systems.back().a.dim());
   }
   const double count = static_cast<double>(systems.size());
+  const SolutionSeed seed =
+      SolutionSeed::capture(golden.netlist(), solve_dc(golden.netlist(), DcOptions{}).x);
 
   const bool detailed = lsl::util::Metrics::detailed_timing();
   lsl::util::Metrics::set_detailed_timing(true);
@@ -575,7 +580,7 @@ std::string run_newton_kernels_report() {
     return std::chrono::duration<double, std::micro>(Clock::now() - t0).count();
   };
   std::vector<double> build_us, stamp_us, newton_us, factor_us, solve_us;
-  std::vector<double> tables_us, pattern_us, ordering_us, fill_us, copy_us, key_us;
+  std::vector<double> tables_us, pattern_us, ordering_us, fill_us, copy_us, key_us, seed_us;
   std::uint64_t key_sink = 0;
   std::uint64_t hash = 1469598103934665603ull;
   std::vector<double> x_new;
@@ -588,6 +593,7 @@ std::string run_newton_kernels_report() {
     SolverWorkspace::Stats phases;
     double copy = 0.0;
     double key = 0.0;
+    double seed_map = 0.0;
     for (const KernelSystem& k : systems) {
       StampContext ctx;
       ctx.nl = &k.nl;
@@ -614,6 +620,9 @@ std::string run_newton_kernels_report() {
         const auto t1 = Clock::now();
         key_sink ^= structural_key(faulted);
         key += us_since(t1);
+        const auto t2 = Clock::now();
+        key_sink += seed.initial_guess_for(k.nl).size();
+        seed_map += us_since(t2);
       }
       {
         SolverWorkspace& ws = SolverWorkspace::tls();
@@ -650,6 +659,7 @@ std::string run_newton_kernels_report() {
     fill_us.push_back(phases.build_fill_sec * 1e6 / count);
     copy_us.push_back(copy / count);
     key_us.push_back(key / count);
+    seed_us.push_back(seed_map / count);
     stamp_us.push_back(stamp / count);
     newton_us.push_back(newton / count);
     factor_us.push_back(factor / count);
@@ -681,6 +691,7 @@ std::string run_newton_kernels_report() {
   json += ",\"build_fill_us\":" + min_median(fill_us);
   json += ",\"frontend_copy_us\":" + min_median(copy_us);
   json += ",\"structural_key_us\":" + min_median(key_us);
+  json += ",\"seed_map_us\":" + min_median(seed_us);
   json += ",\"stamp_us\":" + min_median(stamp_us);
   json += ",\"factor_us\":" + min_median(factor_us);
   json += ",\"solve_us\":" + min_median(solve_us);
@@ -690,9 +701,10 @@ std::string run_newton_kernels_report() {
               systems.size(), median(build_us), median(stamp_us), median(factor_us),
               median(solve_us), median(newton_us), static_cast<unsigned long long>(hash));
   std::printf("newton_kernels   build split: tables %.1f, pattern %.1f, ordering %.1f, "
-              "fill+compile %.1f us; frontend copy %.1f us, structural key %.2f us (medians)\n",
+              "fill+compile %.1f us; frontend copy %.1f us, structural key %.2f us, "
+              "seed map %.2f us (medians)\n",
               median(tables_us), median(pattern_us), median(ordering_us), median(fill_us),
-              median(copy_us), median(key_us));
+              median(copy_us), median(key_us), median(seed_us));
   if (key_sink == 0) std::printf(" \n");  // keeps the timed copies and keys observable
   return json;
 }

@@ -43,12 +43,16 @@ endif()
 # on the pool) and the 4-thread Table-I / dictionary / full-evaluation
 # record referees against the pinned references. StageOutcome holds the
 # detection rule's and the stage-result derivation's unit tests.
+# StampReferee runs the workspace's in-place stamp, factor and solve
+# against an A-layout reference on the frontend's stage systems;
+# SeedMapping and Netlist cover the position-only name tables a seed
+# and a netlist copy carry.
 # NewtonAllocation is
 # deliberately excluded: its global operator-new counters are
 # meaningless under sanitizer allocators.
-message(STATUS "[sanitize_job] running ThreadPool/Campaign/Dictionary/PinnedReference/StageOutcome/McTrials/SparseEngine/SolverSmoke/SolverRobustness/digital tests under ${SANITIZER}")
+message(STATUS "[sanitize_job] running ThreadPool/Campaign/Dictionary/PinnedReference/StageOutcome/McTrials/SparseEngine/StampReferee/SeedMapping/Netlist/SolverSmoke/SolverRobustness/digital tests under ${SANITIZER}")
 execute_process(
-  COMMAND ctest --test-dir ${BIN_DIR} -R "ThreadPool|Campaign|Dictionary|PinnedReference|StageOutcome|McTrials|SparseEngine|SolverSmoke|SolverRobustness|Circuit|StuckCampaign|Compaction|CoverageCurve|Atpg"
+  COMMAND ctest --test-dir ${BIN_DIR} -R "ThreadPool|Campaign|Dictionary|PinnedReference|StageOutcome|McTrials|SparseEngine|StampReferee|SeedMapping|Netlist|SolverSmoke|SolverRobustness|Circuit|StuckCampaign|Compaction|CoverageCurve|Atpg"
           --output-on-failure
   RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)

@@ -31,25 +31,20 @@ LinkFrontend::LinkFrontend(const LinkFrontendSpec& spec) : spec_(spec) {
   // impedance (a minimum-size driver is ~kOhms), so a short at a driven
   // gate wins at the transistor terminal instead of being masked by an
   // ideal source.
-  auto rail = [&](const std::string& name) {
+  // `src` receives the index of the rail's source.
+  auto rail = [&](const std::string& name, std::size_t& src) {
     const NodeId n = nl_.node(name);
     const NodeId raw = nl_.node(name + "_drv");
-    nl_.add("v_" + name, VSource{raw, kGround, 0.0});
+    src = nl_.add("v_" + name, VSource{raw, kGround, 0.0});
     nl_.add("rdrv_" + name, Resistor{raw, n, 2e3});
     return n;
   };
-  const NodeId tap_main_p = rail("tx_tap_main_p");
-  const NodeId tap_alpha_p = rail("tx_tap_alpha_p");
-  const NodeId drv_in_p = rail("tx_drv_in_p");
-  const NodeId tap_main_n = rail("tx_tap_main_n");
-  const NodeId tap_alpha_n = rail("tx_tap_alpha_n");
-  const NodeId drv_in_n = rail("tx_drv_in_n");
-  s_tap_main_p_ = "v_tx_tap_main_p";
-  s_tap_alpha_p_ = "v_tx_tap_alpha_p";
-  s_drv_in_p_ = "v_tx_drv_in_p";
-  s_tap_main_n_ = "v_tx_tap_main_n";
-  s_tap_alpha_n_ = "v_tx_tap_alpha_n";
-  s_drv_in_n_ = "v_tx_drv_in_n";
+  const NodeId tap_main_p = rail("tx_tap_main_p", tap_main_p_);
+  const NodeId tap_alpha_p = rail("tx_tap_alpha_p", tap_alpha_p_);
+  const NodeId drv_in_p = rail("tx_drv_in_p", drv_in_p_);
+  const NodeId tap_main_n = rail("tx_tap_main_n", tap_main_n_);
+  const NodeId tap_alpha_n = rail("tx_tap_alpha_n", tap_alpha_n_);
+  const NodeId drv_in_n = rail("tx_drv_in_n", drv_in_n_);
 
   // Arms and interconnect.
   const NodeId launch_p = nl_.node("line_p_tx");
@@ -65,27 +60,19 @@ LinkFrontend::LinkFrontend(const LinkFrontendSpec& spec) : spec_(spec) {
   // the strong-pump gates are driven by the window comparator instead of
   // external rails (wired up after the pump is built).
   ChargePumpControls ctl;
-  ctl.up_gate = rail("cp_up_g");
-  ctl.up_b_gate = rail("cp_upb_g");
-  ctl.dn_gate = rail("cp_dn_g");
-  ctl.dn_b_gate = rail("cp_dnb_g");
+  ctl.up_gate = rail("cp_up_g", up_);
+  ctl.up_b_gate = rail("cp_upb_g", upb_);
+  ctl.dn_gate = rail("cp_dn_g", dn_);
+  ctl.dn_b_gate = rail("cp_dnb_g", dnb_);
   if (spec_.close_coarse_loop) {
     ctl.upst_gate = nl_.node("cp_upst_g");
     ctl.dnst_gate = nl_.node("cp_dnst_g");
   } else {
-    ctl.upst_gate = rail("cp_upst_g");
-    ctl.dnst_gate = rail("cp_dnst_g");
+    ctl.upst_gate = rail("cp_upst_g", upst_);
+    ctl.dnst_gate = rail("cp_dnst_g", dnst_);
   }
-  ctl.sen = rail("cp_sen");
-  ctl.sen_b = rail("cp_senb");
-  s_up_ = "v_cp_up_g";
-  s_upb_ = "v_cp_upb_g";
-  s_dn_ = "v_cp_dn_g";
-  s_dnb_ = "v_cp_dnb_g";
-  s_upst_ = "v_cp_upst_g";
-  s_dnst_ = "v_cp_dnst_g";
-  s_sen_ = "v_cp_sen";
-  s_senb_ = "v_cp_senb";
+  ctl.sen = rail("cp_sen", sen_);
+  ctl.sen_b = rail("cp_senb", senb_);
 
   cp_ = build_charge_pump(nl_, "cp", vdd, ctl, spec_.cp);
 
@@ -115,45 +102,38 @@ LinkFrontend::LinkFrontend(const LinkFrontendSpec& spec) : spec_(spec) {
   set_data(false, false);
 }
 
-void LinkFrontend::set_source(const std::string& name, double volts) {
-  const auto di = nl_.find_device(name);
-  // Value-only edit: keeps the solver workspace's per-topology caches
-  // (sparsity pattern, symbolic LU) warm across drive toggles.
-  nl_.set_vsource_volts(*di, volts);
-}
-
 void LinkFrontend::set_data(bool d, bool d_prev) {
   const double hi = spec_.vdd;
   // P arm: main tap follows d; alpha tap carries the delayed bit
   // inverted; the weak driver input is the data complement (it inverts).
-  set_source(s_tap_main_p_, d ? hi : 0.0);
-  set_source(s_tap_alpha_p_, d_prev ? 0.0 : hi);
-  set_source(s_drv_in_p_, d ? 0.0 : hi);
+  nl_.set_vsource_volts(tap_main_p_, d ? hi : 0.0);
+  nl_.set_vsource_volts(tap_alpha_p_, d_prev ? 0.0 : hi);
+  nl_.set_vsource_volts(drv_in_p_, d ? 0.0 : hi);
   // N arm: complement everything.
-  set_source(s_tap_main_n_, d ? 0.0 : hi);
-  set_source(s_tap_alpha_n_, d_prev ? hi : 0.0);
-  set_source(s_drv_in_n_, d ? hi : 0.0);
+  nl_.set_vsource_volts(tap_main_n_, d ? 0.0 : hi);
+  nl_.set_vsource_volts(tap_alpha_n_, d_prev ? hi : 0.0);
+  nl_.set_vsource_volts(drv_in_n_, d ? hi : 0.0);
 }
 
 void LinkFrontend::set_scan_mode(bool scan) {
-  set_source(s_sen_, scan ? spec_.vdd : 0.0);
-  set_source(s_senb_, scan ? 0.0 : spec_.vdd);
+  nl_.set_vsource_volts(sen_, scan ? spec_.vdd : 0.0);
+  nl_.set_vsource_volts(senb_, scan ? 0.0 : spec_.vdd);
 }
 
 void LinkFrontend::set_pump(bool up, bool dn) {
   // PMOS UP switch: active low. Steering branch gets the complements.
-  set_source(s_up_, up ? 0.0 : spec_.vdd);
-  set_source(s_upb_, up ? spec_.vdd : 0.0);
-  set_source(s_dn_, dn ? spec_.vdd : 0.0);
-  set_source(s_dnb_, dn ? 0.0 : spec_.vdd);
+  nl_.set_vsource_volts(up_, up ? 0.0 : spec_.vdd);
+  nl_.set_vsource_volts(upb_, up ? spec_.vdd : 0.0);
+  nl_.set_vsource_volts(dn_, dn ? spec_.vdd : 0.0);
+  nl_.set_vsource_volts(dnb_, dn ? 0.0 : spec_.vdd);
 }
 
 void LinkFrontend::set_strong_pump(bool up, bool dn) {
   if (spec_.close_coarse_loop) {
     throw std::logic_error("strong pump is comparator-driven with the coarse loop closed");
   }
-  set_source(s_upst_, up ? 0.0 : spec_.vdd);
-  set_source(s_dnst_, dn ? spec_.vdd : 0.0);
+  nl_.set_vsource_volts(upst_, up ? 0.0 : spec_.vdd);
+  nl_.set_vsource_volts(dnst_, dn ? spec_.vdd : 0.0);
 }
 
 spice::DcResult LinkFrontend::solve(const spice::DcOptions& opts) const {

@@ -116,14 +116,12 @@ class LinkFrontend {
   spice::NodeId line_n() const { return line_n_rx_; }
 
   /// Names of the drive sources (for transient tests that wiggle them).
-  const std::string& src_tap_main_p() const { return s_tap_main_p_; }
-  const std::string& src_tap_main_n() const { return s_tap_main_n_; }
-  const std::string& src_drv_in_p() const { return s_drv_in_p_; }
-  const std::string& src_drv_in_n() const { return s_drv_in_n_; }
+  const std::string& src_tap_main_p() const { return nl_.device(tap_main_p_).name; }
+  const std::string& src_tap_main_n() const { return nl_.device(tap_main_n_).name; }
+  const std::string& src_drv_in_p() const { return nl_.device(drv_in_p_).name; }
+  const std::string& src_drv_in_n() const { return nl_.device(drv_in_n_).name; }
 
  private:
-  void set_source(const std::string& name, double volts);
-
   LinkFrontendSpec spec_;
   spice::Netlist nl_;
   TerminationPorts term_;
@@ -131,9 +129,15 @@ class LinkFrontend {
   spice::NodeId line_p_rx_ = spice::kGround;
   spice::NodeId line_n_rx_ = spice::kGround;
 
-  std::string s_tap_main_p_, s_tap_alpha_p_, s_drv_in_p_;
-  std::string s_tap_main_n_, s_tap_alpha_n_, s_drv_in_n_;
-  std::string s_up_, s_upb_, s_dn_, s_dnb_, s_upst_, s_dnst_, s_sen_, s_senb_;
+  // Device indices of the drive sources. Drives change source values
+  // only (Netlist::set_vsource_volts), which keeps the solver
+  // workspace's per-topology caches warm across drive toggles. The
+  // strong-pump sources do not exist with the coarse loop closed.
+  static constexpr std::size_t kNoSource = static_cast<std::size_t>(-1);
+  std::size_t tap_main_p_ = kNoSource, tap_alpha_p_ = kNoSource, drv_in_p_ = kNoSource;
+  std::size_t tap_main_n_ = kNoSource, tap_alpha_n_ = kNoSource, drv_in_n_ = kNoSource;
+  std::size_t up_ = kNoSource, upb_ = kNoSource, dn_ = kNoSource, dnb_ = kNoSource;
+  std::size_t upst_ = kNoSource, dnst_ = kNoSource, sen_ = kNoSource, senb_ = kNoSource;
 };
 
 }  // namespace lsl::cells

@@ -78,11 +78,13 @@ CpScanSignature cp_scan_signature(const LinkFrontend& fe_in, const spice::DcOpti
   return sig;
 }
 
-ScanStaticSignature scan_static_signature(const LinkFrontend& fe_in,
-                                          const spice::DcOptions& solve,
-                                          const spice::SolveHints* hints) {
+namespace {
+
+/// The static scan capture on `fe`, which it puts in scan mode and
+/// leaves there with data low (unless a solve fails).
+ScanStaticSignature scan_static_on(LinkFrontend& fe, const spice::DcOptions& solve,
+                                   const spice::SolveHints* hints) {
   ScanStaticSignature sig;
-  LinkFrontend fe = fe_in;
   fe.set_scan_mode(true);
   fe.set_data(true, true);
   spice::arm_warm_start(hints, "scan.static.1", fe.netlist());
@@ -108,11 +110,11 @@ ScanStaticSignature scan_static_signature(const LinkFrontend& fe_in,
   return sig;
 }
 
-ToggleSignature toggle_signature(const LinkFrontend& fe_in, const ToggleOptions& opts,
-                                 const spice::DcOptions& solve,
-                                 const spice::SolveHints* hints) {
+/// The toggling pattern on `fe`, which it puts in scan mode with data
+/// low.
+ToggleSignature toggle_on(LinkFrontend& fe, const ToggleOptions& opts,
+                          const spice::DcOptions& solve, const spice::SolveHints* hints) {
   ToggleSignature sig;
-  LinkFrontend fe = fe_in;
   fe.set_scan_mode(true);
   fe.set_data(false, false);
 
@@ -172,6 +174,21 @@ ToggleSignature toggle_signature(const LinkFrontend& fe_in, const ToggleOptions&
   return sig;
 }
 
+}  // namespace
+
+ScanStaticSignature scan_static_signature(const LinkFrontend& fe, const spice::DcOptions& solve,
+                                          const spice::SolveHints* hints) {
+  LinkFrontend copy = fe;
+  return scan_static_on(copy, solve, hints);
+}
+
+ToggleSignature toggle_signature(const LinkFrontend& fe, const ToggleOptions& opts,
+                                 const spice::DcOptions& solve,
+                                 const spice::SolveHints* hints) {
+  LinkFrontend copy = fe;
+  return toggle_on(copy, opts, solve, hints);
+}
+
 std::string signature_marks(const CpScanSignature& sig) {
   return sig.valid ? pair_marks(sig.window) : std::string(kSubStageMarkWidth[kSubCpScan], '!');
 }
@@ -208,10 +225,13 @@ ScanTestOutcome run_scan_test(const LinkFrontend& fe, const ScanTestOutcome& gol
   out.golden = &golden;
   record_capture(out, kSubCpScan, cp_scan_signature(fe, solve, hints));
   if (!out.stops(full_evaluation)) {
-    record_capture(out, kSubScanStatic, scan_static_signature(fe, solve, hints));
-  }
-  if (with_toggle && !out.stops(full_evaluation)) {
-    record_capture(out, kSubToggle, toggle_signature(fe, topts, solve, hints));
+    // The static capture and the toggle share one scan-mode copy: each
+    // sets only source values on it.
+    LinkFrontend scan_fe = fe;
+    record_capture(out, kSubScanStatic, scan_static_on(scan_fe, solve, hints));
+    if (with_toggle && !out.stops(full_evaluation)) {
+      record_capture(out, kSubToggle, toggle_on(scan_fe, topts, solve, hints));
+    }
   }
   out.finish();
   return out;

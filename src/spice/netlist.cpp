@@ -14,20 +14,28 @@ std::uint64_t next_generation() {
   return counter.fetch_add(1, std::memory_order_relaxed) + 1;
 }
 
+/// The `name_at` of the device list.
+auto device_names(const std::vector<Device>& devices) {
+  return [&devices](std::size_t i) -> std::string_view { return devices[i].name; };
+}
+
 }  // namespace
 
-void Netlist::touch() { generation_ = next_generation(); }
+void Netlist::touch() {
+  generation_ = next_generation();
+  index_valid_ = false;
+}
 
 Netlist::Netlist() : generation_(next_generation()) {
   node_names_.push_back("0");
-  node_by_name_.emplace("0", kGround);
+  node_index_.push(NameIndex::at(node_names_));
 }
 
 Netlist::Netlist(const Netlist& other)
     : node_names_(other.node_names_),
-      node_by_name_(other.node_by_name_),
+      node_index_(other.node_index_),
       devices_(other.devices_),
-      device_by_name_(other.device_by_name_),
+      device_index_(other.device_index_),
       model_(other.model_),
       fresh_counter_(other.fresh_counter_),
       generation_(next_generation()),
@@ -38,9 +46,9 @@ Netlist::Netlist(const Netlist& other)
 Netlist& Netlist::operator=(const Netlist& other) {
   if (this == &other) return *this;
   node_names_ = other.node_names_;
-  node_by_name_ = other.node_by_name_;
+  node_index_ = other.node_index_;
   devices_ = other.devices_;
-  device_by_name_ = other.device_by_name_;
+  device_index_ = other.device_index_;
   model_ = other.model_;
   fresh_counter_ = other.fresh_counter_;
   generation_ = next_generation();
@@ -52,9 +60,9 @@ Netlist& Netlist::operator=(const Netlist& other) {
 
 Netlist::Netlist(Netlist&& other) noexcept
     : node_names_(std::move(other.node_names_)),
-      node_by_name_(std::move(other.node_by_name_)),
+      node_index_(std::move(other.node_index_)),
       devices_(std::move(other.devices_)),
-      device_by_name_(std::move(other.device_by_name_)),
+      device_index_(std::move(other.device_index_)),
       model_(other.model_),
       fresh_counter_(other.fresh_counter_),
       // The destination is content-identical to the pre-move source, so
@@ -71,9 +79,9 @@ Netlist::Netlist(Netlist&& other) noexcept
 Netlist& Netlist::operator=(Netlist&& other) noexcept {
   if (this == &other) return *this;
   node_names_ = std::move(other.node_names_);
-  node_by_name_ = std::move(other.node_by_name_);
+  node_index_ = std::move(other.node_index_);
   devices_ = std::move(other.devices_);
-  device_by_name_ = std::move(other.device_by_name_);
+  device_index_ = std::move(other.device_index_);
   model_ = other.model_;
   fresh_counter_ = other.fresh_counter_;
   generation_ = other.generation_;
@@ -86,39 +94,33 @@ Netlist& Netlist::operator=(Netlist&& other) noexcept {
 }
 
 NodeId Netlist::node(const std::string& name) {
-  const auto it = node_by_name_.find(name);
-  if (it != node_by_name_.end()) return it->second;
+  if (const auto id = find_node(name)) return *id;
   touch();
   const NodeId id = node_names_.size();
   node_names_.push_back(name);
-  node_by_name_.emplace(name, id);
+  node_index_.push(NameIndex::at(node_names_));
   return id;
 }
 
 std::optional<NodeId> Netlist::find_node(const std::string& name) const {
-  const auto it = node_by_name_.find(name);
-  if (it == node_by_name_.end()) return std::nullopt;
-  return it->second;
+  return node_index_.find(name, NameIndex::at(node_names_));
 }
 
 NodeId Netlist::fresh_node(const std::string& hint) {
   for (;;) {
     const std::string name = hint + "#" + std::to_string(fresh_counter_++);
-    if (node_by_name_.find(name) == node_by_name_.end()) return node(name);
+    if (!find_node(name)) return node(name);
   }
 }
 
 const std::string& Netlist::node_name(NodeId id) const { return node_names_.at(id); }
 
 std::size_t Netlist::add(std::string name, DeviceImpl impl) {
-  if (device_by_name_.count(name) != 0) {
-    throw std::invalid_argument("duplicate device name: " + name);
-  }
+  if (find_device(name)) throw std::invalid_argument("duplicate device name: " + name);
   touch();
   const std::size_t idx = devices_.size();
-  device_by_name_.emplace(name, idx);
   devices_.push_back(Device{std::move(name), std::move(impl), true});
-  index_valid_ = false;
+  device_index_.push(device_names(devices_));
   return idx;
 }
 
@@ -131,9 +133,7 @@ void Netlist::set_vsource_volts(std::size_t i, double volts) {
 }
 
 std::optional<std::size_t> Netlist::find_device(const std::string& name) const {
-  const auto it = device_by_name_.find(name);
-  if (it == device_by_name_.end()) return std::nullopt;
-  return it->second;
+  return device_index_.find(name, device_names(devices_));
 }
 
 void Netlist::reindex() const {

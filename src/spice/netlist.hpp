@@ -8,9 +8,10 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <variant>
 #include <vector>
 
@@ -99,13 +100,63 @@ struct ModelCard {
   double lambda_p = 0.18;   // PMOS channel-length modulation (1/V)
 };
 
+/// Name-to-position index over a list of unique names kept elsewhere (a
+/// netlist's node names or devices, a seed's captured names). The table
+/// holds positions only — open addressing, linear probing, load at most
+/// one half — so copying it is one flat vector copy and it owns no
+/// string. `name_at(i)` returns name i of the indexed list.
+class NameIndex {
+ public:
+  /// Position of `name`, or nullopt when it is not indexed.
+  template <class NameAt>
+  std::optional<std::size_t> find(std::string_view name, NameAt name_at) const {
+    if (slots_.empty()) return std::nullopt;
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t h = hash(name) & mask;; h = (h + 1) & mask) {
+      const std::uint32_t p = slots_[h];
+      if (p == 0) return std::nullopt;
+      if (name_at(p - 1) == name) return p - 1;
+    }
+  }
+
+  /// Indexes the next position of the list (positions are indexed in
+  /// order, 0 first), doubling the table when it would pass half full.
+  template <class NameAt>
+  void push(NameAt name_at) {
+    if (2 * (count_ + 1) > slots_.size()) {
+      slots_.assign(slots_.empty() ? 16 : 2 * slots_.size(), 0);
+      for (std::size_t i = 0; i < count_; ++i) place(name_at(i), i);
+    }
+    place(name_at(count_), count_);
+    ++count_;
+  }
+
+  /// The `name_at` of a list of strings.
+  static auto at(const std::vector<std::string>& names) {
+    return [&names](std::size_t i) -> std::string_view { return names[i]; };
+  }
+
+ private:
+  static std::size_t hash(std::string_view name) { return std::hash<std::string_view>{}(name); }
+  void place(std::string_view name, std::size_t pos) {
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t h = hash(name) & mask;
+    while (slots_[h] != 0) h = (h + 1) & mask;
+    slots_[h] = static_cast<std::uint32_t>(pos + 1);
+  }
+
+  std::vector<std::uint32_t> slots_;  // position + 1; 0 = empty
+  std::size_t count_ = 0;
+};
+
 /// Flat netlist with string-named nodes (node 0 = "0" = ground).
 ///
 /// Every netlist carries a process-unique *generation* stamp that the
 /// solver workspaces key their per-topology caches (sparsity pattern,
 /// symbolic LU, linear stamp base) on. Any mutable access — add(),
 /// node creation, the non-const device()/devices()/model() accessors —
-/// assigns a fresh stamp, conservatively invalidating those caches.
+/// assigns a fresh stamp, conservatively invalidating those caches, and
+/// marks the branch-current indexing for recomputation on next use.
 /// Copies always get a fresh stamp, so no two distinct netlists ever
 /// share one. The single deliberate carve-out: mutating a device
 /// parameter through a *retained* reference (without re-calling an
@@ -186,10 +237,12 @@ class Netlist {
   void touch();
   [[noreturn]] static void throw_ground_has_no_voltage();
 
+  // Name lookups go through position-only indexes over the two lists,
+  // so a copy is flat vector copies (the strings aside).
   std::vector<std::string> node_names_;
-  std::unordered_map<std::string, NodeId> node_by_name_;
+  NameIndex node_index_;
   std::vector<Device> devices_;
-  std::unordered_map<std::string, std::size_t> device_by_name_;
+  NameIndex device_index_;
   ModelCard model_;
   std::size_t fresh_counter_ = 0;
   std::uint64_t generation_ = 0;

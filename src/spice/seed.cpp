@@ -12,33 +12,46 @@ SolutionSeed SolutionSeed::capture(const Netlist& nl, const std::vector<double>&
   nl.reindex();
   if (x.size() != nl.unknown_count()) return seed;
   for (NodeId node = 1; node < nl.node_count(); ++node) {
-    seed.node_v_.emplace(nl.node_name(node), x[nl.voltage_index(node)]);
+    seed.node_names_.push_back(nl.node_name(node));
+    seed.node_v_.push_back(x[nl.voltage_index(node)]);
+    seed.node_index_.push(NameIndex::at(seed.node_names_));
   }
   const auto& devices = nl.devices();
   for (std::size_t di = 0; di < devices.size(); ++di) {
     const Device& dev = devices[di];
     if (!dev.enabled) continue;
     if (std::holds_alternative<VSource>(dev.impl) || std::holds_alternative<Vcvs>(dev.impl)) {
-      seed.branch_i_.emplace(dev.name, x[nl.branch_index(di)]);
+      seed.branch_names_.push_back(dev.name);
+      seed.branch_i_.push_back(x[nl.branch_index(di)]);
+      seed.branch_index_.push(NameIndex::at(seed.branch_names_));
     }
   }
   return seed;
 }
 
 std::vector<double> SolutionSeed::initial_guess_for(const Netlist& target) const {
-  target.reindex();
-  std::vector<double> x(target.unknown_count(), 0.0);
+  std::vector<double> x(target.unknown_count(), 0.0);  // reindexes if an edit invalidated it
   for (NodeId node = 1; node < target.node_count(); ++node) {
-    const auto it = node_v_.find(target.node_name(node));
-    if (it != node_v_.end()) x[target.voltage_index(node)] = it->second;
+    const std::string& name = target.node_name(node);
+    const std::size_t k = node - 1;
+    if (k < node_names_.size() && node_names_[k] == name) {
+      x[target.voltage_index(node)] = node_v_[k];
+    } else if (const auto at = node_index_.find(name, NameIndex::at(node_names_))) {
+      x[target.voltage_index(node)] = node_v_[*at];
+    }
   }
   const auto& devices = target.devices();
+  std::size_t k = 0;  // the target's branch ordinal
   for (std::size_t di = 0; di < devices.size(); ++di) {
     const Device& dev = devices[di];
     if (!dev.enabled) continue;
     if (std::holds_alternative<VSource>(dev.impl) || std::holds_alternative<Vcvs>(dev.impl)) {
-      const auto it = branch_i_.find(dev.name);
-      if (it != branch_i_.end()) x[target.branch_index(di)] = it->second;
+      if (k < branch_names_.size() && branch_names_[k] == dev.name) {
+        x[target.branch_index(di)] = branch_i_[k];
+      } else if (const auto at = branch_index_.find(dev.name, NameIndex::at(branch_names_))) {
+        x[target.branch_index(di)] = branch_i_[*at];
+      }
+      ++k;
     }
   }
   return x;

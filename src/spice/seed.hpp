@@ -8,7 +8,10 @@
 // device name), so it can re-seed a Newton solve on any netlist that
 // shares those names — including faulted copies whose unknown ordering
 // shifted because the fault edit added nodes or devices. Unmatched
-// unknowns start at 0, exactly the cold-start value.
+// unknowns start at 0, exactly the cold-start value. The values are
+// kept in the captured netlist's order: a fault copy keeps almost every
+// name at its golden position, so mapping a seed is mostly one string
+// compare per unknown, and only a name that moved is hashed.
 //
 // A SeedBank maps stage-stimulus keys ("dc.1", "scan.cp.drive.2", ...)
 // to seeds. The campaign builds one bank while computing the golden
@@ -41,13 +44,21 @@ class SolutionSeed {
 
   /// Maps the seed onto `target`'s unknown ordering. Nodes / branch
   /// devices absent from the seed start at 0 (the cold-start value).
+  /// A target name at its captured position takes its value directly;
+  /// any other is looked up by name.
   std::vector<double> initial_guess_for(const Netlist& target) const;
 
   bool empty() const { return node_v_.empty() && branch_i_.empty(); }
 
  private:
-  std::unordered_map<std::string, double> node_v_;
-  std::unordered_map<std::string, double> branch_i_;
+  // Node k + 1's name and voltage; the k-th branch's device name and
+  // current, in device order.
+  std::vector<std::string> node_names_;
+  std::vector<double> node_v_;
+  NameIndex node_index_;
+  std::vector<std::string> branch_names_;
+  std::vector<double> branch_i_;
+  NameIndex branch_index_;
 };
 
 /// Immutable-after-construction map from stage-stimulus key to seed.

@@ -80,18 +80,6 @@ std::size_t SparseMatrix::slot(std::size_t r, std::size_t c) const {
   return static_cast<std::size_t>(it - col_idx_.begin());
 }
 
-void SparseMatrix::accumulate_residual(const std::vector<double>& x,
-                                       const std::vector<double>& b,
-                                       std::vector<double>& r) const {
-  for (std::size_t i = 0; i < n_; ++i) {
-    double acc = -b[i];
-    for (std::size_t s = row_ptr_[i]; s < row_ptr_[i + 1]; ++s) {
-      acc += values_[s] * x[col_idx_[s]];
-    }
-    r[i] += acc;
-  }
-}
-
 // --- SparseLu ----------------------------------------------------------
 
 namespace {
@@ -313,10 +301,15 @@ bool SparseLu::factor(const SparseMatrix& a, double pivot_floor) {
   const double* av = a.values().data();
   const Index* dst = a_to_lu_.data();
   for (std::size_t s = 0; s < a_to_lu_.size(); ++s) lu[dst[s]] += av[s];
+  return factor_in_place(pivot_floor);
+}
 
+bool SparseLu::factor_in_place(double pivot_floor) {
+  if (!analyzed_ || n_ == 0) return false;
   // Up-looking elimination in place: row by row, L columns in
   // ascending order, each multiplier subtracting its U row through
   // the precompiled target slots.
+  double* lu = lu_values_.data();
   const Index* target = update_slot_.data();
   for (std::size_t i = 0; i < n_; ++i) {
     for (Index s = lu_row_ptr_[i]; s < diag_pos_[i]; ++s) {
@@ -343,24 +336,23 @@ bool SparseLu::factor(const SparseMatrix& a, double pivot_floor) {
 }
 
 void SparseLu::solve(const std::vector<double>& b, std::vector<double>& x) const {
-  // work_ = P·R b (R = the row map), then forward/backward substitution
-  // in place.
-  for (std::size_t i = 0; i < n_; ++i) work_[i] = b[row_src_[i]];
+  // Forward substitution on P·R b (R = the row map), gathered as it is
+  // read; backward substitution, each unknown scattered back through
+  // the ordering as it is finished.
+  double* w = work_.data();
+  const double* lu = lu_values_.data();
+  const Index* col = lu_col_idx_.data();
   for (std::size_t i = 0; i < n_; ++i) {
-    double sum = work_[i];
-    for (Index s = lu_row_ptr_[i]; s < diag_pos_[i]; ++s) {
-      sum -= lu_values_[s] * work_[lu_col_idx_[s]];
-    }
-    work_[i] = sum;
+    double sum = b[row_src_[i]];
+    for (Index s = lu_row_ptr_[i]; s < diag_pos_[i]; ++s) sum -= lu[s] * w[col[s]];
+    w[i] = sum;
   }
   for (std::size_t i = n_; i-- > 0;) {
-    double sum = work_[i];
-    for (Index s = diag_pos_[i] + 1; s < lu_row_ptr_[i + 1]; ++s) {
-      sum -= lu_values_[s] * work_[lu_col_idx_[s]];
-    }
-    work_[i] = sum / lu_values_[diag_pos_[i]];
+    double sum = w[i];
+    for (Index s = diag_pos_[i] + 1; s < lu_row_ptr_[i + 1]; ++s) sum -= lu[s] * w[col[s]];
+    w[i] = sum / lu[diag_pos_[i]];
+    x[perm_[i]] = w[i];
   }
-  for (std::size_t i = 0; i < n_; ++i) x[perm_[i]] = work_[i];
 }
 
 }  // namespace lsl::spice

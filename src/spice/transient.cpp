@@ -178,10 +178,9 @@ TransientResult run_transient(const Netlist& nl,
   {
     // Reuse the robust DC path by baking the t=0 drive values into a
     // netlist copy (continuation methods do not support overrides).
+    // Only source values change, so the copy keeps the structure.
     Netlist op = nl;
-    for (const auto& [di, wave] : drive_list) {
-      std::get<VSource>(op.device(di).impl).volts = (*wave)(0.0);
-    }
+    for (const auto& [di, wave] : drive_list) op.set_vsource_volts(di, (*wave)(0.0));
     const DcResult dc = solve_dc(op, opts.newton, ws);
     op_iterations = dc.iterations;
     result.newton_iterations += dc.iterations;

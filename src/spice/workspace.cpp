@@ -335,19 +335,23 @@ void SolverWorkspace::build_entry(Entry& e, const StampContext& ctx) {
   }
   const auto t1 = timing ? Clock::now() : Clock::time_point{};
   const std::vector<std::size_t> note_slot = m.finalize_pattern();
-  const auto resolve = [&](std::size_t& s) {
-    if (s != kNoSlot) s = note_slot[s];
-  };
-  e.diag_slot.assign(note_slot.begin(), note_slot.begin() + static_cast<std::ptrdiff_t>(n));
-  for (LinearTerm& t : e.linear) t.slot = static_cast<std::uint32_t>(note_slot[t.slot]);
-  for (MosStamp& ms : e.mos) {
-    for (std::size_t* s : {&ms.dd, &ms.dg, &ms.ds, &ms.sd, &ms.sg, &ms.ss}) resolve(*s);
-  }
+  // The values live in the LU storage (stamp), never in the matrix.
+  std::vector<double>().swap(m.values());
 
   const auto t2 = timing ? Clock::now() : Clock::time_point{};
   double ordering_sec = 0.0;
   e.lu.analyze(m, e.n_volts, row_map, timing ? &ordering_sec : nullptr);
-  e.base_values.assign(m.nnz(), 0.0);
+  // Every table slot goes from note index to A slot to LU slot.
+  const auto lu_slot = [&](std::size_t note_index) { return e.lu.lu_slot(note_slot[note_index]); };
+  e.diag_slot.resize(n);
+  for (std::size_t i = 0; i < n; ++i) e.diag_slot[i] = lu_slot(i);
+  for (LinearTerm& t : e.linear) t.slot = static_cast<std::uint32_t>(lu_slot(t.slot));
+  for (MosStamp& ms : e.mos) {
+    for (std::size_t* s : {&ms.dd, &ms.dg, &ms.ds, &ms.sd, &ms.sg, &ms.ss}) {
+      if (*s != kNoSlot) *s = lu_slot(*s);
+    }
+  }
+  e.base_values.assign(e.lu.fill_nnz(), 0.0);
   e.b.assign(n, 0.0);
   if (timing) {
     const auto t3 = Clock::now();
@@ -366,7 +370,8 @@ void SolverWorkspace::ensure_linear_base(Entry& e, const StampContext& ctx) {
   }
   // gmin on every node diagonal, then the linear devices' terms in
   // device order — the same additions in the same order, whatever the
-  // configuration, so a rebuilt base is bit-identical.
+  // configuration, so a rebuilt base is bit-identical. The base is in
+  // LU layout; the fill slots stay +0.0.
   std::fill(e.base_values.begin(), e.base_values.end(), 0.0);
   double* base = e.base_values.data();
   for (std::size_t i = 0; i < e.n_volts; ++i) base[e.diag_slot[i]] += ctx.gmin;
@@ -386,8 +391,27 @@ void SolverWorkspace::ensure_linear_base(Entry& e, const StampContext& ctx) {
   ++stats_.linear_stamp_builds;
 }
 
+double SolverWorkspace::Entry::row_residual(const std::vector<double>& x, std::size_t i,
+                                            double& scale) const {
+  const auto& rp = mat.row_ptr();
+  const auto& ci = mat.col_idx();
+  const double* a = lu.values().data();
+  double r = -b[i];
+  scale = std::fabs(b[i]);
+  for (std::size_t s = rp[i]; s < rp[i + 1]; ++s) {
+    const double term = a[lu.lu_slot(s)] * x[ci[s]];
+    r += term;
+    scale += std::fabs(term);
+  }
+  return r;
+}
+
 void SolverWorkspace::stamp(Entry& e, const StampContext& ctx, const std::vector<double>& x) {
-  std::copy(e.base_values.begin(), e.base_values.end(), e.mat.values().begin());
+  // Straight into the LU storage: every A entry starts from its base
+  // value (each a sum onto +0.0, so never -0.0) and the MOSFETs add to
+  // it in place, so the stored value equals the 0.0 + A[s] a scatter
+  // of A would write.
+  std::copy(e.base_values.begin(), e.base_values.end(), e.lu.values().begin());
 
   // RHS in device order: source values are read live (they are not part
   // of the structural key), a drive override replacing a V source's.
@@ -432,7 +456,7 @@ void SolverWorkspace::stamp(Entry& e, const StampContext& ctx, const std::vector
   }
 
   // MOSFET Jacobians into the matrix, their affine remainders into b.
-  double* vals = e.mat.values().data();
+  double* vals = e.lu.values().data();
   for (const MosStamp& ms : e.mos) {
     const double vd = ms.xd >= 0 ? x[static_cast<std::size_t>(ms.xd)] : 0.0;
     const double vg = ms.xg >= 0 ? x[static_cast<std::size_t>(ms.xg)] : 0.0;
@@ -509,7 +533,7 @@ bool SolverWorkspace::solve_newton_system(const StampContext& ctx, NewtonBinding
   // be trusted: the iteration fails as singular, and the DC ladder or
   // the transient step halving takes it from there. Accuracy is checked
   // once, at Newton's exit (kcl_satisfied), not after every solve.
-  const bool ok = e.lu.factor(e.mat, 1e-18);
+  const bool ok = e.lu.factor_in_place(1e-18);
   if (ok) {
     if (x_new.size() != n) x_new.assign(n, 0.0);
     e.lu.solve(e.b, x_new);
@@ -549,17 +573,9 @@ bool SolverWorkspace::kcl_satisfied(const StampContext& ctx, const NewtonBinding
   } else {
     Entry& e = *binding.entry;
     stamp(e, ctx, x);
-    const auto& rp = e.mat.row_ptr();
-    const auto& ci = e.mat.col_idx();
-    const auto& av = e.mat.values();
     for (std::size_t i = 0; ok && i < e.n_volts; ++i) {
-      double r = -e.b[i];
-      double scale = std::fabs(e.b[i]);
-      for (std::size_t s = rp[i]; s < rp[i + 1]; ++s) {
-        const double term = av[s] * x[ci[s]];
-        r += term;
-        scale += std::fabs(term);
-      }
+      double scale = 0.0;
+      const double r = e.row_residual(x, i, scale);
       ok = row_passes(r, scale);
     }
   }
@@ -576,8 +592,8 @@ void SolverWorkspace::mna_residual(const StampContext& ctx, const std::vector<do
   ensure_linear_base(e, ctx);
   stamp(e, ctx, x);
   if (r.size() != n) r.resize(n);
-  std::fill(r.begin(), r.end(), 0.0);
-  e.mat.accumulate_residual(x, e.b, r);
+  double scale = 0.0;
+  for (std::size_t i = 0; i < n; ++i) r[i] = e.row_residual(x, i, scale);
 }
 
 double SolverWorkspace::kcl_residual_norm(const StampContext& ctx, const std::vector<double>& x) {
@@ -586,14 +602,10 @@ double SolverWorkspace::kcl_residual_norm(const StampContext& ctx, const std::ve
   ensure_linear_base(e, ctx);
   stamp(e, ctx, x);
   // Residual of the node (KCL) rows only, without materializing r.
-  const auto& rp = e.mat.row_ptr();
-  const auto& ci = e.mat.col_idx();
-  const auto& av = e.mat.values();
   double worst = 0.0;
+  double scale = 0.0;
   for (std::size_t i = 0; i < e.n_volts; ++i) {
-    double acc = -e.b[i];
-    for (std::size_t s = rp[i]; s < rp[i + 1]; ++s) acc += av[s] * x[ci[s]];
-    worst = std::max(worst, std::fabs(acc));
+    worst = std::max(worst, std::fabs(e.row_residual(x, i, scale)));
   }
   return worst;
 }

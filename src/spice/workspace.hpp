@@ -11,9 +11,14 @@
 //  2. **Split linear/nonlinear stamping over per-topology device
 //     tables** — the linear skeleton (resistors, capacitor companions'
 //     conductances, V/E incidence, gmin) is stamped once per (topology,
-//     gmin, dt, integrator) configuration into a cached base; each
-//     iteration copies the base and stamps only the MOSFET Jacobians
-//     and the RHS. All three walk flat tables built with the entry:
+//     gmin, dt, integrator) configuration into a cached base, kept in
+//     the LU factor's layout with zeros at the fill slots; each
+//     iteration copies the base straight into the factor's storage and
+//     stamps only the MOSFET Jacobians (at slots mapped into the LU
+//     layout when the entry is built) and the RHS, and the factor runs
+//     in place, with no zero-fill and no scatter of A. The KCL checks
+//     read A's entries through the same slot map. All three walk flat
+//     tables built with the entry:
 //     the linear terms (value slot and value, a capacitor's scaled by
 //     the integrator and dt), each MOSFET's level-1 parameters with its
 //     unknowns and value slots, and an RHS list in device order
@@ -27,7 +32,8 @@
 //     iterations, timesteps, sweep points, and retry-ladder rungs.
 //     The analysis also compiles the refactorization into index
 //     tables (sparse.hpp), so each iteration's numeric factor is one
-//     flat pass over the LU values. Each V/E branch row is paired with
+//     flat pass over the LU values, and the triangular solve is two
+//     (the permutations folded into them). Each V/E branch row is paired with
 //     a terminal node's KCL row (a static row permutation, see
 //     sparse.hpp), so source rows pivot on their ±1 incidence entries.
 //     A pivot under the health floor fails the iteration as singular.
@@ -42,6 +48,10 @@
 // TABLE-I fault structures (116 unknowns) a new structure costs about
 // 35-55 µs, key and linear base included, or about ten warm Newton
 // iterations (perf_engines --json: newton_kernels splits it by phase).
+// A warm iteration there costs about 3-3.5 µs (perf_engines newton_us,
+// median on a shared 4-core host): about 1-1.2 µs of stamping (the
+// 546-value copy of the base into the factor, the MOSFET evaluations,
+// the RHS), the rest the in-place factor and the solve.
 //
 // Cache keying: entries are keyed by a structural hash of the netlist
 // (node count, model card, and every device's kind/terminals/
@@ -213,13 +223,13 @@ class SolverWorkspace {
   /// scales by the integrator's factor and dt.
   struct LinearTerm {
     double value = 0.0;
-    std::uint32_t slot = 0;  // finalize_pattern keeps slots below 2^32
+    std::uint32_t slot = 0;  // LU slot (analyze keeps them below 2^32)
     bool capacitor = false;
   };
 
   /// One MOSFET of a cached topology: its level-1 parameters, terminal
-  /// unknowns (-1 = ground) and the value slots of rows d and s across
-  /// columns d, g, s.
+  /// unknowns (-1 = ground) and the LU value slots of rows d and s
+  /// across columns d, g, s.
   struct MosStamp {
     MosParams params;
     std::ptrdiff_t xd = -1, xg = -1, xs = -1;
@@ -245,13 +255,14 @@ class SolverWorkspace {
     std::uint64_t last_use = 0;
     std::size_t n = 0;
     std::size_t n_volts = 0;
-    SparseMatrix mat;  // pattern fixed; values restamped per iteration
+    SparseMatrix mat;  // A's pattern; its values live in lu.values()
     SparseLu lu;
-    std::vector<std::size_t> diag_slot;
+    std::vector<std::size_t> diag_slot;  // LU slot of each diagonal
     std::vector<LinearTerm> linear;
     std::vector<MosStamp> mos;
     std::vector<RhsTerm> rhs;
-    // Cached linear stamp base and the configuration that shaped it.
+    // Cached linear stamp base (LU layout) and the configuration that
+    // shaped it.
     bool base_valid = false;
     double base_gmin = 0.0;
     double base_dt = 0.0;
@@ -259,6 +270,11 @@ class SolverWorkspace {
     std::vector<double> base_values;
     // Per-iteration staging.
     std::vector<double> b;
+
+    /// Row i of A·x − b for the system last stamped, A read from the
+    /// LU storage through the slot map; `scale` gets the row's
+    /// |b_i| + Σ|A_is·x_s|.
+    double row_residual(const std::vector<double>& x, std::size_t i, double& scale) const;
   };
 
   std::uint64_t entry_key(const StampContext& ctx);
