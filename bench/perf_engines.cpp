@@ -430,7 +430,6 @@ std::string run_campaign_incremental_report() {
 
   lsl::dft::CampaignOptions table1;
   table1.num_threads = 1;
-  table1.budget.per_fault_sec = 60.0;
   time_configs(leave_one_out("table1_", table1), kReps, timed_table1, json);
 
   json += "}";

@@ -3,7 +3,6 @@
 //
 // Flags:  --fast        cap the universe at 80 faults (smoke run)
 //         --pessimistic use the both-leak-variants gate-open convention
-//         --checkpoint <path>  JSONL checkpoint; resume if the file exists
 //         --threads N   campaign workers (0 = all hardware cores; default 0)
 //         --json <path> append a flat-JSON result line (threads, per-worker
 //                       fault counts, wall clock, speedup) for bench tracking
@@ -54,7 +53,6 @@ void append_bench_json(const std::string& path, const char* mode,
     o.set("measured_speedup_vs_serial", serial_wall_sec / exec.wall_clock_sec);
   }
   o.set("coverage_pct", report.total.cum_all.percent());
-  o.set("complete", report.complete);
   if (!lsl::util::append_line(path, o.str())) {
     std::fprintf(stderr, "warning: could not append bench JSON to %s\n", path.c_str());
   }
@@ -89,7 +87,7 @@ int main(int argc, char** argv) {
   bool compare_serial = false;
   lsl::bench::Observability obs;
   const char* flags =
-      "[--fast] [--pessimistic] [--checkpoint <path>] [--threads N] [--json <path>] "
+      "[--fast] [--pessimistic] [--threads N] [--json <path>] "
       "[--compare-serial] [--no-incremental] [--trace <path>] [--metrics <path>]";
   for (int i = 1; i < argc; ++i) {
     if (obs.parse_flag(argc, argv, i)) continue;
@@ -97,9 +95,6 @@ int main(int argc, char** argv) {
       opts.max_faults = 80;
     } else if (std::strcmp(argv[i], "--pessimistic") == 0) {
       opts.pessimistic_gate_opens = true;
-    } else if (std::strcmp(argv[i], "--checkpoint") == 0) {
-      opts.checkpoint_path = lsl::bench::flag_value(argc, argv, i, flags);
-      opts.resume = true;
     } else if (std::strcmp(argv[i], "--threads") == 0) {
       opts.num_threads = lsl::bench::count_value(argc, argv, i, flags);
     } else if (std::strcmp(argv[i], "--json") == 0) {
@@ -114,12 +109,6 @@ int main(int argc, char** argv) {
       lsl::bench::usage_exit(argv[0], flags);
     }
   }
-  // Survival defaults for the full sweep: no single fault may stall the
-  // campaign for more than a minute. (Note: a finite budget is the one
-  // thing that can make parallel and serial runs differ — a fault that
-  // times out under load may pass when run alone — so --compare-serial
-  // lifts it.)
-  opts.budget.per_fault_sec = compare_serial ? 0.0 : 60.0;
   opts.progress = [](std::size_t i, std::size_t n) {
     if (i % 50 == 0) std::fprintf(stderr, "  fault %zu / %zu\n", i, n);
   };
@@ -134,7 +123,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "serial reference run (num_threads = 1)...\n");
     lsl::dft::CampaignOptions serial_opts = opts;
     serial_opts.num_threads = 1;
-    serial_opts.checkpoint_path.clear();  // must not skip the parallel run's work
     const auto serial = link.run_fault_campaign(serial_opts);
     const double serial_wall_sec = serial.exec.wall_clock_sec;
     std::fprintf(stderr, "parallel run (num_threads = %zu requested)...\n", opts.num_threads);

@@ -37,8 +37,8 @@ endif()
 # seed bank + collapse memo under threads). Circuit, StuckCampaign,
 # Compaction, CoverageCurve and Atpg run the lane-indexed arrays of the
 # fault-parallel digital simulator. SolverRobustness drives the DC
-# ladder through every rung to exhaustion, plus the timeout and
-# singular-matrix exits and transient step halving. Dictionary and
+# ladder through every rung to exhaustion, plus the singular-matrix
+# exit and transient step halving. Dictionary and
 # PinnedReference run the fault dictionary (a full-evaluation campaign
 # on the pool) and the 4-thread Table-I / dictionary / full-evaluation
 # record referees against the pinned references. StageOutcome holds the

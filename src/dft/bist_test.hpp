@@ -65,8 +65,8 @@ std::string signature_marks(const lsl::link::BistVerdict& verdict);
 /// Characterizes the faulted frontend and runs the at-speed BIST
 /// (sub-stage kSubBistVerdict), then strobes the CP-BIST readout at
 /// each Vc level (kSubCpBistRead), each compared with the golden's
-/// `ref.outcome`. `solve` threads per-fault budgets
-/// into the characterization solves. A characterization that fails to
+/// `ref.outcome`. `solve` sets the Newton options of
+/// the characterization solves. A characterization that fails to
 /// solve ends the test, and so does the first readout level that fails,
 /// unless `full_evaluation` asks for every sub-stage and level anyway.
 BistTestOutcome run_bist_test(const cells::LinkFrontend& fe, const BistTestReference& ref,

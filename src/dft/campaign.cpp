@@ -2,16 +2,12 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <chrono>
-#include <cstdio>
 #include <exception>
-#include <fstream>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <stdexcept>
-#include <unordered_map>
 
 #include "spice/seed.hpp"
 #include "spice/workspace.hpp"
@@ -86,6 +82,12 @@ std::string observed_marks(std::array<std::string, kSubStageCount> marks,
   return observed;
 }
 
+/// Whether a leak variant that has spent `iterations` Newton iterations
+/// is still within the per-fault budget.
+bool within_budget(const CampaignOptions& opts, long iterations) {
+  return opts.max_newton_per_fault <= 0 || iterations <= opts.max_newton_per_fault;
+}
+
 /// Runs DC, then scan, then BIST (when enabled) on one leak variant —
 /// the order of the paper's cumulative Table-I columns — and appends its
 /// record, marks ('|'-separated from an earlier variant's), iterations
@@ -93,29 +95,14 @@ std::string observed_marks(std::array<std::string, kSubStageCount> marks,
 /// `r`. With `short_circuit`, the first detection skips the remaining
 /// stages. Without adaptive_stage_order, every stage runs in full
 /// evaluation (every sub-stage, past detections and failed solves), so
-/// `observed` holds every observation.
-void run_stages(const cells::LinkFrontend& faulty_closed, const cells::LinkFrontend& faulty,
+/// `observed` holds every observation. `faulty_closed` is read by the
+/// DC stage only, which takes it over.
+void run_stages(cells::LinkFrontend&& faulty_closed, const cells::LinkFrontend& faulty,
                 const StageOutcome& dc_golden, const StageOutcome& scan_golden,
                 const BistTestReference& bist_ref, const CampaignOptions& opts,
-                Clock::time_point start, bool short_circuit, const spice::SolveHints* hints,
-                FaultOutcome& r) {
+                bool short_circuit, const spice::SolveHints* hints, FaultOutcome& r) {
   SubStageRecord record;
   long iterations = 0;  // this variant's: the Newton budget is per variant
-
-  // Remaining wall clock for this fault; every solve inside a stage gets
-  // it as a hard timeout. Returns false once the budget is blown.
-  const auto remaining = [&](double& left) {
-    if (opts.budget.per_fault_sec <= 0.0) {
-      left = 0.0;  // 0 = unlimited for the solver layer
-      return true;
-    }
-    left = opts.budget.per_fault_sec - seconds_since(start);
-    return left > 0.0;
-  };
-  const auto iter_budget_ok = [&]() {
-    return opts.budget.max_newton_per_fault <= 0 ||
-           iterations <= opts.budget.max_newton_per_fault;
-  };
 
   static util::Counter& stage_skips = util::metrics().counter("campaign.stage_skips");
   static const std::array<util::MetricHistogram*, kStageCount> stage_seconds = {
@@ -125,23 +112,17 @@ void run_stages(const cells::LinkFrontend& faulty_closed, const cells::LinkFront
 
   const bool full = !opts.adaptive_stage_order;
   std::array<std::string, kSubStageCount> marks;
-  spice::DcOptions solve;
-  double left = 0.0;
   const unsigned n_stages = opts.with_bist ? kStageCount : kStageBist;
-  for (unsigned stage = kStageDc; stage < n_stages; ++stage) {
-    if (!remaining(left) || !iter_budget_ok()) {
-      r.budget_blown = true;
-      break;
-    }
-    solve.timeout_sec = left;
+  for (unsigned stage = kStageDc; stage < n_stages && within_budget(opts, iterations); ++stage) {
     const Clock::time_point stage_start = Clock::now();
     const StageOutcome o = [&]() -> StageOutcome {
-      if (stage == kStageDc) return run_dc_test(faulty_closed, dc_golden, solve, hints, full);
-      if (stage == kStageScan) {
-        return run_scan_test(faulty, scan_golden, ToggleOptions{.timeout_sec = left}, solve,
-                             hints, full, opts.with_scan_toggle);
+      if (stage == kStageDc) {
+        return run_dc_test(std::move(faulty_closed), dc_golden, {}, hints, full);
       }
-      return run_bist_test(faulty, bist_ref, solve, hints, full);
+      if (stage == kStageScan) {
+        return run_scan_test(faulty, scan_golden, {}, {}, hints, full, opts.with_scan_toggle);
+      }
+      return run_bist_test(faulty, bist_ref, {}, hints, full);
     }();
     stage_seconds[stage]->observe(seconds_since(stage_start));
     iterations += o.iterations;
@@ -161,7 +142,7 @@ void run_stages(const cells::LinkFrontend& faulty_closed, const cells::LinkFront
       break;
     }
   }
-  if (!iter_budget_ok()) r.budget_blown = true;
+  if (!within_budget(opts, iterations)) r.budget_blown = true;
   r.newton_iterations += iterations;
   if (r.record.count != 0) r.observed += '|';
   r.observed += observed_marks(std::move(marks), opts);
@@ -193,8 +174,8 @@ void account(ClassStats& s, const FaultOutcome& o) {
 
 /// Recomputes the report's statistics, and each outcome's stages_run
 /// (the stages whose result is not kNotRun), from its outcome list —
-/// resumed runs, runs at any thread count and projections therefore
-/// produce identical figures for identical outcome sets.
+/// runs at any thread count and projections therefore produce
+/// identical figures for identical outcome sets.
 void tally(CampaignReport& report) {
   static_assert(kStageBitDc == 1u << kStageDc && kStageBitScan == 1u << kStageScan &&
                 kStageBitBist == 1u << kStageBist);
@@ -208,120 +189,6 @@ void tally(CampaignReport& report) {
     account(report.per_class[o.fault.cls], o);
     account(report.total, o);
   }
-}
-
-// --- JSONL checkpointing ---------------------------------------------
-
-/// Each variant's record keys: the first variant's carry no suffix, a
-/// second variant's (to-VDD leak) carry "_b".
-constexpr std::array<const char*, 2> kRecordKeySuffix = {"", "_b"};
-
-std::string outcome_to_json(const FaultOutcome& o) {
-  util::JsonObject j;
-  j.set("index", o.index);
-  j.set("device", o.fault.device);
-  j.set("class", fault::fault_class_name(o.fault.cls));
-  j.set("verdict", fault_verdict_name(o.verdict));
-  j.set("status", spice::to_string(o.status));
-  j.set("budget_blown", o.budget_blown);
-  j.set("elapsed_sec", o.elapsed_sec);
-  j.set("newton_iterations", static_cast<std::int64_t>(o.newton_iterations));
-  for (std::size_t v = 0; v < o.record.count; ++v) {
-    const std::string suffix = kRecordKeySuffix[v];
-    const SubStageRecord& r = o.record.slot[v];
-    j.set("substages_run" + suffix, static_cast<std::size_t>(r.run));
-    j.set("substages_detected" + suffix, static_cast<std::size_t>(r.detected));
-    j.set("substages_failed" + suffix, static_cast<std::size_t>(r.failed));
-  }
-  j.set("observed", o.observed);
-  // Only present for folded class members: keeps the line (and the
-  // canonical JSONL) identical to a collapsing-off run everywhere else.
-  if (o.collapsed_into.has_value()) j.set("collapsed_into", *o.collapsed_into);
-  return j.str();
-}
-
-bool outcome_from_json(const std::string& line, FaultOutcome& o) {
-  util::JsonObject j;
-  if (!util::JsonObject::parse(line, j)) return false;
-  std::string cls;
-  std::string verdict;
-  std::string status;
-  double elapsed = 0.0;
-  double iters = 0.0;
-  if (!j.get_uint("index", o.index) || !j.get_string("device", o.fault.device) ||
-      !j.get_string("class", cls) || !j.get_string("verdict", verdict) ||
-      !j.get_string("status", status) || !j.get_bool("budget_blown", o.budget_blown) ||
-      !j.get_number("elapsed_sec", elapsed) || !j.get_number("newton_iterations", iters)) {
-    return false;
-  }
-  if (!fault::fault_class_from_name(cls, o.fault.cls)) return false;
-  if (!fault_verdict_from_name(verdict, o.verdict)) return false;
-  if (!spice::solve_status_from_string(status, o.status)) return false;
-  o.elapsed_sec = elapsed;
-  o.newton_iterations = static_cast<long>(iters);
-  j.get_string("observed", o.observed);
-  std::size_t rep = 0;
-  if (j.get_uint("collapsed_into", rep)) o.collapsed_into = rep;
-
-  for (const std::string suffix : kRecordKeySuffix) {
-    std::array<std::size_t, 3> m{};
-    if (!j.get_uint("substages_run" + suffix, m[0]) ||
-        !j.get_uint("substages_detected" + suffix, m[1]) ||
-        !j.get_uint("substages_failed" + suffix, m[2])) {
-      break;
-    }
-    const auto mask = [&](std::size_t k) { return static_cast<unsigned>(m[k]); };
-    o.record.add({mask(0), mask(1), mask(2)});
-  }
-  return o.record.count != 0;
-}
-
-/// A checkpoint's first line: the fingerprint of everything that shapes
-/// a fault's record — the options below, the golden netlist's structure
-/// and the Newton tolerance the stages solve to. Thread counts, the
-/// callbacks and fault collapsing (its folded records are bit-identical
-/// to simulated ones) are left out, so a run may resume at any width.
-std::string checkpoint_header(const cells::LinkFrontend& golden, const CampaignOptions& opts) {
-  char text[256];
-  std::snprintf(text, sizeof(text),
-                "gate_opens=%s;toggle=%d;bist=%d;adaptive=%d;reuse_golden=%d;max_faults=%zu;"
-                "fault_sec=%a;fault_newton=%ld;netlist=%016llx;abs_tol=%a;prefixes=",
-                opts.pessimistic_gate_opens ? "pessimistic" : "bulk-leak", opts.with_scan_toggle,
-                opts.with_bist, opts.adaptive_stage_order, opts.reuse_golden, opts.max_faults,
-                opts.budget.per_fault_sec, opts.budget.max_newton_per_fault,
-                static_cast<unsigned long long>(spice::structural_key(golden.netlist())),
-                spice::DcOptions{}.abs_tol);
-  std::string fingerprint = text;
-  for (std::size_t i = 0; i < opts.prefixes.size(); ++i) {
-    fingerprint += (i == 0 ? "" : ",") + opts.prefixes[i];
-  }
-  util::JsonObject j;
-  j.set("checkpoint_fingerprint", fingerprint);
-  return j.str();
-}
-
-/// Loads checkpointed outcomes from `lines` (those after the header),
-/// keyed by fault index. Lines that fail to parse (e.g. the torn tail
-/// of a killed run) or that disagree with the enumerated universe are
-/// skipped with a warning — the fault simply re-runs.
-std::unordered_map<std::size_t, FaultOutcome> load_checkpoint(
-    const std::vector<std::string>& lines, const std::vector<StructuralFault>& faults) {
-  std::unordered_map<std::size_t, FaultOutcome> done;
-  for (const auto& line : lines) {
-    FaultOutcome o;
-    if (!outcome_from_json(line, o)) {
-      util::log_warn("campaign: skipping malformed checkpoint line");
-      continue;
-    }
-    if (o.index >= faults.size() || faults[o.index].device != o.fault.device ||
-        faults[o.index].cls != o.fault.cls) {
-      util::log_warn("campaign: checkpoint line does not match fault universe; re-running " +
-                     o.fault.describe());
-      continue;
-    }
-    done[o.index] = std::move(o);  // later lines win
-  }
-  return done;
 }
 
 /// Everything one fault simulation reads. Each pool worker slot gets its
@@ -342,8 +209,8 @@ struct FaultSimContext {
 };
 
 /// Simulates one fault through all enabled stages. Deterministic given
-/// the fault and context (modulo wall-clock budgets) and fully
-/// self-contained: copies the goldens, injects, runs stages, classifies.
+/// the fault and context, and fully self-contained: copies the goldens,
+/// injects, runs stages, classifies.
 FaultOutcome simulate_fault(const FaultSimContext& ctx, const StructuralFault& f,
                             std::size_t index, std::size_t worker) {
   const CampaignOptions& opts = *ctx.opts;
@@ -369,8 +236,8 @@ FaultOutcome simulate_fault(const FaultSimContext& ctx, const StructuralFault& f
     }
     spice::SolveHints hints;
     hints.seeds = ctx.seeds;
-    run_stages(faulty_closed, faulty, *ctx.dc_golden, *ctx.scan_golden, *ctx.bist_ref, opts,
-               fault_start, short_circuit, &hints, outcome);
+    run_stages(std::move(faulty_closed), faulty, *ctx.dc_golden, *ctx.scan_golden, *ctx.bist_ref,
+               opts, short_circuit, &hints, outcome);
   };
   // A fault whose simulation threw has no trustworthy verdict: its
   // record becomes one that failed every sub-stage.
@@ -414,20 +281,6 @@ FaultOutcome simulate_fault(const FaultSimContext& ctx, const StructuralFault& f
   fault_seconds.observe(outcome.elapsed_sec);
   newton_per_fault.observe(static_cast<double>(outcome.newton_iterations));
   return outcome;
-}
-
-/// Checkpoint append with write-latency accounting — the fsync inside
-/// util::append_line is the campaign's only disk dependency, so its
-/// tail is worth watching (docs/OBSERVABILITY.md's walkthrough).
-void checkpointed_append(const std::string& path, const FaultOutcome& outcome) {
-  static util::MetricHistogram& write_seconds =
-      util::metrics().histogram("campaign.checkpoint_write_seconds");
-  const Clock::time_point t0 = Clock::now();
-  const bool ok = util::append_line(path, outcome_to_json(outcome));
-  write_seconds.observe(seconds_since(t0));
-  if (!ok) {
-    util::log_warn("campaign: failed to append checkpoint line to " + path);
-  }
 }
 
 // --- Structural fault collapsing --------------------------------------
@@ -517,8 +370,8 @@ CollapsePlan build_collapse_plan(const cells::LinkFrontend& golden,
 /// multi-member class to arrive simulates it; every other member copies
 /// the bit-identical result (equivalent faulted netlists differ only in
 /// device names, which stamp nothing) and records the representative in
-/// collapsed_into. Per-fault work units (progress, abort polls,
-/// checkpoint lines) are preserved exactly.
+/// collapsed_into. Per-fault work units (progress calls) are preserved
+/// exactly.
 FaultOutcome simulate_with_collapse(const FaultSimContext& ctx, const CollapsePlan* plan,
                                     const StructuralFault& f, std::size_t index,
                                     std::size_t worker) {
@@ -554,37 +407,6 @@ CampaignReport run_campaign(const cells::LinkFrontend& golden, const CampaignOpt
                                                  fault::test_circuitry_prefixes());
   if (opts.max_faults != 0 && faults.size() > opts.max_faults) faults.resize(opts.max_faults);
   campaign_span.arg("faults", static_cast<double>(faults.size()));
-
-  // A resumed checkpoint keeps its lines only when it starts with this
-  // run's header; any other checkpoint (a headerless one included), and
-  // every one a run does not resume, starts over with this run's header.
-  std::unordered_map<std::size_t, FaultOutcome> done;
-  if (!opts.checkpoint_path.empty()) {
-    util::TraceSpan span("campaign.load_checkpoint", "campaign");
-    const std::string header = checkpoint_header(golden, opts);
-    std::vector<std::string> lines;
-    if (opts.resume) lines = util::read_lines(opts.checkpoint_path);
-    if (!lines.empty() && lines.front() != header) {
-      util::log_warn("campaign: checkpoint " + opts.checkpoint_path +
-                     " does not start with this run's header (no header, or other options, "
-                     "netlist or Newton tolerance); re-running every fault");
-      lines.clear();
-    }
-    if (lines.empty()) {
-      std::ofstream(opts.checkpoint_path, std::ios::trunc).close();
-      if (!util::append_line(opts.checkpoint_path, header)) {
-        util::log_warn("campaign: failed to write checkpoint header to " +
-                       opts.checkpoint_path);
-      }
-    } else {
-      lines.erase(lines.begin());
-      done = load_checkpoint(lines, faults);
-      if (!done.empty()) {
-        util::log_info("campaign: resumed " + std::to_string(done.size()) + "/" +
-                       std::to_string(faults.size()) + " faults from checkpoint");
-      }
-    }
-  }
 
   // The DC test runs with the coarse loop closed (mission-mode DC
   // operating point: Vc regulated at the window edge, strong pump and
@@ -655,18 +477,18 @@ CampaignReport run_campaign(const cells::LinkFrontend& golden, const CampaignOpt
 
   // One executor for every width: per-worker cloned goldens (a Netlist
   // carries a mutable index cache, so no frontend may be shared between
-  // threads), dynamic work distribution via the pool, a single
-  // mutex-guarded funnel for checkpoint appends and user callbacks, and
-  // a merge ordered by fault index regardless of completion order. One
-  // thread is the pool's inline mode: no workers, every fault runs on
-  // the calling thread in index order.
+  // threads), dynamic work distribution via the pool, a mutex that
+  // serializes the progress callback, and one outcome slot per fault
+  // index whatever the completion order. One thread is the pool's
+  // inline mode: no workers, every fault runs on the calling thread in
+  // index order.
   util::ThreadPool pool(n_threads > 1 ? n_threads : 0);
 
   struct WorkerState {
     cells::LinkFrontend golden;
     cells::LinkFrontend golden_closed;
     FaultSimContext ctx;
-    std::size_t fresh = 0;
+    std::size_t simulated = 0;
     double cpu_sec = 0.0;
     long newton = 0;
   };
@@ -686,48 +508,24 @@ CampaignReport run_campaign(const cells::LinkFrontend& golden, const CampaignOpt
     workers.push_back(std::move(ws));
   }
 
-  std::vector<std::optional<FaultOutcome>> slots(faults.size());
-  std::mutex writer_mu;  // checkpoint funnel + callback serialization
-  std::atomic<bool> aborted{false};
+  report.outcomes.resize(faults.size());
+  std::mutex progress_mu;
 
   pool.for_each(faults.size(), [&](std::size_t i, std::size_t w) {
-    if (aborted.load(std::memory_order_relaxed)) return;
     WorkerState& ws = *workers[w];
     if (opts.progress) {
-      std::lock_guard<std::mutex> lk(writer_mu);
+      std::lock_guard<std::mutex> lk(progress_mu);
       opts.progress(i, faults.size());
     }
-    if (const auto it = done.find(i); it != done.end()) {
-      slots[i] = it->second;
-      return;
-    }
-    if (opts.abort_check) {
-      std::lock_guard<std::mutex> lk(writer_mu);
-      if (opts.abort_check()) {
-        aborted.store(true, std::memory_order_relaxed);
-        return;
-      }
-    }
-    FaultOutcome outcome = simulate_with_collapse(ws.ctx, plan, faults[i], i, w);
-    ++ws.fresh;
+    FaultOutcome& outcome = report.outcomes[i];
+    outcome = simulate_with_collapse(ws.ctx, plan, faults[i], i, w);
+    ++ws.simulated;
     ws.cpu_sec += outcome.elapsed_sec;
     ws.newton += outcome.newton_iterations;
-    if (!opts.checkpoint_path.empty()) {
-      std::lock_guard<std::mutex> lk(writer_mu);
-      checkpointed_append(opts.checkpoint_path, outcome);
-    }
-    slots[i] = std::move(outcome);
   });
 
-  report.complete = !aborted.load();
-  {
-    util::TraceSpan merge_span("campaign.merge", "campaign");
-    for (auto& slot : slots) {
-      if (slot.has_value()) report.outcomes.push_back(std::move(*slot));
-    }
-  }
   for (const auto& ws : workers) {
-    report.exec.per_worker_faults.push_back(ws->fresh);
+    report.exec.per_worker_faults.push_back(ws->simulated);
     report.exec.fault_cpu_sec += ws->cpu_sec;
     report.exec.newton_iterations += ws->newton;
   }
@@ -749,7 +547,6 @@ CampaignReport run_campaign(const cells::LinkFrontend& golden, const CampaignOpt
 CampaignReport project_report(const CampaignReport& full, unsigned kept_substages) {
   CampaignReport out;
   out.exec = full.exec;
-  out.complete = full.complete;
   out.golden_observed = full.golden_observed;
   for (FaultOutcome o : full.outcomes) {
     VariantRecords kept;
@@ -765,10 +562,32 @@ CampaignReport project_report(const CampaignReport& full, unsigned kept_substage
   return out;
 }
 
+/// Each variant's record keys: the first variant's carry no suffix, a
+/// second variant's (to-VDD leak) carry "_b".
+constexpr std::array<const char*, 2> kRecordKeySuffix = {"", "_b"};
+
 std::string outcome_canonical_json(const FaultOutcome& o) {
-  FaultOutcome canonical = o;
-  canonical.elapsed_sec = 0.0;  // wall clock is the one machine-dependent field
-  return outcome_to_json(canonical);
+  util::JsonObject j;
+  j.set("index", o.index);
+  j.set("device", o.fault.device);
+  j.set("class", fault::fault_class_name(o.fault.cls));
+  j.set("verdict", fault_verdict_name(o.verdict));
+  j.set("status", spice::to_string(o.status));
+  j.set("budget_blown", o.budget_blown);
+  j.set("elapsed_sec", 0.0);  // wall clock is the one machine-dependent field
+  j.set("newton_iterations", static_cast<std::int64_t>(o.newton_iterations));
+  for (std::size_t v = 0; v < o.record.count; ++v) {
+    const std::string suffix = kRecordKeySuffix[v];
+    const SubStageRecord& r = o.record.slot[v];
+    j.set("substages_run" + suffix, static_cast<std::size_t>(r.run));
+    j.set("substages_detected" + suffix, static_cast<std::size_t>(r.detected));
+    j.set("substages_failed" + suffix, static_cast<std::size_t>(r.failed));
+  }
+  j.set("observed", o.observed);
+  // Only present for folded class members: keeps the line (and the
+  // canonical JSONL) identical to a collapsing-off run everywhere else.
+  if (o.collapsed_into.has_value()) j.set("collapsed_into", *o.collapsed_into);
+  return j.str();
 }
 
 std::string report_canonical_jsonl(const CampaignReport& report) {

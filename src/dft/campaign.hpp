@@ -10,12 +10,12 @@
 //   detected    — a genuine signature mismatch on converged solves
 //   undetected  — all stages converged and agreed with the golden machine
 //   quarantined — the simulation never produced a trustworthy verdict
-//                 (solver failure or per-fault budget blown)
+//                 (solver failure or per-fault Newton budget blown)
 // Quarantined faults are excluded from BOTH the numerator and the
 // denominator of every coverage figure — counting a non-converged fault
 // as "detected" would inflate coverage with faults the tester never
-// actually observed. The campaign can checkpoint each outcome to a JSONL
-// file and resume from it after an interruption.
+// actually observed. Nothing in a fault's simulation reads the clock,
+// so every verdict is a function of the netlist and the options alone.
 //
 // The output carries everything needed to regenerate Table I and the
 // 50.4% -> 74.3% -> 94.8% coverage progression of Section IV; a
@@ -47,17 +47,8 @@ enum class FaultVerdict { kDetected, kUndetected, kQuarantined };
 std::string fault_verdict_name(FaultVerdict v);
 bool fault_verdict_from_name(const std::string& name, FaultVerdict& out);
 
-/// Per-fault simulation budgets. A fault that blows a budget is
-/// quarantined instead of stalling the whole campaign.
-struct CampaignBudget {
-  /// Wall-clock seconds per fault (per leak variant). 0 = unlimited.
-  double per_fault_sec = 0.0;
-  /// Newton iterations per fault (per leak variant). 0 = unlimited.
-  long max_newton_per_fault = 0;
-};
-
 /// Bit positions of FaultOutcome::stages_run: which stages ran (as
-/// opposed to skipped by a blown budget, a disabled BIST, or the
+/// opposed to skipped by a blown Newton budget, a disabled BIST, or the
 /// adaptive short-circuit).
 enum : unsigned {
   kStageBitDc = 1u,
@@ -71,22 +62,18 @@ struct CampaignOptions {
   /// (no worker threads; every fault runs on the calling thread, in
   /// index order); 0 resolves to hardware_concurrency; N > 1 runs N
   /// pool workers. Each worker slot owns cloned golden frontends and
-  /// its thread's solver scratch. Coverage reports are byte-identical (after
-  /// canonical ordering) at every thread count as long as the per-fault
-  /// wall-clock budget is unlimited — a wall-clock budget can time out
-  /// differently under load, which is inherent, not a scheduler bug.
+  /// its thread's solver scratch. Coverage reports are byte-identical
+  /// (after canonical ordering) at every thread count, with or without
+  /// a Newton budget.
   ///
-  /// Threading contract for the callbacks below: with num_threads != 1,
-  /// `progress` and `abort_check` are invoked from worker threads but
-  /// always serialized under the campaign's writer mutex (the same lock
-  /// that guards checkpoint appends), so existing single-threaded
-  /// callbacks stay race-free — they just must not call back into the
-  /// campaign. `progress` reports each fault as a worker picks it up,
-  /// before that fault runs. With num_threads == 1 the indices therefore
-  /// arrive as 0, 1, ..., n-1; with more threads they arrive out of
-  /// order, so treat the first argument as an identifier, not a
-  /// monotone counter. Once `abort_check` returns true no further fault
-  /// is reported, simulated or taken from the checkpoint.
+  /// Threading contract for `progress`: with num_threads != 1 it is
+  /// invoked from worker threads but always serialized under one
+  /// campaign mutex, so a single-threaded callback stays race-free — it
+  /// just must not call back into the campaign. It reports each fault
+  /// as a worker picks it up, before that fault runs. With
+  /// num_threads == 1 the indices therefore arrive as 0, 1, ..., n-1;
+  /// with more threads they arrive out of order, so treat the first
+  /// argument as an identifier, not a monotone counter.
   std::size_t num_threads = 1;
   /// Cell prefixes included in the universe (empty = every MOSFET/cap in
   /// the frontend netlist). The DFT observers (DC-test / bias / CP-BIST
@@ -102,21 +89,13 @@ struct CampaignOptions {
   /// level. Pessimistic (true): simulate both leak directions and count
   /// a detection only when BOTH are flagged.
   bool pessimistic_gate_opens = false;
-  /// Per-fault simulation budgets (blown budget => quarantine).
-  CampaignBudget budget;
-  /// JSONL checkpoint file: each completed fault appends one line.
-  /// Empty = no checkpointing.
-  std::string checkpoint_path;
-  /// Load outcomes already present in `checkpoint_path` and skip those
-  /// faults instead of re-running them. Only a file that starts with
-  /// this run's fingerprint header loads; any other re-runs every fault.
-  bool resume = false;
-  /// Progress callback (fault index, total), for long campaign runs.
+  /// Newton iterations per fault (per leak variant). 0 = unlimited. A
+  /// fault that blows it skips its remaining stages and, unless a stage
+  /// already detected it, is quarantined instead of stalling the
+  /// campaign. The count is deterministic, so the verdict is too.
+  long max_newton_per_fault = 0;
+  /// Progress callback (fault index, total).
   std::function<void(std::size_t, std::size_t)> progress;
-  /// Cooperative interruption: polled before each fault; returning true
-  /// stops the campaign (report.complete = false). Combined with
-  /// checkpointing this makes campaigns kill-and-resume safe.
-  std::function<bool()> abort_check;
 
   // --- Incremental-engine kill switches (all default ON) ---------------
   //
@@ -125,10 +104,9 @@ struct CampaignOptions {
   // quarantined partition and identical per-class Table I coverage —
   // the switches change how fast the campaign runs, never what it
   // concludes (DESIGN.md, "Why incremental fault simulation preserves
-  // verdicts"). As with thread counts, the guarantee assumes unlimited
-  // wall-clock/iteration budgets: a finite budget can run out at a
-  // different point when the work is ordered differently, which is
-  // inherent to budgets, not to the mechanisms.
+  // verdicts"). The guarantee assumes an unlimited Newton budget: the
+  // switches change how many iterations a fault takes, so a finite
+  // budget can run out at a different point.
 
   /// Capture the golden operating points once per stage stimulus while
   /// running the golden machine, share them read-only (immutable SeedBank)
@@ -203,7 +181,7 @@ struct ClassStats {
 struct CampaignExecStats {
   /// Resolved worker count (after the 0 = hardware_concurrency mapping).
   std::size_t threads_used = 1;
-  /// Faults freshly simulated by each worker (resumed faults excluded).
+  /// Faults simulated by each worker.
   std::vector<std::size_t> per_worker_faults;
   /// Work-stealing traffic: faults each worker pulled from another
   /// worker's deque, one entry per worker slot. A single-threaded run
@@ -213,11 +191,10 @@ struct CampaignExecStats {
   std::size_t steals = 0;
   /// Wall clock of the whole campaign run.
   double wall_clock_sec = 0.0;
-  /// Sum of per-fault simulation time across freshly run faults — the
-  /// serial cost of the same work.
+  /// Sum of per-fault simulation time — the serial cost of the same
+  /// work.
   double fault_cpu_sec = 0.0;
-  /// Newton iterations summed over freshly simulated faults (resumed
-  /// outcomes excluded, like fault_cpu_sec).
+  /// Newton iterations summed over every fault.
   long newton_iterations = 0;
   /// Point-in-time snapshot of the process-wide util::Metrics registry
   /// taken as the campaign finished (see docs/OBSERVABILITY.md for the
@@ -226,8 +203,7 @@ struct CampaignExecStats {
   /// Effective speedup over a serial run of the same faults:
   /// fault_cpu_sec / wall_clock_sec (≈1 for the serial path). Absent
   /// when nothing was measured — a default-constructed stats object or
-  /// a fully-resumed campaign that simulated zero fresh faults —
-  /// instead of a misleading 0.0 or inf.
+  /// a campaign over zero faults — instead of a misleading 0.0 or inf.
   std::optional<double> speedup() const {
     if (wall_clock_sec <= 0.0 || fault_cpu_sec <= 0.0) return std::nullopt;
     return fault_cpu_sec / wall_clock_sec;
@@ -242,8 +218,9 @@ struct CampaignReport {
   std::size_t anomalous = 0;
   /// Faults excluded from coverage (solver failure or budget blown).
   std::size_t quarantined = 0;
-  /// False when an abort_check stopped the campaign before the last
-  /// fault; the checkpoint file holds the completed prefix.
+  /// Always true: the campaign runs every fault. Kept only because the
+  /// benchmark program (perfbench/) reads it; it goes with the next
+  /// change to the benchmark.
   bool complete = true;
   std::vector<FaultOutcome> outcomes;
   /// The golden machine's `observed`: its own stage outcomes, laid out
@@ -264,14 +241,16 @@ CampaignReport run_campaign(const cells::LinkFrontend& golden, const CampaignOpt
 /// kBistSubStages); keeping kAllSubStages returns the report itself.
 CampaignReport project_report(const CampaignReport& full, unsigned kept_substages);
 
-/// Canonical (timing-free) JSONL serialization of one outcome: the
-/// checkpoint line with elapsed_sec zeroed, so two runs of the same
-/// universe produce byte-identical lines regardless of machine load.
+/// Canonical (timing-free) JSON serialization of one outcome, with
+/// elapsed_sec zeroed, so two runs of the same universe produce
+/// byte-identical lines regardless of machine load. A line holds only
+/// the record: per leak variant its substages_{run,detected,failed}
+/// masks (a second variant's keys carry "_b"), plus the fault, verdict,
+/// status, budget flag, Newton count and `observed`.
 std::string outcome_canonical_json(const FaultOutcome& o);
 
 /// Canonical JSONL of a whole report: outcomes sorted by fault index,
-/// one canonical line each. Byte-identical across thread counts,
-/// checkpoint orderings, and serial<->parallel resume histories — the
+/// one canonical line each. Byte-identical across thread counts — the
 /// equality the differential tests and the bench's identity check
 /// assert.
 std::string report_canonical_jsonl(const CampaignReport& report);

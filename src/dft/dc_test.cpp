@@ -2,12 +2,11 @@
 
 namespace lsl::dft {
 
-DcTestOutcome run_dc_test(const cells::LinkFrontend& fe_in, const DcTestOutcome& golden,
+DcTestOutcome run_dc_test(cells::LinkFrontend fe, const DcTestOutcome& golden,
                           const spice::DcOptions& solve, const spice::SolveHints* hints,
                           bool full_evaluation) {
   DcTestOutcome out;
   out.golden = &golden;
-  cells::LinkFrontend fe = fe_in;
   for (const bool d : {true, false}) {
     if (out.stops(full_evaluation)) break;
     fe.set_data(d, d);

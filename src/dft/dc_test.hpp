@@ -22,14 +22,16 @@ using DcTestOutcome = StageOutcome;
 /// sub-stage, marks of both vectors, each compared with `golden` — the
 /// outcome of this same function on the golden frontend. Pass an empty
 /// outcome ({}) to run the golden itself: nothing is compared, and
-/// with `full_evaluation` both vectors always run. `solve` lets the
-/// campaign thread per-fault budgets (timeout) into every solve.
+/// with `full_evaluation` both vectors always run. `solve` sets the
+/// Newton options of every solve. `fe` is taken by value because the
+/// test drives its data sources: a caller done with its frontend moves
+/// it in and saves a copy.
 /// `hints` (optional) supplies golden warm-start seeds and records
 /// converged operating points under the "dc.1"/"dc.0" seed keys;
 /// results are identical with or without it. The test stops after
 /// vector 1 when it detects or fails to solve, unless `full_evaluation`
 /// asks for both vectors anyway.
-DcTestOutcome run_dc_test(const cells::LinkFrontend& fe, const DcTestOutcome& golden,
+DcTestOutcome run_dc_test(cells::LinkFrontend fe, const DcTestOutcome& golden,
                           const spice::DcOptions& solve = {},
                           const spice::SolveHints* hints = nullptr,
                           bool full_evaluation = false);

@@ -77,7 +77,7 @@ class FaultDictionary {
 };
 
 /// The dictionary's options are the campaign's (prefixes, max_faults,
-/// with_scan_toggle, num_threads, progress, checkpointing, ...).
+/// with_scan_toggle, num_threads, progress, ...).
 using DictionaryOptions = CampaignOptions;
 
 /// The dictionary of a campaign report: one entry per outcome, in index

@@ -148,7 +148,6 @@ ToggleSignature toggle_on(LinkFrontend& fe, const ToggleOptions& opts,
   topts.t_stop = strobes.empty() ? 0.0 : static_cast<double>(strobes.back()) * opts.dt;
   topts.dt = opts.dt;
   topts.newton = solve;
-  topts.timeout_sec = opts.timeout_sec;
   topts.probes = {nl.node_name(fe.term_ports().cmp_p_hi), nl.node_name(fe.term_ports().cmp_p_lo),
                   nl.node_name(fe.term_ports().cmp_n_hi), nl.node_name(fe.term_ports().cmp_n_lo)};
   // The transient's t=0 operating point is scan mode with data low —

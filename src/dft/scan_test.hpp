@@ -87,8 +87,6 @@ struct ToggleOptions {
   /// that expose slowed settling (dynamic mismatch); by mid-half-period
   /// a half-dead transmission gate has already caught up.
   int samples_per_cycle = 4;
-  /// Wall-clock budget for the toggle transient. 0 = unlimited.
-  double timeout_sec = 0.0;
 };
 
 /// Warm-starts the transient's t=0 operating point from the
@@ -111,7 +109,7 @@ std::string signature_marks(const ToggleSignature& sig);
 /// kSubScanStatic and, with `with_toggle`, kSubToggle, in that order,
 /// each compared with `golden` — the outcome of this same function on
 /// the golden frontend (pass an empty outcome, {}, to run the golden
-/// itself). `solve` threads per-fault budgets into every DC solve and
+/// itself). `solve` sets the Newton options of every DC solve and of
 /// the transient's per-step Newton. The test stops at the first
 /// sub-stage that detects or fails to solve, unless `full_evaluation`
 /// asks for every sub-stage anyway.

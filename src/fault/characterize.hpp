@@ -42,8 +42,8 @@ struct FrontendMeasurements {
   bool win_lo_at_mid = false;
 };
 
-/// Measures a frontend (golden or faulted). `solve` threads per-fault
-/// budgets (timeout, fallback policy) into every measurement solve.
+/// Measures a frontend (golden or faulted). `solve` sets the Newton
+/// options of every measurement solve.
 /// `hints` (optional) supplies golden warm-start seeds / seed capture
 /// (seed keys "char.line.*", "char.pump.*", "char.win.*"); measurement
 /// values are identical with or without it.

@@ -31,18 +31,8 @@ double DcResult::i(const Netlist& nl, const std::string& device_name) const {
   return x.at(nl.branch_index(*di));
 }
 
-Deadline Deadline::from_timeout(double timeout_sec, std::chrono::steady_clock::time_point start) {
-  Deadline d;
-  if (timeout_sec > 0.0) {
-    d.armed = true;
-    d.at = start + std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                       std::chrono::duration<double>(timeout_sec));
-  }
-  return d;
-}
-
-SolveStatus newton_loop(const StampContext& ctx, const DcOptions& opts, const Deadline& deadline,
-                        SolverWorkspace& ws, std::vector<double>& x, SolveDiagnostics& diag) {
+SolveStatus newton_loop(const StampContext& ctx, const DcOptions& opts, SolverWorkspace& ws,
+                        std::vector<double>& x, SolveDiagnostics& diag) {
   const Netlist& nl = *ctx.nl;
   std::vector<double>& x_new = ws.iterate_scratch();
   const std::size_t n = nl.unknown_count();
@@ -63,10 +53,6 @@ SolveStatus newton_loop(const StampContext& ctx, const DcOptions& opts, const De
   // resolved once, by the first iteration.
   SolverWorkspace::NewtonBinding binding;
   for (int it = 0; it < opts.max_iterations; ++it) {
-    if (deadline.expired()) {
-      resolve_worst();
-      return SolveStatus::kTimeout;
-    }
     ++diag.iterations;
     if (!ws.solve_newton_system(ctx, binding, x, x_new, &diag)) {
       resolve_worst();
@@ -131,8 +117,8 @@ StampContext dc_context(const Netlist& nl, double gmin, double source_scale = 1.
 /// golden operating point is usually far closer to the faulted solution
 /// than the flat start, and every level still converges to the same
 /// per-level tolerance, so the seed changes cost, not meaning.
-SolveStatus gmin_stepping(const Netlist& nl, const DcOptions& opts, const Deadline& deadline,
-                          SolverWorkspace& ws, std::vector<double>& x, SolveDiagnostics& diag,
+SolveStatus gmin_stepping(const Netlist& nl, const DcOptions& opts, SolverWorkspace& ws,
+                          std::vector<double>& x, SolveDiagnostics& diag,
                           const std::vector<double>* warm = nullptr) {
   if (warm != nullptr && warm->size() == nl.unknown_count()) {
     x = *warm;
@@ -147,22 +133,22 @@ SolveStatus gmin_stepping(const Netlist& nl, const DcOptions& opts, const Deadli
   double gmin = opts.gmin_start;
   for (int level = 1;; ++level, gmin *= 0.1) {
     const bool last = !(gmin * 0.1 >= opts.gmin_final * 0.99) || level == 30;
-    const SolveStatus st = newton_loop(dc_context(nl, last ? opts.gmin_final : gmin), opts,
-                                       deadline, ws, x, diag);
+    const SolveStatus st =
+        newton_loop(dc_context(nl, last ? opts.gmin_final : gmin), opts, ws, x, diag);
     if (st != SolveStatus::kConverged || last) return st;
   }
 }
 
 /// Source-stepping homotopy: ramp all independent sources from 0 in
 /// ten steps, the last at exactly full scale.
-SolveStatus source_stepping(const Netlist& nl, const DcOptions& opts, const Deadline& deadline,
-                            SolverWorkspace& ws, std::vector<double>& x, SolveDiagnostics& diag) {
+SolveStatus source_stepping(const Netlist& nl, const DcOptions& opts, SolverWorkspace& ws,
+                            std::vector<double>& x, SolveDiagnostics& diag) {
   x.assign(nl.unknown_count(), 0.0);
   constexpr int kSteps = 10;
   SolveStatus st = SolveStatus::kConverged;
   for (int k = 1; k <= kSteps; ++k) {
-    st = newton_loop(dc_context(nl, opts.gmin_final, static_cast<double>(k) / kSteps), opts,
-                     deadline, ws, x, diag);
+    st = newton_loop(dc_context(nl, opts.gmin_final, static_cast<double>(k) / kSteps), opts, ws,
+                     x, diag);
     if (st != SolveStatus::kConverged) return st;
   }
   return st;
@@ -250,7 +236,6 @@ DcResult solve_dc(const Netlist& nl, const DcOptions& opts, SolverWorkspace& ws)
   nl.reindex();
   util::TraceSpan solve_span("solve_dc", "solver");
   const auto start = Clock::now();
-  const Deadline deadline = Deadline::from_timeout(opts.timeout_sec, start);
   const SolverWorkspace::Stats ws_before = ws.stats();
 
   // A pending golden seed is taken — and thereby cleared — from the
@@ -294,12 +279,11 @@ DcResult solve_dc(const Netlist& nl, const DcOptions& opts, SolverWorkspace& ws)
       util::TraceSpan span("dc.rung.golden-warm-start", "solver");
       result.x = seed;  // keep the seed: the golden-gmin rung reuses it
       const SolveStatus st =
-          newton_loop(dc_context(nl, opts.gmin_final), opts, deadline, ws, result.x, result.diag);
+          newton_loop(dc_context(nl, opts.gmin_final), opts, ws, result.x, result.diag);
       if (st == SolveStatus::kConverged) {
         warm_hits.add(1);
         return finish(st, 0, "golden-warm-start");
       }
-      if (st == SolveStatus::kTimeout) return finish(st, 0, "golden-warm-start");
       warm_rejects.add(1);
       result.x.clear();  // deeper rungs restart from zero, as before
     } else {
@@ -314,8 +298,8 @@ DcResult solve_dc(const Netlist& nl, const DcOptions& opts, SolverWorkspace& ws)
   if (!result.x.empty()) {
     util::TraceSpan span("dc.rung.newton", "solver");
     const SolveStatus st =
-        newton_loop(dc_context(nl, opts.gmin_final), opts, deadline, ws, result.x, result.diag);
-    if (st == SolveStatus::kConverged || st == SolveStatus::kTimeout) {
+        newton_loop(dc_context(nl, opts.gmin_final), opts, ws, result.x, result.diag);
+    if (st == SolveStatus::kConverged) {
       return finish(st, 0, "newton");
     }
   }
@@ -328,8 +312,8 @@ DcResult solve_dc(const Netlist& nl, const DcOptions& opts, SolverWorkspace& ws)
   SolveStatus st;
   if (seed_usable) {
     util::TraceSpan span("dc.rung.golden-gmin", "solver");
-    st = gmin_stepping(nl, opts, deadline, ws, result.x, result.diag, &seed);
-    if (st == SolveStatus::kConverged || st == SolveStatus::kTimeout) {
+    st = gmin_stepping(nl, opts, ws, result.x, result.diag, &seed);
+    if (st == SolveStatus::kConverged) {
       return finish(st, 1, "golden-gmin");
     }
   }
@@ -337,18 +321,18 @@ DcResult solve_dc(const Netlist& nl, const DcOptions& opts, SolverWorkspace& ws)
   // Rung 1 — gmin stepping.
   {
     util::TraceSpan span("dc.rung.gmin-step", "solver");
-    st = gmin_stepping(nl, opts, deadline, ws, result.x, result.diag);
+    st = gmin_stepping(nl, opts, ws, result.x, result.diag);
   }
-  if (st == SolveStatus::kConverged || st == SolveStatus::kTimeout) {
+  if (st == SolveStatus::kConverged) {
     return finish(st, 1, "gmin-step");
   }
 
   // Rung 2 — source stepping.
   {
     util::TraceSpan span("dc.rung.source-step", "solver");
-    st = source_stepping(nl, opts, deadline, ws, result.x, result.diag);
+    st = source_stepping(nl, opts, ws, result.x, result.diag);
   }
-  if (st == SolveStatus::kConverged || st == SolveStatus::kTimeout) {
+  if (st == SolveStatus::kConverged) {
     return finish(st, 2, "source-step");
   }
 
@@ -358,9 +342,9 @@ DcResult solve_dc(const Netlist& nl, const DcOptions& opts, SolverWorkspace& ws)
     DcOptions damped = opts;
     damped.damping_limit = opts.damping_limit / 8.0;
     damped.max_iterations = opts.max_iterations * 3;
-    st = gmin_stepping(nl, damped, deadline, ws, result.x, result.diag);
+    st = gmin_stepping(nl, damped, ws, result.x, result.diag);
   }
-  if (st == SolveStatus::kConverged || st == SolveStatus::kTimeout) {
+  if (st == SolveStatus::kConverged) {
     return finish(st, 3, "heavy-damping");
   }
 

@@ -9,7 +9,6 @@
 // silently dropped.
 #pragma once
 
-#include <chrono>
 #include <string>
 #include <vector>
 
@@ -27,9 +26,6 @@ struct DcOptions {
   double damping_limit = 0.4;   // max per-iteration voltage step (V)
   double gmin_final = 1e-12;    // target gmin after stepping
   double gmin_start = 1e-3;     // initial gmin for stepping
-  /// Wall-clock budget for the whole solve, every rung included.
-  /// 0 = unlimited. Exceeding it returns SolveStatus::kTimeout.
-  double timeout_sec = 0.0;
   /// Optional initial guess for the MNA vector (e.g. previous solve).
   std::vector<double> initial_guess;
 };
@@ -53,7 +49,7 @@ struct DcResult {
 
 /// Solves the DC operating point. Never throws on numerical failure:
 /// the result's status says what went wrong (singular system, iteration
-/// budget, non-finite values, timeout) and the diagnostics say where.
+/// budget, non-finite values) and the diagnostics say where.
 /// Solver state (sparsity pattern, symbolic LU, linear stamp base,
 /// iteration buffers) lives in `ws` and is reused across calls; the
 /// default is the calling thread's workspace (SolverWorkspace::tls()).
@@ -66,20 +62,9 @@ struct DcResult {
 DcResult solve_dc(const Netlist& nl, const DcOptions& opts, SolverWorkspace& ws);
 DcResult solve_dc(const Netlist& nl, const DcOptions& opts = {});
 
-/// Wall-clock budget for a Newton loop. Unarmed (never expires) when
-/// default-constructed or built from a timeout of 0.
-struct Deadline {
-  bool armed = false;
-  std::chrono::steady_clock::time_point at{};
-
-  static Deadline from_timeout(double timeout_sec, std::chrono::steady_clock::time_point start);
-  bool expired() const { return armed && std::chrono::steady_clock::now() >= at; }
-};
-
 /// One damped Newton loop on the system `ctx` describes: a DC
 /// continuation point (ctx.dt == 0) for solve_dc's ladder, or one
-/// transient step for run_transient, which checks its own deadline per
-/// step and passes an unarmed one. Voltage updates are clamped to
+/// transient step for run_transient. Voltage updates are clamped to
 /// opts.damping_limit. The loop converges when max |ΔV| < opts.abs_tol
 /// and the accepted iterate passes one KCL check of the node rows,
 /// |r_i| <= 1e-3·Σ|terms_i| + 1e-12 A (SolverWorkspace::kcl_satisfied);
@@ -88,8 +73,8 @@ struct Deadline {
 /// iterate whatever the outcome, and `diag` tracks the iterations and
 /// the last iteration's worst node. After `ws` has seen this topology
 /// once, the loop performs no heap allocations.
-SolveStatus newton_loop(const StampContext& ctx, const DcOptions& opts, const Deadline& deadline,
-                        SolverWorkspace& ws, std::vector<double>& x, SolveDiagnostics& diag);
+SolveStatus newton_loop(const StampContext& ctx, const DcOptions& opts, SolverWorkspace& ws,
+                        std::vector<double>& x, SolveDiagnostics& diag);
 
 /// Sweeps the value of voltage source `vsrc_name` over `values`, warm
 /// starting each point from the previous solution. Returns one DcResult

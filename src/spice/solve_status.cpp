@@ -1,38 +1,16 @@
 #include "spice/solve_status.hpp"
 
-#include <array>
-#include <utility>
-
 namespace lsl::spice {
 
-namespace {
-
-constexpr std::array<std::pair<SolveStatus, const char*>, 6> kNames = {{
-    {SolveStatus::kConverged, "converged"},
-    {SolveStatus::kSingularMatrix, "singular_matrix"},
-    {SolveStatus::kMaxIterations, "max_iterations"},
-    {SolveStatus::kTimestepUnderflow, "timestep_underflow"},
-    {SolveStatus::kNonFinite, "non_finite"},
-    {SolveStatus::kTimeout, "timeout"},
-}};
-
-}  // namespace
-
 std::string to_string(SolveStatus s) {
-  for (const auto& [status, name] : kNames) {
-    if (status == s) return name;
+  switch (s) {
+    case SolveStatus::kConverged: return "converged";
+    case SolveStatus::kSingularMatrix: return "singular_matrix";
+    case SolveStatus::kMaxIterations: return "max_iterations";
+    case SolveStatus::kTimestepUnderflow: return "timestep_underflow";
+    case SolveStatus::kNonFinite: return "non_finite";
   }
   return "unknown";
-}
-
-bool solve_status_from_string(const std::string& text, SolveStatus& out) {
-  for (const auto& [status, name] : kNames) {
-    if (text == name) {
-      out = status;
-      return true;
-    }
-  }
-  return false;
 }
 
 }  // namespace lsl::spice

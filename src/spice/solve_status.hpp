@@ -16,17 +16,13 @@ enum class SolveStatus {
   kMaxIterations,      // Newton exhausted its budget on every ladder rung
   kTimestepUnderflow,  // transient step halving hit the dt floor
   kNonFinite,          // NaN/Inf appeared in the solution vector
-  kTimeout,            // wall-clock budget exceeded
 };
 
 constexpr bool solve_ok(SolveStatus s) { return s == SolveStatus::kConverged; }
 
 /// Stable machine-readable name ("converged", "singular_matrix", ...),
-/// used in logs and JSONL checkpoints.
+/// used in logs and the campaign's canonical JSONL.
 std::string to_string(SolveStatus s);
-
-/// Inverse of to_string. Returns false (out untouched) on unknown text.
-bool solve_status_from_string(const std::string& text, SolveStatus& out);
 
 /// Per-solve diagnostics carried alongside every result. The fallback
 /// fields record how deep into the retry ladder the solve had to go —

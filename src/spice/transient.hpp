@@ -33,8 +33,6 @@ struct TransientOptions {
   /// Max halvings of one grid step before declaring kTimestepUnderflow
   /// (the sub-step floor is dt / 2^max_step_halvings).
   int max_step_halvings = 12;
-  /// Wall-clock budget for the whole run. 0 = unlimited.
-  double timeout_sec = 0.0;
   /// Capacitor companion-model discretization. Backward Euler (default)
   /// is L-stable; trapezoidal is second-order and used by the property
   /// tests as an independent cross-check.
@@ -56,7 +54,7 @@ struct TransientResult {
   int steps_accepted = 0;    // accepted sub-steps (>= grid steps)
   int step_halvings = 0;     // total halvings across the run
   /// Every Newton iteration of the run: the t = 0 operating point's
-  /// solve_dc plus every time step (the per-fault budgets read this).
+  /// solve_dc plus every time step (the per-fault Newton budget reads this).
   /// The solver.transient.newton_iterations counter holds the steps
   /// only; the operating point's share is in solver.dc.newton_iterations.
   long newton_iterations = 0;

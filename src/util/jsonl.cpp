@@ -8,8 +8,8 @@ namespace lsl::util {
 
 namespace {
 
-/// Formats a double the way checkpoints want it: integers without a
-/// fractional part (fault indices, counts), everything else round-trip.
+/// Formats a double for a JSONL line: integers without a fractional
+/// part (fault indices, counts), everything else round-trip precision.
 std::string format_number(double v) {
   if (std::isfinite(v) && v == std::floor(v) && std::fabs(v) < 1e15) {
     char buf[32];
@@ -20,105 +20,6 @@ std::string format_number(double v) {
   std::snprintf(buf, sizeof(buf), "%.17g", v);
   return buf;
 }
-
-struct Parser {
-  const std::string& s;
-  std::size_t i = 0;
-
-  void skip_ws() {
-    while (i < s.size() && (s[i] == ' ' || s[i] == '\t' || s[i] == '\r' || s[i] == '\n')) ++i;
-  }
-  bool eat(char c) {
-    skip_ws();
-    if (i < s.size() && s[i] == c) {
-      ++i;
-      return true;
-    }
-    return false;
-  }
-  bool peek(char c) {
-    skip_ws();
-    return i < s.size() && s[i] == c;
-  }
-
-  bool parse_string(std::string& out) {
-    if (!eat('"')) return false;
-    out.clear();
-    while (i < s.size()) {
-      const char c = s[i++];
-      if (c == '"') return true;
-      if (c == '\\') {
-        if (i >= s.size()) return false;
-        const char esc = s[i++];
-        switch (esc) {
-          case '"': out.push_back('"'); break;
-          case '\\': out.push_back('\\'); break;
-          case '/': out.push_back('/'); break;
-          case 'b': out.push_back('\b'); break;
-          case 'f': out.push_back('\f'); break;
-          case 'n': out.push_back('\n'); break;
-          case 'r': out.push_back('\r'); break;
-          case 't': out.push_back('\t'); break;
-          case 'u': {
-            // Checkpoint strings are ASCII device names; decode only the
-            // Latin-1 subset and reject anything wider.
-            if (i + 4 > s.size()) return false;
-            unsigned code = 0;
-            for (int k = 0; k < 4; ++k) {
-              const char h = s[i++];
-              code <<= 4;
-              if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
-              else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
-              else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
-              else return false;
-            }
-            if (code > 0xff) return false;
-            out.push_back(static_cast<char>(code));
-            break;
-          }
-          default: return false;
-        }
-      } else {
-        out.push_back(c);
-      }
-    }
-    return false;  // unterminated
-  }
-
-  bool parse_value(JsonObject::Value& out) {
-    skip_ws();
-    if (i >= s.size()) return false;
-    if (s[i] == '"') {
-      std::string str;
-      if (!parse_string(str)) return false;
-      out = std::move(str);
-      return true;
-    }
-    if (s.compare(i, 4, "true") == 0) {
-      i += 4;
-      out = true;
-      return true;
-    }
-    if (s.compare(i, 5, "false") == 0) {
-      i += 5;
-      out = false;
-      return true;
-    }
-    if (s.compare(i, 4, "null") == 0) {
-      i += 4;
-      out = std::string();  // null reads back as the empty string
-      return true;
-    }
-    // Number.
-    const char* begin = s.c_str() + i;
-    char* end = nullptr;
-    const double v = std::strtod(begin, &end);
-    if (end == begin) return false;
-    i += static_cast<std::size_t>(end - begin);
-    out = v;
-    return true;
-  }
-};
 
 }  // namespace
 
@@ -147,43 +48,6 @@ std::string json_escape(const std::string& s) {
   return out;
 }
 
-const JsonObject::Value* JsonObject::find(const std::string& key) const {
-  for (const auto& [k, v] : fields_) {
-    if (k == key) return &v;
-  }
-  return nullptr;
-}
-
-bool JsonObject::has(const std::string& key) const { return find(key) != nullptr; }
-
-bool JsonObject::get_string(const std::string& key, std::string& out) const {
-  const Value* v = find(key);
-  if (v == nullptr || !std::holds_alternative<std::string>(*v)) return false;
-  out = std::get<std::string>(*v);
-  return true;
-}
-
-bool JsonObject::get_number(const std::string& key, double& out) const {
-  const Value* v = find(key);
-  if (v == nullptr || !std::holds_alternative<double>(*v)) return false;
-  out = std::get<double>(*v);
-  return true;
-}
-
-bool JsonObject::get_uint(const std::string& key, std::size_t& out) const {
-  double d = 0.0;
-  if (!get_number(key, d) || d < 0.0 || d != std::floor(d)) return false;
-  out = static_cast<std::size_t>(d);
-  return true;
-}
-
-bool JsonObject::get_bool(const std::string& key, bool& out) const {
-  const Value* v = find(key);
-  if (v == nullptr || !std::holds_alternative<bool>(*v)) return false;
-  out = std::get<bool>(*v);
-  return true;
-}
-
 std::string JsonObject::str() const {
   std::string out = "{";
   bool first = true;
@@ -205,32 +69,6 @@ std::string JsonObject::str() const {
   }
   out.push_back('}');
   return out;
-}
-
-bool JsonObject::parse(const std::string& line, JsonObject& out) {
-  out.fields_.clear();
-  Parser p{line};
-  if (!p.eat('{')) return false;
-  if (p.eat('}')) {
-    p.skip_ws();
-    return p.i >= line.size();
-  }
-  while (true) {
-    std::string key;
-    p.skip_ws();
-    if (!p.parse_string(key)) return false;
-    if (!p.eat(':')) return false;
-    p.skip_ws();
-    if (p.peek('{') || p.peek('[')) return false;  // nesting unsupported
-    Value v;
-    if (!p.parse_value(v)) return false;
-    out.fields_.emplace_back(std::move(key), std::move(v));
-    if (p.eat(',')) continue;
-    if (p.eat('}')) break;
-    return false;
-  }
-  p.skip_ws();
-  return p.i >= line.size();
 }
 
 bool append_line(const std::string& path, const std::string& line) {

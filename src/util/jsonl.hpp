@@ -1,8 +1,8 @@
-// Minimal flat-JSON-object reader/writer for JSONL checkpoint files.
-// Campaign checkpoints are append-only, one object per line, with only
-// string / number / bool fields — so a dependency-free ~150-line
-// implementation beats dragging in a JSON library the container does
-// not have. Nested objects and arrays are deliberately unsupported.
+// Minimal flat-JSON-object writer for JSONL lines: the campaign's
+// canonical outcome lines and the benches' result records. Lines hold
+// only string / number / bool fields, so a dependency-free writer beats
+// dragging in a JSON library. Nested objects and arrays are
+// deliberately unsupported, and nothing in the library reads JSON.
 #pragma once
 
 #include <cstdint>
@@ -14,11 +14,9 @@
 namespace lsl::util {
 
 /// Ordered flat JSON object. Writing preserves insertion order so
-/// checkpoint lines diff cleanly; reading is order-insensitive.
+/// lines diff cleanly.
 class JsonObject {
  public:
-  using Value = std::variant<std::string, double, bool>;
-
   void set(const std::string& key, const std::string& v) { fields_.emplace_back(key, v); }
   void set(const std::string& key, const char* v) { fields_.emplace_back(key, std::string(v)); }
   void set(const std::string& key, double v) { fields_.emplace_back(key, v); }
@@ -31,22 +29,11 @@ class JsonObject {
   void set(const std::string& key, int v) { fields_.emplace_back(key, static_cast<double>(v)); }
   void set(const std::string& key, bool v) { fields_.emplace_back(key, v); }
 
-  bool get_string(const std::string& key, std::string& out) const;
-  bool get_number(const std::string& key, double& out) const;
-  bool get_uint(const std::string& key, std::size_t& out) const;
-  bool get_bool(const std::string& key, bool& out) const;
-  bool has(const std::string& key) const;
-  std::size_t size() const { return fields_.size(); }
-
   /// Serializes to one {"k":v,...} line (no trailing newline).
   std::string str() const;
 
-  /// Parses a single flat JSON object. Returns false on malformed input
-  /// or on nested objects/arrays; `out` is cleared first either way.
-  static bool parse(const std::string& line, JsonObject& out);
-
  private:
-  const Value* find(const std::string& key) const;
+  using Value = std::variant<std::string, double, bool>;
   std::vector<std::pair<std::string, Value>> fields_;
 };
 
@@ -54,12 +41,11 @@ class JsonObject {
 std::string json_escape(const std::string& s);
 
 /// Appends `line` + '\n' to `path`, creating the file if needed, and
-/// flushes to disk before returning (checkpoints must survive a kill).
-/// Returns false on I/O failure.
+/// flushes before returning. Returns false on I/O failure.
 bool append_line(const std::string& path, const std::string& line);
 
-/// Reads all non-empty lines of `path`. Missing file yields an empty
-/// vector (a fresh campaign with no checkpoint is not an error).
+/// Reads all non-empty lines of `path`. A missing file yields an empty
+/// vector, not an error.
 std::vector<std::string> read_lines(const std::string& path);
 
 }  // namespace lsl::util

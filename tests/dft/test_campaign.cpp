@@ -1,17 +1,14 @@
-// Campaign survival-layer tests: verdict partitioning, per-fault
-// budgets, and JSONL checkpoint/resume (an interrupted campaign resumed
-// from its checkpoint must reproduce the uninterrupted report exactly).
+// Campaign survival-layer tests: verdict partitioning, the per-fault
+// Newton budget, the progress clock, the canonical JSON line and
+// report projections.
 #include "dft/campaign.hpp"
 
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <cstdio>
 #include <string>
 #include <vector>
 
-#include "dft/dictionary.hpp"
-#include "util/jsonl.hpp"
 #include "util/metrics.hpp"
 
 namespace lsl::dft {
@@ -63,26 +60,6 @@ class CampaignFixture : public ::testing::Test {
 
 cells::LinkFrontend* CampaignFixture::golden_ = nullptr;
 
-/// A checkpoint's outcome lines: every line after its fingerprint
-/// header, which must come first.
-std::vector<std::string> outcome_lines(const std::string& path) {
-  std::vector<std::string> lines = util::read_lines(path);
-  if (lines.empty()) return lines;
-  util::JsonObject header;
-  EXPECT_TRUE(util::JsonObject::parse(lines.front(), header) &&
-              header.has("checkpoint_fingerprint"))
-      << "no fingerprint header in " << path << ": " << lines.front();
-  lines.erase(lines.begin());
-  return lines;
-}
-
-/// Faults a report simulated rather than loaded from its checkpoint.
-std::size_t fresh_faults(const CampaignReport& r) {
-  std::size_t fresh = 0;
-  for (const std::size_t n : r.exec.per_worker_faults) fresh += n;
-  return fresh;
-}
-
 /// Two leak variants whose scan stages both detect, at different
 /// sub-stages: A at the toggle test; B at the CP scan, after which a
 /// static-scan solve fails.
@@ -121,24 +98,10 @@ TEST_F(CampaignFixture, PartitionsEveryFaultIntoExactlyOneVerdict) {
   EXPECT_EQ(report.quarantined_faults().size(), quarantined);
 }
 
-TEST_F(CampaignFixture, BlownWallClockBudgetQuarantinesEverything) {
-  CampaignOptions opts = small_opts();
-  opts.max_faults = 4;
-  opts.budget.per_fault_sec = 1e-9;  // expires before the first stage
-  const CampaignReport report = run_campaign(*golden_, opts);
-  ASSERT_EQ(report.outcomes.size(), 4u);
-  for (const auto& o : report.outcomes) {
-    EXPECT_TRUE(o.budget_blown) << o.fault.describe();
-    EXPECT_EQ(o.verdict, FaultVerdict::kQuarantined) << o.fault.describe();
-  }
-  EXPECT_EQ(report.quarantined, 4u);
-  EXPECT_EQ(report.total.cum_all.total, 0u);  // nothing left to cover
-}
-
 TEST_F(CampaignFixture, IterationBudgetSkipsLaterStages) {
   CampaignOptions opts = small_opts();
   opts.max_faults = 4;
-  opts.budget.max_newton_per_fault = 1;  // always blown after the DC stage
+  opts.max_newton_per_fault = 1;  // always blown after the DC stage
   const CampaignReport report = run_campaign(*golden_, opts);
   ASSERT_EQ(report.outcomes.size(), 4u);
   for (const auto& o : report.outcomes) {
@@ -217,230 +180,76 @@ TEST_F(CampaignFixture, StageSecondsCountEveryStageRunWithinTheCampaignWallTime)
   EXPECT_LE(seconds, wall);
 }
 
-TEST_F(CampaignFixture, AbortCheckStopsEarlyAndMarksIncomplete) {
-  CampaignOptions opts = small_opts();
-  int calls = 0;
-  opts.abort_check = [&calls]() { return ++calls > 3; };
-  const CampaignReport report = run_campaign(*golden_, opts);
-  EXPECT_FALSE(report.complete);
-  EXPECT_EQ(report.outcomes.size(), 3u);
-}
-
 TEST_F(CampaignFixture, SingleThreadProgressIsInOrderAndPrecedesEachFault) {
   // At one thread `progress` is a monotone fault clock: indices 0..n-1
-  // in order, each reported before that fault runs. The checkpoint file
-  // shows what has run: at progress(i) it holds exactly faults 0..i-1
-  // after its header.
-  const std::string path = testing::TempDir() + "campaign_progress_order.jsonl";
-  std::remove(path.c_str());
+  // in order, each reported before that fault runs. The campaign.faults
+  // counter shows what has run: at progress(i) it has grown by exactly i.
   CampaignOptions opts = small_opts();
   opts.num_threads = 1;
-  opts.checkpoint_path = path;
+  opts.collapse_faults = false;  // every fault is simulated and counted
+  const util::Counter& faults = util::metrics().counter("campaign.faults");
+  const std::int64_t before = faults.value();
   std::vector<std::size_t> seen;
-  std::vector<std::size_t> lines_at_call;
+  std::vector<std::int64_t> ran_at_call;
   opts.progress = [&](std::size_t i, std::size_t) {
     seen.push_back(i);
-    lines_at_call.push_back(outcome_lines(path).size());
+    ran_at_call.push_back(faults.value() - before);
   };
   const CampaignReport report = run_campaign(*golden_, opts);
-  ASSERT_TRUE(report.complete);
   ASSERT_EQ(seen.size(), report.outcomes.size());
   for (std::size_t i = 0; i < seen.size(); ++i) {
     EXPECT_EQ(seen[i], i);
-    EXPECT_EQ(lines_at_call[i], i) << "progress(" << i << ") came after its fault ran";
+    EXPECT_EQ(ran_at_call[i], static_cast<std::int64_t>(i))
+        << "progress(" << i << ") came after its fault ran";
   }
-  std::remove(path.c_str());
+  EXPECT_EQ(faults.value() - before, static_cast<std::int64_t>(report.outcomes.size()));
 }
 
-TEST_F(CampaignFixture, ResumeFromCheckpointMatchesUninterruptedRun) {
-  const std::string path = testing::TempDir() + "campaign_resume.jsonl";
-  std::remove(path.c_str());
-
-  const CampaignReport full = run_campaign(*golden_, small_opts());
-  ASSERT_TRUE(full.complete);
-
-  // Interrupted run: checkpoint on, killed after 3 faults.
-  CampaignOptions interrupted = small_opts();
-  interrupted.checkpoint_path = path;
-  int calls = 0;
-  interrupted.abort_check = [&calls]() { return ++calls > 3; };
-  const CampaignReport partial = run_campaign(*golden_, interrupted);
-  ASSERT_FALSE(partial.complete);
-  ASSERT_EQ(partial.outcomes.size(), 3u);
-  ASSERT_EQ(outcome_lines(path).size(), 3u);
-
-  // Simulate a kill mid-write: a torn (truncated) trailing line must be
-  // skipped on resume, not crash it.
-  ASSERT_TRUE(util::append_line(path, "{\"index\": 3, \"device\": \"tx"));
-
-  CampaignOptions resumed_opts = small_opts();
-  resumed_opts.checkpoint_path = path;
-  resumed_opts.resume = true;
-  const CampaignReport resumed = run_campaign(*golden_, resumed_opts);
-  EXPECT_TRUE(resumed.complete);
-  expect_same_report(full, resumed);
-  // ... and projects the same fault dictionary.
-  const FaultDictionary want = project_dictionary(full);
-  const FaultDictionary got = project_dictionary(resumed);
-  EXPECT_EQ(got.golden_signature(), want.golden_signature());
-  ASSERT_EQ(got.entries().size(), want.entries().size());
-  for (std::size_t i = 0; i < want.entries().size(); ++i) {
-    EXPECT_EQ(got.entries()[i].signature, want.entries()[i].signature)
-        << want.entries()[i].fault.describe();
-  }
-
-  // The checkpoint now covers the whole universe: resuming again runs
-  // zero new faults and still reproduces the same report.
-  const CampaignReport replayed = run_campaign(*golden_, resumed_opts);
-  expect_same_report(full, replayed);
-  std::remove(path.c_str());
-}
-
-TEST_F(CampaignFixture, CheckpointLinesRoundTripThroughJson) {
-  const std::string path = testing::TempDir() + "campaign_roundtrip.jsonl";
-  std::remove(path.c_str());
+TEST_F(CampaignFixture, CanonicalLineHoldsOnlyTheRecord) {
   CampaignOptions opts = small_opts();
   opts.max_faults = 2;
   opts.adaptive_stage_order = false;  // every sub-stage runs and records
-  opts.checkpoint_path = path;
   const CampaignReport report = run_campaign(*golden_, opts);
-  const auto lines = outcome_lines(path);
-  ASSERT_EQ(lines.size(), report.outcomes.size());
-  for (std::size_t i = 0; i < lines.size(); ++i) {
-    const FaultOutcome& o = report.outcomes[i];
+  ASSERT_EQ(report.outcomes.size(), 2u);
+  const unsigned ran = sub_bit(kSubDc) | sub_bit(kSubCpScan) | sub_bit(kSubScanStatic);
+  for (const FaultOutcome& o : report.outcomes) {
     ASSERT_EQ(o.record.count, 1u);
-    util::JsonObject j;
-    ASSERT_TRUE(util::JsonObject::parse(lines[i], j)) << lines[i];
-    std::string device;
-    std::string verdict;
-    std::string observed;
-    std::size_t run = 0;
-    std::size_t detected = 0;
-    std::size_t failed = 0;
-    ASSERT_TRUE(j.get_string("device", device));
-    ASSERT_TRUE(j.get_string("verdict", verdict));
-    ASSERT_TRUE(j.get_uint("substages_run", run));
-    ASSERT_TRUE(j.get_uint("substages_detected", detected));
-    ASSERT_TRUE(j.get_uint("substages_failed", failed));
-    ASSERT_TRUE(j.get_string("observed", observed));
-    EXPECT_EQ(device, o.fault.device);
-    EXPECT_EQ(verdict, fault_verdict_name(o.verdict));
-    EXPECT_EQ(run, o.record.slot[0].run);
-    EXPECT_EQ(run, sub_bit(kSubDc) | sub_bit(kSubCpScan) | sub_bit(kSubScanStatic));
-    EXPECT_EQ(detected, o.record.slot[0].detected);
-    EXPECT_EQ(failed, o.record.slot[0].failed);
-    EXPECT_EQ(observed, o.observed);
-    EXPECT_EQ(observed.size(), 50u);
+    EXPECT_EQ(o.record.slot[0].run, ran);
+    EXPECT_EQ(o.observed.size(), 50u);
+    const std::string line = outcome_canonical_json(o);
+    const auto has = [&](const std::string& field) {
+      return line.find(field) != std::string::npos;
+    };
+    EXPECT_TRUE(has("\"device\":\"" + o.fault.device + "\"")) << line;
+    EXPECT_TRUE(has("\"verdict\":\"" + fault_verdict_name(o.verdict) + "\"")) << line;
+    EXPECT_TRUE(has("\"substages_run\":" + std::to_string(ran) + ",")) << line;
+    EXPECT_TRUE(has("\"substages_detected\":" + std::to_string(o.record.slot[0].detected) + ","))
+        << line;
+    EXPECT_TRUE(has("\"substages_failed\":" + std::to_string(o.record.slot[0].failed) + ","))
+        << line;
+    EXPECT_TRUE(has("\"observed\":\"" + o.observed + "\"")) << line;
     // The line holds the record only: no stage bits, no second variant.
-    for (const char* derived : {"dc", "scan", "bist", "anomalous", "stages_run", "substages_run_b"}) {
-      EXPECT_FALSE(j.has(derived)) << derived << " in " << lines[i];
+    for (const char* derived :
+         {"dc", "scan", "bist", "anomalous", "stages_run", "substages_run_b"}) {
+      EXPECT_FALSE(has("\"" + std::string(derived) + "\":")) << derived << " in " << line;
     }
   }
-
-  // Resuming from these lines reproduces the outcomes exactly, without
-  // simulating anything.
-  CampaignOptions resumed_opts = opts;
-  resumed_opts.resume = true;
-  const CampaignReport resumed = run_campaign(*golden_, resumed_opts);
-  expect_same_report(report, resumed);
-  EXPECT_EQ(report_canonical_jsonl(resumed), report_canonical_jsonl(report));
-  std::remove(path.c_str());
 }
 
-TEST_F(CampaignFixture, HeaderlessCheckpointRerunsEveryFault) {
-  // Lines without the fingerprint header cannot say which options,
-  // netlist or tolerance produced them: a resume re-runs every fault
-  // and starts the file over with its own header.
-  const std::string path = testing::TempDir() + "campaign_headerless.jsonl";
-  CampaignOptions opts = small_opts();
-  opts.max_faults = 3;
-  opts.checkpoint_path = path;  // a run that does not resume starts the file over
-  const CampaignReport report = run_campaign(*golden_, opts);
-  const std::vector<std::string> lines = outcome_lines(path);
-  ASSERT_EQ(lines.size(), report.outcomes.size());
-  std::remove(path.c_str());
-  for (const std::string& line : lines) ASSERT_TRUE(util::append_line(path, line));
-
-  opts.resume = true;
-  const CampaignReport resumed = run_campaign(*golden_, opts);
-  EXPECT_EQ(fresh_faults(resumed), resumed.outcomes.size());
-  expect_same_report(report, resumed);
-  EXPECT_EQ(outcome_lines(path).size(), report.outcomes.size());
-  std::remove(path.c_str());
-}
-
-TEST_F(CampaignFixture, PessimisticCheckpointLinesReloadBothVariants) {
-  const std::string path = testing::TempDir() + "campaign_pessimistic.jsonl";
-  std::remove(path.c_str());
+TEST_F(CampaignFixture, PessimisticLinesCarryASecondVariantExactlyForGateOpens) {
   CampaignOptions opts = small_opts();
   opts.max_faults = 4;
   opts.pessimistic_gate_opens = true;
-  opts.checkpoint_path = path;
   const CampaignReport report = run_campaign(*golden_, opts);
-  ASSERT_TRUE(report.complete);
-  std::size_t two_variant_lines = 0;
-  for (const auto& l : util::read_lines(path)) {
-    util::JsonObject j;
-    ASSERT_TRUE(util::JsonObject::parse(l, j)) << l;
-    two_variant_lines += j.has("substages_run_b");
-  }
   std::size_t gate_opens = 0;
   for (const FaultOutcome& o : report.outcomes) {
     const bool gate_open = o.fault.needs_leak_variants();
     gate_opens += gate_open;
     EXPECT_EQ(o.record.count, gate_open ? 2u : 1u) << o.fault.describe();
+    const std::string line = outcome_canonical_json(o);
+    EXPECT_EQ(line.find("\"substages_run_b\":") != std::string::npos, gate_open) << line;
   }
   ASSERT_GT(gate_opens, 0u) << "no gate open in the universe";
-  EXPECT_EQ(two_variant_lines, gate_opens);
-
-  CampaignOptions resumed_opts = opts;
-  resumed_opts.resume = true;
-  const CampaignReport resumed = run_campaign(*golden_, resumed_opts);
-  EXPECT_EQ(fresh_faults(resumed), 0u);
-  expect_same_report(report, resumed);
-  EXPECT_EQ(report_canonical_jsonl(resumed), report_canonical_jsonl(report));
-  std::remove(path.c_str());
-}
-
-TEST_F(CampaignFixture, ResumeUnderOtherOptionsRerunsEveryFault) {
-  // A bulk-leak run resumed from a pessimistic run's checkpoint. The
-  // lines agree with the fault universe, but their two-variant records
-  // answer another question: the fingerprint header tells them apart,
-  // so every fault re-runs and the report equals a fresh bulk-leak run.
-  // The checkpoint then starts with the bulk-leak header, and resuming
-  // again loads every line.
-  const std::string path = testing::TempDir() + "campaign_fingerprint.jsonl";
-  std::remove(path.c_str());
-  CampaignOptions pessimistic = small_opts();
-  pessimistic.max_faults = 4;
-  pessimistic.pessimistic_gate_opens = true;
-  pessimistic.num_threads = 4;
-  pessimistic.checkpoint_path = path;
-  const CampaignReport first = run_campaign(*golden_, pessimistic);
-  ASSERT_TRUE(first.complete);
-  std::size_t two_variant = 0;
-  for (const FaultOutcome& o : first.outcomes) two_variant += o.record.count == 2;
-  ASSERT_GT(two_variant, 0u) << "no gate open in the universe";
-
-  CampaignOptions bulk = pessimistic;
-  bulk.pessimistic_gate_opens = false;
-  CampaignOptions resumed_opts = bulk;
-  resumed_opts.resume = true;
-  const CampaignReport resumed = run_campaign(*golden_, resumed_opts);
-  ASSERT_TRUE(resumed.complete);
-  EXPECT_EQ(fresh_faults(resumed), resumed.outcomes.size());
-  for (const FaultOutcome& o : resumed.outcomes) {
-    EXPECT_EQ(o.record.count, 1u) << o.fault.describe();
-  }
-  bulk.checkpoint_path.clear();
-  const CampaignReport fresh = run_campaign(*golden_, bulk);
-  expect_same_report(fresh, resumed);
-
-  const CampaignReport again = run_campaign(*golden_, resumed_opts);
-  EXPECT_EQ(fresh_faults(again), 0u);
-  expect_same_report(fresh, again);
-  EXPECT_EQ(outcome_lines(path).size(), fresh.outcomes.size());
-  std::remove(path.c_str());
 }
 
 TEST_F(CampaignFixture, ProjectionKeepsATwoVariantStageDetection) {

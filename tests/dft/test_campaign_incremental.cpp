@@ -3,7 +3,7 @@
 // are pure accelerations — the verdict
 // partition (detected / undetected / quarantined) and the per-class
 // cumulative Table-I coverage must be identical with every mechanism
-// on, off, or alone, at any thread count, and across checkpoint/resume.
+// on, off, or alone, and at any thread count.
 //
 // Per-stage attribution is the one thing short-circuiting is allowed to
 // change (a skipped stage reports no detection of its own), so these
@@ -13,10 +13,8 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <string>
 
-#include "util/jsonl.hpp"
 #include "util/metrics.hpp"
 
 namespace lsl::dft {
@@ -152,30 +150,6 @@ TEST_F(CampaignIncrementalFixture, FoldedOutcomesMirrorTheirRepresentative) {
     EXPECT_EQ(o.verdict, r.verdict);
     EXPECT_EQ(o.newton_iterations, r.newton_iterations);
   }
-}
-
-TEST_F(CampaignIncrementalFixture, CheckpointResumePreservesDefaultsRun) {
-  const std::string path = testing::TempDir() + "campaign_incremental_resume.jsonl";
-  std::remove(path.c_str());
-
-  const CampaignReport full = run_campaign(*golden_, base_opts(1));
-  ASSERT_TRUE(full.complete);
-
-  CampaignOptions interrupted = base_opts(2);
-  interrupted.checkpoint_path = path;
-  int calls = 0;
-  interrupted.abort_check = [&calls]() { return ++calls > 4; };
-  const CampaignReport partial = run_campaign(*golden_, interrupted);
-  ASSERT_FALSE(partial.complete);
-
-  CampaignOptions resumed_opts = base_opts(4);
-  resumed_opts.checkpoint_path = path;
-  resumed_opts.resume = true;
-  const CampaignReport resumed = run_campaign(*golden_, resumed_opts);
-  ASSERT_TRUE(resumed.complete);
-  expect_same_partition(*baseline_, resumed);
-  EXPECT_EQ(report_canonical_jsonl(resumed), report_canonical_jsonl(full));
-  std::remove(path.c_str());
 }
 
 TEST_F(CampaignIncrementalFixture, StagesRunRecordsWhatActuallyExecuted) {

@@ -16,7 +16,7 @@ namespace lsl::dft {
 namespace {
 
 /// Same bounded fault universe as the parallel differential tests:
-/// TX cells, DC stage only, no wall-clock budget — fully deterministic.
+/// TX cells, DC and scan stages — fully deterministic.
 CampaignOptions small_opts(std::size_t threads) {
   CampaignOptions opts;
   opts.prefixes = {"tx."};
@@ -84,10 +84,10 @@ TEST(CampaignTrace, SpeedupIsAbsentWhenNothingWasMeasured) {
   const CampaignExecStats empty;
   EXPECT_FALSE(empty.speedup().has_value());
 
-  CampaignExecStats resumed;  // fully-resumed campaign: wall time but no fresh fault CPU
-  resumed.wall_clock_sec = 1.0;
-  resumed.fault_cpu_sec = 0.0;
-  EXPECT_FALSE(resumed.speedup().has_value());
+  CampaignExecStats no_faults;  // a campaign over zero faults: wall time but no fault CPU
+  no_faults.wall_clock_sec = 1.0;
+  no_faults.fault_cpu_sec = 0.0;
+  EXPECT_FALSE(no_faults.speedup().has_value());
 
   CampaignExecStats measured;
   measured.wall_clock_sec = 2.0;

@@ -143,7 +143,7 @@ TEST(SolverRobustness, KclExitCheckRefusesAnUnbalancedIterate) {
     opts.abs_tol = 10.0;
     std::vector<double> x(nl.unknown_count(), 0.0);
     SolveDiagnostics diag;
-    EXPECT_EQ(newton_loop(ctx, opts, Deadline{}, ws, x, diag), SolveStatus::kConverged);
+    EXPECT_EQ(newton_loop(ctx, opts, ws, x, diag), SolveStatus::kConverged);
     EXPECT_EQ(ws.stats().sparse_solves > 0, sparse);
     EXPECT_GT(ws.stats().kcl_rejects, 0u);
     EXPECT_GT(diag.iterations, 1);
@@ -181,7 +181,7 @@ TEST(SolverRobustness, TransientStepConvergedMeansTheRequestedToleranceWasMet) {
       opts.max_iterations = max_iterations;
       std::vector<double> x = op.x;
       SolveDiagnostics diag;
-      const SolveStatus st = newton_loop(ctx, opts, Deadline{}, ws, x, diag);
+      const SolveStatus st = newton_loop(ctx, opts, ws, x, diag);
       SCOPED_TRACE(testing::Message() << "abs_tol " << abs_tol << ", max_iterations "
                                       << max_iterations << ", status " << to_string(st));
       if (st == SolveStatus::kConverged) {
@@ -192,15 +192,6 @@ TEST(SolverRobustness, TransientStepConvergedMeansTheRequestedToleranceWasMet) {
       }
     }
   }
-}
-
-TEST(SolverRobustness, WallClockDeadlineReportsTimeout) {
-  const Netlist nl = inverter_chain();
-  DcOptions opts;
-  opts.timeout_sec = 1e-12;  // expires before the first iteration
-  const DcResult r = solve_dc(nl, opts);
-  EXPECT_FALSE(r.converged);
-  EXPECT_EQ(r.status, SolveStatus::kTimeout);
 }
 
 TEST(SolverRobustness, TransientHalvesStepsAndStaysOnGrid) {
@@ -260,16 +251,15 @@ TEST(SolverRobustness, UnresolvableEdgeReportsTimestepUnderflow) {
   EXPECT_FALSE(res.time.empty());
 }
 
-TEST(SolverRobustness, StatusNamesRoundTrip) {
-  for (const SolveStatus st :
-       {SolveStatus::kConverged, SolveStatus::kSingularMatrix, SolveStatus::kMaxIterations,
-        SolveStatus::kTimestepUnderflow, SolveStatus::kNonFinite, SolveStatus::kTimeout}) {
-    SolveStatus back = SolveStatus::kConverged;
-    ASSERT_TRUE(solve_status_from_string(to_string(st), back)) << to_string(st);
-    EXPECT_EQ(back, st);
-  }
-  SolveStatus ignored = SolveStatus::kConverged;
-  EXPECT_FALSE(solve_status_from_string("bogus", ignored));
+TEST(SolverRobustness, StatusNamesAreStableAndDistinct) {
+  // The names appear in logs and in the campaign's canonical JSONL.
+  const std::vector<std::pair<SolveStatus, std::string>> names = {
+      {SolveStatus::kConverged, "converged"},
+      {SolveStatus::kSingularMatrix, "singular_matrix"},
+      {SolveStatus::kMaxIterations, "max_iterations"},
+      {SolveStatus::kTimestepUnderflow, "timestep_underflow"},
+      {SolveStatus::kNonFinite, "non_finite"}};
+  for (const auto& [status, name] : names) EXPECT_EQ(to_string(status), name);
 }
 
 }  // namespace

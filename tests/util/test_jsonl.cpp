@@ -17,55 +17,6 @@ TEST(JsonObject, SerializesInInsertionOrder) {
   EXPECT_EQ(j.str(), "{\"name\":\"tx.m_p1\",\"index\":42,\"elapsed\":0.5,\"detected\":true}");
 }
 
-TEST(JsonObject, RoundTripsThroughParse) {
-  JsonObject j;
-  j.set("device", "cp.m_src \"quoted\"\n");
-  j.set("count", std::int64_t{-7});
-  j.set("ratio", 0.125);
-  j.set("flag", false);
-  JsonObject back;
-  ASSERT_TRUE(JsonObject::parse(j.str(), back));
-  std::string device;
-  double count = 0.0;
-  double ratio = 0.0;
-  bool flag = true;
-  ASSERT_TRUE(back.get_string("device", device));
-  ASSERT_TRUE(back.get_number("count", count));
-  ASSERT_TRUE(back.get_number("ratio", ratio));
-  ASSERT_TRUE(back.get_bool("flag", flag));
-  EXPECT_EQ(device, "cp.m_src \"quoted\"\n");
-  EXPECT_DOUBLE_EQ(count, -7.0);
-  EXPECT_DOUBLE_EQ(ratio, 0.125);
-  EXPECT_FALSE(flag);
-}
-
-TEST(JsonObject, TypedGettersRejectWrongTypes) {
-  JsonObject j;
-  ASSERT_TRUE(JsonObject::parse("{\"s\": \"x\", \"n\": 3, \"b\": true}", j));
-  double num = 0.0;
-  std::string str;
-  bool b = false;
-  std::size_t u = 0;
-  EXPECT_FALSE(j.get_number("s", num));
-  EXPECT_FALSE(j.get_string("n", str));
-  EXPECT_FALSE(j.get_bool("n", b));
-  EXPECT_FALSE(j.get_uint("missing", u));
-  EXPECT_TRUE(j.get_uint("n", u));
-  EXPECT_EQ(u, 3u);
-  EXPECT_TRUE(j.has("b"));
-  EXPECT_FALSE(j.has("z"));
-}
-
-TEST(JsonObject, RejectsMalformedAndNestedInput) {
-  JsonObject j;
-  EXPECT_FALSE(JsonObject::parse("", j));
-  EXPECT_FALSE(JsonObject::parse("{\"torn\": \"li", j));
-  EXPECT_FALSE(JsonObject::parse("{\"a\": 1,}", j));
-  EXPECT_FALSE(JsonObject::parse("{\"a\": [1, 2]}", j));
-  EXPECT_FALSE(JsonObject::parse("{\"a\": {\"b\": 1}}", j));
-  EXPECT_FALSE(JsonObject::parse("not json at all", j));
-}
-
 TEST(Jsonl, AppendAndReadLinesRoundTrip) {
   const std::string path = testing::TempDir() + "jsonl_roundtrip.jsonl";
   std::remove(path.c_str());
