@@ -70,7 +70,7 @@ int main(int argc, char** argv) {
   const lsl::cells::LinkFrontend golden_closed(closed_spec);
   const Goldens goldens{golden_closed,
                      lsl::dft::run_dc_test(golden_closed, {}, {}, nullptr, true),
-                     lsl::dft::run_scan_test(link.frontend(), {}, {}, {}, nullptr, true),
+                     lsl::dft::run_scan_test(link.frontend(), {}, {}, nullptr, true),
                      lsl::dft::bist_test_reference(link.frontend())};
 
   if (argc == 3) {

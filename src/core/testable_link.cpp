@@ -18,7 +18,7 @@ SelfTestResult TestableLink::self_test() const {
   cells::LinkFrontendSpec closed = config_.analog;
   closed.close_coarse_loop = true;
   r.dc_pass = !dft::run_dc_test(cells::LinkFrontend(closed), {}, {}, nullptr, true).anomalous();
-  r.scan_pass = !dft::run_scan_test(frontend_, {}, {}, {}, nullptr, true).anomalous();
+  r.scan_pass = !dft::run_scan_test(frontend_, {}, {}, nullptr, true).anomalous();
   r.bist_pass = dft::bist_test_reference(frontend_, config_.behavioral).valid;
   return r;
 }

@@ -120,7 +120,7 @@ void run_stages(cells::LinkFrontend&& faulty_closed, const cells::LinkFrontend& 
         return run_dc_test(std::move(faulty_closed), dc_golden, {}, hints, full);
       }
       if (stage == kStageScan) {
-        return run_scan_test(faulty, scan_golden, {}, {}, hints, full, opts.with_scan_toggle);
+        return run_scan_test(faulty, scan_golden, {}, hints, full, opts.with_scan_toggle);
       }
       return run_bist_test(faulty, bist_ref, {}, hints, full);
     }();
@@ -220,10 +220,13 @@ FaultOutcome simulate_fault(const FaultSimContext& ctx, const StructuralFault& f
   span.arg("worker", static_cast<double>(worker));
   const Clock::time_point fault_start = Clock::now();
 
-  // Pessimistic convention: a floating gate's level is unknowable, so
-  // both leak variants run and a stage detects only when it does in
-  // both (stage_result). A per-variant short-circuit could skip a stage
-  // the other variant's detection needs, so these always run every stage.
+  // Every fault runs first with gate opens leaking toward the device
+  // bulk (other faults ignore the leak). Pessimistic convention: a
+  // floating gate's level is unknowable, so the opposite leak runs too
+  // and a stage detects only when it does in both (stage_result). A
+  // per-variant short-circuit could skip a stage the other variant's
+  // detection needs, so these always run every stage.
+  const OpenLeak bulk = fault::bulk_leak(ctx.golden->netlist(), f);
   const bool both_leaks = f.needs_leak_variants() && opts.pessimistic_gate_opens;
   const bool short_circuit = opts.adaptive_stage_order && !both_leaks;
 
@@ -251,14 +254,9 @@ FaultOutcome simulate_fault(const FaultSimContext& ctx, const StructuralFault& f
   // Survival guarantee: nothing a single fault does — divergence,
   // singularity, or an unexpected exception — may abort the campaign.
   try {
+    run_variant(bulk);
     if (both_leaks) {
-      run_variant(OpenLeak::kToGround);
-      run_variant(OpenLeak::kToVdd);
-    } else {
-      // Gate opens leak toward the device bulk; other opens have no
-      // leak dependence (the argument is ignored).
-      run_variant(f.needs_leak_variants() ? fault::bulk_leak(ctx.golden->netlist(), f)
-                                          : OpenLeak::kToGround);
+      run_variant(bulk == OpenLeak::kToGround ? OpenLeak::kToVdd : OpenLeak::kToGround);
     }
   } catch (const std::exception& e) {
     quarantine("exception on " + f.describe() + ": " + e.what());
@@ -437,7 +435,7 @@ CampaignReport run_campaign(const cells::LinkFrontend& golden, const CampaignOpt
 
   const StageOutcome dc_golden = run_dc_test(golden_closed, {}, {}, ref_hints, true);
   const StageOutcome scan_golden =
-      run_scan_test(golden, {}, {}, {}, ref_hints, true, opts.with_scan_toggle);
+      run_scan_test(golden, {}, {}, ref_hints, true, opts.with_scan_toggle);
   BistTestReference bist_ref;
   if (opts.with_bist) {
     bist_ref = bist_test_reference(golden, {}, ref_hints);
@@ -544,7 +542,9 @@ CampaignReport run_campaign(const cells::LinkFrontend& golden, const CampaignOpt
   return report;
 }
 
-CampaignReport project_report(const CampaignReport& full, unsigned kept_substages) {
+CampaignReport project_report(const CampaignReport& full, unsigned kept_substages,
+                              GateOpenConvention convention) {
+  const bool bulk_only = convention == GateOpenConvention::kBulkLeak;
   CampaignReport out;
   out.exec = full.exec;
   out.golden_observed = full.golden_observed;
@@ -552,7 +552,9 @@ CampaignReport project_report(const CampaignReport& full, unsigned kept_substage
     VariantRecords kept;
     for (const SubStageRecord& r : o.record) {
       kept.add({r.run & kept_substages, r.detected & kept_substages, r.failed & kept_substages});
+      if (bulk_only) break;  // simulate_fault runs the bulk leak first
     }
+    if (bulk_only) o.observed = o.observed.substr(0, o.observed.find('|'));
     o.record = kept;
     if (!anomalous(o.record)) o.status = spice::SolveStatus::kConverged;
     o.verdict = classify(o);
@@ -562,8 +564,8 @@ CampaignReport project_report(const CampaignReport& full, unsigned kept_substage
   return out;
 }
 
-/// Each variant's record keys: the first variant's carry no suffix, a
-/// second variant's (to-VDD leak) carry "_b".
+/// Each variant's record keys: the first (bulk-leak) variant's carry no
+/// suffix, a second variant's (the opposite leak) carry "_b".
 constexpr std::array<const char*, 2> kRecordKeySuffix = {"", "_b"};
 
 std::string outcome_canonical_json(const FaultOutcome& o) {

@@ -1,9 +1,10 @@
 // Full structural-fault campaign over the analog link: enumerates the
 // Table-I fault universe, injects each fault into a copy of the golden
 // frontend, and applies the paper's three test stages (DC test, scan
-// test, BIST). Under the pessimistic convention gate opens run both
-// floating-gate leak variants and count as detected by a stage only if
-// BOTH variants are.
+// test, BIST). Gate opens run with the floating gate leaking toward the
+// device bulk; under the pessimistic convention they also run the
+// opposite leak and count as detected by a stage only if BOTH variants
+// are.
 //
 // Survival layer: faulted netlists are exactly the inputs that make the
 // solver fail, so every fault is partitioned into one of three verdicts:
@@ -84,10 +85,12 @@ struct CampaignOptions {
   bool with_bist = true;
   /// 0 = full universe; otherwise only the first N faults (fast tests).
   std::size_t max_faults = 0;
-  /// Gate-open handling. Default (false): the floating gate leaks toward
-  /// the device bulk (NMOS -> GND, PMOS -> VDD), the physically likely
-  /// level. Pessimistic (true): simulate both leak directions and count
-  /// a detection only when BOTH are flagged.
+  /// Gate-open handling. Every gate open first runs with the floating
+  /// gate leaking toward the device bulk (NMOS -> GND, PMOS -> VDD), the
+  /// physically likely level. Pessimistic (true): the opposite leak runs
+  /// next, and a detection counts only when BOTH variants are flagged;
+  /// project_report(..., GateOpenConvention::kBulkLeak) recovers the
+  /// default convention's report from such a run.
   bool pessimistic_gate_opens = false;
   /// Newton iterations per fault (per leak variant). 0 = unlimited. A
   /// fault that blows it skips its remaining stages and, unless a stage
@@ -156,7 +159,7 @@ struct FaultOutcome {
   unsigned stages_run = 0;
   /// Every enabled sub-stage's marks in SubStage order: the fault
   /// dictionary's signature. Pessimistic gate opens join the two
-  /// variants' strings with '|'.
+  /// variants' strings with '|', the bulk leak's first.
   std::string observed;
   /// When structural fault collapsing folded this fault into an
   /// equivalence class simulated once, the representative's fault
@@ -233,19 +236,33 @@ struct CampaignReport {
 
 CampaignReport run_campaign(const cells::LinkFrontend& golden, const CampaignOptions& opts = {});
 
+/// The leak variants of a gate open that a projection keeps.
+enum class GateOpenConvention {
+  kAsRun,     // every variant the campaign simulated
+  kBulkLeak,  // the first variant only: the leak toward the device bulk
+};
+
 /// The report as if only the sub-stages in `kept_substages` had run:
-/// every variant's record masked, verdicts and statistics re-derived
-/// (`observed` and the costs stay). For a full-evaluation run this
-/// equals, in verdict partition and cumulative coverage, a run with
+/// every kept variant's record masked, verdicts and statistics
+/// re-derived (the costs stay). For a full-evaluation run this equals,
+/// in verdict partition and cumulative coverage, a run with
 /// with_scan_toggle = false (drop kSubToggle) or with_bist = false (drop
 /// kBistSubStages); keeping kAllSubStages returns the report itself.
-CampaignReport project_report(const CampaignReport& full, unsigned kept_substages);
+///
+/// kBulkLeak also keeps only each fault's first record and the part of
+/// `observed` before its '|'. So projected, a pessimistic full-evaluation
+/// report equals the bulk-leak one if the Newton budget is unlimited
+/// (the default; a finite one can run out in the second variant only).
+/// Of an adaptive report only the verdicts and cumulative coverage
+/// agree: pessimistic gate opens skip no stage after a detection.
+CampaignReport project_report(const CampaignReport& full, unsigned kept_substages,
+                              GateOpenConvention convention = GateOpenConvention::kAsRun);
 
 /// Canonical (timing-free) JSON serialization of one outcome, with
 /// elapsed_sec zeroed, so two runs of the same universe produce
 /// byte-identical lines regardless of machine load. A line holds only
 /// the record: per leak variant its substages_{run,detected,failed}
-/// masks (a second variant's keys carry "_b"), plus the fault, verdict,
+/// masks (the opposite leak's keys carry "_b"), plus the fault, verdict,
 /// status, budget flag, Newton count and `observed`.
 std::string outcome_canonical_json(const FaultOutcome& o);
 

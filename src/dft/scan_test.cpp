@@ -110,10 +110,20 @@ ScanStaticSignature scan_static_on(LinkFrontend& fe, const spice::DcOptions& sol
   return sig;
 }
 
+/// The toggling pattern: two cycles of the 100 MHz scan clock in
+/// 0.1 ns steps, strobed four times per cycle. The early-in-half-period
+/// strobes are the ones that expose slowed settling (dynamic mismatch);
+/// by mid-half-period a half-dead transmission gate has already caught
+/// up.
+constexpr double kScanPeriod = 10e-9;
+constexpr int kToggleCycles = 2;
+constexpr double kToggleDt = 0.1e-9;
+constexpr int kStrobesPerCycle = 4;
+
 /// The toggling pattern on `fe`, which it puts in scan mode with data
 /// low.
-ToggleSignature toggle_on(LinkFrontend& fe, const ToggleOptions& opts,
-                          const spice::DcOptions& solve, const spice::SolveHints* hints) {
+ToggleSignature toggle_on(LinkFrontend& fe, const spice::DcOptions& solve,
+                          const spice::SolveHints* hints) {
   ToggleSignature sig;
   fe.set_scan_mode(true);
   fe.set_data(false, false);
@@ -125,8 +135,8 @@ ToggleSignature toggle_on(LinkFrontend& fe, const ToggleOptions& opts,
   // Drive the data rails with complementary square waves at the scan
   // frequency. The FFE taps and the weak-driver input all toggle.
   std::unordered_map<std::string, spice::Waveform> drives;
-  const auto hi_lo = spice::square_wave(0.0, vdd, opts.scan_period);
-  const auto lo_hi = spice::square_wave(vdd, 0.0, opts.scan_period);
+  const auto hi_lo = spice::square_wave(0.0, vdd, kScanPeriod);
+  const auto lo_hi = spice::square_wave(vdd, 0.0, kScanPeriod);
   drives[fe.src_tap_main_p()] = hi_lo;
   drives[fe.src_drv_in_p()] = lo_hi;
   drives[fe.src_tap_main_n()] = lo_hi;
@@ -137,16 +147,16 @@ ToggleSignature toggle_on(LinkFrontend& fe, const ToggleOptions& opts,
   // Strobe at the middle of each half period (where the tester's scan
   // flops capture). The run stops at the last strobe: nothing after it
   // is read.
-  const double half = opts.scan_period / 2.0;
+  const double half = kScanPeriod / 2.0;
   std::vector<std::size_t> strobes;
-  for (int c = 0; c < opts.cycles * opts.samples_per_cycle; ++c) {
-    const double ts = (c + 0.5) * half * (2.0 / opts.samples_per_cycle);
-    strobes.push_back(static_cast<std::size_t>(ts / opts.dt));
+  for (int c = 0; c < kToggleCycles * kStrobesPerCycle; ++c) {
+    const double ts = (c + 0.5) * half * (2.0 / kStrobesPerCycle);
+    strobes.push_back(static_cast<std::size_t>(ts / kToggleDt));
   }
 
   spice::TransientOptions topts;
-  topts.t_stop = strobes.empty() ? 0.0 : static_cast<double>(strobes.back()) * opts.dt;
-  topts.dt = opts.dt;
+  topts.t_stop = strobes.empty() ? 0.0 : static_cast<double>(strobes.back()) * kToggleDt;
+  topts.dt = kToggleDt;
   topts.newton = solve;
   topts.probes = {nl.node_name(fe.term_ports().cmp_p_hi), nl.node_name(fe.term_ports().cmp_p_lo),
                   nl.node_name(fe.term_ports().cmp_n_hi), nl.node_name(fe.term_ports().cmp_n_lo)};
@@ -181,11 +191,10 @@ ScanStaticSignature scan_static_signature(const LinkFrontend& fe, const spice::D
   return scan_static_on(copy, solve, hints);
 }
 
-ToggleSignature toggle_signature(const LinkFrontend& fe, const ToggleOptions& opts,
-                                 const spice::DcOptions& solve,
+ToggleSignature toggle_signature(const LinkFrontend& fe, const spice::DcOptions& solve,
                                  const spice::SolveHints* hints) {
   LinkFrontend copy = fe;
-  return toggle_on(copy, opts, solve, hints);
+  return toggle_on(copy, solve, hints);
 }
 
 std::string signature_marks(const CpScanSignature& sig) {
@@ -217,9 +226,8 @@ void record_capture(ScanTestOutcome& out, SubStage s, const Signature& sig) {
 }  // namespace
 
 ScanTestOutcome run_scan_test(const LinkFrontend& fe, const ScanTestOutcome& golden,
-                              const ToggleOptions& topts, const spice::DcOptions& solve,
-                              const spice::SolveHints* hints, bool full_evaluation,
-                              bool with_toggle) {
+                              const spice::DcOptions& solve, const spice::SolveHints* hints,
+                              bool full_evaluation, bool with_toggle) {
   ScanTestOutcome out;
   out.golden = &golden;
   record_capture(out, kSubCpScan, cp_scan_signature(fe, solve, hints));
@@ -229,7 +237,7 @@ ScanTestOutcome run_scan_test(const LinkFrontend& fe, const ScanTestOutcome& gol
     LinkFrontend scan_fe = fe;
     record_capture(out, kSubScanStatic, scan_static_on(scan_fe, solve, hints));
     if (with_toggle && !out.stops(full_evaluation)) {
-      record_capture(out, kSubToggle, toggle_on(scan_fe, topts, solve, hints));
+      record_capture(out, kSubToggle, toggle_on(scan_fe, solve, hints));
     }
   }
   out.finish();

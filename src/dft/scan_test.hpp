@@ -79,21 +79,12 @@ struct ToggleSignature {
   long iterations = 0;
 };
 
-struct ToggleOptions {
-  double scan_period = 10e-9;  // 100 MHz
-  int cycles = 2;
-  double dt = 0.1e-9;
-  /// Strobes per cycle. The early-in-half-period strobes are the ones
-  /// that expose slowed settling (dynamic mismatch); by mid-half-period
-  /// a half-dead transmission gate has already caught up.
-  int samples_per_cycle = 4;
-};
-
+/// Two 100 MHz cycles, strobed four times per cycle (scan_test.cpp).
 /// Warm-starts the transient's t=0 operating point from the
 /// "scan.static.0" seed (scan mode, data low — the toggle's initial
 /// state); the per-step path needs no seeding, each step starts from
 /// the previous one.
-ToggleSignature toggle_signature(const cells::LinkFrontend& fe, const ToggleOptions& opts = {},
+ToggleSignature toggle_signature(const cells::LinkFrontend& fe,
                                  const spice::DcOptions& solve = {},
                                  const spice::SolveHints* hints = nullptr);
 
@@ -114,7 +105,6 @@ std::string signature_marks(const ToggleSignature& sig);
 /// sub-stage that detects or fails to solve, unless `full_evaluation`
 /// asks for every sub-stage anyway.
 ScanTestOutcome run_scan_test(const cells::LinkFrontend& fe, const ScanTestOutcome& golden,
-                              const ToggleOptions& topts = {},
                               const spice::DcOptions& solve = {},
                               const spice::SolveHints* hints = nullptr,
                               bool full_evaluation = false, bool with_toggle = true);

@@ -107,8 +107,8 @@ struct SubStageRecord {
 };
 
 /// A fault's records, one per simulated leak variant: one normally, two
-/// for a gate open under the pessimistic convention (to-ground, then
-/// to-VDD). Fixed-size; it reads as a span of its records.
+/// for a gate open under the pessimistic convention (the leak toward the
+/// device bulk, then the opposite one). Fixed-size; it reads as a span of its records.
 struct VariantRecords {
   std::array<SubStageRecord, 2> slot{};
   std::size_t count = 0;

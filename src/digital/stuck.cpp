@@ -38,18 +38,6 @@ std::vector<StuckFault> enumerate_stuck_faults(const Circuit& c,
   return out;
 }
 
-std::vector<Logic> apply_pattern(Circuit& c, const ScanChain& chain, const ScanPattern& p) {
-  return apply_pattern_multi(c, {&chain}, {{p.chain_load}, p.pi_values, p.capture_cycles});
-}
-
-StuckCampaignResult run_stuck_campaign(Circuit& c, const ScanChain& chain,
-                                       const std::vector<ScanPattern>& patterns,
-                                       const std::vector<StuckFault>& faults) {
-  std::vector<MultiScanPattern> multi;
-  for (const auto& p : patterns) multi.push_back({{p.chain_load}, p.pi_values, p.capture_cycles});
-  return run_stuck_campaign_multi(c, {&chain}, multi, faults);
-}
-
 std::vector<LaneWord> apply_pattern_lanes(Circuit& c, const std::vector<const ScanChain*>& chains,
                                           const MultiScanPattern& p,
                                           const std::vector<NetId>& observe_nets) {
@@ -352,22 +340,6 @@ std::vector<MultiScanPattern> random_patterns_multi(const std::vector<const Scan
     }
     for (const NetId pi : pis) p.pi_values.emplace_back(pi, from_bool(rng.next_bool()));
     p.capture_cycles = 1 + static_cast<int>(rng.next_below(3));
-    out.push_back(std::move(p));
-  }
-  return out;
-}
-
-std::vector<ScanPattern> random_patterns(const Circuit& c, const ScanChain& chain,
-                                         const std::vector<NetId>& pis, std::size_t count,
-                                         util::Pcg32& rng) {
-  (void)c;
-  std::vector<ScanPattern> out;
-  out.reserve(count);
-  for (std::size_t k = 0; k < count; ++k) {
-    ScanPattern p;
-    p.chain_load.resize(chain.length());
-    for (auto& b : p.chain_load) b = from_bool(rng.next_bool());
-    for (const NetId pi : pis) p.pi_values.emplace_back(pi, from_bool(rng.next_bool()));
     out.push_back(std::move(p));
   }
   return out;

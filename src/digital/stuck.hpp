@@ -35,18 +35,6 @@ struct StuckFault {
 std::vector<StuckFault> enumerate_stuck_faults(
     const Circuit& c, const std::vector<std::string>& exclude_prefixes = {});
 
-/// A scan test pattern: chain load value + primary-input values applied
-/// during the capture cycle.
-struct ScanPattern {
-  std::vector<Logic> chain_load;                  // flop order
-  std::vector<std::pair<NetId, Logic>> pi_values; // applied before capture
-  int capture_cycles = 1;
-};
-
-/// Applies one pattern through `chain` and returns the unloaded response
-/// (flop order). apply_pattern_multi with one chain.
-std::vector<Logic> apply_pattern(Circuit& c, const ScanChain& chain, const ScanPattern& p);
-
 /// Result of a stuck-at campaign. "Hard" detection is a known-vs-known
 /// response mismatch; "possible" detection means the faulty machine
 /// produced X where the good machine is known (on silicon the X resolves
@@ -58,22 +46,10 @@ struct StuckCampaignResult {
   std::vector<StuckFault> undetected;  // not even possibly detected
 };
 
-/// Stuck-at fault simulation: for each fault, applies the pattern set
-/// until a response differs from the fault-free response (fault dropping
-/// on hard detects). run_stuck_campaign_multi with one chain.
-StuckCampaignResult run_stuck_campaign(Circuit& c, const ScanChain& chain,
-                                       const std::vector<ScanPattern>& patterns,
-                                       const std::vector<StuckFault>& faults);
-
-/// Generates `count` random scan patterns (uniform chain load and PI
-/// values over the given primary inputs).
-std::vector<ScanPattern> random_patterns(const Circuit& c, const ScanChain& chain,
-                                         const std::vector<NetId>& pis, std::size_t count,
-                                         util::Pcg32& rng);
-
-// ---- multi-chain variants (designs with separate data / control scan
-// chains, like the paper's chain A and chain B) ----
-
+/// A scan test pattern over one or more chains (designs with separate
+/// data / control scan chains, like the paper's chain A and chain B):
+/// each chain's load value plus the primary-input values applied
+/// before capture.
 struct MultiScanPattern {
   std::vector<std::vector<Logic>> chain_loads;  // one per chain, flop order
   std::vector<std::pair<NetId, Logic>> pi_values;
@@ -92,7 +68,9 @@ std::vector<LaneWord> apply_pattern_lanes(Circuit& c, const std::vector<const Sc
                                           const MultiScanPattern& p,
                                           const std::vector<NetId>& observe_nets = {});
 
-/// Multi-chain campaign with fault dropping (see run_stuck_campaign).
+/// Stuck-at fault simulation: for each fault, applies the pattern set
+/// until a response differs from the fault-free response (fault dropping
+/// on hard detects).
 StuckCampaignResult run_stuck_campaign_multi(Circuit& c,
                                              const std::vector<const ScanChain*>& chains,
                                              const std::vector<MultiScanPattern>& patterns,
@@ -107,6 +85,8 @@ std::vector<std::vector<bool>> detection_matrix(Circuit& c,
                                                 const std::vector<StuckFault>& faults,
                                                 const std::vector<NetId>& observe_nets = {});
 
+/// Generates `count` random scan patterns: uniform chain loads and PI
+/// values over the given primary inputs, 1 to 3 capture cycles.
 std::vector<MultiScanPattern> random_patterns_multi(const std::vector<const ScanChain*>& chains,
                                                     const std::vector<NetId>& pis,
                                                     std::size_t count, util::Pcg32& rng);

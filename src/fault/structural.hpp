@@ -10,9 +10,10 @@
 // floating level); shorts bridge two terminals with a small resistance.
 //
 // Gate opens get special treatment: a floating gate's potential is
-// process- and history-dependent, so a gate-open fault is simulated once
-// with the floating gate leaking toward GND and once toward VDD, and it
-// counts as DETECTED only if the test flags BOTH variants. This
+// process- and history-dependent. A gate-open fault is simulated with
+// the floating gate leaking toward the device bulk (bulk_leak) and,
+// under the pessimistic convention, also toward the opposite rail; then
+// it counts as DETECTED only if the test flags BOTH variants. This
 // pessimism is why gate opens come out as the hardest class in Table I.
 #pragma once
 

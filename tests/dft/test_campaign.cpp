@@ -279,6 +279,39 @@ TEST_F(CampaignFixture, ProjectionKeepsATwoVariantStageDetection) {
   EXPECT_EQ(p.total.cum_all.total, 1u);
 }
 
+TEST_F(CampaignFixture, BulkLeakProjectionKeepsOnlyTheFirstVariant) {
+  // A pessimistic gate open whose opposite leak failed a solve: as run
+  // it is quarantined; its bulk leak alone solved and passed.
+  CampaignReport r;
+  FaultOutcome o;
+  o.fault = {"tx.p.m_drvp", fault::FaultClass::kGateOpen};
+  o.record.add({kAllSubStages, 0, 0});
+  o.record.add({kAllSubStages, 0, sub_bit(kSubToggle)});
+  o.status = spice::SolveStatus::kTimestepUnderflow;
+  o.observed = "0101|0!01";
+  r.outcomes.push_back(o);
+  const CampaignReport as_run = project_report(r, kAllSubStages);
+  EXPECT_EQ(as_run.outcomes[0].verdict, FaultVerdict::kQuarantined);
+  EXPECT_EQ(as_run.outcomes[0].observed, o.observed);
+
+  const CampaignReport bulk =
+      project_report(r, kAllSubStages, GateOpenConvention::kBulkLeak);
+  ASSERT_EQ(bulk.outcomes.size(), 1u);
+  const FaultOutcome& got = bulk.outcomes[0];
+  ASSERT_EQ(got.record.count, 1u);
+  EXPECT_EQ(got.record.slot[0], o.record.slot[0]);
+  EXPECT_EQ(got.observed, "0101");
+  EXPECT_EQ(got.status, spice::SolveStatus::kConverged);
+  EXPECT_EQ(got.verdict, FaultVerdict::kUndetected);
+  EXPECT_EQ(bulk.anomalous, 0u);
+  EXPECT_EQ(bulk.quarantined, 0u);
+  EXPECT_EQ(bulk.total.cum_all.total, 1u);
+  // A bulk-leak projection of it is itself.
+  EXPECT_EQ(report_canonical_jsonl(project_report(bulk, kAllSubStages,
+                                                  GateOpenConvention::kBulkLeak)),
+            report_canonical_jsonl(bulk));
+}
+
 TEST_F(CampaignFixture, ProjectionOntoEverySubStageIsTheIdentity) {
   for (const bool pessimistic : {false, true}) {
     CampaignOptions opts;

@@ -79,8 +79,9 @@ TEST_F(DictionaryFixture, DiagnoseFindsTheInjectedFault) {
 
 TEST_F(DictionaryFixture, GateOpensAreObservedWithTheirBulkLeak) {
   // The TX driver pair: a PMOS gate open leaks toward VDD, an NMOS one
-  // toward ground. A pessimistic run observes both variants, joined as
-  // "to-ground|to-VDD"; the dictionary must hold the bulk-leak half.
+  // toward ground. A pessimistic run observes both variants, the bulk
+  // leak's first, joined as "bulk|opposite"; the dictionary must hold
+  // the bulk-leak half, whichever rail that is.
   const DictionaryOptions opts = small_opts({"tx.p.m_drv"});
   DictionaryOptions both = opts;
   both.pessimistic_gate_opens = true;
@@ -88,6 +89,7 @@ TEST_F(DictionaryFixture, GateOpensAreObservedWithTheirBulkLeak) {
   const FaultDictionary variants = build_dictionary(*golden_, both);
   ASSERT_EQ(dict.entries().size(), variants.entries().size());
   std::size_t leak_dependent = 0;
+  std::size_t to_vdd = 0;
   for (std::size_t i = 0; i < dict.entries().size(); ++i) {
     const DictionaryEntry& e = dict.entries()[i];
     const std::string& v = variants.entries()[i].signature;
@@ -97,13 +99,14 @@ TEST_F(DictionaryFixture, GateOpensAreObservedWithTheirBulkLeak) {
     }
     const std::size_t bar = v.find('|');
     ASSERT_NE(bar, std::string::npos) << v;
-    const std::string to_ground = v.substr(0, bar);
-    const std::string to_vdd = v.substr(bar + 1);
-    const bool pmos = fault::bulk_leak(golden_->netlist(), e.fault) == fault::OpenLeak::kToVdd;
-    EXPECT_EQ(e.signature, pmos ? to_vdd : to_ground) << e.fault.describe();
-    leak_dependent += to_ground != to_vdd;
+    const std::string bulk = v.substr(0, bar);
+    const std::string opposite = v.substr(bar + 1);
+    EXPECT_EQ(e.signature, bulk) << e.fault.describe();
+    leak_dependent += bulk != opposite;
+    to_vdd += fault::bulk_leak(golden_->netlist(), e.fault) == fault::OpenLeak::kToVdd;
   }
   EXPECT_GT(leak_dependent, 0u) << "no gate open here tells the two leak variants apart";
+  EXPECT_GT(to_vdd, 0u) << "no gate open here leaks toward VDD first";
 }
 
 TEST_F(DictionaryFixture, ResolutionStatsAreConsistent) {

@@ -39,7 +39,7 @@ constexpr const char* kHeader =
     "# '<convention> fault <index> <device> <class> <verdict> <record>... <observed>'\n"
     "# with one '<run>/<detected>/<failed>' record (decimal sub_bit masks, bit s =\n"
     "# SubStage s: dc, cp-scan, scan-static, toggle, cp-bist-read, bist-verdict)\n"
-    "# per simulated leak variant. No costs are pinned.\n";
+    "# per simulated leak variant, the bulk leak's first. No costs are pinned.\n";
 
 /// Ceilings on each convention's Newton iterations summed over the
 /// faults of its campaign below (golden runs excluded): the count with
@@ -128,6 +128,14 @@ TEST(PinnedReferenceRecord, FullEvaluationRecordMatchesBothConventions) {
     EXPECT_TRUE(matches_pinned(pinned_record_lines(convention), got, kFieldNames))
         << convention << "; the produced record is " << kProduced
         << " (copy it over " << kPinned << " to re-pin)";
+    // Each gate open's bulk leak runs first, so the bulk-leak record is
+    // a projection of the pessimistic one.
+    EXPECT_TRUE(matches_pinned(
+        pinned_record_lines("bulk-leak"),
+        record_lines("bulk-leak",
+                     project_report(r, kAllSubStages, GateOpenConvention::kBulkLeak)),
+        kFieldNames))
+        << convention << ": its bulk-leak projection is not the pinned bulk-leak record";
   }
   std::ofstream out(kProduced);
   out << kHeader;

@@ -12,7 +12,7 @@ class ScanTestFixture : public ::testing::Test {
   static void SetUpTestSuite() {
     golden_ = new cells::LinkFrontend();
     ref_ = new ScanTestOutcome(
-        run_scan_test(*golden_, {}, {}, {}, nullptr, /*full_evaluation=*/true));
+        run_scan_test(*golden_, {}, {}, nullptr, /*full_evaluation=*/true));
   }
   static void TearDownTestSuite() {
     delete golden_;

@@ -45,14 +45,14 @@ TEST(StuckCampaign, ExhaustivePatternsReachFullCoverage) {
   CampaignFixture f;
   ScanChain chain(f.c, "sc", f.flops);
 
-  std::vector<ScanPattern> patterns;
+  std::vector<MultiScanPattern> patterns;
   for (const char* load : {"000", "010", "100", "110"}) {
-    ScanPattern p;
-    p.chain_load = logic_vector(load);
+    MultiScanPattern p;
+    p.chain_loads = {logic_vector(load)};
     patterns.push_back(p);
   }
   const auto faults = enumerate_stuck_faults(f.c);
-  const auto result = run_stuck_campaign(f.c, chain, patterns, faults);
+  const auto result = run_stuck_campaign_multi(f.c, {&chain}, patterns, faults);
   // Every net in this tiny block is controllable and observable; the
   // only non-hard detect is scan-enable s@0, whose X recirculation makes
   // it a "possible" detect (a chain flush pins it on a real tester).
@@ -65,7 +65,7 @@ TEST(StuckCampaign, NoPatternsNoCoverage) {
   CampaignFixture f;
   ScanChain chain(f.c, "sc", f.flops);
   const auto faults = enumerate_stuck_faults(f.c);
-  const auto result = run_stuck_campaign(f.c, chain, {}, faults);
+  const auto result = run_stuck_campaign_multi(f.c, {&chain}, {}, faults);
   EXPECT_DOUBLE_EQ(result.combined.percent(), 0.0);
   EXPECT_EQ(result.undetected.size(), faults.size());
 }
@@ -86,9 +86,10 @@ TEST(StuckCampaign, RandomPatternsCoverRingCounter) {
   // ring, up and down shifts land on the same state (+-k mod n), hiding
   // the direction input entirely.
   util::Pcg32 rng(2024);
-  const auto patterns = random_patterns(c, chain, {en, dir}, 64, rng);
+  auto patterns = random_patterns_multi({&chain}, {en, dir}, 64, rng);
+  for (auto& p : patterns) p.capture_cycles = 1;
   const auto faults = enumerate_stuck_faults(c);
-  const auto result = run_stuck_campaign(c, chain, patterns, faults);
+  const auto result = run_stuck_campaign_multi(c, {&chain}, patterns, faults);
   EXPECT_DOUBLE_EQ(result.combined.percent(), 100.0);
   EXPECT_GT(result.hard.percent(), 95.0);
 }
@@ -101,13 +102,16 @@ TEST(RandomPatterns, ShapesMatch) {
   const std::size_t ff = c.add_flipflop(FlipFlop{a, q, {}, {}, {}});
   ScanChain chain(c, "sc", {ff});
   util::Pcg32 rng(7);
-  const auto pats = random_patterns(c, chain, {a}, 10, rng);
+  const auto pats = random_patterns_multi({&chain}, {a}, 10, rng);
   ASSERT_EQ(pats.size(), 10u);
   for (const auto& p : pats) {
-    EXPECT_EQ(p.chain_load.size(), 1u);
+    ASSERT_EQ(p.chain_loads.size(), 1u);
+    EXPECT_EQ(p.chain_loads[0].size(), 1u);
     ASSERT_EQ(p.pi_values.size(), 1u);
     EXPECT_EQ(p.pi_values[0].first, a);
     EXPECT_TRUE(is_known(p.pi_values[0].second));
+    EXPECT_GE(p.capture_cycles, 1);
+    EXPECT_LE(p.capture_cycles, 3);
   }
 }
 
