@@ -46,13 +46,16 @@ endif()
 # StampReferee runs the workspace's in-place stamp, factor and solve
 # against an A-layout reference on the frontend's stage systems;
 # SeedMapping and Netlist cover the position-only name tables a seed
-# and a netlist copy carry.
+# and a netlist copy carry; GoldenTrajectory records a golden transient
+# and follows it through a name map, the read-only trajectory every
+# campaign worker's toggle shares (CampaignIncremental runs that at 4
+# threads).
 # NewtonAllocation is
 # deliberately excluded: its global operator-new counters are
 # meaningless under sanitizer allocators.
-message(STATUS "[sanitize_job] running ThreadPool/Campaign/Dictionary/PinnedReference/StageOutcome/McTrials/SparseEngine/StampReferee/SeedMapping/Netlist/SolverSmoke/SolverRobustness/digital tests under ${SANITIZER}")
+message(STATUS "[sanitize_job] running ThreadPool/Campaign/GoldenTrajectory/Dictionary/PinnedReference/StageOutcome/McTrials/SparseEngine/StampReferee/SeedMapping/Netlist/SolverSmoke/SolverRobustness/digital tests under ${SANITIZER}")
 execute_process(
-  COMMAND ctest --test-dir ${BIN_DIR} -R "ThreadPool|Campaign|Dictionary|PinnedReference|StageOutcome|McTrials|SparseEngine|StampReferee|SeedMapping|Netlist|SolverSmoke|SolverRobustness|Circuit|StuckCampaign|Compaction|CoverageCurve|Atpg"
+  COMMAND ctest --test-dir ${BIN_DIR} -R "ThreadPool|Campaign|GoldenTrajectory|Dictionary|PinnedReference|StageOutcome|McTrials|SparseEngine|StampReferee|SeedMapping|Netlist|SolverSmoke|SolverRobustness|Circuit|StuckCampaign|Compaction|CoverageCurve|Atpg"
           --output-on-failure
   RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)

@@ -369,11 +369,12 @@ CollapsePlan build_collapse_plan(const cells::LinkFrontend& golden,
 /// the bit-identical result (equivalent faulted netlists differ only in
 /// device names, which stamp nothing) and records the representative in
 /// collapsed_into. Per-fault work units (progress calls) are preserved
-/// exactly.
+/// exactly. `simulated` tells whether this call ran the simulation.
 FaultOutcome simulate_with_collapse(const FaultSimContext& ctx, const CollapsePlan* plan,
                                     const StructuralFault& f, std::size_t index,
-                                    std::size_t worker) {
+                                    std::size_t worker, bool& simulated) {
   GroupSlot* slot = (plan != nullptr) ? plan->slot[index] : nullptr;
+  simulated = true;
   if (slot == nullptr) return simulate_fault(ctx, f, index, worker);
 
   std::lock_guard<std::mutex> lk(slot->mu);
@@ -384,6 +385,7 @@ FaultOutcome simulate_with_collapse(const FaultSimContext& ctx, const CollapsePl
     if (plan->rep[index] != index) outcome.collapsed_into = plan->rep[index];
     return outcome;
   }
+  simulated = false;
   const Clock::time_point t0 = Clock::now();
   FaultOutcome outcome = slot->result;
   outcome.fault = f;
@@ -516,10 +518,13 @@ CampaignReport run_campaign(const cells::LinkFrontend& golden, const CampaignOpt
       opts.progress(i, faults.size());
     }
     FaultOutcome& outcome = report.outcomes[i];
-    outcome = simulate_with_collapse(ws.ctx, plan, faults[i], i, w);
+    bool simulated = true;
+    outcome = simulate_with_collapse(ws.ctx, plan, faults[i], i, w, simulated);
     ++ws.simulated;
     ws.cpu_sec += outcome.elapsed_sec;
-    ws.newton += outcome.newton_iterations;
+    // A folded member's count is its representative's: only iterations
+    // that ran are summed, as in campaign.newton_per_fault.
+    if (simulated) ws.newton += outcome.newton_iterations;
   });
 
   for (const auto& ws : workers) {

@@ -197,7 +197,9 @@ struct CampaignExecStats {
   /// Sum of per-fault simulation time — the serial cost of the same
   /// work.
   double fault_cpu_sec = 0.0;
-  /// Newton iterations summed over every fault.
+  /// Newton iterations summed over the simulated faults: a member folded
+  /// into its collapse class's representative adds nothing, so this is
+  /// the campaign's share of the campaign.newton_per_fault histogram.
   long newton_iterations = 0;
   /// Point-in-time snapshot of the process-wide util::Metrics registry
   /// taken as the campaign finished (see docs/OBSERVABILITY.md for the

@@ -1,6 +1,7 @@
 #include "dft/scan_test.hpp"
 
 #include "spice/transient.hpp"
+#include "spice/workspace.hpp"
 
 namespace lsl::dft {
 
@@ -45,13 +46,17 @@ CpScanSignature cp_scan_signature(const LinkFrontend& fe_in, const spice::DcOpti
   const std::size_t clamp = cap_nl.add("scan.clamp_vc", VSource{cap.cp_ports().vc, kGround, 0.0});
 
   double vc_prev = fe_in.spec().vdd / 2.0;  // pre-test level on the cap
+  // Each phase's solves form a chain: combo i starts from combo i - 1's
+  // solution plus the golden's change (spice/seed.hpp).
+  std::string drive_prev, cap_prev;
+  std::vector<double> drive_x, cap_x;
   for (std::size_t i = 0; i < combos.size(); ++i) {
     drive.set_pump(combos[i].up, combos[i].dn);
     drive.set_strong_pump(combos[i].upst, combos[i].dnst);
     drive_nl.set_vsource_volts(v_hold, vc_prev);
     const std::string drive_key = "scan.cp.drive." + std::to_string(i);
-    spice::arm_warm_start(hints, drive_key, drive_nl);
-    const auto r_drive = drive.solve(solve);
+    spice::arm_warm_start(hints, drive_key, drive_nl, drive_prev, drive_x);
+    auto r_drive = drive.solve(solve);
     sig.iterations += r_drive.iterations;
     if (!r_drive.converged) {
       sig.status = r_drive.status;
@@ -60,11 +65,13 @@ CpScanSignature cp_scan_signature(const LinkFrontend& fe_in, const spice::DcOpti
     spice::capture_seed(hints, drive_key, drive_nl, r_drive.x);
     const double vc_reached = drive.vc(r_drive);
     vc_prev = vc_reached;
+    drive_prev = drive_key;
+    drive_x = std::move(r_drive.x);
 
     cap_nl.set_vsource_volts(clamp, vc_reached);
     const std::string cap_key = "scan.cp.cap." + std::to_string(i);
-    spice::arm_warm_start(hints, cap_key, cap_nl);
-    const auto r_cap = cap.solve(solve);
+    spice::arm_warm_start(hints, cap_key, cap_nl, cap_prev, cap_x);
+    auto r_cap = cap.solve(solve);
     sig.iterations += r_cap.iterations;
     if (!r_cap.converged) {
       sig.status = r_cap.status;
@@ -73,6 +80,8 @@ CpScanSignature cp_scan_signature(const LinkFrontend& fe_in, const spice::DcOpti
     spice::capture_seed(hints, cap_key, cap_nl, r_cap.x);
     sig.window[i] = {r_cap.v(cap_nl, cap.cp_ports().cmp_hi) > th,
                      r_cap.v(cap_nl, cap.cp_ports().cmp_lo) > th};
+    cap_prev = cap_key;
+    cap_x = std::move(r_cap.x);
   }
   sig.valid = true;
   return sig;
@@ -85,26 +94,28 @@ namespace {
 ScanStaticSignature scan_static_on(LinkFrontend& fe, const spice::DcOptions& solve,
                                    const spice::SolveHints* hints) {
   ScanStaticSignature sig;
+  const std::string key1 = "scan.static.1";
+  const std::string key0 = "scan.static.0";
   fe.set_scan_mode(true);
   fe.set_data(true, true);
-  spice::arm_warm_start(hints, "scan.static.1", fe.netlist());
+  spice::arm_warm_start(hints, key1, fe.netlist());
   const auto r1 = fe.solve(solve);
   sig.iterations += r1.iterations;
   if (!r1.converged) {
     sig.status = r1.status;
     return sig;
   }
-  spice::capture_seed(hints, "scan.static.1", fe.netlist(), r1.x);
+  spice::capture_seed(hints, key1, fe.netlist(), r1.x);
   sig.obs1 = fe.observe(r1);
   fe.set_data(false, false);
-  spice::arm_warm_start(hints, "scan.static.0", fe.netlist());
+  spice::arm_warm_start(hints, key0, fe.netlist(), key1, r1.x);
   const auto r0 = fe.solve(solve);
   sig.iterations += r0.iterations;
   if (!r0.converged) {
     sig.status = r0.status;
     return sig;
   }
-  spice::capture_seed(hints, "scan.static.0", fe.netlist(), r0.x);
+  spice::capture_seed(hints, key0, fe.netlist(), r0.x);
   sig.obs0 = fe.observe(r0);
   sig.valid = true;
   return sig;
@@ -161,9 +172,13 @@ ToggleSignature toggle_on(LinkFrontend& fe, const spice::DcOptions& solve,
   topts.probes = {nl.node_name(fe.term_ports().cmp_p_hi), nl.node_name(fe.term_ports().cmp_p_lo),
                   nl.node_name(fe.term_ports().cmp_n_hi), nl.node_name(fe.term_ports().cmp_n_lo)};
   // The transient's t=0 operating point is scan mode with data low —
-  // the same state the "scan.static.0" golden seed captured.
+  // the same state the "scan.static.0" golden seed captured. The golden
+  // run records its trajectory, which every faulted run's time steps
+  // then follow.
+  const std::string trajectory_key = "scan.toggle";
   spice::arm_warm_start(hints, "scan.static.0", nl);
-  const auto res = spice::run_transient(nl, drives, topts);
+  const auto res = spice::run_transient(nl, drives, topts, spice::SolverWorkspace::tls(), hints,
+                                        trajectory_key);
   sig.iterations += res.newton_iterations;
   if (!res.ok) {
     sig.status = res.status;

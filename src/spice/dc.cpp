@@ -242,7 +242,8 @@ DcResult solve_dc(const Netlist& nl, const DcOptions& opts, SolverWorkspace& ws)
   // workspace unconditionally, so a stale seed can never leak into a
   // later, unrelated solve on this workspace.
   std::vector<double> seed;
-  const bool have_seed = ws.take_pending_seed(seed);
+  bool chained = false;
+  const bool have_seed = ws.take_pending_seed(seed, &chained);
 
   DcResult result;
   result.x = opts.initial_guess;
@@ -274,6 +275,8 @@ DcResult solve_dc(const Netlist& nl, const DcOptions& opts, SolverWorkspace& ws)
     auto& m = util::metrics();
     static util::Counter& warm_hits = m.counter("campaign.warm_start.hits");
     static util::Counter& warm_rejects = m.counter("campaign.warm_start.rejects");
+    static util::Counter& chained_hits = m.counter("campaign.warm_start.chained.hits");
+    static util::Counter& chained_rejects = m.counter("campaign.warm_start.chained.rejects");
     if (seed.size() == nl.unknown_count()) {
       seed_usable = true;
       util::TraceSpan span("dc.rung.golden-warm-start", "solver");
@@ -282,14 +285,17 @@ DcResult solve_dc(const Netlist& nl, const DcOptions& opts, SolverWorkspace& ws)
           newton_loop(dc_context(nl, opts.gmin_final), opts, ws, result.x, result.diag);
       if (st == SolveStatus::kConverged) {
         warm_hits.add(1);
+        if (chained) chained_hits.add(1);
         return finish(st, 0, "golden-warm-start");
       }
       warm_rejects.add(1);
+      if (chained) chained_rejects.add(1);
       result.x.clear();  // deeper rungs restart from zero, as before
     } else {
       // Seed built for a different structure (e.g. an open fault added
       // unknowns the golden solution cannot know about).
       warm_rejects.add(1);
+      if (chained) chained_rejects.add(1);
     }
   }
 

@@ -13,12 +13,28 @@
 // name at its golden position, so mapping a seed is mostly one string
 // compare per unknown, and only a name that moved is hashed.
 //
-// A SeedBank maps stage-stimulus keys ("dc.1", "scan.cp.drive.2", ...)
-// to seeds. The campaign builds one bank while computing the golden
-// reference signatures and then shares it read-only (via
-// std::shared_ptr<const SeedBank>) across all pool workers — the bank
-// is immutable after construction, so the sharing cannot reintroduce
-// the mutable-reindex-cache race that forced per-worker golden clones.
+// A seed may hold more than one solution of its netlist, one frame
+// each: a golden transient records one frame per grid point, so the
+// seed is the golden's trajectory. A faulted run maps the names once
+// (index_map) and then reads every frame through that map.
+//
+// A SeedBank maps stage-stimulus keys ("dc.1", "scan.cp.drive.2",
+// "scan.toggle", ...) to seeds. The campaign builds one bank while
+// computing the golden reference signatures and then shares it
+// read-only (via std::shared_ptr<const SeedBank>) across all pool
+// workers — the bank is immutable after construction, so the sharing
+// cannot reintroduce the mutable-reindex-cache race that forced
+// per-worker golden clones.
+//
+// Chained solves. The stages apply their stimuli to a fault in the
+// order the golden ran them, each stimulus a source change on one
+// netlist. A solve that follows another of the same fault on the same
+// netlist starts from that solve's solution plus the golden's change
+// between the two stimuli, x_prev + (g[key] − g[prev_key]): the golden
+// machine predicts how the stimulus moves the circuit, and the fault's
+// own last solution carries what the fault changed. A transient step
+// does the same with consecutive frames of the golden trajectory
+// (run_transient).
 //
 // SolveHints is the one optional knob the DFT stages thread through to
 // the solver: where to find seeds (warm starts) and where to record them
@@ -34,31 +50,54 @@
 
 namespace lsl::spice {
 
-/// One converged MNA solution, keyed by node / device names so it can
-/// warm-start a solve on any name-compatible netlist.
+/// Converged MNA solutions of one netlist (one frame each), keyed by
+/// node / device names so they can warm-start a solve on any
+/// name-compatible netlist.
 class SolutionSeed {
  public:
-  /// Records solution `x` of `nl` (x must be a full MNA vector for nl;
-  /// anything else yields an empty seed).
-  static SolutionSeed capture(const Netlist& nl, const std::vector<double>& x);
+  /// index_map's mark for a target unknown the seed has no name for.
+  static constexpr std::size_t kUnmapped = static_cast<std::size_t>(-1);
 
-  /// Maps the seed onto `target`'s unknown ordering. Nodes / branch
-  /// devices absent from the seed start at 0 (the cold-start value).
-  /// A target name at its captured position takes its value directly;
-  /// any other is looked up by name.
+  /// Records solution `x` of `nl` as the seed's first frame (x must be
+  /// a full MNA vector for nl; anything else yields an empty seed), with
+  /// room for `frames` frames in all, so appending the rest allocates
+  /// nothing more.
+  static SolutionSeed capture(const Netlist& nl, const std::vector<double>& x,
+                              std::size_t frames = 1);
+
+  /// Appends solution `x` of the captured netlist as the next frame
+  /// (ignored unless x has the captured unknown count).
+  void append(const std::vector<double>& x);
+
+  /// Maps the first frame onto `target`'s unknown ordering. Nodes /
+  /// branch devices absent from the seed start at 0 (the cold-start
+  /// value). A target name at its captured position takes its value
+  /// directly; any other is looked up by name.
   std::vector<double> initial_guess_for(const Netlist& target) const;
 
-  bool empty() const { return node_v_.empty() && branch_i_.empty(); }
+  /// The same name match as an index map: entry i is the position in a
+  /// frame of target unknown i's value, or kUnmapped.
+  std::vector<std::size_t> index_map(const Netlist& target) const;
+
+  bool empty() const { return values_.empty(); }
+  std::size_t frame_count() const { return width_ == 0 ? 0 : values_.size() / width_; }
+  /// Frame k's values, in the captured netlist's unknown order.
+  const double* frame(std::size_t k) const { return values_.data() + k * width_; }
 
  private:
-  // Node k + 1's name and voltage; the k-th branch's device name and
-  // current, in device order.
+  /// Calls fn(target unknown, frame position) for every matched name.
+  template <class Fn>
+  void match(const Netlist& target, Fn&& fn) const;
+
+  // Node k + 1's name; the k-th branch's device name, in device order.
   std::vector<std::string> node_names_;
-  std::vector<double> node_v_;
   NameIndex node_index_;
   std::vector<std::string> branch_names_;
-  std::vector<double> branch_i_;
   NameIndex branch_index_;
+  // The frames, each width_ values in the captured netlist's unknown
+  // order: node voltages, then branch currents.
+  std::size_t width_ = 0;
+  std::vector<double> values_;
 };
 
 /// Immutable-after-construction map from stage-stimulus key to seed.
@@ -89,6 +128,16 @@ struct SolveHints {
 /// workspace tries a golden warm start before its normal ladder.
 /// No-op when anything is missing.
 void arm_warm_start(const SolveHints* hints, const std::string& key, const Netlist& target);
+
+/// Chained form, for a solve that follows solve `prev_key` of the same
+/// fault on the same netlist, which converged to `prev_x`: arms
+/// prev_x + (g[key] − g[prev_key]), both golden seeds mapped onto
+/// `target` (an unknown the golden lacks keeps its prev_x value). Arms
+/// the plain golden seed instead when prev_x is not a full MNA vector
+/// for target (the first solve of a chain passes it empty) or
+/// `prev_key` was never captured.
+void arm_warm_start(const SolveHints* hints, const std::string& key, const Netlist& target,
+                    const std::string& prev_key, const std::vector<double>& prev_x);
 
 /// Records solution `x` of `nl` into hints->capture under `key`.
 /// No-op when hints or hints->capture is null or x is not a full MNA

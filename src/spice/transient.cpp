@@ -68,7 +68,7 @@ using Clock = std::chrono::steady_clock;
 /// records its own iterations and workspace work under solver.dc.*, so
 /// `op_iterations` is left out and `ws_before` is taken after it.
 void record_transient_metrics(const TransientResult& result, long op_iterations,
-                              const SolverWorkspace::Stats& ws_before,
+                              long predicted_steps, const SolverWorkspace::Stats& ws_before,
                               const SolverWorkspace::Stats& ws_after, double symbolic_sec) {
   auto& m = util::metrics();
   static util::Counter& runs = m.counter("solver.transient.runs");
@@ -83,6 +83,7 @@ void record_transient_metrics(const TransientResult& result, long op_iterations,
   static util::Counter& sparse_solves = m.counter("solver.transient.sparse_solves");
   static util::Counter& pivot_rejects = m.counter("solver.transient.pivot_rejects");
   static util::Counter& kcl_rejects = m.counter("solver.transient.kcl_rejects");
+  static util::Counter& predicted = m.counter("solver.transient.golden_predicted_steps");
   runs.add(1);
   if (!result.ok) failures.add(1);
   steps.add(static_cast<std::int64_t>(result.steps_accepted));
@@ -95,6 +96,7 @@ void record_transient_metrics(const TransientResult& result, long op_iterations,
   sparse_solves.add(ws_after.sparse_solves - ws_before.sparse_solves);
   pivot_rejects.add(ws_after.pivot_rejects - ws_before.pivot_rejects);
   kcl_rejects.add(ws_after.kcl_rejects - ws_before.kcl_rejects);
+  predicted.add(predicted_steps);
   if (util::Metrics::detailed_timing() && symbolic_sec > 0.0) {
     static util::MetricHistogram& symbolic = m.histogram("solver.transient.symbolic_seconds");
     symbolic.observe(symbolic_sec);
@@ -106,17 +108,25 @@ void record_transient_metrics(const TransientResult& result, long op_iterations,
 TransientResult run_transient(const Netlist& nl,
                               const std::unordered_map<std::string, Waveform>& drives,
                               const TransientOptions& opts) {
-  return run_transient(nl, drives, opts, SolverWorkspace::tls());
+  return run_transient(nl, drives, opts, SolverWorkspace::tls(), nullptr, {});
 }
 
 TransientResult run_transient(const Netlist& nl,
                               const std::unordered_map<std::string, Waveform>& drives,
                               const TransientOptions& opts, SolverWorkspace& ws) {
+  return run_transient(nl, drives, opts, ws, nullptr, {});
+}
+
+TransientResult run_transient(const Netlist& nl,
+                              const std::unordered_map<std::string, Waveform>& drives,
+                              const TransientOptions& opts, SolverWorkspace& ws,
+                              const SolveHints* hints, const std::string& trajectory_key) {
   nl.reindex();
   util::TraceSpan run_span("run_transient", "solver");
   const auto start = Clock::now();
   SolverWorkspace::Stats ws_stats_before = ws.stats();
   long op_iterations = 0;
+  long predicted_steps = 0;  // full-dt steps started from the golden trajectory
   TransientResult result;
   double symbolic_sec = 0.0;  // this run's own symbolic builds (detailed timing)
 
@@ -157,7 +167,8 @@ TransientResult run_transient(const Netlist& nl,
   const auto fail = [&](SolveStatus st, double t) {
     result.status = st;
     result.diag.elapsed_sec = std::chrono::duration<double>(Clock::now() - start).count();
-    record_transient_metrics(result, op_iterations, ws_stats_before, ws.stats(), symbolic_sec);
+    record_transient_metrics(result, op_iterations, predicted_steps, ws_stats_before, ws.stats(),
+                             symbolic_sec);
     run_span.arg("steps", static_cast<double>(result.steps_accepted));
     run_span.arg("halvings", static_cast<double>(result.step_halvings));
     util::log_warn("run_transient: " + to_string(st) + " at t=" + std::to_string(t) +
@@ -237,6 +248,20 @@ TransientResult run_transient(const Netlist& nl,
   // that index by time/dt are unaffected by the sub-stepping.
   const auto n_steps = static_cast<std::size_t>(std::ceil(opts.t_stop / opts.dt));
   const double dt_floor = opts.dt / static_cast<double>(1 << std::max(opts.max_step_halvings, 0));
+  // Golden trajectory: a golden run records one frame per grid point, a
+  // faulted run follows the recorded one through a name map built here,
+  // once (see the header).
+  const bool keyed = hints != nullptr && !trajectory_key.empty();
+  SolutionSeed recorded;
+  if (keyed && hints->capture != nullptr) recorded = SolutionSeed::capture(nl, x, n_steps + 1);
+  const SolutionSeed* golden =
+      keyed && hints->seeds != nullptr ? hints->seeds->find(trajectory_key) : nullptr;
+  std::vector<std::size_t> golden_map;
+  if (golden != nullptr && golden->frame_count() > 1) {
+    golden_map = golden->index_map(nl);
+  } else {
+    golden = nullptr;
+  }
   std::vector<double> x_try;
   // Predictor state: the solution one accepted sub-step back and that
   // step's size, for the linear extrapolation of the next initial guess.
@@ -262,7 +287,23 @@ TransientResult run_transient(const Netlist& nl,
       set_overrides(t_next);
       ctx.dt = sub_dt;
       x_try = x;
-      if (prev_accept_dt > 0.0 && x_prev_accept.size() == x.size()) {
+      const bool extrapolate = prev_accept_dt > 0.0 && x_prev_accept.size() == x.size();
+      if (golden != nullptr && sub_dt == opts.dt && step < golden->frame_count()) {
+        // Golden predictor: this step's change of the golden machine,
+        // added to the fault's own solution.
+        const double* g0 = golden->frame(step - 1);
+        const double* g1 = golden->frame(step);
+        const double a = extrapolate ? sub_dt / prev_accept_dt : 0.0;
+        for (std::size_t i = 0; i < x_try.size(); ++i) {
+          const std::size_t k = golden_map[i];
+          if (k != SolutionSeed::kUnmapped) {
+            x_try[i] = x[i] + (g1[k] - g0[k]);
+          } else if (extrapolate) {
+            x_try[i] = x[i] + a * (x[i] - x_prev_accept[i]);
+          }
+        }
+        ++predicted_steps;
+      } else if (extrapolate) {
         // Predictor: first-order extrapolation through the last two
         // accepted points, scaled for the (possibly halved) current step
         // size. Every step still converges to the same per-step
@@ -313,11 +354,14 @@ TransientResult run_transient(const Netlist& nl,
       ++result.step_halvings;
     }
     record(t_grid);
+    if (!recorded.empty()) recorded.append(x);
   }
+  if (!recorded.empty()) hints->capture->put(trajectory_key, std::move(recorded));
   result.ok = true;
   result.status = SolveStatus::kConverged;
   result.diag.elapsed_sec = std::chrono::duration<double>(Clock::now() - start).count();
-  record_transient_metrics(result, op_iterations, ws_stats_before, ws.stats(), symbolic_sec);
+  record_transient_metrics(result, op_iterations, predicted_steps, ws_stats_before, ws.stats(),
+                             symbolic_sec);
   run_span.arg("steps", static_cast<double>(result.steps_accepted));
   run_span.arg("halvings", static_cast<double>(result.step_halvings));
   return result;

@@ -15,6 +15,7 @@
 
 #include "spice/dc.hpp"
 #include "spice/netlist.hpp"
+#include "spice/seed.hpp"
 #include "spice/solve_status.hpp"
 #include "spice/stamp.hpp"
 
@@ -93,5 +94,20 @@ TransientResult run_transient(const Netlist& nl,
 TransientResult run_transient(const Netlist& nl,
                               const std::unordered_map<std::string, Waveform>& drives,
                               const TransientOptions& opts);
+
+/// The same run linked to a golden trajectory (campaign). With
+/// `hints->capture`, a run that completes records its solution at t = 0
+/// and at every grid point into that bank under `trajectory_key`, one
+/// frame each. With `hints->seeds` holding that key, each full-dt step
+/// starts Newton from x(t) + (g(t + dt) − g(t)), g the recorded
+/// trajectory mapped by name once per run; an unknown the trajectory
+/// lacks, a halved sub-step and a step past the trajectory's end keep
+/// the linear extrapolation. Every step converges to the same tolerance
+/// either way: the start point changes iteration counts, not meaning.
+/// A null `hints` is the plain run.
+TransientResult run_transient(const Netlist& nl,
+                              const std::unordered_map<std::string, Waveform>& drives,
+                              const TransientOptions& opts, SolverWorkspace& ws,
+                              const SolveHints* hints, const std::string& trajectory_key);
 
 }  // namespace lsl::spice

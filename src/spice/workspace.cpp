@@ -44,18 +44,22 @@ void SolverWorkspace::clear() {
 void SolverWorkspace::seed_from(const std::vector<double>& x) {
   pending_seed_ = x;
   has_pending_seed_ = true;
+  pending_chained_ = false;
 }
 
-void SolverWorkspace::seed_from(std::vector<double>&& x) {
+void SolverWorkspace::seed_from(std::vector<double>&& x, bool chained) {
   pending_seed_ = std::move(x);
   has_pending_seed_ = true;
+  pending_chained_ = chained;
 }
 
-bool SolverWorkspace::take_pending_seed(std::vector<double>& out) {
+bool SolverWorkspace::take_pending_seed(std::vector<double>& out, bool* chained) {
   if (!has_pending_seed_) return false;
   out.swap(pending_seed_);
   pending_seed_.clear();
   has_pending_seed_ = false;
+  if (chained != nullptr) *chained = pending_chained_;
+  pending_chained_ = false;
   return true;
 }
 

@@ -154,11 +154,14 @@ class SolverWorkspace {
   /// Parks an initial guess for the next solve_dc on this workspace
   /// (the campaign's golden warm start). Consumed — and always cleared
   /// — by exactly one solve; a guess whose size does not match that
-  /// solve's unknown count is discarded.
+  /// solve's unknown count is discarded. `chained` marks a guess
+  /// predicted from the fault's previous solve (seed.hpp), which
+  /// solve_dc counts apart.
   void seed_from(const std::vector<double>& x);
-  void seed_from(std::vector<double>&& x);
-  /// Takes (and clears) the pending seed. False when none is armed.
-  bool take_pending_seed(std::vector<double>& out);
+  void seed_from(std::vector<double>&& x, bool chained = false);
+  /// Takes (and clears) the pending seed, and whether it was chained.
+  /// False when none is armed.
+  bool take_pending_seed(std::vector<double>& out, bool* chained = nullptr);
 
   /// The cache entry a Newton loop solves on. Default-constructed it is
   /// unresolved; the first solve_newton_system call that receives it
@@ -301,6 +304,7 @@ class SolverWorkspace {
   // Pending campaign warm-start seed (see seed_from).
   std::vector<double> pending_seed_;
   bool has_pending_seed_ = false;
+  bool pending_chained_ = false;
 
   // Dense path buffers (n below the crossover, or forced dense).
   Matrix dense_g_;

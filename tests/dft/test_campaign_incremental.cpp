@@ -152,6 +152,68 @@ TEST_F(CampaignIncrementalFixture, FoldedOutcomesMirrorTheirRepresentative) {
   }
 }
 
+TEST_F(CampaignIncrementalFixture, GoldenPredictorMovesOnlyNewtonCounts) {
+  // A universe whose full evaluation runs the toggle: the termination
+  // transmission gates (toggle-only detections among them) and a pump
+  // pull-down. With reuse_golden the chained DC solves and the toggle's
+  // time steps start from the golden's change; off, every solve starts
+  // as before. Only the Newton counts may differ, and the thread count
+  // changes nothing.
+  CampaignOptions opts;
+  opts.prefixes = {"term.termp.m_tg", "cp.m_pulln"};
+  opts.with_bist = false;
+  opts.adaptive_stage_order = false;
+  opts.num_threads = 1;
+  auto& m = util::metrics();
+  const util::Counter& predicted = m.counter("solver.transient.golden_predicted_steps");
+  const util::Counter& chained = m.counter("campaign.warm_start.chained.hits");
+  const std::int64_t predicted0 = predicted.value();
+  const std::int64_t chained0 = chained.value();
+  const CampaignReport on = run_campaign(*golden_, opts);
+  EXPECT_GT(predicted.value(), predicted0) << "no toggle step followed the golden trajectory";
+  EXPECT_GT(chained.value(), chained0) << "no chained DC warm start converged";
+  opts.num_threads = 4;
+  const CampaignReport on_parallel = run_campaign(*golden_, opts);
+  opts.num_threads = 1;
+  opts.reuse_golden = false;
+  const CampaignReport off = run_campaign(*golden_, opts);
+  ASSERT_TRUE(on.complete && on_parallel.complete && off.complete);
+  EXPECT_EQ(report_canonical_jsonl(on), report_canonical_jsonl(on_parallel));
+
+  std::size_t toggled = 0;
+  for (const FaultOutcome& o : on.outcomes) {
+    toggled += (o.record.slot[0].run & sub_bit(kSubToggle)) != 0;
+  }
+  EXPECT_EQ(toggled, on.outcomes.size());
+  EXPECT_LT(on.exec.newton_iterations, off.exec.newton_iterations);
+  const auto without_newton = [](CampaignReport r) {
+    for (FaultOutcome& o : r.outcomes) o.newton_iterations = 0;
+    return report_canonical_jsonl(r);
+  };
+  EXPECT_EQ(without_newton(on), without_newton(off));
+}
+
+TEST_F(CampaignIncrementalFixture, ExecNewtonCountsOnlySimulatedFaults) {
+  // A folded member copies its representative's outcome, Newton count
+  // included, but runs nothing: the campaign's total is the
+  // campaign.newton_per_fault histogram's, which only simulations feed.
+  CampaignOptions opts = base_opts(2);
+  opts.max_faults = 0;
+  const util::MetricHistogram& per_fault = util::metrics().histogram("campaign.newton_per_fault");
+  const double sum0 = per_fault.snapshot().sum;
+  const CampaignReport report = run_campaign(*golden_, opts);
+  ASSERT_TRUE(report.complete);
+  long folded = 0;
+  long outcome_sum = 0;
+  for (const FaultOutcome& o : report.outcomes) {
+    outcome_sum += o.newton_iterations;
+    if (o.collapsed_into.has_value()) folded += o.newton_iterations;
+  }
+  EXPECT_GT(folded, 0) << "the universe folds no fault";
+  EXPECT_EQ(report.exec.newton_iterations, static_cast<long>(per_fault.snapshot().sum - sum0));
+  EXPECT_EQ(report.exec.newton_iterations, outcome_sum - folded);
+}
+
 TEST_F(CampaignIncrementalFixture, StagesRunRecordsWhatActuallyExecuted) {
   // Every TX fault is DC-detected and no pull-down fault is.
   CampaignOptions opts = base_opts(1);

@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "spice/seed.hpp"
 #include "spice/workspace.hpp"
 #include "util/metrics.hpp"
 
@@ -184,6 +185,156 @@ TEST(Transient, CmosInverterDrivesRailToRail) {
     }
     if (t[i] > 16e-9 && t[i] < 21e-9) {
       EXPECT_GT(vout[i], 1.1) << "t=" << t[i];
+    }
+  }
+}
+
+/// A CMOS inverter into an RC load: vdd, vin, then "out" and "load",
+/// created after `first_nodes` (so a netlist that names extra nodes
+/// first holds every shared node at another position).
+Netlist inverter_into_rc(const std::vector<std::string>& first_nodes = {}) {
+  Netlist nl;
+  for (const auto& name : first_nodes) nl.node(name);
+  const NodeId vdd = nl.node("vdd");
+  const NodeId in = nl.node("in");
+  const NodeId out = nl.node("out");
+  const NodeId load = nl.node("load");
+  nl.add("vdd", VSource{vdd, kGround, 1.2});
+  nl.add("vin", VSource{in, kGround, 0.0});
+  nl.add("mp", Mosfet{out, in, vdd, MosType::kPmos, 2e-6, 0.13e-6, 0.0});
+  nl.add("mn", Mosfet{out, in, kGround, MosType::kNmos, 1e-6, 0.13e-6, 0.0});
+  nl.add("cl", Capacitor{out, kGround, 10e-15});
+  nl.add("cload", Capacitor{load, kGround, 20e-15});
+  return nl;
+}
+
+TransientOptions inverter_opts() {
+  TransientOptions opts;
+  opts.t_stop = 40e-9;
+  opts.dt = 0.1e-9;
+  opts.probes = {"out", "load"};
+  return opts;
+}
+
+const std::unordered_map<std::string, Waveform>& inverter_drives() {
+  static const std::unordered_map<std::string, Waveform> drives = {
+      {"vin", square_wave(0.0, 1.2, 10e-9, 2e-9)}};
+  return drives;
+}
+
+/// Deltas of the transient step counters over one call of `run`.
+struct StepCounts {
+  std::int64_t newton = 0;
+  std::int64_t predicted = 0;
+};
+
+template <class Run>
+StepCounts count_steps(Run&& run) {
+  auto& m = util::metrics();
+  const util::Counter& newton = m.counter("solver.transient.newton_iterations");
+  const util::Counter& predicted = m.counter("solver.transient.golden_predicted_steps");
+  const std::int64_t newton0 = newton.value();
+  const std::int64_t predicted0 = predicted.value();
+  run();
+  return {newton.value() - newton0, predicted.value() - predicted0};
+}
+
+TEST(GoldenTrajectory, FollowingItsOwnTrajectoryTakesOneIterationPerStep) {
+  Netlist nl = inverter_into_rc();
+  nl.add("rload", Resistor{*nl.find_node("out"), *nl.find_node("load"), 20e3});
+  const TransientOptions opts = inverter_opts();
+  SolverWorkspace ws;
+
+  SeedBank bank;
+  SolveHints record;
+  record.capture = &bank;
+  TransientResult golden;
+  const StepCounts cold = count_steps([&] {
+    golden = run_transient(nl, inverter_drives(), opts, ws, &record, "inv.toggle");
+  });
+  ASSERT_TRUE(golden.ok);
+  EXPECT_EQ(cold.predicted, 0);
+  const SolutionSeed* trajectory = bank.find("inv.toggle");
+  ASSERT_NE(trajectory, nullptr);
+  ASSERT_EQ(trajectory->frame_count(), golden.time.size());  // t = 0 and every grid point
+
+  SolveHints follow;
+  follow.seeds = &bank;
+  TransientResult res;
+  const StepCounts warm = count_steps(
+      [&] { res = run_transient(nl, inverter_drives(), opts, ws, &follow, "inv.toggle"); });
+  ASSERT_TRUE(res.ok);
+  EXPECT_EQ(res.step_halvings, 0);
+  EXPECT_EQ(warm.predicted, res.steps_accepted);
+  EXPECT_EQ(warm.newton, res.steps_accepted) << "one Newton iteration per step";
+  EXPECT_GT(cold.newton, 2 * warm.newton);
+  ASSERT_EQ(res.time, golden.time);
+  for (const auto& probe : opts.probes) {
+    for (std::size_t i = 0; i < res.time.size(); ++i) {
+      ASSERT_NEAR(res.probe(probe)[i], golden.probe(probe)[i], opts.newton.abs_tol)
+          << probe << " at t=" << res.time[i];
+    }
+  }
+
+  // Another key, or no seeds, is today's extrapolation, bit for bit.
+  const TransientResult plain = run_transient(nl, inverter_drives(), opts, ws);
+  const TransientResult other = run_transient(nl, inverter_drives(), opts, ws, &follow, "other");
+  EXPECT_EQ(plain.v, golden.v);
+  EXPECT_EQ(other.v, golden.v);
+  EXPECT_EQ(other.newton_iterations, golden.newton_iterations);
+}
+
+TEST(GoldenTrajectory, FaultWithAnAddedNodeMapsTheTrajectoryByName) {
+  // The "fault" splits the load resistor at a node the golden lacks,
+  // created first, so every shared name sits one position later.
+  Netlist golden_nl = inverter_into_rc();
+  golden_nl.add("rload",
+                Resistor{*golden_nl.find_node("out"), *golden_nl.find_node("load"), 20e3});
+  Netlist faulty = inverter_into_rc({"f.split"});
+  const NodeId split = *faulty.find_node("f.split");
+  faulty.add("rload", Resistor{*faulty.find_node("out"), split, 10e3});
+  faulty.add("rload.f", Resistor{split, *faulty.find_node("load"), 10e3});
+  const TransientOptions opts = inverter_opts();
+  SolverWorkspace ws;
+
+  SeedBank bank;
+  SolveHints record;
+  record.capture = &bank;
+  ASSERT_TRUE(run_transient(golden_nl, inverter_drives(), opts, ws, &record, "inv.toggle").ok);
+  const SolutionSeed* trajectory = bank.find("inv.toggle");
+  ASSERT_NE(trajectory, nullptr);
+
+  // Every shared node and branch maps to its golden position, by name.
+  const std::vector<std::size_t> map = trajectory->index_map(faulty);
+  ASSERT_EQ(map.size(), faulty.unknown_count());
+  for (NodeId node = 1; node < faulty.node_count(); ++node) {
+    const auto at = golden_nl.find_node(faulty.node_name(node));
+    EXPECT_EQ(map[faulty.voltage_index(node)],
+              at.has_value() ? golden_nl.voltage_index(*at) : SolutionSeed::kUnmapped)
+        << faulty.node_name(node);
+  }
+  for (const char* source : {"vdd", "vin"}) {
+    EXPECT_EQ(map[faulty.branch_index(*faulty.find_device(source))],
+              golden_nl.branch_index(*golden_nl.find_device(source)))
+        << source;
+  }
+
+  TransientResult cold;
+  const StepCounts plain =
+      count_steps([&] { cold = run_transient(faulty, inverter_drives(), opts, ws); });
+  SolveHints follow;
+  follow.seeds = &bank;
+  TransientResult res;
+  const StepCounts warm = count_steps(
+      [&] { res = run_transient(faulty, inverter_drives(), opts, ws, &follow, "inv.toggle"); });
+  ASSERT_TRUE(cold.ok);
+  ASSERT_TRUE(res.ok);
+  EXPECT_EQ(warm.predicted, res.steps_accepted);
+  EXPECT_LT(warm.newton, plain.newton);
+  for (const auto& probe : opts.probes) {
+    for (std::size_t i = 0; i < res.time.size(); ++i) {
+      ASSERT_NEAR(res.probe(probe)[i], cold.probe(probe)[i], opts.newton.abs_tol)
+          << probe << " at t=" << res.time[i];
     }
   }
 }
