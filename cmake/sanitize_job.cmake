@@ -20,10 +20,11 @@ if(NOT rc EQUAL 0)
   message(FATAL_ERROR "[sanitize_job] configure failed (${SANITIZER})")
 endif()
 
-message(STATUS "[sanitize_job] building test_util + test_spice + test_cells + test_dft + test_fault + test_digital")
+message(STATUS "[sanitize_job] building test_util + test_spice + test_cells + test_dft + test_fault + test_digital + test_behav + test_link")
 execute_process(
   COMMAND ${CMAKE_COMMAND} --build ${BIN_DIR} --parallel
           --target test_util test_spice test_cells test_dft test_fault test_digital
+                   test_behav test_link
   RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "[sanitize_job] build failed (${SANITIZER})")
@@ -49,13 +50,15 @@ endif()
 # and a netlist copy carry; GoldenTrajectory records a golden transient
 # and follows it through a name map, the read-only trajectory every
 # campaign worker's toggle shares (CampaignIncremental runs that at 4
-# threads).
+# threads). Pcg32, Channel, Synchronizer and Link run the behavioural
+# BIST kernel: the skipped Gaussian draws, the sampled channel push
+# (its sample index) and the synchronizer's exact phase wraps.
 # NewtonAllocation is
 # deliberately excluded: its global operator-new counters are
 # meaningless under sanitizer allocators.
-message(STATUS "[sanitize_job] running ThreadPool/Campaign/GoldenTrajectory/Dictionary/PinnedReference/StageOutcome/McTrials/SparseEngine/StampReferee/SeedMapping/Netlist/SolverSmoke/SolverRobustness/digital tests under ${SANITIZER}")
+message(STATUS "[sanitize_job] running ThreadPool/Campaign/GoldenTrajectory/Dictionary/PinnedReference/StageOutcome/McTrials/SparseEngine/StampReferee/SeedMapping/Netlist/SolverSmoke/SolverRobustness/digital/behavioural tests under ${SANITIZER}")
 execute_process(
-  COMMAND ctest --test-dir ${BIN_DIR} -R "ThreadPool|Campaign|GoldenTrajectory|Dictionary|PinnedReference|StageOutcome|McTrials|SparseEngine|StampReferee|SeedMapping|Netlist|SolverSmoke|SolverRobustness|Circuit|StuckCampaign|Compaction|CoverageCurve|Atpg"
+  COMMAND ctest --test-dir ${BIN_DIR} -R "ThreadPool|Campaign|GoldenTrajectory|Dictionary|PinnedReference|StageOutcome|McTrials|SparseEngine|StampReferee|SeedMapping|Netlist|SolverSmoke|SolverRobustness|Circuit|StuckCampaign|Compaction|CoverageCurve|Atpg|Pcg32|Channel|Synchronizer|Link"
           --output-on-failure
   RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)

@@ -2,11 +2,16 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 namespace lsl::behav {
 
 Channel::Channel(const ChannelParams& p, std::uint64_t noise_seed)
-    : p_(p), rng_(noise_seed), last_ui_(static_cast<std::size_t>(p.oversample), 0.0) {}
+    : p_(p),
+      alpha_(1.0 - std::exp(-(p.ui / p.oversample) / p.tau)),
+      rng_(noise_seed),
+      last_ui_(static_cast<std::size_t>(p.oversample), 0.0) {}
 
 double Channel::target_for(bool b) const {
   // Each arm contributes half the differential swing; scaling one arm
@@ -16,23 +21,48 @@ double Channel::target_for(bool b) const {
   return b ? amplitude : -amplitude;
 }
 
-void Channel::push_bit(bool b) {
-  const double h = p_.ui / p_.oversample;
+double Channel::begin_ui(bool b) {
   // Capacitive FFE: instantaneous kick on a transition.
   if (has_prev_ && b != prev_bit_) {
     const double dir = b ? 1.0 : -1.0;
     v_ += dir * p_.ffe_kick * p_.kick_scale * p_.swing;
   }
-  const double target = target_for(b);
-  const double alpha = 1.0 - std::exp(-h / p_.tau);
+  prev_bit_ = b;
+  has_prev_ = true;
+  return target_for(b);
+}
+
+void Channel::push_bit(bool b) {
+  const double target = begin_ui(b);
   for (int k = 0; k < p_.oversample; ++k) {
-    v_ += (target - v_) * alpha;
+    v_ += (target - v_) * alpha_;
     double sample = v_;
     if (p_.noise_rms > 0.0) sample += p_.noise_rms * rng_.next_gaussian();
     last_ui_[static_cast<std::size_t>(k)] = sample;
   }
-  prev_bit_ = b;
-  has_prev_ = true;
+}
+
+double Channel::push_bit_sample(bool b, int k) {
+  if (k >= p_.oversample) {
+    throw std::out_of_range("Channel::push_bit_sample: sample " + std::to_string(k) +
+                            " of a " + std::to_string(p_.oversample) + "-sample UI");
+  }
+  const double target = begin_ui(b);
+  double sample = 0.0;
+  for (int j = 0; j < p_.oversample; ++j) {
+    v_ += (target - v_) * alpha_;
+    if (j == k) sample = v_;
+  }
+  if (k < 0) {
+    if (p_.noise_rms > 0.0) rng_.discard_gaussians(static_cast<std::size_t>(p_.oversample));
+    return v_;
+  }
+  if (p_.noise_rms > 0.0) {
+    rng_.discard_gaussians(static_cast<std::size_t>(k));
+    sample += p_.noise_rms * rng_.next_gaussian();
+    rng_.discard_gaussians(static_cast<std::size_t>(p_.oversample - 1 - k));
+  }
+  return sample;
 }
 
 EyeResult analyze_eye(const ChannelParams& params, std::size_t n_bits, util::PrbsOrder order,

@@ -46,6 +46,14 @@ class Channel {
   /// Feeds one bit; advances one UI of waveform.
   void push_bit(bool b);
 
+  /// Feeds one bit like push_bit, but computes only sample `k` of the
+  /// UI's waveform (0 <= k < oversample) and returns it; k < 0 reads no
+  /// sample and returns value(). The noise stream advances exactly as
+  /// push_bit's does (Pcg32::discard_gaussians for the samples not
+  /// read), so the two calls may be mixed and yield the same values.
+  /// last_ui_waveform() is left as it was.
+  double push_bit_sample(bool b, int k);
+
   /// Differential line voltage now (end of the last pushed UI).
   double value() const { return v_; }
 
@@ -57,8 +65,12 @@ class Channel {
 
  private:
   double target_for(bool b) const;
+  /// Starts the UI of bit `b`: applies the FFE kick if `b` is a
+  /// transition and returns the UI's RC target.
+  double begin_ui(bool b);
 
   ChannelParams p_;
+  double alpha_;  // RC update factor per sample, 1 − exp(−h/τ)
   util::Pcg32 rng_;
   double v_ = 0.0;
   bool prev_bit_ = false;

@@ -9,14 +9,22 @@ namespace lsl::behav {
 Synchronizer::Synchronizer(const SyncParams& p, double eye_center, double vc0, std::size_t phase0)
     : p_(p), dll_(p.dll), vcdl_(p.vcdl), eye_center_(eye_center), vc0_(vc0), phase0_(phase0) {}
 
+// Both wraps below are std::fmod with fast paths for the arguments the
+// loop almost always sees, each exact: fmod(t, P) is t itself for
+// t in [0, P), and t − P for t in [P, 2P), a difference that Sterbenz's
+// lemma makes exact (P/2 <= t <= 2P). Anything else, NaN included,
+// still goes to std::fmod.
 double Synchronizer::sampling_offset(std::size_t k, double vc) const {
   const double t = dll_.phase_offset(k) + vcdl_.delay(vc);
-  return std::fmod(t, dll_.clock_period());
+  const double period = dll_.clock_period();
+  if (t >= 0.0 && t < period) return t;
+  if (t >= period && t < 2.0 * period) return t - period;
+  return std::fmod(t, period);
 }
 
 double Synchronizer::wrap_err(double err) const {
   const double period = dll_.clock_period();
-  err = std::fmod(err, period);
+  if (!(std::fabs(err) < period)) err = std::fmod(err, period);
   if (err > period / 2.0) err -= period;
   if (err < -period / 2.0) err += period;
   return err;

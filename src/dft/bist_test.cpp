@@ -30,16 +30,16 @@ std::size_t add_bist_clamp(cells::LinkFrontend& fe) {
                           spice::VSource{fe.cp_ports().vc, spice::kGround, 0.0});
 }
 
-/// read_cp_bist_bits on a frontend that already carries the clamp.
+/// read_cp_bist_bits on a frontend that already carries the clamp, as
+/// the next solve of `chain`.
 bool read_clamped_bits(cells::LinkFrontend& fe, std::size_t clamp, double vc, bool& hi,
                        bool& lo, const spice::DcOptions& solve, spice::SolveStatus* status,
-                       long* iterations, const spice::SolveHints* hints) {
+                       long* iterations, spice::SeedChain& chain) {
   auto& nl = fe.netlist();
   nl.set_vsource_volts(clamp, vc);
-  const std::string seed_key = "bist.vc." + std::to_string(vc);
-  spice::arm_warm_start(hints, seed_key, nl);
+  chain.arm("bist.vc." + std::to_string(vc), nl);
   const auto r = fe.solve(solve);
-  if (r.converged) spice::capture_seed(hints, seed_key, nl, r.x);
+  chain.record(nl, r.converged, r.x);
   if (status) *status = r.status;
   if (iterations) *iterations += r.iterations;
   if (!r.converged) return false;
@@ -56,20 +56,22 @@ bool read_cp_bist_bits(const cells::LinkFrontend& fe_in, double vc, bool& hi, bo
                        long* iterations, const spice::SolveHints* hints) {
   cells::LinkFrontend fe = fe_in;
   const std::size_t clamp = add_bist_clamp(fe);
-  return read_clamped_bits(fe, clamp, vc, hi, lo, solve, status, iterations, hints);
+  spice::SeedChain chain(hints);
+  return read_clamped_bits(fe, clamp, vc, hi, lo, solve, status, iterations, chain);
 }
 
 namespace {
 
 /// Strobes the CP-BIST readout at each Vc level, on one clamped copy of
-/// `fe_in`, and records it as one kSubCpBistRead observation ('!!' for
-/// a level that failed to solve), stopping at the first failed level
-/// unless `full_evaluation`.
+/// `fe_in` as one chain of solves (spice/seed.hpp), and records it as
+/// one kSubCpBistRead observation ('!!' for a level that failed to
+/// solve), stopping at the first failed level unless `full_evaluation`.
 void record_cp_bist_readout(StageOutcome& out, const cells::LinkFrontend& fe_in,
                             const spice::DcOptions& solve, const spice::SolveHints* hints,
                             bool full_evaluation) {
   cells::LinkFrontend fe = fe_in;
   const std::size_t clamp = add_bist_clamp(fe);
+  spice::SeedChain chain(hints);
   std::string marks;
   bool failed = false;
   spice::SolveStatus status = spice::SolveStatus::kConverged;
@@ -78,7 +80,7 @@ void record_cp_bist_readout(StageOutcome& out, const cells::LinkFrontend& fe_in,
     bool hi = false;
     bool lo = false;
     if (read_clamped_bits(fe, clamp, vc, hi, lo, solve, failed ? nullptr : &status,
-                          &out.iterations, hints)) {
+                          &out.iterations, chain)) {
       marks += {hi ? '1' : '0', lo ? '1' : '0'};
     } else {
       marks += "!!";

@@ -31,17 +31,6 @@ std::string fault_verdict_name(FaultVerdict v) {
   return "?";
 }
 
-bool fault_verdict_from_name(const std::string& name, FaultVerdict& out) {
-  for (const FaultVerdict v :
-       {FaultVerdict::kDetected, FaultVerdict::kUndetected, FaultVerdict::kQuarantined}) {
-    if (fault_verdict_name(v) == name) {
-      out = v;
-      return true;
-    }
-  }
-  return false;
-}
-
 std::vector<const FaultOutcome*> CampaignReport::undetected() const {
   std::vector<const FaultOutcome*> out;
   for (const auto& o : outcomes) {

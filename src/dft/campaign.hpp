@@ -46,7 +46,6 @@ namespace lsl::dft {
 enum class FaultVerdict { kDetected, kUndetected, kQuarantined };
 
 std::string fault_verdict_name(FaultVerdict v);
-bool fault_verdict_from_name(const std::string& name, FaultVerdict& out);
 
 /// Bit positions of FaultOutcome::stages_run: which stages ran (as
 /// opposed to skipped by a blown Newton budget, a disabled BIST, or the

@@ -9,20 +9,18 @@ DcTestOutcome run_dc_test(cells::LinkFrontend fe, const DcTestOutcome& golden,
   out.golden = &golden;
   // "dc.0" follows "dc.1" on the same netlist: it starts from dc.1's
   // solution plus the golden's change (spice/seed.hpp).
-  std::vector<double> prev_x;
+  spice::SeedChain chain(hints);
   for (const bool d : {true, false}) {
     if (out.stops(full_evaluation)) break;
     fe.set_data(d, d);
-    const char* key = d ? "dc.1" : "dc.0";
-    spice::arm_warm_start(hints, key, fe.netlist(), "dc.1", prev_x);
-    auto r = fe.solve(solve);
+    chain.arm(d ? "dc.1" : "dc.0", fe.netlist());
+    const auto r = fe.solve(solve);
     out.iterations += r.iterations;
-    if (r.converged) spice::capture_seed(hints, key, fe.netlist(), r.x);
+    chain.record(fe.netlist(), r.converged, r.x);
     out.record(kSubDc,
                r.converged ? observation_marks(fe.observe(r))
                            : std::string(cells::LinkObservation::kBitCount, '!'),
                r.status);
-    if (r.converged) prev_x = std::move(r.x);
   }
   out.finish();
   return out;

@@ -48,40 +48,34 @@ CpScanSignature cp_scan_signature(const LinkFrontend& fe_in, const spice::DcOpti
   double vc_prev = fe_in.spec().vdd / 2.0;  // pre-test level on the cap
   // Each phase's solves form a chain: combo i starts from combo i - 1's
   // solution plus the golden's change (spice/seed.hpp).
-  std::string drive_prev, cap_prev;
-  std::vector<double> drive_x, cap_x;
+  spice::SeedChain drive_chain(hints);
+  spice::SeedChain cap_chain(hints);
   for (std::size_t i = 0; i < combos.size(); ++i) {
     drive.set_pump(combos[i].up, combos[i].dn);
     drive.set_strong_pump(combos[i].upst, combos[i].dnst);
     drive_nl.set_vsource_volts(v_hold, vc_prev);
-    const std::string drive_key = "scan.cp.drive." + std::to_string(i);
-    spice::arm_warm_start(hints, drive_key, drive_nl, drive_prev, drive_x);
-    auto r_drive = drive.solve(solve);
+    drive_chain.arm("scan.cp.drive." + std::to_string(i), drive_nl);
+    const auto r_drive = drive.solve(solve);
     sig.iterations += r_drive.iterations;
     if (!r_drive.converged) {
       sig.status = r_drive.status;
       return sig;  // valid stays false
     }
-    spice::capture_seed(hints, drive_key, drive_nl, r_drive.x);
+    drive_chain.record(drive_nl, true, r_drive.x);
     const double vc_reached = drive.vc(r_drive);
     vc_prev = vc_reached;
-    drive_prev = drive_key;
-    drive_x = std::move(r_drive.x);
 
     cap_nl.set_vsource_volts(clamp, vc_reached);
-    const std::string cap_key = "scan.cp.cap." + std::to_string(i);
-    spice::arm_warm_start(hints, cap_key, cap_nl, cap_prev, cap_x);
-    auto r_cap = cap.solve(solve);
+    cap_chain.arm("scan.cp.cap." + std::to_string(i), cap_nl);
+    const auto r_cap = cap.solve(solve);
     sig.iterations += r_cap.iterations;
     if (!r_cap.converged) {
       sig.status = r_cap.status;
       return sig;
     }
-    spice::capture_seed(hints, cap_key, cap_nl, r_cap.x);
+    cap_chain.record(cap_nl, true, r_cap.x);
     sig.window[i] = {r_cap.v(cap_nl, cap.cp_ports().cmp_hi) > th,
                      r_cap.v(cap_nl, cap.cp_ports().cmp_lo) > th};
-    cap_prev = cap_key;
-    cap_x = std::move(r_cap.x);
   }
   sig.valid = true;
   return sig;
@@ -90,32 +84,31 @@ CpScanSignature cp_scan_signature(const LinkFrontend& fe_in, const spice::DcOpti
 namespace {
 
 /// The static scan capture on `fe`, which it puts in scan mode and
-/// leaves there with data low (unless a solve fails).
+/// leaves there with data low (unless a solve fails); its solves extend
+/// `chain`.
 ScanStaticSignature scan_static_on(LinkFrontend& fe, const spice::DcOptions& solve,
-                                   const spice::SolveHints* hints) {
+                                   spice::SeedChain& chain) {
   ScanStaticSignature sig;
-  const std::string key1 = "scan.static.1";
-  const std::string key0 = "scan.static.0";
   fe.set_scan_mode(true);
   fe.set_data(true, true);
-  spice::arm_warm_start(hints, key1, fe.netlist());
+  chain.arm("scan.static.1", fe.netlist());
   const auto r1 = fe.solve(solve);
   sig.iterations += r1.iterations;
   if (!r1.converged) {
     sig.status = r1.status;
     return sig;
   }
-  spice::capture_seed(hints, key1, fe.netlist(), r1.x);
+  chain.record(fe.netlist(), true, r1.x);
   sig.obs1 = fe.observe(r1);
   fe.set_data(false, false);
-  spice::arm_warm_start(hints, key0, fe.netlist(), key1, r1.x);
+  chain.arm("scan.static.0", fe.netlist());
   const auto r0 = fe.solve(solve);
   sig.iterations += r0.iterations;
   if (!r0.converged) {
     sig.status = r0.status;
     return sig;
   }
-  spice::capture_seed(hints, key0, fe.netlist(), r0.x);
+  chain.record(fe.netlist(), true, r0.x);
   sig.obs0 = fe.observe(r0);
   sig.valid = true;
   return sig;
@@ -132,9 +125,9 @@ constexpr double kToggleDt = 0.1e-9;
 constexpr int kStrobesPerCycle = 4;
 
 /// The toggling pattern on `fe`, which it puts in scan mode with data
-/// low.
+/// low; its t = 0 operating point extends `chain`.
 ToggleSignature toggle_on(LinkFrontend& fe, const spice::DcOptions& solve,
-                          const spice::SolveHints* hints) {
+                          const spice::SolveHints* hints, spice::SeedChain& chain) {
   ToggleSignature sig;
   fe.set_scan_mode(true);
   fe.set_data(false, false);
@@ -171,12 +164,12 @@ ToggleSignature toggle_on(LinkFrontend& fe, const spice::DcOptions& solve,
   topts.newton = solve;
   topts.probes = {nl.node_name(fe.term_ports().cmp_p_hi), nl.node_name(fe.term_ports().cmp_p_lo),
                   nl.node_name(fe.term_ports().cmp_n_hi), nl.node_name(fe.term_ports().cmp_n_lo)};
-  // The transient's t=0 operating point is scan mode with data low —
-  // the same state the "scan.static.0" golden seed captured. The golden
-  // run records its trajectory, which every faulted run's time steps
-  // then follow.
+  // The golden run records its trajectory, which every faulted run's
+  // time steps then follow. Its first frame is the t = 0 operating
+  // point: scan mode with the drives at their t = 0 values (data high),
+  // which follows the fault's own static capture on this copy.
   const std::string trajectory_key = "scan.toggle";
-  spice::arm_warm_start(hints, "scan.static.0", nl);
+  chain.arm(trajectory_key, nl);
   const auto res = spice::run_transient(nl, drives, topts, spice::SolverWorkspace::tls(), hints,
                                         trajectory_key);
   sig.iterations += res.newton_iterations;
@@ -203,13 +196,15 @@ ToggleSignature toggle_on(LinkFrontend& fe, const spice::DcOptions& solve,
 ScanStaticSignature scan_static_signature(const LinkFrontend& fe, const spice::DcOptions& solve,
                                           const spice::SolveHints* hints) {
   LinkFrontend copy = fe;
-  return scan_static_on(copy, solve, hints);
+  spice::SeedChain chain(hints);
+  return scan_static_on(copy, solve, chain);
 }
 
 ToggleSignature toggle_signature(const LinkFrontend& fe, const spice::DcOptions& solve,
                                  const spice::SolveHints* hints) {
   LinkFrontend copy = fe;
-  return toggle_on(copy, solve, hints);
+  spice::SeedChain chain(hints);
+  return toggle_on(copy, solve, hints, chain);
 }
 
 std::string signature_marks(const CpScanSignature& sig) {
@@ -247,12 +242,13 @@ ScanTestOutcome run_scan_test(const LinkFrontend& fe, const ScanTestOutcome& gol
   out.golden = &golden;
   record_capture(out, kSubCpScan, cp_scan_signature(fe, solve, hints));
   if (!out.stops(full_evaluation)) {
-    // The static capture and the toggle share one scan-mode copy: each
-    // sets only source values on it.
+    // The static capture and the toggle share one scan-mode copy, and
+    // one chain of solves: each sets only source values on it.
     LinkFrontend scan_fe = fe;
-    record_capture(out, kSubScanStatic, scan_static_on(scan_fe, solve, hints));
+    spice::SeedChain chain(hints);
+    record_capture(out, kSubScanStatic, scan_static_on(scan_fe, solve, chain));
     if (with_toggle && !out.stops(full_evaluation)) {
-      record_capture(out, kSubToggle, toggle_on(scan_fe, solve, hints));
+      record_capture(out, kSubToggle, toggle_on(scan_fe, solve, hints, chain));
     }
   }
   out.finish();

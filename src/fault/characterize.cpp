@@ -25,20 +25,19 @@ std::size_t add_vc_clamp(LinkFrontend& fe) {
   return fe.netlist().add("char.clamp_vc", VSource{fe.cp_ports().vc, kGround, 0.0});
 }
 
-/// Sets clamp `clamp` (from add_vc_clamp) to `vc_value` and solves.
+/// Sets clamp `clamp` (from add_vc_clamp) to `vc_value` and solves, as
+/// the next link of `chain`.
 ClampedSolve solve_with_vc_clamp(LinkFrontend& fe, std::size_t clamp, double vc_value,
-                                 const spice::DcOptions& solve,
-                                 const spice::SolveHints* hints, const char* seed_key) {
+                                 const spice::DcOptions& solve, spice::SeedChain& chain,
+                                 const char* seed_key) {
   auto& nl = fe.netlist();
   nl.set_vsource_volts(clamp, vc_value);
   ClampedSolve out;
-  spice::arm_warm_start(hints, seed_key, nl);
+  chain.arm(seed_key, nl);
   out.r = fe.solve(solve);
   out.converged = out.r.converged;
-  if (out.converged) {
-    spice::capture_seed(hints, seed_key, nl, out.r.x);
-    out.i_clamp = out.r.i(nl, "char.clamp_vc");
-  }
+  chain.record(nl, out.converged, out.r.x);
+  if (out.converged) out.i_clamp = out.r.i(nl, "char.clamp_vc");
   return out;
 }
 
@@ -57,17 +56,19 @@ FrontendMeasurements measure_frontend(const cells::LinkFrontend& fe_in,
     if (m.status == spice::SolveStatus::kConverged) m.status = st;
   };
 
+  // Each block below is one chain of solves on one copy (spice/seed.hpp).
   // --- line differential, both vectors ---------------------------------
   {
     LinkFrontend fe = fe_in;
+    spice::SeedChain chain(hints);
     fe.set_data(true, true);
-    spice::arm_warm_start(hints, "char.line.1", fe.netlist());
+    chain.arm("char.line.1", fe.netlist());
     const DcResult r1 = fe.solve(solve);
-    if (r1.converged) spice::capture_seed(hints, "char.line.1", fe.netlist(), r1.x);
+    chain.record(fe.netlist(), r1.converged, r1.x);
     fe.set_data(false, false);
-    spice::arm_warm_start(hints, "char.line.0", fe.netlist());
+    chain.arm("char.line.0", fe.netlist());
     const DcResult r0 = fe.solve(solve);
-    if (r0.converged) spice::capture_seed(hints, "char.line.0", fe.netlist(), r0.x);
+    chain.record(fe.netlist(), r0.converged, r0.x);
     m.iterations += r1.iterations + r0.iterations;
     if (!r1.converged || !r0.converged) {
       fail(!r1.converged ? r1.status : r0.status);
@@ -82,8 +83,9 @@ FrontendMeasurements measure_frontend(const cells::LinkFrontend& fe_in,
   {
     LinkFrontend fe = fe_in;
     const std::size_t clamp = add_vc_clamp(fe);
+    spice::SeedChain chain(hints);
     const auto pump = [&](const char* seed_key) {
-      return solve_with_vc_clamp(fe, clamp, vmid_window, solve, hints, seed_key);
+      return solve_with_vc_clamp(fe, clamp, vmid_window, solve, chain, seed_key);
     };
     fe.set_pump(true, false);
     const ClampedSolve up = pump("char.pump.up");
@@ -116,8 +118,9 @@ FrontendMeasurements measure_frontend(const cells::LinkFrontend& fe_in,
   {
     LinkFrontend fe = fe_in;
     const std::size_t clamp = add_vc_clamp(fe);
+    spice::SeedChain chain(hints);
     const auto obs_at = [&](double vc, const char* seed_key) {
-      const ClampedSolve s = solve_with_vc_clamp(fe, clamp, vc, solve, hints, seed_key);
+      const ClampedSolve s = solve_with_vc_clamp(fe, clamp, vc, solve, chain, seed_key);
       m.iterations += s.r.iterations;
       struct {
         bool ok, hi, lo;

@@ -28,16 +28,6 @@ std::string fault_class_name(FaultClass c) {
   return "?";
 }
 
-bool fault_class_from_name(const std::string& name, FaultClass& out) {
-  for (const FaultClass c : kAllFaultClasses) {
-    if (fault_class_name(c) == name) {
-      out = c;
-      return true;
-    }
-  }
-  return false;
-}
-
 namespace {
 
 bool has_prefix(const std::string& name, const std::vector<std::string>& prefixes) {

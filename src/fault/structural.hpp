@@ -43,10 +43,6 @@ constexpr std::array<FaultClass, 7> kAllFaultClasses = {
 
 std::string fault_class_name(FaultClass c);
 
-/// Inverse of fault_class_name, for reading pinned record files.
-/// Returns false for unknown names, leaving `out` untouched.
-bool fault_class_from_name(const std::string& name, FaultClass& out);
-
 /// Floating-node leakage direction for gate opens.
 enum class OpenLeak { kToGround, kToVdd };
 

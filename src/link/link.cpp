@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "util/trace.hpp"
+
 namespace lsl::link {
 
 Link::Link(const LinkParams& p) : params_(p) {}
@@ -48,15 +50,17 @@ TrafficResult Link::run_traffic(std::size_t n_bits, util::PrbsOrder order, std::
   const double err = res.sync.final_phase_error;
   double phase_in_ui = eye.best_phase_frac - err / params_.channel.ui;
   phase_in_ui = phase_in_ui - std::floor(phase_in_ui);
-  const auto sample_idx = static_cast<std::size_t>(
+  const auto sample_idx = static_cast<int>(
       std::fmod(phase_in_ui * params_.channel.oversample, params_.channel.oversample));
 
+  // Only one waveform sample per UI is read, and none in the warm-up:
+  // the channel computes that sample's noise alone and skips the rest
+  // of the stream (Channel::push_bit_sample).
   const std::size_t warmup = 32;
   for (std::size_t i = 0; i < n_bits + warmup; ++i) {
     const bool b = prbs.next_bit();
-    ch.push_bit(b);
+    const double v = ch.push_bit_sample(b, i < warmup ? -1 : sample_idx);
     if (i < warmup) continue;
-    const double v = ch.last_ui_waveform()[sample_idx];
     const bool decided = v > params_.slicer_offset;
     ++res.bits;
     if (decided != b) ++res.errors;
@@ -65,6 +69,7 @@ TrafficResult Link::run_traffic(std::size_t n_bits, util::PrbsOrder order, std::
 }
 
 BistVerdict Link::run_bist(std::uint64_t seed) {
+  util::TraceSpan span("link.run_bist", "link");
   BistVerdict v;
   const TrafficResult t = run_traffic(4096, util::PrbsOrder::kPrbs15, seed);
   v.locked_in_budget = t.sync.locked && t.sync.lock_time <= 2e-6;

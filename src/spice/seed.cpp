@@ -84,36 +84,31 @@ const SolutionSeed* SeedBank::find(const std::string& key) const {
   return it == seeds_.end() ? nullptr : &it->second;
 }
 
-void arm_warm_start(const SolveHints* hints, const std::string& key, const Netlist& target) {
-  if (hints == nullptr || hints->seeds == nullptr) return;
-  const SolutionSeed* seed = hints->seeds->find(key);
+void SeedChain::arm(const std::string& key, const Netlist& target) {
+  key_ = key;
+  if (hints_ == nullptr || hints_->seeds == nullptr) return;
+  const SolutionSeed* seed = hints_->seeds->find(key);
   if (seed == nullptr || seed->empty()) return;
-  SolverWorkspace::tls().seed_from(seed->initial_guess_for(target));
-}
-
-void arm_warm_start(const SolveHints* hints, const std::string& key, const Netlist& target,
-                    const std::string& prev_key, const std::vector<double>& prev_x) {
-  if (hints == nullptr || hints->seeds == nullptr) return;
-  const SolutionSeed* seed = hints->seeds->find(key);
-  if (seed == nullptr || seed->empty()) return;
+  std::vector<double> x = seed->initial_guess_for(target);
   const SolutionSeed* prev =
-      prev_x.size() == target.unknown_count() ? hints->seeds->find(prev_key) : nullptr;
+      x_prev_.size() == x.size() ? hints_->seeds->find(prev_key_) : nullptr;
   if (prev == nullptr || prev->empty()) {
-    SolverWorkspace::tls().seed_from(seed->initial_guess_for(target));
+    SolverWorkspace::tls().seed_from(std::move(x));
     return;
   }
-  std::vector<double> x = seed->initial_guess_for(target);
   const std::vector<double> g_prev = prev->initial_guess_for(target);
-  for (std::size_t i = 0; i < x.size(); ++i) x[i] = prev_x[i] + (x[i] - g_prev[i]);
+  for (std::size_t i = 0; i < x.size(); ++i) x[i] = x_prev_[i] + (x[i] - g_prev[i]);
   SolverWorkspace::tls().seed_from(std::move(x), /*chained=*/true);
 }
 
-void capture_seed(const SolveHints* hints, const std::string& key, const Netlist& nl,
-                  const std::vector<double>& x) {
-  if (hints == nullptr || hints->capture == nullptr) return;
-  SolutionSeed seed = SolutionSeed::capture(nl, x);
-  if (seed.empty()) return;
-  hints->capture->put(key, std::move(seed));
+void SeedChain::record(const Netlist& nl, bool converged, const std::vector<double>& x) {
+  if (!converged) return;
+  if (hints_ != nullptr && hints_->capture != nullptr) {
+    SolutionSeed seed = SolutionSeed::capture(nl, x);
+    if (!seed.empty()) hints_->capture->put(key_, std::move(seed));
+  }
+  prev_key_ = key_;
+  x_prev_.assign(x.begin(), x.end());
 }
 
 }  // namespace lsl::spice

@@ -32,9 +32,19 @@
 // netlist starts from that solve's solution plus the golden's change
 // between the two stimuli, x_prev + (g[key] − g[prev_key]): the golden
 // machine predicts how the stimulus moves the circuit, and the fault's
-// own last solution carries what the fault changed. A transient step
-// does the same with consecutive frames of the golden trajectory
-// (run_transient).
+// own last solution carries what the fault changed. SeedChain does the
+// bookkeeping. The chains, each on one netlist copy:
+//   dc.1 → dc.0                                          (dc_test)
+//   scan.cp.drive.0 → … → scan.cp.drive.4                (scan_test)
+//   scan.cp.cap.0 → … → scan.cp.cap.4                    (scan_test)
+//   scan.static.1 → scan.static.0 → scan.toggle          (scan_test; the
+//       toggle's t = 0 operating point, frame 0 of the trajectory)
+//   char.line.1 → char.line.0                            (characterize)
+//   char.pump.up → .dn → .idle → .upst → .dnst           (characterize)
+//   char.win.high → .mid → .low                          (characterize)
+//   bist.vc.0.450000 → bist.vc.0.600000 → bist.vc.0.750000 (bist_test)
+// A transient step does the same with consecutive frames of the golden
+// trajectory (run_transient).
 //
 // SolveHints is the one optional knob the DFT stages thread through to
 // the solver: where to find seeds (warm starts) and where to record them
@@ -123,26 +133,31 @@ struct SolveHints {
   SeedBank* capture = nullptr;
 };
 
-/// Arms the calling thread's SolverWorkspace with seed `key` (if hints,
-/// hints->seeds, and the key all exist) so the next solve_dc on that
-/// workspace tries a golden warm start before its normal ladder.
-/// No-op when anything is missing.
-void arm_warm_start(const SolveHints* hints, const std::string& key, const Netlist& target);
+/// The solves one fault runs on one netlist, in the golden's order, as
+/// one chain of warm starts. arm() parks the next solve's seed in the
+/// calling thread's SolverWorkspace: the golden seed for its key until
+/// a solve of the chain has converged, and after that the chained seed
+/// x_prev + (g[key] − g[prev_key]) from the last converged solve (an
+/// unknown the golden lacks keeps its x_prev value). record() captures
+/// a converged solution into hints->capture (the golden run) and makes
+/// it the one the next solve follows; a solve that failed leaves the
+/// chain where it was. With no hints, or no seed for a key, arm() does
+/// nothing and the solve runs its plain ladder.
+class SeedChain {
+ public:
+  explicit SeedChain(const SolveHints* hints) : hints_(hints) {}
 
-/// Chained form, for a solve that follows solve `prev_key` of the same
-/// fault on the same netlist, which converged to `prev_x`: arms
-/// prev_x + (g[key] − g[prev_key]), both golden seeds mapped onto
-/// `target` (an unknown the golden lacks keeps its prev_x value). Arms
-/// the plain golden seed instead when prev_x is not a full MNA vector
-/// for target (the first solve of a chain passes it empty) or
-/// `prev_key` was never captured.
-void arm_warm_start(const SolveHints* hints, const std::string& key, const Netlist& target,
-                    const std::string& prev_key, const std::vector<double>& prev_x);
+  /// Arms the solve `key` on `target`.
+  void arm(const std::string& key, const Netlist& target);
 
-/// Records solution `x` of `nl` into hints->capture under `key`.
-/// No-op when hints or hints->capture is null or x is not a full MNA
-/// vector for nl.
-void capture_seed(const SolveHints* hints, const std::string& key, const Netlist& nl,
-                  const std::vector<double>& x);
+  /// Records the armed solve's result: `x` is its solution of `nl`.
+  void record(const Netlist& nl, bool converged, const std::vector<double>& x);
+
+ private:
+  const SolveHints* hints_;
+  std::string key_;       // the armed solve
+  std::string prev_key_;  // the last converged solve; x_prev_ is its solution
+  std::vector<double> x_prev_;
+};
 
 }  // namespace lsl::spice

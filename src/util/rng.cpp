@@ -39,6 +39,16 @@ bool Pcg32::next_bool() {
   return (next_u32() & 1u) != 0;
 }
 
+double Pcg32::polar_pair(double& u, double& v) {
+  double s = 0.0;
+  do {
+    u = next_range(-1.0, 1.0);
+    v = next_range(-1.0, 1.0);
+    s = u * u + v * v;
+  } while (s >= 1.0 || s == 0.0);
+  return s;
+}
+
 double Pcg32::next_gaussian() {
   if (have_spare_) {
     have_spare_ = false;
@@ -46,16 +56,22 @@ double Pcg32::next_gaussian() {
   }
   double u = 0.0;
   double v = 0.0;
-  double s = 0.0;
-  do {
-    u = next_range(-1.0, 1.0);
-    v = next_range(-1.0, 1.0);
-    s = u * u + v * v;
-  } while (s >= 1.0 || s == 0.0);
+  const double s = polar_pair(u, v);
   const double factor = std::sqrt(-2.0 * std::log(s) / s);
   spare_ = v * factor;
   have_spare_ = true;
   return u * factor;
+}
+
+void Pcg32::discard_gaussians(std::size_t n) {
+  if (n > 0 && have_spare_) {
+    have_spare_ = false;
+    --n;
+  }
+  double u = 0.0;
+  double v = 0.0;
+  for (; n >= 2; n -= 2) (void)polar_pair(u, v);
+  if (n == 1) (void)next_gaussian();
 }
 
 }  // namespace lsl::util

@@ -5,6 +5,7 @@
 // everywhere.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 namespace lsl::util {
@@ -31,8 +32,17 @@ class Pcg32 {
   /// Fair coin flip.
   bool next_bool();
 
-  /// Standard-normal variate (Box–Muller, one value per call).
+  /// Standard-normal variate by Marsaglia's polar method. Each round
+  /// draws uniform (u, v) pairs until 0 < u² + v² < 1 and yields two
+  /// values: this call returns the first and keeps the second as a spare,
+  /// which the next call returns without drawing.
   double next_gaussian();
+
+  /// Advances the generator exactly as `n` next_gaussian() calls would,
+  /// spare included: it draws and tests the same polar pairs, but skips
+  /// the log/sqrt of every pair whose two values it throws away. Only a
+  /// pair whose second value stays as the spare is computed.
+  void discard_gaussians(std::size_t n);
 
   // UniformRandomBitGenerator interface for <algorithm> interop.
   using result_type = std::uint32_t;
@@ -41,6 +51,10 @@ class Pcg32 {
   result_type operator()() { return next_u32(); }
 
  private:
+  /// Draws uniform pairs on [-1, 1)² until one falls strictly inside
+  /// the unit circle and off its centre; returns u² + v².
+  double polar_pair(double& u, double& v);
+
   std::uint64_t state_;
   std::uint64_t inc_;
   bool have_spare_ = false;

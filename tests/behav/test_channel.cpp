@@ -2,10 +2,44 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <stdexcept>
+
+#include "util/prbs.hpp"
 
 namespace lsl::behav {
 namespace {
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+TEST(Channel, SampledPushMatchesFullWaveform) {
+  // For every sample index, a channel that computes only that sample
+  // (after a warm-up that reads none) returns exactly the twin channel's
+  // full-waveform sample, and both lines end at the same voltage.
+  ChannelParams p;
+  p.drive_scale_p = 0.9;  // an unbalanced swing exercises the target
+  for (int k = 0; k < p.oversample; ++k) {
+    Channel full(p, 42);
+    Channel sampled(p, 42);
+    util::PrbsGenerator prbs(util::PrbsOrder::kPrbs15, 3);
+    for (int i = 0; i < 1000; ++i) {
+      const bool b = prbs.next_bit();
+      full.push_bit(b);
+      const double v = sampled.push_bit_sample(b, i < 32 ? -1 : k);
+      if (i < 32) {
+        ASSERT_EQ(bits(v), bits(sampled.value())) << "k=" << k << " bit " << i;
+      } else {
+        ASSERT_EQ(bits(v), bits(full.last_ui_waveform()[static_cast<std::size_t>(k)]))
+            << "k=" << k << " bit " << i;
+      }
+      ASSERT_EQ(bits(full.value()), bits(sampled.value())) << "k=" << k << " bit " << i;
+    }
+  }
+  Channel ch(p);
+  EXPECT_THROW(ch.push_bit_sample(true, p.oversample), std::out_of_range);
+}
 
 TEST(Channel, ReachesTargetOnLongRuns) {
   ChannelParams p;

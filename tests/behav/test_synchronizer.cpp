@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 
 namespace lsl::behav {
 namespace {
@@ -10,6 +13,31 @@ namespace {
 constexpr std::size_t kMaxUi = 8000;  // > the paper's 5000-cycle budget
 
 SyncParams default_params() { return SyncParams{}; }
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+TEST(Synchronizer, SamplingOffsetMatchesFmod) {
+  // The fast paths of sampling_offset must return exactly std::fmod's
+  // result: offsets below 0 (a negative extra delay), in [0, P), in
+  // [P, 2P), beyond 2P (large Vc), a clamped Vc < 0 and a NaN Vc.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double extra : {0.0, 230e-12, -600e-12}) {
+    SyncParams p = default_params();
+    p.vcdl.extra_delay = extra;
+    const Synchronizer sync(p, 100e-12, 0.6);
+    const Dll dll(p.dll);
+    const Vcdl vcdl(p.vcdl);
+    for (std::size_t k = 0; k < dll.n_phases(); ++k) {
+      for (double vc = -0.5; vc <= 12.0; vc += 0.0173) {
+        const double t = dll.phase_offset(k) + vcdl.delay(vc);
+        ASSERT_EQ(bits(sync.sampling_offset(k, vc)), bits(std::fmod(t, dll.clock_period())))
+            << "k=" << k << " vc=" << vc << " extra=" << extra;
+      }
+      const double t_nan = dll.phase_offset(k) + vcdl.delay(nan);
+      EXPECT_EQ(bits(sync.sampling_offset(k, nan)), bits(std::fmod(t_nan, dll.clock_period())));
+    }
+  }
+}
 
 TEST(Synchronizer, LocksFromBenignStart) {
   SyncParams p = default_params();

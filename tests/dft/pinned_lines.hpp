@@ -1,6 +1,7 @@
 // Line-by-line comparison with a pinned reference file, shared by the
 // tier-1 referees: a mismatch names the first differing line and its
-// first differing whitespace-separated field.
+// first differing whitespace-separated field. Also the inverses of the
+// name functions the pinned lines are written with, for parsing them.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -11,7 +12,35 @@
 #include <string>
 #include <vector>
 
+#include "dft/campaign.hpp"
+#include "fault/structural.hpp"
+
 namespace lsl::dft {
+
+/// Inverse of fault::fault_class_name; false for an unknown name,
+/// leaving `out` untouched.
+inline bool fault_class_from_name(const std::string& name, fault::FaultClass& out) {
+  for (const fault::FaultClass c : fault::kAllFaultClasses) {
+    if (fault::fault_class_name(c) == name) {
+      out = c;
+      return true;
+    }
+  }
+  return false;
+}
+
+/// Inverse of fault_verdict_name; false for an unknown name, leaving
+/// `out` untouched.
+inline bool fault_verdict_from_name(const std::string& name, FaultVerdict& out) {
+  for (const FaultVerdict v :
+       {FaultVerdict::kDetected, FaultVerdict::kUndetected, FaultVerdict::kQuarantined}) {
+    if (fault_verdict_name(v) == name) {
+      out = v;
+      return true;
+    }
+  }
+  return false;
+}
 
 inline std::vector<std::string> fields(const std::string& line) {
   std::istringstream in(line);

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "pinned_lines.hpp"
 #include "util/metrics.hpp"
 
 namespace lsl::dft {

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 namespace lsl::util {
@@ -84,6 +86,30 @@ TEST(Pcg32, BoolRoughlyFair) {
   int ones = 0;
   for (int i = 0; i < 10000; ++i) ones += rng.next_bool() ? 1 : 0;
   EXPECT_NEAR(ones, 5000, 300);
+}
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+TEST(Pcg32, DiscardGaussiansMatchesDrawing) {
+  // discard_gaussians(n) must leave the generator exactly where n
+  // next_gaussian() calls do, the spare included, whether or not a spare
+  // was waiting when it started.
+  for (const bool start_with_spare : {false, true}) {
+    for (std::size_t n = 0; n <= 40; ++n) {
+      Pcg32 drawn(77, 5);
+      Pcg32 skipped(77, 5);
+      if (start_with_spare) {
+        EXPECT_EQ(bits(drawn.next_gaussian()), bits(skipped.next_gaussian()));
+      }
+      for (std::size_t i = 0; i < n; ++i) (void)drawn.next_gaussian();
+      skipped.discard_gaussians(n);
+      for (int i = 0; i < 5; ++i) {
+        ASSERT_EQ(bits(drawn.next_gaussian()), bits(skipped.next_gaussian()))
+            << "n=" << n << " spare=" << start_with_spare << " draw " << i;
+      }
+      EXPECT_EQ(drawn.next_u32(), skipped.next_u32()) << "n=" << n;
+    }
+  }
 }
 
 }  // namespace
