@@ -52,13 +52,17 @@ endif()
 # campaign worker's toggle shares (CampaignIncremental runs that at 4
 # threads). Pcg32, Channel, Synchronizer and Link run the behavioural
 # BIST kernel: the skipped Gaussian draws, the sampled channel push
-# (its sample index) and the synchronizer's exact phase wraps.
+# (its sample index), the synchronizer's exact phase wraps and the eye
+# memo. ScanTest, BistTest and DcTest run the three stage functions
+# themselves, with the capture-level stops of the default short circuit
+# (each charge-pump-scan combo, the BIST readout after a detecting
+# verdict, each DC vector).
 # NewtonAllocation is
 # deliberately excluded: its global operator-new counters are
 # meaningless under sanitizer allocators.
-message(STATUS "[sanitize_job] running ThreadPool/Campaign/GoldenTrajectory/Dictionary/PinnedReference/StageOutcome/McTrials/SparseEngine/StampReferee/SeedMapping/Netlist/SolverSmoke/SolverRobustness/digital/behavioural tests under ${SANITIZER}")
+message(STATUS "[sanitize_job] running ThreadPool/Campaign/GoldenTrajectory/Dictionary/PinnedReference/StageOutcome/ScanTest/BistTest/DcTest/McTrials/SparseEngine/StampReferee/SeedMapping/Netlist/SolverSmoke/SolverRobustness/digital/behavioural tests under ${SANITIZER}")
 execute_process(
-  COMMAND ctest --test-dir ${BIN_DIR} -R "ThreadPool|Campaign|GoldenTrajectory|Dictionary|PinnedReference|StageOutcome|McTrials|SparseEngine|StampReferee|SeedMapping|Netlist|SolverSmoke|SolverRobustness|Circuit|StuckCampaign|Compaction|CoverageCurve|Atpg|Pcg32|Channel|Synchronizer|Link"
+  COMMAND ctest --test-dir ${BIN_DIR} -R "ThreadPool|Campaign|GoldenTrajectory|Dictionary|PinnedReference|StageOutcome|ScanTest|BistTest|DcTest|McTrials|SparseEngine|StampReferee|SeedMapping|Netlist|SolverSmoke|SolverRobustness|Circuit|StuckCampaign|Compaction|CoverageCurve|Atpg|Pcg32|Channel|Synchronizer|Link"
           --output-on-failure
   RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)

@@ -119,7 +119,7 @@ std::string signature_marks(const lsl::link::BistVerdict& v) {
 
 BistTestOutcome run_bist_test(const cells::LinkFrontend& fe, const BistTestReference& ref,
                               const spice::DcOptions& solve, const spice::SolveHints* hints,
-                              bool full_evaluation) {
+                              bool full_evaluation, lsl::link::EyeMemo* eyes) {
   BistTestOutcome out;
   out.golden = &ref.outcome;
   const fault::FrontendMeasurements m = fault::measure_frontend(fe, solve, hints);
@@ -130,7 +130,7 @@ BistTestOutcome run_bist_test(const cells::LinkFrontend& fe, const BistTestRefer
   // quarantines it instead of claiming a detection.
   if (sig.characterized) {
     lsl::link::Link link(fault::apply_signature(ref.base, sig));
-    out.record(kSubBistVerdict, signature_marks(link.run_bist(kBistSeed)), sig.status);
+    out.record(kSubBistVerdict, signature_marks(link.run_bist(kBistSeed, eyes)), sig.status);
   } else {
     out.record(kSubBistVerdict, std::string(kSubStageMarkWidth[kSubBistVerdict], '!'),
                sig.status);
@@ -138,8 +138,10 @@ BistTestOutcome run_bist_test(const cells::LinkFrontend& fe, const BistTestRefer
 
   // Post-lock structural readout of the CP-BIST comparator (Fig 9): the
   // balance node must track Vc across the window, so the readout strobes
-  // several locked Vc levels on the faulted netlist.
-  if (sig.characterized || full_evaluation) {
+  // several locked Vc levels on the faulted netlist. A verdict that
+  // detected or failed already decides the stage (stage_result), so
+  // the readout then runs in full evaluation only.
+  if (!out.stops(full_evaluation)) {
     record_cp_bist_readout(out, fe, solve, hints, full_evaluation);
   }
   out.finish();

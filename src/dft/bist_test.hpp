@@ -66,12 +66,16 @@ std::string signature_marks(const lsl::link::BistVerdict& verdict);
 /// (sub-stage kSubBistVerdict), then strobes the CP-BIST readout at
 /// each Vc level (kSubCpBistRead), each compared with the golden's
 /// `ref.outcome`. `solve` sets the Newton options of
-/// the characterization solves. A characterization that fails to
-/// solve ends the test, and so does the first readout level that fails,
+/// the characterization solves. A verdict that detects, or a
+/// characterization that fails to solve, ends the test before the
+/// readout, and the first readout level that fails ends the readout,
 /// unless `full_evaluation` asks for every sub-stage and level anyway.
+/// `eyes` (optional) memoizes the channel eyes of the at-speed runs;
+/// the outcome is identical with or without it.
 BistTestOutcome run_bist_test(const cells::LinkFrontend& fe, const BistTestReference& ref,
                               const spice::DcOptions& solve = {},
                               const spice::SolveHints* hints = nullptr,
-                              bool full_evaluation = false);
+                              bool full_evaluation = false,
+                              lsl::link::EyeMemo* eyes = nullptr);
 
 }  // namespace lsl::dft

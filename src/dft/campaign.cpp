@@ -89,7 +89,8 @@ bool within_budget(const CampaignOptions& opts, long iterations) {
 void run_stages(cells::LinkFrontend&& faulty_closed, const cells::LinkFrontend& faulty,
                 const StageOutcome& dc_golden, const StageOutcome& scan_golden,
                 const BistTestReference& bist_ref, const CampaignOptions& opts,
-                bool short_circuit, const spice::SolveHints* hints, FaultOutcome& r) {
+                bool short_circuit, const spice::SolveHints* hints, link::EyeMemo* eyes,
+                FaultOutcome& r) {
   SubStageRecord record;
   long iterations = 0;  // this variant's: the Newton budget is per variant
 
@@ -111,7 +112,7 @@ void run_stages(cells::LinkFrontend&& faulty_closed, const cells::LinkFrontend& 
       if (stage == kStageScan) {
         return run_scan_test(faulty, scan_golden, {}, hints, full, opts.with_scan_toggle);
       }
-      return run_bist_test(faulty, bist_ref, {}, hints, full);
+      return run_bist_test(faulty, bist_ref, {}, hints, full, eyes);
     }();
     stage_seconds[stage]->observe(seconds_since(stage_start));
     iterations += o.iterations;
@@ -195,6 +196,8 @@ struct FaultSimContext {
   /// Golden warm-start seeds, immutable and shared read-only across
   /// every worker (null when reuse_golden is off).
   const spice::SeedBank* seeds = nullptr;
+  /// This worker's channel eyes, kept for one run_campaign call.
+  link::EyeMemo* eyes = nullptr;
 };
 
 /// Simulates one fault through all enabled stages. Deterministic given
@@ -229,7 +232,7 @@ FaultOutcome simulate_fault(const FaultSimContext& ctx, const StructuralFault& f
     spice::SolveHints hints;
     hints.seeds = ctx.seeds;
     run_stages(std::move(faulty_closed), faulty, *ctx.dc_golden, *ctx.scan_golden, *ctx.bist_ref,
-               opts, short_circuit, &hints, outcome);
+               opts, short_circuit, &hints, ctx.eyes, outcome);
   };
   // A fault whose simulation threw has no trustworthy verdict: its
   // record becomes one that failed every sub-stage.
@@ -480,11 +483,12 @@ CampaignReport run_campaign(const cells::LinkFrontend& golden, const CampaignOpt
     std::size_t simulated = 0;
     double cpu_sec = 0.0;
     long newton = 0;
+    link::EyeMemo eyes;
   };
   std::vector<std::unique_ptr<WorkerState>> workers;
   workers.reserve(pool.worker_slots());
   for (std::size_t w = 0; w < pool.worker_slots(); ++w) {
-    auto ws = std::make_unique<WorkerState>(WorkerState{golden, golden_closed, {}, 0, 0.0, 0});
+    auto ws = std::make_unique<WorkerState>(WorkerState{golden, golden_closed, {}, 0, 0.0, 0, {}});
     ws->ctx.golden = &ws->golden;
     ws->ctx.golden_closed = &ws->golden_closed;
     ws->ctx.vdd = vdd;
@@ -494,6 +498,7 @@ CampaignReport run_campaign(const cells::LinkFrontend& golden, const CampaignOpt
     ws->ctx.bist_ref = &bist_ref;
     ws->ctx.opts = &opts;
     ws->ctx.seeds = frozen_seeds.get();
+    ws->ctx.eyes = &ws->eyes;
     workers.push_back(std::move(ws));
   }
 

@@ -1,5 +1,7 @@
 #include "dft/scan_test.hpp"
 
+#include <functional>
+
 #include "spice/transient.hpp"
 #include "spice/workspace.hpp"
 
@@ -9,20 +11,37 @@ using cells::LinkFrontend;
 using spice::kGround;
 using spice::VSource;
 
-CpScanSignature cp_scan_signature(const LinkFrontend& fe_in, const spice::DcOptions& solve,
-                                  const spice::SolveHints* hints) {
-  CpScanSignature sig;
+namespace {
+
+/// One charge-pump-scan combo's capture: the window comparator's
+/// (hi, lo) decisions, or the status of the solve that failed.
+struct CpComboCapture {
+  std::pair<bool, bool> window;
+  bool converged = true;
+  spice::SolveStatus status = spice::SolveStatus::kConverged;
+  long iterations = 0;
+};
+
+constexpr std::size_t kCpCombos = std::tuple_size_v<decltype(CpScanSignature::window)>;
+
+/// The charge-pump scan's one combo loop: applies the combos in
+/// sequence and hands each capture to `sink(i, capture)`. It stops
+/// after a combo whose solve failed (the next combo's hold level is
+/// unknown), or when `sink` returns false.
+void for_each_cp_combo(const LinkFrontend& fe_in, const spice::DcOptions& solve,
+                       const spice::SolveHints* hints,
+                       const std::function<bool(std::size_t, const CpComboCapture&)>& sink) {
   const double th = fe_in.spec().vdd / 2.0;
   struct Combo {
     bool up, dn, upst, dnst;
   };
   // The UP->DN ordering matters: a dead DN path leaves Vc stuck at the
   // rail the UP drive parked it at.
-  const std::array<Combo, 5> combos = {Combo{false, false, false, false},
-                                       {true, false, false, false},
-                                       {false, true, false, false},
-                                       {false, false, true, false},
-                                       {false, false, false, true}};
+  const std::array<Combo, kCpCombos> combos = {Combo{false, false, false, false},
+                                               {true, false, false, false},
+                                               {false, true, false, false},
+                                               {false, false, true, false},
+                                               {false, false, false, true}};
 
   // One netlist per phase, built once: each combo changes only source
   // values, so every solve after the first reuses the phase's structure.
@@ -51,33 +70,52 @@ CpScanSignature cp_scan_signature(const LinkFrontend& fe_in, const spice::DcOpti
   spice::SeedChain drive_chain(hints);
   spice::SeedChain cap_chain(hints);
   for (std::size_t i = 0; i < combos.size(); ++i) {
+    CpComboCapture c;
     drive.set_pump(combos[i].up, combos[i].dn);
     drive.set_strong_pump(combos[i].upst, combos[i].dnst);
     drive_nl.set_vsource_volts(v_hold, vc_prev);
     drive_chain.arm("scan.cp.drive." + std::to_string(i), drive_nl);
     const auto r_drive = drive.solve(solve);
-    sig.iterations += r_drive.iterations;
-    if (!r_drive.converged) {
-      sig.status = r_drive.status;
-      return sig;  // valid stays false
-    }
-    drive_chain.record(drive_nl, true, r_drive.x);
-    const double vc_reached = drive.vc(r_drive);
-    vc_prev = vc_reached;
+    c.iterations += r_drive.iterations;
+    c.converged = r_drive.converged;
+    c.status = r_drive.status;
+    if (c.converged) {
+      drive_chain.record(drive_nl, true, r_drive.x);
+      vc_prev = drive.vc(r_drive);
 
-    cap_nl.set_vsource_volts(clamp, vc_reached);
-    cap_chain.arm("scan.cp.cap." + std::to_string(i), cap_nl);
-    const auto r_cap = cap.solve(solve);
-    sig.iterations += r_cap.iterations;
-    if (!r_cap.converged) {
-      sig.status = r_cap.status;
-      return sig;
+      cap_nl.set_vsource_volts(clamp, vc_prev);
+      cap_chain.arm("scan.cp.cap." + std::to_string(i), cap_nl);
+      const auto r_cap = cap.solve(solve);
+      c.iterations += r_cap.iterations;
+      c.converged = r_cap.converged;
+      c.status = r_cap.status;
+      if (c.converged) {
+        cap_chain.record(cap_nl, true, r_cap.x);
+        c.window = {r_cap.v(cap_nl, cap.cp_ports().cmp_hi) > th,
+                    r_cap.v(cap_nl, cap.cp_ports().cmp_lo) > th};
+      }
     }
-    cap_chain.record(cap_nl, true, r_cap.x);
-    sig.window[i] = {r_cap.v(cap_nl, cap.cp_ports().cmp_hi) > th,
-                     r_cap.v(cap_nl, cap.cp_ports().cmp_lo) > th};
+    if (!sink(i, c) || !c.converged) return;
   }
-  sig.valid = true;
+}
+
+}  // namespace
+
+CpScanSignature cp_scan_signature(const LinkFrontend& fe, const spice::DcOptions& solve,
+                                  const spice::SolveHints* hints) {
+  CpScanSignature sig;
+  std::size_t captured = 0;
+  for_each_cp_combo(fe, solve, hints, [&](std::size_t i, const CpComboCapture& c) {
+    sig.iterations += c.iterations;
+    if (!c.converged) {
+      sig.status = c.status;
+      return false;
+    }
+    sig.window[i] = c.window;
+    ++captured;
+    return true;
+  });
+  sig.valid = captured == kCpCombos;  // valid stays false after a failed solve
   return sig;
 }
 
@@ -207,10 +245,6 @@ ToggleSignature toggle_signature(const LinkFrontend& fe, const spice::DcOptions&
   return toggle_on(copy, solve, hints, chain);
 }
 
-std::string signature_marks(const CpScanSignature& sig) {
-  return sig.valid ? pair_marks(sig.window) : std::string(kSubStageMarkWidth[kSubCpScan], '!');
-}
-
 std::string signature_marks(const ScanStaticSignature& sig) {
   return sig.valid ? observation_marks(sig.obs1) + observation_marks(sig.obs0)
                    : std::string(kSubStageMarkWidth[kSubScanStatic], '!');
@@ -240,7 +274,18 @@ ScanTestOutcome run_scan_test(const LinkFrontend& fe, const ScanTestOutcome& gol
                               bool full_evaluation, bool with_toggle) {
   ScanTestOutcome out;
   out.golden = &golden;
-  record_capture(out, kSubCpScan, cp_scan_signature(fe, solve, hints));
+  // Each combo's two window marks are one kSubCpScan observation, so
+  // the test can stop at the combo that decides. A failed combo keeps
+  // the earlier combos' marks and fills its own and every later pair
+  // with '!'.
+  for_each_cp_combo(fe, solve, hints, [&](std::size_t i, const CpComboCapture& c) {
+    out.iterations += c.iterations;
+    out.record(kSubCpScan,
+               c.converged ? pair_marks(std::array{c.window})
+                           : std::string(2 * (kCpCombos - i), '!'),
+               c.status);
+    return !out.stops(full_evaluation);
+  });
   if (!out.stops(full_evaluation)) {
     // The static capture and the toggle share one scan-mode copy, and
     // one chain of solves: each sets only source values on it.

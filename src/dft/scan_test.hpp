@@ -46,11 +46,12 @@ struct CpScanSignature {
   long iterations = 0;
 };
 
-/// `hints` (here and below, optional): golden warm-start seeds and seed
-/// capture for golden reference runs. Results are identical with or
-/// without it — the hints only change how the same solves are carried
-/// out (see spice/seed.hpp). Seed keys: "scan.cp.drive.<i>" /
-/// "scan.cp.cap.<i>" per pump combo.
+/// Applies all five combos, in the same loop that run_scan_test runs
+/// combo by combo. `hints` (here and below, optional): golden
+/// warm-start seeds and seed capture for golden reference runs. Results
+/// are identical with or without it — the hints only change how the
+/// same solves are carried out (see spice/seed.hpp). Seed keys:
+/// "scan.cp.drive.<i>" / "scan.cp.cap.<i>" per pump combo.
 CpScanSignature cp_scan_signature(const cells::LinkFrontend& fe,
                                   const spice::DcOptions& solve = {},
                                   const spice::SolveHints* hints = nullptr);
@@ -92,7 +93,6 @@ using ScanTestOutcome = StageOutcome;
 
 /// Signature marks of each capture: its bits ('0'/'1'; static scan
 /// levels '0'/'1'/'w'), or '!' marks when it did not solve.
-std::string signature_marks(const CpScanSignature& sig);
 std::string signature_marks(const ScanStaticSignature& sig);
 std::string signature_marks(const ToggleSignature& sig);
 
@@ -101,9 +101,12 @@ std::string signature_marks(const ToggleSignature& sig);
 /// each compared with `golden` — the outcome of this same function on
 /// the golden frontend (pass an empty outcome, {}, to run the golden
 /// itself). `solve` sets the Newton options of every DC solve and of
-/// the transient's per-step Newton. The test stops at the first
-/// sub-stage that detects or fails to solve, unless `full_evaluation`
-/// asks for every sub-stage anyway.
+/// the transient's per-step Newton. Each charge-pump combo's (hi, lo)
+/// pair is recorded as its own observation; a combo that fails to solve
+/// keeps the earlier pairs and '!'-fills the rest of the sub-stage, so
+/// a conflict before the failure still detects. The test stops at the
+/// first combo or sub-stage that detects or fails to solve, unless
+/// `full_evaluation` asks for every combo and sub-stage anyway.
 ScanTestOutcome run_scan_test(const cells::LinkFrontend& fe, const ScanTestOutcome& golden,
                               const spice::DcOptions& solve = {},
                               const spice::SolveHints* hints = nullptr,

@@ -8,7 +8,8 @@
 // records per sub-stage whether it ran, detected or failed a solve, and
 // its observations as signature marks: '0'/'1' solid levels or bits,
 // 'w' a mid-rail comparator output, '!' a failed solve, '-' a sub-stage
-// that did not run ('!' and '-' fill the width kSubStageMarkWidth).
+// or capture that did not run ('!' and '-' fill the width
+// kSubStageMarkWidth, so every position keeps its meaning).
 //
 // The golden machine is one more run of the same stage functions. A
 // sub-stage detects when its marks conflict with the golden's at the
@@ -40,7 +41,11 @@ enum SubStage : unsigned {
 constexpr unsigned sub_bit(SubStage s) { return 1u << s; }
 constexpr unsigned kAllSubStages = (1u << kSubStageCount) - 1u;
 constexpr unsigned kBistSubStages = sub_bit(kSubCpBistRead) | sub_bit(kSubBistVerdict);
-constexpr std::array<std::size_t, kSubStageCount> kSubStageMarkWidth = {20, 10, 20, 1, 6, 4};
+/// Marks per sub-stage when every capture runs: DC 2 x 10 observation
+/// bits, CP scan 5 combos x (hi, lo), static scan 2 x 10, toggle 8
+/// strobes x 4 comparators, readout 3 Vc levels x (hi, lo), verdict 4
+/// flags.
+constexpr std::array<std::size_t, kSubStageCount> kSubStageMarkWidth = {20, 10, 20, 32, 6, 4};
 
 /// The test stages, in the order the campaign runs them (the order of
 /// the cumulative Table-I columns).
@@ -197,7 +202,10 @@ struct StageOutcome {
     marks[s] += sub_marks;
   }
   /// Where a stage stops unless it runs in full evaluation: a sub-stage
-  /// has detected or failed a solve.
+  /// has detected or failed a solve. The stages ask after every capture
+  /// that decides on its own (each DC vector, each charge-pump-scan
+  /// combo, the BIST verdict before its readout), so the default short
+  /// circuit stops at the capture that decides.
   bool stops(bool full_evaluation) const {
     return !full_evaluation && (sub.detected | sub.failed) != 0;
   }

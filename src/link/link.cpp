@@ -1,14 +1,32 @@
 #include "link/link.hpp"
 
+#include <bit>
 #include <cmath>
 
 #include "util/trace.hpp"
 
 namespace lsl::link {
 
+const behav::EyeResult& EyeMemo::eye(const behav::ChannelParams& c) {
+  static_assert(sizeof(behav::ChannelParams) == 9 * sizeof(double),
+                "the key must hold every ChannelParams field");
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  const std::array<std::uint64_t, 9> key = {
+      bits(c.ui),           bits(c.tau),           bits(c.swing),
+      bits(c.ffe_kick),     static_cast<std::uint32_t>(c.oversample),
+      bits(c.noise_rms),    bits(c.drive_scale_p), bits(c.drive_scale_n),
+      bits(c.kick_scale)};
+  for (const auto& [k, eye] : eyes_) {
+    if (k == key) return eye;
+  }
+  return eyes_.emplace_back(key, behav::analyze_eye(c, kEyeBits)).second;
+}
+
 Link::Link(const LinkParams& p) : params_(p) {}
 
-double Link::eye_center() const { return eye_center(behav::analyze_eye(params_.channel, 600)); }
+double Link::eye_center() const {
+  return eye_center(behav::analyze_eye(params_.channel, kEyeBits));
+}
 
 double Link::eye_center(const behav::EyeResult& eye) const {
   // Channel group delay to the eye center, from the healthy waveform
@@ -19,13 +37,15 @@ double Link::eye_center(const behav::EyeResult& eye) const {
   return std::fmod(std::fmod(center, period) + period, period);
 }
 
-TrafficResult Link::run_traffic(std::size_t n_bits, util::PrbsOrder order, std::uint64_t seed) {
+TrafficResult Link::run_traffic(std::size_t n_bits, util::PrbsOrder order, std::uint64_t seed,
+                                EyeMemo* eyes) {
   TrafficResult res;
 
   // --- acquisition ------------------------------------------------------
   // One eye analysis serves both the acquisition target and the traffic
   // sampling phase.
-  const behav::EyeResult eye = behav::analyze_eye(params_.channel, 600);
+  EyeMemo fresh;
+  const behav::EyeResult& eye = (eyes != nullptr ? *eyes : fresh).eye(params_.channel);
   behav::Synchronizer sync(params_.sync, eye_center(eye), params_.vc0, params_.phase0);
   util::Pcg32 rng(seed);
   res.sync = sync.run(params_.acquisition_ui, rng);
@@ -68,10 +88,10 @@ TrafficResult Link::run_traffic(std::size_t n_bits, util::PrbsOrder order, std::
   return res;
 }
 
-BistVerdict Link::run_bist(std::uint64_t seed) {
+BistVerdict Link::run_bist(std::uint64_t seed, EyeMemo* eyes) {
   util::TraceSpan span("link.run_bist", "link");
   BistVerdict v;
-  const TrafficResult t = run_traffic(4096, util::PrbsOrder::kPrbs15, seed);
+  const TrafficResult t = run_traffic(4096, util::PrbsOrder::kPrbs15, seed, eyes);
   v.locked_in_budget = t.sync.locked && t.sync.lock_time <= 2e-6;
   v.lock_counter_ok = !t.sync.lock_counter_saturated;
   v.cp_bist_ok = !t.sync.cp_bist_flag;

@@ -5,8 +5,10 @@
 // lock detector) and the BER/eye benchmarks.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "behav/channel.hpp"
@@ -55,6 +57,24 @@ struct BistVerdict {
   bool pass() const { return locked_in_budget && lock_counter_ok && cp_bist_ok && data_ok; }
 };
 
+/// PRBS bits of the eye analysis that places the synchronizer's target
+/// and the traffic sampling phase.
+inline constexpr std::size_t kEyeBits = 600;
+
+/// The eyes of the channel parameter sets a series of BIST runs sees,
+/// each analysed once (analyze_eye over kEyeBits). Keyed on the exact
+/// bits of every ChannelParams field, so a hit is the same EyeResult a
+/// fresh analysis returns. A campaign sees a few dozen sets at most, so
+/// a linear search does. Not thread-safe: one memo per thread.
+class EyeMemo {
+ public:
+  /// The eye of `channel`; the reference is valid until the next call.
+  const behav::EyeResult& eye(const behav::ChannelParams& channel);
+
+ private:
+  std::vector<std::pair<std::array<std::uint64_t, 9>, behav::EyeResult>> eyes_;
+};
+
 class Link {
  public:
   explicit Link(const LinkParams& p = {});
@@ -65,12 +85,14 @@ class Link {
   double eye_center() const;
 
   /// Acquires lock, then runs `n_bits` of PRBS traffic and counts errors
-  /// against the transmitted sequence.
-  TrafficResult run_traffic(std::size_t n_bits, util::PrbsOrder order, std::uint64_t seed);
+  /// against the transmitted sequence. `eyes` (optional) supplies the
+  /// channel's eye; without it the eye is analysed afresh.
+  TrafficResult run_traffic(std::size_t n_bits, util::PrbsOrder order, std::uint64_t seed,
+                            EyeMemo* eyes = nullptr);
 
   /// At-speed BIST: random data, lock budget, lock detector, CP-BIST
   /// comparator, then a short error-checked burst.
-  BistVerdict run_bist(std::uint64_t seed);
+  BistVerdict run_bist(std::uint64_t seed, EyeMemo* eyes = nullptr);
 
   const LinkParams& params() const { return params_; }
 

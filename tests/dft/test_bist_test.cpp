@@ -57,6 +57,39 @@ TEST_F(BistTestFixture, PumpSourceDsShortCaughtByBist) {
   EXPECT_TRUE(out.detected());
 }
 
+TEST_F(BistTestFixture, ReadoutRunsOnlyWhileTheVerdictLeavesItOpen) {
+  // The at-speed verdict detects this fault, which decides the stage:
+  // the default short circuit skips the readout, full evaluation runs it.
+  const auto fe = faulted({"cp.m_swup", fault::FaultClass::kDrainSourceShort});
+  const BistTestOutcome out = run_bist_test(fe, *ref_);
+  ASSERT_EQ(out.sub.detected, sub_bit(kSubBistVerdict));
+  EXPECT_EQ(out.sub.run, sub_bit(kSubBistVerdict));
+  EXPECT_TRUE(out.marks[kSubCpBistRead].empty());
+
+  const BistTestOutcome full = run_bist_test(fe, *ref_, {}, nullptr, /*full_evaluation=*/true);
+  EXPECT_EQ(full.sub.run, kBistSubStages);
+  EXPECT_EQ(full.marks[kSubCpBistRead].size(), kSubStageMarkWidth[kSubCpBistRead]);
+  EXPECT_EQ(full.marks[kSubBistVerdict], out.marks[kSubBistVerdict]);
+  EXPECT_GT(full.iterations, out.iterations);
+}
+
+TEST_F(BistTestFixture, EyeMemoLeavesTheOutcomeUnchanged) {
+  // Two faults through one memo: the second run of each hits it.
+  link::EyeMemo eyes;
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const fault::StructuralFault& f :
+         {fault::StructuralFault{"cp.m_swup", fault::FaultClass::kDrainSourceShort},
+          fault::StructuralFault{"tx.p.c_main", fault::FaultClass::kCapacitorShort}}) {
+      const auto fe = faulted(f);
+      const BistTestOutcome fresh = run_bist_test(fe, *ref_, {}, nullptr, true);
+      const BistTestOutcome memo = run_bist_test(fe, *ref_, {}, nullptr, true, &eyes);
+      EXPECT_EQ(memo.marks, fresh.marks) << f.describe();
+      EXPECT_EQ(memo.sub, fresh.sub) << f.describe();
+      EXPECT_EQ(memo.iterations, fresh.iterations) << f.describe();
+    }
+  }
+}
+
 TEST_F(BistTestFixture, BalancePathFaultCaughtByCpBist) {
   const auto out = run_bist_test(faulted({"cp.m_swdnb", fault::FaultClass::kDrainOpen}), *ref_);
   EXPECT_TRUE(out.detected());

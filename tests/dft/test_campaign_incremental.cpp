@@ -110,6 +110,72 @@ TEST_F(CampaignIncrementalFixture, DefaultsPreservePartitionAcrossThreadCounts) 
   }
 }
 
+/// Where sub-stage `s` starts in one variant's `observed` with every
+/// sub-stage enabled.
+std::size_t mark_offset(SubStage s) {
+  std::size_t offset = 0;
+  for (unsigned t = 0; t < s; ++t) offset += kSubStageMarkWidth[t];
+  return offset;
+}
+
+TEST_F(CampaignIncrementalFixture, CaptureLevelStopsPreserveVerdictsAndStageResults) {
+  // The charge-pump block with every stage, where the charge-pump scan
+  // and the BIST readout stop at the capture that decides: each fault's
+  // verdict, and each stage result the default run reaches, equal the
+  // full evaluation's, at 1 and 4 threads.
+  CampaignOptions opts;
+  opts.prefixes = {"cp."};
+  opts.max_faults = 60;
+  CampaignOptions full_opts = opts;
+  full_opts.adaptive_stage_order = false;
+  full_opts.num_threads = 1;
+  const CampaignReport full = run_campaign(*golden_, full_opts);
+  const std::size_t cp = mark_offset(kSubCpScan);
+  const std::size_t cp_width = kSubStageMarkWidth[kSubCpScan];
+  const std::size_t readout = mark_offset(kSubCpBistRead);
+  const std::string golden_cp = full.golden_observed.substr(cp, cp_width);
+  for (const std::size_t threads : {1u, 4u}) {
+    opts.num_threads = threads;
+    const CampaignReport report = run_campaign(*golden_, opts);
+    expect_same_partition(full, report);
+    std::size_t cp_stops = 0;
+    std::size_t readout_skips = 0;
+    for (std::size_t i = 0; i < report.outcomes.size(); ++i) {
+      const FaultOutcome& x = full.outcomes[i];
+      const FaultOutcome& y = report.outcomes[i];
+      for (const Stage s : {kStageDc, kStageScan, kStageBist}) {
+        if (stage_result(y.record, s) == StageResult::kNotRun) continue;
+        EXPECT_EQ(stage_result(y.record, s), stage_result(x.record, s)) << y.fault.describe();
+      }
+      // Every variant's marks keep the full layout.
+      ASSERT_EQ(y.observed.size(), x.observed.size()) << y.observed;
+      const SubStageRecord& r = y.record.slot[0];
+      const std::string cp_marks = y.observed.substr(cp, cp_width);
+      const std::size_t stop = cp_marks.find('-');
+      if ((r.run & sub_bit(kSubCpScan)) != 0 && stop != std::string::npos) {
+        // Stopped after the first conflicting combo: its marks are the
+        // full run's up to there.
+        ++cp_stops;
+        EXPECT_NE(r.detected & sub_bit(kSubCpScan), 0u) << y.observed;
+        EXPECT_EQ(cp_marks.substr(0, stop), x.observed.substr(cp, stop)) << y.observed;
+        EXPECT_EQ(cp_marks.find_first_not_of('-', stop), std::string::npos) << y.observed;
+        ASSERT_GE(stop, 2u) << y.observed;
+        const std::string last = cp_marks.substr(stop - 2, 2);
+        EXPECT_TRUE(marks_conflict(last[0], golden_cp[stop - 2]) ||
+                    marks_conflict(last[1], golden_cp[stop - 1]))
+            << y.observed;
+      }
+      if ((r.run & sub_bit(kSubBistVerdict)) != 0 && (r.run & sub_bit(kSubCpBistRead)) == 0) {
+        ++readout_skips;
+        EXPECT_NE(r.detected & sub_bit(kSubBistVerdict), 0u) << y.observed;
+        EXPECT_EQ(y.observed.substr(readout, kSubStageMarkWidth[kSubCpBistRead]), "------");
+      }
+    }
+    EXPECT_GT(cp_stops, 0u) << "threads " << threads;
+    EXPECT_GT(readout_skips, 0u) << "threads " << threads;
+  }
+}
+
 TEST_F(CampaignIncrementalFixture, EachMechanismAlonePreservesPartition) {
   for (int mech = 0; mech < 3; ++mech) {
     CampaignOptions opts = all_off(1);

@@ -2,10 +2,56 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 
 namespace lsl::link {
 namespace {
+
+/// Every double of the two eyes has the same bits.
+void expect_bitwise_equal(const behav::EyeResult& a, const behav::EyeResult& b) {
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  EXPECT_EQ(bits(a.best_height), bits(b.best_height));
+  EXPECT_EQ(bits(a.best_phase_frac), bits(b.best_phase_frac));
+  EXPECT_EQ(bits(a.width_frac), bits(b.width_frac));
+  ASSERT_EQ(a.phases.size(), b.phases.size());
+  for (std::size_t i = 0; i < a.phases.size(); ++i) {
+    EXPECT_EQ(bits(a.phases[i].phase_frac), bits(b.phases[i].phase_frac));
+    EXPECT_EQ(bits(a.phases[i].height), bits(b.phases[i].height));
+    EXPECT_EQ(bits(a.phases[i].level_one), bits(b.phases[i].level_one));
+    EXPECT_EQ(bits(a.phases[i].level_zero), bits(b.phases[i].level_zero));
+  }
+}
+
+TEST(Link, EyeMemoHitEqualsAFreshAnalysis) {
+  EyeMemo memo;
+  behav::ChannelParams a;
+  behav::ChannelParams b = a;
+  b.drive_scale_p = 0.5;  // one field apart: its own entry
+  const behav::EyeResult first = memo.eye(a);
+  expect_bitwise_equal(memo.eye(b), behav::analyze_eye(b, kEyeBits));
+  const behav::EyeResult* hit = &memo.eye(a);
+  EXPECT_EQ(&memo.eye(a), hit);  // no new analysis between the two calls
+  expect_bitwise_equal(*hit, first);
+  expect_bitwise_equal(*hit, behav::analyze_eye(a, kEyeBits));
+  EXPECT_NE(std::bit_cast<std::uint64_t>(memo.eye(b).best_height),
+            std::bit_cast<std::uint64_t>(first.best_height));
+}
+
+TEST(Link, EyeMemoLeavesBistVerdictUnchanged) {
+  LinkParams p;
+  p.phase0 = 5;
+  EyeMemo memo;
+  for (const double scale : {1.0, 0.3, 1.0}) {  // the third run hits
+    p.channel.drive_scale_n = scale;
+    const BistVerdict fresh = Link(p).run_bist(7);
+    const BistVerdict memoized = Link(p).run_bist(7, &memo);
+    EXPECT_EQ(memoized.locked_in_budget, fresh.locked_in_budget);
+    EXPECT_EQ(memoized.lock_counter_ok, fresh.lock_counter_ok);
+    EXPECT_EQ(memoized.cp_bist_ok, fresh.cp_bist_ok);
+    EXPECT_EQ(memoized.data_ok, fresh.data_ok);
+  }
+}
 
 TEST(Link, HealthyLinkRunsErrorFree) {
   Link link;
