@@ -7,13 +7,10 @@
 //  - `--json [path]`: a self-timed solver-engine report written as JSON
 //    (default BENCH_solver.json): throughput and workspace cache
 //    statistics for the DC-sweep, transient, and fault-campaign
-//    workloads on the sparse engine. With `--compare-dense`, each
-//    workload is re-run with every linear solve forced onto the dense
-//    path (spice::solver_tuning().force_dense) and the report gains
-//    dense timings plus the sparse-vs-dense speedup. With
-//    `--campaign-incremental` it also gains a leave-one-out section over
-//    the incremental-campaign mechanisms (all off, defaults, defaults
-//    minus each mechanism), min of 5 interleaved runs per config.
+//    workloads. With `--campaign-incremental` it also gains a
+//    leave-one-out section over the incremental-campaign mechanisms
+//    (all off, defaults, defaults minus each mechanism), min of 5
+//    interleaved runs per config.
 //    Every --json report also carries a `newton_kernels` section: the
 //    per-iteration cost of the sparse Newton solve, layer by layer, on
 //    the TABLE-I fault structures (see run_newton_kernels_report).
@@ -42,6 +39,7 @@
 #include "spice/stamp.hpp"
 #include "spice/transient.hpp"
 #include "spice/workspace.hpp"
+#include "support/dense_referee.hpp"
 #include "util/metrics.hpp"
 
 namespace {
@@ -116,13 +114,12 @@ void BM_LinkBist(benchmark::State& state) {
 BENCHMARK(BM_LinkBist);
 
 // ---------------------------------------------------------------------------
-// Solver-engine A/B report (--json / --compare-dense).
+// Solver-engine report (--json).
 
 using Clock = std::chrono::steady_clock;
 
 struct EngineRun {
   double seconds = 0.0;
-  std::uint64_t linear_solves = 0;  // Newton linear systems solved
   lsl::spice::SolverWorkspace::Stats stats;  // workspace deltas
 };
 
@@ -144,10 +141,8 @@ EngineRun timed_run(int reps, Fn&& work) {
   run.stats.linear_stamp_builds = delta(after.linear_stamp_builds, before.linear_stamp_builds);
   run.stats.linear_stamp_reuse = delta(after.linear_stamp_reuse, before.linear_stamp_reuse);
   run.stats.sparse_solves = delta(after.sparse_solves, before.sparse_solves);
-  run.stats.dense_solves = delta(after.dense_solves, before.dense_solves);
   run.stats.pivot_rejects = delta(after.pivot_rejects, before.pivot_rejects);
   run.stats.kcl_rejects = delta(after.kcl_rejects, before.kcl_rejects);
-  run.linear_solves = run.stats.sparse_solves + run.stats.dense_solves;
   return run;
 }
 
@@ -191,21 +186,20 @@ struct Workload {
 
 void append_run_json(std::string& out, const char* key, const EngineRun& run) {
   char buf[512];
-  const double sps = run.seconds > 0.0 ? static_cast<double>(run.linear_solves) / run.seconds : 0.0;
+  const double solves = static_cast<double>(run.stats.sparse_solves);
+  const double sps = run.seconds > 0.0 ? solves / run.seconds : 0.0;
   const double reuse_den =
       static_cast<double>(run.stats.symbolic_builds + run.stats.symbolic_reuse);
   const double reuse_rate = reuse_den > 0.0 ? run.stats.symbolic_reuse / reuse_den : 0.0;
   std::snprintf(buf, sizeof(buf),
-                "\"%s\":{\"seconds\":%.6f,\"linear_solves\":%llu,\"solves_per_sec\":%.1f,"
+                "\"%s\":{\"seconds\":%.6f,\"sparse_solves\":%llu,\"solves_per_sec\":%.1f,"
                 "\"symbolic_builds\":%llu,\"symbolic_reuse\":%llu,\"symbolic_reuse_rate\":%.4f,"
-                "\"linear_stamp_reuse\":%llu,\"sparse_solves\":%llu,\"dense_solves\":%llu,"
+                "\"linear_stamp_reuse\":%llu,"
                 "\"pivot_rejects\":%llu,\"kcl_rejects\":%llu}",
-                key, run.seconds, static_cast<unsigned long long>(run.linear_solves), sps,
+                key, run.seconds, static_cast<unsigned long long>(run.stats.sparse_solves), sps,
                 static_cast<unsigned long long>(run.stats.symbolic_builds),
                 static_cast<unsigned long long>(run.stats.symbolic_reuse), reuse_rate,
                 static_cast<unsigned long long>(run.stats.linear_stamp_reuse),
-                static_cast<unsigned long long>(run.stats.sparse_solves),
-                static_cast<unsigned long long>(run.stats.dense_solves),
                 static_cast<unsigned long long>(run.stats.pivot_rejects),
                 static_cast<unsigned long long>(run.stats.kcl_rejects));
   out += buf;
@@ -214,50 +208,23 @@ void append_run_json(std::string& out, const char* key, const EngineRun& run) {
 std::string run_campaign_incremental_report();
 std::string run_newton_kernels_report();
 
-int run_solver_report(const std::string& json_path, bool compare_dense,
-                      bool campaign_incremental) {
+int run_solver_report(const std::string& json_path, bool campaign_incremental) {
   const Workload workloads[] = {
       {"dc_sweep", 5, run_dc_sweep_workload},
       {"transient", 3, run_transient_workload},
       {"fault_campaign", 2, run_campaign_workload},
   };
 
-  auto& tuning = lsl::spice::solver_tuning();
-  const lsl::spice::SolverTuning saved = tuning;
-
   std::string json = "{\n";
   bool first = true;
-  bool all_speedups_ok = true;
   for (const Workload& w : workloads) {
-    tuning = saved;
-    tuning.force_dense = false;
     const EngineRun sparse = timed_run(w.reps, w.fn);
-
-    EngineRun dense;
-    if (compare_dense) {
-      tuning.force_dense = true;
-      dense = timed_run(w.reps, w.fn);
-      tuning.force_dense = false;
-    }
-
     if (!first) json += ",\n";
     first = false;
     json += "  \"" + std::string(w.name) + "\":{";
     append_run_json(json, "sparse", sparse);
-    if (compare_dense) {
-      json += ",";
-      append_run_json(json, "dense", dense);
-      const double speedup = sparse.seconds > 0.0 ? dense.seconds / sparse.seconds : 0.0;
-      char buf[64];
-      std::snprintf(buf, sizeof(buf), ",\"speedup\":%.2f", speedup);
-      json += buf;
-      std::printf("%-16s sparse %8.4fs  dense %8.4fs  speedup %5.2fx\n", w.name, sparse.seconds,
-                  dense.seconds, speedup);
-      if (speedup < 2.0) all_speedups_ok = false;
-    } else {
-      std::printf("%-16s sparse %8.4fs  (%llu linear solves)\n", w.name, sparse.seconds,
-                  static_cast<unsigned long long>(sparse.linear_solves));
-    }
+    std::printf("%-16s sparse %8.4fs  (%llu linear solves)\n", w.name, sparse.seconds,
+                static_cast<unsigned long long>(sparse.stats.sparse_solves));
     json += "}";
   }
   json += ",\n";
@@ -267,7 +234,6 @@ int run_solver_report(const std::string& json_path, bool compare_dense,
     json += run_campaign_incremental_report();
   }
   json += "\n}\n";
-  tuning = saved;
 
   std::ofstream out(json_path);
   if (!out) {
@@ -276,9 +242,6 @@ int run_solver_report(const std::string& json_path, bool compare_dense,
   }
   out << json;
   std::printf("wrote %s\n", json_path.c_str());
-  if (compare_dense && !all_speedups_ok) {
-    std::fprintf(stderr, "WARNING: a workload fell short of 2x over dense\n");
-  }
   return 0;
 }
 
@@ -442,7 +405,8 @@ std::string run_campaign_incremental_report() {
 /// One TABLE-I fault structure: the faulted open-loop frontend netlist,
 /// its DC operating point, and the same linear system in the shape the
 /// sparse LU takes (CSR pattern, source-paired row map, RHS), rebuilt
-/// here from the dense stamp so the LU kernels can be timed alone.
+/// here from the dense referee's stamp so the LU kernels can be timed
+/// alone.
 struct KernelSystem {
   lsl::spice::Netlist nl;
   std::vector<double> x;
@@ -712,7 +676,6 @@ std::string run_newton_kernels_report() {
 
 int main(int argc, char** argv) {
   bool json_mode = false;
-  bool compare_dense = false;
   bool campaign_incremental = false;
   std::string json_path = "BENCH_solver.json";
   std::vector<char*> passthrough = {argv[0]};
@@ -721,9 +684,6 @@ int main(int argc, char** argv) {
     if (arg == "--json") {
       json_mode = true;
       if (i + 1 < argc && argv[i + 1][0] != '-') json_path = argv[++i];
-    } else if (arg == "--compare-dense") {
-      json_mode = true;
-      compare_dense = true;
     } else if (arg == "--campaign-incremental") {
       json_mode = true;
       campaign_incremental = true;
@@ -731,7 +691,7 @@ int main(int argc, char** argv) {
       passthrough.push_back(argv[i]);
     }
   }
-  if (json_mode) return run_solver_report(json_path, compare_dense, campaign_incremental);
+  if (json_mode) return run_solver_report(json_path, campaign_incremental);
 
   int bench_argc = static_cast<int>(passthrough.size());
   benchmark::Initialize(&bench_argc, passthrough.data());

@@ -46,6 +46,9 @@ endif()
 # detection rule's and the stage-result derivation's unit tests.
 # StampReferee runs the workspace's in-place stamp, factor and solve
 # against an A-layout reference on the frontend's stage systems;
+# Matrix and LuSolve are the dense referee's own suite
+# (tests/support/dense_referee), the stamp and LU the SparseEngine
+# referee checks run against;
 # SeedMapping and Netlist cover the position-only name tables a seed
 # and a netlist copy carry; GoldenTrajectory records a golden transient
 # and follows it through a name map, the read-only trajectory every
@@ -60,9 +63,9 @@ endif()
 # NewtonAllocation is
 # deliberately excluded: its global operator-new counters are
 # meaningless under sanitizer allocators.
-message(STATUS "[sanitize_job] running ThreadPool/Campaign/GoldenTrajectory/Dictionary/PinnedReference/StageOutcome/ScanTest/BistTest/DcTest/McTrials/SparseEngine/StampReferee/SeedMapping/Netlist/SolverSmoke/SolverRobustness/digital/behavioural tests under ${SANITIZER}")
+message(STATUS "[sanitize_job] running ThreadPool/Campaign/GoldenTrajectory/Dictionary/PinnedReference/StageOutcome/ScanTest/BistTest/DcTest/McTrials/SparseEngine/StampReferee/Matrix/LuSolve/SeedMapping/Netlist/SolverSmoke/SolverRobustness/digital/behavioural tests under ${SANITIZER}")
 execute_process(
-  COMMAND ctest --test-dir ${BIN_DIR} -R "ThreadPool|Campaign|GoldenTrajectory|Dictionary|PinnedReference|StageOutcome|ScanTest|BistTest|DcTest|McTrials|SparseEngine|StampReferee|SeedMapping|Netlist|SolverSmoke|SolverRobustness|Circuit|StuckCampaign|Compaction|CoverageCurve|Atpg|Pcg32|Channel|Synchronizer|Link"
+  COMMAND ctest --test-dir ${BIN_DIR} -R "ThreadPool|Campaign|GoldenTrajectory|Dictionary|PinnedReference|StageOutcome|ScanTest|BistTest|DcTest|McTrials|SparseEngine|StampReferee|^Matrix\\.|^LuSolve\\.|SeedMapping|Netlist|SolverSmoke|SolverRobustness|Circuit|StuckCampaign|Compaction|CoverageCurve|Atpg|Pcg32|Channel|Synchronizer|Link"
           --output-on-failure
   RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)

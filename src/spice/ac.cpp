@@ -13,9 +13,9 @@ namespace {
 
 using Complex = std::complex<double>;
 
-/// Minimal dense complex LU solve, in place (mirrors lu_solve_inplace
-/// for doubles): factors `a`, permutes `b` in tandem, writes the
-/// solution into `x`. Allocation-free when `x` is pre-sized.
+/// Minimal dense complex LU solve, in place: factors `a` with partial
+/// pivoting, permutes `b` in tandem, writes the solution into `x`.
+/// Allocation-free when `x` is pre-sized.
 bool lu_solve_complex(std::vector<Complex>& a, std::vector<Complex>& b, std::size_t n,
                       std::vector<Complex>& x) {
   auto at = [&](std::size_t r, std::size_t c) -> Complex& { return a[r * n + c]; };

@@ -6,7 +6,6 @@
 #include <cstring>
 #include <stdexcept>
 
-#include "spice/matrix.hpp"
 #include "spice/stamp.hpp"
 #include "spice/workspace.hpp"
 #include "util/log.hpp"
@@ -198,7 +197,6 @@ void record_dc_metrics(const DcResult& result, const char* rung,
   static util::Counter& linear_stamp_builds = m.counter("solver.dc.linear_stamp_builds");
   static util::Counter& linear_stamp_reuse = m.counter("solver.dc.linear_stamp_reuse");
   static util::Counter& sparse_solves = m.counter("solver.dc.sparse_solves");
-  static util::Counter& dense_solves = m.counter("solver.dc.dense_solves");
   static util::Counter& pivot_rejects = m.counter("solver.dc.pivot_rejects");
   static util::Counter& kcl_rejects = m.counter("solver.dc.kcl_rejects");
   solves.add(1);
@@ -213,7 +211,6 @@ void record_dc_metrics(const DcResult& result, const char* rung,
   linear_stamp_builds.add(ws_after.linear_stamp_builds - ws_before.linear_stamp_builds);
   linear_stamp_reuse.add(ws_after.linear_stamp_reuse - ws_before.linear_stamp_reuse);
   sparse_solves.add(ws_after.sparse_solves - ws_before.sparse_solves);
-  dense_solves.add(ws_after.dense_solves - ws_before.dense_solves);
   pivot_rejects.add(ws_after.pivot_rejects - ws_before.pivot_rejects);
   kcl_rejects.add(ws_after.kcl_rejects - ws_before.kcl_rejects);
   if (util::Metrics::detailed_timing()) {

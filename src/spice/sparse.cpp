@@ -324,12 +324,11 @@ bool SparseLu::factor_in_place(double pivot_floor) {
       target += len;
     }
     // Pivot health: absolute floor only (the comparison also rejects
-    // NaN), mirroring the dense singular test. A relative-to-row test
-    // would misfire here: eliminating a gmin-pivoted node (e.g. a
-    // floating gate no source drives) legitimately puts ~1/gmin-scale
-    // multipliers and fill into downstream rows, dwarfing healthy
-    // pivots. Numerical quality is instead judged by the Newton loop's
-    // KCL check at its exit.
+    // NaN). A relative-to-row test would misfire here: eliminating a
+    // gmin-pivoted node (e.g. a floating gate no source drives)
+    // legitimately puts ~1/gmin-scale multipliers and fill into
+    // downstream rows, dwarfing healthy pivots. Numerical quality is
+    // instead judged by the Newton loop's KCL check at its exit.
     if (!(std::fabs(lu[diag_pos_[i]]) >= pivot_floor)) return false;
   }
   return true;

@@ -1,5 +1,7 @@
-// Modified-nodal-analysis stamping: turns a Netlist plus a linearization
-// point into the Newton-iteration linear system G*x = b.
+// Modified-nodal-analysis stamping inputs: the level-1 MOSFET model and
+// the StampContext under which SolverWorkspace (workspace.hpp) turns a
+// Netlist plus a linearization point into the Newton-iteration linear
+// system G*x = b.
 //
 // Unknown ordering: node voltages for nodes 1..N-1 (ground excluded),
 // followed by one branch current per enabled VSource/Vcvs, in device
@@ -11,7 +13,6 @@
 #include <utility>
 #include <vector>
 
-#include "spice/matrix.hpp"
 #include "spice/netlist.hpp"
 
 namespace lsl::spice {
@@ -29,8 +30,8 @@ struct MosEval {
 };
 
 /// The level-1 parameters of one MOSFET under its model card. The
-/// solver workspace resolves them once per cached topology; the dense
-/// stamp resolves them per call. Both then run the same eval_mosfet.
+/// solver workspace resolves them once per cached topology and runs
+/// eval_mosfet on them every Newton iteration.
 struct MosParams {
   bool nmos = true;
   double beta = 0.0;    // kp * (w / l)
@@ -154,17 +155,12 @@ struct StampContext {
 /// Voltage of `node` under MNA solution vector `x`.
 double node_voltage(const Netlist& nl, const std::vector<double>& x, NodeId node);
 
-/// Builds the linearized MNA system about solution estimate `x`.
-/// G and b are resized and zeroed internally.
-void stamp_system(const StampContext& ctx, const std::vector<double>& x, Matrix& g,
-                  std::vector<double>& b);
-
-/// True nonlinear MNA residual r = G(x)·x − b(x) evaluated at `x`: the
-/// stamp folds each device's affine remainder into b, so at the
-/// linearization point the linear combination reproduces the device's
-/// actual current and r is the exact KCL/constraint residual — node
-/// rows in amperes (including the gmin leak of the system being
-/// solved), branch rows in volts.
+/// True nonlinear MNA residual r = G(x)·x − b(x) evaluated at `x`, on
+/// the calling thread's solver workspace: the stamp folds each device's
+/// affine remainder into b, so at the linearization point the linear
+/// combination reproduces the device's actual current and r is the
+/// exact KCL/constraint residual — node rows in amperes (including the
+/// gmin leak of the system being solved), branch rows in volts.
 std::vector<double> mna_residual(const StampContext& ctx, const std::vector<double>& x);
 
 /// Max |r| over the node-voltage (KCL) rows of mna_residual, in

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "spice/matrix.hpp"
 #include "spice/stamp.hpp"
 #include "spice/workspace.hpp"
 #include "util/log.hpp"
@@ -329,8 +328,7 @@ TransientResult run_transient(const Netlist& nl,
         // Residual and current history both need the PRE-step voltages
         // still in prev_node_v, so they run before capture_node_v.
         if (opts.record_kcl_residual) {
-          // O(nnz) via the workspace's cached pattern (the free-function
-          // kcl_residual_norm would stamp a dense matrix per sub-step).
+          // O(nnz) on the workspace's cached pattern.
           result.max_kcl_residual =
               std::max(result.max_kcl_residual, ws.kcl_residual_norm(ctx, x));
         }

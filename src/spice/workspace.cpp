@@ -13,11 +13,6 @@ namespace lsl::spice {
 
 namespace {
 
-/// Systems with fewer unknowns than this stay on the dense path — at
-/// tiny n dense partial-pivot LU is both faster and the most
-/// battle-tested code, and the unit-test circuits live there.
-constexpr std::size_t kDenseCrossover = 16;
-
 /// Newton's exit check (kcl_satisfied): a node row passes when
 /// |r_i| <= kKclRelTol·Σ|terms_i| + kKclAbsTol, the terms being the
 /// row's stamped currents A_is·x_s and its RHS b_i.
@@ -25,11 +20,6 @@ constexpr double kKclRelTol = 1e-3;
 constexpr double kKclAbsTol = 1e-12;  // amperes
 
 }  // namespace
-
-SolverTuning& solver_tuning() {
-  static SolverTuning tuning;
-  return tuning;
-}
 
 SolverWorkspace& SolverWorkspace::tls() {
   thread_local SolverWorkspace ws;
@@ -493,39 +483,21 @@ bool SolverWorkspace::solve_newton_system(const StampContext& ctx, NewtonBinding
   using Clock = std::chrono::steady_clock;
   auto t0 = timing ? Clock::now() : Clock::time_point{};
 
-  if (!binding.resolved) {
-    const SolverTuning& t = solver_tuning();
-    binding.resolved = true;
-    binding.entry = nullptr;
-    if (!t.force_dense && (n >= kDenseCrossover || t.force_sparse)) {
-      bool built = false;
-      binding.entry = &entry_for(ctx, built);
-      if (timing && built) {
-        // A new structure's symbolic build is timed on its own, not as
-        // stamping.
-        const auto tb = Clock::now();
-        diag->symbolic_sec += std::chrono::duration<double>(tb - t0).count();
-        t0 = tb;
-      }
-      ensure_linear_base(*binding.entry, ctx);
+  if (binding.entry == nullptr) {
+    bool built = false;
+    binding.entry = &entry_for(ctx, built);
+    if (timing && built) {
+      // A new structure's symbolic build is timed on its own, not as
+      // stamping.
+      const auto tb = Clock::now();
+      diag->symbolic_sec += std::chrono::duration<double>(tb - t0).count();
+      t0 = tb;
     }
-  } else if (binding.entry != nullptr) {
+    ensure_linear_base(*binding.entry, ctx);
+  } else {
     // Later iterations of the loop: the same cached entry and base.
     ++stats_.symbolic_reuse;
     ++stats_.linear_stamp_reuse;
-  }
-
-  if (binding.entry == nullptr) {
-    stamp_system(ctx, x, dense_g_, dense_b_);
-    const bool ok = lu_solve_inplace(dense_g_, dense_b_);
-    if (ok) x_new = dense_b_;
-    ++stats_.dense_solves;
-    if (timing) {
-      // The dense path interleaves stamping and factoring; attribute it
-      // all to factor time, matching the dominant cost.
-      diag->factor_sec += std::chrono::duration<double>(Clock::now() - t0).count();
-    }
-    return ok;
   }
 
   Entry& e = *binding.entry;
@@ -556,32 +528,13 @@ bool SolverWorkspace::kcl_satisfied(const StampContext& ctx, const NewtonBinding
   const auto t0 = timing ? Clock::now() : Clock::time_point{};
   // Stamped about x itself, each node row sums the devices' actual
   // currents, so r_i is the true KCL residual of node i.
-  const auto row_passes = [](double r, double scale) {
-    return std::fabs(r) <= kKclRelTol * scale + kKclAbsTol;  // NaN fails
-  };
+  Entry& e = *binding.entry;
+  stamp(e, ctx, x);
   bool ok = true;
-  if (binding.entry == nullptr) {
-    stamp_system(ctx, x, dense_g_, dense_b_);
-    const std::size_t n = dense_b_.size();
-    const std::size_t n_volts = ctx.nl->node_count() - 1;
-    for (std::size_t i = 0; ok && i < n_volts; ++i) {
-      double r = -dense_b_[i];
-      double scale = std::fabs(dense_b_[i]);
-      for (std::size_t j = 0; j < n; ++j) {
-        const double term = dense_g_.at(i, j) * x[j];
-        r += term;
-        scale += std::fabs(term);
-      }
-      ok = row_passes(r, scale);
-    }
-  } else {
-    Entry& e = *binding.entry;
-    stamp(e, ctx, x);
-    for (std::size_t i = 0; ok && i < e.n_volts; ++i) {
-      double scale = 0.0;
-      const double r = e.row_residual(x, i, scale);
-      ok = row_passes(r, scale);
-    }
+  for (std::size_t i = 0; ok && i < e.n_volts; ++i) {
+    double scale = 0.0;
+    const double r = e.row_residual(x, i, scale);
+    ok = std::fabs(r) <= kKclRelTol * scale + kKclAbsTol;  // NaN fails
   }
   if (!ok) ++stats_.kcl_rejects;
   if (timing) diag->stamp_sec += std::chrono::duration<double>(Clock::now() - t0).count();

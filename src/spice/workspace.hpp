@@ -1,9 +1,7 @@
 // SolverWorkspace: reusable per-thread state for the MNA solve path.
 //
-// Every Newton iteration in this repo used to reallocate an n×n dense
-// matrix, re-stamp every linear device, copy the system by value into
-// lu_solve, and run dense O(n³) elimination on a matrix that is ~95%
-// zeros. The workspace removes all of that, with reuse at three levels:
+// Every Newton linear solve, DC and transient, whatever its unknown
+// count, runs here on one sparse engine, with reuse at three levels:
 //
 //  1. **Buffers** — matrices, RHS vectors, and scratch are owned by the
 //     workspace and recycled, so the Newton inner loop performs zero
@@ -87,25 +85,11 @@
 #include <memory>
 #include <vector>
 
-#include "spice/matrix.hpp"
 #include "spice/solve_status.hpp"
 #include "spice/sparse.hpp"
 #include "spice/stamp.hpp"
 
 namespace lsl::spice {
-
-/// Process-wide solver tuning knobs. Read on every solve; mutate only
-/// while no solves are in flight (tests and benches flip force_dense
-/// for A/B comparisons).
-struct SolverTuning {
-  /// Force every solve onto the dense path (A/B benchmarking, and the
-  /// reference side of the sparse/dense equivalence tests).
-  bool force_dense = false;
-  /// Force the sparse path even below the dense crossover (tests).
-  bool force_sparse = false;
-};
-
-SolverTuning& solver_tuning();
 
 /// Hash of everything that shapes the MNA matrix of `nl`: node count,
 /// model card, and each device's kind, enabled flag, terminals and
@@ -133,8 +117,7 @@ class SolverWorkspace {
     std::uint64_t symbolic_reuse = 0;     // iterations served by a cached pattern
     std::uint64_t linear_stamp_builds = 0;  // linear base (re)stamped
     std::uint64_t linear_stamp_reuse = 0;   // iterations served by a cached base
-    std::uint64_t sparse_solves = 0;      // iterations solved sparse
-    std::uint64_t dense_solves = 0;       // iterations solved dense by design
+    std::uint64_t sparse_solves = 0;      // iterations solved
     std::uint64_t pivot_rejects = 0;      // sparse factors under the pivot floor (singular)
     std::uint64_t kcl_rejects = 0;        // Newton exits refused by the KCL check
     // Symbolic-build time by phase, accumulated only under detailed
@@ -163,21 +146,20 @@ class SolverWorkspace {
   /// False when none is armed.
   bool take_pending_seed(std::vector<double>& out, bool* chained = nullptr);
 
-  /// The cache entry a Newton loop solves on. Default-constructed it is
-  /// unresolved; the first solve_newton_system call that receives it
-  /// resolves the context's entry (building it if the structure is
-  /// new) and later calls reuse it, so a loop pays the key lookup once.
-  /// Only valid while the context's netlist structure, gmin, dt and
-  /// integrator stay as they were on that first call.
+  /// The cache entry a Newton loop solves on. Default-constructed
+  /// (null) it is unresolved; the first solve_newton_system call that
+  /// receives it resolves the context's entry (building it if the
+  /// structure is new) and later calls reuse it, so a loop pays the key
+  /// lookup once. Only valid while the context's netlist structure,
+  /// gmin, dt and integrator stay as they were on that first call.
   struct NewtonBinding {
-    Entry* entry = nullptr;  // null with `resolved`: the dense path
-    bool resolved = false;
+    Entry* entry = nullptr;
   };
 
   /// One Newton linear solve: builds the linearized MNA system about
   /// iterate `x` (cached linear base + fresh nonlinear/RHS stamps) and
   /// solves G·x_new = b. Returns false when the system is singular: a
-  /// pivot under the floor, sparse or dense.
+  /// pivot under the floor.
   /// When `diag` is non-null and detailed timing is on, symbolic-build,
   /// stamp and factor time are accumulated into it. Allocation-free
   /// after warm-up.
@@ -191,18 +173,18 @@ class SolverWorkspace {
     return solve_newton_system(ctx, binding, x, x_new, diag);
   }
 
-  /// Newton's exit check, on the binding a loop solved with: stamps the
-  /// system about the accepted iterate `x` and requires every node row
-  /// to balance, |r_i| <= 1e-3·Σ|terms_i| + 1e-12 A, the terms being
-  /// the row's stamped currents and its RHS. O(nnz) (dense below the
-  /// crossover); a failure counts in Stats::kcl_rejects. Stamp time
-  /// joins `diag` under detailed timing.
+  /// Newton's exit check, on the binding a loop solved with (resolved
+  /// by solve_newton_system): stamps the system about the accepted
+  /// iterate `x` and requires every node row to balance,
+  /// |r_i| <= 1e-3·Σ|terms_i| + 1e-12 A, the terms being the row's
+  /// stamped currents and its RHS. O(nnz); a failure counts in
+  /// Stats::kcl_rejects. Stamp time joins `diag` under detailed timing.
   bool kcl_satisfied(const StampContext& ctx, const NewtonBinding& binding,
                      const std::vector<double>& x, SolveDiagnostics* diag = nullptr);
 
-  /// O(nnz) nonlinear MNA residual r = G(x)·x − b(x) (same definition
-  /// as the free mna_residual, minus the dense row sweep and the
-  /// per-call allocations). `r` is resized to the unknown count.
+  /// O(nnz) nonlinear MNA residual r = G(x)·x − b(x), walking the
+  /// cached sparse pattern (the free mna_residual runs this on the
+  /// calling thread's workspace). `r` is resized to the unknown count.
   void mna_residual(const StampContext& ctx, const std::vector<double>& x,
                     std::vector<double>& r);
 
@@ -306,9 +288,6 @@ class SolverWorkspace {
   bool has_pending_seed_ = false;
   bool pending_chained_ = false;
 
-  // Dense path buffers (n below the crossover, or forced dense).
-  Matrix dense_g_;
-  std::vector<double> dense_b_;
   std::vector<double> iterate_scratch_;
 
   // AC scratch.

@@ -1,12 +1,14 @@
 // Smoke test of the sparse-engine contract on the golden netlist: a
-// warm dc_sweep of the full analog frontend must run entirely on the
-// sparse path (one symbolic analysis shared by every point, no pivot
-// or KCL rejects), and the solver.dc.* instruments must see it. A small
-// serial fault campaign checks the same on faulted copies.
+// warm dc_sweep of the full analog frontend must share one symbolic
+// analysis across every point, with no pivot or KCL rejects, and the
+// solver.dc.* instruments must see it. A small serial fault campaign
+// checks the same on faulted copies, and small ladders check that
+// every netlist size solves on the sparse engine.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "cells/link_frontend.hpp"
@@ -39,19 +41,48 @@ TEST(SolverSmoke, WarmDcSweepReusesSymbolicAnalysisWithoutFallbacks) {
   ASSERT_EQ(results.size(), points.size());
   for (const auto& r : results) EXPECT_TRUE(r.converged);
 
-  // The golden netlist sits above the dense crossover: everything runs
-  // sparse, against a single cached symbolic factorization.
+  // Every point runs against a single cached symbolic factorization.
   EXPECT_EQ(ws.stats().symbolic_builds, 1u);
   EXPECT_GT(ws.stats().symbolic_reuse, 0u);
   EXPECT_GT(ws.stats().sparse_solves, 0u);
   EXPECT_EQ(ws.stats().pivot_rejects, 0u);
   EXPECT_EQ(ws.stats().kcl_rejects, 0u);
-  EXPECT_EQ(ws.stats().dense_solves, 0u);
 
   // The same story must be visible through the metrics registry.
   EXPECT_GT(m.counter("solver.dc.symbolic_reuse").value(), reuse_before);
   EXPECT_EQ(m.counter("solver.dc.pivot_rejects").value(), pivot_before);
   EXPECT_EQ(m.counter("solver.dc.kcl_rejects").value(), kcl_before);
+}
+
+TEST(SolverSmoke, EveryNetlistSizeSolvesOnTheSparseEngine) {
+  // One engine at every size: a current-driven resistor ladder of 1 to
+  // 15 unknowns counts one sparse solve per Newton iteration, in the
+  // workspace and in the solver.dc.* instruments.
+  auto& m = util::metrics();
+  for (std::size_t n = 1; n < 16; ++n) {
+    SCOPED_TRACE(testing::Message() << n << " unknowns");
+    spice::Netlist nl;
+    spice::NodeId prev = nl.node("n0");
+    nl.add("i_in", spice::ISource{spice::kGround, prev, 100e-6});
+    nl.add("rg0", spice::Resistor{prev, spice::kGround, 10e3});
+    for (std::size_t k = 1; k < n; ++k) {
+      const spice::NodeId cur = nl.node("n" + std::to_string(k));
+      nl.add("r" + std::to_string(k), spice::Resistor{prev, cur, 1e3});
+      nl.add("rg" + std::to_string(k), spice::Resistor{cur, spice::kGround, 10e3});
+      prev = cur;
+    }
+    ASSERT_EQ(nl.unknown_count(), n);
+
+    spice::SolverWorkspace ws;
+    const auto sparse_before = m.counter("solver.dc.sparse_solves").value();
+    const auto newton_before = m.counter("solver.dc.newton_iterations").value();
+    const auto r = spice::solve_dc(nl, {}, ws);
+    ASSERT_TRUE(r.converged);
+    EXPECT_GT(r.iterations, 0);
+    EXPECT_EQ(ws.stats().sparse_solves, static_cast<std::uint64_t>(r.iterations));
+    EXPECT_EQ(m.counter("solver.dc.sparse_solves").value() - sparse_before,
+              m.counter("solver.dc.newton_iterations").value() - newton_before);
+  }
 }
 
 TEST(SolverSmoke, GoldenWarmStartLandsFirstTry) {

@@ -6,7 +6,10 @@
 // same fill, accept and reject the same matrices, and return solutions
 // with the same bits, on random patterns around the 64- and 128-bit
 // word boundaries of the bitsets and on the analog frontend's own
-// stage systems, healthy and faulted.
+// stage systems, healthy and faulted. On those stage systems the dense
+// referee (tests/support) also checks solve_dc's operating point: one
+// dense Newton step from it stays under Newton's 1 µV stop, and its
+// KCL rows balance.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,9 +21,9 @@
 
 #include "cells/link_frontend.hpp"
 #include "fault/structural.hpp"
-#include "spice/matrix.hpp"
 #include "spice/sparse.hpp"
 #include "spice/stamp.hpp"
+#include "support/dense_referee.hpp"
 #include "util/rng.hpp"
 
 namespace lsl::spice {
@@ -458,6 +461,15 @@ TEST(SparseEngine, RefereeFrontendStageSystemsAndFaultedCopies) {
   Tally tally;
   for (auto& [name, fe] : systems) {
     const DcResult op = fe.solve();
+    ASSERT_TRUE(op.converged) << name;
+    // From solve_dc's answer, one Newton step on the dense referee's
+    // stamp and LU moves no unknown by more than 1 µV (Newton's stop),
+    // and the referee's KCL rows balance.
+    StampContext ctx;  // solve_dc's final system: gmin_final, full scale
+    ctx.nl = &fe.netlist();
+    ctx.gmin = DcOptions{}.gmin_final;
+    EXPECT_LE(dense_newton_step(ctx, op.x), 1e-6) << name;
+    EXPECT_TRUE(kcl_balanced(ctx, op.x)) << name;
     std::vector<double> x = op.x;
     x.resize(fe.netlist().unknown_count(), 0.0);
     Case c = stage_case(name, fe.netlist(), x);

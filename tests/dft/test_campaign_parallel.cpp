@@ -134,12 +134,11 @@ TEST_F(ParallelCampaignFixture, ProgressSerializedAtFourThreads) {
 }
 
 TEST_F(ParallelCampaignFixture, CampaignRunsOnTheSparseEngine) {
-  // The frontend netlist sits well above the dense crossover, so a
-  // campaign must be served overwhelmingly by the sparse path, with
-  // cached symbolic analyses reused across faults. Fault circuits that
-  // mix short and open conductances can defeat the no-pivot
-  // factorization (a pivot reject fails that Newton iteration as
-  // singular) or its accuracy (the KCL exit check refuses the
+  // A campaign must be served overwhelmingly by sparse solves that
+  // factor, with cached symbolic analyses reused across faults. Fault
+  // circuits that mix short and open conductances can defeat the
+  // no-pivot factorization (a pivot reject fails that Newton iteration
+  // as singular) or its accuracy (the KCL exit check refuses the
   // iterate), but they must stay a small minority. A serial run
   // executes on this thread, so its tls() workspace is ours.
   auto& ws = spice::SolverWorkspace::tls();
@@ -154,36 +153,6 @@ TEST_F(ParallelCampaignFixture, CampaignRunsOnTheSparseEngine) {
   EXPECT_GT(after.symbolic_reuse, before.symbolic_reuse);
   EXPECT_LT(rejects * 10, sparse) << "pivot and KCL rejects should be <10% of sparse solves";
   expect_identical(*serial_, report);
-}
-
-TEST_F(ParallelCampaignFixture, SparseAndForcedDenseEnginesAgreeOnEveryVerdict) {
-  // Differential check of the two solver engines end to end: forcing
-  // every linear solve onto the dense reference path must reproduce the
-  // same detection story. (Engines agree to solver tolerance, not to
-  // the last bit, so this compares verdicts and coverage — the
-  // byte-identity contract applies within one engine, and is covered by
-  // the thread-count tests above.)
-  auto& tuning = spice::solver_tuning();
-  const spice::SolverTuning saved = tuning;
-  tuning.force_dense = true;
-  for (const std::size_t threads : {1u, 4u}) {
-    const CampaignReport dense = run_campaign(*golden_, small_opts(threads));
-    EXPECT_TRUE(dense.complete);
-    ASSERT_EQ(dense.outcomes.size(), serial_->outcomes.size());
-    for (std::size_t i = 0; i < dense.outcomes.size(); ++i) {
-      const FaultOutcome& s = serial_->outcomes[i];
-      const FaultOutcome& d = dense.outcomes[i];
-      EXPECT_EQ(s.index, d.index);
-      for (const Stage stage : {kStageDc, kStageScan, kStageBist}) {
-        EXPECT_EQ(stage_result(s.record, stage), stage_result(d.record, stage))
-            << s.fault.describe();
-      }
-      EXPECT_EQ(s.verdict, d.verdict) << s.fault.describe();
-    }
-    EXPECT_EQ(dense.total.cum_all.detected, serial_->total.cum_all.detected);
-    EXPECT_EQ(dense.total.cum_all.total, serial_->total.cum_all.total);
-  }
-  tuning = saved;
 }
 
 TEST(CanonicalJson, StripsElapsedOnly) {

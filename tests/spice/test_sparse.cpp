@@ -1,7 +1,7 @@
-// Sparse-engine tests: CSR/symbolic-LU units, sparse-vs-dense
-// equivalence on randomized fixed-seed netlists, symbolic-cache
-// invalidation across every supported mutation path, and the
-// zero-allocation guarantee of the warm Newton inner loop.
+// Sparse-engine tests: CSR/symbolic-LU units, checks against the dense
+// referee (tests/support) on randomized fixed-seed netlists,
+// symbolic-cache invalidation across every supported mutation path,
+// and the zero-allocation guarantee of the warm Newton inner loop.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -15,11 +15,11 @@
 #include <vector>
 
 #include "spice/dc.hpp"
-#include "spice/matrix.hpp"
 #include "spice/sparse.hpp"
 #include "spice/stamp.hpp"
 #include "spice/transient.hpp"
 #include "spice/workspace.hpp"
+#include "support/dense_referee.hpp"
 #include "util/rng.hpp"
 
 // Global allocation counter: every operator new in this test binary
@@ -46,13 +46,6 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace lsl::spice {
 namespace {
-
-/// Restores the global solver tuning on scope exit, so tests that flip
-/// force_dense/force_sparse cannot leak state into each other.
-struct ScopedTuning {
-  SolverTuning saved = solver_tuning();
-  ~ScopedTuning() { solver_tuning() = saved; }
-};
 
 /// Same generators as test_invariants.cpp: fixed-seed random RC ladder.
 Netlist make_random_rc(util::Pcg32& rng, std::size_t n_nodes) {
@@ -242,10 +235,12 @@ TEST(SparseEngine, ResidualWalkMatchesDenseDefinition) {
   }
 }
 
-// --- sparse vs dense equivalence --------------------------------------
+// --- the dense referee -------------------------------------------------
 
 TEST(SparseEngine, DcSolutionsMatchDenseOnRandomNetlists) {
-  ScopedTuning guard;
+  // From solve_dc's answer, one Newton step on the dense referee's own
+  // stamp and LU moves no unknown by more than 1 µV (Newton's stop), and
+  // the referee's KCL rows balance.
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     util::Pcg32 rng_a(seed);
     util::Pcg32 rng_b(seed);
@@ -254,26 +249,17 @@ TEST(SparseEngine, DcSolutionsMatchDenseOnRandomNetlists) {
     util::Pcg32 rng_c(seed);
     const Netlist nl_src = make_random_sources(rng_c);
     for (const Netlist* nl : {&nl_rc, &nl_mos, &nl_src}) {
-      solver_tuning().force_sparse = true;
-      solver_tuning().force_dense = false;
-      SolverWorkspace ws_sparse;
-      const DcResult rs = solve_dc(*nl, {}, ws_sparse);
-
-      solver_tuning().force_sparse = false;
-      solver_tuning().force_dense = true;
-      SolverWorkspace ws_dense;
-      const DcResult rd = solve_dc(*nl, {}, ws_dense);
-
-      ASSERT_EQ(rs.converged, rd.converged) << "seed " << seed;
-      ASSERT_TRUE(rs.converged) << "seed " << seed;
-      ASSERT_EQ(rs.x.size(), rd.x.size());
-      EXPECT_GT(ws_sparse.stats().sparse_solves, 0u);
-      EXPECT_EQ(ws_sparse.stats().pivot_rejects, 0u) << "seed " << seed;
-      EXPECT_EQ(ws_sparse.stats().kcl_rejects, 0u) << "seed " << seed;
-      EXPECT_EQ(ws_dense.stats().sparse_solves, 0u);
-      for (std::size_t i = 0; i < rs.x.size(); ++i) {
-        EXPECT_NEAR(rs.x[i], rd.x[i], 1e-6) << "seed " << seed << " unknown " << i;
-      }
+      SolverWorkspace ws;
+      const DcResult r = solve_dc(*nl, {}, ws);
+      ASSERT_TRUE(r.converged) << "seed " << seed;
+      EXPECT_EQ(ws.stats().sparse_solves, static_cast<std::uint64_t>(r.iterations));
+      EXPECT_EQ(ws.stats().pivot_rejects, 0u) << "seed " << seed;
+      EXPECT_EQ(ws.stats().kcl_rejects, 0u) << "seed " << seed;
+      StampContext ctx;  // solve_dc's final system: gmin_final, full scale
+      ctx.nl = nl;
+      ctx.gmin = DcOptions{}.gmin_final;
+      EXPECT_LE(dense_newton_step(ctx, r.x), 1e-6) << "seed " << seed;
+      EXPECT_TRUE(kcl_balanced(ctx, r.x)) << "seed " << seed;
     }
   }
 }
@@ -283,8 +269,6 @@ TEST(SparseEngine, ZeroVoltSourceSolvesExactlyWithoutRejects) {
   // branch row reads x_g = 0; unless the LU pivots x_g on that row, the
   // gate voltage comes out as ±1e-16 V of roundoff, a relative residual
   // of 1.0 on the branch row.
-  ScopedTuning guard;
-  solver_tuning().force_sparse = true;
   Netlist nl;
   const NodeId vdd = nl.node("vdd");
   const NodeId g = nl.node("g");
@@ -320,8 +304,6 @@ TEST(SparseEngine, ZeroVoltSourceSolvesExactlyWithoutRejects) {
 }
 
 TEST(SparseEngine, WarmSolveBitIdenticalToCold) {
-  ScopedTuning guard;
-  solver_tuning().force_sparse = true;
   util::Pcg32 rng(42);
   const Netlist nl = make_random_mos(rng, 4);
 
@@ -362,8 +344,6 @@ TEST(SparseEngine, HashEqualNetlistsShareAnEntryButNotTheirSourceValues) {
   // Source values are not part of the structural key, so these two
   // netlists share one cache entry; each must still solve with its own
   // values, exactly as a cold workspace does.
-  ScopedTuning guard;
-  solver_tuning().force_sparse = true;
   const Netlist a = make_sourced_mos(20e-6, 0.3);
   const Netlist b = make_sourced_mos(-35e-6, 0.9);
   SolverWorkspace warm;
@@ -381,8 +361,6 @@ TEST(SparseEngine, HashEqualNetlistsShareAnEntryButNotTheirSourceValues) {
 }
 
 TEST(SparseEngine, SetVsourceVoltsBetweenSolvesIsSeenByTheWarmEntry) {
-  ScopedTuning guard;
-  solver_tuning().force_sparse = true;
   Netlist nl = make_sourced_mos(10e-6, 0.2);
   SolverWorkspace warm;
   ASSERT_TRUE(solve_dc(nl, {}, warm).converged);
@@ -400,8 +378,6 @@ TEST(SparseEngine, SetVsourceVoltsBetweenSolvesIsSeenByTheWarmEntry) {
 TEST(SparseEngine, CacheInvalidatedByMosfetWidthEdit) {
   // MOSFET parameters live in the entry's device table, so a width edit
   // through device() must reach a fresh entry.
-  ScopedTuning guard;
-  solver_tuning().force_sparse = true;
   Netlist nl = make_sourced_mos(10e-6, 0.7);
   SolverWorkspace warm;
   const DcResult before = solve_dc(nl, {}, warm);
@@ -422,8 +398,6 @@ TEST(SparseEngine, CacheInvalidatedByMosfetWidthEdit) {
 TEST(SparseEngine, WarmTrapezoidalTransientBitIdenticalToCold) {
   // Drive overrides, capacitor history currents and the MOSFET tables
   // together, on a workspace warmed by a backward-Euler run.
-  ScopedTuning guard;
-  solver_tuning().force_sparse = true;
   const Netlist nl = make_sourced_mos(5e-6, 0.0);
   TransientOptions topts;
   topts.t_stop = 3e-9;
@@ -449,8 +423,6 @@ TEST(SparseEngine, WarmTrapezoidalTransientBitIdenticalToCold) {
 // --- symbolic cache invalidation --------------------------------------
 
 TEST(SparseEngine, CacheInvalidatedByAddDevice) {
-  ScopedTuning guard;
-  solver_tuning().force_sparse = true;
   util::Pcg32 rng(5);
   Netlist nl = make_random_rc(rng, 5);
   SolverWorkspace ws;
@@ -467,8 +439,6 @@ TEST(SparseEngine, CacheInvalidatedByAddDevice) {
 }
 
 TEST(SparseEngine, CacheInvalidatedByEnabledToggle) {
-  ScopedTuning guard;
-  solver_tuning().force_sparse = true;
   util::Pcg32 rng(6);
   Netlist nl = make_random_rc(rng, 5);
   SolverWorkspace ws;
@@ -486,8 +456,6 @@ TEST(SparseEngine, CacheInvalidatedByEnabledToggle) {
 }
 
 TEST(SparseEngine, CacheInvalidatedByFaultStyleFreshNodeEdit) {
-  ScopedTuning guard;
-  solver_tuning().force_sparse = true;
   util::Pcg32 rng(8);
   Netlist nl = make_random_rc(rng, 6);
   SolverWorkspace ws;
@@ -509,8 +477,6 @@ TEST(SparseEngine, CacheInvalidatedByFaultStyleFreshNodeEdit) {
 }
 
 TEST(SparseEngine, DcSweepSharesOneSymbolicFactorization) {
-  ScopedTuning guard;
-  solver_tuning().force_sparse = true;
   util::Pcg32 rng(9);
   const Netlist nl = make_random_rc(rng, 6);
   SolverWorkspace ws;
@@ -537,8 +503,6 @@ TEST(SparseEngine, ContinuationsEndOnTheRequestedSystem) {
   // point of a plain Newton re-solve, the pivoted source node reads
   // 10 V exactly, and the re-solve reuses the linear base the last
   // continuation level left (a level off gmin_final would rebuild it).
-  ScopedTuning guard;
-  solver_tuning().force_sparse = true;
   Netlist nl;
   const NodeId a = nl.node("a");
   const NodeId m = nl.node("m");
@@ -572,58 +536,35 @@ TEST(SparseEngine, ContinuationsEndOnTheRequestedSystem) {
 // but skips these — allocation counts under ASan/TSan interceptors are
 // not meaningful.
 TEST(NewtonAllocation, WarmNewtonSolveIsAllocationFree) {
-  ScopedTuning guard;
-  solver_tuning().force_sparse = true;
-  util::Pcg32 rng(11);
-  const Netlist nl = make_random_mos(rng, 4);
-  SolverWorkspace ws;
+  // A MOSFET chain (nonlinear restamps) and a small RC ladder.
+  util::Pcg32 rng_mos(11);
+  util::Pcg32 rng_rc(12);
+  const Netlist nets[] = {make_random_mos(rng_mos, 4), make_random_rc(rng_rc, 5)};
+  for (const Netlist& nl : nets) {
+    SCOPED_TRACE(testing::Message() << nl.unknown_count() << " unknowns");
+    SolverWorkspace ws;
+    StampContext ctx;
+    ctx.nl = &nl;
+    std::vector<double> x(nl.unknown_count(), 0.0);
+    std::vector<double> x_new;
 
-  StampContext ctx;
-  ctx.nl = &nl;
-  std::vector<double> x(nl.unknown_count(), 0.0);
-  std::vector<double> x_new;
+    // Warm-up: builds the pattern, symbolic LU, linear base, and buffers.
+    for (int i = 0; i < 3; ++i) ASSERT_TRUE(ws.solve_newton_system(ctx, x, x_new));
 
-  // Warm-up: builds the pattern, symbolic LU, linear base, and buffers.
-  for (int i = 0; i < 3; ++i) ASSERT_TRUE(ws.solve_newton_system(ctx, x, x_new));
-
-  const long before = g_alloc_count.load();
-  for (int i = 0; i < 50; ++i) {
-    SolverWorkspace::NewtonBinding binding;
-    if (!ws.solve_newton_system(ctx, binding, x, x_new)) {
-      ASSERT_TRUE(false) << "solve failed on warm iteration " << i;
+    const long before = g_alloc_count.load();
+    for (int i = 0; i < 50; ++i) {
+      SolverWorkspace::NewtonBinding binding;
+      if (!ws.solve_newton_system(ctx, binding, x, x_new)) {
+        ASSERT_TRUE(false) << "solve failed on warm iteration " << i;
+      }
+      // Nudge the iterate so the nonlinear restamp sees fresh voltages.
+      for (std::size_t k = 0; k + 1 < x.size(); ++k) x[k] = 0.9 * x[k] + 0.1 * x_new[k];
+      (void)ws.kcl_satisfied(ctx, binding, x);  // Newton's exit check
     }
-    // Nudge the iterate so the nonlinear restamp sees fresh voltages.
-    for (std::size_t k = 0; k + 1 < x.size(); ++k) x[k] = 0.9 * x[k] + 0.1 * x_new[k];
-    (void)ws.kcl_satisfied(ctx, binding, x);  // Newton's exit check
+    const long after = g_alloc_count.load();
+    EXPECT_EQ(after, before) << "warm Newton iterations allocated";
+    EXPECT_EQ(ws.stats().pivot_rejects, 0u);
   }
-  const long after = g_alloc_count.load();
-  EXPECT_EQ(after, before) << "warm sparse Newton iterations allocated";
-  EXPECT_EQ(ws.stats().pivot_rejects, 0u);
-}
-
-TEST(NewtonAllocation, WarmDensePathIsAllocationFreeToo) {
-  ScopedTuning guard;
-  solver_tuning().force_dense = true;
-  util::Pcg32 rng(12);
-  const Netlist nl = make_random_rc(rng, 5);
-  SolverWorkspace ws;
-
-  StampContext ctx;
-  ctx.nl = &nl;
-  std::vector<double> x(nl.unknown_count(), 0.0);
-  std::vector<double> x_new;
-  for (int i = 0; i < 3; ++i) ASSERT_TRUE(ws.solve_newton_system(ctx, x, x_new));
-
-  const long before = g_alloc_count.load();
-  for (int i = 0; i < 50; ++i) {
-    SolverWorkspace::NewtonBinding binding;
-    if (!ws.solve_newton_system(ctx, binding, x, x_new)) {
-      ASSERT_TRUE(false) << "solve failed on warm iteration " << i;
-    }
-    (void)ws.kcl_satisfied(ctx, binding, x_new);  // Newton's exit check
-  }
-  const long after = g_alloc_count.load();
-  EXPECT_EQ(after, before) << "warm dense Newton iterations allocated";
 }
 
 }  // namespace

@@ -111,10 +111,8 @@ TEST(Transient, NewtonCountersSplitTheOperatingPointFromTheSteps) {
 
 TEST(Transient, FixedStepRunStampsOneLinearBase) {
   // Every step of a run without halvings takes exactly opts.dt, so the
-  // sparse path stamps one transient linear base and reuses it: a step
+  // workspace stamps one transient linear base and reuses it: a step
   // an ulp short of dt (t_grid - t) would re-stamp it.
-  const SolverTuning saved = solver_tuning();
-  solver_tuning().force_sparse = true;
   const Netlist nl = rc_lowpass();
   TransientOptions opts;
   opts.t_stop = 5e-6;
@@ -128,7 +126,6 @@ TEST(Transient, FixedStepRunStampsOneLinearBase) {
   SolverWorkspace ws;
   const auto res = run_transient(
       nl, {{"vin", pwl_wave({{0.0, 0.0}, {9e-9, 0.0}, {10e-9, 1.0}})}}, opts, ws);
-  solver_tuning() = saved;
   ASSERT_TRUE(res.ok);
   EXPECT_EQ(res.step_halvings, 0);
   EXPECT_EQ(builds.value() - builds0, 1);

@@ -1,4 +1,6 @@
-#include "spice/matrix.hpp"
+// The dense referee's own suite: the matrix and the LU it checks the
+// sparse engine with.
+#include "support/dense_referee.hpp"
 
 #include <gtest/gtest.h>
 

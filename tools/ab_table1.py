@@ -3,7 +3,7 @@
 
 Runs a bench of a "before" and an "after" build tree with `--threads 1`,
 interleaved (before, after, before, ...), and writes one JSON record:
-wall time (min and median over the runs), the DC and transient Newton
+wall time (every run's, then min and median), the DC and transient Newton
 iterations, the Newton iterations spent simulating faults (the
 `campaign.newton_per_fault` histogram's sum and count, over every
 campaign of the process), the pivot and KCL reject counts, and whether
@@ -41,10 +41,6 @@ COUNTERS = {
     "transient_steps": "solver.transient.steps_accepted",
     "pivot_rejects": ("solver.dc.pivot_rejects", "solver.transient.pivot_rejects"),
     "kcl_rejects": ("solver.dc.kcl_rejects", "solver.transient.kcl_rejects"),
-    # Counters of the per-solve gate that the KCL exit check replaced;
-    # they read 0 on builds without it.
-    "refinement_steps": ("solver.dc.refinement_steps", "solver.transient.refinement_steps"),
-    "dense_fallbacks": ("solver.dc.dense_fallbacks", "solver.transient.dense_fallbacks"),
 }
 
 
@@ -112,7 +108,8 @@ def main():
               "wall": "process" if args.mode == "dft_campaigns" else "campaign"}
     for side in sides:
         record[side] = {
-            conf: dict(wall_s={"min": round(min(walls[side][conf]), 4),
+            conf: dict(wall_s={"runs": [round(w, 4) for w in walls[side][conf]],
+                               "min": round(min(walls[side][conf]), 4),
                                "median": round(statistics.median(walls[side][conf]), 4)},
                        **counts[side][conf])
             for conf in configs
