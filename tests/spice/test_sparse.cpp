@@ -536,35 +536,58 @@ TEST(SparseEngine, ContinuationsEndOnTheRequestedSystem) {
 // but skips these — allocation counts under ASan/TSan interceptors are
 // not meaningful.
 TEST(NewtonAllocation, WarmNewtonSolveIsAllocationFree) {
-  // A MOSFET chain (nonlinear restamps) and a small RC ladder.
-  util::Pcg32 rng_mos(11);
-  util::Pcg32 rng_rc(12);
-  const Netlist nets[] = {make_random_mos(rng_mos, 4), make_random_rc(rng_rc, 5)};
-  for (const Netlist& nl : nets) {
-    SCOPED_TRACE(testing::Message() << nl.unknown_count() << " unknowns");
-    SolverWorkspace ws;
-    StampContext ctx;
-    ctx.nl = &nl;
-    std::vector<double> x(nl.unknown_count(), 0.0);
-    std::vector<double> x_new;
+  util::Pcg32 rng(11);
+  const Netlist nl = make_random_mos(rng, 4);
+  SolverWorkspace ws;
 
-    // Warm-up: builds the pattern, symbolic LU, linear base, and buffers.
-    for (int i = 0; i < 3; ++i) ASSERT_TRUE(ws.solve_newton_system(ctx, x, x_new));
+  StampContext ctx;
+  ctx.nl = &nl;
+  std::vector<double> x(nl.unknown_count(), 0.0);
+  std::vector<double> x_new;
 
-    const long before = g_alloc_count.load();
-    for (int i = 0; i < 50; ++i) {
-      SolverWorkspace::NewtonBinding binding;
-      if (!ws.solve_newton_system(ctx, binding, x, x_new)) {
-        ASSERT_TRUE(false) << "solve failed on warm iteration " << i;
-      }
-      // Nudge the iterate so the nonlinear restamp sees fresh voltages.
-      for (std::size_t k = 0; k + 1 < x.size(); ++k) x[k] = 0.9 * x[k] + 0.1 * x_new[k];
-      (void)ws.kcl_satisfied(ctx, binding, x);  // Newton's exit check
+  // Warm-up: builds the pattern, symbolic LU, linear base, and buffers.
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(ws.solve_newton_system(ctx, x, x_new));
+
+  const long before = g_alloc_count.load();
+  for (int i = 0; i < 50; ++i) {
+    SolverWorkspace::NewtonBinding binding;
+    if (!ws.solve_newton_system(ctx, binding, x, x_new)) {
+      ASSERT_TRUE(false) << "solve failed on warm iteration " << i;
     }
-    const long after = g_alloc_count.load();
-    EXPECT_EQ(after, before) << "warm Newton iterations allocated";
-    EXPECT_EQ(ws.stats().pivot_rejects, 0u);
+    // Nudge the iterate so the nonlinear restamp sees fresh voltages.
+    for (std::size_t k = 0; k + 1 < x.size(); ++k) x[k] = 0.9 * x[k] + 0.1 * x_new[k];
+    (void)ws.kcl_satisfied(ctx, binding, x);  // Newton's exit check
   }
+  const long after = g_alloc_count.load();
+  EXPECT_EQ(after, before) << "warm sparse Newton iterations allocated";
+  EXPECT_EQ(ws.stats().pivot_rejects, 0u);
+}
+
+// A small linear RC ladder: the size class that a separate dense path
+// once handled. It now takes the same sparse workspace, which must stay
+// allocation-free there too.
+TEST(NewtonAllocation, WarmDensePathIsAllocationFreeToo) {
+  util::Pcg32 rng(12);
+  const Netlist nl = make_random_rc(rng, 5);
+  SolverWorkspace ws;
+
+  StampContext ctx;
+  ctx.nl = &nl;
+  std::vector<double> x(nl.unknown_count(), 0.0);
+  std::vector<double> x_new;
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(ws.solve_newton_system(ctx, x, x_new));
+
+  const long before = g_alloc_count.load();
+  for (int i = 0; i < 50; ++i) {
+    SolverWorkspace::NewtonBinding binding;
+    if (!ws.solve_newton_system(ctx, binding, x, x_new)) {
+      ASSERT_TRUE(false) << "solve failed on warm iteration " << i;
+    }
+    (void)ws.kcl_satisfied(ctx, binding, x_new);  // Newton's exit check
+  }
+  const long after = g_alloc_count.load();
+  EXPECT_EQ(after, before) << "warm small-netlist Newton iterations allocated";
+  EXPECT_GT(ws.stats().sparse_solves, 0u);
 }
 
 }  // namespace
