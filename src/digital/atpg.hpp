@@ -9,6 +9,14 @@
 // fault. This is the classic simulation-driven alternative to PODEM:
 // the fault simulator itself is the oracle, so latches, X-states and
 // multi-cycle capture come for free.
+//
+// Results equal a serial loop of atpg_score calls on the same Circuit,
+// including how each run depends on the primary inputs the previous run
+// left (power_on keeps them), and the Circuit is left as that loop leaves
+// it. Fault dropping, the check of each fault against the patterns
+// generated so far, runs the faulty machines of 64 faults per pattern
+// application and each distinct fault-free run once; hill climbing runs
+// serially.
 #pragma once
 
 #include <cstdint>

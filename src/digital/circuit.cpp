@@ -107,17 +107,20 @@ void Circuit::add_gate(GateType type, std::vector<NetId> inputs, NetId output) {
                     static_cast<std::uint32_t>(inputs.size())});
   gate_inputs_.insert(gate_inputs_.end(), inputs.begin(), inputs.end());
   gates_.push_back(Gate{type, std::move(inputs), output});
+  topology_changed();
 }
 
 std::size_t Circuit::add_flipflop(FlipFlop ff) {
   flipflops_.push_back(ff);
   ff_q_.emplace_back();
+  topology_changed();
   return flipflops_.size() - 1;
 }
 
 std::size_t Circuit::add_latch(Latch l) {
   latches_.push_back(l);
   latch_q_.emplace_back();
+  topology_changed();
   return latches_.size() - 1;
 }
 
@@ -127,6 +130,7 @@ void Circuit::power_on() {
   }
   for (auto& q : ff_q_) q = LaneWord{};
   for (auto& q : latch_q_) q = LaneWord{};
+  settled_ = false;
 }
 
 void Circuit::apply_reset() {
@@ -135,7 +139,9 @@ void Circuit::apply_reset() {
     const auto& ff = flipflops_[i];
     if (!ff.reset.has_value()) continue;
     const std::uint64_t r = values_[*ff.reset].one;
-    ff_q_[i] = {ff_q_[i].one & ~r, ff_q_[i].zero | r};
+    const LaneWord q{ff_q_[i].one & ~r, ff_q_[i].zero | r};
+    if (q != ff_q_[i]) settled_ = false;
+    ff_q_[i] = q;
   }
   settle();
 }
@@ -144,16 +150,21 @@ void Circuit::set_input_lanes(NetId n, Logic v, std::uint64_t lanes) {
   if (!input_flag_.at(n)) throw std::invalid_argument("not an input: " + net_names_.at(n));
   const LaneWord w = LaneWord::all(v);
   LaneWord& cur = values_[n];
-  cur = {(cur.one & ~lanes) | (w.one & lanes), (cur.zero & ~lanes) | (w.zero & lanes)};
+  const LaneWord next{(cur.one & ~lanes) | (w.one & lanes), (cur.zero & ~lanes) | (w.zero & lanes)};
+  if (next != cur) settled_ = false;
+  cur = next;
 }
 
 template <bool kForced>
-std::uint64_t Circuit::sweep() {
+std::uint64_t Circuit::sweep(std::uint64_t& feedback) {
   LaneWord* v = values_.data();
+  const std::uint64_t* fb = feedback_.data();
   std::uint64_t changed = 0;
   const auto update = [&](std::uint32_t n, LaneWord w) {
     if constexpr (kForced) w = forced(n, w);
-    changed |= (v[n].one ^ w.one) | (v[n].zero ^ w.zero);
+    const std::uint64_t d = (v[n].one ^ w.one) | (v[n].zero ^ w.zero);
+    changed |= d;
+    feedback |= d & fb[n];
     v[n] = w;
   };
   for (const Op& g : ops_) update(g.output, eval(g.type, v, gate_inputs_.data() + g.first, g.count));
@@ -167,7 +178,40 @@ std::uint64_t Circuit::sweep() {
   return changed;
 }
 
+void Circuit::mark_feedback() {
+  // Positions in evaluation order: gates, then latches. A net read at or
+  // before its writer's position carries a value into the next sweep.
+  constexpr std::size_t kUnwritten = ~std::size_t{0};
+  std::vector<std::size_t> writer(net_names_.size(), kUnwritten);
+  feedback_.assign(net_names_.size(), 0);
+  const auto write = [&](NetId n, std::size_t pos) {
+    if (writer[n] != kUnwritten) feedback_[n] = kAll;
+    writer[n] = pos;
+  };
+  const auto read = [&](NetId n, std::size_t pos) {
+    if (writer[n] != kUnwritten && pos <= writer[n]) feedback_[n] = kAll;
+  };
+  const std::size_t n_gates = gates_.size();
+  for (std::size_t i = 0; i < n_gates; ++i) write(gates_[i].output, i);
+  for (std::size_t i = 0; i < latches_.size(); ++i) write(latches_[i].q, n_gates + i);
+  for (std::size_t i = 0; i < n_gates; ++i) {
+    for (const NetId n : gates_[i].inputs) read(n, i);
+  }
+  for (std::size_t i = 0; i < latches_.size(); ++i) {
+    read(latches_[i].d, n_gates + i);
+    read(latches_[i].en, n_gates + i);
+  }
+  ff_output_swept_ = false;
+  for (const FlipFlop& ff : flipflops_) ff_output_swept_ |= writer[ff.q] != kUnwritten;
+  marks_stale_ = false;
+}
+
 void Circuit::settle() {
+  if (marks_stale_) mark_feedback();
+  // A converged settle is a fixpoint, so repeating it changes nothing,
+  // unless presenting the flops below overwrites a swept net.
+  if (settled_ && !ff_output_swept_) return;
+
   // Apply stuck faults to input nets too (inputs are written directly by
   // set_input and bypass forced()).
   for (const NetId n : stuck_nets_) {
@@ -181,11 +225,22 @@ void Circuit::settle() {
 
   // Each lane sweeps until it stops changing. A lane that has converged
   // is a fixpoint, so further sweeps for other lanes leave it as it is.
+  // When no feedback net changed, every element read its final inputs,
+  // so the next sweep would change nothing: the settle has converged,
+  // except that a change in the last allowed sweep still counts.
   const std::size_t sweep_limit = 2 * (gates_.size() + latches_.size()) + 4;
-  std::uint64_t changed = kAll;
-  for (std::size_t sweeps = 0; changed != 0 && sweeps < sweep_limit; ++sweeps) {
-    changed = has_fault() ? sweep<true>() : sweep<false>();
+  std::uint64_t changed = 0;
+  for (std::size_t sweeps = 1;; ++sweeps) {
+    std::uint64_t feedback = 0;
+    changed = has_fault() ? sweep<true>(feedback) : sweep<false>(feedback);
+    ++sweeps_;
+    if (changed == 0 || sweeps == sweep_limit) break;
+    if (feedback == 0) {
+      changed = 0;
+      break;
+    }
   }
+  settled_ = changed == 0;
   if (changed != 0) {
     // Combinational oscillation: X out every gate/latch output on the
     // lanes that were still changing.
@@ -197,17 +252,18 @@ void Circuit::settle() {
 void Circuit::step(std::uint32_t domain_mask) {
   settle();
   // Rising edge: capture D (or scan-in) into every clocked flop
-  // simultaneously; an asserted reset captures 0.
-  ff_next_ = ff_q_;
+  // simultaneously (captures read only the settled nets, which change
+  // at the next settle); an asserted reset captures 0.
   for (std::size_t i = 0; i < flipflops_.size(); ++i) {
     const auto& ff = flipflops_[i];
     if ((domain_mask & (1u << ff.domain)) == 0) continue;
     LaneWord d = values_[ff.d];
     if (ff.scan_en.has_value()) d = mux(values_[*ff.scan_en], d, values_[*ff.scan_in]);
     const std::uint64_t r = ff.reset.has_value() ? values_[*ff.reset].one : 0;
-    ff_next_[i] = {d.one & ~r, d.zero | r};
+    const LaneWord q{d.one & ~r, d.zero | r};
+    if (q != ff_q_[i]) settled_ = false;
+    ff_q_[i] = q;
   }
-  ff_q_.swap(ff_next_);
   settle();
 }
 
@@ -215,6 +271,7 @@ void Circuit::broadcast_lane(unsigned lane) {
   for (auto* words : {&values_, &ff_q_, &latch_q_}) {
     for (LaneWord& w : *words) w = LaneWord::all(w.lane(lane));
   }
+  settled_ = false;
 }
 
 void Circuit::set_stuck(NetId n, Logic v) {
@@ -229,11 +286,14 @@ void Circuit::set_stuck_lanes(NetId n, Logic v, std::uint64_t lanes) {
   const LaneWord w = LaneWord::all(v);
   f.mask |= lanes;
   f.value = {(f.value.one & ~lanes) | (w.one & lanes), (f.value.zero & ~lanes) | (w.zero & lanes)};
+  settled_ = false;
 }
 
 void Circuit::clear_faults() {
+  if (stuck_nets_.empty()) return;
   for (const NetId n : stuck_nets_) force_[n] = Force{};
   stuck_nets_.clear();
+  settled_ = false;
 }
 
 }  // namespace lsl::digital

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <bit>
-#include <optional>
 
+#include "digital/input_history.hpp"
 #include "util/metrics.hpp"
 
 namespace lsl::digital {
@@ -71,88 +71,24 @@ std::uint64_t lanes_below(std::size_t n) {
   return n >= kLanes ? ~std::uint64_t{0} : (std::uint64_t{1} << n) - 1;
 }
 
-bool has_lane(std::uint64_t mask, std::size_t lane) { return ((mask >> lane) & 1u) != 0; }
-
-/// Lanes whose response hard-detects the fault (a known bit differs from
-/// a known fault-free bit) or possibly detects it (X where the fault-free
-/// bit is known).
-struct LaneDetects {
-  std::uint64_t hard = 0;
-  std::uint64_t possible = 0;
-};
-
-LaneDetects classify(const std::vector<Logic>& good, const std::vector<LaneWord>& bad) {
-  LaneDetects d;
-  for (std::size_t i = 0; i < good.size(); ++i) {
-    if (!is_known(good[i])) continue;
-    d.hard |= good[i] == Logic::k1 ? bad[i].zero : bad[i].one;
-    d.possible |= ~(bad[i].one | bad[i].zero);
-  }
-  return d;
-}
-
 /// The fault-free run of a pattern list from the Circuit's current
-/// state: each pattern's response, and what each prefix of the list
-/// leaves on the primary inputs.
+/// state: each pattern's response, what each prefix of the list leaves
+/// on the primary inputs, and the inputs after the run.
 struct GoldenRun {
+  InputHistory history;
   std::vector<std::vector<Logic>> responses;
-  std::vector<NetId> inputs;  // every primary input
-  /// leaves[k][i]: the value patterns 0..k last wrote to inputs[i], if
-  /// any of them wrote it.
-  std::vector<std::vector<std::optional<Logic>>> leaves;
-  std::vector<Logic> end;  // input values after the run
+  std::vector<Logic> end;
 };
 
 GoldenRun golden_run(Circuit& c, const std::vector<const ScanChain*>& chains,
                      const std::vector<MultiScanPattern>& patterns,
                      const std::vector<NetId>& observe_nets) {
-  GoldenRun g;
-  for (NetId n = 0; n < c.net_count(); ++n) {
-    if (c.is_input(n)) g.inputs.push_back(n);
-  }
+  GoldenRun g{InputHistory(c), {}, {}};
   c.clear_faults();
-  std::vector<std::optional<Logic>> leaves(g.inputs.size());
-  for (const auto& p : patterns) {
-    // Lanes 1 and 2 enter the pattern with every input at 0 and at 1;
-    // the inputs on which they agree afterwards are the ones it writes.
-    for (const NetId n : g.inputs) {
-      c.set_input_lanes(n, Logic::k0, 0b010);
-      c.set_input_lanes(n, Logic::k1, 0b100);
-    }
-    c.power_on();
-    g.responses.push_back(lane0(apply_pattern_lanes(c, chains, p, observe_nets)));
-    for (std::size_t i = 0; i < g.inputs.size(); ++i) {
-      const LaneWord w = c.word(g.inputs[i]);
-      if (w.lane(1) == w.lane(2)) leaves[i] = w.lane(1);
-    }
-    g.leaves.push_back(leaves);
-  }
+  for (const auto& p : patterns) g.responses.push_back(g.history.record(c, chains, p, observe_nets));
   c.broadcast_lane(0);
-  for (const NetId n : g.inputs) g.end.push_back(c.value(n));
+  for (const NetId n : g.history.inputs) g.end.push_back(c.value(n));
   return g;
-}
-
-/// Primary inputs after a fault's run from `start` that stopped at
-/// pattern k: what patterns 0..k wrote last, and a stuck input's stuck
-/// value (settle forces it, and clear_faults does not restore it).
-std::vector<Logic> leave(const GoldenRun& g, std::vector<Logic> start, std::size_t k,
-                         const StuckFault& f) {
-  for (std::size_t i = 0; i < start.size(); ++i) {
-    if (g.leaves[k][i].has_value()) start[i] = *g.leaves[k][i];
-    if (g.inputs[i] == f.net) start[i] = f.value;
-  }
-  return start;
-}
-
-/// Puts faults[first + l] on lane l, with primary inputs starts[l].
-void load_lanes(Circuit& c, const GoldenRun& g, const std::vector<StuckFault>& faults,
-                std::size_t first, const std::vector<std::vector<Logic>>& starts) {
-  c.clear_faults();
-  for (std::size_t l = 0; l < starts.size(); ++l) {
-    const std::uint64_t lane = std::uint64_t{1} << l;
-    for (std::size_t i = 0; i < g.inputs.size(); ++i) c.set_input_lanes(g.inputs[i], starts[l][i], lane);
-    c.set_stuck_lanes(faults[first + l].net, faults[first + l].value, lane);
-  }
 }
 
 /// Applies patterns[from, to) to the loaded lanes, powering on before
@@ -182,8 +118,10 @@ void replay_end(Circuit& c, const std::vector<const ScanChain*>& chains,
                 const std::vector<MultiScanPattern>& patterns, const GoldenRun& g,
                 const std::vector<NetId>& observe_nets, std::vector<Logic> start, std::size_t k,
                 const StuckFault& f) {
-  if (k > 0) start = leave(g, std::move(start), k - 1, f);
-  for (std::size_t i = 0; i < g.inputs.size(); ++i) c.set_input(g.inputs[i], start[i]);
+  if (k > 0) start = leave(g.history, std::move(start), k - 1, f);
+  for (std::size_t i = 0; i < g.history.inputs.size(); ++i) {
+    c.set_input(g.history.inputs[i], start[i]);
+  }
   c.set_stuck(f.net, f.value);
   c.power_on();
   apply_pattern_lanes(c, chains, patterns[k], observe_nets);
@@ -198,6 +136,7 @@ std::vector<std::vector<bool>> detection_matrix(Circuit& c,
                                                 const std::vector<StuckFault>& faults,
                                                 const std::vector<NetId>& observe_nets) {
   static util::Counter& batches = util::metrics().counter("digital.fault_sim.batches");
+  const SweepTally tally(c);
   const GoldenRun g = golden_run(c, chains, patterns, observe_nets);
   std::vector<std::vector<bool>> detects(patterns.size(), std::vector<bool>(faults.size(), false));
   if (patterns.empty()) return detects;
@@ -211,9 +150,9 @@ std::vector<std::vector<bool>> detection_matrix(Circuit& c,
     starts.clear();
     for (std::size_t l = 0; l < n; ++l) {
       starts.push_back(start);
-      start = leave(g, std::move(start), last, faults[first + l]);
+      start = leave(g.history, std::move(start), last, faults[first + l]);
     }
-    load_lanes(c, g, faults, first, starts);
+    load_lanes(c, g.history, faults, first, starts);
     const auto d =
         run_lanes(c, chains, patterns, g, observe_nets, 0, patterns.size(), lanes_below(n), false);
     for (std::size_t p = 0; p < patterns.size(); ++p) {
@@ -234,6 +173,7 @@ StuckCampaignResult run_stuck_campaign_multi(Circuit& c,
                                              const std::vector<NetId>& observe_nets) {
   static util::Counter& batches = util::metrics().counter("digital.fault_sim.batches");
   static util::Counter& reruns = util::metrics().counter("digital.fault_sim.pattern0_reruns");
+  const SweepTally tally(c);
   const GoldenRun g = golden_run(c, chains, patterns, observe_nets);
   StuckCampaignResult result;
   if (patterns.empty()) {
@@ -250,8 +190,9 @@ StuckCampaignResult run_stuck_campaign_multi(Circuit& c,
   // them when pattern 0 writes every input a later pattern writes;
   // otherwise each pass takes one fault, whose start is then exact.
   bool first_writes_all = true;
-  for (std::size_t i = 0; i < g.inputs.size(); ++i) {
-    if (g.leaves.back()[i].has_value() && !g.leaves.front()[i].has_value()) first_writes_all = false;
+  const auto& leaves = g.history.leaves;
+  for (std::size_t i = 0; i < g.history.inputs.size(); ++i) {
+    if (leaves.back()[i].has_value() && !leaves.front()[i].has_value()) first_writes_all = false;
   }
   const std::size_t width = first_writes_all ? kLanes : 1;
 
@@ -268,12 +209,12 @@ StuckCampaignResult run_stuck_campaign_multi(Circuit& c,
     // Starts assuming every earlier fault of the pass stopped at pattern
     // 0: right on every input except those pattern 0 writes.
     guess.assign(1, start);
-    for (std::size_t l = 1; l < n; ++l) guess.push_back(leave(g, guess[l - 1], 0, fault(l - 1)));
+    for (std::size_t l = 1; l < n; ++l) guess.push_back(leave(g.history, guess[l - 1], 0, fault(l - 1)));
 
     // Patterns 1.. from the inputs pattern 0 leaves.
     starts.clear();
-    for (std::size_t l = 0; l < n; ++l) starts.push_back(leave(g, guess[l], 0, fault(l)));
-    load_lanes(c, g, faults, first, starts);
+    for (std::size_t l = 0; l < n; ++l) starts.push_back(leave(g.history, guess[l], 0, fault(l)));
+    load_lanes(c, g.history, faults, first, starts);
     const auto later = run_lanes(c, chains, patterns, g, observe_nets, 1, n_patterns, active, true);
     std::vector<std::size_t> later_stop(n, n_patterns - 1);
     std::uint64_t later_hard = 0;
@@ -288,16 +229,16 @@ StuckCampaignResult run_stuck_campaign_multi(Circuit& c,
 
     // Pattern 0 from the two starts the previous fault can leave: it
     // stopped at pattern 0, or at its first later hard detect.
-    load_lanes(c, g, faults, first, guess);
+    load_lanes(c, g.history, faults, first, guess);
     const LaneDetects at_zero =
         run_lanes(c, chains, patterns, g, observe_nets, 0, 1, active, false).front();
     starts.assign(1, start);
     for (std::size_t l = 1; l < n; ++l) {
-      starts.push_back(leave(g, guess[l - 1], later_stop[l - 1], fault(l - 1)));
+      starts.push_back(leave(g.history, guess[l - 1], later_stop[l - 1], fault(l - 1)));
     }
     LaneDetects at_later = at_zero;
     if (starts != guess) {
-      load_lanes(c, g, faults, first, starts);
+      load_lanes(c, g.history, faults, first, starts);
       at_later = run_lanes(c, chains, patterns, g, observe_nets, 0, 1, active, false).front();
       reruns.add();
     }
@@ -316,7 +257,7 @@ StuckCampaignResult run_stuck_campaign_multi(Circuit& c,
       const std::size_t stop = hard0 ? 0 : later_stop[l];
       end_start = start;
       end_stop = stop;
-      start = leave(g, std::move(start), stop, fault(l));
+      start = leave(g.history, std::move(start), stop, fault(l));
       previous_stopped_at_zero = stop == 0;
     }
   }

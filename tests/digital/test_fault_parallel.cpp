@@ -17,9 +17,15 @@
 
 #include "digital/compaction.hpp"
 #include "digital/stuck.hpp"
+#include "fixtures.hpp"
 
 namespace lsl::digital {
 namespace {
+
+using fixtures::fault_list;
+using fixtures::HistoryFixture;
+using fixtures::random_circuit;
+using fixtures::random_logic;
 
 /// Single-machine sweep-to-fixpoint evaluator over one Logic per net,
 /// with at most one stuck-at fault: the reference for one lane.
@@ -34,6 +40,19 @@ class ByteSim {
   void set_stuck(NetId n, Logic v) {
     stuck_net_ = n;
     stuck_value_ = v;
+  }
+  void clear_stuck() { stuck_net_.reset(); }
+  /// Takes the nets, flops and latches added to the circuit since, at X.
+  void grow() {
+    values_.resize(c_.net_count(), Logic::kX);
+    ff_q_.resize(c_.flipflops().size(), Logic::kX);
+    latch_q_.resize(c_.latches().size(), Logic::kX);
+  }
+  /// Copies another machine's state, keeping this one's fault.
+  void copy_state(const ByteSim& o) {
+    values_ = o.values_;
+    ff_q_ = o.ff_q_;
+    latch_q_ = o.latch_q_;
   }
   void set_input(NetId n, Logic v) { values_[n] = v; }
   void set_ff_state(std::size_t i, Logic v) { ff_q_[i] = v; }
@@ -154,41 +173,6 @@ class ByteSim {
   Logic stuck_value_ = Logic::kX;
 };
 
-Logic random_logic(util::Pcg32& rng) { return static_cast<Logic>(rng.next_below(3)); }
-
-/// A random netlist over `n_nets` nets: five primary inputs, then gates
-/// of every type reading any net and driving any other, latches, and
-/// flip-flops in two clock domains with optional resets. With
-/// `scan_hookups` some flops also get random scan-enable / scan-in nets.
-Circuit random_circuit(util::Pcg32& rng, std::size_t n_nets, bool scan_hookups) {
-  Circuit c;
-  for (std::size_t i = 0; i < n_nets; ++i) c.net("n" + std::to_string(i));
-  constexpr std::size_t kInputs = 5;
-  for (NetId n = 0; n < kInputs; ++n) c.make_input(n);
-  const auto any = [&] { return static_cast<NetId>(rng.next_below(n_nets)); };
-  const auto driven = [&] { return static_cast<NetId>(kInputs + rng.next_below(n_nets - kInputs)); };
-  for (std::size_t k = 0; k < n_nets / 2; ++k) {
-    const auto type = static_cast<GateType>(rng.next_below(11));
-    std::size_t arity = 1 + rng.next_below(3);
-    if (type == GateType::kMux2) arity = 3;
-    if (type == GateType::kConst0 || type == GateType::kConst1) arity = 0;
-    std::vector<NetId> in;
-    for (std::size_t i = 0; i < arity; ++i) in.push_back(any());
-    c.add_gate(type, in, driven());
-  }
-  for (int k = 0; k < 4; ++k) c.add_latch(Latch{any(), driven(), any()});
-  for (int k = 0; k < 8; ++k) {
-    FlipFlop ff{any(), driven(), {}, {}, {}, rng.next_below(2)};
-    if (rng.next_below(3) == 0) ff.reset = any();
-    if (scan_hookups && rng.next_below(3) == 0) {
-      ff.scan_en = any();
-      ff.scan_in = any();
-    }
-    c.add_flipflop(ff);
-  }
-  return c;
-}
-
 /// Runs a random sequence of operations on up to 64 faults at once and
 /// checks every net of every lane against a ByteSim per fault.
 void check_lanes(const Circuit& base, const std::vector<StuckFault>& faults, std::uint64_t seed,
@@ -261,20 +245,6 @@ void check_lanes(const Circuit& base, const std::vector<StuckFault>& faults, std
   for (const auto& r : refs) oscillations += r.oscillations;
 }
 
-/// The first `count` faults of the universe in a seeded random order,
-/// starting with an input fault, repeating the universe if it is short.
-std::vector<StuckFault> fault_list(const Circuit& c, std::size_t count, util::Pcg32& rng) {
-  std::vector<StuckFault> universe = enumerate_stuck_faults(c);
-  for (std::size_t i = universe.size(); i > 1; --i) {
-    std::swap(universe[i - 1], universe[rng.next_below(static_cast<std::uint32_t>(i))]);
-  }
-  std::stable_partition(universe.begin(), universe.end(),
-                        [&](const StuckFault& f) { return c.is_input(f.net); });
-  std::vector<StuckFault> out;
-  for (std::size_t i = 0; i < count; ++i) out.push_back(universe[i % universe.size()]);
-  return out;
-}
-
 constexpr std::size_t kBatchSizes[] = {1, 63, 64, 65, 130};
 
 TEST(CircuitLanes, EveryLaneMatchesItsSingleFaultByteReference) {
@@ -313,6 +283,346 @@ TEST(CircuitLanes, ScalarApiBroadcastsAndReadsLaneZero) {
   EXPECT_EQ(c.word(y).lane(2), Logic::kX);
   c.broadcast_lane(1);
   EXPECT_EQ(c.word(y), LaneWord::all(Logic::k1));
+}
+
+// ---- settle bookkeeping against ByteSim ----
+
+/// Every lane of every net of `c` equals its ByteSim.
+void expect_lanes_match(const Circuit& c, const std::vector<ByteSim>& refs, const char* after) {
+  for (NetId n = 0; n < c.net_count(); ++n) {
+    const LaneWord w = c.word(n);
+    for (std::size_t l = 0; l < refs.size(); ++l) {
+      ASSERT_EQ(w.lane(static_cast<unsigned>(l)), refs[l].value(n))
+          << "net " << c.net_name(n) << ", lane " << l << ", settle after " << after;
+    }
+  }
+}
+
+void settle_all(Circuit& c, std::vector<ByteSim>& refs) {
+  c.settle();
+  for (auto& r : refs) r.settle();
+}
+
+std::size_t oscillations_of(const std::vector<ByteSim>& refs) {
+  std::size_t n = 0;
+  for (const auto& r : refs) n += r.oscillations;
+  return n;
+}
+
+/// A random netlist that always settles: five primary inputs, gates and
+/// latches that each drive their own net and read only lower-numbered
+/// nets, added in random order (so many nets are read before their
+/// writer is evaluated), and flip-flops on the last eight nets.
+Circuit settling_circuit(util::Pcg32& rng) {
+  constexpr std::size_t kNets = 40;
+  constexpr std::size_t kInputs = 5;
+  constexpr std::size_t kFlops = 8;
+  Circuit c;
+  for (std::size_t i = 0; i < kNets; ++i) c.net("n" + std::to_string(i));
+  for (NetId n = 0; n < kInputs; ++n) c.make_input(n);
+  std::vector<NetId> outputs;
+  for (NetId n = kInputs; n < kNets - kFlops; ++n) outputs.push_back(n);
+  for (std::size_t i = outputs.size(); i > 1; --i) {
+    std::swap(outputs[i - 1], outputs[rng.next_below(static_cast<std::uint32_t>(i))]);
+  }
+  const auto below = [&](NetId n) { return static_cast<NetId>(rng.next_below(static_cast<std::uint32_t>(n))); };
+  for (std::size_t k = 0; k < outputs.size(); ++k) {
+    const NetId out = outputs[k];
+    if (k % 7 == 6) {
+      c.add_latch(Latch{below(out), out, below(out)});
+      continue;
+    }
+    const auto type = static_cast<GateType>(rng.next_below(11));
+    const std::size_t arity = type == GateType::kMux2 ? 3 : 1 + rng.next_below(3);
+    std::vector<NetId> in;
+    for (std::size_t i = 0; i < arity; ++i) in.push_back(below(out));
+    c.add_gate(type, in, out);
+  }
+  for (std::size_t k = 0; k < kFlops; ++k) {
+    FlipFlop ff{below(kNets), kNets - kFlops + k, {}, {}, {}, rng.next_below(2)};
+    if (rng.next_below(3) == 0) ff.reset = below(kNets);
+    if (rng.next_below(3) == 0) {
+      ff.scan_en = below(kNets);
+      ff.scan_in = below(kNets);
+    }
+    c.add_flipflop(ff);
+  }
+  return c;
+}
+
+TEST(CircuitSettle, SettleAfterEveryMutatorMatchesByteSim) {
+  // A converged settle returns at once until something is written, so
+  // each mutator must clear that state: a settle after it must equal the
+  // byte evaluator, which always sweeps, on every lane. No gate or latch
+  // drives a flip-flop output here, so the early return is live; new
+  // gates and latches drive fresh nets, so every settle converges.
+  const char* const names[] = {"set_input",   "set_input_lanes", "set_ff_state", "apply_reset",
+                               "power_on",    "step",            "broadcast_lane",
+                               "clear_faults", "set_stuck_lanes", "flipflop",     "add_gate",
+                               "add_latch",   "add_flipflop",    "make_input"};
+  std::size_t early_returns = 0;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    util::Pcg32 rng(seed);
+    Circuit c = settling_circuit(rng);
+    std::vector<ByteSim> refs(kLanes, ByteSim(c));
+    const auto load_faults = [&] {
+      const auto faults = fault_list(c, kLanes, rng);
+      for (std::size_t l = 0; l < kLanes; ++l) {
+        c.set_stuck_lanes(faults[l].net, faults[l].value, std::uint64_t{1} << l);
+        refs[l].set_stuck(faults[l].net, faults[l].value);
+      }
+    };
+    load_faults();
+    bool faulted = true;
+    int made_inputs = 0;
+    const auto pick = [&](std::size_t n) { return rng.next_below(static_cast<std::uint32_t>(n)); };
+    const auto flop_output = [&](NetId n) {
+      for (const auto& ff : c.flipflops()) {
+        if (ff.q == n) return true;
+      }
+      return false;
+    };
+    /// A net no input flag or flop output claims (make_input below takes
+    /// at most 5).
+    const auto swept_net = [&] {
+      for (;;) {
+        const NetId n = pick(c.net_count());
+        if (!c.is_input(n) && !flop_output(n)) return n;
+      }
+    };
+    /// A new net, settled first, so only the next mutation changes it.
+    const auto fresh_net = [&] {
+      const NetId n = c.net("fresh" + std::to_string(c.net_count()));
+      for (auto& r : refs) r.grow();
+      settle_all(c, refs);
+      return n;
+    };
+    const auto input_net = [&] {
+      for (;;) {
+        const NetId n = pick(c.net_count());
+        if (c.is_input(n)) return n;
+      }
+    };
+    for (int op = 0; op < 80; ++op) {
+      const std::size_t kind = pick(std::size(names));
+      SCOPED_TRACE("seed " + std::to_string(seed) + ", op " + std::to_string(op));
+      switch (kind) {
+        case 0: {
+          const NetId n = input_net();
+          const Logic v = random_logic(rng);
+          c.set_input(n, v);
+          for (auto& r : refs) r.set_input(n, v);
+          break;
+        }
+        case 1: {
+          const NetId n = input_net();
+          for (std::size_t l = 0; l < kLanes; ++l) {
+            const Logic v = random_logic(rng);
+            c.set_input_lanes(n, v, std::uint64_t{1} << l);
+            refs[l].set_input(n, v);
+          }
+          break;
+        }
+        case 2: {
+          const std::size_t ff = pick(c.flipflops().size());
+          const Logic v = random_logic(rng);
+          c.set_ff_state(ff, v);
+          for (auto& r : refs) r.set_ff_state(ff, v);
+          break;
+        }
+        case 3:
+          c.apply_reset();
+          for (auto& r : refs) r.apply_reset();
+          break;
+        case 4:
+          c.power_on();
+          for (auto& r : refs) r.power_on();
+          break;
+        case 5: {
+          const std::uint32_t mask = 1 + rng.next_below(3);
+          c.step(mask);
+          for (auto& r : refs) r.step(mask);
+          break;
+        }
+        case 6: {
+          const auto lane = static_cast<unsigned>(pick(kLanes));
+          c.broadcast_lane(lane);
+          const ByteSim from = refs[lane];
+          for (auto& r : refs) r.copy_state(from);
+          break;
+        }
+        case 7:
+        case 8:
+          if (faulted) {
+            c.clear_faults();
+            for (auto& r : refs) r.clear_stuck();
+          } else {
+            load_faults();
+          }
+          faulted = !faulted;
+          break;
+        case 9: {
+          const NetId q = fresh_net();
+          c.flipflop(pick(c.flipflops().size())).q = q;
+          break;
+        }
+        case 10: {
+          const NetId out = fresh_net();
+          const auto type = static_cast<GateType>(pick(11));
+          const std::size_t arity = type == GateType::kMux2 ? 3 : 1 + pick(3);
+          std::vector<NetId> in;
+          for (std::size_t i = 0; i < arity; ++i) in.push_back(pick(out));
+          c.add_gate(type, in, out);
+          break;
+        }
+        case 11: {
+          const NetId q = fresh_net();
+          c.add_latch(Latch{pick(q), q, pick(q)});
+          for (auto& r : refs) r.grow();
+          break;
+        }
+        case 12:
+          // Its power-on X overwrites a known input (one no gate drives)
+          // at the next settle.
+          c.add_flipflop(FlipFlop{pick(c.net_count()), pick(5), {}, {}, {}, 0});
+          for (auto& r : refs) r.grow();
+          break;
+        default:
+          if (made_inputs++ < 5) c.make_input(swept_net());
+          break;
+      }
+      const std::size_t oscillations = oscillations_of(refs);
+      settle_all(c, refs);
+      expect_lanes_match(c, refs, names[kind]);
+      if (HasFatalFailure()) return;
+      // Nothing written since a converged settle: the next one sweeps 0 times.
+      if (oscillations_of(refs) == oscillations) {
+        const std::uint64_t sweeps = c.sweeps();
+        c.settle();
+        ASSERT_EQ(c.sweeps(), sweeps) << "after " << names[kind];
+        ++early_returns;
+      }
+    }
+  }
+  EXPECT_GT(early_returns, 100u);
+}
+
+TEST(CircuitSettle, RepeatedSettleSweepsOnlyAfterAWrite) {
+  HistoryFixture f;
+  Circuit& c = f.c;
+  c.settle();
+  const std::uint64_t settled = c.sweeps();
+  EXPECT_GT(settled, 0u);
+  c.settle();
+  c.set_input(f.mode, Logic::k1);  // the value it already holds
+  c.settle();
+  EXPECT_EQ(c.sweeps(), settled);
+  c.set_input(f.mode, Logic::k0);
+  c.settle();
+  EXPECT_GT(c.sweeps(), settled);
+}
+
+TEST(CircuitSettle, SweepLimitXOutMatchesByteSim) {
+  // An enabled NAND ring oscillates on the lanes where `en` is 1, read
+  // both before its writer (w) and after it (y); a net with two drivers
+  // that disagree never settles either. Lanes that converge keep their
+  // values; the others go X exactly where the byte evaluator's do.
+  Circuit c;
+  const NetId en = c.net("en");
+  const NetId a = c.net("a");
+  const NetId b = c.net("b");
+  const NetId go = c.net("go");
+  for (const NetId n : {en, a, b, go}) c.make_input(n);
+  const NetId osc = c.net("osc");
+  const NetId w = c.net("w");
+  const NetId y = c.net("y");
+  const NetId fight = c.net("fight");
+  const NetId z = c.net("z");
+  const NetId self = c.net("self");
+  c.add_gate(GateType::kBuf, {osc}, w);
+  c.add_gate(GateType::kNand, {en, osc}, osc);
+  c.add_gate(GateType::kAnd, {osc, a}, y);
+  c.add_gate(GateType::kBuf, {a}, fight);
+  c.add_gate(GateType::kBuf, {b}, fight);
+  c.add_gate(GateType::kInv, {fight}, z);
+  // A ring read by its own writer only.
+  c.add_gate(GateType::kNand, {go, self}, self);
+  std::vector<ByteSim> refs(kLanes, ByteSim(c));
+  c.set_stuck_lanes(osc, Logic::k0, 0b100);
+  refs[2].set_stuck(osc, Logic::k0);
+  for (const NetId n : {a, b}) c.set_input(n, Logic::k1);
+  c.set_input(go, Logic::k0);
+  for (auto& r : refs) {
+    for (const NetId n : {a, b}) r.set_input(n, Logic::k1);
+    r.set_input(go, Logic::k0);
+  }
+  for (std::size_t l = 0; l < kLanes; ++l) {
+    const Logic v = l % 2 == 0 ? Logic::k1 : Logic::k0;
+    c.set_input_lanes(en, v, std::uint64_t{1} << l);
+    refs[l].set_input(en, v);
+  }
+  settle_all(c, refs);
+  expect_lanes_match(c, refs, "power-up");
+  EXPECT_EQ(c.word(osc).lane(0), Logic::kX);
+  EXPECT_EQ(c.word(osc).lane(1), Logic::k1);
+  EXPECT_EQ(c.word(osc).lane(2), Logic::k0);  // stuck: no oscillation
+  EXPECT_EQ(c.word(self), LaneWord::all(Logic::k1));
+  EXPECT_EQ(c.word(z).lane(1), Logic::k0);
+
+  // The two drivers now disagree on every lane.
+  c.set_input(b, Logic::k0);
+  for (auto& r : refs) r.set_input(b, Logic::k0);
+  settle_all(c, refs);
+  expect_lanes_match(c, refs, "a driver fight");
+  EXPECT_EQ(c.word(fight), LaneWord{});
+
+  // With the fight over, enabling the self-ring, which holds a 1, starts
+  // it oscillating, and nothing else changes.
+  c.set_input(b, Logic::k1);
+  for (auto& r : refs) r.set_input(b, Logic::k1);
+  settle_all(c, refs);
+  expect_lanes_match(c, refs, "the fight ending");
+  c.set_input(go, Logic::k1);
+  for (auto& r : refs) r.set_input(go, Logic::k1);
+  settle_all(c, refs);
+  expect_lanes_match(c, refs, "enabling the self-ring");
+  EXPECT_EQ(c.word(self), LaneWord{});
+}
+
+TEST(CircuitSettle, RepeatedSettleMatchesByteSimWhenAGateDrivesAFlopOutput) {
+  // Every settle first presents the flop on q, which a gate then
+  // overwrites. Only the presented 1 sets the NAND latch (qa, qb), and
+  // only once `e` has settled to 1, so the second settle with nothing
+  // written moves qa from X to 1: it must sweep again.
+  Circuit c;
+  const NetId i = c.net("i");
+  const NetId e_in = c.net("e_in");
+  const NetId rb = c.net("rb");
+  for (const NetId n : {i, e_in, rb}) c.make_input(n);
+  const NetId q = c.net("q");
+  const NetId e = c.net("e");
+  const NetId sb = c.net("sb");
+  const NetId qa = c.net("qa");
+  const NetId qb = c.net("qb");
+  c.add_gate(GateType::kNand, {q, e}, sb);
+  c.add_gate(GateType::kNand, {sb, qb}, qa);
+  c.add_gate(GateType::kNand, {rb, qa}, qb);
+  c.add_gate(GateType::kBuf, {i}, q);
+  c.add_gate(GateType::kBuf, {e_in}, e);
+  c.add_flipflop(FlipFlop{i, q, {}, {}, {}, 0});
+  std::vector<ByteSim> refs(1, ByteSim(c));
+  c.set_ff_state(0, Logic::k1);
+  refs[0].set_ff_state(0, Logic::k1);
+  for (const auto& [n, v] : {std::pair{i, Logic::k0}, {e_in, Logic::k1}, {rb, Logic::k1}}) {
+    c.set_input(n, v);
+    refs[0].set_input(n, v);
+  }
+  settle_all(c, refs);
+  expect_lanes_match(c, refs, "the first settle");
+  EXPECT_EQ(c.value(qa), Logic::kX);
+  settle_all(c, refs);
+  expect_lanes_match(c, refs, "a settle with nothing written");
+  EXPECT_EQ(c.value(qa), Logic::k1);
 }
 
 // ---- fault graders against serial loops ----
@@ -462,46 +772,6 @@ void expect_batch_equals_serial(const Circuit& base, const std::vector<const Sca
   }
   expect_same_state(batch, serial, "run_stuck_campaign_multi");
 }
-
-/// A scan chain whose first flop has its reset on primary input `rst`, so
-/// the value the previous pattern left on `rst` changes the chain load;
-/// `mode` is an input no pattern writes, so a stuck-at on it changes
-/// every later fault's run.
-struct HistoryFixture {
-  Circuit c;
-  NetId rst = 0;
-  NetId a = 0;
-  NetId mode = 0;
-  NetId x = 0;
-  std::optional<ScanChain> chain;
-
-  HistoryFixture() {
-    rst = c.net("rst");
-    a = c.net("a");
-    mode = c.net("mode");
-    for (const NetId n : {rst, a, mode}) c.make_input(n);
-    const NetId q0 = c.net("q0");
-    const NetId q1 = c.net("q1");
-    const NetId q2 = c.net("q2");
-    x = c.net("x");
-    const NetId y = c.net("y");
-    const NetId z = c.net("z");
-    c.add_gate(GateType::kXor, {q1, a}, x);
-    c.add_gate(GateType::kAnd, {q0, mode}, y);
-    c.add_gate(GateType::kOr, {q2, y}, z);
-    const std::size_t f0 = c.add_flipflop(FlipFlop{x, q0, {}, {}, rst});
-    const std::size_t f1 = c.add_flipflop(FlipFlop{y, q1, {}, {}, {}});
-    const std::size_t f2 = c.add_flipflop(FlipFlop{z, q2, {}, {}, {}});
-    chain.emplace(c, "sc", std::vector<std::size_t>{f0, f1, f2});
-    c.set_input(mode, Logic::k1);
-    c.set_input(rst, Logic::k1);
-  }
-
-  std::vector<MultiScanPattern> patterns(std::size_t count, std::uint64_t seed) const {
-    util::Pcg32 rng(seed);
-    return random_patterns_multi({&*chain}, {rst, a}, count, rng);
-  }
-};
 
 TEST(StuckCampaignHistory, LeftoverResetInputChangesTheChainLoad) {
   // The contract is not vacuous: the `rst` value a previous pattern left
