@@ -9,6 +9,7 @@
 #include <optional>
 #include <stdexcept>
 
+#include "dft/stage_schedule.hpp"
 #include "spice/seed.hpp"
 #include "spice/workspace.hpp"
 #include "util/jsonl.hpp"
@@ -69,74 +70,6 @@ std::string observed_marks(std::array<std::string, kSubStageCount> marks,
     observed += marks[s];
   }
   return observed;
-}
-
-/// Whether a leak variant that has spent `iterations` Newton iterations
-/// is still within the per-fault budget.
-bool within_budget(const CampaignOptions& opts, long iterations) {
-  return opts.max_newton_per_fault <= 0 || iterations <= opts.max_newton_per_fault;
-}
-
-/// Runs DC, then scan, then BIST (when enabled) on one leak variant —
-/// the order of the paper's cumulative Table-I columns — and appends its
-/// record, marks ('|'-separated from an earlier variant's), iterations
-/// and, if no earlier variant failed a solve, first failure status to
-/// `r`. With `short_circuit`, the first detection skips the remaining
-/// stages. Without adaptive_stage_order, every stage runs in full
-/// evaluation (every sub-stage, past detections and failed solves), so
-/// `observed` holds every observation. `faulty_closed` is read by the
-/// DC stage only, which takes it over.
-void run_stages(cells::LinkFrontend&& faulty_closed, const cells::LinkFrontend& faulty,
-                const StageOutcome& dc_golden, const StageOutcome& scan_golden,
-                const BistTestReference& bist_ref, const CampaignOptions& opts,
-                bool short_circuit, const spice::SolveHints* hints, link::EyeMemo* eyes,
-                FaultOutcome& r) {
-  SubStageRecord record;
-  long iterations = 0;  // this variant's: the Newton budget is per variant
-
-  static util::Counter& stage_skips = util::metrics().counter("campaign.stage_skips");
-  static const std::array<util::MetricHistogram*, kStageCount> stage_seconds = {
-      &util::metrics().histogram("campaign.stage_seconds.dc"),
-      &util::metrics().histogram("campaign.stage_seconds.scan"),
-      &util::metrics().histogram("campaign.stage_seconds.bist")};
-
-  const bool full = !opts.adaptive_stage_order;
-  std::array<std::string, kSubStageCount> marks;
-  const unsigned n_stages = opts.with_bist ? kStageCount : kStageBist;
-  for (unsigned stage = kStageDc; stage < n_stages && within_budget(opts, iterations); ++stage) {
-    const Clock::time_point stage_start = Clock::now();
-    const StageOutcome o = [&]() -> StageOutcome {
-      if (stage == kStageDc) {
-        return run_dc_test(std::move(faulty_closed), dc_golden, {}, hints, full);
-      }
-      if (stage == kStageScan) {
-        return run_scan_test(faulty, scan_golden, {}, hints, full, opts.with_scan_toggle);
-      }
-      return run_bist_test(faulty, bist_ref, {}, hints, full, eyes);
-    }();
-    stage_seconds[stage]->observe(seconds_since(stage_start));
-    iterations += o.iterations;
-    // The first failed solve's status wins: later stages usually fail
-    // the same way for the same reason.
-    if (o.anomalous() && record.failed == 0 && !anomalous(r.record)) r.status = o.status;
-    record.run |= o.sub.run;
-    record.detected |= o.sub.detected;
-    record.failed |= o.sub.failed;
-    for (unsigned s = 0; s < kSubStageCount; ++s) marks[s] += o.marks[s];
-    // A detection in hand makes every remaining stage redundant for the
-    // verdict: one detecting stage already wins classification regardless
-    // of what they would report, so skipping them cannot move the fault
-    // between partitions (DESIGN.md).
-    if (short_circuit && o.detected()) {
-      if (stage + 1 < n_stages) stage_skips.add(n_stages - 1 - stage);
-      break;
-    }
-  }
-  if (!within_budget(opts, iterations)) r.budget_blown = true;
-  r.newton_iterations += iterations;
-  if (r.record.count != 0) r.observed += '|';
-  r.observed += observed_marks(std::move(marks), opts);
-  r.record.add(record);
 }
 
 FaultVerdict classify(const FaultOutcome& o) {
@@ -200,9 +133,21 @@ struct FaultSimContext {
   link::EyeMemo* eyes = nullptr;
 };
 
-/// Simulates one fault through all enabled stages. Deterministic given
-/// the fault and context, and fully self-contained: copies the goldens,
-/// injects, runs stages, classifies.
+/// One leak variant of a fault: the open-loop frontend it injects when
+/// its first scan or BIST stage is due (the DC stage injects its own
+/// closed-loop copy), and what its stages recorded.
+struct LeakVariant {
+  OpenLeak leak = OpenLeak::kToGround;
+  std::optional<cells::LinkFrontend> open;
+  SubStageRecord record;
+  std::array<std::string, kSubStageCount> marks;
+  /// Its first failed solve's status.
+  spice::SolveStatus status = spice::SolveStatus::kConverged;
+};
+
+/// Simulates one fault through the stage schedule (stage_schedule.hpp).
+/// Deterministic given the fault and context, and fully self-contained:
+/// copies the goldens, injects, runs stages, classifies.
 FaultOutcome simulate_fault(const FaultSimContext& ctx, const StructuralFault& f,
                             std::size_t index, std::size_t worker) {
   const CampaignOptions& opts = *ctx.opts;
@@ -212,27 +157,56 @@ FaultOutcome simulate_fault(const FaultSimContext& ctx, const StructuralFault& f
   span.arg("worker", static_cast<double>(worker));
   const Clock::time_point fault_start = Clock::now();
 
-  // Every fault runs first with gate opens leaking toward the device
-  // bulk (other faults ignore the leak). Pessimistic convention: a
-  // floating gate's level is unknowable, so the opposite leak runs too
-  // and a stage detects only when it does in both (stage_result). A
-  // per-variant short-circuit could skip a stage the other variant's
-  // detection needs, so these always run every stage.
-  const OpenLeak bulk = fault::bulk_leak(ctx.golden->netlist(), f);
-  const bool both_leaks = f.needs_leak_variants() && opts.pessimistic_gate_opens;
-  const bool short_circuit = opts.adaptive_stage_order && !both_leaks;
+  static util::Counter& stage_skips = util::metrics().counter("campaign.stage_skips");
+  static const std::array<util::MetricHistogram*, kStageCount> stage_seconds = {
+      &util::metrics().histogram("campaign.stage_seconds.dc"),
+      &util::metrics().histogram("campaign.stage_seconds.scan"),
+      &util::metrics().histogram("campaign.stage_seconds.bist")};
 
-  const auto run_variant = [&](OpenLeak leak) {
-    cells::LinkFrontend faulty = *ctx.golden;
-    cells::LinkFrontend faulty_closed = *ctx.golden_closed;
-    if (!fault::inject(faulty.netlist(), f, leak, ctx.vdd) ||
-        !fault::inject(faulty_closed.netlist(), f, leak, ctx.vdd_closed)) {
+  // Every fault runs with gate opens leaking toward the device bulk
+  // (other faults ignore the leak). Pessimistic convention: a floating
+  // gate's level is unknowable, so a gate open's opposite leak is a
+  // second variant, and a stage detects only when it does in both
+  // (stage_result).
+  const OpenLeak bulk = fault::bulk_leak(ctx.golden->netlist(), f);
+  std::array<LeakVariant, 2> variants;
+  variants[0].leak = bulk;
+  variants[1].leak = bulk == OpenLeak::kToGround ? OpenLeak::kToVdd : OpenLeak::kToGround;
+  const std::size_t n_variants = f.needs_leak_variants() && opts.pessimistic_gate_opens ? 2 : 1;
+  const bool full = !opts.adaptive_stage_order;
+  spice::SolveHints hints;
+  hints.seeds = ctx.seeds;
+  const auto inject = [&](const cells::LinkFrontend& golden, spice::NodeId vdd, OpenLeak leak) {
+    cells::LinkFrontend faulty = golden;
+    if (!fault::inject(faulty.netlist(), f, leak, vdd)) {
       throw std::runtime_error("the fault cannot be injected");
     }
-    spice::SolveHints hints;
-    hints.seeds = ctx.seeds;
-    run_stages(std::move(faulty_closed), faulty, *ctx.dc_golden, *ctx.scan_golden, *ctx.bist_ref,
-               opts, short_circuit, &hints, ctx.eyes, outcome);
+    return faulty;
+  };
+  // One stage on one variant. Without adaptive_stage_order every
+  // sub-stage runs in full evaluation (past detections and failed
+  // solves), so `observed` holds every observation.
+  const auto run = [&](std::size_t v, Stage stage) {
+    LeakVariant& lv = variants[v];
+    const Clock::time_point stage_start = Clock::now();
+    const StageOutcome o = [&]() -> StageOutcome {
+      if (stage == kStageDc) {
+        return run_dc_test(inject(*ctx.golden_closed, ctx.vdd_closed, lv.leak), *ctx.dc_golden, {},
+                           &hints, full);
+      }
+      if (!lv.open) lv.open = inject(*ctx.golden, ctx.vdd, lv.leak);
+      if (stage == kStageScan) {
+        return run_scan_test(*lv.open, *ctx.scan_golden, {}, &hints, full, opts.with_scan_toggle);
+      }
+      return run_bist_test(*lv.open, *ctx.bist_ref, {}, &hints, full, ctx.eyes);
+    }();
+    stage_seconds[stage]->observe(seconds_since(stage_start));
+    if (o.anomalous() && lv.record.failed == 0) lv.status = o.status;
+    lv.record.run |= o.sub.run;
+    lv.record.detected |= o.sub.detected;
+    lv.record.failed |= o.sub.failed;
+    for (unsigned s = 0; s < kSubStageCount; ++s) lv.marks[s] += o.marks[s];
+    return StageRun{.detected = o.detected(), .iterations = o.iterations};
   };
   // A fault whose simulation threw has no trustworthy verdict: its
   // record becomes one that failed every sub-stage.
@@ -246,9 +220,20 @@ FaultOutcome simulate_fault(const FaultSimContext& ctx, const StructuralFault& f
   // Survival guarantee: nothing a single fault does — divergence,
   // singularity, or an unexpected exception — may abort the campaign.
   try {
-    run_variant(bulk);
-    if (both_leaks) {
-      run_variant(bulk == OpenLeak::kToGround ? OpenLeak::kToVdd : OpenLeak::kToGround);
+    const ScheduleTally tally =
+        run_stage_schedule(n_variants, opts.with_bist ? kStageCount : kStageBist, full,
+                           opts.max_newton_per_fault, run);
+    stage_skips.add(static_cast<std::int64_t>(tally.skips));
+    outcome.budget_blown = tally.budget_blown;
+    for (std::size_t v = 0; v < n_variants; ++v) {
+      LeakVariant& lv = variants[v];
+      outcome.newton_iterations += tally.iterations[v];
+      // The first failed solve's status wins, the bulk leak's first:
+      // later stages usually fail the same way for the same reason.
+      if (lv.record.failed != 0 && !anomalous(outcome.record)) outcome.status = lv.status;
+      if (v != 0) outcome.observed += '|';
+      outcome.observed += observed_marks(std::move(lv.marks), opts);
+      outcome.record.add(lv.record);
     }
   } catch (const std::exception& e) {
     quarantine("exception on " + f.describe() + ": " + e.what());

@@ -2,9 +2,9 @@
 // Table-I fault universe, injects each fault into a copy of the golden
 // frontend, and applies the paper's three test stages (DC test, scan
 // test, BIST). Gate opens run with the floating gate leaking toward the
-// device bulk; under the pessimistic convention they also run the
-// opposite leak and count as detected by a stage only if BOTH variants
-// are.
+// device bulk; under the pessimistic convention the opposite leak is a
+// second variant, and a stage detects only if it does in BOTH
+// (dft/stage_schedule.hpp runs the variants' stages).
 //
 // Survival layer: faulted netlists are exactly the inputs that make the
 // solver fail, so every fault is partitioned into one of three verdicts:
@@ -49,7 +49,7 @@ std::string fault_verdict_name(FaultVerdict v);
 
 /// Bit positions of FaultOutcome::stages_run: which stages ran (as
 /// opposed to skipped by a blown Newton budget, a disabled BIST, or the
-/// adaptive short-circuit).
+/// adaptive schedule).
 enum : unsigned {
   kStageBitDc = 1u,
   kStageBitScan = 2u,
@@ -86,8 +86,8 @@ struct CampaignOptions {
   std::size_t max_faults = 0;
   /// Gate-open handling. Every gate open first runs with the floating
   /// gate leaking toward the device bulk (NMOS -> GND, PMOS -> VDD), the
-  /// physically likely level. Pessimistic (true): the opposite leak runs
-  /// next, and a detection counts only when BOTH variants are flagged;
+  /// physically likely level. Pessimistic (true): the opposite leak is a
+  /// second variant, and a stage detects only when it flags BOTH;
   /// project_report(..., GateOpenConvention::kBulkLeak) recovers the
   /// default convention's report from such a run.
   bool pessimistic_gate_opens = false;
@@ -122,13 +122,14 @@ struct CampaignOptions {
   /// class, fanning the bit-identical outcome out to the members
   /// (FaultOutcome::collapsed_into names the representative).
   bool collapse_faults = true;
-  /// Skip the remaining stages once one stage detects. The stages always
-  /// run DC -> scan -> BIST, the order of the cumulative Table-I
-  /// columns. Never applied to pessimistic gate opens (their detection
-  /// is an AND across leak variants, which a per-variant skip would
-  /// break). Off = full evaluation: every sub-stage also runs past
-  /// detections and failed solves inside its stage (run_*_test's
-  /// `full_evaluation`), so FaultOutcome::observed is complete.
+  /// Skip the remaining stages once one stage detects in every leak
+  /// variant, and run a pessimistic gate open's opposite leak only on a
+  /// stage its bulk leak detected (dft/stage_schedule.hpp). The stages
+  /// always run DC -> scan -> BIST, the order of the cumulative Table-I
+  /// columns. Off = full evaluation: every variant runs every stage, and
+  /// every sub-stage also runs past detections and failed solves inside
+  /// its stage (run_*_test's `full_evaluation`), so
+  /// FaultOutcome::observed is complete.
   bool adaptive_stage_order = true;
 
   /// Ignored: the campaign has no low-rank solve path. Kept only because
@@ -255,7 +256,8 @@ enum class GateOpenConvention {
 /// report equals the bulk-leak one if the Newton budget is unlimited
 /// (the default; a finite one can run out in the second variant only).
 /// Of an adaptive report only the verdicts and cumulative coverage
-/// agree: pessimistic gate opens skip no stage after a detection.
+/// agree: there a gate open's bulk leak runs on past a stage it detected
+/// when the opposite leak did not.
 CampaignReport project_report(const CampaignReport& full, unsigned kept_substages,
                               GateOpenConvention convention = GateOpenConvention::kAsRun);
 

@@ -15,6 +15,7 @@
 #include "dft/campaign.hpp"
 #include "spice/dc.hpp"
 #include "spice/workspace.hpp"
+#include "support/names.hpp"
 #include "util/metrics.hpp"
 
 namespace lsl::cells {
@@ -66,9 +67,9 @@ TEST(SolverSmoke, EveryNetlistSizeSolvesOnTheSparseEngine) {
     nl.add("i_in", spice::ISource{spice::kGround, prev, 100e-6});
     nl.add("rg0", spice::Resistor{prev, spice::kGround, 10e3});
     for (std::size_t k = 1; k < n; ++k) {
-      const spice::NodeId cur = nl.node("n" + std::to_string(k));
-      nl.add("r" + std::to_string(k), spice::Resistor{prev, cur, 1e3});
-      nl.add("rg" + std::to_string(k), spice::Resistor{cur, spice::kGround, 10e3});
+      const spice::NodeId cur = nl.node(test::indexed("n", k));
+      nl.add(test::indexed("r", k), spice::Resistor{prev, cur, 1e3});
+      nl.add(test::indexed("rg", k), spice::Resistor{cur, spice::kGround, 10e3});
       prev = cur;
     }
     ASSERT_EQ(nl.unknown_count(), n);

@@ -143,42 +143,55 @@ TEST_F(CampaignFixture, ScanDetectionStopsBeforeBist) {
 
 TEST_F(CampaignFixture, StageSecondsCountEveryStageRunWithinTheCampaignWallTime) {
   // One campaign.stage_seconds.<stage> sample per stage a leak variant
-  // ran (a run stage records at least one of its sub-stages), and the
-  // stages' time lies inside the campaign's.
-  CampaignOptions opts;
-  opts.prefixes = {"cp.m_pulln"};
-  opts.with_scan_toggle = false;
-  opts.collapse_faults = false;  // every outcome is simulated
-  auto& m = util::metrics();
-  const std::array<const util::MetricHistogram*, kStageCount> hist = {
-      &m.histogram("campaign.stage_seconds.dc"), &m.histogram("campaign.stage_seconds.scan"),
-      &m.histogram("campaign.stage_seconds.bist")};
-  std::array<util::MetricHistogram::Snapshot, kStageCount> before;
-  for (unsigned s = 0; s < kStageCount; ++s) before[s] = hist[s]->snapshot();
-  const auto t0 = std::chrono::steady_clock::now();
-  const CampaignReport report = run_campaign(*golden_, opts);
-  const double wall = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-  ASSERT_TRUE(report.complete);
+  // ran (a run stage records at least one of its sub-stages), one
+  // campaign.stage_skips count per (variant, stage) pair that did not
+  // run (the budget is unlimited), and the stages' time lies inside the
+  // campaign's; in both gate-open conventions.
+  for (const bool pessimistic : {false, true}) {
+    SCOPED_TRACE(pessimistic ? "pessimistic" : "bulk-leak");
+    CampaignOptions opts;
+    opts.prefixes = {"cp.m_pulln"};
+    opts.with_scan_toggle = false;
+    opts.collapse_faults = false;  // every outcome is simulated
+    opts.pessimistic_gate_opens = pessimistic;
+    auto& m = util::metrics();
+    const std::array<const util::MetricHistogram*, kStageCount> hist = {
+        &m.histogram("campaign.stage_seconds.dc"), &m.histogram("campaign.stage_seconds.scan"),
+        &m.histogram("campaign.stage_seconds.bist")};
+    const util::Counter& skips = m.counter("campaign.stage_skips");
+    std::array<util::MetricHistogram::Snapshot, kStageCount> before;
+    for (unsigned s = 0; s < kStageCount; ++s) before[s] = hist[s]->snapshot();
+    const std::int64_t skips_before = skips.value();
+    const auto t0 = std::chrono::steady_clock::now();
+    const CampaignReport report = run_campaign(*golden_, opts);
+    const double wall =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+    ASSERT_TRUE(report.complete);
 
-  std::array<std::uint64_t, kStageCount> ran{};
-  for (const FaultOutcome& o : report.outcomes) {
-    for (const SubStageRecord& r : o.record) {
-      for (unsigned s = 0; s < kStageCount; ++s) {
-        unsigned stage_bits = 0;
-        for (const SubStage sub : kStageRunOrder[s]) stage_bits |= sub_bit(sub);
-        ran[s] += (r.run & stage_bits) != 0 ? 1 : 0;
+    std::array<std::uint64_t, kStageCount> ran{};
+    std::uint64_t pairs = 0;
+    for (const FaultOutcome& o : report.outcomes) {
+      for (const SubStageRecord& r : o.record) {
+        pairs += kStageCount;
+        for (unsigned s = 0; s < kStageCount; ++s) {
+          unsigned stage_bits = 0;
+          for (const SubStage sub : kStageRunOrder[s]) stage_bits |= sub_bit(sub);
+          ran[s] += (r.run & stage_bits) != 0 ? 1 : 0;
+        }
       }
     }
+    double seconds = 0.0;
+    for (unsigned s = 0; s < kStageCount; ++s) {
+      const auto after = hist[s]->snapshot();
+      EXPECT_EQ(after.count - before[s].count, ran[s]) << "stage " << s;
+      seconds += after.sum - before[s].sum;
+      pairs -= ran[s];
+    }
+    EXPECT_EQ(static_cast<std::uint64_t>(skips.value() - skips_before), pairs);
+    EXPECT_GT(ran[kStageBist], 0u);
+    EXPECT_GT(seconds, 0.0);
+    EXPECT_LE(seconds, wall);
   }
-  double seconds = 0.0;
-  for (unsigned s = 0; s < kStageCount; ++s) {
-    const auto after = hist[s]->snapshot();
-    EXPECT_EQ(after.count - before[s].count, ran[s]) << "stage " << s;
-    seconds += after.sum - before[s].sum;
-  }
-  EXPECT_GT(ran[kStageBist], 0u);
-  EXPECT_GT(seconds, 0.0);
-  EXPECT_LE(seconds, wall);
 }
 
 TEST_F(CampaignFixture, SingleThreadProgressIsInOrderAndPrecedesEachFault) {
@@ -232,7 +245,7 @@ TEST_F(CampaignFixture, CanonicalLineHoldsOnlyTheRecord) {
     // The line holds the record only: no stage bits, no second variant.
     for (const char* derived :
          {"dc", "scan", "bist", "anomalous", "stages_run", "substages_run_b"}) {
-      EXPECT_FALSE(has("\"" + std::string(derived) + "\":")) << derived << " in " << line;
+      EXPECT_FALSE(has(std::string("\"") + derived + "\":")) << derived << " in " << line;
     }
   }
 }

@@ -312,6 +312,61 @@ TEST_F(CampaignIncrementalFixture, StagesRunRecordsWhatActuallyExecuted) {
   EXPECT_LT(dc_detections, report.outcomes.size());
 }
 
+TEST_F(CampaignIncrementalFixture, PessimisticScheduleKeepsTheFullEvaluationFigures) {
+  // Gate opens that only the toggle or the BIST detect (termination
+  // tgates, pump switches) and one whose cold DC solve fails (cp.m_bpd).
+  // The adaptive pessimistic schedule runs the opposite leak only on a
+  // stage the bulk leak detected and ends a fault at the first stage both
+  // detect; its verdicts and cumulative coverage are the full
+  // evaluation's, its bulk-leak projection's are the bulk-leak run's, and
+  // its canonical JSONL is the same at 1 and 4 threads.
+  for (const bool cold : {false, true}) {
+    SCOPED_TRACE(cold ? "cold" : "warm");
+    CampaignOptions bulk;
+    bulk.prefixes = {"cp.m_bpd", "cp.m_swdnb", "term.termp.m_tg"};
+    bulk.reuse_golden = !cold;
+    CampaignOptions opts = bulk;
+    opts.pessimistic_gate_opens = true;
+    CampaignOptions full = opts;
+    full.adaptive_stage_order = false;
+    const CampaignReport adaptive = run_campaign(*golden_, opts);
+    const CampaignReport evaluated = run_campaign(*golden_, full);
+    ASSERT_TRUE(adaptive.complete && evaluated.complete);
+    expect_same_partition(evaluated, adaptive);
+    expect_same_partition(run_campaign(*golden_, bulk),
+                          project_report(adaptive, kAllSubStages, GateOpenConvention::kBulkLeak));
+    opts.num_threads = 4;
+    EXPECT_EQ(report_canonical_jsonl(run_campaign(*golden_, opts)),
+              report_canonical_jsonl(adaptive));
+
+    std::size_t gate_opens = 0;
+    std::size_t opposite_skipped = 0;
+    std::size_t failed = 0;
+    for (std::size_t i = 0; i < adaptive.outcomes.size(); ++i) {
+      const FaultOutcome& a = adaptive.outcomes[i];
+      failed += anomalous(evaluated.outcomes[i].record);
+      if (a.record.count != 2) continue;
+      ++gate_opens;
+      const unsigned ran = a.record.slot[1].run;
+      opposite_skipped += ran != evaluated.outcomes[i].record.slot[1].run;
+      // Every stage the opposite leak ran, the bulk leak ran and detected.
+      for (const Stage s : {kStageDc, kStageScan, kStageBist}) {
+        unsigned bits = 0;
+        for (const SubStage sub : kStageRunOrder[s]) bits |= sub_bit(sub);
+        if ((ran & bits) == 0) continue;
+        const SubStageRecord& r = a.record.slot[0];
+        EXPECT_TRUE(stage_detects(r.detected, r.failed, kStageRunOrder[s]))
+            << a.fault.describe() << " stage " << s;
+      }
+    }
+    EXPECT_GT(gate_opens, 0u);
+    EXPECT_GT(opposite_skipped, 0u) << "the schedule skipped no stage of an opposite leak";
+    if (cold) {
+      EXPECT_GT(failed, 0u) << "no failed solve in the cold universe";
+    }
+  }
+}
+
 TEST_F(CampaignIncrementalFixture, AblationProjectionsEqualRealCampaigns) {
   // Toggle-only detections (termination tgate opens), BIST-only ones
   // (charge-pump bias and switch devices), and cold starts, under which

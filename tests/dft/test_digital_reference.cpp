@@ -90,7 +90,12 @@ std::string figures_line(std::uint64_t seed) {
       {"atpg_rerun_hard", static_cast<long>(rerun.hard.detected)},
       {"atpg_rerun_combined", static_cast<long>(rerun.combined.detected)}};
   std::string line = "seed " + std::to_string(seed);
-  for (const auto& [name, value] : figures) line += " " + std::string(name) + " " + std::to_string(value);
+  for (const auto& [name, value] : figures) {
+    line += ' ';
+    line += name;
+    line += ' ';
+    line += std::to_string(value);
+  }
   return line;
 }
 

@@ -9,6 +9,7 @@
 #include "digital/circuit.hpp"
 #include "digital/scan.hpp"
 #include "digital/stuck.hpp"
+#include "support/names.hpp"
 #include "util/rng.hpp"
 
 namespace lsl::digital::fixtures {
@@ -24,7 +25,7 @@ inline Logic random_logic(util::Pcg32& rng) { return static_cast<Logic>(rng.next
 inline Circuit random_circuit(util::Pcg32& rng, std::size_t n_nets, bool scan_hookups,
                               bool free_flop_outputs = false) {
   Circuit c;
-  for (std::size_t i = 0; i < n_nets; ++i) c.net("n" + std::to_string(i));
+  for (std::size_t i = 0; i < n_nets; ++i) c.net(test::indexed("n", i));
   constexpr std::size_t kInputs = 5;
   constexpr std::size_t kFlops = 8;
   for (NetId n = 0; n < kInputs; ++n) c.make_input(n);

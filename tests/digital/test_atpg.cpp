@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "fixtures.hpp"
+#include "support/names.hpp"
 
 namespace lsl::digital {
 namespace {
@@ -22,7 +23,7 @@ struct Fixture {
   Fixture() {
     std::vector<NetId> qs;
     for (int i = 0; i < 6; ++i) {
-      const NetId q = c.net("q" + std::to_string(i));
+      const NetId q = c.net(test::indexed("q", i));
       flops.push_back(c.add_flipflop(FlipFlop{q, q, {}, {}, {}}));
       qs.push_back(q);
     }

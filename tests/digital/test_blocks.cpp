@@ -4,6 +4,8 @@
 
 #include <string>
 
+#include "support/names.hpp"
+
 namespace lsl::digital {
 namespace {
 
@@ -162,8 +164,8 @@ TEST(SwitchMatrix, RoutesSelectedPhase) {
   std::vector<NetId> phases;
   std::vector<NetId> sel;
   for (int i = 0; i < 4; ++i) {
-    phases.push_back(c.net("ph" + std::to_string(i)));
-    sel.push_back(c.net("s" + std::to_string(i)));
+    phases.push_back(c.net(test::indexed("ph", i)));
+    sel.push_back(c.net(test::indexed("s", i)));
     c.make_input(phases.back());
     c.make_input(sel.back());
   }
@@ -187,8 +189,8 @@ TEST(SwitchMatrix, NoSelectionNoClock) {
   std::vector<NetId> phases;
   std::vector<NetId> sel;
   for (int i = 0; i < 3; ++i) {
-    phases.push_back(c.net("ph" + std::to_string(i)));
-    sel.push_back(c.net("s" + std::to_string(i)));
+    phases.push_back(c.net(test::indexed("ph", i)));
+    sel.push_back(c.net(test::indexed("s", i)));
     c.make_input(phases.back());
     c.make_input(sel.back());
     }

@@ -18,6 +18,7 @@
 #include "digital/compaction.hpp"
 #include "digital/stuck.hpp"
 #include "fixtures.hpp"
+#include "support/names.hpp"
 
 namespace lsl::digital {
 namespace {
@@ -318,7 +319,7 @@ Circuit settling_circuit(util::Pcg32& rng) {
   constexpr std::size_t kInputs = 5;
   constexpr std::size_t kFlops = 8;
   Circuit c;
-  for (std::size_t i = 0; i < kNets; ++i) c.net("n" + std::to_string(i));
+  for (std::size_t i = 0; i < kNets; ++i) c.net(test::indexed("n", i));
   for (NetId n = 0; n < kInputs; ++n) c.make_input(n);
   std::vector<NetId> outputs;
   for (NetId n = kInputs; n < kNets - kFlops; ++n) outputs.push_back(n);
@@ -392,7 +393,7 @@ TEST(CircuitSettle, SettleAfterEveryMutatorMatchesByteSim) {
     };
     /// A new net, settled first, so only the next mutation changes it.
     const auto fresh_net = [&] {
-      const NetId n = c.net("fresh" + std::to_string(c.net_count()));
+      const NetId n = c.net(test::indexed("fresh", c.net_count()));
       for (auto& r : refs) r.grow();
       settle_all(c, refs);
       return n;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "support/names.hpp"
+
 namespace lsl::digital {
 namespace {
 
@@ -17,8 +19,8 @@ struct Fixture {
     c.make_input(pi);
     NetId prev = pi;
     for (int i = 0; i < 4; ++i) {
-      const NetId d = c.net("d" + std::to_string(i));
-      const NetId q = c.net("q" + std::to_string(i));
+      const NetId d = c.net(test::indexed("d", i));
+      const NetId q = c.net(test::indexed("q", i));
       c.add_gate(GateType::kXor, {prev, (i % 2 == 0) ? pi : prev}, d);
       flops.push_back(c.add_flipflop(FlipFlop{d, q, {}, {}, {}}));
       prev = q;

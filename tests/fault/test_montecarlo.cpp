@@ -6,6 +6,7 @@
 
 #include "cells/comparator.hpp"
 #include "spice/dc.hpp"
+#include "support/names.hpp"
 
 namespace lsl::fault {
 namespace {
@@ -37,7 +38,7 @@ TEST(ApplyMismatch, PerturbsOnlyMatchingMosfets) {
 TEST(ApplyMismatch, DeltasAreZeroMeanAndScaled) {
   spice::Netlist nl;
   for (int i = 0; i < 400; ++i) {
-    nl.add("m" + std::to_string(i),
+    nl.add(test::indexed("m", i),
            spice::Mosfet{nl.node("x"), nl.node("y"), spice::kGround, spice::MosType::kNmos,
                          0.5e-6, 0.5e-6, 0.0});
   }

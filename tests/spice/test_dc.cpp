@@ -4,6 +4,8 @@
 
 #include <cmath>
 
+#include "support/names.hpp"
+
 namespace lsl::spice {
 namespace {
 
@@ -73,14 +75,14 @@ TEST(Dc, SeriesResistorLadder) {
   Netlist nl;
   nl.add("v1", VSource{nl.node("n0"), kGround, 1.2});
   for (int k = 0; k < 12; ++k) {
-    const NodeId a = nl.node("n" + std::to_string(k));
-    const NodeId b = (k == 11) ? kGround : nl.node("n" + std::to_string(k + 1));
-    nl.add("r" + std::to_string(k), Resistor{a, b, 1e3});
+    const NodeId a = nl.node(test::indexed("n", k));
+    const NodeId b = (k == 11) ? kGround : nl.node(test::indexed("n", k + 1));
+    nl.add(test::indexed("r", k), Resistor{a, b, 1e3});
   }
   const DcResult r = solve_dc(nl);
   ASSERT_TRUE(r.converged);
   for (int k = 0; k < 12; ++k) {
-    EXPECT_NEAR(r.v(nl, "n" + std::to_string(k)), 1.2 * (12 - k) / 12.0, 1e-6) << "node " << k;
+    EXPECT_NEAR(r.v(nl, test::indexed("n", k)), 1.2 * (12 - k) / 12.0, 1e-6) << "node " << k;
   }
 }
 

@@ -13,6 +13,7 @@
 #include "spice/transient.hpp"
 #include "spice/workspace.hpp"
 #include "support/dense_referee.hpp"
+#include "support/names.hpp"
 
 namespace lsl::spice {
 namespace {
@@ -27,9 +28,9 @@ Netlist inverter_chain(int stages = 3) {
   nl.add("v_in", VSource{in, kGround, 0.0});
   NodeId prev = in;
   for (int k = 0; k < stages; ++k) {
-    const NodeId out = nl.node("out" + std::to_string(k));
-    nl.add("mp" + std::to_string(k), Mosfet{out, prev, vdd, MosType::kPmos, 1.0e-6, 0.5e-6});
-    nl.add("mn" + std::to_string(k), Mosfet{out, prev, kGround, MosType::kNmos, 0.5e-6, 0.5e-6});
+    const NodeId out = nl.node(test::indexed("out", k));
+    nl.add(test::indexed("mp", k), Mosfet{out, prev, vdd, MosType::kPmos, 1.0e-6, 0.5e-6});
+    nl.add(test::indexed("mn", k), Mosfet{out, prev, kGround, MosType::kNmos, 0.5e-6, 0.5e-6});
     prev = out;
   }
   return nl;
@@ -134,7 +135,7 @@ TEST(SolverRobustness, TransientStepConvergedMeansTheRequestedToleranceWasMet) {
   // the loop ran out of iterations.
   Netlist nl = inverter_chain();
   for (int k = 0; k < 3; ++k) {
-    nl.add("c" + std::to_string(k), Capacitor{*nl.find_node("out" + std::to_string(k)), kGround,
+    nl.add(test::indexed("c", k), Capacitor{*nl.find_node(test::indexed("out", k)), kGround,
                                              5e-15});
   }
   const DcResult op = solve_dc(nl);

@@ -20,6 +20,7 @@
 #include "spice/transient.hpp"
 #include "spice/workspace.hpp"
 #include "support/dense_referee.hpp"
+#include "support/names.hpp"
 #include "util/rng.hpp"
 
 // Global allocation counter: every operator new in this test binary
@@ -56,12 +57,12 @@ Netlist make_random_rc(util::Pcg32& rng, std::size_t n_nodes) {
   nl.add("vin", VSource{vin, kGround, rng.next_range(0.3, 1.2)});
   NodeId prev = vin;
   for (std::size_t i = 0; i < n_nodes; ++i) {
-    const NodeId cur = nl.node("n" + std::to_string(i));
-    nl.add("r" + std::to_string(i), Resistor{prev, cur, rng.next_range(100.0, 10e3)});
+    const NodeId cur = nl.node(test::indexed("n", i));
+    nl.add(test::indexed("r", i), Resistor{prev, cur, rng.next_range(100.0, 10e3)});
     if (rng.next_bool()) {
-      nl.add("rg" + std::to_string(i), Resistor{cur, kGround, rng.next_range(1e3, 100e3)});
+      nl.add(test::indexed("rg", i), Resistor{cur, kGround, rng.next_range(1e3, 100e3)});
     }
-    nl.add("c" + std::to_string(i), Capacitor{cur, kGround, rng.next_range(0.1e-12, 5e-12)});
+    nl.add(test::indexed("c", i), Capacitor{cur, kGround, rng.next_range(0.1e-12, 5e-12)});
     prev = cur;
   }
   return nl;
@@ -77,16 +78,16 @@ Netlist make_random_mos(util::Pcg32& rng, std::size_t n_stages) {
   nl.add("v_in", VSource{in, kGround, rng.next_range(0.0, 1.2)});
   NodeId gate = in;
   for (std::size_t s = 0; s < n_stages; ++s) {
-    const NodeId out = nl.node("o" + std::to_string(s));
+    const NodeId out = nl.node(test::indexed("o", s));
     const double w = rng.next_range(0.2e-6, 2.0e-6);
     const double l = rng.next_range(0.2e-6, 1.0e-6);
     const double r_load = rng.next_range(1e3, 50e3);
     if (rng.next_bool()) {
-      nl.add("mn" + std::to_string(s), Mosfet{out, gate, kGround, MosType::kNmos, w, l, 0.0});
-      nl.add("rl" + std::to_string(s), Resistor{out, vdd, r_load});
+      nl.add(test::indexed("mn", s), Mosfet{out, gate, kGround, MosType::kNmos, w, l, 0.0});
+      nl.add(test::indexed("rl", s), Resistor{out, vdd, r_load});
     } else {
-      nl.add("mp" + std::to_string(s), Mosfet{out, gate, vdd, MosType::kPmos, w, l, 0.0});
-      nl.add("rl" + std::to_string(s), Resistor{out, kGround, r_load});
+      nl.add(test::indexed("mp", s), Mosfet{out, gate, vdd, MosType::kPmos, w, l, 0.0});
+      nl.add(test::indexed("rl", s), Resistor{out, kGround, r_load});
     }
     gate = out;
   }

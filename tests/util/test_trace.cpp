@@ -110,7 +110,9 @@ TEST_F(TraceTest, CrossThreadDrainMergesSortedByStartTime) {
   ASSERT_EQ(events.size(), static_cast<std::size_t>(kThreads * kSpansPerThread));
   std::vector<std::uint32_t> tids;
   for (std::size_t i = 0; i < events.size(); ++i) {
-    if (i > 0) EXPECT_LE(events[i - 1].ts_us, events[i].ts_us) << "merge not time-sorted at " << i;
+    if (i > 0) {
+      EXPECT_LE(events[i - 1].ts_us, events[i].ts_us) << "merge not time-sorted at " << i;
+    }
     tids.push_back(events[i].tid);
   }
   std::sort(tids.begin(), tids.end());
